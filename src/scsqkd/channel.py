@@ -15,13 +15,21 @@ followed by two threshold detectors (left/right) with dark-count probability
 
 The baseline mode is a documented approximation of the original protocol,
 used only for rate comparisons.
+
+A detector with mean photon number ``nu`` clicks with probability
+``1 - (1 - p_d) e^{-nu}``, evaluated as ``p_d - (1 - p_d) expm1(-nu)`` (two
+nonnegative terms, so no cancellation at small ``nu`` and ``p_d``).  The
+baseline phase average has the closed form
+``2q e^{-a} [(I0(c) - 1) + click(a)]`` with ``q = 1 - p_d``, per-detector mean
+``a = eta (mu_A + mu_B) / 2`` and interference term
+``c = V eta sqrt(mu_A mu_B)``; every bracketed term is nonnegative.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from scipy.special import i0e
 
 MODES = ("improved", "baseline")
 
@@ -29,7 +37,9 @@ MODES = ("improved", "baseline")
 # Z_A = Alice vacuum / Bob coherent, Z_B = Alice coherent / Bob vacuum.
 KINDS = ("O", "B", "Z_A", "Z_B")
 
-_PHASE_GRID_POINTS = 256
+# Below this interference term the power series of I0(c) - 1 is used; it
+# needs at most ~20 terms there.
+_I0_SERIES_MAX = 2.0
 
 
 class ChannelModelError(ValueError):
@@ -130,7 +140,8 @@ def detector_means(kind: str, mu_A: float, mu_B: float, eta: float, e_d: float,
     ``cos_delta`` is the cosine of the phase difference between the two
     incoming pulses; 1.0 corresponds to Charlie's compensated (improved)
     setting, where B-window energy is steered to the left port.  It only
-    affects B windows.
+    affects B windows, and may be a NumPy array of per-window phases, in
+    which case the B-window means are arrays too.
     """
     if mu_A < 0.0 or mu_B < 0.0 or eta < 0.0:
         raise ChannelModelError("intensities and transmittance must be nonnegative")
@@ -149,6 +160,14 @@ def detector_means(kind: str, mu_A: float, mu_B: float, eta: float, e_d: float,
     raise ChannelModelError(f"unknown window kind {kind!r}")
 
 
+def click_prob(nu: float, p_d: float) -> float:
+    """Probability that a threshold detector with mean ``nu`` clicks.
+
+    ``1 - (1 - p_d) e^{-nu}``, arranged as ``p_d - (1 - p_d) expm1(-nu)``.
+    """
+    return p_d - (1.0 - p_d) * math.expm1(-nu)
+
+
 def effective_prob(nu_L: float, nu_R: float, p_d: float, mode: str = "improved") -> float:
     """Heralding probability for given detector means.
 
@@ -159,39 +178,55 @@ def effective_prob(nu_L: float, nu_R: float, p_d: float, mode: str = "improved")
         raise ChannelModelError("detector means must be nonnegative")
     if not (0.0 <= p_d <= 1.0):
         raise ChannelModelError(f"p_d must lie in [0, 1], got {p_d!r}")
-    no_click_r = (1.0 - p_d) * math.exp(-nu_R)
-    no_click_l = (1.0 - p_d) * math.exp(-nu_L)
-    right_only = (1.0 - no_click_r) * no_click_l
+    q = 1.0 - p_d
+    right_only = click_prob(nu_R, p_d) * q * math.exp(-nu_L)
     if mode == "improved":
         return right_only
     if mode == "baseline":
-        left_only = (1.0 - no_click_l) * no_click_r
-        return right_only + left_only
+        return right_only + click_prob(nu_L, p_d) * q * math.exp(-nu_R)
     raise ChannelModelError(f"unknown mode {mode!r}")
+
+
+def _scaled_i0_minus_1(c: float, a: float) -> float:
+    """``e^{-a} (I0(c) - 1)`` for ``0 <= c <= a``, without cancellation.
+
+    Small ``c`` sums the series ``sum_k (c^2/4)^k / (k!)^2`` from k = 1;
+    larger ``c`` has ``I0(c) >= 2.2``, so subtracting 1 loses little, and the
+    exponentially scaled ``i0e`` keeps ``I0(c)`` from overflowing.
+    """
+    if c > _I0_SERIES_MAX:
+        return math.exp(c - a) * float(i0e(c)) - math.exp(-a)
+    y = 0.25 * c * c
+    term = total = y
+    k = 1
+    while term > 1e-17 * total:
+        k += 1
+        term *= y / (k * k)
+        total += term
+    return math.exp(-a) * total
 
 
 def b_window_prob(mu_A: float, mu_B: float, eta: float, e_d: float, p_d: float,
                   mode: str = "improved") -> float:
     """Heralding probability of a both-coherent window.
 
-    In baseline mode the phase difference is uniform in [0, 2pi); the
-    exactly-one-click probability is averaged over a periodic midpoint grid
-    (spectrally accurate for this smooth integrand).
+    In baseline mode the phase difference is uniform in [0, 2pi).  Averaging
+    the exactly-one-click probability over it gives the closed form
+    ``2q e^{-a} [(I0(c) - 1) + click(a)]`` with ``q = 1 - p_d``,
+    ``a = eta (mu_A + mu_B) / 2``, ``c = V eta sqrt(mu_A mu_B)`` and
+    ``click(a) = p_d - q expm1(-a)`` (see :func:`click_prob`).
     """
     if mode == "improved":
         nu_l, nu_r = detector_means("B", mu_A, mu_B, eta, e_d, cos_delta=1.0)
         return effective_prob(nu_l, nu_r, p_d, "improved")
     if mode != "baseline":
         raise ChannelModelError(f"unknown mode {mode!r}")
-    delta = (np.arange(_PHASE_GRID_POINTS) + 0.5) * (2.0 * np.pi / _PHASE_GRID_POINTS)
-    avg = eta * (mu_A + mu_B) / 2.0
-    cross = visibility(e_d) * eta * math.sqrt(mu_A * mu_B) * np.cos(delta)
-    nu_l = avg + cross
-    nu_r = avg - cross
-    no_l = (1.0 - p_d) * np.exp(-nu_l)
-    no_r = (1.0 - p_d) * np.exp(-nu_r)
-    one_click = (1.0 - no_r) * no_l + (1.0 - no_l) * no_r
-    return float(np.mean(one_click))
+    if mu_A < 0.0 or mu_B < 0.0 or eta < 0.0:
+        raise ChannelModelError("intensities and transmittance must be nonnegative")
+    a = eta * (mu_A + mu_B) / 2.0
+    c = abs(visibility(e_d)) * eta * math.sqrt(mu_A * mu_B)
+    q = 1.0 - p_d
+    return 2.0 * q * (_scaled_i0_minus_1(c, a) + math.exp(-a) * click_prob(a, p_d))
 
 
 def window_probs(protocol: ProtocolParams, channel: ChannelParams,

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .channel import ChannelParams, ProtocolParams
 from .mc_oracle import SimConfig, simulate
@@ -33,7 +33,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScanConfig:
-    channel: ChannelParams          # distance_km field unused; set per point
+    channel: ChannelParams          # distance_km=0 placeholder, replaced per point
     calib: SourceCalibration
     security: SecurityConfig
     space: SearchSpace
@@ -160,9 +160,7 @@ def _block_value(label: str):
 
 def _scan_one(task: tuple) -> dict:
     cfg, distance, block_label, mode = task
-    channel = ChannelParams(distance_km=distance, alpha_f=cfg.channel.alpha_f,
-                            eta_d=cfg.channel.eta_d, p_d=cfg.channel.p_d,
-                            e_d=cfg.channel.e_d)
+    channel = replace(cfg.channel, distance_km=distance)
     row = {"distance_km": distance, "N": block_label, "mode": mode,
            "px": 0.0, "mu_x": 0.0, "mu_virtual_A": 0.0, "mu_virtual_B": 0.0,
            "n_O": 0.0, "n_B": 0.0, "n_Z": 0.0, "E_Z": 0.0, "e_ph": 0.0,
@@ -305,10 +303,7 @@ def _mc_report(cfg: ScanConfig, rows: list[dict]) -> str:
         protocol = ProtocolParams(p0=1.0 - row["px"], px=row["px"],
                                   mu_xA=row["mu_x"], mu_xB=row["mu_x"],
                                   N=n_mc, mode=row["mode"])
-        channel = ChannelParams(distance_km=row["distance_km"],
-                                alpha_f=cfg.channel.alpha_f,
-                                eta_d=cfg.channel.eta_d, p_d=cfg.channel.p_d,
-                                e_d=cfg.channel.e_d)
+        channel = replace(cfg.channel, distance_km=row["distance_km"])
         from .channel import expected_tallies
         expected = expected_tallies(protocol, channel)
         phase_model = "compensated" if row["mode"] == "improved" else "uniform-random"

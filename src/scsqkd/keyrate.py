@@ -33,23 +33,6 @@ class SecurityParams:
     n_PE: int = 3
     f: float = 1.1
 
-    @property
-    def eps_cor(self) -> float:
-        """May underflow to 0.0; use log_eps_cor for arithmetic."""
-        return math.exp(self.log_eps_cor)
-
-    @property
-    def eps_bar(self) -> float:
-        return math.exp(self.log_eps_bar)
-
-    @property
-    def eps_PA(self) -> float:
-        return math.exp(self.log_eps_PA)
-
-    @property
-    def epsilon(self) -> float:
-        return math.exp(self.log_epsilon)
-
 
 def binary_entropy(x: float) -> float:
     """Shannon entropy H(x) in bits, with H(0) = H(1) = 0 by continuity."""

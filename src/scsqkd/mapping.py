@@ -20,9 +20,16 @@ class MappingError(ValueError):
     """Raised when vacuum-amplitude bounds leave the admissible region."""
 
 
-def _require_amplitude(name: str, value: float) -> None:
+def require_amplitude(name: str, value: float) -> None:
+    """Raise MappingError unless a squared vacuum amplitude lies in [0.5, 1]."""
     if not (0.5 <= value <= 1.0):
         raise MappingError(f"{name} must lie in [0.5, 1], got {value!r}")
+
+
+def require_fluct(fluct: float) -> None:
+    """Raise MappingError unless a relative fluctuation lies in [0, 1)."""
+    if not (0.0 <= fluct < 1.0):
+        raise MappingError(f"fluct must lie in [0, 1), got {fluct!r}")
 
 
 @dataclass(frozen=True)
@@ -43,9 +50,8 @@ class SourceBounds:
 
     def __post_init__(self) -> None:
         for name in ("a0", "av0", "b0", "bv0"):
-            _require_amplitude(name, getattr(self, name))
-        if not (0.0 <= self.fluct < 1.0):
-            raise MappingError(f"fluct must lie in [0, 1), got {self.fluct!r}")
+            require_amplitude(name, getattr(self, name))
+        require_fluct(self.fluct)
 
     @classmethod
     def from_nominal(cls, mu_xA: float, mu_xB: float, av0: float, bv0: float,
@@ -88,8 +94,8 @@ def virtual_intensity(a0: float, av0: float) -> float:
     Returns ``mu = -2 * ln(sqrt(a0*av0) - sqrt((1-a0)*(1-av0)))``, the value
     for which the mapping-existence condition holds with equality.
     """
-    _require_amplitude("a0", a0)
-    _require_amplitude("av0", av0)
+    require_amplitude("a0", a0)
+    require_amplitude("av0", av0)
     inner = math.sqrt(a0 * av0) - math.sqrt((1.0 - a0) * (1.0 - av0))
     # For a0, av0 >= 0.5 the inner expression is >= 0; equality only at
     # a0 = av0 = 0.5 which would need an infinite intensity.
@@ -122,6 +128,5 @@ def worst_case_coherent_vacuum_bound(mu_nominal: float, fluct: float) -> float:
     """
     if mu_nominal < 0.0:
         raise MappingError(f"mu_nominal must be nonnegative, got {mu_nominal!r}")
-    if not (0.0 <= fluct < 1.0):
-        raise MappingError(f"fluct must lie in [0, 1), got {fluct!r}")
+    require_fluct(fluct)
     return math.exp(-(1.0 + fluct) * mu_nominal)

@@ -4,8 +4,9 @@ Windows are simulated in fixed-size chunks, each driven by a counter-based
 Philox stream keyed on (seed, chunk index).  The output therefore depends
 only on the configuration, never on how chunks might be distributed across
 workers.  Clicks are sampled at the threshold-detector level - Bernoulli on
-1 - (1 - p_d) * exp(-nu) - which is the same level the analytic model is
-defined at, so agreement is exact in expectation.
+the channel model's click probability, with the channel model's detector
+means - which is the same level the analytic model is defined at, so
+agreement is exact in expectation.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (ChannelParams, ProtocolParams, WindowTally,
-                      arm_transmittance, detector_means, visibility)
+                      arm_transmittance, click_prob, detector_means)
 from .chernoff import observed_lower, observed_upper
 
 PHASE_MODELS = ("compensated", "uniform-random")
@@ -43,8 +44,9 @@ class SimConfig:
             raise SimConfigError(f"unknown phase model {self.phase_model!r}")
 
 
-def _click_prob(nu: float | np.ndarray, p_d: float):
-    return 1.0 - (1.0 - p_d) * np.exp(-nu)
+def _click_probs(nu: np.ndarray, p_d: float) -> np.ndarray:
+    """Array form of :func:`scsqkd.channel.click_prob`."""
+    return p_d - (1.0 - p_d) * np.expm1(-nu)
 
 
 def simulate(config: SimConfig) -> WindowTally:
@@ -68,12 +70,8 @@ def simulate(config: SimConfig) -> WindowTally:
     probs_r = np.empty(4)
     for code, kind in enumerate(("O", "Z_A", "Z_B", "B")):
         nu_l, nu_r = detector_means(kind, proto.mu_xA, proto.mu_xB, eta, chan.e_d)
-        probs_l[code] = _click_prob(nu_l, p_d)
-        probs_r[code] = _click_prob(nu_r, p_d)
-
-    v = visibility(chan.e_d)
-    b_avg = eta * (proto.mu_xA + proto.mu_xB) / 2.0
-    b_cross = v * eta * np.sqrt(proto.mu_xA * proto.mu_xB)
+        probs_l[code] = click_prob(nu_l, p_d)
+        probs_r[code] = click_prob(nu_r, p_d)
 
     n_o = n_b = n_z = 0
     remaining = int(config.N)
@@ -94,11 +92,10 @@ def simulate(config: SimConfig) -> WindowTally:
         p_r = probs_r[code]
         if random_phase:
             is_b = code == 3
-            cos_d = np.cos(delta[is_b])
-            p_l = p_l.copy()
-            p_r = p_r.copy()
-            p_l[is_b] = _click_prob(b_avg + b_cross * cos_d, p_d)
-            p_r[is_b] = _click_prob(b_avg - b_cross * cos_d, p_d)
+            nu_l, nu_r = detector_means("B", proto.mu_xA, proto.mu_xB, eta,
+                                        chan.e_d, cos_delta=np.cos(delta[is_b]))
+            p_l[is_b] = _click_probs(nu_l, p_d)
+            p_r[is_b] = _click_probs(nu_r, p_d)
         click_l = u_l < p_l
         click_r = u_r < p_r
 

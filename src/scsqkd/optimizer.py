@@ -46,12 +46,12 @@ class SearchSpace:
             raise ValueError("need refine_rounds >= 0 and shrink > 1")
 
 
-def _axis(lo: float, hi: float, n: int, log: bool) -> np.ndarray:
+def _axis(lo: float, hi: float, n: int, log: bool) -> list[float]:
     if n == 1 or lo == hi:
-        return np.array([lo])
+        return [lo]
     if log:
-        return np.geomspace(lo, hi, n)
-    return np.linspace(lo, hi, n)
+        return np.geomspace(lo, hi, n).tolist()
+    return np.linspace(lo, hi, n).tolist()
 
 
 def optimize(channel: ChannelParams, calib: SourceCalibration,
@@ -67,13 +67,12 @@ def optimize(channel: ChannelParams, calib: SourceCalibration,
     best: tuple[float, float, float, KeyRateReport] | None = None
     feasible_seen = False
 
-    def sweep(px_vals: np.ndarray, mu_vals: np.ndarray) -> None:
+    def sweep(px_vals: list[float], mu_vals: list[float]) -> None:
         nonlocal best, feasible_seen
         for px in px_vals:
             for mu in mu_vals:
-                protocol = ProtocolParams(p0=1.0 - px, px=float(px),
-                                          mu_xA=float(mu), mu_xB=float(mu),
-                                          N=1, mode=mode)
+                protocol = ProtocolParams(p0=1.0 - px, px=px, mu_xA=mu,
+                                          mu_xB=mu, N=1, mode=mode)
                 try:
                     report = evaluate_point(channel, calib, protocol,
                                             security, block_size)
@@ -82,7 +81,7 @@ def optimize(channel: ChannelParams, calib: SourceCalibration,
                 feasible_seen = True
                 score = report.R_coh_signed
                 if best is None or score > best[0]:
-                    best = (score, float(px), float(mu), report)
+                    best = (score, px, mu, report)
 
     px_lo, px_hi = space.px_range
     mu_lo, mu_hi = space.mu_range

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import minimize_scalar
-
 from .channel import ProtocolParams, WindowTally
 from .chernoff import expectation_upper, observed_upper
 
@@ -53,19 +51,14 @@ class PhaseErrorBound:
     e_ph: float
 
 
-def decomposition_coeffs(mu_A: float, mu_B: float,
-                         c0: float | None = None) -> DecompositionCoeffs:
+def decomposition_coeffs(mu_A: float, mu_B: float) -> DecompositionCoeffs:
     """Decomposition coefficients for the given virtual intensities.
 
-    The default c0 = exp(-(mu_A + mu_B) / 4) works well in practice; an
-    override may supply any positive c0, with c1 fixed to 1 / c0.
+    Uses c0 = exp(-(mu_A + mu_B) / 4) and c1 = 1 / c0.
     """
     if mu_A < 0.0 or mu_B < 0.0:
         raise PhaseErrorInputError("intensities must be nonnegative")
-    if c0 is None:
-        c0 = math.exp(-(mu_A + mu_B) / 4.0)
-    elif c0 <= 0.0:
-        raise PhaseErrorInputError(f"c0 must be positive, got {c0!r}")
+    c0 = math.exp(-(mu_A + mu_B) / 4.0)
     c1 = 1.0 / c0
     fac_a = c0 + c1 - 2.0 * math.exp(-mu_A / 2.0)
     fac_b = c0 + c1 - 2.0 * math.exp(-mu_B / 2.0)
@@ -116,28 +109,3 @@ def phase_error_rate_upper(tally: WindowTally, protocol: ProtocolParams,
     e_ph = min(nph / tally.n_Z, 0.5)
     return PhaseErrorBound(mean_nO_U=nO_U, mean_nB_U=nB_U,
                            mean_Nph_U=mean_nph, Nph_U=nph, e_ph=e_ph)
-
-
-def optimize_coeffs(mu_A: float, mu_B: float, tally: WindowTally,
-                    protocol: ProtocolParams,
-                    xi: float | None = None, *,
-                    log_xi: float | None = None,
-                    asymptotic: bool = False) -> DecompositionCoeffs:
-    """One-dimensional search for the c0 minimizing e_ph on the c0*c1=1 curve.
-
-    Off by default in the evaluation pipeline; the default coefficients lose
-    little performance.
-    """
-
-    def objective(log_c0: float) -> float:
-        coeffs = decomposition_coeffs(mu_A, mu_B, c0=math.exp(log_c0))
-        return phase_error_rate_upper(tally, protocol, coeffs, xi,
-                                      log_xi=log_xi, asymptotic=asymptotic).e_ph
-
-    result = minimize_scalar(objective, bounds=(-5.0, 5.0), method="bounded",
-                             options={"xatol": 1e-10})
-    best = math.exp(result.x)
-    default = decomposition_coeffs(mu_A, mu_B)
-    if objective(result.x) <= objective(math.log(default.c0)):
-        return decomposition_coeffs(mu_A, mu_B, c0=best)
-    return default

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 from .channel import ChannelParams, ProtocolParams, expected_tallies
 from .keyrate import (KeyRateReport, binary_entropy, ec_leakage,
                       key_rate_coherent, key_rate_collective, security_budget)
-from .mapping import MappingError, SourceBounds, VirtualIntensities
+from .mapping import (MappingError, SourceBounds, VirtualIntensities,
+                      require_amplitude, require_fluct)
 from .phase_error import decomposition_coeffs, phase_error_rate_upper
 
 ASYMPTOTIC = "asymptotic"
@@ -37,12 +38,9 @@ class SourceCalibration:
     fluct: float = 0.1
 
     def __post_init__(self) -> None:
-        for name in ("av0", "bv0"):
-            value = getattr(self, name)
-            if not (0.5 <= value <= 1.0):
-                raise MappingError(f"{name} must lie in [0.5, 1], got {value!r}")
-        if not (0.0 <= self.fluct < 1.0):
-            raise MappingError(f"fluct must lie in [0, 1), got {self.fluct!r}")
+        require_amplitude("av0", self.av0)
+        require_amplitude("bv0", self.bv0)
+        require_fluct(self.fluct)
 
 
 @dataclass(frozen=True)
@@ -69,41 +67,34 @@ def virtual_intensities_for(protocol: ProtocolParams,
 def evaluate_point(channel: ChannelParams, calib: SourceCalibration,
                    protocol: ProtocolParams, security: SecurityConfig,
                    block_size: float | str) -> KeyRateReport:
-    """Key-rate report for one candidate protocol at one block size."""
+    """Key-rate report for one candidate protocol at one block size.
+
+    An asymptotic point is one window (N = 1) with no Chernoff slack, no
+    security budget and no finite-size or coherent-attack penalty, so its
+    collective and coherent rates coincide.
+    """
     virtual = virtual_intensities_for(protocol, calib)
     coeffs = decomposition_coeffs(virtual.mu_A, virtual.mu_B)
-
-    if block_size == ASYMPTOTIC:
-        proto = replace(protocol, N=1)
-        tally = expected_tallies(proto, channel)
-        leak = ec_leakage(tally, security.f)
-        if tally.n_Z <= 0.0:
-            e_ph = 0.5
-            rate = -math.inf
-        else:
-            e_ph = phase_error_rate_upper(tally, proto, coeffs,
-                                          asymptotic=True).e_ph
-            rate = tally.n_Z * (1.0 - binary_entropy(e_ph)) - leak
-        return KeyRateReport(
-            R_col=max(rate, 0.0), R_coh=max(rate, 0.0), e_ph=e_ph,
-            leak_EC=leak, tally=tally, budget=None,
-            R_col_signed=rate, R_coh_signed=rate,
-            mu_virtual_A=virtual.mu_A, mu_virtual_B=virtual.mu_B)
-
-    n = float(block_size)
+    asymptotic = block_size == ASYMPTOTIC
+    n = 1.0 if asymptotic else float(block_size)
     proto = replace(protocol, N=n)
     tally = expected_tallies(proto, channel)
-    sec = security_budget(security.eps_coh_target, n, d=security.d,
-                          n_PE=security.n_PE, f=security.f)
+    sec = None if asymptotic else security_budget(
+        security.eps_coh_target, n, d=security.d, n_PE=security.n_PE,
+        f=security.f)
     leak = ec_leakage(tally, security.f)
     if tally.n_Z <= 0.0:
         e_ph = 0.5
         r_col = r_coh = -math.inf
     else:
-        e_ph = phase_error_rate_upper(tally, proto, coeffs,
-                                      log_xi=sec.log_epsilon).e_ph
-        r_col = key_rate_collective(tally, e_ph, sec, n, signed=True)
-        r_coh = key_rate_coherent(r_col, n, d=security.d, signed=True)
+        e_ph = phase_error_rate_upper(
+            tally, proto, coeffs, log_xi=None if sec is None else sec.log_epsilon,
+            asymptotic=asymptotic).e_ph
+        if sec is None:
+            r_col = r_coh = tally.n_Z * (1.0 - binary_entropy(e_ph)) - leak
+        else:
+            r_col = key_rate_collective(tally, e_ph, sec, n, signed=True)
+            r_coh = key_rate_coherent(r_col, n, d=security.d, signed=True)
     return KeyRateReport(
         R_col=max(r_col, 0.0), R_coh=max(r_coh, 0.0), e_ph=e_ph,
         leak_EC=leak, tally=tally, budget=sec,

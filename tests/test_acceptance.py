@@ -130,9 +130,31 @@ def test_criterion_6_finite_size_behavior():
         return (asym.R_coh - finite.R_coh) / asym.R_coh
 
     gap_50, gap_150 = rel_gap(50.0), rel_gap(150.0)
-    ok = monotone and gap_50 < gap_150
-    _report(6, f"150 km rates nondecreasing in N {rates_150} and relative gap "
-               f"{gap_50:.3f} at 50 km < {gap_150:.3f} at 150 km", ok)
+
+    # At 150 km every rate above is 0, so those checks cannot fail on their
+    # own.  At 50 and 75 km every tested N gives a positive rate: require
+    # strict growth in N, and a finite-size gap that widens with distance at
+    # each N.
+    blocks = (1e12, 1e13, 1e14)
+    rates, gaps = {}, {}
+    for distance in (50.0, 75.0):
+        _, asym = optimize(_channel(distance), CALIB, "asymptotic", SECURITY)
+        rates[distance] = [optimize(_channel(distance), CALIB, n, SECURITY)[1].R_coh
+                           for n in blocks]
+        gaps[distance] = [(asym.R_coh - r) / asym.R_coh for r in rates[distance]]
+    strict = all(0.0 < rs[0] and all(a < b for a, b in zip(rs, rs[1:]))
+                 for rs in rates.values())
+    widening = all(g50 < g75 for g50, g75 in zip(gaps[50.0], gaps[75.0]))
+
+    def fmt(values) -> str:
+        return "/".join(f"{v:.3g}" for v in values)
+
+    ok = monotone and gap_50 < gap_150 and strict and widening
+    _report(6, f"150 km rates nondecreasing in N ({fmt(rates_150)}), gap "
+               f"{gap_50:.3f} at 50 km < {gap_150:.3f} at 150 km; at N=1e12/"
+               f"1e13/1e14 rates increase at 50 km ({fmt(rates[50.0])}) and "
+               f"75 km ({fmt(rates[75.0])}), gaps {fmt(gaps[50.0])} at 50 km < "
+               f"{fmt(gaps[75.0])} at 75 km", ok)
 
 
 def test_criterion_7_budget_recomposition():

@@ -1,8 +1,11 @@
 """Tests for the linear-optics channel model."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scsqkd.channel import (ChannelModelError, ChannelParams, ProtocolParams,
                             WindowTally, arm_transmittance, b_window_prob,
@@ -67,13 +70,14 @@ class TestEffectiveProb:
     def test_dark_count_reference(self):
         # nu_R = 0: only a dark count can fire the right detector.
         p = effective_prob(0.003, 0.0, 1e-9, "improved")
-        assert p == pytest.approx(1e-9 * (1.0 - 1e-9) * math.exp(-0.003), rel=1e-12)
+        assert p == pytest.approx(1e-9 * (1.0 - 1e-9) * math.exp(-0.003),
+                                  rel=1e-12, abs=0)
 
     def test_vanishing_signal_limit(self):
         # nu -> 0 in both arms: improved heralding tends to p_d (1 - p_d).
         p_d = 1e-6
         p = effective_prob(0.0, 0.0, p_d, "improved")
-        assert p == pytest.approx(p_d * (1.0 - p_d), rel=1e-12)
+        assert p == pytest.approx(p_d * (1.0 - p_d), rel=1e-12, abs=0)
 
     def test_baseline_is_symmetric_sum(self):
         p_imp = effective_prob(0.01, 0.002, 1e-9, "improved")
@@ -106,7 +110,8 @@ class TestBWindowProb:
             assert p_imp < p_base
 
     def test_baseline_average_against_dense_grid(self):
-        # The fixed 256-point midpoint rule agrees with a much denser grid.
+        # The closed form agrees with a dense midpoint rule for the phase
+        # average, which converges spectrally for this smooth integrand.
         mu, eta, e_d, p_d = 0.1, 0.03, 0.04, 1e-9
         delta = (np.arange(1 << 14) + 0.5) * (2.0 * np.pi / (1 << 14))
         avg = eta * mu
@@ -116,6 +121,53 @@ class TestBWindowProb:
         dense = float(np.mean((1.0 - no_r) * no_l + (1.0 - no_l) * no_r))
         assert b_window_prob(mu, mu, eta, e_d, p_d, "baseline") == pytest.approx(
             dense, rel=1e-13)
+
+    @pytest.mark.parametrize("mu, eta, e_d, p_d", [
+        (10.0, 0.3, 0.04, 1e-9),   # c = 2.76, just past the series range
+        (40.0, 0.5, 0.0, 1e-6),    # c = 20
+        (8.0, 0.3, 0.9, 1e-9),     # V < 0: the average depends on |c| only
+    ])
+    def test_baseline_large_interference_term(self, mu, eta, e_d, p_d):
+        assert b_window_prob(mu, mu, eta, e_d, p_d, "baseline") == pytest.approx(
+            _mp_phase_average(mu, mu, eta, e_d, p_d), rel=1e-13, abs=0)
+
+
+def _mp_phase_average(mu_A, mu_B, eta, e_d, p_d) -> float:
+    """50-digit baseline B-window probability from the inputs as given.
+
+    Uniform phase: E[no_L + no_R] = 2q e^{-a} I0(c) and no_L no_R = q^2 e^{-2a}.
+    """
+    with mpmath.workdps(50):
+        q = 1 - mpmath.mpf(p_d)
+        a = mpmath.mpf(eta) * (mpmath.mpf(mu_A) + mu_B) / 2
+        c = (1 - 2 * mpmath.mpf(e_d)) * eta * mpmath.sqrt(mpmath.mpf(mu_A) * mu_B)
+        no_click = q * mpmath.exp(-a)
+        return float(2 * no_click * mpmath.besseli(0, c) - 2 * no_click ** 2)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p_d=_log_uniform(1e-9, 1e-5), eta=_log_uniform(1e-5, 0.3),
+       mu_A=_log_uniform(1e-4, 1.0), mu_B=_log_uniform(1e-4, 1.0),
+       e_d=st.floats(0.0, 0.5))
+def test_click_probabilities_against_mpmath(p_d, eta, mu_A, mu_B, e_d):
+    """effective_prob and the baseline phase average to rel 1e-12 (50 digits)."""
+    nu_l, nu_r = detector_means("B", mu_A, mu_B, eta, e_d)
+    with mpmath.workdps(50):
+        q = 1 - mpmath.mpf(p_d)
+        no_l = q * mpmath.exp(-mpmath.mpf(nu_l))
+        no_r = q * mpmath.exp(-mpmath.mpf(nu_r))
+        right_only = float((1 - no_r) * no_l)
+        exactly_one = float((1 - no_r) * no_l + (1 - no_l) * no_r)
+    assert effective_prob(nu_l, nu_r, p_d, "improved") == pytest.approx(
+        right_only, rel=1e-12, abs=0)
+    assert effective_prob(nu_l, nu_r, p_d, "baseline") == pytest.approx(
+        exactly_one, rel=1e-12, abs=0)
+    assert b_window_prob(mu_A, mu_B, eta, e_d, p_d, "baseline") == pytest.approx(
+        _mp_phase_average(mu_A, mu_B, eta, e_d, p_d), rel=1e-12, abs=0)
 
 
 class TestWindowTally:

@@ -31,6 +31,13 @@ class TestOptimize:
         assert a[0] == b[0]
         assert a[1].R_coh == b[1].R_coh
 
+    def test_results_are_python_floats(self):
+        protocol, report = optimize(CHANNEL_50, CALIB, 1e12, SECURITY,
+                                    SearchSpace(grid=(5, 5), refine_rounds=1))
+        for value in (protocol.px, protocol.p0, protocol.mu_xA,
+                      report.R_coh, report.e_ph, report.tally.n_Z):
+            assert type(value) is float
+
     def test_result_within_search_bounds(self):
         space = SearchSpace(px_range=(0.05, 0.6), mu_range=(1e-3, 0.1),
                             grid=(8, 8), refine_rounds=1)

@@ -6,7 +6,7 @@ import pytest
 from scsqkd.channel import ChannelParams, ProtocolParams, WindowTally
 from scsqkd.phase_error import (DecompositionCoeffs, PhaseErrorInputError,
                                 decomposition_coeffs, mean_phase_error_count,
-                                optimize_coeffs, phase_error_rate_upper)
+                                phase_error_rate_upper)
 
 # Frozen oracle: residual coefficient for mu_A = mu_B = 0.1 with default c0,
 # cross-checked against a photon-number-truncated state expansion.
@@ -39,10 +39,6 @@ class TestDecompositionCoeffs:
                   for mu in (0.01, 0.05, 0.1, 0.5)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_custom_c0_keeps_product_one(self):
-        coeffs = decomposition_coeffs(0.1, 0.1, c0=0.5)
-        assert coeffs.c1 == 2.0
-
     def test_product_constraint_enforced(self):
         with pytest.raises(PhaseErrorInputError):
             DecompositionCoeffs(c0=0.5, c1=1.0, c2bar=0.0)
@@ -50,8 +46,6 @@ class TestDecompositionCoeffs:
     def test_invalid_inputs(self):
         with pytest.raises(PhaseErrorInputError):
             decomposition_coeffs(-0.1, 0.1)
-        with pytest.raises(PhaseErrorInputError):
-            decomposition_coeffs(0.1, 0.1, c0=0.0)
 
 
 class TestMeanPhaseErrorCount:
@@ -139,14 +133,3 @@ class TestPhaseErrorRateUpper:
                                 SecurityConfig(), 1e12)
         assert report.e_ph == pytest.approx(GOLDEN_PIPELINE_EPH, rel=1e-9)
 
-
-class TestOptimizeCoeffs:
-    def test_never_worse_than_default(self):
-        proto = ProtocolParams(p0=0.8, px=0.2, mu_xA=0.05, mu_xB=0.05, N=1e10)
-        tally = WindowTally(5.0, 500.0, 1e6)
-        default = decomposition_coeffs(0.05, 0.05)
-        tuned = optimize_coeffs(0.05, 0.05, tally, proto, xi=1e-10)
-        e_default = phase_error_rate_upper(tally, proto, default, xi=1e-10).e_ph
-        e_tuned = phase_error_rate_upper(tally, proto, tuned, xi=1e-10).e_ph
-        assert e_tuned <= e_default
-        assert tuned.c0 * tuned.c1 == pytest.approx(1.0, rel=1e-12)
