@@ -14,7 +14,7 @@ from .optimizer import NoFeasiblePointError, SearchSpace, optimize
 from .phase_error import (DecompositionCoeffs, PhaseErrorBound,
                           decomposition_coeffs, phase_error_rate_upper)
 from .pipeline import (ASYMPTOTIC, InfeasibleError, SecurityConfig,
-                       SourceCalibration, evaluate_point)
+                       SourceCalibration, evaluate_point, evaluate_points)
 
 __all__ = [
     "ASYMPTOTIC",
@@ -41,6 +41,7 @@ __all__ = [
     "detector_means",
     "effective_prob",
     "evaluate_point",
+    "evaluate_points",
     "expectation_lower",
     "expectation_upper",
     "expected_tallies",

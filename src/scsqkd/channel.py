@@ -26,9 +26,9 @@ baseline phase average has the closed form
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import i0e
 
 MODES = ("improved", "baseline")
@@ -133,17 +133,22 @@ def visibility(e_d: float) -> float:
     return 1.0 - 2.0 * e_d
 
 
-def detector_means(kind: str, mu_A: float, mu_B: float, eta: float, e_d: float,
-                   cos_delta: float = 1.0) -> tuple[float, float]:
+def detector_means(kind: str, mu_A, mu_B, eta: float, e_d: float,
+                   cos_delta=1.0) -> tuple:
     """Mean photon numbers (nu_L, nu_R) at the two detectors for one window.
 
     ``cos_delta`` is the cosine of the phase difference between the two
     incoming pulses; 1.0 corresponds to Charlie's compensated (improved)
     setting, where B-window energy is steered to the left port.  It only
-    affects B windows, and may be a NumPy array of per-window phases, in
-    which case the B-window means are arrays too.
+    affects B windows.  The intensities and ``cos_delta`` may be NumPy
+    arrays, in which case the means are arrays too.
+
+    A B window's means are ``eta ((sqrt(mu_A) - sqrt(mu_B))^2 / 2
+    + sqrt(mu_A mu_B) (1 +- cos_delta) -+ 2 e_d sqrt(mu_A mu_B) cos_delta)``:
+    at a compensated phase every term is nonnegative, so the dark port's
+    mean keeps full precision at small misalignment.
     """
-    if mu_A < 0.0 or mu_B < 0.0 or eta < 0.0:
+    if min(np.min(mu_A), np.min(mu_B), eta) < 0.0:
         raise ChannelModelError("intensities and transmittance must be nonnegative")
     if kind == "O":
         return 0.0, 0.0
@@ -154,18 +159,35 @@ def detector_means(kind: str, mu_A: float, mu_B: float, eta: float, e_d: float,
         nu = eta * mu_A / 2.0
         return nu, nu
     if kind == "B":
-        avg = eta * (mu_A + mu_B) / 2.0
-        cross = visibility(e_d) * eta * math.sqrt(mu_A * mu_B) * cos_delta
-        return avg + cross, avg - cross
+        root = np.sqrt(mu_A * mu_B)
+        spread = 0.5 * (np.sqrt(mu_A) - np.sqrt(mu_B)) ** 2
+        tilt = 2.0 * e_d * root * cos_delta
+        return (eta * (spread + root * (1.0 + cos_delta) - tilt),
+                eta * (spread + root * (1.0 - cos_delta) + tilt))
     raise ChannelModelError(f"unknown window kind {kind!r}")
 
 
-def click_prob(nu: float, p_d: float) -> float:
+def click_prob(nu, p_d: float):
     """Probability that a threshold detector with mean ``nu`` clicks.
 
-    ``1 - (1 - p_d) e^{-nu}``, arranged as ``p_d - (1 - p_d) expm1(-nu)``.
+    ``1 - (1 - p_d) e^{-nu}``, arranged as ``p_d - (1 - p_d) expm1(-nu)``;
+    ``nu`` may be a NumPy array.
     """
-    return p_d - (1.0 - p_d) * math.expm1(-nu)
+    return p_d - (1.0 - p_d) * np.expm1(-nu)
+
+
+def _herald(nu_L, nu_R, p_d: float, mode: str):
+    """Elementwise heralding probability; see :func:`effective_prob`."""
+    q = 1.0 - p_d
+    right_only = click_prob(nu_R, p_d) * q * np.exp(-nu_L)
+    if mode == "baseline":
+        return right_only + click_prob(nu_L, p_d) * q * np.exp(-nu_R)
+    return right_only
+
+
+def _require_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ChannelModelError(f"unknown mode {mode!r}")
 
 
 def effective_prob(nu_L: float, nu_R: float, p_d: float, mode: str = "improved") -> float:
@@ -178,32 +200,39 @@ def effective_prob(nu_L: float, nu_R: float, p_d: float, mode: str = "improved")
         raise ChannelModelError("detector means must be nonnegative")
     if not (0.0 <= p_d <= 1.0):
         raise ChannelModelError(f"p_d must lie in [0, 1], got {p_d!r}")
-    q = 1.0 - p_d
-    right_only = click_prob(nu_R, p_d) * q * math.exp(-nu_L)
-    if mode == "improved":
-        return right_only
-    if mode == "baseline":
-        return right_only + click_prob(nu_L, p_d) * q * math.exp(-nu_R)
-    raise ChannelModelError(f"unknown mode {mode!r}")
+    _require_mode(mode)
+    return float(_herald(nu_L, nu_R, p_d, mode))
 
 
-def _scaled_i0_minus_1(c: float, a: float) -> float:
-    """``e^{-a} (I0(c) - 1)`` for ``0 <= c <= a``, without cancellation.
+def _scaled_i0_minus_1(c, a):
+    """``e^{-a} (I0(c) - 1)`` for ``0 <= c <= a``, elementwise, without cancellation.
 
     Small ``c`` sums the series ``sum_k (c^2/4)^k / (k!)^2`` from k = 1;
     larger ``c`` has ``I0(c) >= 2.2``, so subtracting 1 loses little, and the
     exponentially scaled ``i0e`` keeps ``I0(c)`` from overflowing.
     """
-    if c > _I0_SERIES_MAX:
-        return math.exp(c - a) * float(i0e(c)) - math.exp(-a)
-    y = 0.25 * c * c
+    series = c <= _I0_SERIES_MAX
+    y = np.where(series, 0.25 * c * c, 0.0)
     term = total = y
     k = 1
-    while term > 1e-17 * total:
+    active = term > 1e-17 * total
+    while active.any():
         k += 1
-        term *= y / (k * k)
-        total += term
-    return math.exp(-a) * total
+        term = term * (y / (k * k))
+        total = np.where(active, total + term, total)
+        active &= term > 1e-17 * total
+    return np.where(series, np.exp(-a) * total, np.exp(c - a) * i0e(c) - np.exp(-a))
+
+
+def _b_window_probs(mu_A, mu_B, eta: float, e_d: float, p_d: float, mode: str):
+    """Elementwise heralding probability of a both-coherent window."""
+    if mode == "improved":
+        nu_l, nu_r = detector_means("B", mu_A, mu_B, eta, e_d)
+        return _herald(nu_l, nu_r, p_d, "improved")
+    a = eta * (mu_A + mu_B) / 2.0
+    c = abs(visibility(e_d)) * eta * np.sqrt(mu_A * mu_B)
+    q = 1.0 - p_d
+    return 2.0 * q * (_scaled_i0_minus_1(c, a) + np.exp(-a) * click_prob(a, p_d))
 
 
 def b_window_prob(mu_A: float, mu_B: float, eta: float, e_d: float, p_d: float,
@@ -216,17 +245,20 @@ def b_window_prob(mu_A: float, mu_B: float, eta: float, e_d: float, p_d: float,
     ``a = eta (mu_A + mu_B) / 2``, ``c = V eta sqrt(mu_A mu_B)`` and
     ``click(a) = p_d - q expm1(-a)`` (see :func:`click_prob`).
     """
-    if mode == "improved":
-        nu_l, nu_r = detector_means("B", mu_A, mu_B, eta, e_d, cos_delta=1.0)
-        return effective_prob(nu_l, nu_r, p_d, "improved")
-    if mode != "baseline":
-        raise ChannelModelError(f"unknown mode {mode!r}")
+    _require_mode(mode)
     if mu_A < 0.0 or mu_B < 0.0 or eta < 0.0:
         raise ChannelModelError("intensities and transmittance must be nonnegative")
-    a = eta * (mu_A + mu_B) / 2.0
-    c = abs(visibility(e_d)) * eta * math.sqrt(mu_A * mu_B)
-    q = 1.0 - p_d
-    return 2.0 * q * (_scaled_i0_minus_1(c, a) + math.exp(-a) * click_prob(a, p_d))
+    return float(_b_window_probs(mu_A, mu_B, eta, e_d, p_d, mode))
+
+
+def _window_probs(mu_A, mu_B, channel: ChannelParams, mode: str) -> dict:
+    eta = arm_transmittance(channel)
+    probs = {}
+    for kind in ("O", "Z_A", "Z_B"):
+        nu_l, nu_r = detector_means(kind, mu_A, mu_B, eta, channel.e_d)
+        probs[kind] = _herald(nu_l, nu_r, channel.p_d, "improved")
+    probs["B"] = _b_window_probs(mu_A, mu_B, eta, channel.e_d, channel.p_d, mode)
+    return probs
 
 
 def window_probs(protocol: ProtocolParams, channel: ChannelParams,
@@ -238,13 +270,22 @@ def window_probs(protocol: ProtocolParams, channel: ChannelParams,
     windows depend on the mode.
     """
     mu_A, mu_B = intensities if intensities is not None else (protocol.mu_xA, protocol.mu_xB)
-    eta = arm_transmittance(channel)
-    probs: dict[str, float] = {}
-    for kind in ("O", "Z_A", "Z_B"):
-        nu_l, nu_r = detector_means(kind, mu_A, mu_B, eta, channel.e_d)
-        probs[kind] = effective_prob(nu_l, nu_r, channel.p_d, "improved")
-    probs["B"] = b_window_prob(mu_A, mu_B, eta, channel.e_d, channel.p_d, protocol.mode)
-    return probs
+    return {kind: float(p) for kind, p in
+            _window_probs(mu_A, mu_B, channel, protocol.mode).items()}
+
+
+def tally_arrays(p0, px, mu_A, mu_B, N: float, channel: ChannelParams,
+                 mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expected effective-window counts (n_O, n_B, n_Z) over N windows.
+
+    Elementwise over arrays of source-choice probabilities and intensities;
+    see :func:`expected_tallies`.
+    """
+    _require_mode(mode)
+    probs = _window_probs(mu_A, mu_B, channel, mode)
+    return (N * p0 * p0 * probs["O"],
+            N * px * px * probs["B"],
+            N * p0 * px * (probs["Z_A"] + probs["Z_B"]))
 
 
 def expected_tallies(protocol: ProtocolParams, channel: ChannelParams,
@@ -255,10 +296,9 @@ def expected_tallies(protocol: ProtocolParams, channel: ChannelParams,
     by default the channel model uses the nominal values (the security
     analysis separately uses worst-case bounds).
     """
-    probs = window_probs(protocol, channel, intensities)
-    p0, px, n = protocol.p0, protocol.px, protocol.N
-    return WindowTally(
-        n_O=n * p0 * p0 * probs["O"],
-        n_B=n * px * px * probs["B"],
-        n_Z=n * p0 * px * (probs["Z_A"] + probs["Z_B"]),
-    )
+    mu_A, mu_B = intensities if intensities is not None else (protocol.mu_xA, protocol.mu_xB)
+    counts = tally_arrays(np.array([protocol.p0]), np.array([protocol.px]),
+                          np.array([mu_A]), np.array([mu_B]), protocol.N, channel,
+                          protocol.mode)
+    n_O, n_B, n_Z = (float(c[0]) for c in counts)
+    return WindowTally(n_O=n_O, n_B=n_B, n_Z=n_Z)

@@ -1,15 +1,11 @@
 """Distance/block-size scans with CSV and SVG emission.
 
 Configuration is a single JSON document; command-line flags override the
-corresponding config keys.  Scan points are dispatched to a process pool
-(size from the SCSQKD_WORKERS environment variable, default: available
-parallelism) and rows are sorted before emission, so the CSV bytes are
-identical regardless of worker count.
+corresponding config keys.  Rows are sorted before emission.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -158,8 +154,7 @@ def _block_value(label: str):
     return ASYMPTOTIC if label == ASYMPTOTIC else float(label)
 
 
-def _scan_one(task: tuple) -> dict:
-    cfg, distance, block_label, mode = task
+def _scan_one(cfg: ScanConfig, distance: float, block_label: str, mode: str) -> dict:
     channel = replace(cfg.channel, distance_km=distance)
     row = {"distance_km": distance, "N": block_label, "mode": mode,
            "px": 0.0, "mu_x": 0.0, "mu_virtual_A": 0.0, "mu_virtual_B": 0.0,
@@ -183,16 +178,8 @@ def _scan_one(task: tuple) -> dict:
 
 def run_scan(cfg: ScanConfig) -> list[dict]:
     """Optimize and evaluate every (distance, block size, mode) point."""
-    tasks = [(cfg, d, b, m) for d in cfg.distances for b in cfg.blocks
-             for m in cfg.modes]
-    if not tasks:
-        return []
-    workers = int(os.environ.get("SCSQKD_WORKERS", os.cpu_count() or 1))
-    if workers > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_one, tasks))
-    else:
-        rows = [_scan_one(t) for t in tasks]
+    rows = [_scan_one(cfg, d, b, m) for d in cfg.distances for b in cfg.blocks
+            for m in cfg.modes]
     rows.sort(key=lambda r: (r["distance_km"],
                              math.inf if r["N"] == ASYMPTOTIC else float(r["N"]),
                              _MODE_ORDER[r["mode"]]))

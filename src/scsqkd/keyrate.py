@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import WindowTally
 
 _LN2 = math.log(2.0)
@@ -34,13 +36,18 @@ class SecurityParams:
     f: float = 1.1
 
 
+def binary_entropy_array(x) -> np.ndarray:
+    """Elementwise binary entropy of x in [0, 1]; see :func:`binary_entropy`."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    return np.where((x == 0.0) | (x == 1.0), 0.0, h)
+
+
 def binary_entropy(x: float) -> float:
     """Shannon entropy H(x) in bits, with H(0) = H(1) = 0 by continuity."""
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"binary_entropy argument must lie in [0, 1], got {x!r}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return float(binary_entropy_array(np.array([x]))[0])
 
 
 def security_budget(eps_coh_target: float, N: float, d: int = 8, n_PE: int = 3,
@@ -80,9 +87,36 @@ def security_budget(eps_coh_target: float, N: float, d: int = 8, n_PE: int = 3,
     )
 
 
+def ec_leakage_array(n_O, n_B, n_Z, f: float) -> np.ndarray:
+    """Elementwise error-correction leakage in bits; see :func:`ec_leakage`."""
+    total = n_O + n_B + n_Z
+    e_z = np.where(total > 0.0, (n_O + n_B) / np.where(total > 0.0, total, 1.0), 0.0)
+    return f * total * binary_entropy_array(e_z)
+
+
 def ec_leakage(tally: WindowTally, f: float) -> float:
     """Error-correction information leakage in bits."""
-    return f * tally.M_s * binary_entropy(tally.E_Z)
+    return float(ec_leakage_array(np.array([tally.n_O]), np.array([tally.n_B]),
+                                  np.array([tally.n_Z]), f)[0])
+
+
+def collective_rate_array(n_Z, e_ph, leak, sec: SecurityParams | None,
+                          N: float) -> np.ndarray:
+    """Signed collective-attack rates for n_Z > 0, with the leakage given.
+
+    ``sec=None`` is the asymptotic rate ``n_Z (1 - H(e_ph)) - leak`` of one
+    window, without the finite-size terms.
+    """
+    rate = n_Z * (1.0 - binary_entropy_array(e_ph)) - leak
+    if sec is None:
+        return rate
+    log2_2_over_cor = 1.0 - sec.log_eps_cor / _LN2
+    log2_1_over_pa = -sec.log_eps_PA / _LN2
+    log2_2_over_bar = 1.0 - sec.log_eps_bar / _LN2
+    return (rate
+            - log2_2_over_cor
+            - 2.0 * log2_1_over_pa
+            - (sec.d + 3.0) * np.sqrt(n_Z * log2_2_over_bar)) / N
 
 
 def key_rate_collective(tally: WindowTally, e_ph: float, sec: SecurityParams,
@@ -94,19 +128,10 @@ def key_rate_collective(tally: WindowTally, e_ph: float, sec: SecurityParams,
     """
     if not (0.0 <= e_ph <= 0.5):
         raise ValueError(f"e_ph must lie in [0, 0.5], got {e_ph!r}")
-    n_z = tally.n_Z
-    if n_z <= 0.0:
+    if tally.n_Z <= 0.0:
         return -math.inf if signed else 0.0
-    log2_2_over_cor = 1.0 - sec.log_eps_cor / _LN2
-    log2_1_over_pa = -sec.log_eps_PA / _LN2
-    log2_2_over_bar = 1.0 - sec.log_eps_bar / _LN2
-    rate = (
-        n_z * (1.0 - binary_entropy(e_ph))
-        - ec_leakage(tally, sec.f)
-        - log2_2_over_cor
-        - 2.0 * log2_1_over_pa
-        - (sec.d + 3.0) * math.sqrt(n_z * log2_2_over_bar)
-    ) / N
+    rate = float(collective_rate_array(np.array([tally.n_Z]), np.array([e_ph]),
+                                       ec_leakage(tally, sec.f), sec, N)[0])
     return rate if signed else max(rate, 0.0)
 
 

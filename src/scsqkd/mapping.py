@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Relative tolerance used for bound checks at equality boundaries.
 EQUALITY_RTOL = 1e-12
 
@@ -88,6 +90,16 @@ class VirtualIntensities:
         )
 
 
+def _vacuum_weight(mu_nominal, fluct: float):
+    """exp(-(1 + fluct) * mu_nominal), elementwise."""
+    return np.exp(-(1.0 + fluct) * mu_nominal)
+
+
+def _mapping_inner(a0, av0):
+    """sqrt(a0*av0) - sqrt((1-a0)*(1-av0)), elementwise."""
+    return np.sqrt(a0 * av0) - np.sqrt((1.0 - a0) * (1.0 - av0))
+
+
 def virtual_intensity(a0: float, av0: float) -> float:
     """Smallest perfect-protocol intensity compatible with the given bounds.
 
@@ -96,13 +108,28 @@ def virtual_intensity(a0: float, av0: float) -> float:
     """
     require_amplitude("a0", a0)
     require_amplitude("av0", av0)
-    inner = math.sqrt(a0 * av0) - math.sqrt((1.0 - a0) * (1.0 - av0))
+    inner = _mapping_inner(a0, av0)
     # For a0, av0 >= 0.5 the inner expression is >= 0; equality only at
     # a0 = av0 = 0.5 which would need an infinite intensity.
     if inner <= 0.0:
         raise MappingError(
             f"no finite virtual intensity exists for a0={a0!r}, av0={av0!r}")
-    return -2.0 * math.log(inner)
+    return float(-2.0 * np.log(inner))
+
+
+def virtual_intensity_array(mu_nominal: np.ndarray, av0: float, fluct: float
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Virtual intensities and a feasibility mask for nominal intensities.
+
+    Elementwise what :meth:`SourceBounds.from_nominal` followed by
+    :func:`virtual_intensity` computes, with ``av0`` and ``fluct`` already
+    validated: ``feasible`` is False where either of them would raise
+    MappingError, and the intensity there is 0.
+    """
+    a0 = _vacuum_weight(mu_nominal, fluct)
+    inner = _mapping_inner(a0, av0)
+    feasible = (mu_nominal >= 0.0) & (a0 >= 0.5) & (a0 <= 1.0) & (inner > 0.0)
+    return -2.0 * np.log(np.where(feasible, inner, 1.0)), feasible
 
 
 def check_mapping_condition(mu: float, a0: float, av0: float,
@@ -129,4 +156,4 @@ def worst_case_coherent_vacuum_bound(mu_nominal: float, fluct: float) -> float:
     if mu_nominal < 0.0:
         raise MappingError(f"mu_nominal must be nonnegative, got {mu_nominal!r}")
     require_fluct(fluct)
-    return math.exp(-(1.0 + fluct) * mu_nominal)
+    return float(_vacuum_weight(mu_nominal, fluct))

@@ -44,11 +44,6 @@ class SimConfig:
             raise SimConfigError(f"unknown phase model {self.phase_model!r}")
 
 
-def _click_probs(nu: np.ndarray, p_d: float) -> np.ndarray:
-    """Array form of :func:`scsqkd.channel.click_prob`."""
-    return p_d - (1.0 - p_d) * np.expm1(-nu)
-
-
 def simulate(config: SimConfig) -> WindowTally:
     """Sampled effective-window tallies for the configured protocol.
 
@@ -94,8 +89,8 @@ def simulate(config: SimConfig) -> WindowTally:
             is_b = code == 3
             nu_l, nu_r = detector_means("B", proto.mu_xA, proto.mu_xB, eta,
                                         chan.e_d, cos_delta=np.cos(delta[is_b]))
-            p_l[is_b] = _click_probs(nu_l, p_d)
-            p_r[is_b] = _click_probs(nu_r, p_d)
+            p_l[is_b] = click_prob(nu_l, p_d)
+            p_r[is_b] = click_prob(nu_r, p_d)
         click_l = u_l < p_l
         click_r = u_r < p_r
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .channel import ChannelParams, ProtocolParams
 from .keyrate import KeyRateReport
-from .pipeline import (InfeasibleError, SecurityConfig, SourceCalibration,
-                       evaluate_point)
+from .pipeline import (PointBatch, SecurityConfig, SourceCalibration,
+                       evaluate_points)
 
 
 class NoFeasiblePointError(RuntimeError):
@@ -60,28 +60,25 @@ def optimize(channel: ChannelParams, calib: SourceCalibration,
              ) -> tuple[ProtocolParams, KeyRateReport]:
     """Best feasible (px, mu) by coarse grid plus local refinement.
 
-    Deterministic for a fixed configuration: grid points are visited in
-    lexicographic (px, mu) order and only a strictly larger unclamped
-    coherent-attack rate replaces the incumbent.
+    Each sweep evaluates its whole grid in one array pass.  Deterministic for
+    a fixed configuration: within a sweep the first of equal unclamped
+    coherent-attack rates in lexicographic (px, mu) order wins, and only a
+    strictly larger rate from a later sweep replaces the incumbent.
     """
-    best: tuple[float, float, float, KeyRateReport] | None = None
-    feasible_seen = False
+    best: tuple[float, float, float, PointBatch, int] | None = None
 
     def sweep(px_vals: list[float], mu_vals: list[float]) -> None:
-        nonlocal best, feasible_seen
-        for px in px_vals:
-            for mu in mu_vals:
-                protocol = ProtocolParams(p0=1.0 - px, px=px, mu_xA=mu,
-                                          mu_xB=mu, N=1, mode=mode)
-                try:
-                    report = evaluate_point(channel, calib, protocol,
-                                            security, block_size)
-                except InfeasibleError:
-                    continue
-                feasible_seen = True
-                score = report.R_coh_signed
-                if best is None or score > best[0]:
-                    best = (score, px, mu, report)
+        nonlocal best
+        px, mu = (g.ravel() for g in np.meshgrid(px_vals, mu_vals, indexing="ij"))
+        batch = evaluate_points(channel, calib, 1.0 - px, px, mu, mu, security,
+                                block_size, mode)
+        feasible = np.flatnonzero(batch.feasible)
+        if feasible.size == 0:
+            return
+        k = int(feasible[np.argmax(batch.R_coh_signed[feasible])])
+        score = float(batch.R_coh_signed[k])
+        if best is None or score > best[0]:
+            best = (score, float(px[k]), float(mu[k]), batch, k)
 
     px_lo, px_hi = space.px_range
     mu_lo, mu_hi = space.mu_range
@@ -89,16 +86,14 @@ def optimize(channel: ChannelParams, calib: SourceCalibration,
     sweep(_axis(px_lo, px_hi, n_px, log=False),
           _axis(mu_lo, mu_hi, n_mu, log=True))
     if best is None:
-        if not feasible_seen:
-            raise NoFeasiblePointError("no feasible (px, mu) candidate in the grid")
-        raise NoFeasiblePointError("grid evaluation produced no candidate")
+        raise NoFeasiblePointError("no feasible (px, mu) candidate in the grid")
 
     px_width = px_hi - px_lo
     log_mu_width = math.log(mu_hi / mu_lo)
     for _ in range(space.refine_rounds):
         px_width /= space.shrink
         log_mu_width /= space.shrink
-        _, px_c, mu_c, _ = best
+        _, px_c, mu_c, _, _ = best
         lo = max(px_lo, px_c - px_width / 2.0)
         hi = min(px_hi, px_c + px_width / 2.0)
         m_lo = max(mu_lo, mu_c * math.exp(-log_mu_width / 2.0))
@@ -106,9 +101,9 @@ def optimize(channel: ChannelParams, calib: SourceCalibration,
         sweep(_axis(lo, hi, n_px, log=False),
               _axis(m_lo, m_hi, n_mu, log=True))
 
-    _, px_best, mu_best, report = best
+    _, px_best, mu_best, batch, k = best
     protocol = ProtocolParams(p0=1.0 - px_best, px=px_best,
                               mu_xA=mu_best, mu_xB=mu_best,
                               N=1 if block_size == "asymptotic" else float(block_size),
                               mode=mode)
-    return protocol, report
+    return protocol, batch.report(k)

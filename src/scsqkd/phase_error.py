@@ -8,11 +8,13 @@ expected values and back at the supplied failure probability.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import ProtocolParams, WindowTally
-from .chernoff import expectation_upper, observed_upper
+from .chernoff import (expectation_upper_array, observed_upper_array,
+                       resolve_log_xi)
 
 _C0C1_RTOL = 1e-12
 
@@ -51,6 +53,16 @@ class PhaseErrorBound:
     e_ph: float
 
 
+def decomposition_arrays(mu_A, mu_B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c0, c1, c2bar) elementwise; see :func:`decomposition_coeffs`."""
+    c0 = np.exp(-(mu_A + mu_B) / 4.0)
+    c1 = 1.0 / c0
+    fac_a = c0 + c1 - 2.0 * np.exp(-mu_A / 2.0)
+    fac_b = c0 + c1 - 2.0 * np.exp(-mu_B / 2.0)
+    # AM-GM gives c0 + c1 >= 2 >= 2 exp(-mu/2); clamp rounding residue.
+    return c0, c1, np.sqrt(np.maximum(fac_a, 0.0) * np.maximum(fac_b, 0.0))
+
+
 def decomposition_coeffs(mu_A: float, mu_B: float) -> DecompositionCoeffs:
     """Decomposition coefficients for the given virtual intensities.
 
@@ -58,27 +70,43 @@ def decomposition_coeffs(mu_A: float, mu_B: float) -> DecompositionCoeffs:
     """
     if mu_A < 0.0 or mu_B < 0.0:
         raise PhaseErrorInputError("intensities must be nonnegative")
-    c0 = math.exp(-(mu_A + mu_B) / 4.0)
-    c1 = 1.0 / c0
-    fac_a = c0 + c1 - 2.0 * math.exp(-mu_A / 2.0)
-    fac_b = c0 + c1 - 2.0 * math.exp(-mu_B / 2.0)
-    # AM-GM gives c0 + c1 >= 2 >= 2 exp(-mu/2); clamp rounding residue.
-    c2sq = max(fac_a, 0.0) * max(fac_b, 0.0)
-    return DecompositionCoeffs(c0=c0, c1=c1, c2bar=math.sqrt(c2sq))
+    c0, c1, c2bar = decomposition_arrays(np.array([mu_A]), np.array([mu_B]))
+    return DecompositionCoeffs(c0=float(c0[0]), c1=float(c1[0]), c2bar=float(c2bar[0]))
+
+
+def _mean_count(nO_U, nB_U, N, p0, px, c0, c1, c2):
+    return (p0 * px / 2.0) * (
+        (c0 * c0 / (p0 * p0)) * nO_U
+        + (c1 * c1 / (px * px)) * nB_U
+        + c2 * c2 * N
+        + (2.0 * c0 * c1 / (p0 * px)) * np.sqrt(nO_U * nB_U)
+        + (2.0 * c0 * c2 / p0) * np.sqrt(N * nO_U)
+        + (2.0 * c1 * c2 / px) * np.sqrt(N * nB_U)
+    )
 
 
 def mean_phase_error_count(nO_U: float, nB_U: float, N: float, p0: float,
                            px: float, coeffs: DecompositionCoeffs) -> float:
     """Upper bound on the expected number of phase errors over N windows."""
-    c0, c1, c2 = coeffs.c0, coeffs.c1, coeffs.c2bar
-    return (p0 * px / 2.0) * (
-        (c0 * c0 / (p0 * p0)) * nO_U
-        + (c1 * c1 / (px * px)) * nB_U
-        + c2 * c2 * N
-        + (2.0 * c0 * c1 / (p0 * px)) * math.sqrt(nO_U * nB_U)
-        + (2.0 * c0 * c2 / p0) * math.sqrt(N * nO_U)
-        + (2.0 * c1 * c2 / px) * math.sqrt(N * nB_U)
-    )
+    return float(_mean_count(nO_U, nB_U, N, p0, px,
+                             coeffs.c0, coeffs.c1, coeffs.c2bar))
+
+
+def phase_error_arrays(n_O, n_B, n_Z, N: float, p0, px, c0, c1, c2,
+                       log_xi: float | None) -> tuple[np.ndarray, ...]:
+    """(mean_nO_U, mean_nB_U, mean_Nph_U, Nph_U, e_ph) elementwise.
+
+    Needs n_Z > 0.  ``log_xi=None`` is the asymptotic bound: the counts are
+    taken as exact expected values, with no Chernoff slack.
+    """
+    if log_xi is None:
+        nO_U, nB_U = n_O, n_B
+    else:
+        nO_U, nB_U = np.split(
+            expectation_upper_array(np.concatenate((n_O, n_B)), log_xi), 2)
+    mean_nph = _mean_count(nO_U, nB_U, N, p0, px, c0, c1, c2)
+    nph = mean_nph if log_xi is None else observed_upper_array(mean_nph, log_xi)
+    return nO_U, nB_U, mean_nph, nph, np.minimum(nph / n_Z, 0.5)
 
 
 def phase_error_rate_upper(tally: WindowTally, protocol: ProtocolParams,
@@ -93,19 +121,9 @@ def phase_error_rate_upper(tally: WindowTally, protocol: ProtocolParams,
     """
     if tally.n_Z <= 0.0:
         raise PhaseErrorInputError("no effective Z windows: e_ph undefined")
-    if asymptotic:
-        nO_U, nB_U = tally.n_O, tally.n_B
-    else:
-        lx = log_xi if xi is None else None
-        nO_U = expectation_upper(tally.n_O, xi, log_xi=lx)
-        nB_U = expectation_upper(tally.n_B, xi, log_xi=lx)
-    mean_nph = mean_phase_error_count(nO_U, nB_U, protocol.N, protocol.p0,
-                                      protocol.px, coeffs)
-    if asymptotic or mean_nph == 0.0:
-        nph = mean_nph
-    else:
-        lx = log_xi if xi is None else None
-        nph = observed_upper(mean_nph, xi, log_xi=lx)
-    e_ph = min(nph / tally.n_Z, 0.5)
-    return PhaseErrorBound(mean_nO_U=nO_U, mean_nB_U=nB_U,
-                           mean_Nph_U=mean_nph, Nph_U=nph, e_ph=e_ph)
+    lx = None if asymptotic else resolve_log_xi(xi, log_xi)
+    values = phase_error_arrays(
+        np.array([tally.n_O]), np.array([tally.n_B]), np.array([tally.n_Z]),
+        protocol.N, protocol.p0, protocol.px,
+        coeffs.c0, coeffs.c1, coeffs.c2bar, lx)
+    return PhaseErrorBound(*(float(v[0]) for v in values))

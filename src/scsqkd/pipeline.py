@@ -1,22 +1,26 @@
-"""End-to-end evaluation of one (channel, protocol, block size) point.
+"""End-to-end evaluation of (channel, protocol, block size) points.
 
 Glues the modules together: worst-case source bounds -> virtual intensities,
 channel expectations at nominal intensities, phase-error bound at the
 resolved security budget, and the collective/coherent key rates.  The block
 size may be the literal string "asymptotic", in which case Chernoff slack
 and all finite-size penalty terms vanish.
+
+:func:`evaluate_points` evaluates an array of candidates in one pass, with a
+feasibility mask where the source bounds admit no virtual-protocol mapping;
+:func:`evaluate_point` is the same computation on one candidate.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .channel import ChannelParams, ProtocolParams, expected_tallies
-from .keyrate import (KeyRateReport, binary_entropy, ec_leakage,
-                      key_rate_coherent, key_rate_collective, security_budget)
-from .mapping import (MappingError, SourceBounds, VirtualIntensities,
-                      require_amplitude, require_fluct)
-from .phase_error import decomposition_coeffs, phase_error_rate_upper
+import numpy as np
+
+from .channel import ChannelParams, ProtocolParams, WindowTally, tally_arrays
+from .keyrate import (KeyRateReport, SecurityParams, collective_rate_array,
+                      ec_leakage_array, key_rate_coherent, security_budget)
+from .mapping import require_amplitude, require_fluct, virtual_intensity_array
+from .phase_error import decomposition_arrays, phase_error_arrays
 
 ASYMPTOTIC = "asymptotic"
 
@@ -53,15 +57,69 @@ class SecurityConfig:
     n_PE: int = 3
 
 
-def virtual_intensities_for(protocol: ProtocolParams,
-                            calib: SourceCalibration) -> VirtualIntensities:
-    """Virtual intensities for a candidate, from worst-case vacuum bounds."""
-    try:
-        bounds = SourceBounds.from_nominal(protocol.mu_xA, protocol.mu_xB,
-                                           calib.av0, calib.bv0, calib.fluct)
-        return VirtualIntensities.from_bounds(bounds)
-    except MappingError as exc:
-        raise InfeasibleError(str(exc)) from exc
+@dataclass(frozen=True)
+class PointBatch:
+    """Elementwise evaluation of candidates at one block size.
+
+    Entries where ``feasible`` is False carry no meaning.
+    """
+
+    feasible: np.ndarray
+    mu_virtual_A: np.ndarray
+    mu_virtual_B: np.ndarray
+    n_O: np.ndarray
+    n_B: np.ndarray
+    n_Z: np.ndarray
+    e_ph: np.ndarray
+    leak_EC: np.ndarray
+    R_col_signed: np.ndarray
+    R_coh_signed: np.ndarray
+    budget: SecurityParams | None  # None in asymptotic mode
+
+    def report(self, i: int) -> KeyRateReport:
+        """Key-rate report of candidate ``i``."""
+        r_col, r_coh = float(self.R_col_signed[i]), float(self.R_coh_signed[i])
+        return KeyRateReport(
+            R_col=max(r_col, 0.0), R_coh=max(r_coh, 0.0), e_ph=float(self.e_ph[i]),
+            leak_EC=float(self.leak_EC[i]),
+            tally=WindowTally(n_O=float(self.n_O[i]), n_B=float(self.n_B[i]),
+                              n_Z=float(self.n_Z[i])),
+            budget=self.budget, R_col_signed=r_col, R_coh_signed=r_coh,
+            mu_virtual_A=float(self.mu_virtual_A[i]),
+            mu_virtual_B=float(self.mu_virtual_B[i]))
+
+
+def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
+                    p0: np.ndarray, px: np.ndarray, mu_A: np.ndarray,
+                    mu_B: np.ndarray, security: SecurityConfig,
+                    block_size: float | str, mode: str = "improved") -> PointBatch:
+    """Key rates of the candidates (p0[i], px[i], mu_A[i], mu_B[i]).
+
+    The arrays must satisfy what :class:`ProtocolParams` checks for one
+    candidate.  Each element's result is the one :func:`evaluate_point`
+    gives for that candidate alone.
+    """
+    mu_vA, ok_A = virtual_intensity_array(mu_A, calib.av0, calib.fluct)
+    mu_vB, ok_B = virtual_intensity_array(mu_B, calib.bv0, calib.fluct)
+    asymptotic = block_size == ASYMPTOTIC
+    n = 1.0 if asymptotic else float(block_size)
+    sec = None if asymptotic else security_budget(
+        security.eps_coh_target, n, d=security.d, n_PE=security.n_PE,
+        f=security.f)
+    n_O, n_B, n_Z = tally_arrays(p0, px, mu_A, mu_B, n, channel, mode)
+    leak = ec_leakage_array(n_O, n_B, n_Z, security.f)
+    has_z = n_Z > 0.0
+    e_ph = phase_error_arrays(
+        n_O, n_B, np.where(has_z, n_Z, 1.0), n, p0, px,
+        *decomposition_arrays(mu_vA, mu_vB),
+        log_xi=None if sec is None else sec.log_epsilon)[-1]
+    e_ph = np.where(has_z, e_ph, 0.5)
+    r_col = np.where(has_z, collective_rate_array(n_Z, e_ph, leak, sec, n), -np.inf)
+    r_coh = r_col if sec is None else key_rate_coherent(r_col, n, d=security.d,
+                                                        signed=True)
+    return PointBatch(feasible=ok_A & ok_B, mu_virtual_A=mu_vA, mu_virtual_B=mu_vB,
+                      n_O=n_O, n_B=n_B, n_Z=n_Z, e_ph=e_ph, leak_EC=leak,
+                      R_col_signed=r_col, R_coh_signed=r_coh, budget=sec)
 
 
 def evaluate_point(channel: ChannelParams, calib: SourceCalibration,
@@ -71,32 +129,15 @@ def evaluate_point(channel: ChannelParams, calib: SourceCalibration,
 
     An asymptotic point is one window (N = 1) with no Chernoff slack, no
     security budget and no finite-size or coherent-attack penalty, so its
-    collective and coherent rates coincide.
+    collective and coherent rates coincide.  Raises InfeasibleError when the
+    worst-case source bounds admit no virtual-protocol mapping.
     """
-    virtual = virtual_intensities_for(protocol, calib)
-    coeffs = decomposition_coeffs(virtual.mu_A, virtual.mu_B)
-    asymptotic = block_size == ASYMPTOTIC
-    n = 1.0 if asymptotic else float(block_size)
-    proto = replace(protocol, N=n)
-    tally = expected_tallies(proto, channel)
-    sec = None if asymptotic else security_budget(
-        security.eps_coh_target, n, d=security.d, n_PE=security.n_PE,
-        f=security.f)
-    leak = ec_leakage(tally, security.f)
-    if tally.n_Z <= 0.0:
-        e_ph = 0.5
-        r_col = r_coh = -math.inf
-    else:
-        e_ph = phase_error_rate_upper(
-            tally, proto, coeffs, log_xi=None if sec is None else sec.log_epsilon,
-            asymptotic=asymptotic).e_ph
-        if sec is None:
-            r_col = r_coh = tally.n_Z * (1.0 - binary_entropy(e_ph)) - leak
-        else:
-            r_col = key_rate_collective(tally, e_ph, sec, n, signed=True)
-            r_coh = key_rate_coherent(r_col, n, d=security.d, signed=True)
-    return KeyRateReport(
-        R_col=max(r_col, 0.0), R_coh=max(r_coh, 0.0), e_ph=e_ph,
-        leak_EC=leak, tally=tally, budget=sec,
-        R_col_signed=r_col, R_coh_signed=r_coh,
-        mu_virtual_A=virtual.mu_A, mu_virtual_B=virtual.mu_B)
+    one = [np.array([v]) for v in (protocol.p0, protocol.px,
+                                   protocol.mu_xA, protocol.mu_xB)]
+    batch = evaluate_points(channel, calib, *one, security, block_size,
+                            protocol.mode)
+    if not batch.feasible[0]:
+        raise InfeasibleError(
+            f"no virtual-protocol mapping for mu_xA={protocol.mu_xA!r}, "
+            f"mu_xB={protocol.mu_xB!r} at fluct={calib.fluct!r}")
+    return batch.report(0)

@@ -58,6 +58,20 @@ class TestDetectorMeans:
         _, nu_r = detector_means("B", 0.2, 0.2, 0.03, 0.0)
         assert nu_r == pytest.approx(0.0, abs=1e-18)
 
+    @pytest.mark.parametrize("e_d", [1e-8, 1e-4, 0.04])
+    @pytest.mark.parametrize("mu_A, mu_B", [(0.1, 0.1), (0.1, 0.25), (3e-4, 2e-4)])
+    def test_b_window_means_against_mpmath(self, mu_A, mu_B, e_d):
+        # nu_R = avg - cross cancels at small misalignment; the arrangement
+        # with nonnegative terms must keep full precision there.
+        eta = 0.03
+        with mpmath.workdps(50):
+            avg = mpmath.mpf(eta) * (mpmath.mpf(mu_A) + mu_B) / 2
+            cross = (1 - 2 * mpmath.mpf(e_d)) * eta * mpmath.sqrt(mpmath.mpf(mu_A) * mu_B)
+            ref_l, ref_r = float(avg + cross), float(avg - cross)
+        nu_l, nu_r = detector_means("B", mu_A, mu_B, eta, e_d)
+        assert nu_l == pytest.approx(ref_l, rel=1e-12, abs=0)
+        assert nu_r == pytest.approx(ref_r, rel=1e-12, abs=0)
+
     def test_unknown_kind_raises(self):
         with pytest.raises(ChannelModelError):
             detector_means("X", 0.1, 0.1, 0.03, 0.04)

@@ -1,10 +1,18 @@
 """Tests for the two-sided Chernoff estimators."""
 import math
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scsqkd import chernoff
 from scsqkd.chernoff import (ChernoffDomainError, expectation_lower,
-                             expectation_upper, observed_lower, observed_upper)
+                             expectation_lower_array, expectation_upper,
+                             expectation_upper_array, observed_lower,
+                             observed_lower_array, observed_upper,
+                             observed_upper_array)
 
 # Frozen oracle values, computed independently with 60-digit arithmetic.
 GOLDEN_1E6_XI_1E10 = {
@@ -187,3 +195,122 @@ class TestPoissonCrossCheck:
         assert tail <= xi
         # And the bound is tight: one decade looser would be violated.
         assert poisson.sf(math.floor(bound * 0.8), mean) > xi
+
+
+def _mp_bound(name: str, count: float, log_xi: float, guess: float) -> float:
+    """The bound as a 50-digit root of its defining equation.
+
+    Each equation is written as F(z) = 0 with F increasing in z: z = u or v
+    for the bounds above the count and for observed_lower, z = ln u for
+    expectation_lower (whose u may lie below the smallest double).  The
+    bisection starts from a bracket of relative width 1e-9 around ``guess``
+    when F changes sign across it, and from the whole branch otherwise.
+    """
+    with mpmath.workdps(50):
+        x, lx = mpmath.mpf(count), mpmath.mpf(log_xi)
+        t = -lx / x
+        if name == "expectation_lower":
+            f = lambda s: x * (s - mpmath.exp(s) + 1) - lx
+            lo, hi = -(t + 2), mpmath.mpf(0)
+            z = math.log(guess / count) if guess > 0.0 else None
+        elif name == "observed_lower":
+            f = lambda v: x * (v - 1 - v * mpmath.log(v)) - lx
+            lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+            z = guess / count
+        else:
+            if name == "expectation_upper":
+                f = lambda u: x * (u - 1 - mpmath.log(u)) + lx
+            else:
+                f = lambda v: x * (v * mpmath.log(v) - v + 1) + lx
+            lo, hi = mpmath.mpf(1), t + mpmath.sqrt(2 * t) + 2
+            z = guess / count
+        if z is not None:
+            width = 1e-9 * max(abs(z), 1.0 if name == "expectation_lower" else 0.0)
+            a, b = mpmath.mpf(z) - width, mpmath.mpf(z) + width
+            if lo < a and b < hi and f(a) <= 0 < f(b):
+                lo, hi = a, b
+        while hi - lo > mpmath.mpf(10) ** -45 * max(abs(hi), mpmath.mpf(10) ** -300):
+            mid = (lo + hi) / 2
+            if f(mid) <= 0:
+                lo = mid
+            else:
+                hi = mid
+        root = (lo + hi) / 2
+        return float(x * (mpmath.exp(root) if name == "expectation_lower" else root))
+
+
+SCALAR = {"expectation_lower": expectation_lower,
+          "expectation_upper": expectation_upper,
+          "observed_lower": observed_lower,
+          "observed_upper": observed_upper}
+ARRAY = {"expectation_lower": expectation_lower_array,
+         "expectation_upper": expectation_upper_array,
+         "observed_lower": observed_lower_array,
+         "observed_upper": observed_upper_array}
+EMPTY = {"expectation_lower": lambda lx: 0.0, "expectation_upper": lambda lx: -lx,
+         "observed_lower": lambda lx: 0.0, "observed_upper": lambda lx: 0.0}
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+COUNTS = st.one_of(st.just(0.0), _log_uniform(1e-6, 1e15))
+LOG_XIS = _log_uniform(1e-3, 2000.0).map(lambda m: -m)
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(count=COUNTS, log_xi=LOG_XIS)
+def test_bounds_against_mpmath(name, count, log_xi):
+    """All four bounds are 50-digit roots to rel 1e-12 over the working range.
+
+    The absolute 1e-300 only admits expectation_lower bounds that underflow
+    to subnormal or zero doubles (true values below ~1e-300).
+    """
+    got = float(ARRAY[name](np.array([count]), log_xi)[0])
+    if count == 0.0:
+        assert got == EMPTY[name](log_xi)
+        return
+    if name == "observed_lower" and count + log_xi <= 0.0:
+        assert got == 0.0  # the clamp: a zero observation is not xi-unlikely
+        return
+    assert got == pytest.approx(_mp_bound(name, count, log_xi, got), rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("excess", [1e-12, 1e-9, 1e-6, 1e-3, 0.5])
+def test_observed_lower_just_above_the_clamp(excess):
+    # Y barely above ln(1/xi): the bound is a tiny positive count, computed
+    # from Y + ln(xi) without cancellation.
+    log_xi = -1000.0
+    y = 1000.0 * (1.0 + excess)
+    got = observed_lower(y, log_xi=log_xi)
+    assert 0.0 < got == pytest.approx(_mp_bound("observed_lower", y, log_xi, got),
+                                      rel=1e-12, abs=0)
+    assert observed_lower(1000.0, log_xi=log_xi) == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(counts=st.lists(COUNTS, min_size=1, max_size=40), log_xi=LOG_XIS)
+def test_batch_element_equals_scalar_call(name, counts, log_xi):
+    if name == "observed_upper":
+        counts = [c for c in counts if c > 0.0] or [1.0]
+    batch = ARRAY[name](np.array(counts), log_xi)
+    scalar = [SCALAR[name](c, log_xi=log_xi) for c in counts]
+    assert batch.tolist() == scalar
+
+
+def test_bisection_fallback_matches_reference(monkeypatch):
+    # With Newton disabled every element is solved by the bisection backup.
+    rng = np.random.default_rng(3)
+    counts = 10.0 ** rng.uniform(-6, 15, 24)
+    log_xis = -(10.0 ** rng.uniform(-3, math.log10(2000.0), 24))
+    monkeypatch.setattr(chernoff, "_MAX_NEWTON", 0)
+    for name, solve in ARRAY.items():
+        got = solve(counts, log_xis)
+        for g, c, lx in zip(got, counts, log_xis):
+            if name == "observed_lower" and c + lx <= 0.0:
+                assert g == 0.0
+                continue
+            assert g == pytest.approx(_mp_bound(name, c, lx, g), rel=1e-12, abs=1e-300)

@@ -1,7 +1,6 @@
 """Tests for the scan command-line interface."""
 import argparse
 import json
-import os
 
 import pytest
 
@@ -120,23 +119,6 @@ class TestMain:
         csv_b = (out_b / "scan.csv").read_bytes()
         assert csv_a == csv_b
         assert (out_a / "scan.svg").read_bytes() == (out_b / "scan.svg").read_bytes()
-
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        config = _write_config(tmp_path)
-        out_a = tmp_path / "serial"
-        out_b = tmp_path / "parallel"
-        old = os.environ.get("SCSQKD_WORKERS")
-        try:
-            os.environ["SCSQKD_WORKERS"] = "1"
-            assert main(["scan", "--config", config, "--out", str(out_a)]) == 0
-            os.environ["SCSQKD_WORKERS"] = "4"
-            assert main(["scan", "--config", config, "--out", str(out_b)]) == 0
-        finally:
-            if old is None:
-                os.environ.pop("SCSQKD_WORKERS", None)
-            else:
-                os.environ["SCSQKD_WORKERS"] = old
-        assert (out_a / "scan.csv").read_bytes() == (out_b / "scan.csv").read_bytes()
 
     def test_mc_validate_writes_report(self, tmp_path):
         config = _write_config(tmp_path)

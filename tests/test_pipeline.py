@@ -1,0 +1,49 @@
+"""Tests for the array evaluation of candidates against the one-point path."""
+import math
+
+import numpy as np
+import pytest
+
+from scsqkd.channel import ChannelParams, ProtocolParams
+from scsqkd.pipeline import (InfeasibleError, SecurityConfig, SourceCalibration,
+                             evaluate_point, evaluate_points)
+
+CHANNEL_50 = ChannelParams(50.0, 0.2, 0.3, 1e-9, 0.04)
+CALIB = SourceCalibration()
+
+# a0 = exp(-(1 + fluct) mu) reaches the mapping limit 0.5 at mu = ln 2 / 1.1.
+MU_EDGE = math.log(2.0) / (1.0 + CALIB.fluct)
+
+
+def _sweep():
+    """A 20 x 20 grid in lexicographic (px, mu) order; 7 mu values straddle
+    the mapping limit within a few ulp."""
+    mu_vals = np.concatenate((np.geomspace(1e-4, 1.0, 13),
+                              MU_EDGE * (1.0 + 2.2e-16 * np.arange(-3, 4))))
+    px_vals = np.linspace(0.01, 0.99, 20)
+    return (g.ravel() for g in np.meshgrid(px_vals, mu_vals, indexing="ij"))
+
+
+@pytest.mark.parametrize("block, mode", [(1e12, "improved"), (1e10, "baseline"),
+                                         ("asymptotic", "improved"),
+                                         ("asymptotic", "baseline")])
+def test_batch_equals_evaluate_point(block, mode):
+    px, mu = _sweep()
+    batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu,
+                            SecurityConfig(), block, mode)
+    raised = np.zeros(px.size, dtype=bool)
+    for i, (p, m) in enumerate(zip(px.tolist(), mu.tolist())):
+        proto = ProtocolParams(p0=1.0 - p, px=p, mu_xA=m, mu_xB=m, N=1, mode=mode)
+        try:
+            report = evaluate_point(CHANNEL_50, CALIB, proto, SecurityConfig(), block)
+        except InfeasibleError:
+            raised[i] = True
+            continue
+        assert report == batch.report(i)
+        assert report.R_coh_signed == batch.R_coh_signed[i]
+        assert report.e_ph == batch.e_ph[i]
+        assert (report.tally.n_O, report.tally.n_B, report.tally.n_Z) == (
+            batch.n_O[i], batch.n_B[i], batch.n_Z[i])
+    assert np.array_equal(batch.feasible, ~raised)
+    edge = np.abs(mu - MU_EDGE) < 1e-12
+    assert batch.feasible[edge].any() and not batch.feasible[edge].all()
