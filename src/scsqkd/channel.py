@@ -251,29 +251,6 @@ def b_window_prob(mu_A: float, mu_B: float, eta: float, e_d: float, p_d: float,
     return float(_b_window_probs(mu_A, mu_B, eta, e_d, p_d, mode))
 
 
-def _window_probs(mu_A, mu_B, channel: ChannelParams, mode: str) -> dict:
-    eta = arm_transmittance(channel)
-    probs = {}
-    for kind in ("O", "Z_A", "Z_B"):
-        nu_l, nu_r = detector_means(kind, mu_A, mu_B, eta, channel.e_d)
-        probs[kind] = _herald(nu_l, nu_r, channel.p_d, "improved")
-    probs["B"] = _b_window_probs(mu_A, mu_B, eta, channel.e_d, channel.p_d, mode)
-    return probs
-
-
-def window_probs(protocol: ProtocolParams, channel: ChannelParams,
-                 intensities: tuple[float, float] | None = None) -> dict[str, float]:
-    """Heralding probability per window kind for the protocol's mode.
-
-    O and Z windows are insensitive to Charlie's phase compensation, so both
-    modes use the single-detector heralding probability there; only B
-    windows depend on the mode.
-    """
-    mu_A, mu_B = intensities if intensities is not None else (protocol.mu_xA, protocol.mu_xB)
-    return {kind: float(p) for kind, p in
-            _window_probs(mu_A, mu_B, channel, protocol.mode).items()}
-
-
 def tally_arrays(p0, px, mu_A, mu_B, N: float, channel: ChannelParams,
                  mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expected effective-window counts (n_O, n_B, n_Z) over N windows.
@@ -282,23 +259,28 @@ def tally_arrays(p0, px, mu_A, mu_B, N: float, channel: ChannelParams,
     see :func:`expected_tallies`.
     """
     _require_mode(mode)
-    probs = _window_probs(mu_A, mu_B, channel, mode)
+    eta = arm_transmittance(channel)
+    # O and Z windows are insensitive to Charlie's phase compensation, so
+    # both modes use the single-detector heralding rule there; only B
+    # windows depend on the mode.
+    probs = {}
+    for kind in ("O", "Z_A", "Z_B"):
+        nu_l, nu_r = detector_means(kind, mu_A, mu_B, eta, channel.e_d)
+        probs[kind] = _herald(nu_l, nu_r, channel.p_d, "improved")
+    p_b = _b_window_probs(mu_A, mu_B, eta, channel.e_d, channel.p_d, mode)
     return (N * p0 * p0 * probs["O"],
-            N * px * px * probs["B"],
+            N * px * px * p_b,
             N * p0 * px * (probs["Z_A"] + probs["Z_B"]))
 
 
-def expected_tallies(protocol: ProtocolParams, channel: ChannelParams,
-                     intensities: tuple[float, float] | None = None) -> WindowTally:
+def expected_tallies(protocol: ProtocolParams, channel: ChannelParams) -> WindowTally:
     """Expected effective-window counts over N windows.
 
-    ``intensities`` optionally overrides the nominal source intensities;
-    by default the channel model uses the nominal values (the security
-    analysis separately uses worst-case bounds).
+    The channel model uses the nominal source intensities; the security
+    analysis separately uses worst-case bounds.
     """
-    mu_A, mu_B = intensities if intensities is not None else (protocol.mu_xA, protocol.mu_xB)
     counts = tally_arrays(np.array([protocol.p0]), np.array([protocol.px]),
-                          np.array([mu_A]), np.array([mu_B]), protocol.N, channel,
-                          protocol.mode)
+                          np.array([protocol.mu_xA]), np.array([protocol.mu_xB]),
+                          protocol.N, channel, protocol.mode)
     n_O, n_B, n_Z = (float(c[0]) for c in counts)
     return WindowTally(n_O=n_O, n_B=n_B, n_Z=n_Z)

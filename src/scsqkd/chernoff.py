@@ -44,7 +44,7 @@ class ChernoffDomainError(ValueError):
     """Raised for arguments outside a bound's domain."""
 
 
-def resolve_log_xi(xi: float | None, log_xi: float | None) -> float:
+def _resolve_log_xi(xi: float | None, log_xi: float | None) -> float:
     """ln(xi) from exactly one of ``xi`` in (0, 1) and a negative ``log_xi``."""
     if (xi is None) == (log_xi is None):
         raise ChernoffDomainError("provide exactly one of xi and log_xi")
@@ -174,7 +174,7 @@ def _one(solve, count: float, lx: float) -> float:
 def expectation_lower(X: float, xi: float | None = None, *,
                       log_xi: float | None = None) -> float:
     """Lower bound on the expected value given an observed count X."""
-    lx = resolve_log_xi(xi, log_xi)
+    lx = _resolve_log_xi(xi, log_xi)
     if X < 0.0:
         raise ChernoffDomainError(f"X must be nonnegative, got {X!r}")
     return _one(expectation_lower_array, X, lx)
@@ -186,7 +186,7 @@ def expectation_upper(X: float, xi: float | None = None, *,
 
     X = 0 is handled by the limiting form ln(1/xi).
     """
-    lx = resolve_log_xi(xi, log_xi)
+    lx = _resolve_log_xi(xi, log_xi)
     if X < 0.0:
         raise ChernoffDomainError(f"X must be nonnegative, got {X!r}")
     return _one(expectation_upper_array, X, lx)
@@ -199,7 +199,7 @@ def observed_upper(Y: float, xi: float | None = None, *,
     Y must be strictly positive: the bound is applied only to positive
     means.
     """
-    lx = resolve_log_xi(xi, log_xi)
+    lx = _resolve_log_xi(xi, log_xi)
     if Y <= 0.0:
         raise ChernoffDomainError(f"observed_upper needs a positive mean, got {Y!r}")
     return _one(observed_upper_array, Y, lx)
@@ -212,7 +212,7 @@ def observed_lower(Y: float, xi: float | None = None, *,
     Returns 0 when no deviation parameter below 1 solves the equation
     (small means admit a zero observation with probability above xi).
     """
-    lx = resolve_log_xi(xi, log_xi)
+    lx = _resolve_log_xi(xi, log_xi)
     if Y < 0.0:
         raise ChernoffDomainError(f"Y must be nonnegative, got {Y!r}")
     return _one(observed_lower_array, Y, lx)

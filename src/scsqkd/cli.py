@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .channel import ChannelParams, ProtocolParams
 from .mc_oracle import SimConfig, simulate
 from .optimizer import NoFeasiblePointError, SearchSpace, optimize
-from .pipeline import ASYMPTOTIC, SecurityConfig, SourceCalibration, evaluate_point
+from .pipeline import ASYMPTOTIC, SecurityConfig, SourceCalibration
 
 CSV_HEADER = ("distance_km,N,mode,px,mu_x,mu_virtual_A,mu_virtual_B,"
               "n_O,n_B,n_Z,E_Z,e_ph,R_col,R_coh,feasible_flag")

@@ -16,6 +16,9 @@ from .channel import WindowTally
 
 _LN2 = math.log(2.0)
 
+# Parameter estimation spends this many shares of eps_col.
+N_PE = 3
+
 
 class SecurityBudgetError(ValueError):
     """Raised for invalid security-budget inputs."""
@@ -25,15 +28,12 @@ class SecurityBudgetError(ValueError):
 class SecurityParams:
     """Resolved composable-security budget (component logs, natural base)."""
 
-    eps_coh_target: float
     log_eps_col: float
     log_eps_cor: float
     log_eps_bar: float
     log_eps_PA: float
     log_epsilon: float
     d: int = 8
-    n_PE: int = 3
-    f: float = 1.1
 
 
 def binary_entropy_array(x) -> np.ndarray:
@@ -50,54 +50,37 @@ def binary_entropy(x: float) -> float:
     return float(binary_entropy_array(np.array([x]))[0])
 
 
-def security_budget(eps_coh_target: float, N: float, d: int = 8, n_PE: int = 3,
-                    f: float = 1.1,
-                    split: tuple[float, float, float, float] | None = None
-                    ) -> SecurityParams:
+def security_budget(eps_coh_target: float, N: float, d: int = 8) -> SecurityParams:
     """Resolve the component failure probabilities from a coherent-attack target.
 
-    ``split`` optionally gives the weights (w_cor, w_bar, w_PA, w_eps) with
-    w_cor + w_bar + w_PA + n_PE * w_eps = 1; the default splits eps_col into
-    six equal shares (parameter estimation consumes n_PE = 3 of them).
+    eps_col is split into 3 + N_PE equal shares: one each for correctness,
+    smoothing and privacy amplification, and N_PE for parameter estimation.
     """
     if not (0.0 < eps_coh_target < 1.0):
         raise SecurityBudgetError(
             f"eps_coh_target must lie in (0, 1), got {eps_coh_target!r}")
     if N < 0:
         raise SecurityBudgetError(f"N must be nonnegative, got {N!r}")
-    if split is None:
-        share = 1.0 / (3.0 + n_PE)
-        split = (share, share, share, share)
-    w_cor, w_bar, w_pa, w_eps = split
-    if any(w <= 0.0 for w in split):
-        raise SecurityBudgetError("split weights must be positive")
-    if abs(w_cor + w_bar + w_pa + n_PE * w_eps - 1.0) > 1e-9:
-        raise SecurityBudgetError("split weights must recompose eps_col")
     log_eps_col = math.log(eps_coh_target) - (d * d - 1) * math.log1p(N)
+    log_share = log_eps_col + math.log(1.0 / (3.0 + N_PE))
     return SecurityParams(
-        eps_coh_target=eps_coh_target,
         log_eps_col=log_eps_col,
-        log_eps_cor=log_eps_col + math.log(w_cor),
-        log_eps_bar=log_eps_col + math.log(w_bar),
-        log_eps_PA=log_eps_col + math.log(w_pa),
-        log_epsilon=log_eps_col + math.log(w_eps),
+        log_eps_cor=log_share,
+        log_eps_bar=log_share,
+        log_eps_PA=log_share,
+        log_epsilon=log_share,
         d=d,
-        n_PE=n_PE,
-        f=f,
     )
 
 
 def ec_leakage_array(n_O, n_B, n_Z, f: float) -> np.ndarray:
-    """Elementwise error-correction leakage in bits; see :func:`ec_leakage`."""
+    """Error-correction information leakage in bits, elementwise.
+
+    ``f`` times the raw-key length times H(E_Z); 0 for an empty tally.
+    """
     total = n_O + n_B + n_Z
     e_z = np.where(total > 0.0, (n_O + n_B) / np.where(total > 0.0, total, 1.0), 0.0)
     return f * total * binary_entropy_array(e_z)
-
-
-def ec_leakage(tally: WindowTally, f: float) -> float:
-    """Error-correction information leakage in bits."""
-    return float(ec_leakage_array(np.array([tally.n_O]), np.array([tally.n_B]),
-                                  np.array([tally.n_Z]), f)[0])
 
 
 def collective_rate_array(n_Z, e_ph, leak, sec: SecurityParams | None,
@@ -117,22 +100,6 @@ def collective_rate_array(n_Z, e_ph, leak, sec: SecurityParams | None,
             - log2_2_over_cor
             - 2.0 * log2_1_over_pa
             - (sec.d + 3.0) * np.sqrt(n_Z * log2_2_over_bar)) / N
-
-
-def key_rate_collective(tally: WindowTally, e_ph: float, sec: SecurityParams,
-                        N: float, signed: bool = False) -> float:
-    """Per-window key rate under collective attack (bits/window).
-
-    With ``signed=True`` the unclamped value is returned so optimizers can
-    climb out of infeasible regions.
-    """
-    if not (0.0 <= e_ph <= 0.5):
-        raise ValueError(f"e_ph must lie in [0, 0.5], got {e_ph!r}")
-    if tally.n_Z <= 0.0:
-        return -math.inf if signed else 0.0
-    rate = float(collective_rate_array(np.array([tally.n_Z]), np.array([e_ph]),
-                                       ec_leakage(tally, sec.f), sec, N)[0])
-    return rate if signed else max(rate, 0.0)
 
 
 def coherent_attack_penalty(N: float, d: int = 8) -> float:

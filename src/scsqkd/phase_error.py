@@ -8,53 +8,17 @@ expected values and back at the supplied failure probability.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ProtocolParams, WindowTally
-from .chernoff import (expectation_upper_array, observed_upper_array,
-                       resolve_log_xi)
-
-_C0C1_RTOL = 1e-12
-
-
-class PhaseErrorInputError(ValueError):
-    """Raised for invalid decomposition or tally inputs."""
-
-
-@dataclass(frozen=True)
-class DecompositionCoeffs:
-    """Superposition coefficients (c0, c1) with residual norm c2bar.
-
-    The closed form for c2bar requires c0 * c1 = 1.
-    """
-
-    c0: float
-    c1: float
-    c2bar: float
-
-    def __post_init__(self) -> None:
-        if abs(self.c0 * self.c1 - 1.0) > _C0C1_RTOL:
-            raise PhaseErrorInputError(
-                f"c0 * c1 must equal 1, got {self.c0 * self.c1!r}")
-        if self.c2bar < 0.0:
-            raise PhaseErrorInputError("c2bar must be nonnegative")
-
-
-@dataclass(frozen=True)
-class PhaseErrorBound:
-    """Intermediate bounds and the final phase-flip error rate."""
-
-    mean_nO_U: float
-    mean_nB_U: float
-    mean_Nph_U: float
-    Nph_U: float
-    e_ph: float
+from .chernoff import expectation_upper_array, observed_upper_array
 
 
 def decomposition_arrays(mu_A, mu_B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c0, c1, c2bar) elementwise; see :func:`decomposition_coeffs`."""
+    """Decomposition coefficients (c0, c1, c2bar) for virtual intensities.
+
+    Elementwise c0 = exp(-(mu_A + mu_B) / 4) and c1 = 1 / c0; the closed
+    form of the residual norm c2bar needs c0 * c1 = 1.
+    """
     c0 = np.exp(-(mu_A + mu_B) / 4.0)
     c1 = 1.0 / c0
     fac_a = c0 + c1 - 2.0 * np.exp(-mu_A / 2.0)
@@ -63,18 +27,8 @@ def decomposition_arrays(mu_A, mu_B) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return c0, c1, np.sqrt(np.maximum(fac_a, 0.0) * np.maximum(fac_b, 0.0))
 
 
-def decomposition_coeffs(mu_A: float, mu_B: float) -> DecompositionCoeffs:
-    """Decomposition coefficients for the given virtual intensities.
-
-    Uses c0 = exp(-(mu_A + mu_B) / 4) and c1 = 1 / c0.
-    """
-    if mu_A < 0.0 or mu_B < 0.0:
-        raise PhaseErrorInputError("intensities must be nonnegative")
-    c0, c1, c2bar = decomposition_arrays(np.array([mu_A]), np.array([mu_B]))
-    return DecompositionCoeffs(c0=float(c0[0]), c1=float(c1[0]), c2bar=float(c2bar[0]))
-
-
 def _mean_count(nO_U, nB_U, N, p0, px, c0, c1, c2):
+    """Upper bound on the expected number of phase errors over N windows."""
     return (p0 * px / 2.0) * (
         (c0 * c0 / (p0 * p0)) * nO_U
         + (c1 * c1 / (px * px)) * nB_U
@@ -83,13 +37,6 @@ def _mean_count(nO_U, nB_U, N, p0, px, c0, c1, c2):
         + (2.0 * c0 * c2 / p0) * np.sqrt(N * nO_U)
         + (2.0 * c1 * c2 / px) * np.sqrt(N * nB_U)
     )
-
-
-def mean_phase_error_count(nO_U: float, nB_U: float, N: float, p0: float,
-                           px: float, coeffs: DecompositionCoeffs) -> float:
-    """Upper bound on the expected number of phase errors over N windows."""
-    return float(_mean_count(nO_U, nB_U, N, p0, px,
-                             coeffs.c0, coeffs.c1, coeffs.c2bar))
 
 
 def phase_error_arrays(n_O, n_B, n_Z, N: float, p0, px, c0, c1, c2,
@@ -108,22 +55,3 @@ def phase_error_arrays(n_O, n_B, n_Z, N: float, p0, px, c0, c1, c2,
     nph = mean_nph if log_xi is None else observed_upper_array(mean_nph, log_xi)
     return nO_U, nB_U, mean_nph, nph, np.minimum(nph / n_Z, 0.5)
 
-
-def phase_error_rate_upper(tally: WindowTally, protocol: ProtocolParams,
-                           coeffs: DecompositionCoeffs,
-                           xi: float | None = None, *,
-                           log_xi: float | None = None,
-                           asymptotic: bool = False) -> PhaseErrorBound:
-    """Upper bound on the phase-flip error rate from effective-window counts.
-
-    In asymptotic mode the Chernoff steps are bypassed and the counts are
-    treated as exact expected values (no statistical slack).
-    """
-    if tally.n_Z <= 0.0:
-        raise PhaseErrorInputError("no effective Z windows: e_ph undefined")
-    lx = None if asymptotic else resolve_log_xi(xi, log_xi)
-    values = phase_error_arrays(
-        np.array([tally.n_O]), np.array([tally.n_B]), np.array([tally.n_Z]),
-        protocol.N, protocol.p0, protocol.px,
-        coeffs.c0, coeffs.c1, coeffs.c2bar, lx)
-    return PhaseErrorBound(*(float(v[0]) for v in values))

@@ -54,7 +54,6 @@ class SecurityConfig:
     eps_coh_target: float = 1e-10
     f: float = 1.1
     d: int = 8
-    n_PE: int = 3
 
 
 @dataclass(frozen=True)
@@ -103,9 +102,8 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
     mu_vB, ok_B = virtual_intensity_array(mu_B, calib.bv0, calib.fluct)
     asymptotic = block_size == ASYMPTOTIC
     n = 1.0 if asymptotic else float(block_size)
-    sec = None if asymptotic else security_budget(
-        security.eps_coh_target, n, d=security.d, n_PE=security.n_PE,
-        f=security.f)
+    sec = None if asymptotic else security_budget(security.eps_coh_target, n,
+                                                  d=security.d)
     n_O, n_B, n_Z = tally_arrays(p0, px, mu_A, mu_B, n, channel, mode)
     leak = ec_leakage_array(n_O, n_B, n_Z, security.f)
     has_z = n_Z > 0.0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scsqkd.channel import (ChannelModelError, ChannelParams, ProtocolParams,
                             WindowTally, arm_transmittance, b_window_prob,
                             detector_means, effective_prob, expected_tallies,
-                            visibility, window_probs)
+                            visibility)
 
 CHANNEL = ChannelParams(distance_km=100.0, alpha_f=0.2, eta_d=0.3,
                         p_d=1e-9, e_d=0.04)
@@ -242,16 +242,21 @@ class TestExpectedTallies:
                 1e3 * getattr(small, name), rel=1e-12)
 
     def test_window_probs_consistent_with_tallies(self):
-        proto = ProtocolParams(0.7, 0.3, 0.05, 0.08, 10**7)
-        probs = window_probs(proto, CHANNEL)
-        tally = expected_tallies(proto, CHANNEL)
-        assert tally.n_O == pytest.approx(1e7 * 0.49 * probs["O"], rel=1e-12)
-        assert tally.n_B == pytest.approx(1e7 * 0.09 * probs["B"], rel=1e-12)
-        assert tally.n_Z == pytest.approx(
-            1e7 * 0.21 * (probs["Z_A"] + probs["Z_B"]), rel=1e-12)
+        # Each count is N times the choice probability of its window kind
+        # times that kind's heralding probability; only B windows depend on
+        # the mode.
+        mu_A, mu_B = 0.05, 0.08
+        eta = arm_transmittance(CHANNEL)
 
-    def test_intensity_override(self):
-        proto = ProtocolParams(0.5, 0.5, 0.1, 0.1, 10**6)
-        override = expected_tallies(proto, CHANNEL, intensities=(0.2, 0.2))
-        direct = expected_tallies(ProtocolParams(0.5, 0.5, 0.2, 0.2, 10**6), CHANNEL)
-        assert override == direct
+        def herald(kind: str) -> float:
+            nu_l, nu_r = detector_means(kind, mu_A, mu_B, eta, CHANNEL.e_d)
+            return effective_prob(nu_l, nu_r, CHANNEL.p_d, "improved")
+
+        for mode in ("improved", "baseline"):
+            proto = ProtocolParams(0.7, 0.3, mu_A, mu_B, 10**7, mode=mode)
+            p_b = b_window_prob(mu_A, mu_B, eta, CHANNEL.e_d, CHANNEL.p_d, mode)
+            tally = expected_tallies(proto, CHANNEL)
+            assert tally.n_O == pytest.approx(1e7 * 0.49 * herald("O"), rel=1e-12)
+            assert tally.n_B == pytest.approx(1e7 * 0.09 * p_b, rel=1e-12)
+            assert tally.n_Z == pytest.approx(
+                1e7 * 0.21 * (herald("Z_A") + herald("Z_B")), rel=1e-12)

@@ -13,6 +13,7 @@ from scsqkd.chernoff import (ChernoffDomainError, expectation_lower,
                              expectation_upper_array, observed_lower,
                              observed_lower_array, observed_upper,
                              observed_upper_array)
+from scsqkd.keyrate import security_budget
 
 # Frozen oracle values, computed independently with 60-digit arithmetic.
 GOLDEN_1E6_XI_1E10 = {
@@ -255,8 +256,12 @@ def _log_uniform(lo: float, hi: float):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
 
 
+# The smallest log failure probability a scan reaches: the parameter
+# estimation share of the budget at the largest block size, N = 1e15.
+LOG_XI_MIN = security_budget(1e-10, 1e15).log_epsilon
+
 COUNTS = st.one_of(st.just(0.0), _log_uniform(1e-6, 1e15))
-LOG_XIS = _log_uniform(1e-3, 2000.0).map(lambda m: -m)
+LOG_XIS = _log_uniform(1e-3, -LOG_XI_MIN).map(lambda m: -m)
 
 
 @pytest.mark.parametrize("name", sorted(SCALAR))
@@ -305,7 +310,7 @@ def test_bisection_fallback_matches_reference(monkeypatch):
     # With Newton disabled every element is solved by the bisection backup.
     rng = np.random.default_rng(3)
     counts = 10.0 ** rng.uniform(-6, 15, 24)
-    log_xis = -(10.0 ** rng.uniform(-3, math.log10(2000.0), 24))
+    log_xis = -(10.0 ** rng.uniform(-3, math.log10(-LOG_XI_MIN), 24))
     monkeypatch.setattr(chernoff, "_MAX_NEWTON", 0)
     for name, solve in ARRAY.items():
         got = solve(counts, log_xis)

@@ -1,15 +1,35 @@
 """Tests for the key-rate formulas and security budget."""
 import math
 
+import numpy as np
 import pytest
 
-from scsqkd.channel import WindowTally
-from scsqkd.keyrate import (SecurityBudgetError, binary_entropy,
-                            coherent_attack_penalty, ec_leakage,
-                            key_rate_coherent, key_rate_collective,
+from scsqkd.channel import ChannelParams, ProtocolParams, WindowTally
+from scsqkd.keyrate import (N_PE, SecurityBudgetError, binary_entropy,
+                            coherent_attack_penalty, collective_rate_array,
+                            ec_leakage_array, key_rate_coherent,
                             security_budget)
+from scsqkd.pipeline import SecurityConfig, SourceCalibration, evaluate_point
 
 _LN2 = math.log(2.0)
+
+
+def _leak(tally: WindowTally, f: float = 1.1) -> float:
+    return float(ec_leakage_array(np.array([tally.n_O]), np.array([tally.n_B]),
+                                  np.array([tally.n_Z]), f)[0])
+
+
+def _collective(tally: WindowTally, e_ph: float, sec, N: float) -> float:
+    """Signed collective rate of one tally, with leakage at f = 1.1."""
+    return float(collective_rate_array(np.array([tally.n_Z]), np.array([e_ph]),
+                                       _leak(tally), sec, N)[0])
+
+
+def _report(distance_km: float, eta_d: float, p_d: float, block_size):
+    channel = ChannelParams(distance_km, 0.2, eta_d, p_d, 0.04)
+    proto = ProtocolParams(p0=0.8, px=0.2, mu_xA=0.01, mu_xB=0.01, N=1)
+    return evaluate_point(channel, SourceCalibration(), proto, SecurityConfig(),
+                          block_size)
 
 
 class TestBinaryEntropy:
@@ -40,7 +60,7 @@ class TestBinaryEntropy:
 
 class TestSecurityBudget:
     def test_log_relation_between_coherent_and_collective(self):
-        for n in (1e10, 1e12):
+        for n in (1e10, 1e12, 1e14):
             sec = security_budget(1e-10, n)
             recomposed = sec.log_eps_col + 63.0 * math.log1p(n)
             assert recomposed == pytest.approx(math.log(1e-10), rel=1e-12)
@@ -53,25 +73,15 @@ class TestSecurityBudget:
             assert log_component == pytest.approx(share, rel=1e-12)
 
     def test_components_recompose_collective_budget(self):
-        sec = security_budget(1e-10, 1e10)
-        # eps_cor + eps_bar + eps_PA + n_PE * eps must equal eps_col; compare
-        # in the log domain since the values underflow doubles.
-        logs = [sec.log_eps_cor, sec.log_eps_bar, sec.log_eps_PA]
-        logs += [sec.log_epsilon] * sec.n_PE
-        peak = max(logs)
-        total = peak + math.log(sum(math.exp(v - peak) for v in logs))
-        assert total == pytest.approx(sec.log_eps_col, rel=1e-12)
-
-    def test_custom_split(self):
-        sec = security_budget(1e-10, 1e10, split=(0.4, 0.2, 0.1, 0.1))
-        assert sec.log_eps_cor == pytest.approx(
-            sec.log_eps_col + math.log(0.4), rel=1e-12)
-
-    def test_invalid_split_rejected(self):
-        with pytest.raises(SecurityBudgetError):
-            security_budget(1e-10, 1e10, split=(0.5, 0.5, 0.5, 0.5))
-        with pytest.raises(SecurityBudgetError):
-            security_budget(1e-10, 1e10, split=(0.7, 0.2, 0.1, -0.1))
+        for n in (1e10, 1e14):
+            sec = security_budget(1e-10, n)
+            # eps_cor + eps_bar + eps_PA + N_PE * eps must equal eps_col;
+            # compare in the log domain since the values underflow doubles.
+            logs = [sec.log_eps_cor, sec.log_eps_bar, sec.log_eps_PA]
+            logs += [sec.log_epsilon] * N_PE
+            peak = max(logs)
+            total = peak + math.log(sum(math.exp(v - peak) for v in logs))
+            assert total == pytest.approx(sec.log_eps_col, rel=1e-12)
 
     def test_invalid_target_rejected(self):
         with pytest.raises(SecurityBudgetError):
@@ -88,11 +98,11 @@ class TestSecurityBudget:
 class TestEcLeakage:
     def test_closed_form(self):
         tally = WindowTally(n_O=1.0, n_B=9.0, n_Z=90.0)
-        assert ec_leakage(tally, 1.1) == pytest.approx(
+        assert _leak(tally) == pytest.approx(
             1.1 * 100.0 * binary_entropy(0.1), rel=1e-14)
 
     def test_zero_for_error_free_key(self):
-        assert ec_leakage(WindowTally(0.0, 0.0, 1e6), 1.1) == 0.0
+        assert _leak(WindowTally(0.0, 0.0, 1e6)) == 0.0
 
 
 class TestKeyRates:
@@ -101,11 +111,11 @@ class TestKeyRates:
     def test_collective_rate_assembly(self):
         sec = security_budget(1e-10, 1e12)
         n = 1e12
-        rate = key_rate_collective(self.TALLY, 0.05, sec, n, signed=True)
+        rate = _collective(self.TALLY, 0.05, sec, n)
         n_z = self.TALLY.n_Z
         expected = (
             n_z * (1.0 - binary_entropy(0.05))
-            - ec_leakage(self.TALLY, sec.f)
+            - 1.1 * self.TALLY.M_s * binary_entropy(self.TALLY.E_Z)
             - (1.0 - sec.log_eps_cor / _LN2)
             - 2.0 * (-sec.log_eps_PA / _LN2)
             - 11.0 * math.sqrt(n_z * (1.0 - sec.log_eps_bar / _LN2))
@@ -114,24 +124,23 @@ class TestKeyRates:
 
     def test_clamped_vs_signed(self):
         sec = security_budget(1e-10, 1e12)
-        tiny = WindowTally(10.0, 100.0, 200.0)
-        assert key_rate_collective(tiny, 0.4, sec, 1e12) == 0.0
-        assert key_rate_collective(tiny, 0.4, sec, 1e12, signed=True) < 0.0
+        assert _collective(WindowTally(10.0, 100.0, 200.0), 0.4, sec, 1e12) < 0.0
+        # A report clamps the rates at 0 and keeps the signed values.
+        report = _report(150.0, 0.3, 1e-9, 1e10)
+        assert report.R_col == report.R_coh == 0.0
+        assert report.R_col_signed < 0.0 and report.R_coh_signed < 0.0
 
     def test_empty_z_register(self):
-        sec = security_budget(1e-10, 1e12)
-        empty = WindowTally(0.0, 0.0, 0.0)
-        assert key_rate_collective(empty, 0.0, sec, 1e12) == 0.0
-        assert key_rate_collective(empty, 0.0, sec, 1e12, signed=True) == -math.inf
-
-    def test_e_ph_domain(self):
-        sec = security_budget(1e-10, 1e12)
-        with pytest.raises(ValueError):
-            key_rate_collective(self.TALLY, 0.6, sec, 1e12)
+        # No detector efficiency and no dark counts: no window heralds.
+        for block in (1e12, "asymptotic"):
+            report = _report(50.0, 0.0, 0.0, block)
+            assert report.tally.n_Z == 0.0 and report.e_ph == 0.5
+            assert report.R_col == report.R_coh == 0.0
+            assert report.R_col_signed == report.R_coh_signed == -math.inf
 
     def test_rate_decreases_with_phase_error(self):
         sec = security_budget(1e-10, 1e12)
-        rates = [key_rate_collective(self.TALLY, e, sec, 1e12, signed=True)
+        rates = [_collective(self.TALLY, e, sec, 1e12)
                  for e in (0.01, 0.05, 0.1, 0.3)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 

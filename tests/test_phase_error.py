@@ -1,12 +1,11 @@
 """Tests for the phase-flip error-rate bound."""
 import math
 
+import numpy as np
 import pytest
 
 from scsqkd.channel import ChannelParams, ProtocolParams, WindowTally
-from scsqkd.phase_error import (DecompositionCoeffs, PhaseErrorInputError,
-                                decomposition_coeffs, mean_phase_error_count,
-                                phase_error_rate_upper)
+from scsqkd.phase_error import decomposition_arrays, phase_error_arrays
 
 # Frozen oracle: residual coefficient for mu_A = mu_B = 0.1 with default c0,
 # cross-checked against a photon-number-truncated state expansion.
@@ -18,109 +17,102 @@ C2SQ_01_01 = 0.010008336111607197976
 GOLDEN_PIPELINE_EPH = 0.15929052920788045
 
 
+def _coeffs(mu_A: float, mu_B: float) -> tuple[float, float, float]:
+    """(c0, c1, c2bar) of one pair of virtual intensities."""
+    return tuple(float(v[0]) for v in
+                 decomposition_arrays(np.array([mu_A]), np.array([mu_B])))
+
+
+def _bound(tally: WindowTally, N: float, p0: float, px: float,
+           coeffs: tuple[float, float, float], log_xi: float | None):
+    """(mean_nO_U, mean_nB_U, mean_Nph_U, Nph_U, e_ph) of one tally."""
+    values = phase_error_arrays(np.array([tally.n_O]), np.array([tally.n_B]),
+                                np.array([tally.n_Z]), N, p0, px, *coeffs, log_xi)
+    return tuple(float(v[0]) for v in values)
+
+
+def _mean_count(n_O: float, n_B: float, N: float, p0: float, px: float,
+                coeffs: tuple[float, float, float]) -> float:
+    """Upper bound on the expected phase-error count (the asymptotic path)."""
+    return _bound(WindowTally(n_O, n_B, 1.0), N, p0, px, coeffs, None)[2]
+
+
 class TestDecompositionCoeffs:
     def test_default_c0_closed_form(self):
-        coeffs = decomposition_coeffs(0.1, 0.3)
-        assert coeffs.c0 == pytest.approx(math.exp(-0.1), rel=1e-15)
-        assert coeffs.c0 * coeffs.c1 == pytest.approx(1.0, rel=1e-15)
+        c0, c1, _ = _coeffs(0.1, 0.3)
+        assert c0 == pytest.approx(math.exp(-0.1), rel=1e-15)
+        assert c0 * c1 == pytest.approx(1.0, rel=1e-15)
 
     def test_frozen_residual_coefficient(self):
-        coeffs = decomposition_coeffs(0.1, 0.1)
-        assert coeffs.c2bar == pytest.approx(C2BAR_01_01, rel=1e-12)
-        assert coeffs.c2bar ** 2 == pytest.approx(C2SQ_01_01, rel=1e-12)
+        c2bar = _coeffs(0.1, 0.1)[2]
+        assert c2bar == pytest.approx(C2BAR_01_01, rel=1e-12)
+        assert c2bar ** 2 == pytest.approx(C2SQ_01_01, rel=1e-12)
 
     def test_residual_vanishes_at_zero_intensity(self):
-        coeffs = decomposition_coeffs(0.0, 0.0)
-        assert coeffs.c0 == coeffs.c1 == 1.0
-        assert coeffs.c2bar == 0.0
+        c0, c1, c2bar = _coeffs(0.0, 0.0)
+        assert c0 == c1 == 1.0
+        assert c2bar == 0.0
 
     def test_residual_grows_with_intensity(self):
-        values = [decomposition_coeffs(mu, mu).c2bar
-                  for mu in (0.01, 0.05, 0.1, 0.5)]
+        values = [_coeffs(mu, mu)[2] for mu in (0.01, 0.05, 0.1, 0.5)]
         assert all(a < b for a, b in zip(values, values[1:]))
-
-    def test_product_constraint_enforced(self):
-        with pytest.raises(PhaseErrorInputError):
-            DecompositionCoeffs(c0=0.5, c1=1.0, c2bar=0.0)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(PhaseErrorInputError):
-            decomposition_coeffs(-0.1, 0.1)
 
 
 class TestMeanPhaseErrorCount:
     def test_zero_counts_leave_only_residual_term(self):
-        coeffs = decomposition_coeffs(0.1, 0.1)
-        mean = mean_phase_error_count(0.0, 0.0, 1e6, 0.5, 0.5, coeffs)
-        assert mean == pytest.approx(
-            0.125 * coeffs.c2bar ** 2 * 1e6, rel=1e-12)
+        coeffs = _coeffs(0.1, 0.1)
+        mean = _mean_count(0.0, 0.0, 1e6, 0.5, 0.5, coeffs)
+        assert mean == pytest.approx(0.125 * coeffs[2] ** 2 * 1e6, rel=1e-12)
 
     def test_all_six_terms_assembled(self):
-        coeffs = decomposition_coeffs(0.2, 0.2)
-        c0, c1, c2 = coeffs.c0, coeffs.c1, coeffs.c2bar
+        coeffs = _coeffs(0.2, 0.2)
+        c0, c1, c2 = coeffs
         p0, px, big_n, no, nb = 0.7, 0.3, 1e8, 100.0, 400.0
         expected = (p0 * px / 2.0) * (
             c0 * c0 / p0 ** 2 * no + c1 * c1 / px ** 2 * nb + c2 * c2 * big_n
             + 2 * c0 * c1 / (p0 * px) * math.sqrt(no * nb)
             + 2 * c0 * c2 / p0 * math.sqrt(big_n * no)
             + 2 * c1 * c2 / px * math.sqrt(big_n * nb))
-        assert mean_phase_error_count(no, nb, big_n, p0, px, coeffs) == pytest.approx(
+        assert _mean_count(no, nb, big_n, p0, px, coeffs) == pytest.approx(
             expected, rel=1e-14)
 
     def test_monotone_in_observed_counts(self):
-        coeffs = decomposition_coeffs(0.1, 0.1)
-        base = mean_phase_error_count(10.0, 20.0, 1e8, 0.5, 0.5, coeffs)
-        assert mean_phase_error_count(20.0, 20.0, 1e8, 0.5, 0.5, coeffs) > base
-        assert mean_phase_error_count(10.0, 40.0, 1e8, 0.5, 0.5, coeffs) > base
+        coeffs = _coeffs(0.1, 0.1)
+        base = _mean_count(10.0, 20.0, 1e8, 0.5, 0.5, coeffs)
+        assert _mean_count(20.0, 20.0, 1e8, 0.5, 0.5, coeffs) > base
+        assert _mean_count(10.0, 40.0, 1e8, 0.5, 0.5, coeffs) > base
 
 
 class TestPhaseErrorRateUpper:
-    PROTO = ProtocolParams(p0=0.8, px=0.2, mu_xA=0.01, mu_xB=0.01, N=1e10)
+    N, P0, PX = 1e10, 0.8, 0.2
+    COEFFS = _coeffs(0.01, 0.01)
+    TALLY = WindowTally(5.0, 50.0, 1e6)
 
-    def test_requires_z_windows(self):
-        coeffs = decomposition_coeffs(0.01, 0.01)
-        with pytest.raises(PhaseErrorInputError):
-            phase_error_rate_upper(WindowTally(1.0, 1.0, 0.0), self.PROTO, coeffs,
-                                   xi=1e-10)
+    def _bound_of(self, tally: WindowTally, log_xi: float | None):
+        return _bound(tally, self.N, self.P0, self.PX, self.COEFFS, log_xi)
 
     def test_clamped_at_half(self):
         # Huge error-window counts push the raw ratio far past 0.5.
-        coeffs = decomposition_coeffs(0.01, 0.01)
-        bound = phase_error_rate_upper(WindowTally(1e6, 1e6, 10.0), self.PROTO,
-                                       coeffs, xi=1e-10)
-        assert bound.e_ph == 0.5
+        e_ph = self._bound_of(WindowTally(1e6, 1e6, 10.0), math.log(1e-10))[-1]
+        assert e_ph == 0.5
 
     def test_asymptotic_uses_counts_verbatim(self):
-        coeffs = decomposition_coeffs(0.01, 0.01)
-        tally = WindowTally(5.0, 50.0, 1e6)
-        bound = phase_error_rate_upper(tally, self.PROTO, coeffs, asymptotic=True)
-        assert bound.mean_nO_U == tally.n_O
-        assert bound.mean_nB_U == tally.n_B
-        assert bound.Nph_U == bound.mean_Nph_U
+        nO_U, nB_U, mean_nph, nph, _ = self._bound_of(self.TALLY, None)
+        assert nO_U == self.TALLY.n_O
+        assert nB_U == self.TALLY.n_B
+        assert nph == mean_nph
 
     def test_finite_size_slack_dominates_asymptotic(self):
-        coeffs = decomposition_coeffs(0.01, 0.01)
-        tally = WindowTally(5.0, 50.0, 1e6)
-        asym = phase_error_rate_upper(tally, self.PROTO, coeffs, asymptotic=True)
-        finite = phase_error_rate_upper(tally, self.PROTO, coeffs, xi=1e-10)
-        assert finite.e_ph > asym.e_ph
-        assert finite.mean_nO_U > tally.n_O
-        assert finite.mean_nB_U > tally.n_B
+        asym = self._bound_of(self.TALLY, None)
+        finite = self._bound_of(self.TALLY, math.log(1e-10))
+        assert finite[-1] > asym[-1]
+        assert finite[0] > self.TALLY.n_O
+        assert finite[1] > self.TALLY.n_B
 
     def test_tightens_as_xi_grows(self):
-        coeffs = decomposition_coeffs(0.01, 0.01)
-        tally = WindowTally(5.0, 50.0, 1e6)
-        loose = phase_error_rate_upper(tally, self.PROTO, coeffs, xi=1e-10)
-        tight = phase_error_rate_upper(tally, self.PROTO, coeffs, xi=1e-3)
-        assert tight.e_ph < loose.e_ph
-
-    def test_log_xi_path_matches_xi_path(self):
-        coeffs = decomposition_coeffs(0.01, 0.01)
-        tally = WindowTally(5.0, 50.0, 1e6)
-        a = phase_error_rate_upper(tally, self.PROTO, coeffs, xi=1e-8)
-        b = phase_error_rate_upper(tally, self.PROTO, coeffs,
-                                   log_xi=math.log(1e-8))
-        assert a.e_ph == b.e_ph
+        loose = self._bound_of(self.TALLY, math.log(1e-10))[-1]
+        tight = self._bound_of(self.TALLY, math.log(1e-3))[-1]
+        assert tight < loose
 
     def test_golden_pipeline_regression(self):
         from scsqkd.pipeline import (SecurityConfig, SourceCalibration,
@@ -132,4 +124,3 @@ class TestPhaseErrorRateUpper:
         report = evaluate_point(channel, SourceCalibration(), proto,
                                 SecurityConfig(), 1e12)
         assert report.e_ph == pytest.approx(GOLDEN_PIPELINE_EPH, rel=1e-9)
-
