@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from .channel import ChannelParams, ProtocolParams
+from .channel import ChannelParams, ProtocolParams, expected_tallies
 from .mc_oracle import SimConfig, simulate
 from .optimizer import NoFeasiblePointError, SearchSpace, optimize
 from .pipeline import ASYMPTOTIC, SecurityConfig, SourceCalibration
@@ -291,7 +291,6 @@ def _mc_report(cfg: ScanConfig, rows: list[dict]) -> str:
                                   mu_xA=row["mu_x"], mu_xB=row["mu_x"],
                                   N=n_mc, mode=row["mode"])
         channel = replace(cfg.channel, distance_km=row["distance_km"])
-        from .channel import expected_tallies
         expected = expected_tallies(protocol, channel)
         phase_model = "compensated" if row["mode"] == "improved" else "uniform-random"
         observed = simulate(SimConfig(seed=cfg.seed + idx, N=n_mc,

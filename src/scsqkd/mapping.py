@@ -67,9 +67,11 @@ def virtual_intensity_array(mu_nominal: np.ndarray, av0: float, fluct: float
     intensity is negative or the call would raise MappingError, and the
     intensity there is 0.
     """
-    a0 = np.exp(-(1.0 + fluct) * mu_nominal)
+    # A negative intensity gives a0 > 1; clamping keeps the root real, and
+    # the sign test marks it infeasible.
+    a0 = np.minimum(np.exp(-(1.0 + fluct) * mu_nominal), 1.0)
     inner = _mapping_inner(a0, av0)
-    feasible = (mu_nominal >= 0.0) & (a0 >= 0.5) & (a0 <= 1.0) & (inner > 0.0)
+    feasible = (mu_nominal >= 0.0) & (a0 >= 0.5) & (inner > 0.0)
     return -2.0 * np.log(np.where(feasible, inner, 1.0)), feasible
 
 

@@ -1,12 +1,18 @@
 """Seeded Monte Carlo event simulator; independent oracle for the channel model.
 
-Windows are simulated in fixed-size chunks, each driven by a counter-based
-Philox stream keyed on (seed, chunk index).  The output therefore depends
-only on the configuration, never on how chunks might be distributed across
-workers.  Clicks are sampled at the threshold-detector level - Bernoulli on
-the channel model's click probability, with the channel model's detector
-means - which is the same level the analytic model is defined at, so
-agreement is exact in expectation.
+A run of N windows is sampled exactly in distribution, without drawing every
+window.  The four window-kind counts (O, Z_A, Z_B, B) are one multinomial
+draw, and each phase-insensitive kind heralds a binomial share of its
+windows, with the heralding probability combined here from the channel
+model's per-detector click probabilities (never taken from the channel
+model's heralding formulas, so the cross-check stays independent).  Only
+B windows under a uniformly random phase are sampled one by one - a
+uniform phase and two Bernoulli clicks each - since they check the channel
+model's phase average independently.
+
+All draws come from counter-based Philox streams keyed on (seed, index):
+index 0 draws the counts and index 1 + c the c-th chunk of random-phase B
+windows, so the output depends only on the configuration.
 """
 from __future__ import annotations
 
@@ -20,6 +26,7 @@ from .chernoff import observed_lower, observed_upper
 
 PHASE_MODELS = ("compensated", "uniform-random")
 
+# Random-phase B windows sampled per Philox stream.
 _CHUNK = 1 << 21
 
 
@@ -44,6 +51,28 @@ class SimConfig:
             raise SimConfigError(f"unknown phase model {self.phase_model!r}")
 
 
+def _stream(seed: int, index: int) -> np.random.Generator:
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+def _random_phase_b_windows(config: SimConfig, windows: int, eta: float) -> int:
+    """Heralded count of ``windows`` B windows, each with a uniform phase."""
+    proto, chan = config.protocol, config.channel
+    heralded = 0
+    for chunk, start in enumerate(range(0, windows, _CHUNK)):
+        n = min(_CHUNK, windows - start)
+        rng = _stream(config.seed, 1 + chunk)
+        cos_delta = np.cos(rng.random(n) * (2.0 * np.pi))
+        nu_l, nu_r = detector_means("B", proto.mu_xA, proto.mu_xB, eta, chan.e_d,
+                                    cos_delta=cos_delta)
+        click_l = rng.random(n) < click_prob(nu_l, chan.p_d)
+        click_r = rng.random(n) < click_prob(nu_r, chan.p_d)
+        effective = click_l ^ click_r if proto.mode == "baseline" else click_r & ~click_l
+        heralded += int(np.count_nonzero(effective))
+    return heralded
+
+
 def simulate(config: SimConfig) -> WindowTally:
     """Sampled effective-window tallies for the configured protocol.
 
@@ -51,62 +80,35 @@ def simulate(config: SimConfig) -> WindowTally:
     everywhere in improved mode; in baseline mode B windows instead herald
     on exactly one click (O and Z windows are phase-insensitive and keep the
     single-detector rule, matching the channel model's mode invariance).
+    Detectors click independently, so a kind whose detector means are fixed
+    heralds ``Binomial(count, p_R (1 - p_L))`` windows, or
+    ``Binomial(count, p_L (1 - p_R) + p_R (1 - p_L))`` for baseline B windows;
+    this is exact, not an approximation.
     """
     proto, chan = config.protocol, config.channel
     eta = arm_transmittance(chan)
-    p_d = chan.p_d
-    baseline = proto.mode == "baseline"
     random_phase = config.phase_model == "uniform-random"
-
-    # Window-kind code: 2*(Alice sends coherent) + (Bob sends coherent).
-    # 0 = O, 1 = Z_A, 2 = Z_B, 3 = B (B probabilities are replaced per
-    # window when the phase is random).
-    probs_l = np.empty(4)
-    probs_r = np.empty(4)
-    for code, kind in enumerate(("O", "Z_A", "Z_B", "B")):
+    rng = _stream(config.seed, 0)
+    p0, px = proto.p0, proto.px
+    # O = both vacuum, Z_A = Alice vacuum / Bob coherent, Z_B the reverse,
+    # B = both coherent.
+    kinds = ("O", "Z_A", "Z_B", "B")
+    counts = dict(zip(kinds, rng.multinomial(int(config.N),
+                                             [p0 * p0, p0 * px, px * p0, px * px])))
+    # Under a random phase B windows have no fixed detector means.
+    fixed = kinds[:3] if random_phase else kinds
+    heralded = {}
+    for kind in fixed:
         nu_l, nu_r = detector_means(kind, proto.mu_xA, proto.mu_xB, eta, chan.e_d)
-        probs_l[code] = click_prob(nu_l, p_d)
-        probs_r[code] = click_prob(nu_r, p_d)
-
-    n_o = n_b = n_z = 0
-    remaining = int(config.N)
-    chunk_index = 0
-    while remaining > 0:
-        n = min(remaining, _CHUNK)
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([config.seed, chunk_index], dtype=np.uint64)))
-        alice_x = rng.random(n) >= proto.p0
-        bob_x = rng.random(n) >= proto.p0
-        if random_phase:
-            delta = rng.random(n) * (2.0 * np.pi)
-        u_l = rng.random(n)
-        u_r = rng.random(n)
-
-        code = 2 * alice_x.astype(np.int8) + bob_x.astype(np.int8)
-        p_l = probs_l[code]
-        p_r = probs_r[code]
-        if random_phase:
-            is_b = code == 3
-            nu_l, nu_r = detector_means("B", proto.mu_xA, proto.mu_xB, eta,
-                                        chan.e_d, cos_delta=np.cos(delta[is_b]))
-            p_l[is_b] = click_prob(nu_l, p_d)
-            p_r[is_b] = click_prob(nu_r, p_d)
-        click_l = u_l < p_l
-        click_r = u_r < p_r
-
-        effective = click_r & ~click_l
-        if baseline:
-            is_b = code == 3
-            effective = np.where(is_b, click_l ^ click_r, effective)
-
-        n_o += int(np.count_nonzero(effective & (code == 0)))
-        n_b += int(np.count_nonzero(effective & (code == 3)))
-        n_z += int(np.count_nonzero(effective & ((code == 1) | (code == 2))))
-
-        remaining -= n
-        chunk_index += 1
-
-    return WindowTally(n_O=n_o, n_B=n_b, n_Z=n_z)
+        p_l, p_r = click_prob(nu_l, chan.p_d), click_prob(nu_r, chan.p_d)
+        p_eff = p_r * (1.0 - p_l)
+        if kind == "B" and proto.mode == "baseline":
+            p_eff += p_l * (1.0 - p_r)
+        heralded[kind] = int(rng.binomial(counts[kind], p_eff))
+    if random_phase:
+        heralded["B"] = _random_phase_b_windows(config, int(counts["B"]), eta)
+    return WindowTally(n_O=heralded["O"], n_B=heralded["B"],
+                       n_Z=heralded["Z_A"] + heralded["Z_B"])
 
 
 @dataclass(frozen=True)
