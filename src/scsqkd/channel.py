@@ -23,13 +23,16 @@ baseline phase average has the closed form
 ``2q e^{-a} [(I0(c) - 1) + click(a)]`` with ``q = 1 - p_d``, per-detector mean
 ``a = eta (mu_A + mu_B) / 2`` and interference term
 ``c = V eta sqrt(mu_A mu_B)``; every bracketed term is nonnegative.
+``I0(c) - 1`` is a power series for ``c <= 2``.  Above, the exponentially
+scaled ``e^{-c} I0(c)`` comes from ``np.i0`` up to ``c = 700`` and from the
+large-``c`` asymptotic expansion beyond, where ``np.i0`` would overflow.  The
+package needs nothing but numpy at run time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e
 
 MODES = ("improved", "baseline")
 
@@ -40,6 +43,18 @@ KINDS = ("O", "B", "Z_A", "Z_B")
 # Below this interference term the power series of I0(c) - 1 is used; it
 # needs at most ~20 terms there.
 _I0_SERIES_MAX = 2.0
+
+# Above this interference term np.i0 (which overflows past ~709) gives way to
+# the asymptotic expansion of e^{-c} I0(c).
+_I0_DIRECT_MAX = 700.0
+
+# Coefficients ((2k-1)!!)^2 / (k! 8^k) of the expansion
+# e^{-c} I0(c) ~ (2 pi c)^{-1/2} sum_k coef_k c^{-k}, highest power first for
+# np.polyval; each is exact in binary.  At c >= 700 the k = 7 term is
+# below 1e-19 of the sum.
+_I0E_ASYMPTOTIC = tuple(reversed([
+    1.0, 1 / 8, 9 / 128, 75 / 1024, 3675 / 32768, 59535 / 262144,
+    2401245 / 4194304, 57972915 / 33554432]))
 
 
 class ChannelModelError(ValueError):
@@ -204,13 +219,30 @@ def effective_prob(nu_L: float, nu_R: float, p_d: float, mode: str = "improved")
     return float(_herald(nu_L, nu_R, p_d, mode))
 
 
+def _i0e(c: np.ndarray) -> np.ndarray:
+    """``e^{-c} I0(c)`` for a 1-d array of ``c > 2``, elementwise.
+
+    ``np.i0(c) e^{-c}`` up to ``_I0_DIRECT_MAX``; the asymptotic expansion
+    in ``1/c`` beyond it.
+    """
+    out = np.empty_like(c)
+    direct = c <= _I0_DIRECT_MAX
+    out[direct] = np.i0(c[direct]) * np.exp(-c[direct])
+    tail = c[~direct]
+    out[~direct] = np.polyval(_I0E_ASYMPTOTIC, 1.0 / tail) / np.sqrt(2.0 * np.pi * tail)
+    return out
+
+
 def _scaled_i0_minus_1(c, a):
     """``e^{-a} (I0(c) - 1)`` for ``0 <= c <= a``, elementwise, without cancellation.
 
-    Small ``c`` sums the series ``sum_k (c^2/4)^k / (k!)^2`` from k = 1;
-    larger ``c`` has ``I0(c) >= 2.2``, so subtracting 1 loses little, and the
-    exponentially scaled ``i0e`` keeps ``I0(c)`` from overflowing.
+    Small ``c`` sums the series ``sum_k (c^2/4)^k / (k!)^2`` from k = 1.
+    Larger ``c`` has ``I0(c) >= 2.2``, so subtracting 1 loses little; there
+    the result is ``e^{c-a} e^{-c} I0(c) - e^{-a}`` with the scaled Bessel
+    function of :func:`_i0e`, which never overflows.  That branch runs only
+    on the elements that need it.  ``c`` and ``a`` may be 0-d.
     """
+    c = np.asarray(c)
     series = c <= _I0_SERIES_MAX
     y = np.where(series, 0.25 * c * c, 0.0)
     term = total = y
@@ -221,7 +253,14 @@ def _scaled_i0_minus_1(c, a):
         term = term * (y / (k * k))
         total = np.where(active, total + term, total)
         active &= term > 1e-17 * total
-    return np.where(series, np.exp(-a) * total, np.exp(c - a) * i0e(c) - np.exp(-a))
+    out = np.exp(-a) * total
+    large = ~series
+    if large.any():
+        c_large = c[large]
+        a_large = np.broadcast_to(a, c.shape)[large]
+        out = np.array(out)  # writable, also for 0-d inputs
+        out[large] = np.exp(c_large - a_large) * _i0e(c_large) - np.exp(-a_large)
+    return out
 
 
 def _b_window_probs(mu_A, mu_B, eta: float, e_d: float, p_d: float, mode: str):

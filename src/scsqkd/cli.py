@@ -13,14 +13,18 @@ import sys
 from dataclasses import dataclass, replace
 
 from .channel import ChannelParams, ProtocolParams, expected_tallies
-from .mc_oracle import SimConfig, simulate
+from .mc_oracle import SimConfig, SimConfigError, require_seed, simulate
 from .optimizer import NoFeasiblePointError, SearchSpace, optimize
-from .pipeline import ASYMPTOTIC, SecurityConfig, SourceCalibration
+from .pipeline import (ASYMPTOTIC, SecurityConfig, SecurityConfigError,
+                       SourceCalibration)
 
 CSV_HEADER = ("distance_km,N,mode,px,mu_x,mu_virtual_A,mu_virtual_B,"
               "n_O,n_B,n_Z,E_Z,e_ph,R_col,R_coh,feasible_flag")
 
 _MODE_ORDER = {"improved": 0, "baseline": 1}
+
+# Key of the security section for each SecurityConfig field.
+_SECURITY_KEYS = {"eps_coh_target": "eps_coh", "f": "f", "d": "d"}
 
 
 class ConfigError(ValueError):
@@ -103,11 +107,14 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
     )
 
     sec = raw.get("security", {})
-    security = SecurityConfig(
-        eps_coh_target=float(sec.get("eps_coh", 1e-10)),
-        f=float(sec.get("f", 1.1)),
-        d=int(sec.get("d", 8)),
-    )
+    try:
+        security = SecurityConfig(
+            eps_coh_target=float(sec.get("eps_coh", 1e-10)),
+            f=float(sec.get("f", 1.1)),
+            d=sec.get("d", 8),
+        )
+    except SecurityConfigError as exc:
+        raise ConfigError(f"security.{_SECURITY_KEYS[exc.field]} {exc.problem}")
 
     search = raw.get("search", {})
     space = SearchSpace(
@@ -141,6 +148,10 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
             raise ConfigError(f"invalid mode {mode!r} in scan.modes")
 
     seed = overrides.seed if overrides.seed is not None else int(raw.get("seed", 0))
+    try:
+        require_seed(seed)
+    except SimConfigError as exc:
+        raise ConfigError(str(exc))
     mc_validate = overrides.mc_validate or bool(raw.get("mc_validate", False))
     return ScanConfig(
         channel=channel, calib=calib, security=security, space=space,
@@ -293,7 +304,8 @@ def _mc_report(cfg: ScanConfig, rows: list[dict]) -> str:
         channel = replace(cfg.channel, distance_km=row["distance_km"])
         expected = expected_tallies(protocol, channel)
         phase_model = "compensated" if row["mode"] == "improved" else "uniform-random"
-        observed = simulate(SimConfig(seed=cfg.seed + idx, N=n_mc,
+        # Row seeds wrap, so that every valid scan seed stays a valid key.
+        observed = simulate(SimConfig(seed=(cfg.seed + idx) % 2**64, N=n_mc,
                                       protocol=protocol, channel=channel,
                                       phase_model=phase_model))
         for component in ("n_O", "n_B", "n_Z"):

@@ -34,6 +34,12 @@ class SimConfigError(ValueError):
     """Raised for invalid simulation configuration."""
 
 
+def require_seed(seed: int) -> None:
+    """Raise SimConfigError unless ``seed`` fits the unsigned 64-bit Philox key."""
+    if not (0 <= seed < 2**64):
+        raise SimConfigError(f"seed must lie in [0, 2**64), got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Inputs of one reproducible simulation run."""
@@ -45,6 +51,7 @@ class SimConfig:
     phase_model: str = "compensated"
 
     def __post_init__(self) -> None:
+        require_seed(self.seed)
         if self.N < 1:
             raise SimConfigError(f"N must be >= 1, got {self.N!r}")
         if self.phase_model not in PHASE_MODELS:

@@ -13,6 +13,7 @@ feasibility mask where the source bounds admit no virtual-protocol mapping;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -47,13 +48,37 @@ class SourceCalibration:
         require_fluct(self.fluct)
 
 
+class SecurityConfigError(ValueError):
+    """Raised for an invalid security setting; ``field`` names it."""
+
+    def __init__(self, field: str, problem: str) -> None:
+        super().__init__(f"{field} {problem}")
+        self.field = field
+        self.problem = problem
+
+
 @dataclass(frozen=True)
 class SecurityConfig:
-    """Security target and accounting constants shared across a scan."""
+    """Security target and accounting constants shared across a scan.
+
+    eps_coh_target lies in (0, 1); the error-correction efficiency f is at
+    least 1 (leakage below the Shannon limit would inflate every rate); the
+    post-selection dimension d is an integer of at least 2.
+    """
 
     eps_coh_target: float = 1e-10
     f: float = 1.1
     d: int = 8
+
+    def __post_init__(self) -> None:
+        for field, ok, requirement in (
+                ("eps_coh_target", 0.0 < self.eps_coh_target < 1.0, "lie in (0, 1)"),
+                ("f", self.f >= 1.0, "be >= 1"),
+                ("d", isinstance(self.d, Integral) and self.d >= 2,
+                 "be an integer >= 2")):
+            if not ok:
+                raise SecurityConfigError(
+                    field, f"must {requirement}, got {getattr(self, field)!r}")
 
 
 @dataclass(frozen=True)

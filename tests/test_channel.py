@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scsqkd.channel import (ChannelModelError, ChannelParams, ProtocolParams,
                             WindowTally, arm_transmittance, b_window_prob,
                             detector_means, effective_prob, expected_tallies,
-                            visibility)
+                            tally_arrays, visibility)
 
 CHANNEL = ChannelParams(distance_km=100.0, alpha_f=0.2, eta_d=0.3,
                         p_d=1e-9, e_d=0.04)
@@ -140,10 +140,25 @@ class TestBWindowProb:
         (10.0, 0.3, 0.04, 1e-9),   # c = 2.76, just past the series range
         (40.0, 0.5, 0.0, 1e-6),    # c = 20
         (8.0, 0.3, 0.9, 1e-9),     # V < 0: the average depends on |c| only
+        (699.9, 1.0, 0.0, 1e-9),   # c = 699.9, the top of the np.i0 range
+        (700.1, 1.0, 0.0, 1e-9),   # c = 700.1, the asymptotic expansion
+        (2000.0, 1.0, 0.0, 1e-9),  # c = 2000, where np.i0 overflows
+        (1e5, 1.0, 0.0, 1e-9),     # c = 1e5
     ])
     def test_baseline_large_interference_term(self, mu, eta, e_d, p_d):
         assert b_window_prob(mu, mu, eta, e_d, p_d, "baseline") == pytest.approx(
             _mp_phase_average(mu, mu, eta, e_d, p_d), rel=1e-13, abs=0)
+
+    def test_baseline_tallies_straddling_branches_match_scalar(self):
+        # Elements on both sides of c = 2 and c = 700, interleaved: the
+        # array pass evaluates each branch on its own subset, and every
+        # element must equal its one-element evaluation bit for bit.
+        chan = ChannelParams(0.0, 0.2, 1.0, 1e-9, 0.0)
+        mu = np.array([0.5, 2.5, 800.0, 1.9, 699.0, 1e4, 2.0, 701.0])
+        px = np.full(mu.shape, 0.5)
+        _, n_b, _ = tally_arrays(1.0 - px, px, mu, mu, 1.0, chan, "baseline")
+        scalar = [0.25 * b_window_prob(m, m, 1.0, 0.0, 1e-9, "baseline") for m in mu]
+        assert n_b.tolist() == scalar
 
 
 def _mp_phase_average(mu_A, mu_B, eta, e_d, p_d) -> float:

@@ -140,6 +140,39 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["scan", "--config", str(path), "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("eps_coh", 2.0),  # used to raise SecurityBudgetError mid-scan
+        ("f", -1.0),       # used to credit negative leakage and exit 0
+        ("d", 0),          # used to exit 0 with a RuntimeWarning
+        ("d", 2.5),        # used to be truncated to 2
+    ])
+    def test_invalid_security_setting_names_key(self, tmp_path, capsys, key, value):
+        security = dict(BASE_CONFIG["security"], **{key: value})
+        config = _write_config(tmp_path, {"security": security})
+        out = tmp_path / "out"
+        assert main(["scan", "--config", config, "--out", str(out)]) == 2
+        assert f"error: security.{key} " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, where):
+        # A negative seed used to end in an OverflowError from the Monte
+        # Carlo simulator's unsigned Philox key.
+        config = _write_config(tmp_path, {"seed": -1} if where == "config" else None)
+        argv = ["scan", "--config", config, "--out", str(tmp_path / "out"),
+                "--mc-validate"]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        assert main(argv) == 2
+        assert "error: seed " in capsys.readouterr().err
+
+    def test_largest_seed_runs_mc_validation(self, tmp_path):
+        # Each row's simulation seed is offset from the scan seed; the
+        # offset must not push it past the 64-bit Philox key.
+        config = _write_config(tmp_path, {"seed": 2**64 - 1})
+        assert main(["scan", "--config", config, "--out", str(tmp_path / "out"),
+                     "--mc-validate"]) == 0
+
     def test_parser_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

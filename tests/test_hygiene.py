@@ -1,5 +1,8 @@
-"""Static checks on the package source: no dead imports, no stale exports."""
+"""Checks on the package source: no dead imports, no stale exports, and a
+numpy-only runtime."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,16 @@ def test_every_top_level_import_is_used(path):
 
 def test_every_exported_name_resolves():
     assert [name for name in scsqkd.__all__ if not hasattr(scsqkd, name)] == []
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only dependency; a fresh interpreter shows what the
+    # package itself pulls in, whatever this test process has imported.
+    src = str(Path(scsqkd.__file__).parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import scsqkd, scsqkd.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

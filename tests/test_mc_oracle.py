@@ -32,6 +32,13 @@ class TestSimConfig:
             SimConfig(seed=1, N=10, protocol=PROTO, channel=CHANNEL,
                       phase_model="bad")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_philox_key_rejected(self, seed):
+        # The Philox key is unsigned 64-bit; such a seed used to surface as
+        # an OverflowError inside simulate.
+        with pytest.raises(SimConfigError, match="seed"):
+            SimConfig(seed=seed, N=10, protocol=PROTO, channel=CHANNEL)
+
 
 class TestSimulate:
     def test_deterministic_for_fixed_seed(self):
