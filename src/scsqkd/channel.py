@@ -36,10 +36,6 @@ import numpy as np
 
 MODES = ("improved", "baseline")
 
-# Window kinds: both-vacuum, both-coherent, and the two one-sided kinds.
-# Z_A = Alice vacuum / Bob coherent, Z_B = Alice coherent / Bob vacuum.
-KINDS = ("O", "B", "Z_A", "Z_B")
-
 # Below this interference term the power series of I0(c) - 1 is used; it
 # needs at most ~20 terms there.
 _I0_SERIES_MAX = 2.0
@@ -191,32 +187,25 @@ def click_prob(nu, p_d: float):
     return p_d - (1.0 - p_d) * np.expm1(-nu)
 
 
-def _herald(nu_L, nu_R, p_d: float, mode: str):
-    """Elementwise heralding probability; see :func:`effective_prob`."""
-    q = 1.0 - p_d
-    right_only = click_prob(nu_R, p_d) * q * np.exp(-nu_L)
-    if mode == "baseline":
-        return right_only + click_prob(nu_L, p_d) * q * np.exp(-nu_R)
-    return right_only
-
-
 def _require_mode(mode: str) -> None:
     if mode not in MODES:
         raise ChannelModelError(f"unknown mode {mode!r}")
 
 
-def effective_prob(nu_L: float, nu_R: float, p_d: float, mode: str = "improved") -> float:
-    """Heralding probability for given detector means.
+def effective_prob(nu_L, nu_R, p_d: float, mode: str = "improved"):
+    """Heralding probability for given detector means, elementwise.
 
     improved: right detector clicks and the left one does not.
     baseline: exactly one of the two detectors clicks.
     """
-    if nu_L < 0.0 or nu_R < 0.0:
-        raise ChannelModelError("detector means must be nonnegative")
     if not (0.0 <= p_d <= 1.0):
         raise ChannelModelError(f"p_d must lie in [0, 1], got {p_d!r}")
     _require_mode(mode)
-    return float(_herald(nu_L, nu_R, p_d, mode))
+    q = 1.0 - p_d
+    right_only = click_prob(nu_R, p_d) * q * np.exp(-nu_L)
+    if mode == "baseline":
+        return right_only + click_prob(nu_L, p_d) * q * np.exp(-nu_R)
+    return right_only
 
 
 def _i0e(c: np.ndarray) -> np.ndarray:
@@ -263,20 +252,9 @@ def _scaled_i0_minus_1(c, a):
     return out
 
 
-def _b_window_probs(mu_A, mu_B, eta: float, e_d: float, p_d: float, mode: str):
-    """Elementwise heralding probability of a both-coherent window."""
-    if mode == "improved":
-        nu_l, nu_r = detector_means("B", mu_A, mu_B, eta, e_d)
-        return _herald(nu_l, nu_r, p_d, "improved")
-    a = eta * (mu_A + mu_B) / 2.0
-    c = abs(visibility(e_d)) * eta * np.sqrt(mu_A * mu_B)
-    q = 1.0 - p_d
-    return 2.0 * q * (_scaled_i0_minus_1(c, a) + np.exp(-a) * click_prob(a, p_d))
-
-
-def b_window_prob(mu_A: float, mu_B: float, eta: float, e_d: float, p_d: float,
-                  mode: str = "improved") -> float:
-    """Heralding probability of a both-coherent window.
+def b_window_prob(mu_A, mu_B, eta: float, e_d: float, p_d: float,
+                  mode: str = "improved"):
+    """Heralding probability of a both-coherent window, elementwise.
 
     In baseline mode the phase difference is uniform in [0, 2pi).  Averaging
     the exactly-one-click probability over it gives the closed form
@@ -285,9 +263,13 @@ def b_window_prob(mu_A: float, mu_B: float, eta: float, e_d: float, p_d: float,
     ``click(a) = p_d - q expm1(-a)`` (see :func:`click_prob`).
     """
     _require_mode(mode)
-    if mu_A < 0.0 or mu_B < 0.0 or eta < 0.0:
-        raise ChannelModelError("intensities and transmittance must be nonnegative")
-    return float(_b_window_probs(mu_A, mu_B, eta, e_d, p_d, mode))
+    if mode == "improved":
+        nu_l, nu_r = detector_means("B", mu_A, mu_B, eta, e_d)
+        return effective_prob(nu_l, nu_r, p_d)
+    a = eta * (mu_A + mu_B) / 2.0
+    c = abs(visibility(e_d)) * eta * np.sqrt(mu_A * mu_B)
+    q = 1.0 - p_d
+    return 2.0 * q * (_scaled_i0_minus_1(c, a) + np.exp(-a) * click_prob(a, p_d))
 
 
 def tally_arrays(p0, px, mu_A, mu_B, N: float, channel: ChannelParams,
@@ -297,7 +279,6 @@ def tally_arrays(p0, px, mu_A, mu_B, N: float, channel: ChannelParams,
     Elementwise over arrays of source-choice probabilities and intensities;
     see :func:`expected_tallies`.
     """
-    _require_mode(mode)
     eta = arm_transmittance(channel)
     # O and Z windows are insensitive to Charlie's phase compensation, so
     # both modes use the single-detector heralding rule there; only B
@@ -305,8 +286,8 @@ def tally_arrays(p0, px, mu_A, mu_B, N: float, channel: ChannelParams,
     probs = {}
     for kind in ("O", "Z_A", "Z_B"):
         nu_l, nu_r = detector_means(kind, mu_A, mu_B, eta, channel.e_d)
-        probs[kind] = _herald(nu_l, nu_r, channel.p_d, "improved")
-    p_b = _b_window_probs(mu_A, mu_B, eta, channel.e_d, channel.p_d, mode)
+        probs[kind] = effective_prob(nu_l, nu_r, channel.p_d)
+    p_b = b_window_prob(mu_A, mu_B, eta, channel.e_d, channel.p_d, mode)
     return (N * p0 * p0 * probs["O"],
             N * px * px * p_b,
             N * p0 * px * (probs["Z_A"] + probs["Z_B"]))

@@ -22,16 +22,14 @@ elements that are still moving after ``_MAX_NEWTON`` steps.
 Each bound is solved in the variable that keeps it accurate: u - 1 or v - 1
 through ``log1p`` above 1, ln u below 1 (so that the bound decays to 0
 instead of losing precision), and v itself for the observed lower bound.
-The failure probability enters only as its natural log, because the resolved
-security budget can be far below the smallest positive double; the scalar
-functions accept either ``xi`` or ``log_xi``.
 
-The ``*_array`` functions solve an array of counts in one pass; the scalar
-functions validate their input and call them on one element.
+The failure probability enters only as its natural log, a finite
+``log_xi < 0``, because the resolved security budget can lie far below the
+smallest positive double.  Each bound is one function, elementwise over an
+array (or scalar) of nonnegative counts.  A call checks ``log_xi``, which
+costs the same at any array size, but not the counts.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -42,19 +40,6 @@ _NOISE = 8.0 * np.finfo(float).eps
 
 class ChernoffDomainError(ValueError):
     """Raised for arguments outside a bound's domain."""
-
-
-def _resolve_log_xi(xi: float | None, log_xi: float | None) -> float:
-    """ln(xi) from exactly one of ``xi`` in (0, 1) and a negative ``log_xi``."""
-    if (xi is None) == (log_xi is None):
-        raise ChernoffDomainError("provide exactly one of xi and log_xi")
-    if xi is not None:
-        if not (0.0 < xi < 1.0):
-            raise ChernoffDomainError(f"xi must lie in (0, 1), got {xi!r}")
-        return math.log(xi)
-    if not (log_xi < 0.0):
-        raise ChernoffDomainError(f"log_xi must be negative, got {log_xi!r}")
-    return log_xi
 
 
 def _newton(residual, z, inward: float, center: float, *args) -> np.ndarray:
@@ -76,8 +61,8 @@ def _newton(residual, z, inward: float, center: float, *args) -> np.ndarray:
         z = np.where(active, new, z)
     # Bisection for the elements Newton left moving.
     idx = np.flatnonzero(active)
-    sub = [np.broadcast_to(a, z.shape)[idx] for a in args]
-    lo, hi = z[idx], np.full(idx.size, center)
+    sub = [np.broadcast_to(a, z.shape).ravel()[idx] for a in args]
+    lo, hi = z.ravel()[idx], np.full(idx.size, center)
     while True:
         mid = 0.5 * (lo + hi)
         moving = (mid != lo) & (mid != hi)
@@ -86,9 +71,9 @@ def _newton(residual, z, inward: float, center: float, *args) -> np.ndarray:
         beyond = residual(mid, *sub)[0] <= 0.0
         lo = np.where(moving & beyond, mid, lo)
         hi = np.where(moving & ~beyond, mid, hi)
-    z = z.copy()
-    z[idx] = lo
-    return z
+    out = z.flatten()
+    out[idx] = lo
+    return out.reshape(z.shape)
 
 
 def _expectation_upper_residual(w, t):  # w = u - 1 > 0
@@ -118,19 +103,21 @@ def _observed_lower_residual(v, t, r):  # 0 < v < 1, r = 1 - t
 
 def _ratio(counts, log_xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(counts, empty mask, t = -log_xi / count with empty counts set to 1)."""
+    if not np.all(np.isfinite(log_xi) & np.less(log_xi, 0.0)):
+        raise ChernoffDomainError(f"log_xi must be finite and negative, got {log_xi!r}")
     counts = np.asarray(counts, dtype=float)
     empty = counts == 0.0
     return counts, empty, -log_xi / np.where(empty, 1.0, counts)
 
 
-def expectation_lower_array(X, log_xi) -> np.ndarray:
+def expectation_lower(X, log_xi) -> np.ndarray:
     """Lower bounds on expected values given observed counts X >= 0."""
     X, empty, t = _ratio(X, log_xi)
     s = _newton(_expectation_lower_residual, -(np.sqrt(2.0 * t) + t), 1.0, 0.0, t)
     return np.where(empty, 0.0, X * np.exp(s))
 
 
-def expectation_upper_array(X, log_xi) -> np.ndarray:
+def expectation_upper(X, log_xi) -> np.ndarray:
     """Upper bounds on expected values given observed counts X >= 0.
 
     X = 0 gives the limiting form ln(1/xi).
@@ -140,7 +127,7 @@ def expectation_upper_array(X, log_xi) -> np.ndarray:
     return np.where(empty, -np.asarray(log_xi, dtype=float), X * (1.0 + w))
 
 
-def observed_upper_array(Y, log_xi) -> np.ndarray:
+def observed_upper(Y, log_xi) -> np.ndarray:
     """Upper bounds on observed counts given expected values Y >= 0.
 
     Y = 0 gives the limiting value 0.
@@ -150,7 +137,7 @@ def observed_upper_array(Y, log_xi) -> np.ndarray:
     return np.where(empty, 0.0, Y * (1.0 + w))
 
 
-def observed_lower_array(Y, log_xi) -> np.ndarray:
+def observed_lower(Y, log_xi) -> np.ndarray:
     """Lower bounds on observed counts given expected values Y >= 0.
 
     The bound is 0 where no v > 0 solves the equation, i.e. where Y is at
@@ -165,54 +152,3 @@ def observed_lower_array(Y, log_xi) -> np.ndarray:
     v0 = np.maximum(1.0 - np.sqrt(2.0 * t), r / (2.0 * (1.0 - np.log(r))))
     v = _newton(_observed_lower_residual, v0, 1.0, 1.0, t, r)
     return np.where(clamp, 0.0, Y * v)
-
-
-def _one(solve, count: float, lx: float) -> float:
-    return float(solve(np.array([count], dtype=float), lx)[0])
-
-
-def expectation_lower(X: float, xi: float | None = None, *,
-                      log_xi: float | None = None) -> float:
-    """Lower bound on the expected value given an observed count X."""
-    lx = _resolve_log_xi(xi, log_xi)
-    if X < 0.0:
-        raise ChernoffDomainError(f"X must be nonnegative, got {X!r}")
-    return _one(expectation_lower_array, X, lx)
-
-
-def expectation_upper(X: float, xi: float | None = None, *,
-                      log_xi: float | None = None) -> float:
-    """Upper bound on the expected value given an observed count X.
-
-    X = 0 is handled by the limiting form ln(1/xi).
-    """
-    lx = _resolve_log_xi(xi, log_xi)
-    if X < 0.0:
-        raise ChernoffDomainError(f"X must be nonnegative, got {X!r}")
-    return _one(expectation_upper_array, X, lx)
-
-
-def observed_upper(Y: float, xi: float | None = None, *,
-                   log_xi: float | None = None) -> float:
-    """Upper bound on the observed count given its expected value Y.
-
-    Y must be strictly positive: the bound is applied only to positive
-    means.
-    """
-    lx = _resolve_log_xi(xi, log_xi)
-    if Y <= 0.0:
-        raise ChernoffDomainError(f"observed_upper needs a positive mean, got {Y!r}")
-    return _one(observed_upper_array, Y, lx)
-
-
-def observed_lower(Y: float, xi: float | None = None, *,
-                   log_xi: float | None = None) -> float:
-    """Lower bound on the observed count given its expected value Y.
-
-    Returns 0 when no deviation parameter below 1 solves the equation
-    (small means admit a zero observation with probability above xi).
-    """
-    lx = _resolve_log_xi(xi, log_xi)
-    if Y < 0.0:
-        raise ChernoffDomainError(f"Y must be nonnegative, got {Y!r}")
-    return _one(observed_lower_array, Y, lx)

@@ -15,16 +15,12 @@ from dataclasses import dataclass, replace
 from .channel import ChannelParams, ProtocolParams, expected_tallies
 from .mc_oracle import SimConfig, SimConfigError, require_seed, simulate
 from .optimizer import NoFeasiblePointError, SearchSpace, optimize
-from .pipeline import (ASYMPTOTIC, SecurityConfig, SecurityConfigError,
-                       SourceCalibration)
+from .pipeline import ASYMPTOTIC, SecurityConfig, SourceCalibration
 
 CSV_HEADER = ("distance_km,N,mode,px,mu_x,mu_virtual_A,mu_virtual_B,"
               "n_O,n_B,n_Z,E_Z,e_ph,R_col,R_coh,feasible_flag")
 
 _MODE_ORDER = {"improved": 0, "baseline": 1}
-
-# Key of the security section for each SecurityConfig field.
-_SECURITY_KEYS = {"eps_coh_target": "eps_coh", "f": "f", "d": "d"}
 
 
 class ConfigError(ValueError):
@@ -45,33 +41,94 @@ class ScanConfig:
     mc_windows: int
 
 
-def _get(section: dict, config_key: str, key: str, default=None):
-    if key in section:
-        return section[key]
-    if default is None:
-        raise ConfigError(f"missing config key {config_key}.{key}")
-    return default
+def _number(name: str, value) -> float:
+    """A finite JSON number as a float; ``name`` is the key it came from."""
+    try:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
-def _block_label(raw) -> str:
+def _integer(name: str, value) -> int:
+    """A JSON integer; 2.5, 8.0 and true are rejected, not truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _pair(convert):
+    """Converter of a two-element list whose elements ``convert`` checks."""
+    def pair(name: str, value) -> tuple:
+        if not (isinstance(value, list) and len(value) == 2):
+            raise ConfigError(f"{name} must be a list of two values, got {value!r}")
+        return tuple(convert(name, v) for v in value)
+    return pair
+
+
+# Per config section: key -> (dataclass field, converter).
+_CHANNEL_KEYS = {key: (key, _number) for key in ("alpha_f", "eta_d", "p_d", "e_d")}
+_SOURCE_KEYS = {key: (key, _number) for key in ("av0", "bv0", "fluct")}
+_SECURITY_KEYS = {"eps_coh": ("eps_coh_target", _number), "f": ("f", _number),
+                  "d": ("d", _integer)}
+_SEARCH_KEYS = {"px_range": ("px_range", _pair(_number)),
+                "mu_range": ("mu_range", _pair(_number)),
+                "grid": ("grid", _pair(_integer)),
+                "refine_rounds": ("refine_rounds", _integer),
+                "shrink": ("shrink", _number)}
+
+
+def _object(raw: dict, name: str) -> dict:
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object, got {section!r}")
+    return section
+
+
+def _section(raw: dict, name: str, template, keys: dict, required: bool = False):
+    """``template`` with the keys of config section ``name`` applied in turn.
+
+    Every check these dataclasses make involves one field, so a check that
+    fails names the key just applied.
+    """
+    section = _object(raw, name)
+    result = template
+    for key, (field, convert) in keys.items():
+        if key not in section:
+            if required:
+                raise ConfigError(f"{name}.{key} is missing")
+            continue
+        value = convert(f"{name}.{key}", section[key])
+        try:
+            result = replace(result, **{field: value})
+        except ValueError as exc:
+            raise ConfigError(f"{name}.{key} is invalid: {exc}")
+    return result
+
+
+def _block_label(name: str, raw) -> str:
+    """"asymptotic", or a finite block size of at least 1 as an integer string."""
     if raw == ASYMPTOTIC:
         return ASYMPTOTIC
     try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"invalid block size {raw!r} in scan.blocks")
-    if value < 1:
-        raise ConfigError(f"block size must be >= 1, got {raw!r}")
+        value = math.nan if isinstance(raw, bool) else float(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not 1.0 <= value < math.inf:
+        raise ConfigError(f"{name} holds an invalid block size {raw!r}: "
+                          f"need {ASYMPTOTIC!r} or a number >= 1")
     return str(int(value))
 
 
-def _distances(axis) -> tuple[float, ...]:
-    try:
-        start, stop, step = (float(v) for v in axis)
-    except (TypeError, ValueError):
-        raise ConfigError("scan.distance must be [start, stop, step]")
-    if step <= 0:
-        raise ConfigError("scan.distance step must be > 0")
+def _distances(name: str, axis) -> tuple[float, ...]:
+    if not (isinstance(axis, list) and len(axis) == 3):
+        raise ConfigError(f"{name} must be [start, stop, step], got {axis!r}")
+    start, stop, step = (_number(name, v) for v in axis)
+    if start < 0.0 or step <= 0.0:
+        raise ConfigError(f"{name} needs start >= 0 and step > 0, got {axis!r}")
     out = []
     d = start
     while d <= stop + step * 1e-9:
@@ -81,83 +138,65 @@ def _distances(axis) -> tuple[float, ...]:
 
 
 def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
+    """The scan configuration, with flags applied; ConfigError names a bad key."""
     try:
         with open(path) as handle:
             raw = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {raw!r}")
 
-    chan = raw.get("channel", {})
-    try:
-        channel = ChannelParams(
-            distance_km=0.0,
-            alpha_f=float(_get(chan, "channel", "alpha_f")),
-            eta_d=float(_get(chan, "channel", "eta_d")),
-            p_d=float(_get(chan, "channel", "p_d")),
-            e_d=float(_get(chan, "channel", "e_d")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid channel section: {exc}")
+    channel = _section(raw, "channel", ChannelParams(0.0, 0.0, 0.0, 0.0, 0.0),
+                       _CHANNEL_KEYS, required=True)
+    calib = _section(raw, "source", SourceCalibration(), _SOURCE_KEYS)
+    security = _section(raw, "security", SecurityConfig(), _SECURITY_KEYS)
+    space = _section(raw, "search", SearchSpace(), _SEARCH_KEYS)
 
-    src = raw.get("source", {})
-    calib = SourceCalibration(
-        av0=float(src.get("av0", 1.0 - 1e-8)),
-        bv0=float(src.get("bv0", 1.0 - 1e-8)),
-        fluct=float(src.get("fluct", 0.1)),
-    )
-
-    sec = raw.get("security", {})
-    try:
-        security = SecurityConfig(
-            eps_coh_target=float(sec.get("eps_coh", 1e-10)),
-            f=float(sec.get("f", 1.1)),
-            d=sec.get("d", 8),
-        )
-    except SecurityConfigError as exc:
-        raise ConfigError(f"security.{_SECURITY_KEYS[exc.field]} {exc.problem}")
-
-    search = raw.get("search", {})
-    space = SearchSpace(
-        px_range=tuple(search.get("px_range", (0.01, 0.99))),
-        mu_range=tuple(search.get("mu_range", (1e-4, 1.0))),
-        grid=tuple(search.get("grid", (20, 20))),
-        refine_rounds=int(search.get("refine_rounds", 2)),
-        shrink=float(search.get("shrink", 4.0)),
-    )
-
-    scan = raw.get("scan", {})
+    scan = _object(raw, "scan")
     if overrides.distance:
-        parts = overrides.distance.split(":")
-        if len(parts) != 3:
+        try:
+            axis = [float(v) for v in overrides.distance.split(":")]
+        except ValueError:
             raise ConfigError("--distance must look like start:stop:step")
-        axis = parts
+        distances = _distances("--distance", axis)
     else:
-        axis = _get(scan, "scan", "distance")
-    distances = _distances(axis)
+        distances = _distances("scan.distance", scan.get("distance"))
 
-    blocks_raw = (overrides.blocks.split(",") if overrides.blocks
-                  else _get(scan, "scan", "blocks"))
-    blocks = tuple(_block_label(b) for b in blocks_raw)
+    if overrides.blocks:
+        blocks_name, blocks = "--blocks", overrides.blocks.split(",")
+    else:
+        blocks_name, blocks = "scan.blocks", scan.get("blocks")
+        if not isinstance(blocks, list):
+            raise ConfigError(f"scan.blocks must be a list, got {blocks!r}")
+    blocks = tuple(_block_label(blocks_name, b) for b in blocks)
 
     if overrides.mode:
-        modes_raw = ["improved", "baseline"] if overrides.mode == "both" else [overrides.mode]
+        modes = ["improved", "baseline"] if overrides.mode == "both" else [overrides.mode]
     else:
-        modes_raw = scan.get("modes", ["improved"])
-    for mode in modes_raw:
-        if mode not in _MODE_ORDER:
-            raise ConfigError(f"invalid mode {mode!r} in scan.modes")
+        modes = scan.get("modes", ["improved"])
+    if not (isinstance(modes, list)
+            and all(isinstance(m, str) and m in _MODE_ORDER for m in modes)):
+        raise ConfigError(f"scan.modes must list modes among {tuple(_MODE_ORDER)}, "
+                          f"got {modes!r}")
 
-    seed = overrides.seed if overrides.seed is not None else int(raw.get("seed", 0))
+    seed = (overrides.seed if overrides.seed is not None
+            else _integer("seed", raw.get("seed", 0)))
     try:
         require_seed(seed)
     except SimConfigError as exc:
         raise ConfigError(str(exc))
-    mc_validate = overrides.mc_validate or bool(raw.get("mc_validate", False))
+    mc_validate = raw.get("mc_validate", False)
+    if not isinstance(mc_validate, bool):
+        raise ConfigError(f"mc_validate must be true or false, got {mc_validate!r}")
+    mc_windows = _integer("mc_windows", raw.get("mc_windows", 10**6))
+    if mc_windows < 1:
+        raise ConfigError(f"mc_windows must be >= 1, got {mc_windows!r}")
     return ScanConfig(
         channel=channel, calib=calib, security=security, space=space,
-        distances=distances, blocks=blocks, modes=tuple(modes_raw),
-        seed=seed, mc_validate=mc_validate,
-        mc_windows=int(raw.get("mc_windows", 10**6)),
+        distances=distances, blocks=blocks, modes=tuple(modes),
+        seed=seed, mc_validate=overrides.mc_validate or mc_validate,
+        mc_windows=mc_windows,
     )
 
 
@@ -213,11 +252,14 @@ def rows_to_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# SVG canvas size in pixels.
+_WIDTH, _HEIGHT = 720, 480
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#17becf")
 
 
-def emit_plot(rows: list[dict], width: int = 720, height: int = 480) -> str:
+def emit_plot(rows: list[dict]) -> str:
     """Rate-vs-distance SVG with a logarithmic rate axis.
 
     Byte-deterministic for a fixed input table.
@@ -244,18 +286,18 @@ def emit_plot(rows: list[dict], width: int = 720, height: int = 480) -> str:
     margin = 60
 
     def sx(x: float) -> float:
-        return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+        return margin + (x - x_lo) / (x_hi - x_lo) * (_WIDTH - 2 * margin)
 
     def sy(rate: float) -> float:
         frac = (math.log10(rate) - y_lo) / (y_hi - y_lo)
-        return height - margin - frac * (height - 2 * margin)
+        return _HEIGHT - margin - frac * (_HEIGHT - 2 * margin)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
-        f'height="{height - 2 * margin}" fill="none" stroke="black"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<rect x="{margin}" y="{margin}" width="{_WIDTH - 2 * margin}" '
+        f'height="{_HEIGHT - 2 * margin}" fill="none" stroke="black"/>',
     ]
     for decade in range(y_lo, y_hi + 1):
         y = sy(10.0 ** decade)
@@ -267,14 +309,15 @@ def emit_plot(rows: list[dict], width: int = 720, height: int = 480) -> str:
     for i in range(n_xticks + 1):
         x_val = x_lo + (x_hi - x_lo) * i / n_xticks
         x = sx(x_val)
-        parts.append(f'<line x1="{x:.2f}" y1="{height - margin}" x2="{x:.2f}" '
-                     f'y2="{height - margin + 5}" stroke="black"/>')
-        parts.append(f'<text x="{x:.2f}" y="{height - margin + 18}" font-size="11" '
+        parts.append(f'<line x1="{x:.2f}" y1="{_HEIGHT - margin}" x2="{x:.2f}" '
+                     f'y2="{_HEIGHT - margin + 5}" stroke="black"/>')
+        parts.append(f'<text x="{x:.2f}" y="{_HEIGHT - margin + 18}" font-size="11" '
                      f'text-anchor="middle">{x_val:g}</text>')
-    parts.append(f'<text x="{width / 2:g}" y="{height - 12}" font-size="13" '
+    parts.append(f'<text x="{_WIDTH / 2:g}" y="{_HEIGHT - 12}" font-size="13" '
                  f'text-anchor="middle">distance (km)</text>')
-    parts.append(f'<text x="16" y="{height / 2:g}" font-size="13" text-anchor="middle" '
-                 f'transform="rotate(-90 16 {height / 2:g})">key rate (bits/window)</text>')
+    parts.append(f'<text x="16" y="{_HEIGHT / 2:g}" font-size="13" '
+                 f'text-anchor="middle" transform="rotate(-90 16 {_HEIGHT / 2:g})">'
+                 f'key rate (bits/window)</text>')
     for idx, (key, pts) in enumerate(sorted(curves.items(), key=lambda kv: kv[0])):
         color = _PALETTE[idx % len(_PALETTE)]
         pts = sorted(pts)
@@ -283,10 +326,10 @@ def emit_plot(rows: list[dict], width: int = 720, height: int = 480) -> str:
                      f'points="{coords}"/>')
         label = f"{key[0]}, N={key[1]}"
         ly = margin + 16 + 16 * idx
-        parts.append(f'<line x1="{width - margin - 150}" y1="{ly - 4}" '
-                     f'x2="{width - margin - 125}" y2="{ly - 4}" stroke="{color}" '
+        parts.append(f'<line x1="{_WIDTH - margin - 150}" y1="{ly - 4}" '
+                     f'x2="{_WIDTH - margin - 125}" y2="{ly - 4}" stroke="{color}" '
                      f'stroke-width="1.5"/>')
-        parts.append(f'<text x="{width - margin - 120}" y="{ly}" font-size="11">'
+        parts.append(f'<text x="{_WIDTH - margin - 120}" y="{ly}" font-size="11">'
                      f'{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -33,24 +33,20 @@ class SecurityParams:
     log_eps_bar: float
     log_eps_PA: float
     log_epsilon: float
-    d: int = 8
+    d: int
 
 
-def binary_entropy_array(x) -> np.ndarray:
-    """Elementwise binary entropy of x in [0, 1]; see :func:`binary_entropy`."""
+def binary_entropy(x) -> np.ndarray:
+    """Shannon entropy H(x) in bits of x in [0, 1], elementwise.
+
+    H(0) = H(1) = 0 by continuity.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
     return np.where((x == 0.0) | (x == 1.0), 0.0, h)
 
 
-def binary_entropy(x: float) -> float:
-    """Shannon entropy H(x) in bits, with H(0) = H(1) = 0 by continuity."""
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"binary_entropy argument must lie in [0, 1], got {x!r}")
-    return float(binary_entropy_array(np.array([x]))[0])
-
-
-def security_budget(eps_coh_target: float, N: float, d: int = 8) -> SecurityParams:
+def security_budget(eps_coh_target: float, N: float, d: int) -> SecurityParams:
     """Resolve the component failure probabilities from a coherent-attack target.
 
     eps_col is split into 3 + N_PE equal shares: one each for correctness,
@@ -80,7 +76,7 @@ def ec_leakage_array(n_O, n_B, n_Z, f: float) -> np.ndarray:
     """
     total = n_O + n_B + n_Z
     e_z = np.where(total > 0.0, (n_O + n_B) / np.where(total > 0.0, total, 1.0), 0.0)
-    return f * total * binary_entropy_array(e_z)
+    return f * total * binary_entropy(e_z)
 
 
 def collective_rate_array(n_Z, e_ph, leak, sec: SecurityParams | None,
@@ -90,7 +86,7 @@ def collective_rate_array(n_Z, e_ph, leak, sec: SecurityParams | None,
     ``sec=None`` is the asymptotic rate ``n_Z (1 - H(e_ph)) - leak`` of one
     window, without the finite-size terms.
     """
-    rate = n_Z * (1.0 - binary_entropy_array(e_ph)) - leak
+    rate = n_Z * (1.0 - binary_entropy(e_ph)) - leak
     if sec is None:
         return rate
     log2_2_over_cor = 1.0 - sec.log_eps_cor / _LN2
@@ -102,16 +98,14 @@ def collective_rate_array(n_Z, e_ph, leak, sec: SecurityParams | None,
             - (sec.d + 3.0) * np.sqrt(n_Z * log2_2_over_bar)) / N
 
 
-def coherent_attack_penalty(N: float, d: int = 8) -> float:
+def coherent_attack_penalty(N: float, d: int) -> float:
     """Post-selection cost of lifting a collective-attack rate (bits/window)."""
     return 2.0 * (d * d - 1) * math.log2(N + 1.0) / N
 
 
-def key_rate_coherent(R_col: float, N: float, d: int = 8,
-                      signed: bool = False) -> float:
-    """Key rate under coherent attack via the post-selection technique."""
-    rate = R_col - coherent_attack_penalty(N, d)
-    return rate if signed else max(rate, 0.0)
+def key_rate_coherent(R_col, N: float, d: int):
+    """Signed key rate under coherent attack via the post-selection technique."""
+    return R_col - coherent_attack_penalty(N, d)
 
 
 @dataclass(frozen=True)

@@ -75,12 +75,12 @@ def virtual_intensity_array(mu_nominal: np.ndarray, av0: float, fluct: float
     return -2.0 * np.log(np.where(feasible, inner, 1.0)), feasible
 
 
-def check_mapping_condition(mu: float, a0: float, av0: float,
-                            rtol: float = EQUALITY_RTOL) -> bool:
+def check_mapping_condition(mu: float, a0: float, av0: float) -> bool:
     """True iff exp(-mu) <= (sqrt(a0*av0) - sqrt((1-a0)*(1-av0)))**2.
 
-    The comparison allows a relative slack ``rtol`` so that intensities
-    produced by :func:`virtual_intensity` pass at the equality boundary.
+    The comparison allows a relative slack ``EQUALITY_RTOL`` so that
+    intensities produced by :func:`virtual_intensity` pass at the equality
+    boundary.
     """
     if not math.isfinite(mu) or mu < 0.0:
         raise MappingError(f"mu must be finite and nonnegative, got {mu!r}")
@@ -89,5 +89,5 @@ def check_mapping_condition(mu: float, a0: float, av0: float,
             raise MappingError(f"{name} must lie in [0, 1], got {value!r}")
     inner = math.sqrt(a0 * av0) - math.sqrt((1.0 - a0) * (1.0 - av0))
     bound = inner * inner
-    return math.exp(-mu) <= bound * (1.0 + rtol)
+    return math.exp(-mu) <= bound * (1.0 + EQUALITY_RTOL)
 

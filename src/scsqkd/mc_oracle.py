@@ -16,6 +16,7 @@ windows, so the output depends only on the configuration.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,10 +132,12 @@ def coverage_test(mean: float, xi: float, trials: int, seed: int) -> CoverageRes
     """Fraction of Poisson(mean) draws breaching observed_upper/observed_lower."""
     if mean <= 0.0:
         raise SimConfigError(f"mean must be positive, got {mean!r}")
+    if not (0.0 < xi < 1.0):
+        raise SimConfigError(f"xi must lie in (0, 1), got {xi!r}")
     if trials < 1000:
         raise SimConfigError(f"need at least 1000 trials, got {trials!r}")
-    upper = observed_upper(mean, xi)
-    lower = observed_lower(mean, xi)
+    upper = observed_upper(mean, math.log(xi))
+    lower = observed_lower(mean, math.log(xi))
     rng = np.random.default_rng(seed)
     draws = rng.poisson(mean, size=trials)
     return CoverageResult(

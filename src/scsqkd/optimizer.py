@@ -42,8 +42,10 @@ class SearchSpace:
             raise ValueError(f"mu_range must be positive, got {self.mu_range!r}")
         if min(self.grid) < 1:
             raise ValueError(f"grid sizes must be >= 1, got {self.grid!r}")
-        if self.refine_rounds < 0 or self.shrink <= 1.0:
-            raise ValueError("need refine_rounds >= 0 and shrink > 1")
+        if self.refine_rounds < 0:
+            raise ValueError(f"refine_rounds must be >= 0, got {self.refine_rounds!r}")
+        if not self.shrink > 1.0:
+            raise ValueError(f"shrink must be > 1, got {self.shrink!r}")
 
 
 def _axis(lo: float, hi: float, n: int, log: bool) -> list[float]:

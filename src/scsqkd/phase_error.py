@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chernoff import expectation_upper_array, observed_upper_array
+from .chernoff import expectation_upper, observed_upper
 
 
 def decomposition_arrays(mu_A, mu_B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -50,8 +50,8 @@ def phase_error_arrays(n_O, n_B, n_Z, N: float, p0, px, c0, c1, c2,
         nO_U, nB_U = n_O, n_B
     else:
         nO_U, nB_U = np.split(
-            expectation_upper_array(np.concatenate((n_O, n_B)), log_xi), 2)
+            expectation_upper(np.concatenate((n_O, n_B)), log_xi), 2)
     mean_nph = _mean_count(nO_U, nB_U, N, p0, px, c0, c1, c2)
-    nph = mean_nph if log_xi is None else observed_upper_array(mean_nph, log_xi)
+    nph = mean_nph if log_xi is None else observed_upper(mean_nph, log_xi)
     return nO_U, nB_U, mean_nph, nph, np.minimum(nph / n_Z, 0.5)
 

@@ -49,12 +49,7 @@ class SourceCalibration:
 
 
 class SecurityConfigError(ValueError):
-    """Raised for an invalid security setting; ``field`` names it."""
-
-    def __init__(self, field: str, problem: str) -> None:
-        super().__init__(f"{field} {problem}")
-        self.field = field
-        self.problem = problem
+    """Raised for an invalid security setting."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,7 @@ class SecurityConfig:
                  "be an integer >= 2")):
             if not ok:
                 raise SecurityConfigError(
-                    field, f"must {requirement}, got {getattr(self, field)!r}")
+                    f"{field} must {requirement}, got {getattr(self, field)!r}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +123,7 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
     asymptotic = block_size == ASYMPTOTIC
     n = 1.0 if asymptotic else float(block_size)
     sec = None if asymptotic else security_budget(security.eps_coh_target, n,
-                                                  d=security.d)
+                                                  security.d)
     n_O, n_B, n_Z = tally_arrays(p0, px, mu_A, mu_B, n, channel, mode)
     leak = ec_leakage_array(n_O, n_B, n_Z, security.f)
     has_z = n_Z > 0.0
@@ -138,8 +133,7 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
         log_xi=None if sec is None else sec.log_epsilon)[-1]
     e_ph = np.where(has_z, e_ph, 0.5)
     r_col = np.where(has_z, collective_rate_array(n_Z, e_ph, leak, sec, n), -np.inf)
-    r_coh = r_col if sec is None else key_rate_coherent(r_col, n, d=security.d,
-                                                        signed=True)
+    r_coh = r_col if sec is None else key_rate_coherent(r_col, n, security.d)
     return PointBatch(feasible=ok_A & ok_B, mu_virtual_A=mu_vA, mu_virtual_B=mu_vB,
                       n_O=n_O, n_B=n_B, n_Z=n_Z, e_ph=e_ph, leak_EC=leak,
                       R_col_signed=r_col, R_coh_signed=r_coh, budget=sec)

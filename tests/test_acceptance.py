@@ -59,16 +59,16 @@ def test_criterion_2_chernoff_residuals_and_coverage():
     for value in (1.0, 10.0, 1e3, 1e6, 1e9):
         for xi in (1e-3, 1e-10):
             lx = math.log(xi)
-            b = expectation_lower(value, xi)
+            b = expectation_lower(value, lx)
             d = value / b - 1.0
             worst = max(worst, abs(value * g_plus(d) / (1.0 + d) - lx) / -lx)
-            b = expectation_upper(value, xi)
+            b = expectation_upper(value, lx)
             d = 1.0 - value / b
             worst = max(worst, abs(value * g_minus(d) / (1.0 - d) - lx) / -lx)
-            b = observed_upper(value, xi)
+            b = observed_upper(value, lx)
             d = b / value - 1.0
             worst = max(worst, abs(value * g_plus(d) - lx) / -lx)
-            b = observed_lower(value, xi)
+            b = observed_lower(value, lx)
             if b > 0.0:
                 d = 1.0 - b / value
                 worst = max(worst, abs(value * g_minus(d) - lx) / -lx)
@@ -184,7 +184,7 @@ def test_criterion_6_finite_size_behavior():
 def test_criterion_7_budget_recomposition():
     worst = 0.0
     for n in (1e10, 1e12, 1e14):
-        sec = security_budget(1e-10, n)
+        sec = security_budget(1e-10, n, SECURITY.d)
         recomposed = sec.log_eps_col + 63.0 * math.log1p(n)
         worst = max(worst, abs(recomposed - math.log(1e-10)) / -math.log(1e-10))
     _report(7, f"coherent budget recomposes to rel {worst:.2e} <= 1e-9 in the "

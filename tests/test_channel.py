@@ -107,8 +107,6 @@ class TestEffectiveProb:
 
     def test_invalid_inputs_raise(self):
         with pytest.raises(ChannelModelError):
-            effective_prob(-0.1, 0.0, 0.0)
-        with pytest.raises(ChannelModelError):
             effective_prob(0.1, 0.0, 1.5)
         with pytest.raises(ChannelModelError):
             effective_prob(0.1, 0.0, 0.0, "other")

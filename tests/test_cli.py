@@ -1,11 +1,21 @@
-"""Tests for the scan command-line interface."""
+"""Tests for the scan command-line interface and the README examples."""
 import argparse
+import contextlib
+import copy
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scsqkd.cli import (CSV_HEADER, ConfigError, build_parser, emit_plot,
                         load_config, main, rows_to_csv, run_scan)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 BASE_CONFIG = {
     "channel": {"alpha_f": 0.2, "eta_d": 0.3, "p_d": 1e-9, "e_d": 0.04},
@@ -176,3 +186,105 @@ class TestMain:
     def test_parser_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+@pytest.mark.parametrize("section, key, value", [
+    # Each of these used to end in a traceback.
+    ("source", "av0", 0.3),
+    ("source", "fluct", 1.5),
+    ("source", "av0", "x"),
+    ("search", "px_range", [0.5, 1.5]),
+    ("search", "grid", [0, 20]),
+    ("search", "grid", "ab"),
+    ("search", "mu_range", [-1, 1]),
+    ("search", "refine_rounds", "x"),
+    ("search", "shrink", 1.0),
+    ("security", "f", "x"),
+    pytest.param("security", "eps_coh", 10**400, id="security-eps_coh-10**400"),
+    (None, "seed", "x"),
+    (None, "mc_windows", 0),      # failed only after the whole scan
+    # These used to be truncated to 2 and run.
+    (None, "seed", 2.5),
+    (None, "mc_windows", 2.5),
+])
+def test_invalid_value_is_a_config_error(tmp_path, capsys, section, key, value):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    (cfg[section] if section else cfg)[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    name = f"{section}.{key}" if section else key
+    assert main(["scan", "--config", str(path), "--out", str(out), "--mc-validate"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} ")
+    assert not out.exists()  # rejected before any scan work
+
+
+def _readme_block(lang: str) -> str:
+    """The first fenced ``lang`` code block of README.md."""
+    return README.read_text().split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_python_example_has_positive_rate():
+    namespace = {}
+    exec(_readme_block("python"), namespace)
+    assert namespace["report"].R_coh > 0.0
+
+
+def test_readme_config_example_loads(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(_readme_block("json"))
+    cfg = load_config(str(path), _no_overrides())
+    assert cfg.distances[0] == 0.0 and cfg.distances[-1] == 300.0
+    assert cfg.blocks == ("10000000000", "1000000000000", "asymptotic")
+
+
+# The README config with a two-point scan and a 3x3 grid, so that a valid
+# mutation runs in milliseconds.
+_SMALL_README_CONFIG = json.loads(_readme_block("json"))
+_SMALL_README_CONFIG["scan"]["distance"] = [0, 50, 50]
+_SMALL_README_CONFIG["search"]["grid"] = [3, 3]
+
+_DELETE = object()
+_VALUES = st.sampled_from([
+    _DELETE, None, True, False, "x", "", [], {}, [1, 2, 3], ["x", 1],
+    -1, 0, 1, 2, 3, 100, -1.5, 0.5, 1.5, 2.5, 8.0,
+    math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _mutations(draw):
+    """(config, name of the mutated key): one key replaced or deleted.
+
+    Keys are the README config's top-level keys, the keys of its sections
+    and the unset mc_validate and mc_windows; a list value may instead have
+    one element replaced.
+    """
+    cfg = copy.deepcopy(_SMALL_README_CONFIG)
+    paths = [(None, key) for key in (*cfg, "mc_validate", "mc_windows")]
+    paths += [(section, key) for section, body in cfg.items()
+              if isinstance(body, dict) for key in body]
+    section, key = draw(st.sampled_from(paths))
+    target = cfg[section] if section else cfg
+    value = draw(_VALUES)
+    if value is _DELETE:
+        target.pop(key, None)
+    elif isinstance(target.get(key), list) and draw(st.booleans()):
+        target[key][draw(st.integers(0, len(target[key]) - 1))] = value
+    else:
+        target[key] = value
+    return cfg, f"{section}.{key}" if section else key
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mutation=_mutations())
+def test_config_mutation_runs_or_names_the_key(mutation):
+    """``main`` returns 0, or 2 with an error that names the mutated key."""
+    cfg, name = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["scan", "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code == 0 or (code == 2 and err.getvalue().startswith(f"error: {name}")), \
+        (code, err.getvalue())

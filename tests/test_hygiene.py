@@ -1,8 +1,9 @@
-"""Checks on the package source: no dead imports, no stale exports, and a
-numpy-only runtime."""
+"""Checks on the package source: no dead imports or top-level names, no
+stale exports, and a numpy-only runtime."""
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import scsqkd
 
 SOURCES = sorted(Path(scsqkd.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -42,6 +44,49 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_top_level_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _top_level_names(path: Path) -> list[str]:
+    """Functions, classes and variables a module defines at its top level."""
+    names = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def _identifier_counts(path: Path) -> Counter:
+    """Occurrences of each identifier: as a name, attribute, imported or
+    defined name, or whole string literal (the benchmark's tracer names the
+    functions it rebinds in strings)."""
+    counts = Counter()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            counts[node.name] += 1
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            counts[node.name] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            counts[node.value] += 1
+    return counts
+
+
+def test_every_top_level_name_is_referenced():
+    # A name that occurs only where it is defined is dead.  Dunder names
+    # (__all__, __version__) are read by tools, not by code.
+    definitions = Counter(name for path in SOURCES for name in _top_level_names(path)
+                          if not (name.startswith("__") and name.endswith("__")))
+    counts = Counter()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            counts += _identifier_counts(path)
+    assert sorted(n for n, defs in definitions.items() if counts[n] <= defs) == []
 
 
 def test_every_exported_name_resolves():

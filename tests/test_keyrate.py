@@ -51,22 +51,16 @@ class TestBinaryEntropy:
         values = [binary_entropy(x) for x in (0.01, 0.1, 0.25, 0.4, 0.5)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            binary_entropy(-0.1)
-        with pytest.raises(ValueError):
-            binary_entropy(1.1)
-
 
 class TestSecurityBudget:
     def test_log_relation_between_coherent_and_collective(self):
         for n in (1e10, 1e12, 1e14):
-            sec = security_budget(1e-10, n)
+            sec = security_budget(1e-10, n, 8)
             recomposed = sec.log_eps_col + 63.0 * math.log1p(n)
             assert recomposed == pytest.approx(math.log(1e-10), rel=1e-12)
 
     def test_default_split_is_six_equal_shares(self):
-        sec = security_budget(1e-10, 1e12)
+        sec = security_budget(1e-10, 1e12, 8)
         share = sec.log_eps_col + math.log(1.0 / 6.0)
         for log_component in (sec.log_eps_cor, sec.log_eps_bar,
                               sec.log_eps_PA, sec.log_epsilon):
@@ -74,7 +68,7 @@ class TestSecurityBudget:
 
     def test_components_recompose_collective_budget(self):
         for n in (1e10, 1e14):
-            sec = security_budget(1e-10, n)
+            sec = security_budget(1e-10, n, 8)
             # eps_cor + eps_bar + eps_PA + N_PE * eps must equal eps_col;
             # compare in the log domain since the values underflow doubles.
             logs = [sec.log_eps_cor, sec.log_eps_bar, sec.log_eps_PA]
@@ -85,12 +79,12 @@ class TestSecurityBudget:
 
     def test_invalid_target_rejected(self):
         with pytest.raises(SecurityBudgetError):
-            security_budget(0.0, 1e10)
+            security_budget(0.0, 1e10, 8)
         with pytest.raises(SecurityBudgetError):
-            security_budget(2.0, 1e10)
+            security_budget(2.0, 1e10, 8)
 
     def test_collective_budget_underflows_doubles(self):
-        sec = security_budget(1e-10, 1e12)
+        sec = security_budget(1e-10, 1e12, 8)
         assert sec.log_eps_col < -700.0  # exp() would underflow to 0
         assert math.isfinite(sec.log_eps_col)
 
@@ -109,7 +103,7 @@ class TestKeyRates:
     TALLY = WindowTally(n_O=10.0, n_B=100.0, n_Z=1e6)
 
     def test_collective_rate_assembly(self):
-        sec = security_budget(1e-10, 1e12)
+        sec = security_budget(1e-10, 1e12, 8)
         n = 1e12
         rate = _collective(self.TALLY, 0.05, sec, n)
         n_z = self.TALLY.n_Z
@@ -123,7 +117,7 @@ class TestKeyRates:
         assert rate == pytest.approx(expected, rel=1e-12)
 
     def test_clamped_vs_signed(self):
-        sec = security_budget(1e-10, 1e12)
+        sec = security_budget(1e-10, 1e12, 8)
         assert _collective(WindowTally(10.0, 100.0, 200.0), 0.4, sec, 1e12) < 0.0
         # A report clamps the rates at 0 and keeps the signed values.
         report = _report(150.0, 0.3, 1e-9, 1e10)
@@ -139,25 +133,24 @@ class TestKeyRates:
             assert report.R_col_signed == report.R_coh_signed == -math.inf
 
     def test_rate_decreases_with_phase_error(self):
-        sec = security_budget(1e-10, 1e12)
+        sec = security_budget(1e-10, 1e12, 8)
         rates = [_collective(self.TALLY, e, sec, 1e12)
                  for e in (0.01, 0.05, 0.1, 0.3)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_coherent_penalty_reference(self):
         # 2 (d^2 - 1) log2(N + 1) / N at d = 8, N = 1e10.
-        assert coherent_attack_penalty(1e10) == pytest.approx(
+        assert coherent_attack_penalty(1e10, 8) == pytest.approx(
             4.1856293995762546e-07, rel=1e-12)
 
     def test_coherent_below_collective(self):
-        assert key_rate_coherent(1e-3, 1e10) < 1e-3
-        assert key_rate_coherent(1e-3, 1e10) == pytest.approx(
-            1e-3 - coherent_attack_penalty(1e10), rel=1e-12)
+        assert key_rate_coherent(1e-3, 1e10, 8) < 1e-3
+        assert key_rate_coherent(1e-3, 1e10, 8) == pytest.approx(
+            1e-3 - coherent_attack_penalty(1e10, 8), rel=1e-12)
+        # The rate is signed: a penalty above the collective rate leaves it
+        # negative.
+        assert key_rate_coherent(1e-9, 1e8, 8) < 0.0
 
     def test_coherent_penalty_vanishes_with_n(self):
-        penalties = [coherent_attack_penalty(n) for n in (1e8, 1e10, 1e12, 1e14)]
+        penalties = [coherent_attack_penalty(n, 8) for n in (1e8, 1e10, 1e12, 1e14)]
         assert all(a > b for a, b in zip(penalties, penalties[1:]))
-
-    def test_coherent_clamped_vs_signed(self):
-        assert key_rate_coherent(1e-9, 1e8) == 0.0
-        assert key_rate_coherent(1e-9, 1e8, signed=True) < 0.0

@@ -179,3 +179,6 @@ class TestCoverage:
             coverage_test(mean=0.0, xi=1e-3, trials=10000, seed=1)
         with pytest.raises(SimConfigError):
             coverage_test(mean=10.0, xi=1e-3, trials=10, seed=1)
+        for xi in (0.0, 1.0):
+            with pytest.raises(SimConfigError):
+                coverage_test(mean=10.0, xi=xi, trials=10000, seed=1)
