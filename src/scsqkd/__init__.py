@@ -8,7 +8,7 @@ from .chernoff import (expectation_lower, expectation_upper, observed_lower,
 from .keyrate import (KeyRateReport, SecurityParams, binary_entropy,
                       key_rate_coherent, security_budget)
 from .mapping import check_mapping_condition, virtual_intensity
-from .mc_oracle import SimConfig, coverage_test, simulate
+from .mc_oracle import coverage_test, simulate
 from .optimizer import NoFeasiblePointError, SearchSpace, optimize
 from .pipeline import (ASYMPTOTIC, InfeasibleError, SecurityConfig,
                        SourceCalibration, evaluate_point, evaluate_points)
@@ -23,7 +23,6 @@ __all__ = [
     "SearchSpace",
     "SecurityConfig",
     "SecurityParams",
-    "SimConfig",
     "SourceCalibration",
     "WindowTally",
     "arm_transmittance",

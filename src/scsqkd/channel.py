@@ -187,25 +187,17 @@ def click_prob(nu, p_d: float):
     return p_d - (1.0 - p_d) * np.expm1(-nu)
 
 
-def _require_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ChannelModelError(f"unknown mode {mode!r}")
+def effective_prob(nu_L, nu_R, p_d: float):
+    """Probability that the right detector clicks and the left one does not.
 
-
-def effective_prob(nu_L, nu_R, p_d: float, mode: str = "improved"):
-    """Heralding probability for given detector means, elementwise.
-
-    improved: right detector clicks and the left one does not.
-    baseline: exactly one of the two detectors clicks.
+    The heralding rule of every window whose detector means are fixed: all
+    windows in improved mode, and the O and Z windows in baseline mode
+    (baseline B windows are averaged over the phase in
+    :func:`b_window_prob`).  Elementwise over the means.
     """
     if not (0.0 <= p_d <= 1.0):
         raise ChannelModelError(f"p_d must lie in [0, 1], got {p_d!r}")
-    _require_mode(mode)
-    q = 1.0 - p_d
-    right_only = click_prob(nu_R, p_d) * q * np.exp(-nu_L)
-    if mode == "baseline":
-        return right_only + click_prob(nu_L, p_d) * q * np.exp(-nu_R)
-    return right_only
+    return click_prob(nu_R, p_d) * (1.0 - p_d) * np.exp(-nu_L)
 
 
 def _i0e(c: np.ndarray) -> np.ndarray:
@@ -262,7 +254,8 @@ def b_window_prob(mu_A, mu_B, eta: float, e_d: float, p_d: float,
     ``a = eta (mu_A + mu_B) / 2``, ``c = V eta sqrt(mu_A mu_B)`` and
     ``click(a) = p_d - q expm1(-a)`` (see :func:`click_prob`).
     """
-    _require_mode(mode)
+    if mode not in MODES:
+        raise ChannelModelError(f"unknown mode {mode!r}")
     if mode == "improved":
         nu_l, nu_r = detector_means("B", mu_A, mu_B, eta, e_d)
         return effective_prob(nu_l, nu_r, p_d)

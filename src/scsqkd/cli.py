@@ -12,15 +12,13 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from .channel import ChannelParams, ProtocolParams, expected_tallies
-from .mc_oracle import SimConfig, SimConfigError, require_seed, simulate
+from .channel import MODES, ChannelParams, ProtocolParams, expected_tallies
+from .mc_oracle import SimConfigError, require_seed, require_windows, simulate
 from .optimizer import NoFeasiblePointError, SearchSpace, optimize
 from .pipeline import ASYMPTOTIC, SecurityConfig, SourceCalibration
 
 CSV_HEADER = ("distance_km,N,mode,px,mu_x,mu_virtual_A,mu_virtual_B,"
               "n_O,n_B,n_Z,E_Z,e_ph,R_col,R_coh,feasible_flag")
-
-_MODE_ORDER = {"improved": 0, "baseline": 1}
 
 
 class ConfigError(ValueError):
@@ -133,6 +131,9 @@ def _distances(name: str, axis) -> tuple[float, ...]:
     d = start
     while d <= stop + step * 1e-9:
         out.append(round(d, 9))
+        if d + step == d:
+            raise ConfigError(f"{name} step {step!r} does not advance the "
+                              f"distance past {d!r}")
         d += step
     return tuple(out)
 
@@ -172,13 +173,12 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
     blocks = tuple(_block_label(blocks_name, b) for b in blocks)
 
     if overrides.mode:
-        modes = ["improved", "baseline"] if overrides.mode == "both" else [overrides.mode]
+        modes = list(MODES) if overrides.mode == "both" else [overrides.mode]
     else:
         modes = scan.get("modes", ["improved"])
     if not (isinstance(modes, list)
-            and all(isinstance(m, str) and m in _MODE_ORDER for m in modes)):
-        raise ConfigError(f"scan.modes must list modes among {tuple(_MODE_ORDER)}, "
-                          f"got {modes!r}")
+            and all(isinstance(m, str) and m in MODES for m in modes)):
+        raise ConfigError(f"scan.modes must list modes among {MODES}, got {modes!r}")
 
     seed = (overrides.seed if overrides.seed is not None
             else _integer("seed", raw.get("seed", 0)))
@@ -190,8 +190,10 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
     if not isinstance(mc_validate, bool):
         raise ConfigError(f"mc_validate must be true or false, got {mc_validate!r}")
     mc_windows = _integer("mc_windows", raw.get("mc_windows", 10**6))
-    if mc_windows < 1:
-        raise ConfigError(f"mc_windows must be >= 1, got {mc_windows!r}")
+    try:
+        require_windows(mc_windows)
+    except SimConfigError as exc:
+        raise ConfigError(f"mc_windows is invalid: {exc}")
     return ScanConfig(
         channel=channel, calib=calib, security=security, space=space,
         distances=distances, blocks=blocks, modes=tuple(modes),
@@ -232,7 +234,7 @@ def run_scan(cfg: ScanConfig) -> list[dict]:
             for m in cfg.modes]
     rows.sort(key=lambda r: (r["distance_km"],
                              math.inf if r["N"] == ASYMPTOTIC else float(r["N"]),
-                             _MODE_ORDER[r["mode"]]))
+                             MODES.index(r["mode"])))
     return rows
 
 
@@ -346,11 +348,8 @@ def _mc_report(cfg: ScanConfig, rows: list[dict]) -> str:
                                   N=n_mc, mode=row["mode"])
         channel = replace(cfg.channel, distance_km=row["distance_km"])
         expected = expected_tallies(protocol, channel)
-        phase_model = "compensated" if row["mode"] == "improved" else "uniform-random"
         # Row seeds wrap, so that every valid scan seed stays a valid key.
-        observed = simulate(SimConfig(seed=(cfg.seed + idx) % 2**64, N=n_mc,
-                                      protocol=protocol, channel=channel,
-                                      phase_model=phase_model))
+        observed = simulate(protocol, channel, (cfg.seed + idx) % 2**64)
         for component in ("n_O", "n_B", "n_Z"):
             exp_val = getattr(expected, component)
             obs_val = getattr(observed, component)
@@ -371,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--config", required=True, help="path to JSON config")
     scan.add_argument("--distance", help="override axis as start:stop:step (km)")
     scan.add_argument("--blocks", help="override block sizes, e.g. 1e10,1e12,asymptotic")
-    scan.add_argument("--mode", choices=("improved", "baseline", "both"))
+    scan.add_argument("--mode", choices=(*MODES, "both"))
     scan.add_argument("--mc-validate", action="store_true", dest="mc_validate")
     scan.add_argument("--seed", type=int)
     scan.add_argument("--out", required=True, help="output directory")

@@ -16,7 +16,7 @@ from scsqkd.chernoff import (expectation_lower, expectation_upper,
 from scsqkd.cli import main
 from scsqkd.keyrate import security_budget
 from scsqkd.mapping import virtual_intensity
-from scsqkd.mc_oracle import SimConfig, coverage_test, simulate
+from scsqkd.mc_oracle import coverage_test, simulate
 from scsqkd.optimizer import optimize
 from scsqkd.pipeline import SecurityConfig, SourceCalibration, evaluate_point
 
@@ -83,13 +83,12 @@ def test_criterion_2_chernoff_residuals_and_coverage():
 def test_criterion_3_mc_agreement():
     channel = _channel(100.0)
 
-    def worst_z(proto: ProtocolParams, phase_model: str) -> float:
+    def worst_z(proto: ProtocolParams) -> float:
         n = int(proto.N)
         expected = expected_tallies(proto, channel)
         worst = 0.0
         for seed in (42, 7, 123):
-            observed = simulate(SimConfig(seed=seed, N=n, protocol=proto,
-                                          channel=channel, phase_model=phase_model))
+            observed = simulate(proto, channel, seed)
             for name in ("n_O", "n_B", "n_Z"):
                 mean = getattr(expected, name)
                 p = mean / n
@@ -99,12 +98,11 @@ def test_criterion_3_mc_agreement():
         return worst
 
     compensated = worst_z(ProtocolParams(p0=0.5, px=0.5, mu_xA=0.1, mu_xB=0.1,
-                                         N=10**8), "compensated")
+                                         N=10**8))
     # Random-phase B windows are sampled one by one, so they check the
     # baseline phase average independently of its closed form.
     random_phase = worst_z(ProtocolParams(p0=0.5, px=0.5, mu_xA=0.1, mu_xB=0.1,
-                                          N=10**7, mode="baseline"),
-                           "uniform-random")
+                                          N=10**7, mode="baseline"))
     _report(3, f"simulator tallies within {compensated:.2f} sigma (improved, "
                f"compensated, N=1e8) and {random_phase:.2f} sigma (baseline, "
                f"uniform-random phase, N=1e7) <= 5 over 3 seeds",

@@ -83,36 +83,31 @@ class TestDetectorMeans:
 class TestEffectiveProb:
     def test_dark_count_reference(self):
         # nu_R = 0: only a dark count can fire the right detector.
-        p = effective_prob(0.003, 0.0, 1e-9, "improved")
+        p = effective_prob(0.003, 0.0, 1e-9)
         assert p == pytest.approx(1e-9 * (1.0 - 1e-9) * math.exp(-0.003),
                                   rel=1e-12, abs=0)
 
     def test_vanishing_signal_limit(self):
         # nu -> 0 in both arms: improved heralding tends to p_d (1 - p_d).
         p_d = 1e-6
-        p = effective_prob(0.0, 0.0, p_d, "improved")
+        p = effective_prob(0.0, 0.0, p_d)
         assert p == pytest.approx(p_d * (1.0 - p_d), rel=1e-12, abs=0)
-
-    def test_baseline_is_symmetric_sum(self):
-        p_imp = effective_prob(0.01, 0.002, 1e-9, "improved")
-        p_mirror = effective_prob(0.002, 0.01, 1e-9, "improved")
-        p_base = effective_prob(0.01, 0.002, 1e-9, "baseline")
-        assert p_base == pytest.approx(p_imp + p_mirror, rel=1e-12)
 
     def test_probability_bounds(self):
         for nu_l, nu_r, p_d in ((0.0, 0.0, 0.0), (5.0, 5.0, 0.5), (0.1, 3.0, 1e-3)):
-            for mode in ("improved", "baseline"):
-                p = effective_prob(nu_l, nu_r, p_d, mode)
-                assert 0.0 <= p <= 1.0
+            p = effective_prob(nu_l, nu_r, p_d)
+            assert 0.0 <= p <= 1.0
 
     def test_invalid_inputs_raise(self):
         with pytest.raises(ChannelModelError):
             effective_prob(0.1, 0.0, 1.5)
-        with pytest.raises(ChannelModelError):
-            effective_prob(0.1, 0.0, 0.0, "other")
 
 
 class TestBWindowProb:
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ChannelModelError):
+            b_window_prob(0.1, 0.1, 0.03, 0.04, 1e-9, "other")
+
     def test_improved_below_phase_averaged_baseline(self):
         # Compensation steers energy away from the heralding detector, so the
         # improved B-window probability is far below the baseline average.
@@ -188,11 +183,8 @@ def test_click_probabilities_against_mpmath(p_d, eta, mu_A, mu_B, e_d):
         no_l = q * mpmath.exp(-mpmath.mpf(nu_l))
         no_r = q * mpmath.exp(-mpmath.mpf(nu_r))
         right_only = float((1 - no_r) * no_l)
-        exactly_one = float((1 - no_r) * no_l + (1 - no_l) * no_r)
-    assert effective_prob(nu_l, nu_r, p_d, "improved") == pytest.approx(
+    assert effective_prob(nu_l, nu_r, p_d) == pytest.approx(
         right_only, rel=1e-12, abs=0)
-    assert effective_prob(nu_l, nu_r, p_d, "baseline") == pytest.approx(
-        exactly_one, rel=1e-12, abs=0)
     assert b_window_prob(mu_A, mu_B, eta, e_d, p_d, "baseline") == pytest.approx(
         _mp_phase_average(mu_A, mu_B, eta, e_d, p_d), rel=1e-12, abs=0)
 
@@ -263,7 +255,7 @@ class TestExpectedTallies:
 
         def herald(kind: str) -> float:
             nu_l, nu_r = detector_means(kind, mu_A, mu_B, eta, CHANNEL.e_d)
-            return effective_prob(nu_l, nu_r, CHANNEL.p_d, "improved")
+            return effective_prob(nu_l, nu_r, CHANNEL.p_d)
 
         for mode in ("improved", "baseline"):
             proto = ProtocolParams(0.7, 0.3, mu_A, mu_B, 10**7, mode=mode)

@@ -87,6 +87,13 @@ class TestLoadConfig:
         assert cfg.modes == ("improved", "baseline")
         assert cfg.seed == 7 and cfg.mc_validate
 
+    def test_distance_step_below_resolution(self, tmp_path):
+        # 1e17 + 1 == 1e17 in floating point: the axis would never end.
+        ns = argparse.Namespace(distance="1e17:2e17:1", blocks=None, mode=None,
+                                seed=None, mc_validate=False)
+        with pytest.raises(ConfigError, match="--distance step"):
+            load_config(_write_config(tmp_path), ns)
+
 
 class TestCsvEmission:
     def test_schema_and_sorting(self, tmp_path):
@@ -203,6 +210,10 @@ class TestMain:
     pytest.param("security", "eps_coh", 10**400, id="security-eps_coh-10**400"),
     (None, "seed", "x"),
     (None, "mc_windows", 0),      # failed only after the whole scan
+    # overflowed the multinomial after the scan
+    pytest.param(None, "mc_windows", 2**63, id="None-mc_windows-2**63"),
+    # 1e17 + 1 == 1e17: the axis never ended
+    pytest.param("scan", "distance", [1e17, 2e17, 1], id="scan-distance-1e17-step-1"),
     # These used to be truncated to 2 and run.
     (None, "seed", 2.5),
     (None, "mc_windows", 2.5),

@@ -1,13 +1,17 @@
 """Tests for the Monte Carlo event simulator and coverage checks."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import binom
 
-from scsqkd.channel import (ChannelParams, ProtocolParams, arm_transmittance,
+from scsqkd.channel import (MODES, ChannelParams, ProtocolParams, arm_transmittance,
                             click_prob, detector_means, expected_tallies)
-from scsqkd.mc_oracle import (_CHUNK, CoverageResult, SimConfig, SimConfigError,
-                              coverage_test, simulate)
+from scsqkd.mc_oracle import (_CHUNK, CoverageResult, SimConfigError,
+                              coverage_test, require_windows, simulate)
 
 CHANNEL = ChannelParams(100.0, 0.2, 0.3, 1e-9, 0.04)
 PROTO = ProtocolParams(p0=0.5, px=0.5, mu_xA=0.1, mu_xB=0.1, N=10**6)
@@ -27,28 +31,27 @@ def _z_scores(observed, expected, n):
 class TestSimConfig:
     def test_validation(self):
         with pytest.raises(SimConfigError):
-            SimConfig(seed=1, N=0, protocol=PROTO, channel=CHANNEL)
-        with pytest.raises(SimConfigError):
-            SimConfig(seed=1, N=10, protocol=PROTO, channel=CHANNEL,
-                      phase_model="bad")
+            require_windows(0)
+        # The multinomial draw takes a whole count below 2**63; 1.5 used to
+        # be truncated to one window.
+        for n in (1.5, 2**63):
+            with pytest.raises(SimConfigError, match="window count"):
+                simulate(replace(PROTO, N=n), CHANNEL, seed=1)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_philox_key_rejected(self, seed):
         # The Philox key is unsigned 64-bit; such a seed used to surface as
         # an OverflowError inside simulate.
         with pytest.raises(SimConfigError, match="seed"):
-            SimConfig(seed=seed, N=10, protocol=PROTO, channel=CHANNEL)
+            simulate(replace(PROTO, N=10), CHANNEL, seed)
 
 
 class TestSimulate:
     def test_deterministic_for_fixed_seed(self):
-        cfg = SimConfig(seed=42, N=10**6, protocol=PROTO, channel=CHANNEL)
-        assert simulate(cfg) == simulate(cfg)
+        assert simulate(PROTO, CHANNEL, 42) == simulate(PROTO, CHANNEL, 42)
 
     def test_seed_changes_output(self):
-        a = simulate(SimConfig(seed=1, N=10**6, protocol=PROTO, channel=CHANNEL))
-        b = simulate(SimConfig(seed=2, N=10**6, protocol=PROTO, channel=CHANNEL))
-        assert a != b
+        assert simulate(PROTO, CHANNEL, 1) != simulate(PROTO, CHANNEL, 2)
 
     def test_chunk_boundary_is_seamless(self):
         # Only random-phase B windows are sampled one by one, in chunks; at
@@ -57,16 +60,13 @@ class TestSimulate:
         n = int(1.05 * _CHUNK / px**2)
         proto = ProtocolParams(p0=1.0 - px, px=px, mu_xA=0.1, mu_xB=0.1, N=n,
                                mode="baseline")
-        cfg = SimConfig(seed=7, N=n, protocol=proto, channel=CHANNEL,
-                        phase_model="uniform-random")
-        tally = simulate(cfg)
-        assert tally == simulate(cfg)
+        tally = simulate(proto, CHANNEL, 7)
+        assert tally == simulate(proto, CHANNEL, 7)
         assert tally.n_B > 0
 
     def test_counts_match_expectation_within_five_sigma(self):
         expected = expected_tallies(PROTO, CHANNEL)
-        observed = simulate(SimConfig(seed=42, N=10**6, protocol=PROTO,
-                                      channel=CHANNEL))
+        observed = simulate(PROTO, CHANNEL, 42)
         for name, z in _z_scores(observed, expected, 10**6).items():
             assert abs(z) <= 5.0, (name, z)
 
@@ -74,15 +74,13 @@ class TestSimulate:
         proto = ProtocolParams(p0=0.5, px=0.5, mu_xA=0.1, mu_xB=0.1,
                                N=10**6, mode="baseline")
         expected = expected_tallies(proto, CHANNEL)
-        observed = simulate(SimConfig(seed=11, N=10**6, protocol=proto,
-                                      channel=CHANNEL,
-                                      phase_model="uniform-random"))
+        observed = simulate(proto, CHANNEL, 11)
         for name, z in _z_scores(observed, expected, 10**6).items():
             assert abs(z) <= 5.0, (name, z)
 
     def test_dead_channel_yields_empty_tally(self):
         chan = ChannelParams(100.0, 0.2, 0.0, 0.0, 0.04)
-        tally = simulate(SimConfig(seed=3, N=10**5, protocol=PROTO, channel=chan))
+        tally = simulate(replace(PROTO, N=10**5), chan, 3)
         assert tally.M_s == 0
 
     def test_perfect_interference_suppresses_b_windows(self):
@@ -90,24 +88,24 @@ class TestSimulate:
         # detector never fires in B windows (and O windows stay silent).
         chan = ChannelParams(10.0, 0.2, 0.3, 0.0, 0.0)
         proto = ProtocolParams(p0=0.01, px=0.99, mu_xA=0.2, mu_xB=0.2, N=10**5)
-        tally = simulate(SimConfig(seed=5, N=10**5, protocol=proto, channel=chan))
+        tally = simulate(proto, chan, 5)
         assert tally.n_B == 0
         assert tally.n_O == 0
 
     def test_raw_key_error_rate_identity(self):
-        tally = simulate(SimConfig(seed=42, N=10**6, protocol=PROTO,
-                                   channel=CHANNEL))
+        tally = simulate(PROTO, CHANNEL, 42)
         assert tally.E_Z == (tally.n_O + tally.n_B) / tally.M_s
 
 
-def _per_window_tallies(proto, chan, phase_model, runs, rng):
+def _per_window_tallies(proto, chan, runs, rng):
     """Reference sampler drawing every window: two source choices, a phase
-    and two Bernoulli clicks.  (n_O, n_B, n_Z) arrays over ``runs`` runs."""
+    (compensated in improved mode, uniform in baseline mode) and two
+    Bernoulli clicks.  (n_O, n_B, n_Z) arrays over ``runs`` runs."""
     shape = (runs, int(proto.N))
     alice = rng.random(shape) >= proto.p0
     bob = rng.random(shape) >= proto.p0
     cos_delta = (np.cos(rng.random(shape) * (2.0 * np.pi))
-                 if phase_model == "uniform-random" else 1.0)
+                 if proto.mode == "baseline" else 1.0)
     # With one intensity 0 the B-window means are those of a Z or O window.
     nu_l, nu_r = detector_means("B", np.where(alice, proto.mu_xA, 0.0),
                                 np.where(bob, proto.mu_xB, 0.0),
@@ -135,24 +133,58 @@ def _moment_z_scores(a, b):
             (var_a - var_b) / math.sqrt((vv_a + vv_b) / n))
 
 
-@pytest.mark.parametrize("mode,phase_model", [
-    ("improved", "compensated"), ("baseline", "compensated"),
-    ("improved", "uniform-random"), ("baseline", "uniform-random")])
-def test_distribution_matches_per_window_sampling(mode, phase_model):
+@pytest.mark.parametrize("mode", [
+    pytest.param("improved", id="improved-compensated"),
+    pytest.param("baseline", id="baseline-uniform-random")])
+def test_distribution_matches_per_window_sampling(mode):
     # A high-click point (detector efficiency 1, p_d = 1e-2, 5 km, mu = 1):
     # baseline heralds most B windows here, so the multinomial spread of the
     # window-kind counts is a large part of the variance of n_B.
     chan = ChannelParams(5.0, 0.2, 1.0, 1e-2, 0.04)
     proto = ProtocolParams(p0=0.5, px=0.5, mu_xA=1.0, mu_xB=1.0, N=1000, mode=mode)
     runs = 1000
-    reference = _per_window_tallies(proto, chan, phase_model, runs,
-                                    np.random.default_rng(2024))
-    sims = [simulate(SimConfig(seed=seed, N=1000, protocol=proto, channel=chan,
-                               phase_model=phase_model)) for seed in range(runs)]
+    reference = _per_window_tallies(proto, chan, runs, np.random.default_rng(2024))
+    sims = [simulate(proto, chan, seed) for seed in range(runs)]
     for name, ref in zip(("n_O", "n_B", "n_Z"), reference):
         assert ref.min() < ref.max()
         z_mean, z_var = _moment_z_scores([getattr(t, name) for t in sims], ref)
         assert abs(z_mean) <= 5.0 and abs(z_var) <= 5.0, (name, z_mean, z_var)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+# Two-sided tail probability of |z| > 5 under a normal law.
+_FIVE_SIGMA_TAIL = math.erfc(5.0 / math.sqrt(2.0))
+
+
+def _binomial_tail(observed: int, expected: float, n: int) -> float:
+    """Two-sided tail probability of an observed Binomial(n, expected/n) count."""
+    p = expected / n
+    return min(1.0, 2.0 * min(binom.cdf(observed, n, p), binom.sf(observed - 1, n, p)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(distance=st.floats(0.0, 200.0), px=st.floats(0.05, 0.95),
+       mu_A=_log_uniform(1e-3, 1.0), mu_B=_log_uniform(1e-3, 1.0),
+       e_d=st.floats(0.0, 0.1), p_d=_log_uniform(1e-9, 1e-3),
+       mode=st.sampled_from(MODES), seed=st.integers(0, 2**64 - 1))
+def test_counts_within_binomial_tails_across_input_box(distance, px, mu_A, mu_B,
+                                                       e_d, p_d, mode, seed):
+    # Each count is binomial over the N windows: a window is an effective
+    # window of a component or not.  Some expected counts are near 0.01
+    # here, where a normal z would call a single event a 10-sigma outlier,
+    # so each count is judged by its exact binomial tail.
+    chan = ChannelParams(distance, 0.2, 0.3, p_d, e_d)
+    proto = ProtocolParams(p0=1.0 - px, px=px, mu_xA=mu_A, mu_xB=mu_B, N=10**5,
+                           mode=mode)
+    expected = expected_tallies(proto, chan)
+    observed = simulate(proto, chan, seed)
+    for name in ("n_O", "n_B", "n_Z"):
+        tail = _binomial_tail(getattr(observed, name), getattr(expected, name), 10**5)
+        assert tail >= _FIVE_SIGMA_TAIL, (name, getattr(observed, name),
+                                          getattr(expected, name), tail)
 
 
 class TestCoverage:
