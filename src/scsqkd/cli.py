@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .channel import MODES, ChannelParams, ProtocolParams, expected_tallies
 from .mc_oracle import SimConfigError, require_seed, require_windows, simulate
 from .optimizer import NoFeasiblePointError, SearchSpace, optimize
-from .pipeline import ASYMPTOTIC, SecurityConfig, SourceCalibration
+from .pipeline import ASYMPTOTIC, SecurityConfig, SourceCalibration, require_block
 
 CSV_HEADER = ("distance_km,N,mode,px,mu_x,mu_virtual_A,mu_virtual_B,"
               "n_O,n_B,n_Z,E_Z,e_ph,R_col,R_coh,feasible_flag")
@@ -77,12 +77,24 @@ _SEARCH_KEYS = {"px_range": ("px_range", _pair(_number)),
                 "grid": ("grid", _pair(_integer)),
                 "refine_rounds": ("refine_rounds", _integer),
                 "shrink": ("shrink", _number)}
+_SCAN_KEYS = ("distance", "blocks", "modes")
+_TOP_KEYS = ("channel", "source", "security", "search", "scan", "seed",
+             "mc_validate", "mc_windows")
 
 
-def _object(raw: dict, name: str) -> dict:
+def _reject_unknown(obj: dict, known, prefix: str = "") -> None:
+    """Raise ConfigError naming the first key of ``obj`` not in ``known``."""
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key} is not a known key")
+
+
+def _object(raw: dict, name: str, known) -> dict:
+    """Config section ``name``, an object holding only ``known`` keys."""
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be an object, got {section!r}")
+    _reject_unknown(section, known, f"{name}.")
     return section
 
 
@@ -92,7 +104,7 @@ def _section(raw: dict, name: str, template, keys: dict, required: bool = False)
     Every check these dataclasses make involves one field, so a check that
     fails names the key just applied.
     """
-    section = _object(raw, name)
+    section = _object(raw, name, keys)
     result = template
     for key, (field, convert) in keys.items():
         if key not in section:
@@ -108,14 +120,16 @@ def _section(raw: dict, name: str, template, keys: dict, required: bool = False)
 
 
 def _block_label(name: str, raw) -> str:
-    """"asymptotic", or a finite block size of at least 1 as an integer string."""
+    """"asymptotic", or a finite block size of at least 1 as an integer string.
+
+    A number may also be written as a string, such as "1e12".
+    """
     if raw == ASYMPTOTIC:
         return ASYMPTOTIC
     try:
-        value = math.nan if isinstance(raw, bool) else float(raw)
+        value = raw if isinstance(raw, bool) else float(raw)
+        require_block(value)
     except (TypeError, ValueError, OverflowError):
-        value = math.nan
-    if not 1.0 <= value < math.inf:
         raise ConfigError(f"{name} holds an invalid block size {raw!r}: "
                           f"need {ASYMPTOTIC!r} or a number >= 1")
     return str(int(value))
@@ -147,6 +161,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {raw!r}")
+    _reject_unknown(raw, _TOP_KEYS)
 
     channel = _section(raw, "channel", ChannelParams(0.0, 0.0, 0.0, 0.0, 0.0),
                        _CHANNEL_KEYS, required=True)
@@ -154,7 +169,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
     security = _section(raw, "security", SecurityConfig(), _SECURITY_KEYS)
     space = _section(raw, "search", SearchSpace(), _SEARCH_KEYS)
 
-    scan = _object(raw, "scan")
+    scan = _object(raw, "scan", _SCAN_KEYS)
     if overrides.distance:
         try:
             axis = [float(v) for v in overrides.distance.split(":")]
@@ -338,28 +353,22 @@ def emit_plot(rows: list[dict]) -> str:
 
 
 def _mc_report(cfg: ScanConfig, rows: list[dict]) -> str:
-    lines = ["distance_km,N,mode,component,expected,observed,sigma,z"]
+    lines = ["distance_km,N,mode,component,expected,observed"]
     for idx, row in enumerate(rows):
         if not row["feasible_flag"]:
             continue
-        n_mc = cfg.mc_windows
         protocol = ProtocolParams(p0=1.0 - row["px"], px=row["px"],
                                   mu_xA=row["mu_x"], mu_xB=row["mu_x"],
-                                  N=n_mc, mode=row["mode"])
+                                  N=cfg.mc_windows, mode=row["mode"])
         channel = replace(cfg.channel, distance_km=row["distance_km"])
         expected = expected_tallies(protocol, channel)
         # Row seeds wrap, so that every valid scan seed stays a valid key.
         observed = simulate(protocol, channel, (cfg.seed + idx) % 2**64)
         for component in ("n_O", "n_B", "n_Z"):
-            exp_val = getattr(expected, component)
-            obs_val = getattr(observed, component)
-            p = exp_val / n_mc
-            sigma = math.sqrt(max(n_mc * p * (1.0 - p), 0.0))
-            z = (obs_val - exp_val) / sigma if sigma > 0 else 0.0
             lines.append(",".join([
                 repr(float(row["distance_km"])), row["N"], row["mode"], component,
-                repr(float(exp_val)), repr(float(obs_val)),
-                repr(float(sigma)), repr(float(z))]))
+                repr(float(getattr(expected, component))),
+                repr(float(getattr(observed, component)))]))
     return "\n".join(lines) + "\n"
 
 

@@ -19,14 +19,10 @@ windows, so the output depends only on the inputs.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import (ChannelParams, ProtocolParams, WindowTally,
                       arm_transmittance, click_prob, detector_means)
-from .chernoff import observed_lower, observed_upper
 
 # Random-phase B windows sampled per Philox stream.
 _CHUNK = 1 << 21
@@ -112,30 +108,3 @@ def simulate(protocol: ProtocolParams, channel: ChannelParams, seed: int) -> Win
     return WindowTally(n_O=heralded["O"], n_B=heralded["B"],
                        n_Z=heralded["Z_A"] + heralded["Z_B"])
 
-
-@dataclass(frozen=True)
-class CoverageResult:
-    """Empirical violation fractions of the observed-value Chernoff bounds."""
-
-    upper_fraction: float
-    lower_fraction: float
-    trials: int
-
-
-def coverage_test(mean: float, xi: float, trials: int, seed: int) -> CoverageResult:
-    """Fraction of Poisson(mean) draws breaching observed_upper/observed_lower."""
-    if mean <= 0.0:
-        raise SimConfigError(f"mean must be positive, got {mean!r}")
-    if not (0.0 < xi < 1.0):
-        raise SimConfigError(f"xi must lie in (0, 1), got {xi!r}")
-    if trials < 1000:
-        raise SimConfigError(f"need at least 1000 trials, got {trials!r}")
-    upper = observed_upper(mean, math.log(xi))
-    lower = observed_lower(mean, math.log(xi))
-    rng = np.random.default_rng(seed)
-    draws = rng.poisson(mean, size=trials)
-    return CoverageResult(
-        upper_fraction=float(np.mean(draws > upper)),
-        lower_fraction=float(np.mean(draws < lower)),
-        trials=trials,
-    )

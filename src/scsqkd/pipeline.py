@@ -12,8 +12,9 @@ feasibility mask where the source bounds admit no virtual-protocol mapping;
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -24,6 +25,17 @@ from .mapping import require_amplitude, require_fluct, virtual_intensity_array
 from .phase_error import decomposition_arrays, phase_error_arrays
 
 ASYMPTOTIC = "asymptotic"
+
+
+def require_block(block_size) -> None:
+    """Raise ValueError unless ``block_size`` is ASYMPTOTIC or a finite real
+    number of at least 1 (a bool is not a block size)."""
+    if block_size == ASYMPTOTIC:
+        return
+    if not (isinstance(block_size, Real) and not isinstance(block_size, bool)
+            and 1.0 <= block_size <= sys.float_info.max):
+        raise ValueError(f"block_size must be {ASYMPTOTIC!r} or a finite number "
+                         f">= 1, got {block_size!r}")
 
 
 class InfeasibleError(ValueError):
@@ -118,6 +130,7 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
     candidate.  Each element's result is the one :func:`evaluate_point`
     gives for that candidate alone.
     """
+    require_block(block_size)
     mu_vA, ok_A = virtual_intensity_array(mu_A, calib.av0, calib.fluct)
     mu_vB, ok_B = virtual_intensity_array(mu_B, calib.bv0, calib.fluct)
     asymptotic = block_size == ASYMPTOTIC

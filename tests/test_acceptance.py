@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 from scsqkd.channel import ChannelParams, ProtocolParams, expected_tallies
-from scsqkd.chernoff import (expectation_lower, expectation_upper,
-                             observed_lower, observed_upper)
+from scsqkd.chernoff import expectation_upper, observed_upper
 from scsqkd.cli import main
 from scsqkd.keyrate import security_budget
 from scsqkd.mapping import virtual_intensity
-from scsqkd.mc_oracle import coverage_test, simulate
+from scsqkd.mc_oracle import simulate
 from scsqkd.optimizer import optimize
 from scsqkd.pipeline import SecurityConfig, SourceCalibration, evaluate_point
 
@@ -59,25 +58,18 @@ def test_criterion_2_chernoff_residuals_and_coverage():
     for value in (1.0, 10.0, 1e3, 1e6, 1e9):
         for xi in (1e-3, 1e-10):
             lx = math.log(xi)
-            b = expectation_lower(value, lx)
-            d = value / b - 1.0
-            worst = max(worst, abs(value * g_plus(d) / (1.0 + d) - lx) / -lx)
             b = expectation_upper(value, lx)
             d = 1.0 - value / b
             worst = max(worst, abs(value * g_minus(d) / (1.0 - d) - lx) / -lx)
             b = observed_upper(value, lx)
             d = b / value - 1.0
             worst = max(worst, abs(value * g_plus(d) - lx) / -lx)
-            b = observed_lower(value, lx)
-            if b > 0.0:
-                d = 1.0 - b / value
-                worst = max(worst, abs(value * g_minus(d) - lx) / -lx)
-    coverage = coverage_test(mean=1000.0, xi=1e-3, trials=10000, seed=2024)
-    ok = (worst <= 1e-9 and coverage.upper_fraction <= 2e-3
-          and coverage.lower_fraction <= 2e-3)
+    # Empirical coverage: Poisson(1000) draws above observed_upper at xi = 1e-3.
+    draws = np.random.default_rng(2024).poisson(1000.0, size=10000)
+    violations = float(np.mean(draws > observed_upper(1000.0, math.log(1e-3))))
+    ok = worst <= 1e-9 and violations <= 2e-3
     _report(2, f"max log residual {worst:.2e} <= 1e-9, coverage violations "
-               f"({coverage.upper_fraction:.1e}, {coverage.lower_fraction:.1e})"
-               f" <= 2e-3", ok)
+               f"{violations:.1e} <= 2e-3", ok)
 
 
 def test_criterion_3_mc_agreement():

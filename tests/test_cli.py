@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from scsqkd.cli import (CSV_HEADER, ConfigError, build_parser, emit_plot,
                         load_config, main, rows_to_csv, run_scan)
@@ -144,12 +145,16 @@ class TestMain:
                      "--mc-validate"]) == 0
         report = (out / "mc_report.csv").read_text()
         lines = report.strip().split("\n")
-        assert lines[0] == "distance_km,N,mode,component,expected,observed,sigma,z"
-        # One line per tally component per feasible row; all z-scores sane.
+        assert lines[0] == "distance_km,N,mode,component,expected,observed"
+        # One line per tally component per feasible row; each count lies
+        # within the five-sigma two-sided tail of its exact binomial law.
         assert len(lines) > 1
+        n = BASE_CONFIG["mc_windows"]
         for line in lines[1:]:
-            z = float(line.split(",")[-1])
-            assert abs(z) <= 5.0
+            expected, observed = (float(v) for v in line.split(",")[-2:])
+            p = expected / n
+            tail = 2.0 * min(binom.cdf(observed, n, p), binom.sf(observed - 1, n, p))
+            assert tail >= math.erfc(5.0 / math.sqrt(2.0)), line
 
     def test_bad_config_returns_error_code(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -217,6 +222,11 @@ class TestMain:
     # These used to be truncated to 2 and run.
     (None, "seed", 2.5),
     (None, "mc_windows", 2.5),
+    # Misspelt keys used to be ignored, their values left at the default.
+    ("security", "eps_col", 1e-10),
+    ("search", "grids", [5, 5]),
+    ("scan", "block", ["1e12"]),
+    (None, "scna", {}),
 ])
 def test_invalid_value_is_a_config_error(tmp_path, capsys, section, key, value):
     cfg = copy.deepcopy(BASE_CONFIG)
@@ -226,7 +236,10 @@ def test_invalid_value_is_a_config_error(tmp_path, capsys, section, key, value):
     out = tmp_path / "out"
     name = f"{section}.{key}" if section else key
     assert main(["scan", "--config", str(path), "--out", str(out), "--mc-validate"]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {name} ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} ")
+    if key not in (BASE_CONFIG[section] if section else BASE_CONFIG):
+        assert err == f"error: {name} is not a known key\n"
     assert not out.exists()  # rejected before any scan work
 
 

@@ -1,6 +1,7 @@
 """Checks on the package source: no dead imports or top-level names, no
-stale exports, and a numpy-only runtime."""
+stale exports, a numpy-only runtime, and README examples that run."""
 import ast
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import scsqkd
+from scsqkd.cli import build_parser, load_config
 
 SOURCES = sorted(Path(scsqkd.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,3 +106,31 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    """Every fenced ``lang`` code block of README.md."""
+    return re.findall(rf"```{lang}\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
+def test_readme_python_blocks_run():
+    blocks = _readme_blocks("python")
+    assert blocks
+    for code in blocks:
+        # The examples import only exported names.
+        imported = [alias.name for node in ast.walk(ast.parse(code))
+                    if isinstance(node, ast.ImportFrom) and node.module == "scsqkd"
+                    for alias in node.names]
+        assert sorted(set(imported) - set(scsqkd.__all__)) == []
+        exec(code, {})
+
+
+def test_readme_json_blocks_load(tmp_path):
+    # Loaded as perfbench/gate.py loads a config, through the CLI parser.
+    blocks = _readme_blocks("json")
+    assert blocks
+    path = tmp_path / "config.json"
+    for text in blocks:
+        path.write_text(text)
+        load_config(str(path), build_parser().parse_args(
+            ["scan", "--config", str(path), "--out", str(tmp_path / "out")]))

@@ -1,4 +1,4 @@
-"""Tests for the Monte Carlo event simulator and coverage checks."""
+"""Tests for the Monte Carlo event simulator."""
 import math
 from dataclasses import replace
 
@@ -10,8 +10,7 @@ from scipy.stats import binom
 
 from scsqkd.channel import (MODES, ChannelParams, ProtocolParams, arm_transmittance,
                             click_prob, detector_means, expected_tallies)
-from scsqkd.mc_oracle import (_CHUNK, CoverageResult, SimConfigError,
-                              coverage_test, require_windows, simulate)
+from scsqkd.mc_oracle import _CHUNK, SimConfigError, require_windows, simulate
 
 CHANNEL = ChannelParams(100.0, 0.2, 0.3, 1e-9, 0.04)
 PROTO = ProtocolParams(p0=0.5, px=0.5, mu_xA=0.1, mu_xB=0.1, N=10**6)
@@ -186,31 +185,3 @@ def test_counts_within_binomial_tails_across_input_box(distance, px, mu_A, mu_B,
         assert tail >= _FIVE_SIGMA_TAIL, (name, getattr(observed, name),
                                           getattr(expected, name), tail)
 
-
-class TestCoverage:
-    def test_violation_fractions_below_budget(self):
-        result = coverage_test(mean=1000.0, xi=1e-3, trials=10000, seed=123)
-        assert isinstance(result, CoverageResult)
-        assert result.upper_fraction <= 2e-3
-        assert result.lower_fraction <= 2e-3
-
-    def test_tiny_xi_never_violated(self):
-        result = coverage_test(mean=1000.0, xi=1e-10, trials=10000, seed=99)
-        assert result.upper_fraction == 0.0
-        assert result.lower_fraction == 0.0
-
-    def test_loose_xi_shows_violations(self):
-        # Sanity check that the test has power: a huge failure probability
-        # must produce a nonzero violation fraction.
-        result = coverage_test(mean=1000.0, xi=0.5, trials=10000, seed=7)
-        assert result.upper_fraction > 0.0
-        assert result.lower_fraction > 0.0
-
-    def test_input_validation(self):
-        with pytest.raises(SimConfigError):
-            coverage_test(mean=0.0, xi=1e-3, trials=10000, seed=1)
-        with pytest.raises(SimConfigError):
-            coverage_test(mean=10.0, xi=1e-3, trials=10, seed=1)
-        for xi in (0.0, 1.0):
-            with pytest.raises(SimConfigError):
-                coverage_test(mean=10.0, xi=xi, trials=10000, seed=1)

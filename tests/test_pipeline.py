@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from scsqkd import pipeline
 from scsqkd.channel import ChannelParams, ProtocolParams
+from scsqkd.optimizer import optimize
 from scsqkd.pipeline import (InfeasibleError, SecurityConfig, SourceCalibration,
                              evaluate_point, evaluate_points)
 
@@ -47,3 +49,24 @@ def test_batch_equals_evaluate_point(block, mode):
     assert np.array_equal(batch.feasible, ~raised)
     edge = np.abs(mu - MU_EDGE) < 1e-12
     assert batch.feasible[edge].any() and not batch.feasible[edge].all()
+
+
+@pytest.mark.parametrize("block", [0.5, "1e12", True, 0, math.inf, math.nan,
+                                   pytest.param(10**400, id="10**400"),
+                                   "Asymptotic"])
+def test_invalid_block_size_is_named(block):
+    # 0.5, "1e12" and True used to give a report; 0 raised ZeroDivisionError,
+    # inf and nan an error about log_xi.
+    proto = ProtocolParams(p0=0.5, px=0.5, mu_xA=0.1, mu_xB=0.1, N=1)
+    with pytest.raises(ValueError, match="block_size"):
+        evaluate_point(CHANNEL_50, CALIB, proto, SecurityConfig(), block)
+
+
+def test_optimize_rejects_block_size_before_evaluating(monkeypatch):
+    # optimize(..., 0.5) used to run the whole search, then fail building
+    # the optimal ProtocolParams.
+    def fail(*args, **kwargs):
+        raise AssertionError("evaluated a candidate")
+    monkeypatch.setattr(pipeline, "tally_arrays", fail)
+    with pytest.raises(ValueError, match="block_size"):
+        optimize(CHANNEL_50, CALIB, 0.5, SecurityConfig())
