@@ -144,23 +144,32 @@ def visibility(e_d: float) -> float:
     return 1.0 - 2.0 * e_d
 
 
-def detector_means(kind: str, mu_A, mu_B, eta: float, e_d: float,
+def _require_nonnegative(mu_A, mu_B, eta) -> None:
+    if min(np.min(mu_A), np.min(mu_B), np.min(eta)) < 0.0:
+        raise ChannelModelError("intensities and transmittance must be nonnegative")
+
+
+def detector_means(kind: str, mu_A, mu_B, eta, e_d: float,
                    cos_delta=1.0) -> tuple:
     """Mean photon numbers (nu_L, nu_R) at the two detectors for one window.
 
     ``cos_delta`` is the cosine of the phase difference between the two
     incoming pulses; 1.0 corresponds to Charlie's compensated (improved)
     setting, where B-window energy is steered to the left port.  It only
-    affects B windows.  The intensities and ``cos_delta`` may be NumPy
-    arrays, in which case the means are arrays too.
+    affects B windows.  The intensities, ``eta`` and ``cos_delta`` may be
+    NumPy arrays, in which case the means are arrays too.
 
     A B window's means are ``eta ((sqrt(mu_A) - sqrt(mu_B))^2 / 2
     + sqrt(mu_A mu_B) (1 +- cos_delta) -+ 2 e_d sqrt(mu_A mu_B) cos_delta)``:
     at a compensated phase every term is nonnegative, so the dark port's
     mean keeps full precision at small misalignment.
     """
-    if min(np.min(mu_A), np.min(mu_B), eta) < 0.0:
-        raise ChannelModelError("intensities and transmittance must be nonnegative")
+    _require_nonnegative(mu_A, mu_B, eta)
+    return _means(kind, mu_A, mu_B, eta, e_d, cos_delta)
+
+
+def _means(kind: str, mu_A, mu_B, eta, e_d: float, cos_delta=1.0) -> tuple:
+    """:func:`detector_means` without its nonnegativity check."""
     if kind == "O":
         return 0.0, 0.0
     if kind == "Z_A":
@@ -244,9 +253,12 @@ def _scaled_i0_minus_1(c, a):
     return out
 
 
-def b_window_prob(mu_A, mu_B, eta: float, e_d: float, p_d: float,
+def b_window_prob(mu_A, mu_B, eta, e_d: float, p_d: float,
                   mode: str = "improved"):
     """Heralding probability of a both-coherent window, elementwise.
+
+    The intensities and ``eta`` must be nonnegative; this is not checked
+    here (:func:`tally_arrays` checks it).
 
     In baseline mode the phase difference is uniform in [0, 2pi).  Averaging
     the exactly-one-click probability over it gives the closed form
@@ -257,33 +269,33 @@ def b_window_prob(mu_A, mu_B, eta: float, e_d: float, p_d: float,
     if mode not in MODES:
         raise ChannelModelError(f"unknown mode {mode!r}")
     if mode == "improved":
-        nu_l, nu_r = detector_means("B", mu_A, mu_B, eta, e_d)
-        return effective_prob(nu_l, nu_r, p_d)
+        return effective_prob(*_means("B", mu_A, mu_B, eta, e_d), p_d)
     a = eta * (mu_A + mu_B) / 2.0
     c = abs(visibility(e_d)) * eta * np.sqrt(mu_A * mu_B)
     q = 1.0 - p_d
     return 2.0 * q * (_scaled_i0_minus_1(c, a) + np.exp(-a) * click_prob(a, p_d))
 
 
-def tally_arrays(p0, px, mu_A, mu_B, N: float, channel: ChannelParams,
+def tally_arrays(p0, px, mu_A, mu_B, N, eta, e_d: float, p_d: float,
                  mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expected effective-window counts (n_O, n_B, n_Z) over N windows.
 
-    Elementwise over arrays of source-choice probabilities and intensities;
-    see :func:`expected_tallies`.
+    Elementwise over arrays of source-choice probabilities and intensities,
+    at block sizes ``N`` and one-arm transmittances ``eta`` that are scalars
+    or arrays of one value per element; see :func:`expected_tallies`.
     """
-    eta = arm_transmittance(channel)
+    _require_nonnegative(mu_A, mu_B, eta)
     # O and Z windows are insensitive to Charlie's phase compensation, so
     # both modes use the single-detector heralding rule there; only B
-    # windows depend on the mode.
-    probs = {}
-    for kind in ("O", "Z_A", "Z_B"):
-        nu_l, nu_r = detector_means(kind, mu_A, mu_B, eta, channel.e_d)
-        probs[kind] = effective_prob(nu_l, nu_r, channel.p_d)
-    p_b = b_window_prob(mu_A, mu_B, eta, channel.e_d, channel.p_d, mode)
-    return (N * p0 * p0 * probs["O"],
+    # windows depend on the mode.  No light reaches either detector in an
+    # O window.
+    p_o = effective_prob(0.0, 0.0, p_d)
+    p_za = effective_prob(*_means("Z_A", mu_A, mu_B, eta, e_d), p_d)
+    p_zb = effective_prob(*_means("Z_B", mu_A, mu_B, eta, e_d), p_d)
+    p_b = b_window_prob(mu_A, mu_B, eta, e_d, p_d, mode)
+    return (N * p0 * p0 * p_o,
             N * px * px * p_b,
-            N * p0 * px * (probs["Z_A"] + probs["Z_B"]))
+            N * p0 * px * (p_za + p_zb))
 
 
 def expected_tallies(protocol: ProtocolParams, channel: ChannelParams) -> WindowTally:
@@ -294,6 +306,7 @@ def expected_tallies(protocol: ProtocolParams, channel: ChannelParams) -> Window
     """
     counts = tally_arrays(np.array([protocol.p0]), np.array([protocol.px]),
                           np.array([protocol.mu_xA]), np.array([protocol.mu_xB]),
-                          protocol.N, channel, protocol.mode)
+                          protocol.N, arm_transmittance(channel), channel.e_d,
+                          channel.p_d, protocol.mode)
     n_O, n_B, n_Z = (float(c[0]) for c in counts)
     return WindowTally(n_O=n_O, n_B=n_B, n_Z=n_Z)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .channel import MODES, ChannelParams, ProtocolParams, expected_tallies
 from .mc_oracle import SimConfigError, require_seed, require_windows, simulate
-from .optimizer import NoFeasiblePointError, SearchSpace, optimize
+from .optimizer import SearchSpace, optimize_points
 from .pipeline import ASYMPTOTIC, SecurityConfig, SourceCalibration, require_block
 
 CSV_HEADER = ("distance_km,N,mode,px,mu_x,mu_virtual_A,mu_virtual_B,"
@@ -120,18 +120,22 @@ def _section(raw: dict, name: str, template, keys: dict, required: bool = False)
 
 
 def _block_label(name: str, raw) -> str:
-    """"asymptotic", or a finite block size of at least 1 as an integer string.
+    """"asymptotic", or a finite whole block size of at least 1 as an integer
+    string.
 
-    A number may also be written as a string, such as "1e12".
+    A number may also be written as a string, such as "1e12"; a fractional
+    one, such as "12345.6", is rejected, not truncated.
     """
     if raw == ASYMPTOTIC:
         return ASYMPTOTIC
     try:
         value = raw if isinstance(raw, bool) else float(raw)
         require_block(value)
+        if not value.is_integer():
+            raise ValueError(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} holds an invalid block size {raw!r}: "
-                          f"need {ASYMPTOTIC!r} or a number >= 1")
+                          f"need {ASYMPTOTIC!r} or a whole number >= 1")
     return str(int(value))
 
 
@@ -221,32 +225,30 @@ def _block_value(label: str):
     return ASYMPTOTIC if label == ASYMPTOTIC else float(label)
 
 
-def _scan_one(cfg: ScanConfig, distance: float, block_label: str, mode: str) -> dict:
-    channel = replace(cfg.channel, distance_km=distance)
-    row = {"distance_km": distance, "N": block_label, "mode": mode,
-           "px": 0.0, "mu_x": 0.0, "mu_virtual_A": 0.0, "mu_virtual_B": 0.0,
-           "n_O": 0.0, "n_B": 0.0, "n_Z": 0.0, "E_Z": 0.0, "e_ph": 0.0,
-           "R_col": 0.0, "R_coh": 0.0, "feasible_flag": 0}
-    try:
-        protocol, report = optimize(channel, cfg.calib, _block_value(block_label),
-                                    cfg.security, cfg.space, mode)
-    except NoFeasiblePointError:
-        return row
-    tally = report.tally
-    row.update({
-        "px": protocol.px, "mu_x": protocol.mu_xA,
-        "mu_virtual_A": report.mu_virtual_A, "mu_virtual_B": report.mu_virtual_B,
-        "n_O": tally.n_O, "n_B": tally.n_B, "n_Z": tally.n_Z,
-        "E_Z": tally.E_Z, "e_ph": report.e_ph,
-        "R_col": report.R_col, "R_coh": report.R_coh, "feasible_flag": 1,
-    })
-    return row
-
-
 def run_scan(cfg: ScanConfig) -> list[dict]:
     """Optimize and evaluate every (distance, block size, mode) point."""
-    rows = [_scan_one(cfg, d, b, m) for d in cfg.distances for b in cfg.blocks
-            for m in cfg.modes]
+    keys = [(d, b, m) for d in cfg.distances for b in cfg.blocks for m in cfg.modes]
+    results = optimize_points(
+        [(replace(cfg.channel, distance_km=d), _block_value(b), m) for d, b, m in keys],
+        cfg.calib, cfg.security, cfg.space)
+    rows = []
+    for (distance, block_label, mode), result in zip(keys, results):
+        row = {"distance_km": distance, "N": block_label, "mode": mode,
+               "px": 0.0, "mu_x": 0.0, "mu_virtual_A": 0.0, "mu_virtual_B": 0.0,
+               "n_O": 0.0, "n_B": 0.0, "n_Z": 0.0, "E_Z": 0.0, "e_ph": 0.0,
+               "R_col": 0.0, "R_coh": 0.0, "feasible_flag": 0}
+        if result is not None:
+            protocol, report = result
+            tally = report.tally
+            row.update({
+                "px": protocol.px, "mu_x": protocol.mu_xA,
+                "mu_virtual_A": report.mu_virtual_A,
+                "mu_virtual_B": report.mu_virtual_B,
+                "n_O": tally.n_O, "n_B": tally.n_B, "n_Z": tally.n_Z,
+                "E_Z": tally.E_Z, "e_ph": report.e_ph,
+                "R_col": report.R_col, "R_coh": report.R_coh, "feasible_flag": 1,
+            })
+        rows.append(row)
     rows.sort(key=lambda r: (r["distance_km"],
                              math.inf if r["N"] == ASYMPTOTIC else float(r["N"]),
                              MODES.index(r["mode"])))

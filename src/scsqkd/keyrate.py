@@ -26,7 +26,12 @@ class SecurityBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class SecurityParams:
-    """Resolved composable-security budget (component logs, natural base)."""
+    """Resolved composable-security budget (component logs, natural base).
+
+    :func:`security_budget` gives floats for one block size; a batch of
+    candidates at several block sizes carries one array per field, one value
+    per candidate.
+    """
 
     log_eps_col: float
     log_eps_cor: float
@@ -83,8 +88,10 @@ def collective_rate_array(n_Z, e_ph, leak, sec: SecurityParams | None,
                           N: float) -> np.ndarray:
     """Signed collective-attack rates for n_Z > 0, with the leakage given.
 
-    ``sec=None`` is the asymptotic rate ``n_Z (1 - H(e_ph)) - leak`` of one
-    window, without the finite-size terms.
+    Elementwise; ``N`` and the fields of ``sec`` may be arrays of one value
+    per element.  ``sec=None`` is the asymptotic rate
+    ``n_Z (1 - H(e_ph)) - leak`` of one window, without the finite-size
+    terms.
     """
     rate = n_Z * (1.0 - binary_entropy(e_ph)) - leak
     if sec is None:

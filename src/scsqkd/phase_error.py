@@ -39,18 +39,20 @@ def _mean_count(nO_U, nB_U, N, p0, px, c0, c1, c2):
     )
 
 
-def phase_error_arrays(n_O, n_B, n_Z, N: float, p0, px, c0, c1, c2,
-                       log_xi: float | None) -> tuple[np.ndarray, ...]:
+def phase_error_arrays(n_O, n_B, n_Z, N, p0, px, c0, c1, c2,
+                       log_xi) -> tuple[np.ndarray, ...]:
     """(mean_nO_U, mean_nB_U, mean_Nph_U, Nph_U, e_ph) elementwise.
 
-    Needs n_Z > 0.  ``log_xi=None`` is the asymptotic bound: the counts are
+    Needs n_Z > 0.  ``N`` and ``log_xi`` are scalars or arrays of one value
+    per element.  ``log_xi=None`` is the asymptotic bound: the counts are
     taken as exact expected values, with no Chernoff slack.
     """
     if log_xi is None:
         nO_U, nB_U = n_O, n_B
     else:
-        nO_U, nB_U = np.split(
-            expectation_upper(np.concatenate((n_O, n_B)), log_xi), 2)
+        # Two solves, not one over the concatenated counts: a solve's
+        # temporaries set the peak memory of a large pass.
+        nO_U, nB_U = expectation_upper(n_O, log_xi), expectation_upper(n_B, log_xi)
     mean_nph = _mean_count(nO_U, nB_U, N, p0, px, c0, c1, c2)
     nph = mean_nph if log_xi is None else observed_upper(mean_nph, log_xi)
     return nO_U, nB_U, mean_nph, nph, np.minimum(nph / n_Z, 0.5)

@@ -8,19 +8,22 @@ and all finite-size penalty terms vanish.
 
 :func:`evaluate_points` evaluates an array of candidates in one pass, with a
 feasibility mask where the source bounds admit no virtual-protocol mapping;
-:func:`evaluate_point` is the same computation on one candidate.
+each candidate has its own transmittance and block size, so one pass can
+span several distances and block sizes.  :func:`evaluate_point` is the same
+computation on one candidate.
 """
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from numbers import Integral, Real
 
 import numpy as np
 
-from .channel import ChannelParams, ProtocolParams, WindowTally, tally_arrays
-from .keyrate import (KeyRateReport, SecurityParams, collective_rate_array,
-                      ec_leakage_array, key_rate_coherent, security_budget)
+from .channel import (ChannelParams, ProtocolParams, WindowTally,
+                      arm_transmittance, tally_arrays)
+from .keyrate import (KeyRateReport, SecurityParams, coherent_attack_penalty,
+                      collective_rate_array, ec_leakage_array, security_budget)
 from .mapping import require_amplitude, require_fluct, virtual_intensity_array
 from .phase_error import decomposition_arrays, phase_error_arrays
 
@@ -90,9 +93,11 @@ class SecurityConfig:
 
 @dataclass(frozen=True)
 class PointBatch:
-    """Elementwise evaluation of candidates at one block size.
+    """Elementwise evaluation of candidates.
 
-    Entries where ``feasible`` is False carry no meaning.
+    Entries where ``feasible`` is False carry no meaning.  Candidate ``i``
+    was evaluated under the security budget ``budgets[block[i]]`` (None in
+    asymptotic mode).
     """
 
     feasible: np.ndarray
@@ -105,7 +110,8 @@ class PointBatch:
     leak_EC: np.ndarray
     R_col_signed: np.ndarray
     R_coh_signed: np.ndarray
-    budget: SecurityParams | None  # None in asymptotic mode
+    budgets: tuple[SecurityParams | None, ...]
+    block: np.ndarray
 
     def report(self, i: int) -> KeyRateReport:
         """Key-rate report of candidate ``i``."""
@@ -115,41 +121,66 @@ class PointBatch:
             leak_EC=float(self.leak_EC[i]),
             tally=WindowTally(n_O=float(self.n_O[i]), n_B=float(self.n_B[i]),
                               n_Z=float(self.n_Z[i])),
-            budget=self.budget, R_col_signed=r_col, R_coh_signed=r_coh,
-            mu_virtual_A=float(self.mu_virtual_A[i]),
+            budget=self.budgets[self.block[i]], R_col_signed=r_col,
+            R_coh_signed=r_coh, mu_virtual_A=float(self.mu_virtual_A[i]),
             mu_virtual_B=float(self.mu_virtual_B[i]))
 
 
 def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
                     p0: np.ndarray, px: np.ndarray, mu_A: np.ndarray,
-                    mu_B: np.ndarray, security: SecurityConfig,
-                    block_size: float | str, mode: str = "improved") -> PointBatch:
+                    mu_B: np.ndarray, eta, security: SecurityConfig,
+                    block_size, mode: str = "improved") -> PointBatch:
     """Key rates of the candidates (p0[i], px[i], mu_A[i], mu_B[i]).
 
-    The arrays must satisfy what :class:`ProtocolParams` checks for one
-    candidate.  Each element's result is the one :func:`evaluate_point`
+    ``eta`` is the one-arm transmittance and ``block_size`` the block size,
+    each a scalar or an array of one value per candidate; ``channel`` gives
+    the dark-count and misalignment probabilities, and its distance is not
+    read.  A pass is either asymptotic (``block_size`` is ASYMPTOTIC) or
+    finite.  The arrays must satisfy what :class:`ProtocolParams` checks for
+    one candidate.  Each element's result is the one :func:`evaluate_point`
     gives for that candidate alone.
     """
-    require_block(block_size)
+    # Security budget and coherent-attack penalty are computed once per
+    # distinct block size by the scalar formulas (numpy's log1p and log2
+    # need not match libm to the last bit), then indexed per candidate.
+    if isinstance(block_size, np.ndarray):
+        sizes, block = np.unique(block_size, return_inverse=True)
+        sizes = sizes.tolist()
+    else:
+        sizes, block = [block_size], np.zeros(np.shape(p0), dtype=np.intp)
+    for size in sizes:
+        require_block(size)
     mu_vA, ok_A = virtual_intensity_array(mu_A, calib.av0, calib.fluct)
     mu_vB, ok_B = virtual_intensity_array(mu_B, calib.bv0, calib.fluct)
-    asymptotic = block_size == ASYMPTOTIC
-    n = 1.0 if asymptotic else float(block_size)
-    sec = None if asymptotic else security_budget(security.eps_coh_target, n,
-                                                  security.d)
-    n_O, n_B, n_Z = tally_arrays(p0, px, mu_A, mu_B, n, channel, mode)
+    asymptotic = sizes == [ASYMPTOTIC]
+    if asymptotic:
+        n, budgets = 1.0, (None,)
+    else:
+        sizes = [float(size) for size in sizes]
+        n = np.array(sizes)[block]
+        budgets = tuple(security_budget(security.eps_coh_target, size, security.d)
+                        for size in sizes)
+    n_O, n_B, n_Z = tally_arrays(p0, px, mu_A, mu_B, n, eta, channel.e_d,
+                                 channel.p_d, mode)
     leak = ec_leakage_array(n_O, n_B, n_Z, security.f)
     has_z = n_Z > 0.0
     e_ph = phase_error_arrays(
         n_O, n_B, np.where(has_z, n_Z, 1.0), n, p0, px,
         *decomposition_arrays(mu_vA, mu_vB),
-        log_xi=None if sec is None else sec.log_epsilon)[-1]
+        log_xi=None if asymptotic else np.array(
+            [budget.log_epsilon for budget in budgets])[block])[-1]
     e_ph = np.where(has_z, e_ph, 0.5)
+    # The per-candidate budget is built after the Chernoff solves, whose
+    # temporaries set the pass's peak memory.
+    sec = None if asymptotic else SecurityParams(
+        *(np.array(field)[block] for field in zip(*map(astuple, budgets))))
     r_col = np.where(has_z, collective_rate_array(n_Z, e_ph, leak, sec, n), -np.inf)
-    r_coh = r_col if sec is None else key_rate_coherent(r_col, n, security.d)
+    r_coh = r_col if asymptotic else r_col - np.array(
+        [coherent_attack_penalty(size, security.d) for size in sizes])[block]
     return PointBatch(feasible=ok_A & ok_B, mu_virtual_A=mu_vA, mu_virtual_B=mu_vB,
                       n_O=n_O, n_B=n_B, n_Z=n_Z, e_ph=e_ph, leak_EC=leak,
-                      R_col_signed=r_col, R_coh_signed=r_coh, budget=sec)
+                      R_col_signed=r_col, R_coh_signed=r_coh, budgets=budgets,
+                      block=block)
 
 
 def evaluate_point(channel: ChannelParams, calib: SourceCalibration,
@@ -164,8 +195,8 @@ def evaluate_point(channel: ChannelParams, calib: SourceCalibration,
     """
     one = [np.array([v]) for v in (protocol.p0, protocol.px,
                                    protocol.mu_xA, protocol.mu_xB)]
-    batch = evaluate_points(channel, calib, *one, security, block_size,
-                            protocol.mode)
+    batch = evaluate_points(channel, calib, *one, arm_transmittance(channel),
+                            security, block_size, protocol.mode)
     if not batch.feasible[0]:
         raise InfeasibleError(
             f"no virtual-protocol mapping for mu_xA={protocol.mu_xA!r}, "

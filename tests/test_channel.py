@@ -76,6 +76,16 @@ class TestDetectorMeans:
         with pytest.raises(ChannelModelError):
             detector_means("X", 0.1, 0.1, 0.03, 0.04)
 
+    @pytest.mark.parametrize("mu_A, mu_B, eta", [
+        (-0.1, 0.1, 0.03), (0.1, np.array([0.1, -1e-12]), 0.03),
+        (0.1, 0.1, np.array([0.03, -0.03]))])
+    def test_negative_input_raises(self, mu_A, mu_B, eta):
+        with pytest.raises(ChannelModelError, match="nonnegative"):
+            detector_means("Z_A", mu_A, mu_B, eta, 0.04)
+        half = np.full(3, 0.5)
+        with pytest.raises(ChannelModelError, match="nonnegative"):
+            tally_arrays(half, half, mu_A, mu_B, 1e10, eta, 0.04, 1e-9, "improved")
+
     def test_visibility_convention(self):
         assert visibility(0.04) == pytest.approx(0.92, rel=1e-15)
 
@@ -149,7 +159,8 @@ class TestBWindowProb:
         chan = ChannelParams(0.0, 0.2, 1.0, 1e-9, 0.0)
         mu = np.array([0.5, 2.5, 800.0, 1.9, 699.0, 1e4, 2.0, 701.0])
         px = np.full(mu.shape, 0.5)
-        _, n_b, _ = tally_arrays(1.0 - px, px, mu, mu, 1.0, chan, "baseline")
+        _, n_b, _ = tally_arrays(1.0 - px, px, mu, mu, 1.0, arm_transmittance(chan),
+                                 chan.e_d, chan.p_d, "baseline")
         scalar = [0.25 * b_window_prob(m, m, 1.0, 0.0, 1e-9, "baseline") for m in mu]
         assert n_b.tolist() == scalar
 

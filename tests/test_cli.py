@@ -6,15 +6,20 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from scsqkd import optimizer
+from scsqkd.channel import arm_transmittance
 from scsqkd.cli import (CSV_HEADER, ConfigError, build_parser, emit_plot,
                         load_config, main, rows_to_csv, run_scan)
+from scsqkd.pipeline import ASYMPTOTIC, evaluate_points
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -68,10 +73,24 @@ class TestLoadConfig:
             load_config(str(path), _no_overrides())
 
     def test_bad_block_size(self, tmp_path):
+        # "12345.6" and 12345.6 used to run at N = 12345.
+        for block in ("huge", "12345.6", 12345.6, "1e-3"):
+            path = _write_config(tmp_path, {"scan": {
+                "distance": [0, 50, 50], "blocks": [block], "modes": ["improved"]}})
+            with pytest.raises(ConfigError,
+                               match="scan.blocks holds an invalid block size"):
+                load_config(path, _no_overrides())
+            ns = argparse.Namespace(distance=None, blocks=f"1e10,{block}", mode=None,
+                                    seed=None, mc_validate=False)
+            with pytest.raises(ConfigError, match="--blocks holds an invalid block size"):
+                load_config(_write_config(tmp_path), ns)
+
+    def test_whole_block_sizes_in_any_spelling(self, tmp_path):
         path = _write_config(tmp_path, {"scan": {
-            "distance": [0, 50, 50], "blocks": ["huge"], "modes": ["improved"]}})
-        with pytest.raises(ConfigError, match="block"):
-            load_config(path, _no_overrides())
+            "distance": [0, 50, 50], "blocks": ["1e12", "3.162278e+10", 12345.0],
+            "modes": ["improved"]}})
+        assert load_config(path, _no_overrides()).blocks == (
+            "1000000000000", "31622780000", "12345")
 
     def test_bad_mode(self, tmp_path):
         path = _write_config(tmp_path, {"scan": {
@@ -109,6 +128,111 @@ class TestCsvEmission:
 
     def test_empty_table_is_header_only(self):
         assert rows_to_csv([]) == CSV_HEADER + "\n"
+
+
+def _reference_row(cfg, distance: float, label: str, mode: str) -> dict:
+    """One scan row from a search of this point alone: a coarse sweep, then
+    ``refine_rounds`` sweeps around the incumbent, each one array pass.
+    Within a sweep the first feasible maximum in (px, mu) order wins; a later
+    sweep needs a strictly larger rate."""
+    channel = replace(cfg.channel, distance_km=distance)
+    block = label if label == ASYMPTOTIC else float(label)
+    space = cfg.space
+
+    def axis(lo, hi, n, log):
+        if n == 1 or lo == hi:
+            return [lo]
+        return (np.geomspace if log else np.linspace)(lo, hi, n).tolist()
+
+    best = None
+
+    def sweep(px_vals, mu_vals):
+        nonlocal best
+        px, mu = (g.ravel() for g in np.meshgrid(px_vals, mu_vals, indexing="ij"))
+        batch = evaluate_points(channel, cfg.calib, 1.0 - px, px, mu, mu,
+                                arm_transmittance(channel), cfg.security, block, mode)
+        feasible = np.flatnonzero(batch.feasible)
+        if feasible.size:
+            k = int(feasible[np.argmax(batch.R_coh_signed[feasible])])
+            if best is None or batch.R_coh_signed[k] > best[0]:
+                best = (float(batch.R_coh_signed[k]), float(px[k]), float(mu[k]),
+                        batch.report(k))
+
+    (px_lo, px_hi), (mu_lo, mu_hi), (n_px, n_mu) = (space.px_range, space.mu_range,
+                                                    space.grid)
+    sweep(axis(px_lo, px_hi, n_px, False), axis(mu_lo, mu_hi, n_mu, True))
+    px_width, log_mu_width = px_hi - px_lo, math.log(mu_hi / mu_lo)
+    for _ in range(space.refine_rounds if best else 0):
+        px_width /= space.shrink
+        log_mu_width /= space.shrink
+        _, px_c, mu_c, _ = best
+        sweep(axis(max(px_lo, px_c - px_width / 2.0), min(px_hi, px_c + px_width / 2.0),
+                   n_px, False),
+              axis(max(mu_lo, mu_c * math.exp(-log_mu_width / 2.0)),
+                   min(mu_hi, mu_c * math.exp(log_mu_width / 2.0)), n_mu, True))
+    row = {"distance_km": distance, "N": label, "mode": mode, "px": 0.0, "mu_x": 0.0,
+           "mu_virtual_A": 0.0, "mu_virtual_B": 0.0, "n_O": 0.0, "n_B": 0.0,
+           "n_Z": 0.0, "E_Z": 0.0, "e_ph": 0.0, "R_col": 0.0, "R_coh": 0.0,
+           "feasible_flag": 0}
+    if best is not None:
+        _, px, mu, report = best
+        tally = report.tally
+        row.update(px=px, mu_x=mu, mu_virtual_A=report.mu_virtual_A,
+                   mu_virtual_B=report.mu_virtual_B, n_O=tally.n_O, n_B=tally.n_B,
+                   n_Z=tally.n_Z, E_Z=tally.E_Z, e_ph=report.e_ph, R_col=report.R_col,
+                   R_coh=report.R_coh, feasible_flag=1)
+    return row
+
+
+class TestBatchedScan:
+    def test_batched_scan_equals_per_point_search(self, tmp_path):
+        # Two finite blocks and the asymptotic one in both modes, without
+        # dark counts.  At 20050 km every rate is far below zero; at 40050 km
+        # the transmittance underflows to 0, so n_Z = 0 and every feasible
+        # rate is -inf: the first feasible candidate, (0.01, 1e-4), wins.
+        path = _write_config(tmp_path, {
+            "channel": dict(BASE_CONFIG["channel"], p_d=0.0),
+            "search": {"px_range": [0.01, 0.99], "mu_range": [1e-4, 1.0],
+                       "grid": [8, 7], "refine_rounds": 2, "shrink": 4.0},
+            "scan": {"distance": [50, 40050, 20000],
+                     "blocks": ["1e10", "1e13", "asymptotic"],
+                     "modes": ["improved", "baseline"]}})
+        cfg = load_config(path, _no_overrides())
+        rows = run_scan(cfg)
+        assert len(rows) == 3 * 3 * 2
+        for row in rows:
+            assert row == _reference_row(cfg, row["distance_km"], row["N"], row["mode"])
+        far = [row for row in rows if row["distance_km"] == 40050.0]
+        assert len(far) == 6
+        for row in far:
+            assert (row["px"], row["mu_x"], row["feasible_flag"], row["R_coh"]) == (
+                0.01, 1e-4, 1, 0.0)
+        assert any(row["R_coh"] > 0.0 for row in rows)
+
+    @pytest.mark.parametrize("chunk, passes", [
+        (None, 3 * 2),       # one pass per round and mode
+        (60, 3 * 2 * 3),     # two 25-candidate points per pass
+        (20, 3 * 2 * 6)])    # each point larger than the limit, a pass of its own
+    def test_one_pass_per_round_and_group(self, tmp_path, monkeypatch, chunk, passes):
+        path = _write_config(tmp_path, {
+            "search": {"px_range": [0.05, 0.5], "mu_range": [1e-3, 0.1],
+                       "grid": [5, 5], "refine_rounds": 2, "shrink": 4.0},
+            "scan": {"distance": [0, 100, 50], "blocks": ["1e10", "1e12"],
+                     "modes": ["improved", "baseline"]}})
+        cfg = load_config(path, _no_overrides())
+        expected = run_scan(cfg)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].size)
+            return evaluate_points(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "evaluate_points", counted)
+        if chunk is not None:
+            monkeypatch.setattr(optimizer, "_CHUNK", chunk)
+        assert run_scan(cfg) == expected
+        assert len(calls) == passes
+        assert sum(calls) == 3 * 12 * 25  # 3 rounds of 12 points of 25
 
 
 class TestPlot:
@@ -227,6 +351,8 @@ class TestMain:
     ("search", "grids", [5, 5]),
     ("scan", "block", ["1e12"]),
     (None, "scna", {}),
+    # A fractional block size used to be truncated and run.
+    ("scan", "blocks", ["12345.6"]),
 ])
 def test_invalid_value_is_a_config_error(tmp_path, capsys, section, key, value):
     cfg = copy.deepcopy(BASE_CONFIG)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scsqkd.channel import ChannelParams
+from scsqkd.channel import ChannelParams, arm_transmittance
 from scsqkd.mapping import (MappingError, check_mapping_condition,
                             virtual_intensity, virtual_intensity_array)
 from scsqkd.pipeline import SecurityConfig, SourceCalibration, evaluate_points
@@ -22,7 +22,8 @@ def _virtual(mu: float, fluct: float) -> float:
 
 def _evaluate(mu_A: float, mu_B: float, calib: SourceCalibration):
     one = [np.array([v]) for v in (0.5, 0.5, mu_A, mu_B)]
-    return evaluate_points(ChannelParams(50.0, 0.2, 0.3, 1e-9, 0.04), calib, *one,
+    channel = ChannelParams(50.0, 0.2, 0.3, 1e-9, 0.04)
+    return evaluate_points(channel, calib, *one, arm_transmittance(channel),
                            SecurityConfig(), "asymptotic")
 
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from scsqkd.channel import ChannelParams
+from scsqkd.channel import ChannelParams, arm_transmittance
 from scsqkd.optimizer import NoFeasiblePointError, SearchSpace, optimize
 from scsqkd.pipeline import SecurityConfig, SourceCalibration, evaluate_points
 
@@ -15,7 +15,8 @@ def _grid_rates(px_vals, mu_vals) -> np.ndarray:
     """Unclamped coherent rates at the feasible points of a (px, mu) grid,
     at 50 km and N = 1e12."""
     px, mu = (g.ravel() for g in np.meshgrid(px_vals, mu_vals, indexing="ij"))
-    batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu, SECURITY, 1e12)
+    batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu,
+                            arm_transmittance(CHANNEL_50), SECURITY, 1e12)
     return batch.R_coh_signed[batch.feasible]
 
 

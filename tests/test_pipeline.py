@@ -1,11 +1,12 @@
 """Tests for the array evaluation of candidates against the one-point path."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from scsqkd import pipeline
-from scsqkd.channel import ChannelParams, ProtocolParams
+from scsqkd.channel import ChannelParams, ProtocolParams, arm_transmittance
 from scsqkd.optimizer import optimize
 from scsqkd.pipeline import (InfeasibleError, SecurityConfig, SourceCalibration,
                              evaluate_point, evaluate_points)
@@ -32,7 +33,7 @@ def _sweep():
 def test_batch_equals_evaluate_point(block, mode):
     px, mu = _sweep()
     batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu,
-                            SecurityConfig(), block, mode)
+                            arm_transmittance(CHANNEL_50), SecurityConfig(), block, mode)
     raised = np.zeros(px.size, dtype=bool)
     for i, (p, m) in enumerate(zip(px.tolist(), mu.tolist())):
         proto = ProtocolParams(p0=1.0 - p, px=p, mu_xA=m, mu_xB=m, N=1, mode=mode)
@@ -49,6 +50,26 @@ def test_batch_equals_evaluate_point(block, mode):
     assert np.array_equal(batch.feasible, ~raised)
     edge = np.abs(mu - MU_EDGE) < 1e-12
     assert batch.feasible[edge].any() and not batch.feasible[edge].all()
+
+
+@pytest.mark.parametrize("mode", ["improved", "baseline"])
+def test_mixed_batch_equals_evaluate_point(mode):
+    # One finite pass over candidates at four distances and three block
+    # sizes, interleaved.
+    px, mu = _sweep()
+    channels = [replace(CHANNEL_50, distance_km=d) for d in (0.0, 50.0, 150.0, 400.0)]
+    blocks = (1e10, 1e12, 1e14)
+    which = np.arange(px.size)
+    eta = np.array([arm_transmittance(c) for c in channels])[which % 4]
+    block = np.array(blocks)[which % 3]
+    batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu, eta,
+                            SecurityConfig(), block, mode)
+    for i in np.flatnonzero(batch.feasible).tolist():
+        proto = ProtocolParams(p0=1.0 - px[i], px=px[i], mu_xA=mu[i], mu_xB=mu[i],
+                               N=1, mode=mode)
+        assert evaluate_point(channels[i % 4], CALIB, proto, SecurityConfig(),
+                              blocks[i % 3]) == batch.report(i)
+    assert batch.feasible.sum() > 300
 
 
 @pytest.mark.parametrize("block", [0.5, "1e12", True, 0, math.inf, math.nan,
