@@ -5,7 +5,7 @@ from .channel import (ChannelParams, ProtocolParams, WindowTally,
                       expected_tallies)
 from .chernoff import expectation_upper, observed_upper
 from .keyrate import (KeyRateReport, SecurityParams, binary_entropy,
-                      key_rate_coherent, security_budget)
+                      security_budget)
 from .mapping import check_mapping_condition, virtual_intensity
 from .mc_oracle import simulate
 from .optimizer import NoFeasiblePointError, SearchSpace, optimize
@@ -33,7 +33,6 @@ __all__ = [
     "evaluate_points",
     "expectation_upper",
     "expected_tallies",
-    "key_rate_coherent",
     "observed_upper",
     "optimize",
     "security_budget",

@@ -280,9 +280,10 @@ def tally_arrays(p0, px, mu_A, mu_B, N, eta, e_d: float, p_d: float,
                  mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expected effective-window counts (n_O, n_B, n_Z) over N windows.
 
-    Elementwise over arrays of source-choice probabilities and intensities,
-    at block sizes ``N`` and one-arm transmittances ``eta`` that are scalars
-    or arrays of one value per element; see :func:`expected_tallies`.
+    Elementwise over source-choice probabilities, intensities, block sizes
+    ``N`` and one-arm transmittances ``eta`` that broadcast together; each
+    heralding probability is computed on the shape of the intensities and
+    ``eta``.  See :func:`expected_tallies`.
     """
     _require_nonnegative(mu_A, mu_B, eta)
     # O and Z windows are insensitive to Charlie's phase compensation, so

@@ -29,8 +29,8 @@ class SecurityParams:
     """Resolved composable-security budget (component logs, natural base).
 
     :func:`security_budget` gives floats for one block size; a batch of
-    candidates at several block sizes carries one array per field, one value
-    per candidate.
+    candidates at several block sizes carries one array per field that
+    broadcasts with the candidates.
     """
 
     log_eps_col: float
@@ -88,8 +88,8 @@ def collective_rate_array(n_Z, e_ph, leak, sec: SecurityParams | None,
                           N: float) -> np.ndarray:
     """Signed collective-attack rates for n_Z > 0, with the leakage given.
 
-    Elementwise; ``N`` and the fields of ``sec`` may be arrays of one value
-    per element.  ``sec=None`` is the asymptotic rate
+    Elementwise over inputs that broadcast together, the fields of ``sec``
+    included.  ``sec=None`` is the asymptotic rate
     ``n_Z (1 - H(e_ph)) - leak`` of one window, without the finite-size
     terms.
     """
@@ -108,11 +108,6 @@ def collective_rate_array(n_Z, e_ph, leak, sec: SecurityParams | None,
 def coherent_attack_penalty(N: float, d: int) -> float:
     """Post-selection cost of lifting a collective-attack rate (bits/window)."""
     return 2.0 * (d * d - 1) * math.log2(N + 1.0) / N
-
-
-def key_rate_coherent(R_col, N: float, d: int):
-    """Signed key rate under coherent attack via the post-selection technique."""
-    return R_col - coherent_attack_penalty(N, d)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ would be blind.  Candidates that violate the mapping-existence condition
 after worst-case intensity fluctuation are skipped, not penalized.
 
 :func:`optimize_points` searches many (channel, block size, mode) points at
-once: each sweep of every point shares one array pass per group of points
-with equal mode, dark-count and misalignment probabilities and kind of
-block size (finite or asymptotic).  :func:`optimize` is its one-point call.
+once: each sweep is one broadcast (point, px, mu) array pass per group of
+points with equal mode, dark-count and misalignment probabilities and kind
+of block size (finite or asymptotic).  :func:`optimize` is its one-point
+call.
 """
 from __future__ import annotations
 
@@ -60,30 +61,24 @@ class SearchSpace:
             raise ValueError(f"shrink must be > 1, got {self.shrink!r}")
 
 
-def _axis(lo: float, hi: float, n: int, log: bool) -> list[float]:
-    if n == 1 or lo == hi:
-        return [lo]
-    if log:
-        return np.geomspace(lo, hi, n).tolist()
-    return np.linspace(lo, hi, n).tolist()
+def _axes(lo: np.ndarray, hi: np.ndarray, n: int, space) -> np.ndarray:
+    """Row ``i`` is ``space(lo[i], hi[i], n)``; a collapsed range (lo == hi)
+    is ``n`` copies of ``lo``.  Only the open rows go through ``space``:
+    ``np.linspace`` takes another arithmetic path for every row once one row
+    has a zero step, and ``np.geomspace`` gives a collapsed row inner values
+    an ulp off ``lo``."""
+    out = np.repeat(lo[:, None], n, axis=1)
+    wide = lo < hi
+    out[wide] = space(lo[wide], hi[wide], n, axis=1)
+    return out
 
 
-def _chunks(members: list[int], sizes: dict) -> list[list[int]]:
-    """``members`` in order, cut into runs of at most ``_CHUNK`` candidates
-    (point ``i`` has ``sizes[i]``); a larger point is a run of its own."""
-    chunks, total = [[]], 0
-    for i in members:
-        if chunks[-1] and total + sizes[i] > _CHUNK:
-            chunks.append([])
-            total = 0
-        chunks[-1].append(i)
-        total += sizes[i]
-    return chunks
-
-
-def _sweep(points, etas, axes: dict, calib: SourceCalibration,
+def _sweep(points, etas, live: list[int], px_axes: np.ndarray,
+           mu_axes: np.ndarray, calib: SourceCalibration,
            security: SecurityConfig, best: list) -> None:
-    """One sweep of the (px, mu) grid ``axes[i]`` of each point ``i`` in ``axes``.
+    """One sweep of the (px, mu) grid ``px_axes[j]`` x ``mu_axes[j]`` of each
+    point ``live[j]``, evaluated as one broadcast (point, px, mu) pass per
+    group and chunk of points.
 
     Updates ``best[i] = (rate, px, mu, report)``: within a sweep the first
     of equal rates among the feasible candidates of point ``i``, in
@@ -91,33 +86,40 @@ def _sweep(points, etas, axes: dict, calib: SourceCalibration,
     if it is strictly larger.
     """
     groups: dict[tuple, list[int]] = {}
-    for i in axes:
+    for j, i in enumerate(live):
         channel, block, mode = points[i]
         groups.setdefault((block == ASYMPTOTIC, mode, channel.p_d, channel.e_d),
-                          []).append(i)
-    sizes = {i: len(px) * len(mu) for i, (px, mu) in axes.items()}
+                          []).append(j)
+    n_mu = mu_axes.shape[1]
+    step = max(1, _CHUNK // (px_axes.shape[1] * n_mu))
     for members in groups.values():
-        for chunk in _chunks(members, sizes):
-            # Each grid in lexicographic (px, mu) order, as meshgrid's "ij".
-            px = np.concatenate([np.repeat(axes[i][0], len(axes[i][1])) for i in chunk])
-            mu = np.concatenate([np.tile(axes[i][1], len(axes[i][0])) for i in chunk])
-            counts = [sizes[i] for i in chunk]
-            channel, block, mode = points[chunk[0]]
-            if block != ASYMPTOTIC:
-                block = np.repeat([float(points[i][1]) for i in chunk], counts)
-            eta = np.repeat([etas[i] for i in chunk], counts)
+        for start in range(0, len(members), step):
+            rows = members[start:start + step]
+            chunk = [live[j] for j in rows]
+            channel, _, mode = points[chunk[0]]
+            sizes: dict = {}
+            block = np.array([sizes.setdefault(points[i][1], len(sizes))
+                              for i in chunk])[:, None, None]
+            px = px_axes[rows][:, :, None]
+            mu = mu_axes[rows][:, None, :]
+            eta = np.array([etas[i] for i in chunk])[:, None, None]
             batch = evaluate_points(channel, calib, 1.0 - px, px, mu, mu, eta,
-                                    security, block, mode)
-            lo = 0
-            for i, count in zip(chunk, counts):
-                feasible = lo + np.flatnonzero(batch.feasible[lo:lo + count])
-                lo += count
-                if feasible.size == 0:
+                                    security, tuple(sizes), mode, block)
+            feasible = batch.feasible.reshape(len(chunk), -1)
+            rates = np.where(feasible, batch.R_coh_signed.reshape(len(chunk), -1),
+                             -np.inf)
+            top = np.argmax(rates, axis=1)
+            # Where every feasible rate is -inf, the first feasible candidate.
+            top = np.where(rates[np.arange(len(chunk)), top] == -np.inf,
+                           np.argmax(feasible, axis=1), top)
+            for r, (i, k) in enumerate(zip(chunk, top.tolist())):
+                if not feasible[r, k]:
                     continue
-                k = int(feasible[np.argmax(batch.R_coh_signed[feasible])])
-                score = float(batch.R_coh_signed[k])
+                a, b = divmod(k, n_mu)
+                score = float(rates[r, k])
                 if best[i] is None or score > best[i][0]:
-                    best[i] = (score, float(px[k]), float(mu[k]), batch.report(k))
+                    best[i] = (score, float(px[r, a, 0]), float(mu[r, 0, b]),
+                               batch.report((r, a, b)))
 
 
 def optimize_points(points: list[tuple[ChannelParams, float | str, str]],
@@ -137,28 +139,24 @@ def optimize_points(points: list[tuple[ChannelParams, float | str, str]],
     px_lo, px_hi = space.px_range
     mu_lo, mu_hi = space.mu_range
     n_px, n_mu = space.grid
-    coarse = (_axis(px_lo, px_hi, n_px, log=False),
-              _axis(mu_lo, mu_hi, n_mu, log=True))
-    _sweep(points, etas, dict.fromkeys(range(len(points)), coarse), calib,
-           security, best)
-
+    live = list(range(len(points)))
+    lo, hi = np.full(len(live), px_lo), np.full(len(live), px_hi)
+    m_lo, m_hi = np.full(len(live), mu_lo), np.full(len(live), mu_hi)
     px_width = px_hi - px_lo
     log_mu_width = math.log(mu_hi / mu_lo)
-    for _ in range(space.refine_rounds):
-        px_width /= space.shrink
-        log_mu_width /= space.shrink
-        axes = {}
-        for i, found in enumerate(best):
-            if found is None:
-                continue
-            _, px_c, mu_c, _ = found
-            lo = max(px_lo, px_c - px_width / 2.0)
-            hi = min(px_hi, px_c + px_width / 2.0)
-            m_lo = max(mu_lo, mu_c * math.exp(-log_mu_width / 2.0))
-            m_hi = min(mu_hi, mu_c * math.exp(log_mu_width / 2.0))
-            axes[i] = (_axis(lo, hi, n_px, log=False),
-                       _axis(m_lo, m_hi, n_mu, log=True))
-        _sweep(points, etas, axes, calib, security, best)
+    for sweep in range(space.refine_rounds + 1):
+        if sweep:
+            px_width /= space.shrink
+            log_mu_width /= space.shrink
+            live = [i for i, found in enumerate(best) if found is not None]
+            px_c = np.array([best[i][1] for i in live])
+            mu_c = np.array([best[i][2] for i in live])
+            lo = np.maximum(px_lo, px_c - px_width / 2.0)
+            hi = np.minimum(px_hi, px_c + px_width / 2.0)
+            m_lo = np.maximum(mu_lo, mu_c * math.exp(-log_mu_width / 2.0))
+            m_hi = np.minimum(mu_hi, mu_c * math.exp(log_mu_width / 2.0))
+        _sweep(points, etas, live, _axes(lo, hi, n_px, np.linspace),
+               _axes(m_lo, m_hi, n_mu, np.geomspace), calib, security, best)
 
     results = []
     for found, (_, block, mode) in zip(best, points):

@@ -43,8 +43,8 @@ def phase_error_arrays(n_O, n_B, n_Z, N, p0, px, c0, c1, c2,
                        log_xi) -> tuple[np.ndarray, ...]:
     """(mean_nO_U, mean_nB_U, mean_Nph_U, Nph_U, e_ph) elementwise.
 
-    Needs n_Z > 0.  ``N`` and ``log_xi`` are scalars or arrays of one value
-    per element.  ``log_xi=None`` is the asymptotic bound: the counts are
+    Needs n_Z > 0.  The inputs broadcast together, and each Chernoff bound
+    is solved on the shape of its count and ``log_xi``.  ``log_xi=None`` is the asymptotic bound: the counts are
     taken as exact expected values, with no Chernoff slack.
     """
     if log_xi is None:

@@ -6,11 +6,14 @@ resolved security budget, and the collective/coherent key rates.  The block
 size may be the literal string "asymptotic", in which case Chernoff slack
 and all finite-size penalty terms vanish.
 
-:func:`evaluate_points` evaluates an array of candidates in one pass, with a
-feasibility mask where the source bounds admit no virtual-protocol mapping;
-each candidate has its own transmittance and block size, so one pass can
-span several distances and block sizes.  :func:`evaluate_point` is the same
-computation on one candidate.
+:func:`evaluate_points` evaluates candidates given as inputs that broadcast
+together in one pass, with a feasibility mask where the source bounds admit
+no virtual-protocol mapping; each candidate has its own transmittance and
+block size, so one pass can span several distances and block sizes.  Each
+quantity is computed on the shape of the inputs it depends on: on a
+(point, px, mu) grid the source mapping and the heralding probabilities run
+once per mu, and the n_O Chernoff bound once per px.
+:func:`evaluate_point` is the same computation on one candidate.
 """
 from __future__ import annotations
 
@@ -95,9 +98,10 @@ class SecurityConfig:
 class PointBatch:
     """Elementwise evaluation of candidates.
 
-    Entries where ``feasible`` is False carry no meaning.  Candidate ``i``
-    was evaluated under the security budget ``budgets[block[i]]`` (None in
-    asymptotic mode).
+    Every array has the broadcast shape of the candidates; most are
+    read-only broadcast views.  Entries where ``feasible`` is False carry
+    no meaning.  Candidate ``i`` was evaluated under the security budget
+    ``budgets[block[i]]`` (None in asymptotic mode).
     """
 
     feasible: np.ndarray
@@ -113,8 +117,8 @@ class PointBatch:
     budgets: tuple[SecurityParams | None, ...]
     block: np.ndarray
 
-    def report(self, i: int) -> KeyRateReport:
-        """Key-rate report of candidate ``i``."""
+    def report(self, i: int | tuple[int, ...]) -> KeyRateReport:
+        """Key-rate report of candidate ``i`` (an int or a tuple index)."""
         r_col, r_coh = float(self.R_col_signed[i]), float(self.R_coh_signed[i])
         return KeyRateReport(
             R_col=max(r_col, 0.0), R_coh=max(r_coh, 0.0), e_ph=float(self.e_ph[i]),
@@ -129,25 +133,22 @@ class PointBatch:
 def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
                     p0: np.ndarray, px: np.ndarray, mu_A: np.ndarray,
                     mu_B: np.ndarray, eta, security: SecurityConfig,
-                    block_size, mode: str = "improved") -> PointBatch:
-    """Key rates of the candidates (p0[i], px[i], mu_A[i], mu_B[i]).
+                    block_size, mode: str = "improved", block=0) -> PointBatch:
+    """Key rates of the candidates (p0, px, mu_A, mu_B), elementwise.
 
-    ``eta`` is the one-arm transmittance and ``block_size`` the block size,
-    each a scalar or an array of one value per candidate; ``channel`` gives
-    the dark-count and misalignment probabilities, and its distance is not
-    read.  A pass is either asymptotic (``block_size`` is ASYMPTOTIC) or
-    finite.  The arrays must satisfy what :class:`ProtocolParams` checks for
-    one candidate.  Each element's result is the one :func:`evaluate_point`
-    gives for that candidate alone.
+    The candidates' inputs, ``eta`` (the one-arm transmittance) and
+    ``block`` are inputs that broadcast together; ``channel`` gives the
+    dark-count and misalignment probabilities, and its distance is not
+    read.  ``block_size`` is ASYMPTOTIC, one finite block size, or a tuple
+    of finite block sizes, of which the integer ``block`` picks each
+    candidate's.  The inputs must satisfy what :class:`ProtocolParams`
+    checks for one candidate.  Each element's result is the one
+    :func:`evaluate_point` gives for that candidate alone.
     """
     # Security budget and coherent-attack penalty are computed once per
     # distinct block size by the scalar formulas (numpy's log1p and log2
     # need not match libm to the last bit), then indexed per candidate.
-    if isinstance(block_size, np.ndarray):
-        sizes, block = np.unique(block_size, return_inverse=True)
-        sizes = sizes.tolist()
-    else:
-        sizes, block = [block_size], np.zeros(np.shape(p0), dtype=np.intp)
+    sizes = list(block_size) if isinstance(block_size, tuple) else [block_size]
     for size in sizes:
         require_block(size)
     mu_vA, ok_A = virtual_intensity_array(mu_A, calib.av0, calib.fluct)
@@ -177,10 +178,9 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
     r_col = np.where(has_z, collective_rate_array(n_Z, e_ph, leak, sec, n), -np.inf)
     r_coh = r_col if asymptotic else r_col - np.array(
         [coherent_attack_penalty(size, security.d) for size in sizes])[block]
-    return PointBatch(feasible=ok_A & ok_B, mu_virtual_A=mu_vA, mu_virtual_B=mu_vB,
-                      n_O=n_O, n_B=n_B, n_Z=n_Z, e_ph=e_ph, leak_EC=leak,
-                      R_col_signed=r_col, R_coh_signed=r_coh, budgets=budgets,
-                      block=block)
+    *fields, block = np.broadcast_arrays(ok_A & ok_B, mu_vA, mu_vB, n_O, n_B, n_Z,
+                                         e_ph, leak, r_col, r_coh, block)
+    return PointBatch(*fields, budgets=budgets, block=block)
 
 
 def evaluate_point(channel: ChannelParams, calib: SourceCalibration,

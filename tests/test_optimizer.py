@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from scsqkd.channel import ChannelParams, arm_transmittance
-from scsqkd.optimizer import NoFeasiblePointError, SearchSpace, optimize
+from scsqkd.optimizer import NoFeasiblePointError, SearchSpace, _axes, optimize
 from scsqkd.pipeline import SecurityConfig, SourceCalibration, evaluate_points
 
 CHANNEL_50 = ChannelParams(50.0, 0.2, 0.3, 1e-9, 0.04)
@@ -30,6 +30,21 @@ class TestSearchSpace:
             SearchSpace(grid=(0, 10))
         with pytest.raises(ValueError):
             SearchSpace(shrink=1.0)
+
+
+@pytest.mark.parametrize("space", [np.linspace, np.geomspace])
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+def test_axes_rows_equal_one_point_calls(space, n):
+    # Every open row equals the one-point call bit for bit, also beside a
+    # collapsed row, which is n copies of its endpoint.
+    rng = np.random.default_rng(n)
+    lo = np.exp(rng.uniform(-9.0, -0.7, 200))
+    hi = np.minimum(lo * np.exp(rng.uniform(0.0, 3.0, 200)), 0.99)
+    hi[::7] = lo[::7]
+    axes = _axes(lo, hi, n, space)
+    for row, a, b in zip(axes, lo.tolist(), hi.tolist()):
+        expected = [a] * n if a == b else space(a, b, n).tolist()
+        assert row.tolist() == expected
 
 
 class TestOptimize:

@@ -55,15 +55,15 @@ def test_batch_equals_evaluate_point(block, mode):
 @pytest.mark.parametrize("mode", ["improved", "baseline"])
 def test_mixed_batch_equals_evaluate_point(mode):
     # One finite pass over candidates at four distances and three block
-    # sizes, interleaved.
+    # sizes, interleaved; each candidate's block size is an index into the
+    # distinct sizes.
     px, mu = _sweep()
     channels = [replace(CHANNEL_50, distance_km=d) for d in (0.0, 50.0, 150.0, 400.0)]
     blocks = (1e10, 1e12, 1e14)
     which = np.arange(px.size)
     eta = np.array([arm_transmittance(c) for c in channels])[which % 4]
-    block = np.array(blocks)[which % 3]
     batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu, eta,
-                            SecurityConfig(), block, mode)
+                            SecurityConfig(), blocks, mode, which % 3)
     for i in np.flatnonzero(batch.feasible).tolist():
         proto = ProtocolParams(p0=1.0 - px[i], px=px[i], mu_xA=mu[i], mu_xB=mu[i],
                                N=1, mode=mode)
