@@ -283,7 +283,8 @@ def tally_arrays(p0, px, mu_A, mu_B, N, eta, e_d: float, p_d: float,
     Elementwise over source-choice probabilities, intensities, block sizes
     ``N`` and one-arm transmittances ``eta`` that broadcast together; each
     heralding probability is computed on the shape of the intensities and
-    ``eta``.  See :func:`expected_tallies`.
+    ``eta``.  One array passed as both intensities gives equal Z_A and Z_B
+    probabilities, computed once.  See :func:`expected_tallies`.
     """
     _require_nonnegative(mu_A, mu_B, eta)
     # O and Z windows are insensitive to Charlie's phase compensation, so
@@ -292,7 +293,8 @@ def tally_arrays(p0, px, mu_A, mu_B, N, eta, e_d: float, p_d: float,
     # O window.
     p_o = effective_prob(0.0, 0.0, p_d)
     p_za = effective_prob(*_means("Z_A", mu_A, mu_B, eta, e_d), p_d)
-    p_zb = effective_prob(*_means("Z_B", mu_A, mu_B, eta, e_d), p_d)
+    p_zb = (p_za if mu_B is mu_A
+            else effective_prob(*_means("Z_B", mu_A, mu_B, eta, e_d), p_d))
     p_b = b_window_prob(mu_A, mu_B, eta, e_d, p_d, mode)
     return (N * p0 * p0 * p_o,
             N * px * px * p_b,

@@ -21,6 +21,15 @@ between the iterate and 1 backs up elements that are still moving after
 Each bound is solved in w = u - 1 or v - 1 through ``log1p``, which keeps it
 accurate near 1.
 
+A solve is one Newton loop over the whole array.  It allocates its iterate
+and the residual's three outputs once and updates them in place (``out=``
+and ``np.copyto(..., where=active)``).  Each residual evaluates the
+expressions in its comment operation by operation, so working in place
+changes no bit of a bound.  Elements that have stopped stay in the array:
+gathering the active ones into a smaller array costs more than it saves.
+A caller with several count arrays, like the phase error, solves them in
+one call over their concatenation, which pays the loop's fixed cost once.
+
 The failure probability enters only as its natural log, a finite
 ``log_xi < 0``, because the resolved security budget can lie far below the
 smallest positive double.  Each bound is one function, elementwise over an
@@ -40,47 +49,79 @@ class ChernoffDomainError(ValueError):
     """Raised for arguments outside a bound's domain."""
 
 
-def _newton(residual, w, *args) -> np.ndarray:
-    """Root of a concave ``residual(w, *args) -> (h, dh/dw, noise scale)``.
+def _newton(residual, t) -> np.ndarray:
+    """Root of a concave residual, started at ``sqrt(2 t) + t``, elementwise.
 
-    Elementwise.  ``w`` starts beyond the root (h <= 0), and the residual is
-    positive between 0 and the root, so every step decreases ``w``.  An
-    element stops once its residual is within rounding of its terms'
-    magnitudes (the noise scale), or once a step no longer decreases it.
+    ``residual(w, t, h, slope, scale)`` writes the residual, its derivative
+    in ``w`` and its noise scale into the last three arrays.  The start lies
+    beyond the root (h <= 0), and the residual is positive between 0 and
+    the root, so every step decreases ``w``.  An element stops once its
+    residual is within rounding of its terms' magnitudes (the noise scale),
+    or once a step no longer decreases it.  Every iterate and temporary
+    lives in an array the solver allocates once; the returned array is one
+    of them.
     """
+    w = np.multiply(2.0, t, out=np.empty_like(t))
+    np.sqrt(w, out=w)
+    w += t
+    h, slope, scale = np.empty_like(w), np.empty_like(w), np.empty_like(w)
     active = np.ones(w.shape, dtype=bool)
+    moving = np.empty(w.shape, dtype=bool)
     for _ in range(_MAX_NEWTON):
-        h, slope, scale = residual(w, *args)
-        new = w - h / slope
-        active &= (np.abs(h) > _NOISE * scale) & (new < w)
+        residual(w, t, h, slope, scale)
+        new = slope
+        np.divide(h, slope, out=new)
+        np.subtract(w, new, out=new)  # w - h / slope
+        scale *= _NOISE
+        np.greater(np.abs(h, out=h), scale, out=moving)
+        active &= moving
+        active &= np.less(new, w, out=moving)
         if not active.any():
             return w
-        w = np.where(active, new, w)
+        np.copyto(w, new, where=active)
     # Bisection for the elements Newton left moving.
     idx = np.flatnonzero(active)
-    sub = [np.broadcast_to(a, w.shape).ravel()[idx] for a in args]
-    lo, hi = w.ravel()[idx], np.zeros(idx.size)
+    flat = w.reshape(-1)
+    sub = np.broadcast_to(t, w.shape).reshape(-1)[idx]
+    lo, hi = flat[idx], np.zeros(idx.size)
+    h, slope, scale = np.empty(idx.size), np.empty(idx.size), np.empty(idx.size)
     while True:
         mid = 0.5 * (lo + hi)
         moving = (mid != lo) & (mid != hi)
         if not moving.any():
             break
-        beyond = residual(mid, *sub)[0] <= 0.0
+        residual(mid, sub, h, slope, scale)
+        beyond = h <= 0.0
         lo = np.where(moving & beyond, mid, lo)
         hi = np.where(moving & ~beyond, mid, hi)
-    out = w.flatten()
-    out[idx] = lo
-    return out.reshape(w.shape)
+    flat[idx] = lo
+    return w
 
 
-def _expectation_upper_residual(w, t):  # w = u - 1 > 0
-    lg = np.log1p(w)
-    return lg - w + t, -w / (1.0 + w), lg + w + t
+def _expectation_upper_residual(w, t, h, slope, scale):  # w = u - 1 > 0
+    # h = lg - w + t, slope = -w / (1 + w), scale = lg + w + t
+    lg = scale
+    np.log1p(w, out=lg)
+    np.subtract(lg, w, out=h)
+    h += t
+    np.add(1.0, w, out=slope)
+    np.divide(w, slope, out=slope)
+    np.negative(slope, out=slope)
+    scale += w
+    scale += t
 
 
-def _observed_upper_residual(w, t):  # w = v - 1 > 0
-    lg = np.log1p(w)
-    return w - (1.0 + w) * lg + t, -lg, w + (1.0 + w) * lg + t
+def _observed_upper_residual(w, t, h, slope, scale):  # w = v - 1 > 0
+    # h = w - (1 + w) lg + t, slope = -lg, scale = w + (1 + w) lg + t
+    lg = slope
+    np.log1p(w, out=lg)
+    np.add(1.0, w, out=scale)
+    scale *= lg
+    np.subtract(w, scale, out=h)
+    h += t
+    np.negative(lg, out=slope)
+    scale += w
+    scale += t
 
 
 def _ratio(counts, log_xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -98,8 +139,11 @@ def expectation_upper(X, log_xi) -> np.ndarray:
     X = 0 gives the limiting form ln(1/xi).
     """
     X, empty, t = _ratio(X, log_xi)
-    w = _newton(_expectation_upper_residual, np.sqrt(2.0 * t) + t, t)
-    return np.where(empty, -np.asarray(log_xi, dtype=float), X * (1.0 + w))
+    u = _newton(_expectation_upper_residual, t)
+    u += 1.0
+    u *= X
+    np.copyto(u, t, where=empty)  # t = -log_xi there
+    return u
 
 
 def observed_upper(Y, log_xi) -> np.ndarray:
@@ -108,5 +152,8 @@ def observed_upper(Y, log_xi) -> np.ndarray:
     Y = 0 gives the limiting value 0.
     """
     Y, empty, t = _ratio(Y, log_xi)
-    w = _newton(_observed_upper_residual, np.sqrt(2.0 * t) + t, t)
-    return np.where(empty, 0.0, Y * (1.0 + w))
+    v = _newton(_observed_upper_residual, t)
+    v += 1.0
+    v *= Y
+    np.copyto(v, 0.0, where=empty)
+    return v

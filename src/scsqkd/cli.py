@@ -21,6 +21,10 @@ CSV_HEADER = ("distance_km,N,mode,px,mu_x,mu_virtual_A,mu_virtual_B,"
               "n_O,n_B,n_Z,E_Z,e_ph,R_col,R_coh,feasible_flag")
 
 
+# Most distances a scan axis may hold.
+MAX_DISTANCES = 10 ** 6
+
+
 class ConfigError(ValueError):
     """Raised with the offending key named when the config is invalid."""
 
@@ -140,11 +144,17 @@ def _block_label(name: str, raw) -> str:
 
 
 def _distances(name: str, axis) -> tuple[float, ...]:
+    """The distances start, start + step, ... up to stop, at most MAX_DISTANCES
+    of them, counted before any is built."""
     if not (isinstance(axis, list) and len(axis) == 3):
         raise ConfigError(f"{name} must be [start, stop, step], got {axis!r}")
     start, stop, step = (_number(name, v) for v in axis)
     if start < 0.0 or step <= 0.0:
         raise ConfigError(f"{name} needs start >= 0 and step > 0, got {axis!r}")
+    # A step too small to advance the start is named by the loop, at once.
+    if start + step > start and (stop - start) / step >= MAX_DISTANCES:
+        raise ConfigError(f"{name} must span at most {MAX_DISTANCES} distances, "
+                          f"got {axis!r}")
     out = []
     d = start
     while d <= stop + step * 1e-9:

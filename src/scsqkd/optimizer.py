@@ -31,6 +31,10 @@ from .pipeline import (ASYMPTOTIC, SecurityConfig, SourceCalibration,
 # 400-candidate passes at 2**13).
 _CHUNK = 2 ** 13
 
+# Most (px, mu) candidates per point: a sweep evaluates a point's whole grid
+# in one pass, at ~0.3 kB per candidate.
+MAX_GRID = 2 ** 20
+
 
 class NoFeasiblePointError(RuntimeError):
     """Raised when every grid candidate violates the mapping condition."""
@@ -55,6 +59,9 @@ class SearchSpace:
             raise ValueError(f"mu_range must be positive, got {self.mu_range!r}")
         if min(self.grid) < 1:
             raise ValueError(f"grid sizes must be >= 1, got {self.grid!r}")
+        if self.grid[0] * self.grid[1] > MAX_GRID:
+            raise ValueError(f"grid must hold at most {MAX_GRID} candidates, "
+                             f"got {self.grid!r}")
         if self.refine_rounds < 0:
             raise ValueError(f"refine_rounds must be >= 0, got {self.refine_rounds!r}")
         if not self.shrink > 1.0:

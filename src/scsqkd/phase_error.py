@@ -17,12 +17,13 @@ def decomposition_arrays(mu_A, mu_B) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Decomposition coefficients (c0, c1, c2bar) for virtual intensities.
 
     Elementwise c0 = exp(-(mu_A + mu_B) / 4) and c1 = 1 / c0; the closed
-    form of the residual norm c2bar needs c0 * c1 = 1.
+    form of the residual norm c2bar needs c0 * c1 = 1.  Passing one array
+    as both intensities computes its factor once.
     """
     c0 = np.exp(-(mu_A + mu_B) / 4.0)
     c1 = 1.0 / c0
     fac_a = c0 + c1 - 2.0 * np.exp(-mu_A / 2.0)
-    fac_b = c0 + c1 - 2.0 * np.exp(-mu_B / 2.0)
+    fac_b = fac_a if mu_B is mu_A else c0 + c1 - 2.0 * np.exp(-mu_B / 2.0)
     # AM-GM gives c0 + c1 >= 2 >= 2 exp(-mu/2); clamp rounding residue.
     return c0, c1, np.sqrt(np.maximum(fac_a, 0.0) * np.maximum(fac_b, 0.0))
 
@@ -44,15 +45,19 @@ def phase_error_arrays(n_O, n_B, n_Z, N, p0, px, c0, c1, c2,
     """(mean_nO_U, mean_nB_U, mean_Nph_U, Nph_U, e_ph) elementwise.
 
     Needs n_Z > 0.  The inputs broadcast together, and each Chernoff bound
-    is solved on the shape of its count and ``log_xi``.  ``log_xi=None`` is the asymptotic bound: the counts are
-    taken as exact expected values, with no Chernoff slack.
+    is computed on the shape of its count and ``log_xi``: the n_O and n_B
+    bounds in one solve over their concatenated counts.  ``log_xi=None`` is
+    the asymptotic bound: the counts are taken as exact expected values,
+    with no Chernoff slack.
     """
     if log_xi is None:
         nO_U, nB_U = n_O, n_B
     else:
-        # Two solves, not one over the concatenated counts: a solve's
-        # temporaries set the peak memory of a large pass.
-        nO_U, nB_U = expectation_upper(n_O, log_xi), expectation_upper(n_B, log_xi)
+        (o, lx_o), (b, lx_b) = (np.broadcast_arrays(n, log_xi) for n in (n_O, n_B))
+        bounds = expectation_upper(np.concatenate((o, b), axis=None),
+                                   np.concatenate((lx_o, lx_b), axis=None))
+        nO_U = bounds[:o.size].reshape(o.shape)
+        nB_U = bounds[o.size:].reshape(b.shape)
     mean_nph = _mean_count(nO_U, nB_U, N, p0, px, c0, c1, c2)
     nph = mean_nph if log_xi is None else observed_upper(mean_nph, log_xi)
     return nO_U, nB_U, mean_nph, nph, np.minimum(nph / n_Z, 0.5)

@@ -12,13 +12,15 @@ no virtual-protocol mapping; each candidate has its own transmittance and
 block size, so one pass can span several distances and block sizes.  Each
 quantity is computed on the shape of the inputs it depends on: on a
 (point, px, mu) grid the source mapping and the heralding probabilities run
-once per mu, and the n_O Chernoff bound once per px.
+once per mu, and the n_O Chernoff bound once per px.  Given one array as both
+intensities, as the optimizer passes it, the mu-only quantities are computed
+once, not once per party.
 :func:`evaluate_point` is the same computation on one candidate.
 """
 from __future__ import annotations
 
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -152,7 +154,9 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
     for size in sizes:
         require_block(size)
     mu_vA, ok_A = virtual_intensity_array(mu_A, calib.av0, calib.fluct)
-    mu_vB, ok_B = virtual_intensity_array(mu_B, calib.bv0, calib.fluct)
+    # One array as both intensities, at equal vacuum bounds: mu-only work once.
+    mu_vB, ok_B = ((mu_vA, ok_A) if mu_B is mu_A and calib.bv0 == calib.av0
+                   else virtual_intensity_array(mu_B, calib.bv0, calib.fluct))
     asymptotic = sizes == [ASYMPTOTIC]
     if asymptotic:
         n, budgets = 1.0, (None,)
@@ -173,14 +177,15 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
     e_ph = np.where(has_z, e_ph, 0.5)
     # The per-candidate budget is built after the Chernoff solves, whose
     # temporaries set the pass's peak memory.
-    sec = None if asymptotic else SecurityParams(
-        *(np.array(field)[block] for field in zip(*map(astuple, budgets))))
+    sec = None if asymptotic else SecurityParams(**{
+        field.name: np.array([getattr(budget, field.name) for budget in budgets])[block]
+        for field in fields(SecurityParams)})
     r_col = np.where(has_z, collective_rate_array(n_Z, e_ph, leak, sec, n), -np.inf)
     r_coh = r_col if asymptotic else r_col - np.array(
         [coherent_attack_penalty(size, security.d) for size in sizes])[block]
-    *fields, block = np.broadcast_arrays(ok_A & ok_B, mu_vA, mu_vB, n_O, n_B, n_Z,
+    *arrays, block = np.broadcast_arrays(ok_A & ok_B, mu_vA, mu_vB, n_O, n_B, n_Z,
                                          e_ph, leak, r_col, r_coh, block)
-    return PointBatch(*fields, budgets=budgets, block=block)
+    return PointBatch(*arrays, budgets=budgets, block=block)
 
 
 def evaluate_point(channel: ChannelParams, calib: SourceCalibration,

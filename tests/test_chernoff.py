@@ -241,3 +241,98 @@ def test_bisection_fallback_matches_reference(monkeypatch):
         assert solve(float(counts[0]), float(log_xis[0])) == got[0]
         for g, c, lx in zip(got, counts, log_xis):
             assert g == pytest.approx(_mp_bound(name, c, lx, g), rel=1e-12)
+
+
+# Reference: the solver as it was before it worked in place, kept verbatim
+# but for reading the iteration limit from the module under test.  The
+# solver must equal it bit for bit.
+def _reference_newton(residual, w, *args) -> np.ndarray:
+    active = np.ones(w.shape, dtype=bool)
+    for _ in range(chernoff._MAX_NEWTON):
+        h, slope, scale = residual(w, *args)
+        new = w - h / slope
+        active &= (np.abs(h) > chernoff._NOISE * scale) & (new < w)
+        if not active.any():
+            return w
+        w = np.where(active, new, w)
+    # Bisection for the elements Newton left moving.
+    idx = np.flatnonzero(active)
+    sub = [np.broadcast_to(a, w.shape).ravel()[idx] for a in args]
+    lo, hi = w.ravel()[idx], np.zeros(idx.size)
+    while True:
+        mid = 0.5 * (lo + hi)
+        moving = (mid != lo) & (mid != hi)
+        if not moving.any():
+            break
+        beyond = residual(mid, *sub)[0] <= 0.0
+        lo = np.where(moving & beyond, mid, lo)
+        hi = np.where(moving & ~beyond, mid, hi)
+    out = w.flatten()
+    out[idx] = lo
+    return out.reshape(w.shape)
+
+
+def _reference_expectation_upper_residual(w, t):  # w = u - 1 > 0
+    lg = np.log1p(w)
+    return lg - w + t, -w / (1.0 + w), lg + w + t
+
+
+def _reference_observed_upper_residual(w, t):  # w = v - 1 > 0
+    lg = np.log1p(w)
+    return w - (1.0 + w) * lg + t, -lg, w + (1.0 + w) * lg + t
+
+
+def _reference_ratio(counts, log_xi):
+    counts = np.asarray(counts, dtype=float)
+    empty = counts == 0.0
+    return counts, empty, -log_xi / np.where(empty, 1.0, counts)
+
+
+def _reference_expectation_upper(X, log_xi):
+    X, empty, t = _reference_ratio(X, log_xi)
+    w = _reference_newton(_reference_expectation_upper_residual, np.sqrt(2.0 * t) + t, t)
+    return np.where(empty, -np.asarray(log_xi, dtype=float), X * (1.0 + w))
+
+
+def _reference_observed_upper(Y, log_xi):
+    Y, empty, t = _reference_ratio(Y, log_xi)
+    w = _reference_newton(_reference_observed_upper_residual, np.sqrt(2.0 * t) + t, t)
+    return np.where(empty, 0.0, Y * (1.0 + w))
+
+
+REFERENCES = {"expectation_upper": _reference_expectation_upper,
+              "observed_upper": _reference_observed_upper}
+
+ORACLE_COUNTS = st.one_of(st.sampled_from([0.0, 1e-300]), _log_uniform(1e-12, 1e15))
+ORACLE_LOG_XIS = _log_uniform(1e-3, 2100.0).map(lambda m: -m)
+
+
+def _forms(counts: np.ndarray, log_xis: np.ndarray):
+    """(count, log_xi) as Python floats, as 0-d arrays, and as (S, n, 1)
+    counts with (S, 1, 1) failure probabilities."""
+    yield float(counts[0, 0, 0]), float(log_xis[0, 0, 0])
+    yield np.array(counts[0, 0, 0]), np.array(log_xis[0, 0, 0])
+    yield counts, log_xis
+
+
+@pytest.mark.parametrize("max_newton", [chernoff._MAX_NEWTON, 2, 0])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), s=st.integers(1, 3), n=st.integers(1, 4))
+def test_bounds_equal_reference_bit_for_bit(max_newton, data, s, n):
+    """Both bounds equal the reference solver bit for bit, in every input
+    form and on the bisection path, and leave their inputs unchanged."""
+    counts = np.array(data.draw(st.lists(ORACLE_COUNTS, min_size=s * n,
+                                         max_size=s * n))).reshape(s, n, 1)
+    log_xis = np.array(data.draw(st.lists(ORACLE_LOG_XIS, min_size=s,
+                                          max_size=s))).reshape(s, 1, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chernoff, "_MAX_NEWTON", max_newton)
+        for name, solve in BOUNDS.items():
+            for count, log_xi in _forms(counts, log_xis):
+                before = [np.copy(count), np.copy(log_xi)]
+                want = REFERENCES[name](count, log_xi)
+                got = solve(count, log_xi)
+                assert type(got) is type(want) and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), name
+                assert all(np.copy(a).tobytes() == b.tobytes()
+                           for a, b in zip((count, log_xi), before))

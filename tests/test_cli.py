@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from scsqkd import optimizer, phase_error, pipeline
+from scsqkd import chernoff, optimizer, phase_error, pipeline
 from scsqkd.channel import arm_transmittance
 from scsqkd.cli import (CSV_HEADER, ConfigError, build_parser, emit_plot,
                         load_config, main, rows_to_csv, run_scan)
@@ -228,8 +228,10 @@ class TestBatchedScan:
 
     def test_per_axis_work_stays_on_its_axis(self, tmp_path, monkeypatch):
         # Within a pass of S points on an n_px x n_mu grid, the source
-        # mapping runs on S x n_mu intensities and the n_O Chernoff bound
-        # (the first of a finite pass) on S x n_px counts.
+        # mapping runs once on S x n_mu intensities, and a finite pass makes
+        # one n_O and n_B Chernoff solve on S x n_px + S x n_px x n_mu
+        # counts.  A finite pass runs two Newton loops (that solve and the
+        # phase-error count's), an asymptotic pass none.
         n_px, n_mu = 5, 3
         path = _write_config(tmp_path, {
             "search": {"px_range": [0.05, 0.5], "mu_range": [1e-3, 0.1],
@@ -239,30 +241,34 @@ class TestBatchedScan:
         cfg = load_config(path, _no_overrides())
         passes = []
 
-        def spy(module, name):
+        def spy(module, name, arg):
             real = getattr(module, name)
 
             def recorded(*args, **kwargs):
-                passes[-1][name].append(np.size(args[0]))
+                passes[-1][name].append(np.size(args[arg]))
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, recorded)
 
         def evaluated(*args, **kwargs):
             points = np.broadcast(args[3], args[4]).size // (n_px * n_mu)
             passes.append({"points": points, "asymptotic": args[8] == (ASYMPTOTIC,),
-                           "virtual_intensity_array": [], "expectation_upper": []})
+                           "virtual_intensity_array": [], "expectation_upper": [],
+                           "_newton": []})
             return evaluate_points(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "evaluate_points", evaluated)
-        spy(pipeline, "virtual_intensity_array")
-        spy(phase_error, "expectation_upper")
+        spy(pipeline, "virtual_intensity_array", 0)
+        spy(phase_error, "expectation_upper", 0)
+        spy(chernoff, "_newton", 1)
         run_scan(cfg)
         assert len(passes) == 2 * 2 * 2  # rounds x modes x (finite, asymptotic)
         for p in passes:
             s = p["points"]
-            assert p["virtual_intensity_array"] == [s * n_mu, s * n_mu]
+            assert p["virtual_intensity_array"] == [s * n_mu]
             assert p["expectation_upper"] == (
-                [] if p["asymptotic"] else [s * n_px, s * n_px * n_mu])
+                [] if p["asymptotic"] else [s * n_px * (1 + n_mu)])
+            assert p["_newton"] == (
+                [] if p["asymptotic"] else [s * n_px * (1 + n_mu), s * n_px * n_mu])
         assert {p["points"] for p in passes} == {3, 6}
 
     @pytest.mark.parametrize("chunk, passes", [
@@ -410,6 +416,12 @@ class TestMain:
     (None, "scna", {}),
     # A fractional block size used to be truncated and run.
     ("scan", "blocks", ["12345.6"]),
+    # Sizes beyond the bounds: the grid overflowed the axes, and the
+    # distance axis was built until memory ran out.
+    pytest.param("search", "grid", [10**400, 3], id="search-grid-10**400"),
+    pytest.param("search", "grid", [1025, 1024], id="search-grid-2**20+1024"),
+    pytest.param("scan", "distance", [0, 1e300, 10], id="scan-distance-1e300"),
+    pytest.param("scan", "distance", [0, 1e6, 1], id="scan-distance-10**6+1"),
 ])
 def test_invalid_value_is_a_config_error(tmp_path, capsys, section, key, value):
     cfg = copy.deepcopy(BASE_CONFIG)
@@ -424,6 +436,23 @@ def test_invalid_value_is_a_config_error(tmp_path, capsys, section, key, value):
     if key not in (BASE_CONFIG[section] if section else BASE_CONFIG):
         assert err == f"error: {name} is not a known key\n"
     assert not out.exists()  # rejected before any scan work
+
+
+def test_size_bounds_are_inclusive(tmp_path):
+    path = _write_config(tmp_path, {
+        "search": dict(BASE_CONFIG["search"], grid=[1024, 1024]),
+        "scan": dict(BASE_CONFIG["scan"], distance=[0, 999999, 1])})
+    cfg = load_config(path, _no_overrides())
+    assert cfg.space.grid == (1024, 1024)
+    assert len(cfg.distances) == 10**6
+
+
+def test_oversized_distance_flag_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["scan", "--config", _write_config(tmp_path), "--out", str(out),
+                 "--distance", "0:1e300:10"]) == 2
+    assert capsys.readouterr().err.startswith("error: --distance ")
+    assert not out.exists()
 
 
 def _readme_block(lang: str) -> str:
