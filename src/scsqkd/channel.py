@@ -258,7 +258,7 @@ def b_window_prob(mu_A, mu_B, eta, e_d: float, p_d: float,
     """Heralding probability of a both-coherent window, elementwise.
 
     The intensities and ``eta`` must be nonnegative; this is not checked
-    here (:func:`tally_arrays` checks it).
+    here (:func:`heralding_arrays` checks it).
 
     In baseline mode the phase difference is uniform in [0, 2pi).  Averaging
     the exactly-one-click probability over it gives the closed form
@@ -276,29 +276,36 @@ def b_window_prob(mu_A, mu_B, eta, e_d: float, p_d: float,
     return 2.0 * q * (_scaled_i0_minus_1(c, a) + np.exp(-a) * click_prob(a, p_d))
 
 
-def tally_arrays(p0, px, mu_A, mu_B, N, eta, e_d: float, p_d: float,
-                 mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expected effective-window counts (n_O, n_B, n_Z) over N windows.
+def heralding_arrays(mu_A, mu_B, eta, e_d: float, p_d: float,
+                     mode: str) -> tuple:
+    """Heralding probabilities (p_O, p_B, p_Z) of the window kinds.
 
-    Elementwise over source-choice probabilities, intensities, block sizes
-    ``N`` and one-arm transmittances ``eta`` that broadcast together; each
-    heralding probability is computed on the shape of the intensities and
-    ``eta``.  One array passed as both intensities gives equal Z_A and Z_B
-    probabilities, computed once.  See :func:`expected_tallies`.
+    ``p_Z = p_ZA + p_ZB`` sums the two one-side kinds.  Elementwise over
+    intensities and one-arm transmittances ``eta`` that broadcast together;
+    ``p_O`` is a scalar, since no light reaches either detector in an O
+    window.  One array passed as both intensities gives equal Z_A and Z_B
+    probabilities, computed once.
     """
     _require_nonnegative(mu_A, mu_B, eta)
     # O and Z windows are insensitive to Charlie's phase compensation, so
     # both modes use the single-detector heralding rule there; only B
-    # windows depend on the mode.  No light reaches either detector in an
-    # O window.
-    p_o = effective_prob(0.0, 0.0, p_d)
+    # windows depend on the mode.
     p_za = effective_prob(*_means("Z_A", mu_A, mu_B, eta, e_d), p_d)
     p_zb = (p_za if mu_B is mu_A
             else effective_prob(*_means("Z_B", mu_A, mu_B, eta, e_d), p_d))
-    p_b = b_window_prob(mu_A, mu_B, eta, e_d, p_d, mode)
-    return (N * p0 * p0 * p_o,
-            N * px * px * p_b,
-            N * p0 * px * (p_za + p_zb))
+    return (effective_prob(0.0, 0.0, p_d),
+            b_window_prob(mu_A, mu_B, eta, e_d, p_d, mode), p_za + p_zb)
+
+
+def tally_arrays(p0, px, N, p_O, p_B, p_Z) -> tuple:
+    """Expected effective-window counts (n_O, n_B, n_Z) over N windows.
+
+    ``N p0^2 p_O``, ``N px^2 p_B`` and ``N p0 px p_Z``, elementwise over
+    source-choice probabilities, block sizes and the heralding
+    probabilities of :func:`heralding_arrays`, which broadcast together.
+    See :func:`expected_tallies`.
+    """
+    return N * p0 * p0 * p_O, N * px * px * p_B, N * p0 * px * p_Z
 
 
 def expected_tallies(protocol: ProtocolParams, channel: ChannelParams) -> WindowTally:
@@ -307,9 +314,10 @@ def expected_tallies(protocol: ProtocolParams, channel: ChannelParams) -> Window
     The channel model uses the nominal source intensities; the security
     analysis separately uses worst-case bounds.
     """
+    probs = heralding_arrays(np.array([protocol.mu_xA]), np.array([protocol.mu_xB]),
+                             arm_transmittance(channel), channel.e_d, channel.p_d,
+                             protocol.mode)
     counts = tally_arrays(np.array([protocol.p0]), np.array([protocol.px]),
-                          np.array([protocol.mu_xA]), np.array([protocol.mu_xB]),
-                          protocol.N, arm_transmittance(channel), channel.e_d,
-                          channel.p_d, protocol.mode)
+                          protocol.N, *probs)
     n_O, n_B, n_Z = (float(c[0]) for c in counts)
     return WindowTally(n_O=n_O, n_B=n_B, n_Z=n_Z)

@@ -35,6 +35,10 @@ _CHUNK = 2 ** 13
 # in one pass, at ~0.3 kB per candidate.
 MAX_GRID = 2 ** 20
 
+# Most refinement rounds: at shrink 1.04 both default axes collapse to one
+# float within this many.
+MAX_REFINE_ROUNDS = 1000
+
 
 class NoFeasiblePointError(RuntimeError):
     """Raised when every grid candidate violates the mapping condition."""
@@ -62,8 +66,9 @@ class SearchSpace:
         if self.grid[0] * self.grid[1] > MAX_GRID:
             raise ValueError(f"grid must hold at most {MAX_GRID} candidates, "
                              f"got {self.grid!r}")
-        if self.refine_rounds < 0:
-            raise ValueError(f"refine_rounds must be >= 0, got {self.refine_rounds!r}")
+        if not 0 <= self.refine_rounds <= MAX_REFINE_ROUNDS:
+            raise ValueError(f"refine_rounds must lie in [0, {MAX_REFINE_ROUNDS}], "
+                             f"got {self.refine_rounds!r}")
         if not self.shrink > 1.0:
             raise ValueError(f"shrink must be > 1, got {self.shrink!r}")
 
@@ -137,7 +142,9 @@ def optimize_points(points: list[tuple[ChannelParams, float | str, str]],
 
     Each point's search is the one :func:`optimize` describes, and its
     result does not depend on the other points.  A point with no feasible
-    candidate in the coarse grid gives None.
+    candidate in the coarse grid gives None.  Refinement ends before
+    ``space.refine_rounds`` once every point's axes have collapsed to its
+    incumbent, which later rounds could not replace.
     """
     for _, block, _ in points:
         require_block(block)
@@ -162,6 +169,9 @@ def optimize_points(points: list[tuple[ChannelParams, float | str, str]],
             hi = np.minimum(px_hi, px_c + px_width / 2.0)
             m_lo = np.maximum(mu_lo, mu_c * math.exp(-log_mu_width / 2.0))
             m_hi = np.minimum(mu_hi, mu_c * math.exp(log_mu_width / 2.0))
+            # Collapsed axes hold only the incumbents, which no sweep replaces.
+            if (lo == hi).all() and (m_lo == m_hi).all():
+                break
         _sweep(points, etas, live, _axes(lo, hi, n_px, np.linspace),
                _axes(m_lo, m_hi, n_mu, np.geomspace), calib, security, best)
 

@@ -5,6 +5,18 @@ both-coherent components plus a residual with norm coefficient c2bar, which
 lets the phase-error click probability be bounded by the observable O- and
 B-window heralding counts.  Chernoff estimation then converts counts to
 expected values and back at the supplied failure probability.
+
+In the asymptotic limit the counts are exact expected values over N
+windows: ``n_O = N p0^2 p_O``, ``n_B = N px^2 p_B`` and ``n_Z = N p0 px p_Z``
+with the heralding probabilities of one window.  The mean count of
+:func:`_mean_count` is then ``(N p0 px / 2) (c0 sqrt(p_O) + c1 sqrt(p_B)
++ c2)^2``, so ``N p0 px`` cancels from ``e_ph = mean / n_Z``:
+
+    e_ph = min((c0 sqrt(p_O) + c1 sqrt(p_B) + c2)^2 / (2 p_Z), 1/2),
+
+which depends on the intensities and the channel only, not on px or N.  It
+is :func:`phase_error_arrays` of the probabilities ``(p_O, p_B, p_Z)`` with
+``N = p0 = px = 1``.
 """
 from __future__ import annotations
 
@@ -29,15 +41,17 @@ def decomposition_arrays(mu_A, mu_B) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _mean_count(nO_U, nB_U, N, p0, px, c0, c1, c2):
-    """Upper bound on the expected number of phase errors over N windows."""
+    """Upper bound on the expected number of phase errors over N windows.
+
+    The six-term bound
+    ``(p0 px / 2) [c0^2 nO_U / p0^2 + c1^2 nB_U / px^2 + c2^2 N
+    + 2 c0 c1 sqrt(nO_U nB_U) / (p0 px) + 2 c0 c2 sqrt(N nO_U) / p0
+    + 2 c1 c2 sqrt(N nB_U) / px]`` is the perfect square
+    ``(p0 px / 2) (c0 sqrt(nO_U) / p0 + c1 sqrt(nB_U) / px + c2 sqrt(N))^2``,
+    evaluated as such: each square root runs on the shape of its count.
+    """
     return (p0 * px / 2.0) * (
-        (c0 * c0 / (p0 * p0)) * nO_U
-        + (c1 * c1 / (px * px)) * nB_U
-        + c2 * c2 * N
-        + (2.0 * c0 * c1 / (p0 * px)) * np.sqrt(nO_U * nB_U)
-        + (2.0 * c0 * c2 / p0) * np.sqrt(N * nO_U)
-        + (2.0 * c1 * c2 / px) * np.sqrt(N * nB_U)
-    )
+        c0 * (np.sqrt(nO_U) / p0) + c1 * (np.sqrt(nB_U) / px) + c2 * np.sqrt(N)) ** 2
 
 
 def phase_error_arrays(n_O, n_B, n_Z, N, p0, px, c0, c1, c2,
@@ -48,7 +62,9 @@ def phase_error_arrays(n_O, n_B, n_Z, N, p0, px, c0, c1, c2,
     is computed on the shape of its count and ``log_xi``: the n_O and n_B
     bounds in one solve over their concatenated counts.  ``log_xi=None`` is
     the asymptotic bound: the counts are taken as exact expected values,
-    with no Chernoff slack.
+    with no Chernoff slack.  Given the heralding probabilities of one window
+    as counts, with ``N = p0 = px = 1``, it gives the asymptotic e_ph of
+    every block size and px (see the module docstring).
     """
     if log_xi is None:
         nO_U, nB_U = n_O, n_B

@@ -11,10 +11,10 @@ together in one pass, with a feasibility mask where the source bounds admit
 no virtual-protocol mapping; each candidate has its own transmittance and
 block size, so one pass can span several distances and block sizes.  Each
 quantity is computed on the shape of the inputs it depends on: on a
-(point, px, mu) grid the source mapping and the heralding probabilities run
-once per mu, and the n_O Chernoff bound once per px.  Given one array as both
-intensities, as the optimizer passes it, the mu-only quantities are computed
-once, not once per party.
+(point, px, mu) grid the source mapping, the heralding probabilities and the
+asymptotic phase error run once per (point, mu), and the n_O Chernoff bound
+once per px.  Given one array as both intensities, as the optimizer passes
+it, the mu-only quantities are computed once, not once per party.
 :func:`evaluate_point` is the same computation on one candidate.
 """
 from __future__ import annotations
@@ -26,7 +26,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .channel import (ChannelParams, ProtocolParams, WindowTally,
-                      arm_transmittance, tally_arrays)
+                      arm_transmittance, heralding_arrays, tally_arrays)
 from .keyrate import (KeyRateReport, SecurityParams, coherent_attack_penalty,
                       collective_rate_array, ec_leakage_array, security_budget)
 from .mapping import require_amplitude, require_fluct, virtual_intensity_array
@@ -165,16 +165,26 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
         n = np.array(sizes)[block]
         budgets = tuple(security_budget(security.eps_coh_target, size, security.d)
                         for size in sizes)
-    n_O, n_B, n_Z = tally_arrays(p0, px, mu_A, mu_B, n, eta, channel.e_d,
-                                 channel.p_d, mode)
+    probs = heralding_arrays(mu_A, mu_B, eta, channel.e_d, channel.p_d, mode)
+    n_O, n_B, n_Z = tally_arrays(p0, px, n, *probs)
     leak = ec_leakage_array(n_O, n_B, n_Z, security.f)
     has_z = n_Z > 0.0
-    e_ph = phase_error_arrays(
-        n_O, n_B, np.where(has_z, n_Z, 1.0), n, p0, px,
-        *decomposition_arrays(mu_vA, mu_vB),
-        log_xi=None if asymptotic else np.array(
-            [budget.log_epsilon for budget in budgets])[block])[-1]
-    e_ph = np.where(has_z, e_ph, 0.5)
+    coeffs = decomposition_arrays(mu_vA, mu_vB)
+    if asymptotic:
+        # N p0 px cancels from the asymptotic e_ph (see phase_error): the
+        # heralding probabilities give it on their own, px-free axes.
+        p_O, p_B, p_Z = probs
+        has_p = p_Z > 0.0
+        e_ph = phase_error_arrays(p_O, p_B, np.where(has_p, p_Z, 1.0), 1.0, 1.0,
+                                  1.0, *coeffs, log_xi=None)[-1]
+        e_ph = np.where(has_p, e_ph, 0.5)
+        if not has_z.all():  # n_Z underflows to 0 where p_Z does not
+            e_ph = np.where(has_z, e_ph, 0.5)
+    else:
+        e_ph = phase_error_arrays(
+            n_O, n_B, np.where(has_z, n_Z, 1.0), n, p0, px, *coeffs,
+            log_xi=np.array([budget.log_epsilon for budget in budgets])[block])[-1]
+        e_ph = np.where(has_z, e_ph, 0.5)
     # The per-candidate budget is built after the Chernoff solves, whose
     # temporaries set the pass's peak memory.
     sec = None if asymptotic else SecurityParams(**{

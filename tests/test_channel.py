@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scsqkd.channel import (ChannelModelError, ChannelParams, ProtocolParams,
                             WindowTally, arm_transmittance, b_window_prob,
                             detector_means, effective_prob, expected_tallies,
-                            tally_arrays, visibility)
+                            heralding_arrays, tally_arrays, visibility)
 
 CHANNEL = ChannelParams(distance_km=100.0, alpha_f=0.2, eta_d=0.3,
                         p_d=1e-9, e_d=0.04)
@@ -82,9 +82,8 @@ class TestDetectorMeans:
     def test_negative_input_raises(self, mu_A, mu_B, eta):
         with pytest.raises(ChannelModelError, match="nonnegative"):
             detector_means("Z_A", mu_A, mu_B, eta, 0.04)
-        half = np.full(3, 0.5)
         with pytest.raises(ChannelModelError, match="nonnegative"):
-            tally_arrays(half, half, mu_A, mu_B, 1e10, eta, 0.04, 1e-9, "improved")
+            heralding_arrays(mu_A, mu_B, eta, 0.04, 1e-9, "improved")
 
     def test_visibility_convention(self):
         assert visibility(0.04) == pytest.approx(0.92, rel=1e-15)
@@ -159,8 +158,8 @@ class TestBWindowProb:
         chan = ChannelParams(0.0, 0.2, 1.0, 1e-9, 0.0)
         mu = np.array([0.5, 2.5, 800.0, 1.9, 699.0, 1e4, 2.0, 701.0])
         px = np.full(mu.shape, 0.5)
-        _, n_b, _ = tally_arrays(1.0 - px, px, mu, mu, 1.0, arm_transmittance(chan),
-                                 chan.e_d, chan.p_d, "baseline")
+        _, n_b, _ = tally_arrays(1.0 - px, px, 1.0, *heralding_arrays(
+            mu, mu, arm_transmittance(chan), chan.e_d, chan.p_d, "baseline"))
         scalar = [0.25 * b_window_prob(m, m, 1.0, 0.0, 1e-9, "baseline") for m in mu]
         assert n_b.tolist() == scalar
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from scsqkd import chernoff, optimizer, phase_error, pipeline
+from scsqkd import chernoff, keyrate, optimizer, phase_error, pipeline
 from scsqkd.channel import arm_transmittance
 from scsqkd.cli import (CSV_HEADER, ConfigError, build_parser, emit_plot,
                         load_config, main, rows_to_csv, run_scan)
@@ -228,10 +228,13 @@ class TestBatchedScan:
 
     def test_per_axis_work_stays_on_its_axis(self, tmp_path, monkeypatch):
         # Within a pass of S points on an n_px x n_mu grid, the source
-        # mapping runs once on S x n_mu intensities, and a finite pass makes
-        # one n_O and n_B Chernoff solve on S x n_px + S x n_px x n_mu
-        # counts.  A finite pass runs two Newton loops (that solve and the
-        # phase-error count's), an asymptotic pass none.
+        # mapping and the heralding probabilities run once on S x n_mu
+        # intensities, and a finite pass makes one n_O and n_B Chernoff
+        # solve on S x n_px + S x n_px x n_mu counts.  A finite pass runs
+        # two Newton loops (that solve and the phase-error count's), an
+        # asymptotic pass none.  An asymptotic pass takes the mean
+        # phase-error count and H(e_ph) on S x n_mu elements; only the
+        # leakage's H(E_Z) spans the whole grid.
         n_px, n_mu = 5, 3
         path = _write_config(tmp_path, {
             "search": {"px_range": [0.05, 0.5], "mu_range": [1e-3, 0.1],
@@ -241,35 +244,70 @@ class TestBatchedScan:
         cfg = load_config(path, _no_overrides())
         passes = []
 
-        def spy(module, name, arg):
+        def spy(module, name, size):
             real = getattr(module, name)
 
             def recorded(*args, **kwargs):
-                passes[-1][name].append(np.size(args[arg]))
-                return real(*args, **kwargs)
+                result = real(*args, **kwargs)
+                passes[-1][name].append(size(args, result))
+                return result
             monkeypatch.setattr(module, name, recorded)
 
         def evaluated(*args, **kwargs):
             points = np.broadcast(args[3], args[4]).size // (n_px * n_mu)
             passes.append({"points": points, "asymptotic": args[8] == (ASYMPTOTIC,),
-                           "virtual_intensity_array": [], "expectation_upper": [],
-                           "_newton": []})
+                           "virtual_intensity_array": [], "heralding_arrays": [],
+                           "expectation_upper": [], "_newton": [], "_mean_count": [],
+                           "binary_entropy": []})
             return evaluate_points(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "evaluate_points", evaluated)
-        spy(pipeline, "virtual_intensity_array", 0)
-        spy(phase_error, "expectation_upper", 0)
-        spy(chernoff, "_newton", 1)
+        spy(pipeline, "virtual_intensity_array", lambda args, _: np.size(args[0]))
+        spy(pipeline, "heralding_arrays", lambda _, probs: np.size(probs[1]))
+        spy(phase_error, "expectation_upper", lambda args, _: np.size(args[0]))
+        spy(chernoff, "_newton", lambda args, _: np.size(args[1]))
+        spy(phase_error, "_mean_count", lambda _, mean: np.size(mean))
+        spy(keyrate, "binary_entropy", lambda args, _: np.size(args[0]))
         run_scan(cfg)
         assert len(passes) == 2 * 2 * 2  # rounds x modes x (finite, asymptotic)
         for p in passes:
-            s = p["points"]
+            s, asymptotic = p["points"], p["asymptotic"]
+            grid = s * n_px * n_mu
             assert p["virtual_intensity_array"] == [s * n_mu]
-            assert p["expectation_upper"] == (
-                [] if p["asymptotic"] else [s * n_px * (1 + n_mu)])
-            assert p["_newton"] == (
-                [] if p["asymptotic"] else [s * n_px * (1 + n_mu), s * n_px * n_mu])
+            assert p["heralding_arrays"] == [s * n_mu]
+            assert p["expectation_upper"] == ([] if asymptotic else [s * n_px + grid])
+            assert p["_newton"] == ([] if asymptotic else [s * n_px + grid, grid])
+            assert p["_mean_count"] == [s * n_mu if asymptotic else grid]
+            assert p["binary_entropy"] == [grid, s * n_mu if asymptotic else grid]
         assert {p["points"] for p in passes} == {3, 6}
+
+    def test_refinement_stops_once_every_axis_collapses(self, tmp_path, monkeypatch):
+        # At shrink 4 both axes collapse to one float within ~30 rounds; the
+        # sweeps after that would evaluate only the incumbents.  The rows
+        # equal a per-point search that runs every one of the 60 rounds.
+        path = _write_config(tmp_path, {
+            "search": {"px_range": [0.01, 0.99], "mu_range": [1e-4, 1.0],
+                       "grid": [3, 3], "refine_rounds": 60, "shrink": 4.0},
+            "scan": {"distance": [0, 50, 50], "blocks": ["1e12", "asymptotic"],
+                     "modes": ["improved"]}})
+        cfg = load_config(path, _no_overrides())
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate_points(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "evaluate_points", counted)
+        rows = run_scan(cfg)
+        passes = len(calls)
+        assert 2 * 20 < passes < 2 * 40  # a finite and an asymptotic pass per sweep
+        for row in rows:
+            assert row == _reference_row(cfg, row["distance_km"], row["N"], row["mode"])
+        calls.clear()
+        longest = replace(cfg, space=replace(cfg.space,
+                                             refine_rounds=optimizer.MAX_REFINE_ROUNDS))
+        assert run_scan(longest) == rows
+        assert len(calls) == passes
 
     @pytest.mark.parametrize("chunk, passes", [
         (None, 3 * 2),       # one pass per round and mode
@@ -420,6 +458,9 @@ class TestMain:
     # distance axis was built until memory ran out.
     pytest.param("search", "grid", [10**400, 3], id="search-grid-10**400"),
     pytest.param("search", "grid", [1025, 1024], id="search-grid-2**20+1024"),
+    # Looped over 10**400 refinement rounds.
+    pytest.param("search", "refine_rounds", 10**400, id="search-refine_rounds-10**400"),
+    ("search", "refine_rounds", 1001),
     pytest.param("scan", "distance", [0, 1e300, 10], id="scan-distance-1e300"),
     pytest.param("scan", "distance", [0, 1e6, 1], id="scan-distance-10**6+1"),
 ])
@@ -440,10 +481,12 @@ def test_invalid_value_is_a_config_error(tmp_path, capsys, section, key, value):
 
 def test_size_bounds_are_inclusive(tmp_path):
     path = _write_config(tmp_path, {
-        "search": dict(BASE_CONFIG["search"], grid=[1024, 1024]),
+        "search": dict(BASE_CONFIG["search"], grid=[1024, 1024],
+                       refine_rounds=optimizer.MAX_REFINE_ROUNDS),
         "scan": dict(BASE_CONFIG["scan"], distance=[0, 999999, 1])})
     cfg = load_config(path, _no_overrides())
     assert cfg.space.grid == (1024, 1024)
+    assert cfg.space.refine_rounds == optimizer.MAX_REFINE_ROUNDS
     assert len(cfg.distances) == 10**6
 
 

@@ -1,11 +1,16 @@
 """Tests for the phase-flip error-rate bound."""
 import math
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scsqkd.channel import ChannelParams, ProtocolParams, WindowTally
+from scsqkd.channel import ChannelParams, ProtocolParams, WindowTally, arm_transmittance
 from scsqkd.phase_error import decomposition_arrays, phase_error_arrays
+from scsqkd.pipeline import SecurityConfig, SourceCalibration, evaluate_points
 
 # Frozen oracle: residual coefficient for mu_A = mu_B = 0.1 with default c0,
 # cross-checked against a photon-number-truncated state expansion.
@@ -81,6 +86,53 @@ class TestMeanPhaseErrorCount:
         base = _mean_count(10.0, 20.0, 1e8, 0.5, 0.5, coeffs)
         assert _mean_count(20.0, 20.0, 1e8, 0.5, 0.5, coeffs) > base
         assert _mean_count(10.0, 40.0, 1e8, 0.5, 0.5, coeffs) > base
+
+
+def _mp_mean_count(n_O, n_B, N, p0, px, c0, c1, c2):
+    """50-digit six-term mean phase-error count of the inputs as given."""
+    with mpmath.workdps(50):
+        n_O, n_B, N, p0, px, c0, c1, c2 = (
+            mpmath.mpf(v) for v in (n_O, n_B, N, p0, px, c0, c1, c2))
+        return (p0 * px / 2) * (
+            c0 ** 2 / p0 ** 2 * n_O + c1 ** 2 / px ** 2 * n_B + c2 ** 2 * N
+            + 2 * c0 * c1 / (p0 * px) * mpmath.sqrt(n_O * n_B)
+            + 2 * c0 * c2 / p0 * mpmath.sqrt(N * n_O)
+            + 2 * c1 * c2 / px * mpmath.sqrt(N * n_B))
+
+
+_COUNTS = st.one_of(st.just(0.0), st.floats(0.0, 1e15),
+                    st.floats(-3.0, 15.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n_O=_COUNTS, n_B=_COUNTS, N=st.floats(0.0, 15.0).map(lambda e: 10.0 ** e),
+       p0=st.floats(0.01, 0.99), px=st.floats(0.01, 0.99),
+       mu_A=st.floats(1e-4, 1.1), mu_B=st.floats(1e-4, 1.1))
+def test_mean_count_against_mpmath(n_O, n_B, N, p0, px, mu_A, mu_B):
+    # Every term is nonnegative, so the square form loses nothing to
+    # cancellation over the real range of counts and block sizes.
+    coeffs = _coeffs(mu_A, mu_B)
+    got = _mean_count(n_O, n_B, N, p0, px, coeffs)
+    expected = _mp_mean_count(n_O, n_B, N, p0, px, *coeffs)
+    assert abs(got - expected) <= 2e-15 * expected
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(distances=st.lists(st.floats(0.0, 400.0), min_size=6, max_size=6),
+       p_d=st.sampled_from([0.0, 1e-9, 1e-6]), e_d=st.floats(0.0, 0.1),
+       mode=st.sampled_from(["improved", "baseline"]))
+def test_asymptotic_e_ph_is_constant_along_px(distances, p_d, e_d, mode):
+    # N p0 px cancels from the asymptotic e_ph, so every px of a
+    # (point, mu) column gives the same bits.
+    channel = ChannelParams(0.0, 0.2, 0.3, p_d, e_d)
+    eta = np.array([arm_transmittance(replace(channel, distance_km=d))
+                    for d in distances])[:, None, None]
+    px = np.linspace(0.01, 0.99, 20)[None, :, None]
+    mu = np.geomspace(1e-4, 1.0, 20)[None, None, :]
+    batch = evaluate_points(channel, SourceCalibration(), 1.0 - px, px, mu, mu, eta,
+                            SecurityConfig(), "asymptotic", mode)
+    assert batch.feasible.any()
+    assert ((batch.e_ph == batch.e_ph[:, :1]) | ~batch.feasible).all()
 
 
 class TestPhaseErrorRateUpper:

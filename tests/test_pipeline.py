@@ -72,6 +72,20 @@ def test_mixed_batch_equals_evaluate_point(mode):
     assert batch.feasible.sum() > 300
 
 
+def test_underflowed_n_z_keeps_half_phase_error():
+    # At eta mu = 1e-322 the Z heralding probability is subnormal, and
+    # n_Z = p0 px p_Z underflows to 0 at px = 0.01 but not at px = 0.5.
+    # Where n_Z = 0, e_ph stays 0.5 and the rate -inf, although the px-free
+    # asymptotic e_ph of that (point, mu) is 0 at exact vacuum bounds.
+    px = np.array([[0.01], [0.5]])
+    mu = np.array([1e-300])
+    batch = evaluate_points(replace(CHANNEL_50, p_d=0.0), SourceCalibration(1.0, 1.0),
+                            1.0 - px, px, mu, mu, 1e-22, SecurityConfig(), "asymptotic")
+    assert batch.n_Z[0, 0] == 0.0 < batch.n_Z[1, 0]
+    assert batch.e_ph.tolist() == [[0.5], [0.0]]
+    assert batch.R_coh_signed[0, 0] == -np.inf
+
+
 @pytest.mark.parametrize("block", [0.5, "1e12", True, 0, math.inf, math.nan,
                                    pytest.param(10**400, id="10**400"),
                                    "Asymptotic"])
@@ -88,6 +102,8 @@ def test_optimize_rejects_block_size_before_evaluating(monkeypatch):
     # the optimal ProtocolParams.
     def fail(*args, **kwargs):
         raise AssertionError("evaluated a candidate")
+    # The pass's first channel evaluation, and the tallies formed from it.
+    monkeypatch.setattr(pipeline, "heralding_arrays", fail)
     monkeypatch.setattr(pipeline, "tally_arrays", fail)
     with pytest.raises(ValueError, match="block_size"):
         optimize(CHANNEL_50, CALIB, 0.5, SecurityConfig())
