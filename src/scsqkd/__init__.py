@@ -6,7 +6,6 @@ from .channel import (ChannelParams, ProtocolParams, WindowTally,
 from .chernoff import expectation_upper, observed_upper
 from .keyrate import (KeyRateReport, SecurityParams, binary_entropy,
                       security_budget)
-from .mapping import check_mapping_condition, virtual_intensity
 from .mc_oracle import simulate
 from .optimizer import NoFeasiblePointError, SearchSpace, optimize
 from .pipeline import (ASYMPTOTIC, InfeasibleError, SecurityConfig,
@@ -26,7 +25,6 @@ __all__ = [
     "WindowTally",
     "arm_transmittance",
     "binary_entropy",
-    "check_mapping_condition",
     "detector_means",
     "effective_prob",
     "evaluate_point",
@@ -37,7 +35,6 @@ __all__ = [
     "optimize",
     "security_budget",
     "simulate",
-    "virtual_intensity",
 ]
 
 __version__ = "0.1.0"

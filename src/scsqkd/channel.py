@@ -128,10 +128,7 @@ class WindowTally:
         flip, effective Z windows always agree, so the raw-key error rate is
         exactly (n_O + n_B) / M_s.  Returns 0 for an empty tally.
         """
-        total = self.M_s
-        if total <= 0.0:
-            return 0.0
-        return (self.n_O + self.n_B) / total
+        return raw_error_rate(self.n_O, self.n_B, self.n_Z)
 
 
 def arm_transmittance(params: ChannelParams) -> float:
@@ -306,6 +303,15 @@ def tally_arrays(p0, px, N, p_O, p_B, p_Z) -> tuple:
     See :func:`expected_tallies`.
     """
     return N * p0 * p0 * p_O, N * px * px * p_B, N * p0 * px * p_Z
+
+
+def raw_error_rate(n_O, n_B, n_Z):
+    """Raw-key bit-flip error rate ``(n_O + n_B) / (n_O + n_B + n_Z)``,
+    elementwise, and a float for floats; 0 for an empty tally (see
+    :attr:`WindowTally.E_Z`)."""
+    total = n_O + n_B + n_Z
+    # An empty tally divides 0 by 1; adding False leaves any other total as is.
+    return (n_O + n_B) / (total + (total == 0.0))
 
 
 def expected_tallies(protocol: ProtocolParams, channel: ChannelParams) -> WindowTally:

@@ -17,8 +17,12 @@ from .mc_oracle import SimConfigError, require_seed, require_windows, simulate
 from .optimizer import SearchSpace, optimize_points
 from .pipeline import ASYMPTOTIC, SecurityConfig, SourceCalibration, require_block
 
-CSV_HEADER = ("distance_km,N,mode,px,mu_x,mu_virtual_A,mu_virtual_B,"
-              "n_O,n_B,n_Z,E_Z,e_ph,R_col,R_coh,feasible_flag")
+# The scan.csv columns a row's KeyRateReport gives, read by name.
+_REPORT_COLUMNS = ("mu_virtual_A", "mu_virtual_B", "n_O", "n_B", "n_Z", "E_Z",
+                   "e_ph", "R_col", "R_coh")
+
+CSV_HEADER = ",".join(("distance_km", "N", "mode", "px", "mu_x", *_REPORT_COLUMNS,
+                       "feasible_flag"))
 
 
 # Most distances a scan axis may hold.
@@ -243,21 +247,14 @@ def run_scan(cfg: ScanConfig) -> list[dict]:
         cfg.calib, cfg.security, cfg.space)
     rows = []
     for (distance, block_label, mode), result in zip(keys, results):
-        row = {"distance_km": distance, "N": block_label, "mode": mode,
-               "px": 0.0, "mu_x": 0.0, "mu_virtual_A": 0.0, "mu_virtual_B": 0.0,
-               "n_O": 0.0, "n_B": 0.0, "n_Z": 0.0, "E_Z": 0.0, "e_ph": 0.0,
-               "R_col": 0.0, "R_coh": 0.0, "feasible_flag": 0}
-        if result is not None:
+        row = {"distance_km": distance, "N": block_label, "mode": mode}
+        if result is None:
+            row.update(dict.fromkeys(("px", "mu_x", *_REPORT_COLUMNS), 0.0),
+                       feasible_flag=0)
+        else:
             protocol, report = result
-            tally = report.tally
-            row.update({
-                "px": protocol.px, "mu_x": protocol.mu_xA,
-                "mu_virtual_A": report.mu_virtual_A,
-                "mu_virtual_B": report.mu_virtual_B,
-                "n_O": tally.n_O, "n_B": tally.n_B, "n_Z": tally.n_Z,
-                "E_Z": tally.E_Z, "e_ph": report.e_ph,
-                "R_col": report.R_col, "R_coh": report.R_coh, "feasible_flag": 1,
-            })
+            row.update({name: getattr(report, name) for name in _REPORT_COLUMNS},
+                       px=protocol.px, mu_x=protocol.mu_xA, feasible_flag=1)
         rows.append(row)
     rows.sort(key=lambda r: (r["distance_km"],
                              math.inf if r["N"] == ASYMPTOTIC else float(r["N"]),

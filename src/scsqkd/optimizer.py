@@ -131,7 +131,7 @@ def _sweep(points, etas, live: list[int], px_axes: np.ndarray,
                 score = float(rates[r, k])
                 if best[i] is None or score > best[i][0]:
                     best[i] = (score, float(px[r, a, 0]), float(mu[r, 0, b]),
-                               batch.report((r, a, b)))
+                               batch.row((r, a, b)))
 
 
 def optimize_points(points: list[tuple[ChannelParams, float | str, str]],

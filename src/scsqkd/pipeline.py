@@ -16,19 +16,25 @@ asymptotic phase error run once per (point, mu), and the n_O Chernoff bound
 once per px.  Given one array as both intensities, as the optimizer passes
 it, the mu-only quantities are computed once, not once per party.
 :func:`evaluate_point` is the same computation on one candidate.
+
+Both return a :class:`~scsqkd.keyrate.KeyRateReport`: a pass's holds arrays
+of the candidates' broadcast shape, and its ``row(i)`` is candidate ``i``'s
+report in floats, which is what :func:`evaluate_point` returns.  A finite
+candidate's security budget enters as its one log share of eps_col, indexed
+from the distinct block sizes like the coherent-attack penalty.
 """
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
 
-from .channel import (ChannelParams, ProtocolParams, WindowTally,
-                      arm_transmittance, heralding_arrays, tally_arrays)
-from .keyrate import (KeyRateReport, SecurityParams, coherent_attack_penalty,
-                      collective_rate_array, ec_leakage_array, security_budget)
+from .channel import (ChannelParams, ProtocolParams, arm_transmittance,
+                      heralding_arrays, tally_arrays)
+from .keyrate import (KeyRateReport, coherent_attack_penalty, collective_rate_array,
+                      ec_leakage_array, security_budget)
 from .mapping import require_amplitude, require_fluct, virtual_intensity_array
 from .phase_error import decomposition_arrays, phase_error_arrays
 
@@ -96,47 +102,12 @@ class SecurityConfig:
                     f"{field} must {requirement}, got {getattr(self, field)!r}")
 
 
-@dataclass(frozen=True)
-class PointBatch:
-    """Elementwise evaluation of candidates.
-
-    Every array has the broadcast shape of the candidates; most are
-    read-only broadcast views.  Entries where ``feasible`` is False carry
-    no meaning.  Candidate ``i`` was evaluated under the security budget
-    ``budgets[block[i]]`` (None in asymptotic mode).
-    """
-
-    feasible: np.ndarray
-    mu_virtual_A: np.ndarray
-    mu_virtual_B: np.ndarray
-    n_O: np.ndarray
-    n_B: np.ndarray
-    n_Z: np.ndarray
-    e_ph: np.ndarray
-    leak_EC: np.ndarray
-    R_col_signed: np.ndarray
-    R_coh_signed: np.ndarray
-    budgets: tuple[SecurityParams | None, ...]
-    block: np.ndarray
-
-    def report(self, i: int | tuple[int, ...]) -> KeyRateReport:
-        """Key-rate report of candidate ``i`` (an int or a tuple index)."""
-        r_col, r_coh = float(self.R_col_signed[i]), float(self.R_coh_signed[i])
-        return KeyRateReport(
-            R_col=max(r_col, 0.0), R_coh=max(r_coh, 0.0), e_ph=float(self.e_ph[i]),
-            leak_EC=float(self.leak_EC[i]),
-            tally=WindowTally(n_O=float(self.n_O[i]), n_B=float(self.n_B[i]),
-                              n_Z=float(self.n_Z[i])),
-            budget=self.budgets[self.block[i]], R_col_signed=r_col,
-            R_coh_signed=r_coh, mu_virtual_A=float(self.mu_virtual_A[i]),
-            mu_virtual_B=float(self.mu_virtual_B[i]))
-
-
 def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
                     p0: np.ndarray, px: np.ndarray, mu_A: np.ndarray,
                     mu_B: np.ndarray, eta, security: SecurityConfig,
-                    block_size, mode: str = "improved", block=0) -> PointBatch:
-    """Key rates of the candidates (p0, px, mu_A, mu_B), elementwise.
+                    block_size, mode: str = "improved", block=0) -> KeyRateReport:
+    """Key rates of the candidates (p0, px, mu_A, mu_B), elementwise, as a
+    :class:`KeyRateReport` of arrays.
 
     The candidates' inputs, ``eta`` (the one-arm transmittance) and
     ``block`` are inputs that broadcast together; ``channel`` gives the
@@ -147,9 +118,10 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
     checks for one candidate.  Each element's result is the one
     :func:`evaluate_point` gives for that candidate alone.
     """
-    # Security budget and coherent-attack penalty are computed once per
-    # distinct block size by the scalar formulas (numpy's log1p and log2
-    # need not match libm to the last bit), then indexed per candidate.
+    # The security budget's share and the coherent-attack penalty are
+    # computed once per distinct block size by the scalar formulas (numpy's
+    # log1p and log2 need not match libm to the last bit), then indexed per
+    # candidate.
     sizes = list(block_size) if isinstance(block_size, tuple) else [block_size]
     for size in sizes:
         require_block(size)
@@ -159,12 +131,13 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
                    else virtual_intensity_array(mu_B, calib.bv0, calib.fluct))
     asymptotic = sizes == [ASYMPTOTIC]
     if asymptotic:
-        n, budgets = 1.0, (None,)
+        n, log_share = 1.0, None
     else:
         sizes = [float(size) for size in sizes]
         n = np.array(sizes)[block]
-        budgets = tuple(security_budget(security.eps_coh_target, size, security.d)
-                        for size in sizes)
+        log_share = np.array([
+            security_budget(security.eps_coh_target, size, security.d).log_eps_share
+            for size in sizes])[block]
     probs = heralding_arrays(mu_A, mu_B, eta, channel.e_d, channel.p_d, mode)
     n_O, n_B, n_Z = tally_arrays(p0, px, n, *probs)
     leak = ec_leakage_array(n_O, n_B, n_Z, security.f)
@@ -181,21 +154,15 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
         if not has_z.all():  # n_Z underflows to 0 where p_Z does not
             e_ph = np.where(has_z, e_ph, 0.5)
     else:
-        e_ph = phase_error_arrays(
-            n_O, n_B, np.where(has_z, n_Z, 1.0), n, p0, px, *coeffs,
-            log_xi=np.array([budget.log_epsilon for budget in budgets])[block])[-1]
+        e_ph = phase_error_arrays(n_O, n_B, np.where(has_z, n_Z, 1.0), n, p0, px,
+                                  *coeffs, log_xi=log_share)[-1]
         e_ph = np.where(has_z, e_ph, 0.5)
-    # The per-candidate budget is built after the Chernoff solves, whose
-    # temporaries set the pass's peak memory.
-    sec = None if asymptotic else SecurityParams(**{
-        field.name: np.array([getattr(budget, field.name) for budget in budgets])[block]
-        for field in fields(SecurityParams)})
-    r_col = np.where(has_z, collective_rate_array(n_Z, e_ph, leak, sec, n), -np.inf)
+    r_col = np.where(has_z, collective_rate_array(n_Z, e_ph, leak, log_share,
+                                                  security.d, n), -np.inf)
     r_coh = r_col if asymptotic else r_col - np.array(
         [coherent_attack_penalty(size, security.d) for size in sizes])[block]
-    *arrays, block = np.broadcast_arrays(ok_A & ok_B, mu_vA, mu_vB, n_O, n_B, n_Z,
-                                         e_ph, leak, r_col, r_coh, block)
-    return PointBatch(*arrays, budgets=budgets, block=block)
+    return KeyRateReport(*np.broadcast_arrays(ok_A & ok_B, mu_vA, mu_vB, n_O, n_B,
+                                              n_Z, e_ph, leak, r_col, r_coh))
 
 
 def evaluate_point(channel: ChannelParams, calib: SourceCalibration,
@@ -216,4 +183,4 @@ def evaluate_point(channel: ChannelParams, calib: SourceCalibration,
         raise InfeasibleError(
             f"no virtual-protocol mapping for mu_xA={protocol.mu_xA!r}, "
             f"mu_xB={protocol.mu_xB!r} at fluct={calib.fluct!r}")
-    return batch.report(0)
+    return batch.row(0)

@@ -201,7 +201,7 @@ def _log_uniform(lo: float, hi: float):
 
 # The smallest log failure probability a scan reaches: the parameter
 # estimation share of the budget at the largest block size, N = 1e15.
-LOG_XI_MIN = security_budget(1e-10, 1e15, 8).log_epsilon
+LOG_XI_MIN = security_budget(1e-10, 1e15, 8).log_eps_share
 
 COUNTS = st.one_of(st.just(0.0), _log_uniform(1e-6, 1e15))
 LOG_XIS = _log_uniform(1e-3, -LOG_XI_MIN).map(lambda m: -m)

@@ -156,7 +156,7 @@ def _reference_row(cfg, distance: float, label: str, mode: str) -> dict:
             k = int(feasible[np.argmax(batch.R_coh_signed[feasible])])
             if best is None or batch.R_coh_signed[k] > best[0]:
                 best = (float(batch.R_coh_signed[k]), float(px[k]), float(mu[k]),
-                        batch.report(k))
+                        batch.row(k))
 
     (px_lo, px_hi), (mu_lo, mu_hi), (n_px, n_mu) = (space.px_range, space.mu_range,
                                                     space.grid)
@@ -170,17 +170,13 @@ def _reference_row(cfg, distance: float, label: str, mode: str) -> dict:
                    n_px, False),
               axis(max(mu_lo, mu_c * math.exp(-log_mu_width / 2.0)),
                    min(mu_hi, mu_c * math.exp(log_mu_width / 2.0)), n_mu, True))
-    row = {"distance_km": distance, "N": label, "mode": mode, "px": 0.0, "mu_x": 0.0,
-           "mu_virtual_A": 0.0, "mu_virtual_B": 0.0, "n_O": 0.0, "n_B": 0.0,
-           "n_Z": 0.0, "E_Z": 0.0, "e_ph": 0.0, "R_col": 0.0, "R_coh": 0.0,
-           "feasible_flag": 0}
+    row = dict.fromkeys(CSV_HEADER.split(","), 0.0)
+    row.update(distance_km=distance, N=label, mode=mode, feasible_flag=0)
     if best is not None:
         _, px, mu, report = best
-        tally = report.tally
-        row.update(px=px, mu_x=mu, mu_virtual_A=report.mu_virtual_A,
-                   mu_virtual_B=report.mu_virtual_B, n_O=tally.n_O, n_B=tally.n_B,
-                   n_Z=tally.n_Z, E_Z=tally.E_Z, e_ph=report.e_ph, R_col=report.R_col,
-                   R_coh=report.R_coh, feasible_flag=1)
+        # Every other column is the report attribute of its name.
+        row.update({name: getattr(report, name) for name in row
+                    if hasattr(report, name)}, px=px, mu_x=mu, feasible_flag=1)
     return row
 
 

@@ -60,12 +60,12 @@ def _top_level_names(path: Path) -> list[str]:
     return names
 
 
-def _identifier_counts(path: Path) -> Counter:
-    """Occurrences of each identifier: as a name, attribute, imported or
-    defined name, or whole string literal (the benchmark's tracer names the
-    functions it rebinds in strings)."""
+def _identifier_counts(source: str) -> Counter:
+    """Occurrences of each identifier in Python ``source``: as a name,
+    attribute, imported or defined name, or whole string literal (the
+    benchmark's tracer names the functions it rebinds in strings)."""
     counts = Counter()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             counts[node.id] += 1
         elif isinstance(node, ast.Attribute):
@@ -87,8 +87,21 @@ def test_every_top_level_name_is_referenced():
     counts = Counter()
     for folder in ("src", "tests", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
-            counts += _identifier_counts(path)
+            counts += _identifier_counts(path.read_text())
     assert sorted(n for n, defs in definitions.items() if counts[n] <= defs) == []
+
+
+def test_every_exported_name_is_used_outside_tests():
+    # An export that only tests use is public API nothing else needs.  A
+    # name counts where the package uses it outside its definition and
+    # __init__.py, where perfbench uses it, or in a README Python example.
+    package = [path for path in SOURCES if path.name != "__init__.py"]
+    counts = sum((_identifier_counts(path.read_text()) for path in package), Counter())
+    counts -= Counter(name for path in package for name in _top_level_names(path))
+    sources = [path.read_text() for path in (ROOT / "perfbench").rglob("*.py")]
+    for source in sources + _readme_blocks("python"):
+        counts += _identifier_counts(source)
+    assert sorted(name for name in scsqkd.__all__ if counts[name] <= 0) == []
 
 
 def test_every_exported_name_resolves():

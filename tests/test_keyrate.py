@@ -19,9 +19,9 @@ def _leak(tally: WindowTally, f: float = 1.1) -> float:
 
 
 def _collective(tally: WindowTally, e_ph: float, sec, N: float) -> float:
-    """Signed collective rate of one tally, with leakage at f = 1.1."""
+    """Signed collective rate of one tally, with leakage at f = 1.1 and d = 8."""
     return float(collective_rate_array(np.array([tally.n_Z]), np.array([e_ph]),
-                                       _leak(tally), sec, N)[0])
+                                       _leak(tally), sec.log_eps_share, 8, N)[0])
 
 
 def _report(distance_km: float, eta_d: float, p_d: float, block_size):
@@ -61,17 +61,14 @@ class TestSecurityBudget:
     def test_default_split_is_six_equal_shares(self):
         sec = security_budget(1e-10, 1e12, 8)
         share = sec.log_eps_col + math.log(1.0 / 6.0)
-        for log_component in (sec.log_eps_cor, sec.log_eps_bar,
-                              sec.log_eps_PA, sec.log_epsilon):
-            assert log_component == pytest.approx(share, rel=1e-12)
+        assert sec.log_eps_share == pytest.approx(share, rel=1e-12)
 
     def test_components_recompose_collective_budget(self):
         for n in (1e10, 1e14):
             sec = security_budget(1e-10, n, 8)
             # eps_cor + eps_bar + eps_PA + N_PE * eps must equal eps_col;
             # compare in the log domain since the values underflow doubles.
-            logs = [sec.log_eps_cor, sec.log_eps_bar, sec.log_eps_PA]
-            logs += [sec.log_epsilon] * N_PE
+            logs = [sec.log_eps_share] * (3 + N_PE)
             peak = max(logs)
             total = peak + math.log(sum(math.exp(v - peak) for v in logs))
             assert total == pytest.approx(sec.log_eps_col, rel=1e-12)
@@ -109,9 +106,9 @@ class TestKeyRates:
         expected = (
             n_z * (1.0 - binary_entropy(0.05))
             - 1.1 * self.TALLY.M_s * binary_entropy(self.TALLY.E_Z)
-            - (1.0 - sec.log_eps_cor / _LN2)
-            - 2.0 * (-sec.log_eps_PA / _LN2)
-            - 11.0 * math.sqrt(n_z * (1.0 - sec.log_eps_bar / _LN2))
+            - (1.0 - sec.log_eps_share / _LN2)
+            - 2.0 * (-sec.log_eps_share / _LN2)
+            - 11.0 * math.sqrt(n_z * (1.0 - sec.log_eps_share / _LN2))
         ) / n
         assert rate == pytest.approx(expected, rel=1e-12)
 
@@ -127,7 +124,7 @@ class TestKeyRates:
         # No detector efficiency and no dark counts: no window heralds.
         for block in (1e12, "asymptotic"):
             report = _report(50.0, 0.0, 0.0, block)
-            assert report.tally.n_Z == 0.0 and report.e_ph == 0.5
+            assert report.n_Z == 0.0 and report.e_ph == 0.5
             assert report.R_col == report.R_coh == 0.0
             assert report.R_col_signed == report.R_coh_signed == -math.inf
 

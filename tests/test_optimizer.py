@@ -58,7 +58,7 @@ class TestOptimize:
         protocol, report = optimize(CHANNEL_50, CALIB, 1e12, SECURITY,
                                     SearchSpace(grid=(5, 5), refine_rounds=1))
         for value in (protocol.px, protocol.p0, protocol.mu_xA,
-                      report.R_coh, report.e_ph, report.tally.n_Z):
+                      report.R_coh, report.e_ph, report.n_Z):
             assert type(value) is float
 
     def test_result_within_search_bounds(self):
@@ -97,7 +97,6 @@ class TestOptimize:
 
     def test_asymptotic_block_size(self):
         protocol, report = optimize(CHANNEL_50, CALIB, "asymptotic", SECURITY)
-        assert report.budget is None
         assert report.R_coh == report.R_col
         assert report.R_coh > 0.0
         assert protocol.N == 1

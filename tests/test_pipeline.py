@@ -42,14 +42,31 @@ def test_batch_equals_evaluate_point(block, mode):
         except InfeasibleError:
             raised[i] = True
             continue
-        assert report == batch.report(i)
+        assert report == batch.row(i)
         assert report.R_coh_signed == batch.R_coh_signed[i]
         assert report.e_ph == batch.e_ph[i]
-        assert (report.tally.n_O, report.tally.n_B, report.tally.n_Z) == (
+        assert (report.n_O, report.n_B, report.n_Z) == (
             batch.n_O[i], batch.n_B[i], batch.n_Z[i])
     assert np.array_equal(batch.feasible, ~raised)
     edge = np.abs(mu - MU_EDGE) < 1e-12
     assert batch.feasible[edge].any() and not batch.feasible[edge].all()
+
+
+@pytest.mark.parametrize("block", [1e12, "asymptotic"])
+def test_rows_derive_like_the_pass(block):
+    # A row holds floats, and its clamped rates and E_Z are those of the
+    # pass: one derivation serves both shapes.
+    px, mu = _sweep()
+    batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu,
+                            arm_transmittance(CHANNEL_50), SecurityConfig(), block)
+    assert ((batch.R_coh == 0.0) & batch.feasible).any()
+    for i in np.flatnonzero(batch.feasible).tolist():
+        row = batch.row(i)
+        assert row.feasible is True
+        assert {type(getattr(row, name)) for name in
+                ("mu_virtual_A", "n_Z", "e_ph", "R_coh_signed", "R_coh", "E_Z")} == {float}
+        assert (row.R_col, row.R_coh, row.E_Z) == (batch.R_col[i], batch.R_coh[i],
+                                                   batch.E_Z[i])
 
 
 @pytest.mark.parametrize("mode", ["improved", "baseline"])
@@ -68,7 +85,7 @@ def test_mixed_batch_equals_evaluate_point(mode):
         proto = ProtocolParams(p0=1.0 - px[i], px=px[i], mu_xA=mu[i], mu_xB=mu[i],
                                N=1, mode=mode)
         assert evaluate_point(channels[i % 4], CALIB, proto, SecurityConfig(),
-                              blocks[i % 3]) == batch.report(i)
+                              blocks[i % 3]) == batch.row(i)
     assert batch.feasible.sum() > 300
 
 
