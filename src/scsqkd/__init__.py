@@ -1,8 +1,7 @@
 """Finite-key analysis and simulation for side-channel-secure QKD."""
 
 from .channel import (ChannelParams, ProtocolParams, WindowTally,
-                      arm_transmittance, detector_means, effective_prob,
-                      expected_tallies)
+                      arm_transmittance, effective_prob, expected_tallies)
 from .chernoff import expectation_upper, observed_upper
 from .keyrate import (KeyRateReport, SecurityParams, binary_entropy,
                       security_budget)
@@ -25,7 +24,6 @@ __all__ = [
     "WindowTally",
     "arm_transmittance",
     "binary_entropy",
-    "detector_means",
     "effective_prob",
     "evaluate_point",
     "evaluate_points",

@@ -116,17 +116,12 @@ class WindowTally:
                 raise ChannelModelError(f"{name} must be nonnegative")
 
     @property
-    def M_s(self) -> float:
-        """Raw-key length: total number of effective windows."""
-        return self.n_O + self.n_B + self.n_Z
-
-    @property
     def E_Z(self) -> float:
         """Bit-flip error rate of the raw keys.
 
         Effective O and B windows always produce opposite bits after Bob's
         flip, effective Z windows always agree, so the raw-key error rate is
-        exactly (n_O + n_B) / M_s.  Returns 0 for an empty tally.
+        exactly (n_O + n_B) / (n_O + n_B + n_Z).  Returns 0 for an empty tally.
         """
         return raw_error_rate(self.n_O, self.n_B, self.n_Z)
 

@@ -12,7 +12,10 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from .channel import MODES, ChannelParams, ProtocolParams, expected_tallies
+import numpy as np
+
+from .channel import (MODES, ChannelParams, ProtocolParams, arm_transmittance,
+                      heralding_arrays, tally_arrays)
 from .mc_oracle import SimConfigError, require_seed, require_windows, simulate
 from .optimizer import SearchSpace, optimize_points
 from .pipeline import ASYMPTOTIC, SecurityConfig, SourceCalibration, require_block
@@ -362,22 +365,37 @@ def emit_plot(rows: list[dict]) -> str:
 
 
 def _mc_report(cfg: ScanConfig, rows: list[dict]) -> str:
+    # Each feasible row with its index among all rows, which offsets its seed.
+    runs = [(idx, row, ProtocolParams(p0=1.0 - row["px"], px=row["px"],
+                                      mu_xA=row["mu_x"], mu_xB=row["mu_x"],
+                                      N=cfg.mc_windows, mode=row["mode"]),
+             replace(cfg.channel, distance_km=row["distance_km"]))
+            for idx, row in enumerate(rows) if row["feasible_flag"]]
+    # The expected counts of every row of a mode come from one channel pass,
+    # with each row's scalar transmittance, so they keep every bit of
+    # expected_tallies(protocol, channel).
+    protocols = [protocol for _, _, protocol, _ in runs]
+    mu = np.array([p.mu_xA for p in protocols])
+    p0 = np.array([p.p0 for p in protocols])
+    px = np.array([p.px for p in protocols])
+    eta = np.array([arm_transmittance(channel) for _, _, _, channel in runs])
+    modes = np.array([p.mode for p in protocols])
+    expected = np.empty((3, len(runs)))
+    for mode in MODES:
+        sel = modes == mode
+        if sel.any():
+            mu_sel = mu[sel]
+            probs = heralding_arrays(mu_sel, mu_sel, eta[sel], cfg.channel.e_d,
+                                     cfg.channel.p_d, mode)
+            expected[:, sel] = tally_arrays(p0[sel], px[sel], cfg.mc_windows, *probs)
     lines = ["distance_km,N,mode,component,expected,observed"]
-    for idx, row in enumerate(rows):
-        if not row["feasible_flag"]:
-            continue
-        protocol = ProtocolParams(p0=1.0 - row["px"], px=row["px"],
-                                  mu_xA=row["mu_x"], mu_xB=row["mu_x"],
-                                  N=cfg.mc_windows, mode=row["mode"])
-        channel = replace(cfg.channel, distance_km=row["distance_km"])
-        expected = expected_tallies(protocol, channel)
+    for (idx, row, protocol, channel), counts in zip(runs, expected.T):
         # Row seeds wrap, so that every valid scan seed stays a valid key.
         observed = simulate(protocol, channel, (cfg.seed + idx) % 2**64)
-        for component in ("n_O", "n_B", "n_Z"):
+        for component, value in zip(("n_O", "n_B", "n_Z"), counts):
             lines.append(",".join([
                 repr(float(row["distance_km"])), row["N"], row["mode"], component,
-                repr(float(getattr(expected, component))),
-                repr(float(getattr(observed, component)))]))
+                repr(float(value)), repr(float(getattr(observed, component)))]))
     return "\n".join(lines) + "\n"
 
 

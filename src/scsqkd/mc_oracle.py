@@ -13,6 +13,10 @@ is random, are sampled one by one - a uniform phase and two Bernoulli
 clicks each - since they check the channel model's phase average
 independently.
 
+The detector means come from the channel model's ``_means``, which skips
+the nonnegativity check of ``detector_means``: ``ProtocolParams`` and
+``ChannelParams`` already enforce nonnegative intensities and transmittance.
+
 All draws come from counter-based Philox streams keyed on (seed, index):
 index 0 draws the counts and index 1 + c the c-th chunk of random-phase B
 windows, so the output depends only on the inputs.
@@ -22,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import (ChannelParams, ProtocolParams, WindowTally,
-                      arm_transmittance, click_prob, detector_means)
+                      _means, arm_transmittance, click_prob)
 
 # Random-phase B windows sampled per Philox stream.
 _CHUNK = 1 << 21
@@ -63,8 +67,8 @@ def _random_phase_b_windows(protocol: ProtocolParams, channel: ChannelParams,
         n = min(_CHUNK, windows - start)
         rng = _stream(seed, 1 + chunk)
         cos_delta = np.cos(rng.random(n) * (2.0 * np.pi))
-        nu_l, nu_r = detector_means("B", protocol.mu_xA, protocol.mu_xB, eta,
-                                    channel.e_d, cos_delta=cos_delta)
+        nu_l, nu_r = _means("B", protocol.mu_xA, protocol.mu_xB, eta, channel.e_d,
+                            cos_delta=cos_delta)
         click_l = rng.random(n) < click_prob(nu_l, channel.p_d)
         click_r = rng.random(n) < click_prob(nu_r, channel.p_d)
         heralded += int(np.count_nonzero(click_l ^ click_r))
@@ -98,8 +102,7 @@ def simulate(protocol: ProtocolParams, channel: ChannelParams, seed: int) -> Win
     fixed = kinds[:3] if random_phase else kinds
     heralded = {}
     for kind in fixed:
-        nu_l, nu_r = detector_means(kind, protocol.mu_xA, protocol.mu_xB, eta,
-                                    channel.e_d)
+        nu_l, nu_r = _means(kind, protocol.mu_xA, protocol.mu_xB, eta, channel.e_d)
         p_l, p_r = click_prob(nu_l, channel.p_d), click_prob(nu_r, channel.p_d)
         heralded[kind] = int(rng.binomial(counts[kind], p_r * (1.0 - p_l)))
     if random_phase:

@@ -202,12 +202,12 @@ def test_click_probabilities_against_mpmath(p_d, eta, mu_A, mu_B, e_d):
 class TestWindowTally:
     def test_error_rate_is_exact_count_ratio(self):
         tally = WindowTally(n_O=3.0, n_B=7.0, n_Z=90.0)
-        assert tally.M_s == 100.0
+        assert tally.n_O + tally.n_B + tally.n_Z == 100.0
         assert tally.E_Z == pytest.approx(0.1, rel=1e-15)
 
     def test_empty_tally(self):
         tally = WindowTally(0.0, 0.0, 0.0)
-        assert tally.M_s == 0.0 and tally.E_Z == 0.0
+        assert tally.n_O + tally.n_B + tally.n_Z == 0.0 and tally.E_Z == 0.0
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ChannelModelError):

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from scsqkd import chernoff, keyrate, optimizer, phase_error, pipeline
-from scsqkd.channel import arm_transmittance
+import scsqkd.channel
+from scsqkd import chernoff, cli, keyrate, optimizer, phase_error, pipeline
+from scsqkd.channel import ProtocolParams, arm_transmittance, expected_tallies
 from scsqkd.cli import (CSV_HEADER, ConfigError, build_parser, emit_plot,
                         load_config, main, rows_to_csv, run_scan)
 from scsqkd.pipeline import ASYMPTOTIC, evaluate_points
@@ -345,6 +346,54 @@ class TestPlot:
         assert svg.rstrip().endswith("</svg>")
         assert "polyline" in svg  # at least one positive-rate curve
         assert emit_plot(rows) == svg
+
+
+class TestMcReport:
+    # Three distances in both modes: every row of a mode shares one channel
+    # pass, and the modes differ in n_B, so a pass that mixes the modes or
+    # reorders the rows writes another expected column.
+    CONFIG = {"scan": {"distance": [0, 100, 50], "blocks": ["asymptotic"],
+                       "modes": ["improved", "baseline"]}}
+
+    def _scan(self, tmp_path):
+        cfg = load_config(_write_config(tmp_path, self.CONFIG), _no_overrides())
+        return cfg, run_scan(cfg)
+
+    def test_expected_column_is_expected_tallies_bit_for_bit(self, tmp_path):
+        cfg, rows = self._scan(tmp_path)
+        feasible = [row for row in rows if row["feasible_flag"]]
+        assert {row["mode"] for row in feasible} == {"improved", "baseline"}
+        assert len({row["distance_km"] for row in feasible}) == 3
+        lines = cli._mc_report(cfg, rows).strip().split("\n")[1:]
+        assert len(lines) == 3 * len(feasible)
+        for i, row in enumerate(feasible):
+            protocol = ProtocolParams(p0=1.0 - row["px"], px=row["px"],
+                                      mu_xA=row["mu_x"], mu_xB=row["mu_x"],
+                                      N=cfg.mc_windows, mode=row["mode"])
+            tally = expected_tallies(
+                protocol, replace(cfg.channel, distance_km=row["distance_km"]))
+            for component, line in zip(("n_O", "n_B", "n_Z"), lines[3 * i:3 * i + 3]):
+                assert line.split(",")[:5] == [
+                    repr(row["distance_km"]), row["N"], row["mode"], component,
+                    repr(getattr(tally, component))]
+
+    def test_one_heralding_pass_per_mode(self, tmp_path, monkeypatch):
+        # An expected_tallies call per feasible row would make one heralding
+        # pass per row: six on this scan.
+        cfg, rows = self._scan(tmp_path)
+        modes = []
+        real = scsqkd.channel.heralding_arrays
+
+        def counted(*args, **kwargs):
+            modes.append(args[5] if len(args) > 5 else kwargs["mode"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scsqkd.channel, "heralding_arrays", counted)
+        monkeypatch.setattr(cli, "heralding_arrays", counted, raising=False)
+        cli._mc_report(cfg, rows)
+        present = {row["mode"] for row in rows if row["feasible_flag"]}
+        assert len(present) == 2
+        assert len(modes) == len(set(modes)) and set(modes) <= present
 
 
 class TestMain:

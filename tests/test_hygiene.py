@@ -108,6 +108,16 @@ def test_every_exported_name_resolves():
     assert [name for name in scsqkd.__all__ if not hasattr(scsqkd, name)] == []
 
 
+def test_mc_oracle_stays_independent_of_the_heralding_formulas():
+    # The simulator cross-checks the channel model's heralding probabilities
+    # and expected counts, so it may share only the detector means and the
+    # click probability, never a name that computes those.
+    source = (Path(scsqkd.__file__).parent / "mc_oracle.py").read_text()
+    names = ("effective_prob", "b_window_prob", "heralding_arrays",
+             "tally_arrays", "expected_tallies")
+    assert [name for name in names if re.search(rf"\b{name}\b", source)] == []
+
+
 def test_runtime_imports_no_scipy():
     # scipy is a test-only dependency; a fresh interpreter shows what the
     # package itself pulls in, whatever this test process has imported.

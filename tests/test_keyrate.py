@@ -105,7 +105,8 @@ class TestKeyRates:
         n_z = self.TALLY.n_Z
         expected = (
             n_z * (1.0 - binary_entropy(0.05))
-            - 1.1 * self.TALLY.M_s * binary_entropy(self.TALLY.E_Z)
+            - 1.1 * (self.TALLY.n_O + self.TALLY.n_B + self.TALLY.n_Z)
+            * binary_entropy(self.TALLY.E_Z)
             - (1.0 - sec.log_eps_share / _LN2)
             - 2.0 * (-sec.log_eps_share / _LN2)
             - 11.0 * math.sqrt(n_z * (1.0 - sec.log_eps_share / _LN2))

@@ -80,7 +80,7 @@ class TestSimulate:
     def test_dead_channel_yields_empty_tally(self):
         chan = ChannelParams(100.0, 0.2, 0.0, 0.0, 0.04)
         tally = simulate(replace(PROTO, N=10**5), chan, 3)
-        assert tally.M_s == 0
+        assert tally.n_O + tally.n_B + tally.n_Z == 0
 
     def test_perfect_interference_suppresses_b_windows(self):
         # No darks, no misalignment, compensated phase: the heralding
@@ -93,8 +93,22 @@ class TestSimulate:
 
     def test_raw_key_error_rate_identity(self):
         tally = simulate(PROTO, CHANNEL, 42)
-        assert tally.E_Z == (tally.n_O + tally.n_B) / tally.M_s
+        assert tally.E_Z == (tally.n_O + tally.n_B) / (tally.n_O + tally.n_B + tally.n_Z)
 
+
+# Literal tallies of an earlier version of the simulator: a change that moves
+# any draw or stream changes them.
+@pytest.mark.parametrize("mode, seed, tally", [
+    ("improved", 2024, (345, 832, 11403)),
+    ("improved", 2**64 - 1, (376, 830, 11409)),
+    ("baseline", 2024, (345, 14616, 11403)),
+    ("baseline", 2**64 - 1, (376, 14681, 11409)),
+])
+def test_pinned_draws(mode, seed, tally):
+    chan = ChannelParams(20.0, 0.2, 0.3, 1e-3, 0.04)
+    proto = ProtocolParams(p0=0.6, px=0.4, mu_xA=0.3, mu_xB=0.2, N=10**6, mode=mode)
+    observed = simulate(proto, chan, seed)
+    assert (observed.n_O, observed.n_B, observed.n_Z) == tally
 
 def _per_window_tallies(proto, chan, runs, rng):
     """Reference sampler drawing every window: two source choices, a phase
