@@ -137,7 +137,9 @@ def visibility(e_d: float) -> float:
 
 
 def _require_nonnegative(mu_A, mu_B, eta) -> None:
-    if min(np.min(mu_A), np.min(mu_B), np.min(eta)) < 0.0:
+    # initial=0.0 lets empty arrays pass and leaves every other verdict as is.
+    if min(np.min(mu_A, initial=0.0), np.min(mu_B, initial=0.0),
+           np.min(eta, initial=0.0)) < 0.0:
         raise ChannelModelError("intensities and transmittance must be nonnegative")
 
 
@@ -269,14 +271,19 @@ def b_window_prob(mu_A, mu_B, eta, e_d: float, p_d: float,
 
 
 def heralding_arrays(mu_A, mu_B, eta, e_d: float, p_d: float,
-                     mode: str) -> tuple:
+                     mode, mode_index=0) -> tuple:
     """Heralding probabilities (p_O, p_B, p_Z) of the window kinds.
 
     ``p_Z = p_ZA + p_ZB`` sums the two one-side kinds.  Elementwise over
-    intensities and one-arm transmittances ``eta`` that broadcast together;
-    ``p_O`` is a scalar, since no light reaches either detector in an O
-    window.  One array passed as both intensities gives equal Z_A and Z_B
-    probabilities, computed once.
+    intensities, one-arm transmittances ``eta`` and ``mode_index`` that
+    broadcast together; ``p_O`` is a scalar, since no light reaches either
+    detector in an O window.  One array passed as both intensities gives
+    equal Z_A and Z_B probabilities, computed once.
+
+    ``mode`` is one heralding mode, or a tuple of modes of which the integer
+    ``mode_index`` picks each element's, so that one channel pass serves
+    candidates of every mode.  Each mode's ``p_B`` is computed on its own
+    elements only.
     """
     _require_nonnegative(mu_A, mu_B, eta)
     # O and Z windows are insensitive to Charlie's phase compensation, so
@@ -285,8 +292,20 @@ def heralding_arrays(mu_A, mu_B, eta, e_d: float, p_d: float,
     p_za = effective_prob(*_means("Z_A", mu_A, mu_B, eta, e_d), p_d)
     p_zb = (p_za if mu_B is mu_A
             else effective_prob(*_means("Z_B", mu_A, mu_B, eta, e_d), p_d))
-    return (effective_prob(0.0, 0.0, p_d),
-            b_window_prob(mu_A, mu_B, eta, e_d, p_d, mode), p_za + p_zb)
+    modes = (mode,) if isinstance(mode, str) else mode
+    if len(modes) == 1:
+        p_b = b_window_prob(mu_A, mu_B, eta, e_d, p_d, modes[0])
+    else:
+        # An index past the modes would leave its elements unset.
+        if ((np.asarray(mode_index) < 0) | (mode_index >= len(modes))).any():
+            raise ChannelModelError(f"mode_index must pick one of {len(modes)} modes")
+        mu_A, mu_B, eta, mode_index = np.broadcast_arrays(mu_A, mu_B, eta, mode_index)
+        p_b = np.empty(mode_index.shape)
+        for k, name in enumerate(modes):
+            sel = mode_index == k
+            if sel.any():
+                p_b[sel] = b_window_prob(mu_A[sel], mu_B[sel], eta[sel], e_d, p_d, name)
+    return effective_prob(0.0, 0.0, p_d), p_b, p_za + p_zb
 
 
 def tally_arrays(p0, px, N, p_O, p_B, p_Z) -> tuple:

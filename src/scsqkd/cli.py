@@ -371,23 +371,18 @@ def _mc_report(cfg: ScanConfig, rows: list[dict]) -> str:
                                       N=cfg.mc_windows, mode=row["mode"]),
              replace(cfg.channel, distance_km=row["distance_km"]))
             for idx, row in enumerate(rows) if row["feasible_flag"]]
-    # The expected counts of every row of a mode come from one channel pass,
-    # with each row's scalar transmittance, so they keep every bit of
+    # The expected counts of all rows come from one channel pass, with each
+    # row's scalar transmittance and mode, so they keep every bit of
     # expected_tallies(protocol, channel).
     protocols = [protocol for _, _, protocol, _ in runs]
     mu = np.array([p.mu_xA for p in protocols])
-    p0 = np.array([p.p0 for p in protocols])
-    px = np.array([p.px for p in protocols])
     eta = np.array([arm_transmittance(channel) for _, _, _, channel in runs])
-    modes = np.array([p.mode for p in protocols])
-    expected = np.empty((3, len(runs)))
-    for mode in MODES:
-        sel = modes == mode
-        if sel.any():
-            mu_sel = mu[sel]
-            probs = heralding_arrays(mu_sel, mu_sel, eta[sel], cfg.channel.e_d,
-                                     cfg.channel.p_d, mode)
-            expected[:, sel] = tally_arrays(p0[sel], px[sel], cfg.mc_windows, *probs)
+    mode_index = np.array([MODES.index(p.mode) for p in protocols], dtype=int)
+    probs = heralding_arrays(mu, mu, eta, cfg.channel.e_d, cfg.channel.p_d, MODES,
+                             mode_index)
+    expected = np.array(tally_arrays(np.array([p.p0 for p in protocols]),
+                                     np.array([p.px for p in protocols]),
+                                     cfg.mc_windows, *probs))
     lines = ["distance_km,N,mode,component,expected,observed"]
     for (idx, row, protocol, channel), counts in zip(runs, expected.T):
         # Row seeds wrap, so that every valid scan seed stays a valid key.

@@ -7,10 +7,10 @@ would be blind.  Candidates that violate the mapping-existence condition
 after worst-case intensity fluctuation are skipped, not penalized.
 
 :func:`optimize_points` searches many (channel, block size, mode) points at
-once: each sweep is one broadcast (point, px, mu) array pass per group of
-points with equal mode, dark-count and misalignment probabilities and kind
-of block size (finite or asymptotic).  :func:`optimize` is its one-point
-call.
+once: each sweep is one broadcast (point, px, mu) array pass per kind of
+block size (finite or asymptotic) among points with equal dark-count and
+misalignment probabilities, whatever their modes, as long as the group fits
+``_CHUNK`` candidates.  :func:`optimize` is its one-point call.
 """
 from __future__ import annotations
 
@@ -26,10 +26,12 @@ from .pipeline import (ASYMPTOTIC, SecurityConfig, SourceCalibration,
 
 # Most candidates in one evaluate_points pass: a group of points is split
 # into passes of whole points, and a larger point is a pass of its own.  The
-# cost per candidate is nearly flat from ~8 k candidates on, while a finite
-# pass peaks at ~0.3 kB per candidate (README scan: +8 % peak RSS over
-# 400-candidate passes at 2**13).
-_CHUNK = 2 ** 13
+# cost per candidate is nearly flat from ~8 k candidates on, but each pass
+# costs ~0.3-0.7 ms before its first candidate, so a group of both modes
+# (13 distances x 2 modes x 400 candidates) should stay one pass.  A finite
+# pass peaks at ~0.3 kB per candidate (README scan: 32.7 MB peak RSS at
+# 2**14 against 30.4 MB with 400-candidate passes).
+_CHUNK = 2 ** 14
 
 # Most (px, mu) candidates per point: a sweep evaluates a point's whole grid
 # in one pass, at ~0.3 kB per candidate.
@@ -99,8 +101,8 @@ def _sweep(points, etas, live: list[int], px_axes: np.ndarray,
     """
     groups: dict[tuple, list[int]] = {}
     for j, i in enumerate(live):
-        channel, block, mode = points[i]
-        groups.setdefault((block == ASYMPTOTIC, mode, channel.p_d, channel.e_d),
+        channel, block, _ = points[i]
+        groups.setdefault((block == ASYMPTOTIC, channel.p_d, channel.e_d),
                           []).append(j)
     n_mu = mu_axes.shape[1]
     step = max(1, _CHUNK // (px_axes.shape[1] * n_mu))
@@ -108,15 +110,21 @@ def _sweep(points, etas, live: list[int], px_axes: np.ndarray,
         for start in range(0, len(members), step):
             rows = members[start:start + step]
             chunk = [live[j] for j in rows]
-            channel, _, mode = points[chunk[0]]
+            channel = points[chunk[0]][0]
+            # Each candidate's block size and mode, as indices into the
+            # distinct ones of the chunk.
             sizes: dict = {}
+            modes: dict = {}
             block = np.array([sizes.setdefault(points[i][1], len(sizes))
                               for i in chunk])[:, None, None]
+            mode_index = np.array([modes.setdefault(points[i][2], len(modes))
+                                   for i in chunk])[:, None, None]
             px = px_axes[rows][:, :, None]
             mu = mu_axes[rows][:, None, :]
             eta = np.array([etas[i] for i in chunk])[:, None, None]
             batch = evaluate_points(channel, calib, 1.0 - px, px, mu, mu, eta,
-                                    security, tuple(sizes), mode, block)
+                                    security, tuple(sizes), tuple(modes), block,
+                                    mode_index)
             feasible = batch.feasible.reshape(len(chunk), -1)
             rates = np.where(feasible, batch.R_coh_signed.reshape(len(chunk), -1),
                              -np.inf)

@@ -8,14 +8,14 @@ and all finite-size penalty terms vanish.
 
 :func:`evaluate_points` evaluates candidates given as inputs that broadcast
 together in one pass, with a feasibility mask where the source bounds admit
-no virtual-protocol mapping; each candidate has its own transmittance and
-block size, so one pass can span several distances and block sizes.  Each
-quantity is computed on the shape of the inputs it depends on: on a
-(point, px, mu) grid the source mapping, the heralding probabilities and the
-asymptotic phase error run once per (point, mu), and the n_O Chernoff bound
-once per px.  Given one array as both intensities, as the optimizer passes
-it, the mu-only quantities are computed once, not once per party.
-:func:`evaluate_point` is the same computation on one candidate.
+no virtual-protocol mapping; each candidate has its own transmittance,
+block size and heralding mode, so one pass can span several distances, block
+sizes and both modes.  Each quantity is computed on the shape of the inputs
+it depends on: on a (point, px, mu) grid the source mapping, the heralding
+probabilities and the asymptotic phase error run once per (point, mu), and
+the n_O Chernoff bound once per px.  Given one array as both intensities, as
+the optimizer passes it, the mu-only quantities are computed once, not once
+per party.  :func:`evaluate_point` is the same computation on one candidate.
 
 Both return a :class:`~scsqkd.keyrate.KeyRateReport`: a pass's holds arrays
 of the candidates' broadcast shape, and its ``row(i)`` is candidate ``i``'s
@@ -105,18 +105,22 @@ class SecurityConfig:
 def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
                     p0: np.ndarray, px: np.ndarray, mu_A: np.ndarray,
                     mu_B: np.ndarray, eta, security: SecurityConfig,
-                    block_size, mode: str = "improved", block=0) -> KeyRateReport:
+                    block_size, mode="improved", block=0,
+                    mode_index=0) -> KeyRateReport:
     """Key rates of the candidates (p0, px, mu_A, mu_B), elementwise, as a
     :class:`KeyRateReport` of arrays.
 
-    The candidates' inputs, ``eta`` (the one-arm transmittance) and
-    ``block`` are inputs that broadcast together; ``channel`` gives the
-    dark-count and misalignment probabilities, and its distance is not
-    read.  ``block_size`` is ASYMPTOTIC, one finite block size, or a tuple
-    of finite block sizes, of which the integer ``block`` picks each
-    candidate's.  The inputs must satisfy what :class:`ProtocolParams`
-    checks for one candidate.  Each element's result is the one
-    :func:`evaluate_point` gives for that candidate alone.
+    The candidates' inputs, ``eta`` (the one-arm transmittance), ``block``
+    and ``mode_index`` are inputs that broadcast together; ``channel``
+    gives the dark-count and misalignment probabilities, and its distance
+    is not read.  ``block_size`` is ASYMPTOTIC, one finite block size, or a
+    tuple of finite block sizes, of which the integer ``block`` picks each
+    candidate's.  ``mode`` is one heralding mode, or a tuple of modes of
+    which the integer ``mode_index`` picks each candidate's, so one pass
+    serves both modes.  The inputs must satisfy what
+    :class:`ProtocolParams` checks for one candidate.  Each element's
+    result is the one :func:`evaluate_point` gives for that candidate
+    alone.
     """
     # The security budget's share and the coherent-attack penalty are
     # computed once per distinct block size by the scalar formulas (numpy's
@@ -138,7 +142,8 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
         log_share = np.array([
             security_budget(security.eps_coh_target, size, security.d).log_eps_share
             for size in sizes])[block]
-    probs = heralding_arrays(mu_A, mu_B, eta, channel.e_d, channel.p_d, mode)
+    probs = heralding_arrays(mu_A, mu_B, eta, channel.e_d, channel.p_d, mode,
+                             mode_index)
     n_O, n_B, n_Z = tally_arrays(p0, px, n, *probs)
     leak = ec_leakage_array(n_O, n_B, n_Z, security.f)
     has_z = n_Z > 0.0

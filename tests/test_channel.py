@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scsqkd.channel import (ChannelModelError, ChannelParams, ProtocolParams,
+import scsqkd.channel
+from scsqkd.channel import (MODES, ChannelModelError, ChannelParams, ProtocolParams,
                             WindowTally, arm_transmittance, b_window_prob,
                             detector_means, effective_prob, expected_tallies,
                             heralding_arrays, tally_arrays, visibility)
@@ -164,6 +165,54 @@ class TestBWindowProb:
         assert n_b.tolist() == scalar
 
 
+class TestHeraldingArrays:
+    # Baseline elements straddle c = 2 and c = 700, so the interleaved pass
+    # also splits each mode's elements between the Bessel branches.
+    MU = np.array([1e-4, 0.5, 2.5, 800.0, 1.9, 699.0, 1e4, 2.0, 701.0])
+    ETA = np.array([[1.0], [0.03]])
+
+    @pytest.mark.parametrize("modes", [("improved", "baseline"),
+                                       ("baseline", "improved")])
+    def test_interleaved_modes_equal_per_mode_calls(self, modes):
+        mode_index = np.arange(2 * self.MU.size).reshape(2, -1) % 3 % 2
+        mu_B = self.MU[::-1].copy()
+        for mu_A in (self.MU, mu_B):  # one array as both intensities, then two
+            mixed = heralding_arrays(mu_A, mu_B, self.ETA, 0.04, 1e-9, modes, mode_index)
+            alone = [heralding_arrays(mu_A, mu_B, self.ETA, 0.04, 1e-9, mode)
+                     for mode in modes]
+            for k in (0, 2):  # p_O and p_Z do not depend on the mode
+                assert np.array_equal(mixed[k], alone[0][k])
+                assert np.array_equal(mixed[k], alone[1][k])
+            expected = np.where(mode_index == 0, alone[0][1], alone[1][1])
+            assert mixed[1].shape == mode_index.shape
+            assert mixed[1].tolist() == expected.tolist()
+            assert not np.array_equal(alone[0][1], alone[1][1])
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_index_past_the_modes_rejected(self, bad):
+        mode_index = np.array([[0, 1, bad, 0, 1, 1, 1, 0, 1]])
+        with pytest.raises(ChannelModelError, match="mode_index"):
+            heralding_arrays(self.MU, self.MU, self.ETA, 0.04, 1e-9, MODES, mode_index)
+
+    def test_each_mode_runs_on_its_own_elements(self, monkeypatch):
+        # Computing every mode on every element and selecting afterwards
+        # would double the B-window work of a two-mode pass.
+        sizes = []
+        real = scsqkd.channel.b_window_prob
+
+        def counted(mu_A, *args):
+            sizes.append(np.size(mu_A))
+            return real(mu_A, *args)
+
+        monkeypatch.setattr(scsqkd.channel, "b_window_prob", counted)
+        mode_index = np.array([[0, 1, 1, 0, 1, 1, 1, 0, 1]])
+        heralding_arrays(self.MU, self.MU, self.ETA, 0.04, 1e-9, MODES, mode_index)
+        assert sorted(sizes) == [2 * 3, 2 * 6]
+        sizes.clear()
+        heralding_arrays(self.MU, self.MU, self.ETA, 0.04, 1e-9, MODES, 1)
+        assert sizes == [2 * self.MU.size]
+
+
 def _mp_phase_average(mu_A, mu_B, eta, e_d, p_d) -> float:
     """50-digit baseline B-window probability from the inputs as given.
 
@@ -222,6 +271,23 @@ class TestProtocolParams:
     def test_px_open_interval(self):
         with pytest.raises(ChannelModelError):
             ProtocolParams(p0=0.0, px=1.0, mu_xA=0.1, mu_xB=0.1, N=1)
+
+    @pytest.mark.parametrize("px", [0.0, 1.0])
+    def test_px_edges_rejected(self, px):
+        with pytest.raises(ChannelModelError, match="px must lie"):
+            ProtocolParams(p0=1.0 - px, px=px, mu_xA=0.1, mu_xB=0.1, N=1)
+
+    @pytest.mark.parametrize("px", [math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)])
+    def test_px_next_to_the_edges_accepted(self, px):
+        ProtocolParams(p0=1.0 - px, px=px, mu_xA=0.1, mu_xB=0.1, N=1)
+
+    def test_intensity_and_window_count_edges(self):
+        ProtocolParams(p0=0.5, px=0.5, mu_xA=0.0, mu_xB=0.0, N=1)
+        with pytest.raises(ChannelModelError, match="nonnegative"):
+            ProtocolParams(p0=0.5, px=0.5, mu_xA=-5e-324, mu_xB=0.0, N=1)
+        with pytest.raises(ChannelModelError, match="N must"):
+            ProtocolParams(p0=0.5, px=0.5, mu_xA=0.0, mu_xB=0.0,
+                           N=math.nextafter(1.0, 0.0))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ChannelModelError):

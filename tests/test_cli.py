@@ -17,7 +17,7 @@ from scipy.stats import binom
 
 import scsqkd.channel
 from scsqkd import chernoff, cli, keyrate, optimizer, phase_error, pipeline
-from scsqkd.channel import ProtocolParams, arm_transmittance, expected_tallies
+from scsqkd.channel import MODES, ProtocolParams, arm_transmittance, expected_tallies
 from scsqkd.cli import (CSV_HEADER, ConfigError, build_parser, emit_plot,
                         load_config, main, rows_to_csv, run_scan)
 from scsqkd.pipeline import ASYMPTOTIC, evaluate_points
@@ -224,14 +224,14 @@ class TestBatchedScan:
         _check_batched_scan(tmp_path, search, ["1e12", "asymptotic"])
 
     def test_per_axis_work_stays_on_its_axis(self, tmp_path, monkeypatch):
-        # Within a pass of S points on an n_px x n_mu grid, the source
-        # mapping and the heralding probabilities run once on S x n_mu
-        # intensities, and a finite pass makes one n_O and n_B Chernoff
-        # solve on S x n_px + S x n_px x n_mu counts.  A finite pass runs
-        # two Newton loops (that solve and the phase-error count's), an
-        # asymptotic pass none.  An asymptotic pass takes the mean
-        # phase-error count and H(e_ph) on S x n_mu elements; only the
-        # leakage's H(E_Z) spans the whole grid.
+        # A pass holds the points of both modes.  Within a pass of S points
+        # on an n_px x n_mu grid, the source mapping and the heralding
+        # probabilities run once on S x n_mu intensities, and a finite pass
+        # makes one n_O and n_B Chernoff solve on S x n_px + S x n_px x n_mu
+        # counts.  A finite pass runs two Newton loops (that solve and the
+        # phase-error count's), an asymptotic pass none.  An asymptotic pass
+        # takes the mean phase-error count and H(e_ph) on S x n_mu elements;
+        # only the leakage's H(E_Z) spans the whole grid.
         n_px, n_mu = 5, 3
         path = _write_config(tmp_path, {
             "search": {"px_range": [0.05, 0.5], "mu_range": [1e-3, 0.1],
@@ -266,7 +266,7 @@ class TestBatchedScan:
         spy(phase_error, "_mean_count", lambda _, mean: np.size(mean))
         spy(keyrate, "binary_entropy", lambda args, _: np.size(args[0]))
         run_scan(cfg)
-        assert len(passes) == 2 * 2 * 2  # rounds x modes x (finite, asymptotic)
+        assert len(passes) == 2 * 2  # rounds x (finite, asymptotic)
         for p in passes:
             s, asymptotic = p["points"], p["asymptotic"]
             grid = s * n_px * n_mu
@@ -276,7 +276,9 @@ class TestBatchedScan:
             assert p["_newton"] == ([] if asymptotic else [s * n_px + grid, grid])
             assert p["_mean_count"] == [s * n_mu if asymptotic else grid]
             assert p["binary_entropy"] == [grid, s * n_mu if asymptotic else grid]
-        assert {p["points"] for p in passes} == {3, 6}
+        # Both modes share each pass: 3 distances x 2 modes x 2 finite
+        # blocks, and 3 distances x 2 modes at the asymptotic block.
+        assert {p["points"] for p in passes} == {6, 12}
 
     def test_refinement_stops_once_every_axis_collapses(self, tmp_path, monkeypatch):
         # At shrink 4 both axes collapse to one float within ~30 rounds; the
@@ -307,9 +309,9 @@ class TestBatchedScan:
         assert len(calls) == passes
 
     @pytest.mark.parametrize("chunk, passes", [
-        (None, 3 * 2),       # one pass per round and mode
-        (60, 3 * 2 * 3),     # two 25-candidate points per pass
-        (20, 3 * 2 * 6)])    # each point larger than the limit, a pass of its own
+        (None, 3),           # one pass per round, for both modes
+        (60, 3 * 6),         # two 25-candidate points per pass
+        (20, 3 * 12)])       # each point larger than the limit, a pass of its own
     def test_one_pass_per_round_and_group(self, tmp_path, monkeypatch, chunk, passes):
         path = _write_config(tmp_path, {
             "search": {"px_range": [0.05, 0.5], "mu_range": [1e-3, 0.1],
@@ -349,9 +351,10 @@ class TestPlot:
 
 
 class TestMcReport:
-    # Three distances in both modes: every row of a mode shares one channel
-    # pass, and the modes differ in n_B, so a pass that mixes the modes or
-    # reorders the rows writes another expected column.
+    # Three distances in both modes: all rows share one channel pass, and
+    # the modes differ in n_B, so a pass that gives a row the other mode's
+    # B-window probability or reorders the rows writes another expected
+    # column.
     CONFIG = {"scan": {"distance": [0, 100, 50], "blocks": ["asymptotic"],
                        "modes": ["improved", "baseline"]}}
 
@@ -377,23 +380,38 @@ class TestMcReport:
                     repr(row["distance_km"]), row["N"], row["mode"], component,
                     repr(getattr(tally, component))]
 
-    def test_one_heralding_pass_per_mode(self, tmp_path, monkeypatch):
+    def test_one_heralding_pass_for_all_rows(self, tmp_path, monkeypatch):
         # An expected_tallies call per feasible row would make one heralding
-        # pass per row: six on this scan.
+        # pass per row, and a pass per mode two: this scan makes one, whose
+        # mode index picks each row's mode.
         cfg, rows = self._scan(tmp_path)
-        modes = []
+        calls = []
         real = scsqkd.channel.heralding_arrays
 
         def counted(*args, **kwargs):
-            modes.append(args[5] if len(args) > 5 else kwargs["mode"])
+            calls.append(args[5:])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(scsqkd.channel, "heralding_arrays", counted)
-        monkeypatch.setattr(cli, "heralding_arrays", counted, raising=False)
+        monkeypatch.setattr(cli, "heralding_arrays", counted)
         cli._mc_report(cfg, rows)
-        present = {row["mode"] for row in rows if row["feasible_flag"]}
-        assert len(present) == 2
-        assert len(modes) == len(set(modes)) and set(modes) <= present
+        feasible = [row["mode"] for row in rows if row["feasible_flag"]]
+        assert set(feasible) == set(MODES)
+        ((modes, mode_index),) = calls
+        assert [modes[k] for k in mode_index.tolist()] == feasible
+
+
+    def test_no_feasible_row_gives_header_only(self, tmp_path):
+        # At mu >= 0.7 and fluct 0.1 the worst-case vacuum weight is below
+        # 1/2 everywhere, so no row is feasible and the channel pass gets
+        # empty arrays.
+        search = dict(BASE_CONFIG["search"], mu_range=[0.7, 1.0])
+        config = _write_config(tmp_path, dict(self.CONFIG, search=search))
+        out = tmp_path / "out"
+        assert main(["scan", "--config", config, "--out", str(out),
+                     "--mc-validate"]) == 0
+        assert (out / "mc_report.csv").read_text() == (
+            "distance_km,N,mode,component,expected,observed\n")
 
 
 class TestMain:

@@ -79,6 +79,15 @@ class TestSecurityBudget:
         with pytest.raises(SecurityBudgetError):
             security_budget(2.0, 1e10, 8)
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_target_edges_rejected(self, eps):
+        with pytest.raises(SecurityBudgetError, match="eps_coh_target"):
+            security_budget(eps, 1e10, 8)
+
+    @pytest.mark.parametrize("eps", [math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)])
+    def test_target_next_to_the_edges_accepted(self, eps):
+        assert math.isfinite(security_budget(eps, 1e10, 8).log_eps_share)
+
     def test_collective_budget_underflows_doubles(self):
         sec = security_budget(1e-10, 1e12, 8)
         assert sec.log_eps_col < -700.0  # exp() would underflow to 0

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scsqkd.channel import ChannelParams, arm_transmittance
-from scsqkd.mapping import MappingError, virtual_intensity_array
+from scsqkd.mapping import (MappingError, require_amplitude, require_fluct,
+                             virtual_intensity_array)
 from scsqkd.pipeline import SecurityConfig, SourceCalibration, evaluate_points
 
 AV0 = 1.0 - 1e-8
@@ -145,6 +146,26 @@ class TestSourceBounds:
             SourceCalibration(av0=0.3)
         with pytest.raises(MappingError):
             SourceCalibration(fluct=1.0)
+
+    # Values exactly on each edge of the validated ranges, and the nearest
+    # double outside: [0.5, 1] for an amplitude, [0, 1) for fluct.
+    @pytest.mark.parametrize("value", [0.5, 1.0])
+    def test_amplitude_edges_accepted(self, value):
+        require_amplitude("av0", value)
+
+    @pytest.mark.parametrize("value", [math.nextafter(0.5, 0.0), math.nextafter(1.0, 2.0)])
+    def test_amplitude_just_outside_rejected(self, value):
+        with pytest.raises(MappingError, match="av0 must lie"):
+            require_amplitude("av0", value)
+
+    @pytest.mark.parametrize("value", [0.0, math.nextafter(1.0, 0.0)])
+    def test_fluct_edges_accepted(self, value):
+        require_fluct(value)
+
+    @pytest.mark.parametrize("value", [math.nextafter(0.0, -1.0), 1.0])
+    def test_fluct_just_outside_rejected(self, value):
+        with pytest.raises(MappingError, match="fluct must lie"):
+            require_fluct(value)
 
     def test_from_nominal_applies_worst_case(self):
         batch = _evaluate(0.1, 0.2, SourceCalibration(av0=0.999, bv0=0.998, fluct=0.1))

@@ -1,4 +1,6 @@
 """Tests for the (px, mu) grid optimizer."""
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,10 @@ class TestSearchSpace:
             SearchSpace(grid=(0, 10))
         with pytest.raises(ValueError):
             SearchSpace(shrink=1.0)
+
+    def test_shrink_just_above_one_accepted(self):
+        shrink = math.nextafter(1.0, 2.0)
+        assert SearchSpace(shrink=shrink).shrink == shrink
 
 
 @pytest.mark.parametrize("space", [np.linspace, np.geomspace])

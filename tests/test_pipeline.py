@@ -1,15 +1,19 @@
 """Tests for the array evaluation of candidates against the one-point path."""
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scsqkd import pipeline
 from scsqkd.channel import ChannelParams, ProtocolParams, arm_transmittance
 from scsqkd.optimizer import optimize
-from scsqkd.pipeline import (InfeasibleError, SecurityConfig, SourceCalibration,
-                             evaluate_point, evaluate_points)
+from scsqkd.pipeline import (InfeasibleError, SecurityConfig, SecurityConfigError,
+                             SourceCalibration, evaluate_point, evaluate_points,
+                             require_block)
 
 CHANNEL_50 = ChannelParams(50.0, 0.2, 0.3, 1e-9, 0.04)
 CALIB = SourceCalibration()
@@ -69,24 +73,30 @@ def test_rows_derive_like_the_pass(block):
                                                    batch.E_Z[i])
 
 
-@pytest.mark.parametrize("mode", ["improved", "baseline"])
-def test_mixed_batch_equals_evaluate_point(mode):
-    # One finite pass over candidates at four distances and three block
-    # sizes, interleaved; each candidate's block size is an index into the
-    # distinct sizes.
+@pytest.mark.parametrize("first", ["improved", "baseline"])
+def test_mixed_batch_equals_evaluate_point(first):
+    # One finite and one asymptotic pass over candidates at four distances,
+    # three block sizes and both modes, interleaved; each candidate's block
+    # size and mode are indices into the distinct ones, with ``first`` at
+    # index 0.
     px, mu = _sweep()
     channels = [replace(CHANNEL_50, distance_km=d) for d in (0.0, 50.0, 150.0, 400.0)]
     blocks = (1e10, 1e12, 1e14)
+    modes = (first, "baseline" if first == "improved" else "improved")
     which = np.arange(px.size)
+    mode_index = which // 12 % 2  # every (distance, block) pair in both modes
     eta = np.array([arm_transmittance(c) for c in channels])[which % 4]
-    batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu, eta,
-                            SecurityConfig(), blocks, mode, which % 3)
-    for i in np.flatnonzero(batch.feasible).tolist():
-        proto = ProtocolParams(p0=1.0 - px[i], px=px[i], mu_xA=mu[i], mu_xB=mu[i],
-                               N=1, mode=mode)
-        assert evaluate_point(channels[i % 4], CALIB, proto, SecurityConfig(),
-                              blocks[i % 3]) == batch.row(i)
-    assert batch.feasible.sum() > 300
+    for block_size, block, sizes in ((blocks, which % 3, blocks),
+                                     ("asymptotic", 0, ("asymptotic",) * 3)):
+        batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu, eta,
+                                SecurityConfig(), block_size, modes, block, mode_index)
+        for i in np.flatnonzero(batch.feasible).tolist():
+            proto = ProtocolParams(p0=1.0 - px[i], px=px[i], mu_xA=mu[i], mu_xB=mu[i],
+                                   N=1, mode=modes[mode_index[i]])
+            assert evaluate_point(channels[i % 4], CALIB, proto, SecurityConfig(),
+                                  sizes[i % 3]) == batch.row(i)
+        assert batch.feasible.sum() > 300
+        assert set(mode_index[batch.feasible].tolist()) == {0, 1}
 
 
 def test_underflowed_n_z_keeps_half_phase_error():
@@ -103,6 +113,47 @@ def test_underflowed_n_z_keeps_half_phase_error():
     assert batch.R_coh_signed[0, 0] == -np.inf
 
 
+# A fixed (px, mu) grid around the optima at 0-150 km.
+MONO_PX = np.linspace(0.02, 0.6, 8)[:, None]
+MONO_MU = np.geomspace(1e-3, 0.5, 8)
+
+
+def _clamped_rates(channel, calib, eta) -> np.ndarray:
+    """R_coh in improved mode on the grid, 0 where infeasible, on the axes
+    (block: 1e10, 1e12, asymptotic; eta; px; mu)."""
+    args = (channel, calib, 1.0 - MONO_PX, MONO_PX, MONO_MU, MONO_MU, eta,
+            SecurityConfig())
+    finite = evaluate_points(*args, (1e10, 1e12), "improved",
+                             np.array([0, 1])[:, None, None, None])
+    asymptotic = evaluate_points(*args, "asymptotic")
+    rates = [np.where(b.feasible, b.R_coh, 0.0) for b in (finite, asymptotic)]
+    return np.concatenate([rates[0], rates[1][None]])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(distance=st.floats(0.0, 150.0), e_d=st.floats(0.0, 0.06),
+       p_d=st.floats(-11.0, -6.0).map(lambda x: 10.0 ** x), fluct=st.floats(0.0, 0.2),
+       vac=st.floats(-12.0, -6.0).map(lambda x: 10.0 ** x), grow=st.floats(1.01, 2.0))
+@example(distance=0.0, e_d=0.01, p_d=1e-10, fluct=0.01, vac=1e-12, grow=1.5)
+def test_positive_rate_never_rises_on_a_worse_setting(distance, e_d, p_d, fluct,
+                                                      vac, grow):
+    # At fixed (px, mu), raising e_d, p_d or fluct, lowering av0 or adding
+    # 5 km never raises the clamped coherent rate.  The signed rate below 0
+    # is not monotone, so only positive rates are compared.
+    channel = ChannelParams(distance, 0.2, 0.3, p_d, e_d)
+    calib = SourceCalibration(1.0 - vac, 1.0 - vac, fluct)
+    eta = np.array([arm_transmittance(replace(channel, distance_km=d))
+                    for d in (distance, distance + 5.0)])[:, None, None]
+    base = _clamped_rates(channel, calib, eta)
+    assert (base[:, 1] <= base[:, 0]).all()
+    for worse_channel, worse_calib in (
+            (replace(channel, e_d=e_d * grow), calib),
+            (replace(channel, p_d=p_d * grow), calib),
+            (channel, replace(calib, fluct=fluct + 0.1 * (grow - 1.0))),
+            (channel, replace(calib, av0=1.0 - vac * grow))):
+        assert (_clamped_rates(worse_channel, worse_calib, eta) <= base).all()
+
+
 @pytest.mark.parametrize("block", [0.5, "1e12", True, 0, math.inf, math.nan,
                                    pytest.param(10**400, id="10**400"),
                                    "Asymptotic"])
@@ -112,6 +163,32 @@ def test_invalid_block_size_is_named(block):
     proto = ProtocolParams(p0=0.5, px=0.5, mu_xA=0.1, mu_xB=0.1, N=1)
     with pytest.raises(ValueError, match="block_size"):
         evaluate_point(CHANNEL_50, CALIB, proto, SecurityConfig(), block)
+
+
+@pytest.mark.parametrize("block", [1, 1.0, sys.float_info.max])
+def test_block_size_edges_accepted(block):
+    require_block(block)
+
+
+def test_block_size_below_one_rejected():
+    with pytest.raises(ValueError, match="block_size"):
+        require_block(math.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eps_coh_target", math.nextafter(0.0, 1.0)),
+    ("eps_coh_target", math.nextafter(1.0, 0.0)),
+    ("f", 1.0), ("d", 2)])
+def test_security_config_edges_accepted(field, value):
+    assert getattr(SecurityConfig(**{field: value}), field) == value
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eps_coh_target", 0.0), ("eps_coh_target", 1.0),
+    ("f", math.nextafter(1.0, 0.0)), ("d", 1)])
+def test_security_config_just_outside_rejected(field, value):
+    with pytest.raises(SecurityConfigError, match=f"{field} must"):
+        SecurityConfig(**{field: value})
 
 
 def test_optimize_rejects_block_size_before_evaluating(monkeypatch):
