@@ -150,6 +150,17 @@ def _block_label(name: str, raw) -> str:
     return str(int(value))
 
 
+def _distinct(name: str, entries: list[str]) -> tuple[str, ...]:
+    """``entries``, which must be nonempty and name no entry twice: an empty
+    list would scan nothing, and a repeated one would scan a point twice."""
+    if not entries:
+        raise ConfigError(f"{name} must not be empty")
+    for k, entry in enumerate(entries):
+        if entry in entries[:k]:
+            raise ConfigError(f"{name} lists {entry!r} twice")
+    return tuple(entries)
+
+
 def _distances(name: str, axis) -> tuple[float, ...]:
     """The distances start, start + step, ... up to stop, at most MAX_DISTANCES
     of them, counted before any is built."""
@@ -206,7 +217,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
         blocks_name, blocks = "scan.blocks", scan.get("blocks")
         if not isinstance(blocks, list):
             raise ConfigError(f"scan.blocks must be a list, got {blocks!r}")
-    blocks = tuple(_block_label(blocks_name, b) for b in blocks)
+    blocks = _distinct(blocks_name, [_block_label(blocks_name, b) for b in blocks])
 
     if overrides.mode:
         modes = list(MODES) if overrides.mode == "both" else [overrides.mode]
@@ -215,6 +226,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
     if not (isinstance(modes, list)
             and all(isinstance(m, str) and m in MODES for m in modes)):
         raise ConfigError(f"scan.modes must list modes among {MODES}, got {modes!r}")
+    modes = _distinct("scan.modes", modes)
 
     seed = (overrides.seed if overrides.seed is not None
             else _integer("seed", raw.get("seed", 0)))
@@ -232,7 +244,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
         raise ConfigError(f"mc_windows is invalid: {exc}")
     return ScanConfig(
         channel=channel, calib=calib, security=security, space=space,
-        distances=distances, blocks=blocks, modes=tuple(modes),
+        distances=distances, blocks=blocks, modes=modes,
         seed=seed, mc_validate=overrides.mc_validate or mc_validate,
         mc_windows=mc_windows,
     )
@@ -244,13 +256,15 @@ def _block_value(label: str):
 
 def run_scan(cfg: ScanConfig) -> list[dict]:
     """Optimize and evaluate every (distance, block size, mode) point."""
-    keys = [(d, b, m) for d in cfg.distances for b in cfg.blocks for m in cfg.modes]
-    results = optimize_points(
-        [(replace(cfg.channel, distance_km=d), _block_value(b), m) for d, b, m in keys],
-        cfg.calib, cfg.security, cfg.space)
+    channels = [replace(cfg.channel, distance_km=d) for d in cfg.distances]
+    blocks = [(label, _block_value(label)) for label in cfg.blocks]
+    keys = [(channel, label, block, mode) for channel in channels
+            for label, block in blocks for mode in cfg.modes]
+    results = optimize_points([(channel, block, mode) for channel, _, block, mode in keys],
+                              cfg.calib, cfg.security, cfg.space)
     rows = []
-    for (distance, block_label, mode), result in zip(keys, results):
-        row = {"distance_km": distance, "N": block_label, "mode": mode}
+    for (channel, block_label, _, mode), result in zip(keys, results):
+        row = {"distance_km": channel.distance_km, "N": block_label, "mode": mode}
         if result is None:
             row.update(dict.fromkeys(("px", "mu_x", *_REPORT_COLUMNS), 0.0),
                        feasible_flag=0)
@@ -259,9 +273,9 @@ def run_scan(cfg: ScanConfig) -> list[dict]:
             row.update({name: getattr(report, name) for name in _REPORT_COLUMNS},
                        px=protocol.px, mu_x=protocol.mu_xA, feasible_flag=1)
         rows.append(row)
-    rows.sort(key=lambda r: (r["distance_km"],
-                             math.inf if r["N"] == ASYMPTOTIC else float(r["N"]),
-                             MODES.index(r["mode"])))
+    size = {label: math.inf if block == ASYMPTOTIC else block
+            for label, block in blocks}
+    rows.sort(key=lambda r: (r["distance_km"], size[r["N"]], MODES.index(r["mode"])))
     return rows
 
 
@@ -365,11 +379,13 @@ def emit_plot(rows: list[dict]) -> str:
 
 
 def _mc_report(cfg: ScanConfig, rows: list[dict]) -> str:
+    channels = {d: replace(cfg.channel, distance_km=d)
+                for d in dict.fromkeys(row["distance_km"] for row in rows)}
     # Each feasible row with its index among all rows, which offsets its seed.
     runs = [(idx, row, ProtocolParams(p0=1.0 - row["px"], px=row["px"],
                                       mu_xA=row["mu_x"], mu_xB=row["mu_x"],
                                       N=cfg.mc_windows, mode=row["mode"]),
-             replace(cfg.channel, distance_km=row["distance_km"]))
+             channels[row["distance_km"]])
             for idx, row in enumerate(rows) if row["feasible_flag"]]
     # The expected counts of all rows come from one channel pass, with each
     # row's scalar transmittance and mode, so they keep every bit of

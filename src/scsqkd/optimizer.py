@@ -7,15 +7,21 @@ would be blind.  Candidates that violate the mapping-existence condition
 after worst-case intensity fluctuation are skipped, not penalized.
 
 :func:`optimize_points` searches many (channel, block size, mode) points at
-once: each sweep is one broadcast (point, px, mu) array pass per kind of
-block size (finite or asymptotic) among points with equal dark-count and
-misalignment probabilities, whatever their modes, as long as the group fits
-``_CHUNK`` candidates.  :func:`optimize` is its one-point call.
+once.  A point table, built once per call, holds each point's transmittance
+and groups the points by kind of block size (finite or asymptotic) and by
+dark-count and misalignment probability, with each group's distinct block
+sizes and modes and each point's index into them.  Each sweep is one
+broadcast (point, px, mu) array pass per group of the points still
+searched, whatever their modes, as long as the group fits ``_CHUNK``
+candidates.  The incumbents are arrays over the points: each pass picks its
+winners with a masked argmax and gathers their report fields by index, and
+the results are built once per point at the end.  :func:`optimize` is its
+one-point call.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,70 +82,130 @@ class SearchSpace:
 
 
 def _axes(lo: np.ndarray, hi: np.ndarray, n: int, space) -> np.ndarray:
-    """Row ``i`` is ``space(lo[i], hi[i], n)``; a collapsed range (lo == hi)
-    is ``n`` copies of ``lo``.  Only the open rows go through ``space``:
-    ``np.linspace`` takes another arithmetic path for every row once one row
-    has a zero step, and ``np.geomspace`` gives a collapsed row inner values
-    an ulp off ``lo``."""
-    out = np.repeat(lo[:, None], n, axis=1)
-    wide = lo < hi
-    out[wide] = space(lo[wide], hi[wide], n, axis=1)
+    """Row ``i`` is ``space(lo[i], hi[i], n)`` (``np.linspace`` or
+    ``np.geomspace``) bit for bit; a collapsed range (lo == hi) is ``n``
+    copies of ``lo``.
+
+    numpy's arithmetic is written out for all rows at once: row ``i`` is
+    ``lo[i] + k * ((hi[i] - lo[i]) / (n - 1))`` for k = 0 .. n - 1, ending
+    in ``hi[i]``, and a geometric row is 10 to the power of that row on
+    ``log10(lo[i])`` and ``log10(hi[i])``, starting at ``lo[i]``.  A
+    batched ``np.linspace`` would take another arithmetic path for every
+    row once one row has a zero step, and ``np.geomspace`` gives a
+    collapsed row inner values an ulp off ``lo``."""
+    if n == 1:
+        return lo[:, None].copy()
+    geometric = space is np.geomspace
+    start, stop = (np.log10(lo), np.log10(hi)) if geometric else (lo, hi)
+    out = np.arange(n, dtype=float) * ((stop - start) / (n - 1))[:, None]
+    out += start[:, None]
+    if geometric:
+        np.power(10.0, out, out=out)
+        out[:, 0] = lo
+        # A linear collapsed row is lo + k * 0.0; 10 ** log10(lo) need not be lo.
+        collapsed = lo == hi
+        out[collapsed] = lo[collapsed, None]
+    out[:, -1] = hi
     return out
 
 
-def _sweep(points, etas, live: list[int], px_axes: np.ndarray,
-           mu_axes: np.ndarray, calib: SourceCalibration,
-           security: SecurityConfig, best: list) -> None:
+def _point_table(points) -> tuple[np.ndarray, list[tuple]]:
+    """Each point's one-arm transmittance, and the points grouped by kind
+    of block size (finite or asymptotic), dark-count and misalignment
+    probability: the points one pass may hold together.
+
+    A group is ``(channel, index, sizes, block, modes, mode)``: a channel
+    that gives its p_d and e_d, the ascending indices of its points, its
+    distinct block sizes and modes, and each point's index into them.
+    """
+    eta = np.array([arm_transmittance(channel) for channel, _, _ in points])
+    keyed: dict = {}
+    for i, (channel, block, mode) in enumerate(points):
+        members, sizes, modes = keyed.setdefault(
+            (block == ASYMPTOTIC, channel.p_d, channel.e_d), ([], {}, {}))
+        members.append((i, sizes.setdefault(block, len(sizes)),
+                        modes.setdefault(mode, len(modes))))
+    groups = []
+    for members, sizes, modes in keyed.values():
+        index, block, mode = np.array(members).T
+        groups.append((points[index[0]][0], index, tuple(sizes), block,
+                       tuple(modes), mode))
+    return eta, groups
+
+
+class _Incumbents:
+    """Each point's best candidate so far, as arrays over the points.
+
+    ``found`` marks the points that have one; ``px`` and ``mu`` are its
+    coordinates, ``report[k]`` the k-th float field of its
+    :class:`KeyRateReport`.  The last field, R_coh_signed, is its score.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.found = np.zeros(size, dtype=bool)
+        self.px = np.empty(size)
+        self.mu = np.empty(size)
+        self.report = np.zeros((len(fields(KeyRateReport)) - 1, size))
+
+    def update(self, points: np.ndarray, px: np.ndarray, mu: np.ndarray,
+               batch: KeyRateReport) -> None:
+        """Offer the pass ``batch`` over (point, px, mu), whose row ``r``
+        is point ``points[r]`` on the axes ``px[r]`` x ``mu[r]``."""
+        feasible = batch.feasible
+        rows = np.arange(len(points))
+        rates = np.where(feasible, batch.R_coh_signed, -np.inf).reshape(len(points), -1)
+        top = rates.argmax(axis=1)
+        score = rates[rows, top]
+        # Where every feasible rate is -inf, the first feasible candidate.
+        lost = score == -np.inf
+        if lost.any():
+            top[lost] = feasible[lost].reshape(lost.sum(), -1).argmax(axis=1)
+        a, b = np.divmod(top, mu.shape[1])
+        better = feasible[rows, a, b] & (~self.found[points]
+                                         | (score > self.report[-1, points]))
+        if not better.any():
+            return
+        win, a, b = rows[better], a[better], b[better]
+        i = points[win]
+        self.found[i] = True
+        self.px[i] = px[win, a]
+        self.mu[i] = mu[win, b]
+        # vars() holds the fields in their order, feasible first.
+        for k, value in enumerate(list(vars(batch).values())[1:]):
+            self.report[k, i] = value[win, a, b]
+
+
+def _sweep(eta: np.ndarray, groups: list[tuple], live: np.ndarray,
+           px_axes: np.ndarray, mu_axes: np.ndarray, calib: SourceCalibration,
+           security: SecurityConfig, best: _Incumbents) -> None:
     """One sweep of the (px, mu) grid ``px_axes[j]`` x ``mu_axes[j]`` of each
     point ``live[j]``, evaluated as one broadcast (point, px, mu) pass per
     group and chunk of points.
 
-    Updates ``best[i] = (rate, px, mu, report)``: within a sweep the first
-    of equal rates among the feasible candidates of point ``i``, in
-    lexicographic (px, mu) order, wins, and it replaces the incumbent only
-    if it is strictly larger.
+    ``eta`` and ``groups`` are the point table; the sweep selects each
+    group's live members, with their block-size and mode indices.  Each
+    pass updates the array incumbents ``best``: within a sweep the first of
+    equal rates among the feasible candidates of a point, in lexicographic
+    (px, mu) order, wins, and it replaces the point's incumbent only if it
+    is strictly larger.
     """
-    groups: dict[tuple, list[int]] = {}
-    for j, i in enumerate(live):
-        channel, block, _ = points[i]
-        groups.setdefault((block == ASYMPTOTIC, channel.p_d, channel.e_d),
-                          []).append(j)
-    n_mu = mu_axes.shape[1]
-    step = max(1, _CHUNK // (px_axes.shape[1] * n_mu))
-    for members in groups.values():
-        for start in range(0, len(members), step):
-            rows = members[start:start + step]
-            chunk = [live[j] for j in rows]
-            channel = points[chunk[0]][0]
-            # Each candidate's block size and mode, as indices into the
-            # distinct ones of the chunk.
-            sizes: dict = {}
-            modes: dict = {}
-            block = np.array([sizes.setdefault(points[i][1], len(sizes))
-                              for i in chunk])[:, None, None]
-            mode_index = np.array([modes.setdefault(points[i][2], len(modes))
-                                   for i in chunk])[:, None, None]
-            px = px_axes[rows][:, :, None]
-            mu = mu_axes[rows][:, None, :]
-            eta = np.array([etas[i] for i in chunk])[:, None, None]
-            batch = evaluate_points(channel, calib, 1.0 - px, px, mu, mu, eta,
-                                    security, tuple(sizes), tuple(modes), block,
-                                    mode_index)
-            feasible = batch.feasible.reshape(len(chunk), -1)
-            rates = np.where(feasible, batch.R_coh_signed.reshape(len(chunk), -1),
-                             -np.inf)
-            top = np.argmax(rates, axis=1)
-            # Where every feasible rate is -inf, the first feasible candidate.
-            top = np.where(rates[np.arange(len(chunk)), top] == -np.inf,
-                           np.argmax(feasible, axis=1), top)
-            for r, (i, k) in enumerate(zip(chunk, top.tolist())):
-                if not feasible[r, k]:
-                    continue
-                a, b = divmod(k, n_mu)
-                score = float(rates[r, k])
-                if best[i] is None or score > best[i][0]:
-                    best[i] = (score, float(px[r, a, 0]), float(mu[r, 0, b]),
-                               batch.row((r, a, b)))
+    row_of = np.full(len(eta), -1)
+    row_of[live] = np.arange(len(live))
+    step = max(1, _CHUNK // (px_axes.shape[1] * mu_axes.shape[1]))
+    for channel, index, sizes, block, modes, mode in groups:
+        rows = row_of[index]
+        sel = rows >= 0
+        points, rows, block, mode = index[sel], rows[sel], block[sel], mode[sel]
+        for start in range(0, len(points), step):
+            part = slice(start, start + step)
+            chunk, px, mu = points[part], px_axes[rows[part]], mu_axes[rows[part]]
+            # One array as both intensities: the pass computes mu-only work once.
+            p, m = px[:, :, None], mu[:, None, :]
+            batch = evaluate_points(channel, calib, 1.0 - p, p, m, m,
+                                    eta[chunk][:, None, None], security, sizes,
+                                    modes, block[part][:, None, None],
+                                    mode[part][:, None, None])
+            best.update(chunk, px, mu, batch)
 
 
 def optimize_points(points: list[tuple[ChannelParams, float | str, str]],
@@ -156,12 +222,12 @@ def optimize_points(points: list[tuple[ChannelParams, float | str, str]],
     """
     for _, block, _ in points:
         require_block(block)
-    etas = [arm_transmittance(channel) for channel, _, _ in points]
-    best: list = [None] * len(points)
+    eta, groups = _point_table(points)
+    best = _Incumbents(len(points))
     px_lo, px_hi = space.px_range
     mu_lo, mu_hi = space.mu_range
     n_px, n_mu = space.grid
-    live = list(range(len(points)))
+    live = np.arange(len(points))
     lo, hi = np.full(len(live), px_lo), np.full(len(live), px_hi)
     m_lo, m_hi = np.full(len(live), mu_lo), np.full(len(live), mu_hi)
     px_width = px_hi - px_lo
@@ -170,9 +236,8 @@ def optimize_points(points: list[tuple[ChannelParams, float | str, str]],
         if sweep:
             px_width /= space.shrink
             log_mu_width /= space.shrink
-            live = [i for i, found in enumerate(best) if found is not None]
-            px_c = np.array([best[i][1] for i in live])
-            mu_c = np.array([best[i][2] for i in live])
+            live = np.flatnonzero(best.found)
+            px_c, mu_c = best.px[live], best.mu[live]
             lo = np.maximum(px_lo, px_c - px_width / 2.0)
             hi = np.minimum(px_hi, px_c + px_width / 2.0)
             m_lo = np.maximum(mu_lo, mu_c * math.exp(-log_mu_width / 2.0))
@@ -180,19 +245,20 @@ def optimize_points(points: list[tuple[ChannelParams, float | str, str]],
             # Collapsed axes hold only the incumbents, which no sweep replaces.
             if (lo == hi).all() and (m_lo == m_hi).all():
                 break
-        _sweep(points, etas, live, _axes(lo, hi, n_px, np.linspace),
+        _sweep(eta, groups, live, _axes(lo, hi, n_px, np.linspace),
                _axes(m_lo, m_hi, n_mu, np.geomspace), calib, security, best)
 
     results = []
-    for found, (_, block, mode) in zip(best, points):
-        if found is None:
+    for found, px, mu, report, (_, block, mode) in zip(
+            best.found.tolist(), best.px.tolist(), best.mu.tolist(),
+            best.report.T.tolist(), points):
+        if not found:
             results.append(None)
             continue
-        _, px, mu, report = found
         protocol = ProtocolParams(p0=1.0 - px, px=px, mu_xA=mu, mu_xB=mu,
                                   N=1 if block == ASYMPTOTIC else float(block),
                                   mode=mode)
-        results.append((protocol, report))
+        results.append((protocol, KeyRateReport(True, *report)))
     return results
 
 

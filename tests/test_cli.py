@@ -526,6 +526,12 @@ class TestMain:
     ("search", "refine_rounds", 1001),
     pytest.param("scan", "distance", [0, 1e300, 10], id="scan-distance-1e300"),
     pytest.param("scan", "distance", [0, 1e6, 1], id="scan-distance-10**6+1"),
+    # An empty list used to write a header-only scan.csv and exit 0, and a
+    # repeated entry, also one spelt another way, scanned its points twice.
+    pytest.param("scan", "blocks", [], id="scan-blocks-empty"),
+    pytest.param("scan", "modes", [], id="scan-modes-empty"),
+    pytest.param("scan", "blocks", ["1e12", "1000000000000"], id="scan-blocks-1e12-twice"),
+    pytest.param("scan", "modes", ["improved", "improved"], id="scan-modes-improved-twice"),
 ])
 def test_invalid_value_is_a_config_error(tmp_path, capsys, section, key, value):
     cfg = copy.deepcopy(BASE_CONFIG)
@@ -540,6 +546,14 @@ def test_invalid_value_is_a_config_error(tmp_path, capsys, section, key, value):
     if key not in (BASE_CONFIG[section] if section else BASE_CONFIG):
         assert err == f"error: {name} is not a known key\n"
     assert not out.exists()  # rejected before any scan work
+
+
+def test_repeated_blocks_flag_entry_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["scan", "--config", _write_config(tmp_path), "--out", str(out),
+                 "--blocks", "1e12,asymptotic,1000000000000"]) == 2
+    assert capsys.readouterr().err == "error: --blocks lists '1000000000000' twice\n"
+    assert not out.exists()
 
 
 def test_size_bounds_are_inclusive(tmp_path):

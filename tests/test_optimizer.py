@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scsqkd import optimizer
 from scsqkd.channel import ChannelParams, arm_transmittance
-from scsqkd.optimizer import NoFeasiblePointError, SearchSpace, _axes, optimize
+from scsqkd.keyrate import KeyRateReport
+from scsqkd.optimizer import (NoFeasiblePointError, SearchSpace, _axes, optimize,
+                              optimize_points)
 from scsqkd.pipeline import SecurityConfig, SourceCalibration, evaluate_points
 
 CHANNEL_50 = ChannelParams(50.0, 0.2, 0.3, 1e-9, 0.04)
@@ -51,6 +56,112 @@ def test_axes_rows_equal_one_point_calls(space, n):
     for row, a, b in zip(axes, lo.tolist(), hi.tolist()):
         expected = [a] * n if a == b else space(a, b, n).tolist()
         assert row.tolist() == expected
+
+
+@st.composite
+def _axis_rows(draw):
+    """(space, lo, hi): rows of ranges inside the default search box of
+    ``space``, each open, one ulp wide or collapsed."""
+    space = draw(st.sampled_from([np.linspace, np.geomspace]))
+    box_lo, box_hi = (SearchSpace().px_range if space is np.linspace
+                      else SearchSpace().mu_range)
+    floats = st.floats(box_lo, math.nextafter(box_hi, 0.0))
+    lo, hi = [], []
+    for kind in draw(st.lists(st.sampled_from(["open", "ulp", "collapsed"]),
+                              min_size=1, max_size=12)):
+        a = draw(floats)
+        lo.append(a)
+        hi.append(draw(st.floats(a, box_hi)) if kind == "open"
+                  else math.nextafter(a, math.inf) if kind == "ulp" else a)
+    return space, np.array(lo), np.array(hi)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rows=_axis_rows(), n=st.integers(1, 64))
+def test_axes_rows_equal_one_point_calls_property(rows, n):
+    # Also where a one-ulp range has a zero step, on the log axis too,
+    # beside open and collapsed rows.
+    space, lo, hi = rows
+    for row, a, b in zip(_axes(lo, hi, n, space), lo.tolist(), hi.tolist()):
+        expected = np.full(n, a) if a == b else space(a, b, n)
+        assert row.tobytes() == expected.tobytes(), (a, b, row.tolist())
+
+
+class TestIncumbentRule:
+    """optimize_points against a stubbed pass whose feasibility and rates
+    are set per sweep, point and candidate; the candidate index is
+    lexicographic in (px, mu).  Infeasible candidates carry high rates,
+    which must be ignored."""
+
+    N_PX, N_MU = 3, 4
+
+    @staticmethod
+    def _table(feasible=None, rates=None, base=-1.0):
+        ok = np.ones(12, dtype=bool)
+        if feasible is not None:
+            ok[:] = False
+            ok[feasible] = True
+        rate = np.where(ok, base, 9.0)
+        for k, value in (rates or {}).items():
+            rate[k] = value
+        return ok, rate
+
+    def _run(self, monkeypatch):
+        t = self._table
+        inf = math.inf
+        tables = {
+            # Equal maxima within a sweep: the first wins, and a later
+            # sweep's equal rate does not replace it.
+            0: [t(rates={5: 2.0, 7: 2.0}), t(rates={1: 2.0}), t(rates={11: 2.0})],
+            # A strictly larger rate replaces the incumbent; an infeasible
+            # candidate's larger rate does not.
+            1: [t(rates={2: 1.0}), t(feasible=list(range(1, 12)), rates={0: 9.5, 10: 1.5}),
+                t(rates={4: 1.2})],
+            # All feasible rates -inf: the first feasible candidate, kept
+            # against a later all -inf sweep.
+            2: [t(feasible=[3, 6], base=-inf), t(base=-inf), t(base=-inf)],
+            # No feasible coarse candidate: None, never refined.
+            3: [t(feasible=[])],
+            # Maxima at (px 1, mu 0) and (px 0, mu 3): px decides first.
+            4: [t(rates={4: 3.0, 3: 3.0}), t(rates={0: 2.0}), t(rates={0: 2.0})],
+        }
+        channels = [ChannelParams(10.0 * i, 0.2, 0.3, 1e-9, 0.04) for i in tables]
+        point_of = {arm_transmittance(c): i for i, c in enumerate(channels)}
+        calls = []
+        shape = (self.N_PX, self.N_MU)
+
+        def stub(channel, calib, p0, px, mu_A, mu_B, eta, *rest):
+            sweep = len(calls)
+            ids = [point_of[e] for e in eta.ravel().tolist()]
+            calls.append((ids, px[:, :, 0], mu_A[:, 0, :]))
+            full = (len(ids), *shape)
+            feasible, rates = (np.array([tables[i][sweep][k] for i in ids]).reshape(full)
+                               for k in (0, 1))
+            tag = [np.broadcast_to(np.asarray(v, dtype=float).reshape(-1, 1, 1), full)
+                   for v in (sweep, ids)]
+            index = np.broadcast_to(np.arange(12.0).reshape(shape), full)
+            return KeyRateReport(feasible, *tag, *[index] * 5, rates, rates)
+
+        monkeypatch.setattr(optimizer, "evaluate_points", stub)
+        space = SearchSpace(grid=shape, refine_rounds=2)
+        results = optimize_points([(c, 1e12, "improved") for c in channels],
+                                  CALIB, SECURITY, space)
+        return results, calls
+
+    def test_incumbents(self, monkeypatch):
+        results, calls = self._run(monkeypatch)
+        assert [ids for ids, _, _ in calls] == [[0, 1, 2, 3, 4], [0, 1, 2, 4], [0, 1, 2, 4]]
+        winners = {0: (0, 5, 2.0), 1: (1, 10, 1.5), 2: (0, 3, -math.inf), 4: (0, 3, 3.0)}
+        assert results[3] is None
+        for i, (sweep, k, rate) in winners.items():
+            protocol, report = results[i]
+            assert (report.mu_virtual_A, report.mu_virtual_B, report.n_O,
+                    report.R_coh_signed) == (sweep, i, k, rate)
+            assert report.feasible is True
+            ids, px, mu = calls[sweep]
+            a, b = divmod(k, self.N_MU)
+            assert (protocol.px, protocol.mu_xA) == (px[ids.index(i), a],
+                                                     mu[ids.index(i), b])
 
 
 class TestOptimize:

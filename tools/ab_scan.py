@@ -3,16 +3,20 @@
 Run from the root of a scsqkd checkout:
 
     python3 tools/ab_scan.py HEAD~1 src/scsqkd --config config.json --pairs 200
+    python3 tools/ab_scan.py HEAD~1 src/scsqkd --workload asymptotic-scan --seed 7
 
-Each side is a git revision, whose ``src/scsqkd`` is exported with
-``git archive``, or a path to a package directory.  Both are copied into one
+The scan config is a JSON file, or the config of a benchmark workload for a
+seed (default 1), built by ``perfbench/workloads.make_config``.  Each side
+is a git revision, whose ``src/scsqkd`` is exported with ``git archive``, or
+a path to a package directory.  Both are copied into one
 temporary directory as packages of distinct names (``scsqkd_a`` and
 ``scsqkd_b``; the package imports itself only relatively), imported into
 this one process, and ``cli.main(["scan", ...])`` calls alternate between
 them, each pair in the other order than the one before.  After one untimed
 warm-up call per side, it checks that both sides wrote the same files, then
 prints both medians, the median of the per-pair ratios b/a and the number of
-pairs in which b was faster.
+pairs in which b was faster.  It exits with status 1 when the outputs
+differ.
 
 Separate-process medians on a shared 2-core host swung by about 10 % between
 identical runs, while the interleaved ratio was stable to about 1 %.  The
@@ -24,6 +28,7 @@ import argparse
 import filecmp
 import importlib
 import io
+import json
 import os
 import shutil
 import statistics
@@ -34,6 +39,8 @@ import tempfile
 import time
 
 PACKAGE = "src/scsqkd"
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                         "perfbench")
 
 
 def _export(spec: str, dest: str) -> None:
@@ -55,6 +62,25 @@ def _export(spec: str, dest: str) -> None:
                 handle.write(tar.extractfile(member).read())
 
 
+def _workload_config(name: str, seed: int | None, tmp: str) -> str:
+    """Path of the config of benchmark workload ``name`` at ``seed``, written
+    into ``tmp``."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(PERFBENCH)
+    try:
+        config = workloads.make_config(
+            name, workloads.DEFAULT_SEED if seed is None else seed)
+    except ValueError as exc:  # an unknown workload
+        raise SystemExit(str(exc))
+    path = os.path.join(tmp, "config.json")
+    with open(path, "w") as handle:
+        json.dump(config, handle)
+    return path
+
+
 def _timed(main, argv: list[str]) -> float:
     start = time.perf_counter()
     code = main(argv)
@@ -68,13 +94,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", help="baseline side: git revision or package directory")
     parser.add_argument("b", help="candidate side: git revision or package directory")
-    parser.add_argument("--config", required=True, help="scan config (JSON)")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="scan config (JSON)")
+    source.add_argument("--workload", help="benchmark workload whose config to scan")
+    parser.add_argument("--seed", type=int, help="workload seed (default 1)")
     parser.add_argument("--pairs", type=int, default=100, help="timed pairs")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    config = os.path.abspath(args.config)
+    if args.seed is not None and args.workload is None:
+        parser.error("--seed needs --workload")
     with tempfile.TemporaryDirectory(prefix="ab_scan_") as tmp:
+        if args.workload is None:
+            config = os.path.abspath(args.config)
+        else:
+            config = _workload_config(args.workload, args.seed, tmp)
         sides = {}
         for side, spec in (("a", args.a), ("b", args.b)):
             _export(spec, os.path.join(tmp, f"scsqkd_{side}"))
@@ -103,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"b {args.b}: median {1e3 * statistics.median(times['b']):.2f} ms")
     print(f"median pair ratio b/a: {statistics.median(ratios):.3f}")
     print(f"pairs with b faster: {faster}/{args.pairs}")
-    return 0
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
