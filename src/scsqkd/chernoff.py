@@ -9,26 +9,53 @@ as a multiple of the given count, they read
     expectation_upper:  X * (ln u - u + 1)   = ln(xi),  bound X * u
     observed_upper:     Y * (v - 1 - v ln v) = ln(xi),  bound Y * v
 
-with u, v > 1.  Both left sides are concave, vanish at 1 and decrease above
-it, so Newton's method started beyond the root moves toward it monotonically
-and never crosses it.  The start is the Gaussian guess, a deviation sqrt(2t)
-from 1 with t = |ln xi| / X, moved to 1 + sqrt(2t) + t, which provably lies
-beyond the root.  An element stops once its residual is within rounding of
-its terms, or once a step no longer moves it toward the root; a bisection
-between the iterate and 1 backs up elements that are still moving after
-``_MAX_NEWTON`` steps.
+with u, v > 1.  Each bound is solved in w = u - 1 or v - 1 through
+``log1p``, which keeps it accurate near 1; with t = |ln xi| / X (or / Y)
+the equations read
 
-Each bound is solved in w = u - 1 or v - 1 through ``log1p``, which keeps it
-accurate near 1.
+    expectation_upper:  w - ln(1 + w)         = t
+    observed_upper:     (1 + w) ln(1 + w) - w = t.
 
-A solve is one Newton loop over the whole array.  It allocates its iterate
-and the residual's three outputs once and updates them in place (``out=``
-and ``np.copyto(..., where=active)``).  Each residual evaluates the
-expressions in its comment operation by operation, so working in place
-changes no bit of a bound.  Elements that have stopped stay in the array:
-gathering the active ones into a smaller array costs more than it saves.
-A caller with several count arrays, like the phase error, solves them in
-one call over their concatenation, which pays the loop's fixed cost once.
+Both left sides increase in w > 0, so the residual (t minus the left side)
+is concave, positive between 0 and the root and negative beyond it, and
+Newton's method started beyond the root moves toward it monotonically and
+never crosses it.
+
+The start provably lies beyond the root and, with s = sqrt(2t), agrees with
+it to second order in s at small t:
+
+- expectation_upper takes the smaller of two starts.  Since
+  ln(1 + w) <= w (6 + w) / (6 + 4w), the left side is at least
+  w^2 / (2 + 4w/3), which equals t at w = 2t/3 + sqrt(4t^2/9 + 2t), written
+  s (s/3 + sqrt(1 + 2t/9)) so it cannot overflow.  And the root satisfies
+  w = t + ln(1 + w) and lies below s + t (the left side is at least t there,
+  as e^s >= 1 + s + t), so it lies below t + ln(1 + s + t), the closer start
+  at large t.
+- observed_upper: by Bennett's inequality the left side is at least
+  w^2 / (2 + 2w/3), which equals t at w = t/3 + sqrt(t^2/9 + 2t), written
+  s (s/6 + sqrt(1 + t/18)).
+
+Both starts lie below the Gaussian-guess start s + t, at every t.
+
+From the start, ``_STEPS`` Newton steps run on the whole array with no
+check, in place, at seven array operations a step.  Then one residual
+evaluation checks every element with the stop rule of the checked loop
+below: the residual within ``_NOISE`` of its terms' magnitude.  Three
+steps meet it for expectation_upper at every t from 1e-300 to 1e305, and
+for observed_upper from t = 1e-30 to 1, a phase-error mean of at least
+|ln xi| counts (1500 to 2200 in a scan at N = 1e10 to 1e15).
+The elements that fail it (stragglers) are gathered into a smaller array
+and solved by the checked loop from the start again, since where the root
+lies within the residual's noise of 0 (observed_upper near t = 5e-33)
+rounding can carry an unchecked step across it, even below 0.  The checked
+loop stops an element once its residual is within rounding of its terms or
+once a step no longer moves it toward the root; a bisection between the
+iterate and 0 backs up elements still moving after ``_MAX_NEWTON`` steps.
+
+A solve allocates its iterate and scratch arrays once and updates them in
+place (``out=``).  A caller with several count arrays, like the phase
+error, solves them in one call over their concatenation, which pays the
+solve's fixed cost once.
 
 The failure probability enters only as its natural log, a finite
 ``log_xi < 0``, because the resolved security budget can lie far below the
@@ -40,6 +67,7 @@ from __future__ import annotations
 
 import numpy as np
 
+_STEPS = 3
 _MAX_NEWTON = 60
 # Residuals within this multiple of their terms' magnitude are rounding noise.
 _NOISE = 8.0 * np.finfo(float).eps
@@ -49,21 +77,46 @@ class ChernoffDomainError(ValueError):
     """Raised for arguments outside a bound's domain."""
 
 
-def _newton(residual, t) -> np.ndarray:
-    """Root of a concave residual, started at ``sqrt(2 t) + t``, elementwise.
+def _solve(start, step, residual, t) -> np.ndarray:
+    """Root of a concave residual in w > 0, elementwise over ``t``.
 
+    ``start(t, w, a, b)`` writes a start beyond the root into ``w``,
+    ``step(w, t, a, b)`` takes one Newton step on ``w`` in place, and
     ``residual(w, t, h, slope, scale)`` writes the residual, its derivative
-    in ``w`` and its noise scale into the last three arrays.  The start lies
-    beyond the root (h <= 0), and the residual is positive between 0 and
-    the root, so every step decreases ``w``.  An element stops once its
-    residual is within rounding of its terms' magnitudes (the noise scale),
-    or once a step no longer decreases it.  Every iterate and temporary
-    lives in an array the solver allocates once; the returned array is one
-    of them.
+    in ``w`` and its noise scale; ``a`` and ``b`` are scratch arrays.  After
+    ``_STEPS`` unchecked steps, the elements whose residual is not within
+    rounding of its terms are gathered and solved by :func:`_newton` from
+    the start again.
     """
-    w = np.multiply(2.0, t, out=np.empty_like(t))
-    np.sqrt(w, out=w)
-    w += t
+    w = np.empty_like(t)
+    a, b = np.empty_like(w), np.empty_like(w)
+    start(t, w, a, b)
+    for _ in range(_STEPS):
+        step(w, t, a, b)
+    h, scale = a, b
+    residual(w, t, h, np.empty_like(w), scale)
+    scale *= _NOISE
+    late = np.greater(np.abs(h, out=h), scale)
+    if late.any():
+        # Where the root lies within the residual's noise of 0, an unchecked
+        # step can cross it, even below 0: stragglers start over.
+        idx = np.flatnonzero(late)
+        sub = np.reshape(t, -1)[idx]
+        redo = np.empty_like(sub)
+        start(sub, redo, np.empty_like(sub), np.empty_like(sub))
+        w.reshape(-1)[idx] = _newton(residual, redo, sub)
+    return w
+
+
+def _newton(residual, w, t) -> np.ndarray:
+    """Checked Newton steps on a 1-d ``w`` beyond the root, in place.
+
+    Every step decreases ``w``, since the residual is positive between 0
+    and the root.  An element stops once its residual is within rounding
+    of its terms' magnitudes (the noise scale), or once a step no longer
+    decreases it; a bisection between the iterate and 0 finishes the
+    elements still moving after ``_MAX_NEWTON`` steps.
+    """
     h, slope, scale = np.empty_like(w), np.empty_like(w), np.empty_like(w)
     active = np.ones(w.shape, dtype=bool)
     moving = np.empty(w.shape, dtype=bool)
@@ -81,9 +134,8 @@ def _newton(residual, t) -> np.ndarray:
         np.copyto(w, new, where=active)
     # Bisection for the elements Newton left moving.
     idx = np.flatnonzero(active)
-    flat = w.reshape(-1)
-    sub = np.broadcast_to(t, w.shape).reshape(-1)[idx]
-    lo, hi = flat[idx], np.zeros(idx.size)
+    sub = t[idx]
+    lo, hi = w[idx], np.zeros(idx.size)
     h, slope, scale = np.empty(idx.size), np.empty(idx.size), np.empty(idx.size)
     while True:
         mid = 0.5 * (lo + hi)
@@ -94,8 +146,35 @@ def _newton(residual, t) -> np.ndarray:
         beyond = h <= 0.0
         lo = np.where(moving & beyond, mid, lo)
         hi = np.where(moving & ~beyond, mid, hi)
-    flat[idx] = lo
+    w[idx] = lo
     return w
+
+
+def _expectation_upper_start(t, w, s, r):
+    # w = min(s (s / 3 + sqrt(1 + 2 t / 9)), t + lg(s + t)), s = sqrt(2 t)
+    np.multiply(2.0, t, out=s)
+    np.sqrt(s, out=s)
+    np.multiply(t, 2.0 / 9.0, out=w)
+    w += 1.0
+    np.sqrt(w, out=w)
+    np.divide(s, 3.0, out=r)
+    w += r
+    w *= s
+    np.add(s, t, out=r)
+    np.log1p(r, out=r)
+    r += t
+    np.minimum(w, r, out=w)
+
+
+def _expectation_upper_step(w, t, d, r):
+    # w += (lg - w + t) (1 + w) / w
+    np.log1p(w, out=d)
+    d -= w
+    d += t
+    np.add(1.0, w, out=r)
+    d *= r
+    d /= w
+    w += d
 
 
 def _expectation_upper_residual(w, t, h, slope, scale):  # w = u - 1 > 0
@@ -109,6 +188,29 @@ def _expectation_upper_residual(w, t, h, slope, scale):  # w = u - 1 > 0
     np.negative(slope, out=slope)
     scale += w
     scale += t
+
+
+def _observed_upper_start(t, w, s, r):
+    # w = s (s / 6 + sqrt(1 + t / 18)), s = sqrt(2 t)
+    np.multiply(2.0, t, out=s)
+    np.sqrt(s, out=s)
+    np.divide(t, 18.0, out=w)
+    w += 1.0
+    np.sqrt(w, out=w)
+    np.divide(s, 6.0, out=r)
+    w += r
+    w *= s
+
+
+def _observed_upper_step(w, t, lg, d):
+    # w += (w - (1 + w) lg + t) / lg
+    np.log1p(w, out=lg)
+    np.add(1.0, w, out=d)
+    d *= lg
+    np.subtract(w, d, out=d)
+    d += t
+    d /= lg
+    w += d
 
 
 def _observed_upper_residual(w, t, h, slope, scale):  # w = v - 1 > 0
@@ -139,7 +241,8 @@ def expectation_upper(X, log_xi) -> np.ndarray:
     X = 0 gives the limiting form ln(1/xi).
     """
     X, empty, t = _ratio(X, log_xi)
-    u = _newton(_expectation_upper_residual, t)
+    u = _solve(_expectation_upper_start, _expectation_upper_step,
+               _expectation_upper_residual, t)
     u += 1.0
     u *= X
     np.copyto(u, t, where=empty)  # t = -log_xi there
@@ -152,7 +255,8 @@ def observed_upper(Y, log_xi) -> np.ndarray:
     Y = 0 gives the limiting value 0.
     """
     Y, empty, t = _ratio(Y, log_xi)
-    v = _newton(_observed_upper_residual, t)
+    v = _solve(_observed_upper_start, _observed_upper_step,
+               _observed_upper_residual, t)
     v += 1.0
     v *= Y
     np.copyto(v, 0.0, where=empty)

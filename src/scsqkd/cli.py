@@ -167,8 +167,9 @@ def _distances(name: str, axis) -> tuple[float, ...]:
     if not (isinstance(axis, list) and len(axis) == 3):
         raise ConfigError(f"{name} must be [start, stop, step], got {axis!r}")
     start, stop, step = (_number(name, v) for v in axis)
-    if start < 0.0 or step <= 0.0:
-        raise ConfigError(f"{name} needs start >= 0 and step > 0, got {axis!r}")
+    if not 0.0 <= start <= stop or step <= 0.0:
+        raise ConfigError(f"{name} needs 0 <= start <= stop and step > 0, "
+                          f"got {axis!r}")
     # A step too small to advance the start is named by the loop, at once.
     if start + step > start and (stop - start) / step >= MAX_DISTANCES:
         raise ConfigError(f"{name} must span at most {MAX_DISTANCES} distances, "

@@ -1,4 +1,5 @@
 """Tests for the Chernoff upper bounds."""
+import itertools
 import math
 
 import mpmath
@@ -230,10 +231,12 @@ def test_batch_element_equals_scalar_call(name, counts, log_xi):
 
 
 def test_bisection_fallback_matches_reference(monkeypatch):
-    # With Newton disabled every element is solved by the bisection backup.
+    # With no Newton step, every element the start leaves outside rounding
+    # of its root is solved by the bisection backup.
     rng = np.random.default_rng(3)
     counts = 10.0 ** rng.uniform(-6, 15, 24)
     log_xis = -(10.0 ** rng.uniform(-3, math.log10(-LOG_XI_MIN), 24))
+    monkeypatch.setattr(chernoff, "_STEPS", 0)
     monkeypatch.setattr(chernoff, "_MAX_NEWTON", 0)
     for name, solve in BOUNDS.items():
         got = solve(counts, log_xis)
@@ -243,9 +246,106 @@ def test_bisection_fallback_matches_reference(monkeypatch):
             assert g == pytest.approx(_mp_bound(name, c, lx, g), rel=1e-12)
 
 
-# Reference: the solver as it was before it worked in place, kept verbatim
-# but for reading the iteration limit from the module under test.  The
-# solver must equal it bit for bit.
+def _late(name, t):
+    """Mask of the elements of ``t`` whose residual is not within rounding
+    after the start and ``_STEPS`` unchecked steps of one bound."""
+    start, step, residual = (getattr(chernoff, f"_{name}_{part}")
+                             for part in ("start", "step", "residual"))
+    w, a, b = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    start(t, w, a, b)
+    for _ in range(chernoff._STEPS):
+        step(w, t, a, b)
+    h, slope, scale = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    residual(w, t, h, slope, scale)
+    return np.abs(h) > chernoff._NOISE * scale
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(count=_log_uniform(1e-300, 1e15), log_xi=LOG_XIS)
+def test_start_lies_beyond_the_root(name, count, log_xi):
+    """The start's residual is <= 0 (beyond the root), or rounding noise,
+    and lies below the Gaussian-guess start s + t."""
+    t = np.array([-log_xi / count])
+    start = getattr(chernoff, f"_{name}_start")
+    w, a, b = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    start(t, w, a, b)
+    h, slope, scale = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    getattr(chernoff, f"_{name}_residual")(w, t, h, slope, scale)
+    assert h[0] <= chernoff._NOISE * scale[0]
+    assert w[0] <= np.sqrt(2.0 * t[0]) + t[0]
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_start_agrees_with_the_root_to_second_order(name):
+    # The root is sqrt(2t) + O(t) at small t; the start matches that O(t)
+    # term too, so its relative error is O(t) (about t / 18) rather than
+    # O(sqrt(t)).  Below t = 1e-6 the root's own rounding would show.
+    t = np.geomspace(1e-6, 1e-2, 41)
+    parts = [getattr(chernoff, f"_{name}_{part}")
+             for part in ("start", "step", "residual")]
+    root = chernoff._solve(*parts, t)
+    w = np.empty_like(t)
+    parts[0](t, w, np.empty_like(t), np.empty_like(t))
+    assert np.all(np.abs(w - root) <= t * root)
+
+
+# Three steps settle every element of t = |ln xi| / count in these ranges.
+NO_STRAGGLER_T = {"expectation_upper": (1e-300, 1e305),
+                  "observed_upper": (1e-30, 1.0)}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_three_steps_leave_no_straggler(name, monkeypatch):
+    t = np.geomspace(*NO_STRAGGLER_T[name], 200_001)
+    assert not _late(name, t).any()
+    # The solve gathers no element for the checked loop either.
+    gathered = []
+    real = chernoff._newton
+    monkeypatch.setattr(chernoff, "_newton",
+                        lambda r, w, sub: gathered.append(w.size) or real(r, w, sub))
+    BOUNDS[name](1.0 / t, -1.0)
+    assert gathered == []
+
+
+@pytest.mark.parametrize("max_newton", [chernoff._MAX_NEWTON, 0])
+def test_stragglers_are_solved_again(max_newton, monkeypatch):
+    """Outside the pinned range, observed_upper leaves stragglers: above
+    t = 1, and near t = 5e-33, where an unchecked step crosses the root to
+    below 0.  They are solved from the start by the checked loop (or, with
+    no checked step, the bisection) to rel 1e-12, and no bound falls below
+    its count."""
+    monkeypatch.setattr(chernoff, "_MAX_NEWTON", max_newton)
+    counts = 20.0 / np.concatenate((np.geomspace(1.5, 1e300, 30),
+                                    np.geomspace(1.8e-33, 8.3e-33, 41)))
+    late = _late("observed_upper", 20.0 / counts)
+    assert late[:30].all() and late[30:].any()
+    gathered = []
+    real = chernoff._newton
+    monkeypatch.setattr(chernoff, "_newton",
+                        lambda r, w, sub: gathered.append(w.size) or real(r, w, sub))
+    got = observed_upper(counts, -20.0)
+    assert gathered == [late.sum()]
+    assert np.all(got >= counts)
+    for g, c in zip(got, counts):
+        assert g == pytest.approx(_mp_bound("observed_upper", c, -20.0, g), rel=1e-12)
+
+
+# Reference: the solver written out of place, reading the step count and
+# the iteration limit from the module under test.  The solver must equal it
+# bit for bit.
+def _reference_solve(start, step, residual, t):
+    w = start(t)
+    for _ in range(chernoff._STEPS):
+        w = step(w, t)
+    h, _, scale = residual(w, t)
+    idx = np.flatnonzero(np.abs(h) > chernoff._NOISE * scale)
+    out = np.array(w, dtype=float)
+    sub = np.ravel(t)[idx]
+    out.reshape(-1)[idx] = _reference_newton(residual, start(sub), sub)
+    return out
+
+
 def _reference_newton(residual, w, *args) -> np.ndarray:
     active = np.ones(w.shape, dtype=bool)
     for _ in range(chernoff._MAX_NEWTON):
@@ -272,9 +372,29 @@ def _reference_newton(residual, w, *args) -> np.ndarray:
     return out.reshape(w.shape)
 
 
+def _reference_expectation_upper_start(t):
+    s = np.sqrt(2.0 * t)
+    return np.minimum(s * (np.sqrt(t * (2.0 / 9.0) + 1.0) + s / 3.0),
+                      np.log1p(s + t) + t)
+
+
+def _reference_expectation_upper_step(w, t):
+    return w + (np.log1p(w) - w + t) * (1.0 + w) / w
+
+
 def _reference_expectation_upper_residual(w, t):  # w = u - 1 > 0
     lg = np.log1p(w)
     return lg - w + t, -w / (1.0 + w), lg + w + t
+
+
+def _reference_observed_upper_start(t):
+    s = np.sqrt(2.0 * t)
+    return s * (np.sqrt(t / 18.0 + 1.0) + s / 6.0)
+
+
+def _reference_observed_upper_step(w, t):
+    lg = np.log1p(w)
+    return w + (w - (1.0 + w) * lg + t) / lg
 
 
 def _reference_observed_upper_residual(w, t):  # w = v - 1 > 0
@@ -290,13 +410,17 @@ def _reference_ratio(counts, log_xi):
 
 def _reference_expectation_upper(X, log_xi):
     X, empty, t = _reference_ratio(X, log_xi)
-    w = _reference_newton(_reference_expectation_upper_residual, np.sqrt(2.0 * t) + t, t)
+    w = _reference_solve(_reference_expectation_upper_start,
+                         _reference_expectation_upper_step,
+                         _reference_expectation_upper_residual, t)
     return np.where(empty, -np.asarray(log_xi, dtype=float), X * (1.0 + w))
 
 
 def _reference_observed_upper(Y, log_xi):
     Y, empty, t = _reference_ratio(Y, log_xi)
-    w = _reference_newton(_reference_observed_upper_residual, np.sqrt(2.0 * t) + t, t)
+    w = _reference_solve(_reference_observed_upper_start,
+                         _reference_observed_upper_step,
+                         _reference_observed_upper_residual, t)
     return np.where(empty, 0.0, Y * (1.0 + w))
 
 
@@ -320,14 +444,17 @@ def _forms(counts: np.ndarray, log_xis: np.ndarray):
 @given(data=st.data(), s=st.integers(1, 3), n=st.integers(1, 4))
 def test_bounds_equal_reference_bit_for_bit(max_newton, data, s, n):
     """Both bounds equal the reference solver bit for bit, in every input
-    form and on the bisection path, and leave their inputs unchanged."""
+    form, after three or one unchecked steps, on the straggler and the
+    bisection paths, and leave their inputs unchanged."""
     counts = np.array(data.draw(st.lists(ORACLE_COUNTS, min_size=s * n,
                                          max_size=s * n))).reshape(s, n, 1)
     log_xis = np.array(data.draw(st.lists(ORACLE_LOG_XIS, min_size=s,
                                           max_size=s))).reshape(s, 1, 1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chernoff, "_MAX_NEWTON", max_newton)
-        for name, solve in BOUNDS.items():
+        for steps, name in itertools.product((3, 1), BOUNDS):
+            patch.setattr(chernoff, "_STEPS", steps)
+            solve = BOUNDS[name]
             for count, log_xi in _forms(counts, log_xis):
                 before = [np.copy(count), np.copy(log_xi)]
                 want = REFERENCES[name](count, log_xi)

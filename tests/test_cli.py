@@ -228,7 +228,7 @@ class TestBatchedScan:
         # on an n_px x n_mu grid, the source mapping and the heralding
         # probabilities run once on S x n_mu intensities, and a finite pass
         # makes one n_O and n_B Chernoff solve on S x n_px + S x n_px x n_mu
-        # counts.  A finite pass runs two Newton loops (that solve and the
+        # counts.  A finite pass runs two root solves (that one and the
         # phase-error count's), an asymptotic pass none.  An asymptotic pass
         # takes the mean phase-error count and H(e_ph) on S x n_mu elements;
         # only the leakage's H(E_Z) spans the whole grid.
@@ -254,7 +254,7 @@ class TestBatchedScan:
             points = np.broadcast(args[3], args[4]).size // (n_px * n_mu)
             passes.append({"points": points, "asymptotic": args[8] == (ASYMPTOTIC,),
                            "virtual_intensity_array": [], "heralding_arrays": [],
-                           "expectation_upper": [], "_newton": [], "_mean_count": [],
+                           "expectation_upper": [], "_solve": [], "_mean_count": [],
                            "binary_entropy": []})
             return evaluate_points(*args, **kwargs)
 
@@ -262,7 +262,7 @@ class TestBatchedScan:
         spy(pipeline, "virtual_intensity_array", lambda args, _: np.size(args[0]))
         spy(pipeline, "heralding_arrays", lambda _, probs: np.size(probs[1]))
         spy(phase_error, "expectation_upper", lambda args, _: np.size(args[0]))
-        spy(chernoff, "_newton", lambda args, _: np.size(args[1]))
+        spy(chernoff, "_solve", lambda args, _: np.size(args[3]))
         spy(phase_error, "_mean_count", lambda _, mean: np.size(mean))
         spy(keyrate, "binary_entropy", lambda args, _: np.size(args[0]))
         run_scan(cfg)
@@ -273,7 +273,7 @@ class TestBatchedScan:
             assert p["virtual_intensity_array"] == [s * n_mu]
             assert p["heralding_arrays"] == [s * n_mu]
             assert p["expectation_upper"] == ([] if asymptotic else [s * n_px + grid])
-            assert p["_newton"] == ([] if asymptotic else [s * n_px + grid, grid])
+            assert p["_solve"] == ([] if asymptotic else [s * n_px + grid, grid])
             assert p["_mean_count"] == [s * n_mu if asymptotic else grid]
             assert p["binary_entropy"] == [grid, s * n_mu if asymptotic else grid]
         # Both modes share each pass: 3 distances x 2 modes x 2 finite
@@ -532,6 +532,9 @@ class TestMain:
     pytest.param("scan", "modes", [], id="scan-modes-empty"),
     pytest.param("scan", "blocks", ["1e12", "1000000000000"], id="scan-blocks-1e12-twice"),
     pytest.param("scan", "modes", ["improved", "improved"], id="scan-modes-improved-twice"),
+    # A stop below the start used to give an empty axis and a header-only
+    # scan.csv.
+    pytest.param("scan", "distance", [50, 0, 10], id="scan-distance-stop-below-start"),
 ])
 def test_invalid_value_is_a_config_error(tmp_path, capsys, section, key, value):
     cfg = copy.deepcopy(BASE_CONFIG)
@@ -554,6 +557,18 @@ def test_repeated_blocks_flag_entry_is_a_config_error(tmp_path, capsys):
                  "--blocks", "1e12,asymptotic,1000000000000"]) == 2
     assert capsys.readouterr().err == "error: --blocks lists '1000000000000' twice\n"
     assert not out.exists()
+
+
+def test_distance_flag_stop_below_start_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["scan", "--config", _write_config(tmp_path), "--out", str(out),
+                 "--distance", "50:0:10"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --distance needs 0 <= start <= stop and step > 0, got [50.0, 0.0, 10.0]\n")
+    assert not out.exists()
+    overrides = _no_overrides()
+    overrides.distance = "50:50:10"
+    assert load_config(_write_config(tmp_path), overrides).distances == (50.0,)
 
 
 def test_size_bounds_are_inclusive(tmp_path):

@@ -1,6 +1,7 @@
 """Checks on the package source: no dead imports or top-level names, no
 stale exports, a numpy-only runtime, and README examples that run."""
 import ast
+import json
 import re
 import subprocess
 import sys
@@ -129,6 +130,32 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_scan_without_mc_imports_no_numpy_random(tmp_path):
+    # Only the Monte Carlo cross-check draws random numbers; numpy loads
+    # numpy.random on first use, which costs a scan without it time and
+    # memory.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "channel": {"alpha_f": 0.2, "eta_d": 0.3, "p_d": 1e-9, "e_d": 0.04},
+        "source": {"av0": 0.99999999, "bv0": 0.99999999, "fluct": 0.1},
+        "security": {"eps_coh": 1e-10, "f": 1.1, "d": 8},
+        "search": {"px_range": [0.05, 0.5], "mu_range": [1e-3, 0.1],
+                   "grid": [3, 3], "refine_rounds": 1, "shrink": 4.0},
+        "scan": {"distance": [0, 50, 50], "blocks": ["1e12", "asymptotic"],
+                 "modes": ["improved", "baseline"]}}))
+    src = str(Path(scsqkd.__file__).parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from scsqkd.cli import main; "
+            "assert main(['scan', '--config', sys.argv[2], '--out', sys.argv[3]]) == 0; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'numpy.random' or m.startswith('numpy.random.')))")
+    out = subprocess.run([sys.executable, "-c", code, src, str(config),
+                          str(tmp_path / "out")],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "scan.csv").exists()
 
 
 def _readme_blocks(lang: str) -> list[str]:

@@ -108,19 +108,23 @@ class TestKeyRates:
     TALLY = WindowTally(n_O=10.0, n_B=100.0, n_Z=1e6)
 
     def test_collective_rate_assembly(self):
-        sec = security_budget(1e-10, 1e12, 8)
-        n = 1e12
-        rate = _collective(self.TALLY, 0.05, sec, n)
-        n_z = self.TALLY.n_Z
-        expected = (
-            n_z * (1.0 - binary_entropy(0.05))
-            - 1.1 * (self.TALLY.n_O + self.TALLY.n_B + self.TALLY.n_Z)
-            * binary_entropy(self.TALLY.E_Z)
-            - (1.0 - sec.log_eps_share / _LN2)
-            - 2.0 * (-sec.log_eps_share / _LN2)
-            - 11.0 * math.sqrt(n_z * (1.0 - sec.log_eps_share / _LN2))
-        ) / n
-        assert rate == pytest.approx(expected, rel=1e-12)
+        # The second tally has few Z counts at a small block, so the
+        # finite-size terms decide its rate.
+        for tally, n in ((self.TALLY, 1e12),
+                         (WindowTally(n_O=1.0, n_B=10.0, n_Z=1e4), 1e10)):
+            sec = security_budget(1e-10, n, 8)
+            rate = _collective(tally, 0.05, sec, n)
+            n_z = tally.n_Z
+            expected = (
+                n_z * (1.0 - binary_entropy(0.05))
+                - 1.1 * (tally.n_O + tally.n_B + tally.n_Z)
+                * binary_entropy(tally.E_Z)
+                - (1.0 - sec.log_eps_share / _LN2)
+                - 2.0 * (-sec.log_eps_share / _LN2)
+                - 11.0 * math.sqrt(n_z * (1.0 - sec.log_eps_share / _LN2))
+            ) / n
+            # Rates per window lie far below approx's default abs of 1e-12.
+            assert rate == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_clamped_vs_signed(self):
         sec = security_budget(1e-10, 1e12, 8)
