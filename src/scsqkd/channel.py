@@ -37,7 +37,7 @@ import numpy as np
 MODES = ("improved", "baseline")
 
 # Below this interference term the power series of I0(c) - 1 is used; it
-# needs at most ~20 terms there.
+# needs at most 12 terms there.
 _I0_SERIES_MAX = 2.0
 
 # Above this interference term np.i0 (which overflows past ~709) gives way to
@@ -220,7 +220,11 @@ def _i0e(c: np.ndarray) -> np.ndarray:
 def _scaled_i0_minus_1(c, a):
     """``e^{-a} (I0(c) - 1)`` for ``0 <= c <= a``, elementwise, without cancellation.
 
-    Small ``c`` sums the series ``sum_k (c^2/4)^k / (k!)^2`` from k = 1.
+    Small ``c`` sums the series ``sum_k (c^2/4)^k / (k!)^2`` from k = 1, up
+    to the first term below 1e-17 of the sum at the largest ``y = c^2/4``.
+    Each element's term ratio to its partial sum grows with ``y``, so every
+    other element has reached that point no later, and each term it adds
+    beyond it is below half an ulp of its sum and leaves the sum unchanged.
     Larger ``c`` has ``I0(c) >= 2.2``, so subtracting 1 loses little; there
     the result is ``e^{c-a} e^{-c} I0(c) - e^{-a}`` with the scaled Bessel
     function of :func:`_i0e`, which never overflows.  That branch runs only
@@ -229,14 +233,17 @@ def _scaled_i0_minus_1(c, a):
     c = np.asarray(c)
     series = c <= _I0_SERIES_MAX
     y = np.where(series, 0.25 * c * c, 0.0)
+    y_max = float(np.max(y, initial=0.0))
+    term = total = y_max
+    terms = 1
+    while term > 1e-17 * total:
+        terms += 1
+        term *= y_max / (terms * terms)
+        total += term
     term = total = y
-    k = 1
-    active = term > 1e-17 * total
-    while active.any():
-        k += 1
+    for k in range(2, terms + 1):
         term = term * (y / (k * k))
-        total = np.where(active, total + term, total)
-        active &= term > 1e-17 * total
+        total = total + term
     out = np.exp(-a) * total
     large = ~series
     if large.any():

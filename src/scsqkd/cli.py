@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import (MODES, ChannelParams, ProtocolParams, arm_transmittance,
                       heralding_arrays, tally_arrays)
-from .mc_oracle import SimConfigError, require_seed, require_windows, simulate
+from .mc_oracle import SimConfigError, require_seed, require_windows, simulate_points
 from .optimizer import SearchSpace, optimize_points
 from .pipeline import ASYMPTOTIC, SecurityConfig, SourceCalibration, require_block
 
@@ -383,31 +383,31 @@ def _mc_report(cfg: ScanConfig, rows: list[dict]) -> str:
     channels = {d: replace(cfg.channel, distance_km=d)
                 for d in dict.fromkeys(row["distance_km"] for row in rows)}
     # Each feasible row with its index among all rows, which offsets its seed.
-    runs = [(idx, row, ProtocolParams(p0=1.0 - row["px"], px=row["px"],
-                                      mu_xA=row["mu_x"], mu_xB=row["mu_x"],
-                                      N=cfg.mc_windows, mode=row["mode"]),
-             channels[row["distance_km"]])
-            for idx, row in enumerate(rows) if row["feasible_flag"]]
+    feasible = [(idx, row) for idx, row in enumerate(rows) if row["feasible_flag"]]
+    protocols = [ProtocolParams(p0=1.0 - row["px"], px=row["px"], mu_xA=row["mu_x"],
+                                mu_xB=row["mu_x"], N=cfg.mc_windows, mode=row["mode"])
+                 for _, row in feasible]
+    run_channels = [channels[row["distance_km"]] for _, row in feasible]
     # The expected counts of all rows come from one channel pass, with each
     # row's scalar transmittance and mode, so they keep every bit of
     # expected_tallies(protocol, channel).
-    protocols = [protocol for _, _, protocol, _ in runs]
     mu = np.array([p.mu_xA for p in protocols])
-    eta = np.array([arm_transmittance(channel) for _, _, _, channel in runs])
+    eta = np.array([arm_transmittance(channel) for channel in run_channels])
     mode_index = np.array([MODES.index(p.mode) for p in protocols], dtype=int)
     probs = heralding_arrays(mu, mu, eta, cfg.channel.e_d, cfg.channel.p_d, MODES,
                              mode_index)
     expected = np.array(tally_arrays(np.array([p.p0 for p in protocols]),
                                      np.array([p.px for p in protocols]),
                                      cfg.mc_windows, *probs))
+    # Row seeds wrap, so that every valid scan seed stays a valid key.
+    observed = simulate_points(protocols, run_channels,
+                               [(cfg.seed + idx) % 2**64 for idx, _ in feasible])
     lines = ["distance_km,N,mode,component,expected,observed"]
-    for (idx, row, protocol, channel), counts in zip(runs, expected.T):
-        # Row seeds wrap, so that every valid scan seed stays a valid key.
-        observed = simulate(protocol, channel, (cfg.seed + idx) % 2**64)
+    for (_, row), counts, tally in zip(feasible, expected.T, observed):
         for component, value in zip(("n_O", "n_B", "n_Z"), counts):
             lines.append(",".join([
                 repr(float(row["distance_km"])), row["N"], row["mode"], component,
-                repr(float(value)), repr(float(getattr(observed, component)))]))
+                repr(float(value)), repr(float(getattr(tally, component)))]))
     return "\n".join(lines) + "\n"
 
 

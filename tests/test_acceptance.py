@@ -91,8 +91,9 @@ def test_criterion_3_mc_agreement():
 
     compensated = worst_z(ProtocolParams(p0=0.5, px=0.5, mu_xA=0.1, mu_xB=0.1,
                                          N=10**8))
-    # Random-phase B windows are sampled one by one, so they check the
-    # baseline phase average independently of its closed form.
+    # Random-phase B windows herald with a trapezoid phase average of the
+    # click probabilities, so they check the baseline average independently
+    # of its Bessel closed form.
     random_phase = worst_z(ProtocolParams(p0=0.5, px=0.5, mu_xA=0.1, mu_xB=0.1,
                                           N=10**7, mode="baseline"))
     _report(3, f"simulator tallies within {compensated:.2f} sigma (improved, "

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scsqkd.channel
-from scsqkd.channel import (MODES, ChannelModelError, ChannelParams, ProtocolParams,
-                            WindowTally, arm_transmittance, b_window_prob,
+from scsqkd.channel import (_I0_SERIES_MAX, MODES, ChannelModelError, ChannelParams,
+                            ProtocolParams, WindowTally, _i0e, _scaled_i0_minus_1,
+                            arm_transmittance, b_window_prob,
                             detector_means, effective_prob, expected_tallies,
                             heralding_arrays, tally_arrays, visibility)
 
@@ -341,3 +342,45 @@ class TestExpectedTallies:
             assert tally.n_B == pytest.approx(1e7 * 0.09 * p_b, rel=1e-12)
             assert tally.n_Z == pytest.approx(
                 1e7 * 0.21 * (herald("Z_A") + herald("Z_B")), rel=1e-12)
+
+
+def _masked_scaled_i0_minus_1(c, a):
+    """Reference: the series summed per element up to that element's own
+    first term below 1e-17 of its partial sum, under an active mask."""
+    c = np.asarray(c)
+    series = c <= _I0_SERIES_MAX
+    y = np.where(series, 0.25 * c * c, 0.0)
+    term = total = y
+    k = 1
+    active = term > 1e-17 * total
+    while active.any():
+        k += 1
+        term = term * (y / (k * k))
+        total = np.where(active, total + term, total)
+        active &= term > 1e-17 * total
+    out = np.exp(-a) * total
+    large = ~series
+    if large.any():
+        c_large = c[large]
+        a_large = np.broadcast_to(a, c.shape)[large]
+        out = np.array(out)
+        out[large] = np.exp(c_large - a_large) * _i0e(c_large) - np.exp(-a_large)
+    return out
+
+
+_SERIES_EDGE = st.sampled_from([0.0, 2.0, float(np.nextafter(2.0, 0.0))])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(c=st.one_of(
+           _SERIES_EDGE,
+           st.lists(st.one_of(_SERIES_EDGE, st.floats(0.0, 2.0), st.floats(2.0, 2000.0)),
+                    min_size=1, max_size=12)),
+       excess=st.floats(0.0, 5.0))
+def test_one_term_count_keeps_every_bit(c, excess):
+    # One term count for all elements, set by the largest c <= 2, against
+    # each element's own stop: equal bit for bit, for 0-d inputs and for
+    # arrays mixing c = 0, the series edge and c > 2.
+    c = np.asarray(c)
+    a = c * (1.0 + excess)
+    assert np.array_equal(_scaled_i0_minus_1(c, a), _masked_scaled_i0_minus_1(c, a))

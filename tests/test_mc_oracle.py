@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo event simulator."""
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
+from test_channel import _mp_phase_average
 
+import scsqkd.mc_oracle
 from scsqkd.channel import (MODES, ChannelParams, ProtocolParams, arm_transmittance,
-                            click_prob, detector_means, expected_tallies)
-from scsqkd.mc_oracle import _CHUNK, SimConfigError, require_windows, simulate
+                            b_window_prob, click_prob, detector_means, expected_tallies)
+from scsqkd.mc_oracle import (SimConfigError, _heralding, _phase_averaged_b_prob,
+                              _phase_count, require_windows, simulate, simulate_points)
 
 CHANNEL = ChannelParams(100.0, 0.2, 0.3, 1e-9, 0.04)
 PROTO = ProtocolParams(p0=0.5, px=0.5, mu_xA=0.1, mu_xB=0.1, N=10**6)
@@ -43,6 +48,13 @@ class TestSimConfig:
         # an OverflowError inside simulate.
         with pytest.raises(SimConfigError, match="seed"):
             simulate(replace(PROTO, N=10), CHANNEL, seed)
+        # A batch checks every row before any draw.
+        with pytest.raises(SimConfigError, match="seed"):
+            simulate_points([PROTO, PROTO], [CHANNEL, CHANNEL], [1, seed])
+
+    def test_rows_must_pair_up(self):
+        with pytest.raises(SimConfigError, match="2 protocols, 2 channels and 1 seeds"):
+            simulate_points([PROTO, PROTO], [CHANNEL, CHANNEL], [1])
 
 
 class TestSimulate:
@@ -52,16 +64,19 @@ class TestSimulate:
     def test_seed_changes_output(self):
         assert simulate(PROTO, CHANNEL, 1) != simulate(PROTO, CHANNEL, 2)
 
-    def test_chunk_boundary_is_seamless(self):
-        # Only random-phase B windows are sampled one by one, in chunks; at
-        # px = 0.99 this N gives ~5% more B windows than one chunk holds.
-        px = 0.99
-        n = int(1.05 * _CHUNK / px**2)
-        proto = ProtocolParams(p0=1.0 - px, px=px, mu_xA=0.1, mu_xB=0.1, N=n,
+    def test_huge_baseline_run_within_binomial_tails(self):
+        # ~1e15 random-phase B windows: the run costs no more than a small
+        # one, and each count lies within its exact binomial tail.
+        n = 10**15
+        proto = ProtocolParams(p0=0.01, px=0.99, mu_xA=0.1, mu_xB=0.1, N=n,
                                mode="baseline")
-        tally = simulate(proto, CHANNEL, 7)
-        assert tally == simulate(proto, CHANNEL, 7)
-        assert tally.n_B > 0
+        expected = expected_tallies(proto, CHANNEL)
+        observed = simulate(proto, CHANNEL, 7)
+        assert observed.n_B > 0
+        for name in ("n_O", "n_B", "n_Z"):
+            tail = _binomial_tail(getattr(observed, name), getattr(expected, name), n)
+            assert tail >= _FIVE_SIGMA_TAIL, (name, getattr(observed, name),
+                                              getattr(expected, name), tail)
 
     def test_counts_match_expectation_within_five_sigma(self):
         expected = expected_tallies(PROTO, CHANNEL)
@@ -97,18 +112,94 @@ class TestSimulate:
 
 
 # Literal tallies of an earlier version of the simulator: a change that moves
-# any draw or stream changes them.
+# any draw or stream changes them.  A baseline run draws its O and Z counts
+# as the improved run does, and its B count last.
 @pytest.mark.parametrize("mode, seed, tally", [
     ("improved", 2024, (345, 832, 11403)),
     ("improved", 2**64 - 1, (376, 830, 11409)),
-    ("baseline", 2024, (345, 14616, 11403)),
-    ("baseline", 2**64 - 1, (376, 14681, 11409)),
+    ("baseline", 2024, (345, 14556, 11403)),
+    ("baseline", 2**64 - 1, (376, 14540, 11409)),
 ])
 def test_pinned_draws(mode, seed, tally):
     chan = ChannelParams(20.0, 0.2, 0.3, 1e-3, 0.04)
     proto = ProtocolParams(p0=0.6, px=0.4, mu_xA=0.3, mu_xB=0.2, N=10**6, mode=mode)
     observed = simulate(proto, chan, seed)
     assert (observed.n_O, observed.n_B, observed.n_Z) == tally
+
+
+def _batch():
+    """Rows of both modes over several channels; the baseline rows' phase
+    averages take 64 to 64 + 2**12 phases (c from 0 to ~3800)."""
+    rows = []
+    for i in range(48):
+        chan = ChannelParams(10.0 * (i % 5), 0.2, 0.3 + 0.1 * (i % 3),
+                             10.0 ** -(5 + i % 4), 0.01 * (i % 6))
+        mu = 8000.0 if i % 4 == 3 else 0.05 * (1 + i % 7)
+        proto = ProtocolParams(p0=0.4 + 0.01 * (i % 9), px=0.6 - 0.01 * (i % 9),
+                               mu_xA=mu, mu_xB=mu * (1.0 + 0.1 * (i % 2)),
+                               N=10**6 + i, mode=MODES[i % 2 if i % 4 != 3 else 1])
+        rows.append((proto, chan, 2**64 - 1 - i))
+    return rows
+
+
+@pytest.mark.parametrize("block", [None, 128])
+def test_row_tally_does_not_depend_on_its_batch(block, monkeypatch):
+    rows = _batch()
+    protocols, channels, seeds = zip(*rows)
+    single = [simulate(*row) for row in rows]
+    if block is not None:
+        # Phase averages in blocks of at most two runs.
+        monkeypatch.setattr(scsqkd.mc_oracle, "_PHASE_BLOCK", block)
+    assert simulate_points(protocols, channels, seeds) == single
+    assert simulate_points(protocols[::-1], channels[::-1], seeds[::-1]) == single[::-1]
+    # A draw rarely shows a last-bit change of its probability; the
+    # probabilities themselves must not change either.
+    assert np.array_equal(_heralding(protocols, channels),
+                          np.vstack([_heralding([p], [ch]) for p, ch in zip(protocols, channels)]))
+    assert simulate_points([], [], []) == []
+
+
+def test_one_philox_per_call(monkeypatch):
+    built = []
+    real = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    protocols, channels, seeds = zip(*_batch())
+    simulate_points(protocols, channels, seeds)
+    assert len(built) == 1
+
+
+def test_concurrent_calls_give_the_serial_results():
+    rows = _batch()
+    halves = (rows[::2], rows[1::2])
+    serial = [simulate_points(*zip(*half)) for half in halves]
+    results = [[] for _ in halves]
+    start = threading.Barrier(len(halves), timeout=60)
+
+    def work(half, out):
+        start.wait()
+        for _ in range(20):
+            out.append(simulate_points(*zip(*half)))
+
+    threads = [threading.Thread(target=work, args=(half, out))
+               for half, out in zip(halves, results)]
+    # Frequent thread switches give the two calls many chances to interleave.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[tallies] * 20 for tallies in serial]
+
 
 def _per_window_tallies(proto, chan, runs, rng):
     """Reference sampler drawing every window: two source choices, a phase
@@ -199,3 +290,44 @@ def test_counts_within_binomial_tails_across_input_box(distance, px, mu_A, mu_B,
         assert tail >= _FIVE_SIGMA_TAIL, (name, getattr(observed, name),
                                           getattr(expected, name), tail)
 
+
+_PHASE_BOX = st.tuples(_log_uniform(1e-4, 10.0), _log_uniform(1e-4, 10.0),
+                       _log_uniform(1e-5, 1.0), st.floats(0.0, 0.1),
+                       _log_uniform(1e-10, 1e-5))
+# Interference terms c = eta mu up to 2000, at visibility 1 and equal
+# intensities.  There the closed form's e^{c - a} is exact (a = c), while
+# with V < 1 or unequal intensities it carries a rounding error of order
+# c * 1e-16 (up to 5e-13 against 50-digit mpmath at c ~ 2000, where the
+# trapezoid stayed within 1.7e-13), which is not the trapezoid's error.
+_LARGE_C = st.tuples(_log_uniform(1.0, 2000.0), _log_uniform(1e-5, 1.0),
+                     _log_uniform(1e-10, 1e-5)).map(
+    lambda t: (t[0] / t[1], t[0] / t[1], t[1], 0.0, t[2]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inputs=st.one_of(_PHASE_BOX, _LARGE_C))
+def test_phase_average_matches_closed_form(inputs):
+    mu_A, mu_B, eta, e_d, p_d = inputs
+    average = _phase_averaged_b_prob(*(np.array([x]) for x in inputs))
+    closed = b_window_prob(mu_A, mu_B, eta, e_d, p_d, "baseline")
+    assert average[0] == pytest.approx(closed, rel=1e-13, abs=0), inputs
+
+
+@pytest.mark.parametrize("c, e_d, ratio", [(100.0, 0.1, 1.0), (700.0, 0.01, 1.0),
+                                           (2000.0, 0.01, 1.0), (700.0, 0.0, 1.5)])
+def test_phase_average_keeps_small_averages(c, e_d, ratio):
+    # Both detectors almost surely click away from the dark fringe, so the
+    # average is small (1e-8 down to 1e-27 here): a dark probability taken
+    # as 1 - click_prob rounds towards 0 there and loses digits, up to all.
+    mu = c / (1.0 - 2.0 * e_d)
+    inputs = (mu * ratio, mu / ratio, 1.0, e_d, 1e-7)
+    average = _phase_averaged_b_prob(*(np.array([x]) for x in inputs))
+    assert average[0] == pytest.approx(_mp_phase_average(*inputs), rel=1e-13, abs=0)
+
+
+def test_phase_count():
+    # 64 + 2**ceil(log2 c) above c = 1, capped at 64 + 2**16.
+    c = [0.0, 1.0, math.nextafter(1.0, 2.0), 2.0, 3.0, 4.0, 2000.0, 2.0**16,
+         2.0**16 + 1.0, 1e9]
+    assert [_phase_count(x) for x in c] == [64, 64, 66, 66, 68, 68, 2112, 65600, 65600,
+                                            65600]

@@ -15,8 +15,8 @@ this one process, and ``cli.main(["scan", ...])`` calls alternate between
 them, each pair in the other order than the one before.  After one untimed
 warm-up call per side, it checks that both sides wrote the same files, then
 prints both medians, the median of the per-pair ratios b/a and the number of
-pairs in which b was faster.  It exits with status 1 when the outputs
-differ.
+pairs in which b was faster.  When the outputs differ, it names the files
+that differ and those that only one side wrote, and exits with status 1.
 
 Separate-process medians on a shared 2-core host swung by about 10 % between
 identical runs, while the interleaved ratio was stable to about 1 %.  The
@@ -126,6 +126,10 @@ def main(argv: list[str] | None = None) -> int:
         _, mismatch, missing = filecmp.cmpfiles(outs["a"], outs["b"], sorted(names),
                                                 shallow=False)
         same = not mismatch and not missing
+        if mismatch:
+            print(f"outputs that differ: {', '.join(mismatch)}")
+        if missing:
+            print(f"outputs missing on one side: {', '.join(missing)}")
         times: dict[str, list[float]] = {"a": [], "b": []}
         for i in range(args.pairs):
             for side in ("a", "b") if i % 2 == 0 else ("b", "a"):
