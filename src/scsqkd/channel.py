@@ -68,10 +68,11 @@ class ChannelParams:
     e_d: float      # misalignment-error probability
 
     def __post_init__(self) -> None:
-        if self.distance_km < 0.0:
-            raise ChannelModelError(f"distance_km must be >= 0, got {self.distance_km!r}")
-        if self.alpha_f < 0.0:
-            raise ChannelModelError(f"alpha_f must be >= 0, got {self.alpha_f!r}")
+        # Each check is written so that NaN fails it.
+        for name in ("distance_km", "alpha_f"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ChannelModelError(f"{name} must be >= 0, got {value!r}")
         for name in ("eta_d", "p_d", "e_d"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
@@ -90,13 +91,17 @@ class ProtocolParams:
     mode: str = "improved"
 
     def __post_init__(self) -> None:
-        if abs(self.p0 + self.px - 1.0) > 1e-12:
-            raise ChannelModelError(f"p0 + px must equal 1, got {self.p0 + self.px!r}")
+        # Each check is written so that NaN fails it.
+        if not abs(self.p0 + self.px - 1.0) <= 1e-12:
+            raise ChannelModelError(f"p0 + px must equal 1, got p0={self.p0!r}, "
+                                    f"px={self.px!r}")
         if not (0.0 < self.px < 1.0):
             raise ChannelModelError(f"px must lie in (0, 1), got {self.px!r}")
-        if self.mu_xA < 0.0 or self.mu_xB < 0.0:
-            raise ChannelModelError("intensities must be nonnegative")
-        if self.N < 1:
+        if not (self.mu_xA >= 0.0 and self.mu_xB >= 0.0):
+            name = "mu_xB" if self.mu_xA >= 0.0 else "mu_xA"
+            raise ChannelModelError(f"intensity {name} must be nonnegative, "
+                                    f"got {getattr(self, name)!r}")
+        if not self.N >= 1:
             raise ChannelModelError(f"N must be >= 1, got {self.N!r}")
         if self.mode not in MODES:
             raise ChannelModelError(f"unknown mode {self.mode!r}")
@@ -112,8 +117,9 @@ class WindowTally:
 
     def __post_init__(self) -> None:
         for name in ("n_O", "n_B", "n_Z"):
-            if getattr(self, name) < 0.0:
-                raise ChannelModelError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not value >= 0.0:  # NaN fails it too
+                raise ChannelModelError(f"{name} must be nonnegative, got {value!r}")
 
     @property
     def E_Z(self) -> float:
@@ -138,8 +144,8 @@ def visibility(e_d: float) -> float:
 
 def _require_nonnegative(mu_A, mu_B, eta) -> None:
     # initial=0.0 lets empty arrays pass and leaves every other verdict as is.
-    if min(np.min(mu_A, initial=0.0), np.min(mu_B, initial=0.0),
-           np.min(eta, initial=0.0)) < 0.0:
+    arrays = (mu_A, eta) if mu_B is mu_A else (mu_A, mu_B, eta)
+    if min(np.minimum.reduce(x, axis=None, initial=0.0) for x in arrays) < 0.0:
         raise ChannelModelError("intensities and transmittance must be nonnegative")
 
 
@@ -174,8 +180,13 @@ def _means(kind: str, mu_A, mu_B, eta, e_d: float, cos_delta=1.0) -> tuple:
         return nu, nu
     if kind == "B":
         root = np.sqrt(mu_A * mu_B)
-        spread = 0.5 * (np.sqrt(mu_A) - np.sqrt(mu_B)) ** 2
         tilt = 2.0 * e_d * root * cos_delta
+        if mu_B is mu_A:
+            # The spread is 0, and adding 0 to the nonnegative terms leaves
+            # every bit, so it is skipped.
+            return (eta * (root * (1.0 + cos_delta) - tilt),
+                    eta * (root * (1.0 - cos_delta) + tilt))
+        spread = 0.5 * (np.sqrt(mu_A) - np.sqrt(mu_B)) ** 2
         return (eta * (spread + root * (1.0 + cos_delta) - tilt),
                 eta * (spread + root * (1.0 - cos_delta) + tilt))
     raise ChannelModelError(f"unknown window kind {kind!r}")
@@ -217,8 +228,10 @@ def _i0e(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scaled_i0_minus_1(c, a):
+def _scaled_i0_minus_1(c, a, exp_neg_a):
     """``e^{-a} (I0(c) - 1)`` for ``0 <= c <= a``, elementwise, without cancellation.
+
+    ``exp_neg_a`` is ``np.exp(-a)``, which the caller needs too.
 
     Small ``c`` sums the series ``sum_k (c^2/4)^k / (k!)^2`` from k = 1, up
     to the first term below 1e-17 of the sum at the largest ``y = c^2/4``.
@@ -228,29 +241,43 @@ def _scaled_i0_minus_1(c, a):
     Larger ``c`` has ``I0(c) >= 2.2``, so subtracting 1 loses little; there
     the result is ``e^{c-a} e^{-c} I0(c) - e^{-a}`` with the scaled Bessel
     function of :func:`_i0e`, which never overflows.  That branch runs only
-    on the elements that need it.  ``c`` and ``a`` may be 0-d.
+    on the elements that need it.  ``c`` and ``a`` may be 0-d.  Where every
+    ``c`` takes the series, the largest ``y`` is that of the largest ``c``
+    (rounded products are monotone), so no mask is formed.
     """
     c = np.asarray(c)
-    series = c <= _I0_SERIES_MAX
-    y = np.where(series, 0.25 * c * c, 0.0)
-    y_max = float(np.max(y, initial=0.0))
+    c_max = float(np.maximum.reduce(c, axis=None, initial=0.0))
+    if c_max <= _I0_SERIES_MAX:
+        series = None
+        y = 0.25 * c * c
+        y_max = 0.25 * c_max * c_max
+    else:  # also where c holds NaN
+        series = c <= _I0_SERIES_MAX
+        y = np.where(series, 0.25 * c * c, 0.0)
+        y_max = float(np.max(y, initial=0.0))
     term = total = y_max
     terms = 1
     while term > 1e-17 * total:
         terms += 1
         term *= y_max / (terms * terms)
         total += term
-    term = total = y
-    for k in range(2, terms + 1):
-        term = term * (y / (k * k))
-        total = total + term
-    out = np.exp(-a) * total
+    # Term k is term k - 1 times y / k^2 and the sum adds the terms in
+    # order: the running product, then the running sum, of the rows
+    # y / k^2 for k = 1 .. terms (y / 1 is y), in a constant number of
+    # array calls.
+    squares = (np.arange(1.0, terms + 1.0) ** 2).reshape((terms,) + (1,) * y.ndim)
+    steps = np.multiply.accumulate(y / squares, axis=0)
+    total = np.add.accumulate(steps, axis=0, out=steps)[-1]
+    out = exp_neg_a * total
+    if series is None:
+        return out
     large = ~series
     if large.any():
         c_large = c[large]
         a_large = np.broadcast_to(a, c.shape)[large]
         out = np.array(out)  # writable, also for 0-d inputs
-        out[large] = np.exp(c_large - a_large) * _i0e(c_large) - np.exp(-a_large)
+        out[large] = (np.exp(c_large - a_large) * _i0e(c_large)
+                      - np.broadcast_to(exp_neg_a, c.shape)[large])
     return out
 
 
@@ -274,7 +301,23 @@ def b_window_prob(mu_A, mu_B, eta, e_d: float, p_d: float,
     a = eta * (mu_A + mu_B) / 2.0
     c = abs(visibility(e_d)) * eta * np.sqrt(mu_A * mu_B)
     q = 1.0 - p_d
-    return 2.0 * q * (_scaled_i0_minus_1(c, a) + np.exp(-a) * click_prob(a, p_d))
+    exp_neg_a = np.exp(-a)
+    return 2.0 * q * (_scaled_i0_minus_1(c, a, exp_neg_a)
+                      + exp_neg_a * click_prob(a, p_d))
+
+
+def _broadcast(x, shape: tuple) -> np.ndarray:
+    """``x`` broadcast to ``shape`` as a float array: ``x`` itself if it is
+    one of that shape, else a new one.
+
+    Copying into the new array costs a fraction of ``np.broadcast_to`` on
+    the small arrays of a search sweep.
+    """
+    if isinstance(x, np.ndarray) and x.shape == shape and x.dtype == float:
+        return x
+    out = np.empty(shape)
+    np.copyto(out, x)
+    return out
 
 
 def heralding_arrays(mu_A, mu_B, eta, e_d: float, p_d: float,
@@ -303,15 +346,24 @@ def heralding_arrays(mu_A, mu_B, eta, e_d: float, p_d: float,
     if len(modes) == 1:
         p_b = b_window_prob(mu_A, mu_B, eta, e_d, p_d, modes[0])
     else:
-        # An index past the modes would leave its elements unset.
-        if ((np.asarray(mode_index) < 0) | (mode_index >= len(modes))).any():
-            raise ChannelModelError(f"mode_index must pick one of {len(modes)} modes")
-        mu_A, mu_B, eta, mode_index = np.broadcast_arrays(mu_A, mu_B, eta, mode_index)
-        p_b = np.empty(mode_index.shape)
+        shape = np.broadcast(mu_A, mu_B, eta, mode_index).shape
+        same = mu_B is mu_A
+        mu_A, eta = _broadcast(mu_A, shape), _broadcast(eta, shape)
+        mu_B = mu_A if same else _broadcast(mu_B, shape)
+        p_b = np.empty(shape)
+        sel = np.empty(shape, dtype=bool)
+        picked = 0
         for k, name in enumerate(modes):
-            sel = mode_index == k
-            if sel.any():
-                p_b[sel] = b_window_prob(mu_A[sel], mu_B[sel], eta[sel], e_d, p_d, name)
+            np.equal(mode_index, k, out=sel)
+            count = np.count_nonzero(sel)
+            if count:
+                picked += count
+                m_A = mu_A[sel]
+                p_b[sel] = b_window_prob(m_A, m_A if same else mu_B[sel], eta[sel],
+                                         e_d, p_d, name)
+        # An index past the modes leaves its elements unset.
+        if picked < p_b.size:
+            raise ChannelModelError(f"mode_index must pick one of {len(modes)} modes")
     return effective_prob(0.0, 0.0, p_d), p_b, p_za + p_zb
 
 
@@ -323,16 +375,23 @@ def tally_arrays(p0, px, N, p_O, p_B, p_Z) -> tuple:
     probabilities of :func:`heralding_arrays`, which broadcast together.
     See :func:`expected_tallies`.
     """
-    return N * p0 * p0 * p_O, N * px * px * p_B, N * p0 * px * p_Z
+    n_p0 = N * p0
+    return n_p0 * p0 * p_O, N * px * px * p_B, n_p0 * px * p_Z
 
 
 def raw_error_rate(n_O, n_B, n_Z):
     """Raw-key bit-flip error rate ``(n_O + n_B) / (n_O + n_B + n_Z)``,
     elementwise, and a float for floats; 0 for an empty tally (see
     :attr:`WindowTally.E_Z`)."""
-    total = n_O + n_B + n_Z
+    wrong = n_O + n_B
+    return error_share(wrong, wrong + n_Z)
+
+
+def error_share(wrong, total):
+    """:func:`raw_error_rate` from the error count ``n_O + n_B`` and the
+    raw-key length ``total``, for a caller that needs the length too."""
     # An empty tally divides 0 by 1; adding False leaves any other total as is.
-    return (n_O + n_B) / (total + (total == 0.0))
+    return wrong / (total + (total == 0.0))
 
 
 def expected_tallies(protocol: ProtocolParams, channel: ChannelParams) -> WindowTally:

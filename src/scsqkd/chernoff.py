@@ -228,7 +228,9 @@ def _observed_upper_residual(w, t, h, slope, scale):  # w = v - 1 > 0
 
 def _ratio(counts, log_xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(counts, empty mask, t = -log_xi / count with empty counts set to 1)."""
-    if not np.all(np.isfinite(log_xi) & np.less(log_xi, 0.0)):
+    # Two reductions: NaN carries through both and fails the first test.
+    if not (np.maximum.reduce(log_xi, axis=None, initial=-1.0) < 0.0
+            and np.minimum.reduce(log_xi, axis=None, initial=-1.0) > -np.inf):
         raise ChernoffDomainError(f"log_xi must be finite and negative, got {log_xi!r}")
     counts = np.asarray(counts, dtype=float)
     empty = counts == 0.0

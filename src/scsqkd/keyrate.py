@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import raw_error_rate
+from .channel import error_share, raw_error_rate
 
 _LN2 = math.log(2.0)
 
@@ -43,11 +43,22 @@ class SecurityParams:
 def binary_entropy(x) -> np.ndarray:
     """Shannon entropy H(x) in bits of x in [0, 1], elementwise.
 
-    H(0) = H(1) = 0 by continuity.
+    H(0) = H(1) = 0 by continuity.  Evaluated in place as
+    ``-(x log2(x) + y log2(y))`` with ``y = 1 - x``, which is
+    ``-x log2(x) - y log2(y)`` bit for bit.
     """
+    x = np.asarray(x, dtype=float)
+    y = 1.0 - x  # 0 exactly where x is 1
+    h, t = np.empty(x.shape), np.empty(x.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
-    return np.where((x == 0.0) | (x == 1.0), 0.0, h)
+        np.log2(x, out=h)
+        h *= x
+        np.log2(y, out=t)
+        t *= y
+        h += t
+    np.negative(h, out=h)
+    np.copyto(h, 0.0, where=(x == 0.0) | (y == 0.0))
+    return h
 
 
 def security_budget(eps_coh_target: float, N: float, d: int) -> SecurityParams:
@@ -68,7 +79,13 @@ def ec_leakage_array(n_O, n_B, n_Z, f: float) -> np.ndarray:
 
     ``f`` times the raw-key length times H(E_Z); 0 for an empty tally.
     """
-    return f * (n_O + n_B + n_Z) * binary_entropy(raw_error_rate(n_O, n_B, n_Z))
+    wrong = n_O + n_B
+    total = wrong + n_Z
+    rate = error_share(wrong, total)
+    del wrong  # its memory serves binary_entropy's arrays on a large pass
+    h = binary_entropy(rate)
+    del rate
+    return f * total * h
 
 
 def collective_rate_array(n_Z, e_ph, leak, log_share, d: int, N) -> np.ndarray:
@@ -102,11 +119,13 @@ def _clamped(rate):
 class KeyRateReport:
     """Key rates of candidates and the quantities they come from.
 
-    The fields are arrays of the candidates' broadcast shape for an
-    evaluation pass, most of them read-only broadcast views, and floats for
-    one candidate (:meth:`row`).  Entries where ``feasible`` is False carry
-    no meaning.  The rates are signed; ``R_col`` and ``R_coh`` clamp them
-    at 0.
+    The fields are arrays that broadcast to the candidates' shape for an
+    evaluation pass, each on the shape of the inputs it depends on (on a
+    (point, px, mu) grid ``feasible`` and the virtual intensities have one
+    px, ``n_O`` one mu), and floats for one candidate (:meth:`row`).
+    Fields may share memory; they are not to be written.  Entries where
+    ``feasible`` is False carry no meaning.  The rates are signed; ``R_col``
+    and ``R_coh`` clamp them at 0.
     """
 
     feasible: np.ndarray
@@ -135,5 +154,5 @@ class KeyRateReport:
     def row(self, i: int | tuple[int, ...]) -> KeyRateReport:
         """Candidate ``i`` (an int or a tuple index) of a pass, as floats."""
         # vars() holds the fields in their order, feasible first.
-        feasible, *values = vars(self).values()
+        feasible, *values = np.broadcast_arrays(*vars(self).values())
         return KeyRateReport(bool(feasible[i]), *[float(value[i]) for value in values])

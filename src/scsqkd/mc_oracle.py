@@ -124,7 +124,9 @@ def _heralding(protocols: Sequence[ProtocolParams],
     """Heralding probability of each window kind of ``_KINDS``, one row per run.
 
     One array pass over all runs.  A kind with fixed detector means heralds
-    with ``p_R (1 - p_L)``; a baseline run's B column is the phase average of
+    with ``p_R (1 - p_L)``, the left detector's dark probability taken
+    directly as ``(1 - p_d) e^{-nu_L}`` (see :func:`_phase_averaged_b_prob`);
+    a baseline run's B column is the phase average of
     :func:`_phase_averaged_b_prob`.
     """
     mu_A, mu_B, eta, e_d, p_d = np.array(
@@ -135,8 +137,7 @@ def _heralding(protocols: Sequence[ProtocolParams],
     nu = np.empty((2, len(_KINDS), len(protocols)))
     for col, kind in enumerate(_KINDS):
         nu[0, col], nu[1, col] = _means(kind, mu_A, mu_B, eta, e_d)
-    p_l, p_r = click_prob(nu, p_d)
-    probs = (p_r * (1.0 - p_l)).T
+    probs = (click_prob(nu[1], p_d) * ((1.0 - p_d) * np.exp(-nu[0]))).T
     random_phase = [row for row, p in enumerate(protocols) if p.mode == "baseline"]
     if random_phase:
         probs[random_phase, -1] = _phase_averaged_b_prob(

@@ -13,10 +13,10 @@ dark-count and misalignment probability, with each group's distinct block
 sizes and modes and each point's index into them.  Each sweep is one
 broadcast (point, px, mu) array pass per group of the points still
 searched, whatever their modes, as long as the group fits ``_CHUNK``
-candidates.  The incumbents are arrays over the points: each pass picks its
-winners with a masked argmax and gathers their report fields by index, and
-the results are built once per point at the end.  :func:`optimize` is its
-one-point call.
+candidates.  The incumbents are one table over the points: each pass picks
+its winners with a masked argmax, takes their report fields by flat index
+and writes the winners' columns in one scatter, and the results are built
+once per point at the end.  :func:`optimize` is its one-point call.
 """
 from __future__ import annotations
 
@@ -33,10 +33,13 @@ from .pipeline import (ASYMPTOTIC, SecurityConfig, SourceCalibration,
 # Most candidates in one evaluate_points pass: a group of points is split
 # into passes of whole points, and a larger point is a pass of its own.  The
 # cost per candidate is nearly flat from ~8 k candidates on, but each pass
-# costs ~0.3-0.7 ms before its first candidate, so a group of both modes
-# (13 distances x 2 modes x 400 candidates) should stay one pass.  A finite
-# pass peaks at ~0.3 kB per candidate (README scan: 32.7 MB peak RSS at
-# 2**14 against 30.4 MB with 400-candidate passes).
+# and its incumbent update cost ~0.3-0.5 ms before their first candidate
+# (one candidate per point: 0.28 ms for 6 asymptotic points in both modes,
+# 0.48 ms for 12 finite points; median of 1000 calls, Python 3.11, numpy 2.4,
+# 2 shared cores), so a group of both modes (13 distances x 2 modes x 400
+# candidates) should stay one pass.  A finite pass peaks at ~0.3 kB per
+# candidate (README scan: 32.7 MB peak RSS at 2**14 against 30.4 MB with
+# 400-candidate passes).
 _CHUNK = 2 ** 14
 
 # Most (px, mu) candidates per point: a sweep evaluates a point's whole grid
@@ -103,8 +106,7 @@ def _axes(lo: np.ndarray, hi: np.ndarray, n: int, space) -> np.ndarray:
         np.power(10.0, out, out=out)
         out[:, 0] = lo
         # A linear collapsed row is lo + k * 0.0; 10 ** log10(lo) need not be lo.
-        collapsed = lo == hi
-        out[collapsed] = lo[collapsed, None]
+        np.copyto(out, lo[:, None], where=(lo == hi)[:, None])
     out[:, -1] = hi
     return out
 
@@ -136,43 +138,54 @@ def _point_table(points) -> tuple[np.ndarray, list[tuple]]:
 class _Incumbents:
     """Each point's best candidate so far, as arrays over the points.
 
-    ``found`` marks the points that have one; ``px`` and ``mu`` are its
-    coordinates, ``report[k]`` the k-th float field of its
-    :class:`KeyRateReport`.  The last field, R_coh_signed, is its score.
+    ``found`` marks the points that have one.  Column ``j`` of ``values``
+    holds point ``j``'s px and mu, then the float fields of its
+    :class:`KeyRateReport` in their order; the last, R_coh_signed, is its
+    score.
     """
 
     def __init__(self, size: int) -> None:
         self.found = np.zeros(size, dtype=bool)
-        self.px = np.empty(size)
-        self.mu = np.empty(size)
-        self.report = np.zeros((len(fields(KeyRateReport)) - 1, size))
+        self.values = np.zeros((len(fields(KeyRateReport)) + 1, size))
 
     def update(self, points: np.ndarray, px: np.ndarray, mu: np.ndarray,
                batch: KeyRateReport) -> None:
         """Offer the pass ``batch`` over (point, px, mu), whose row ``r``
-        is point ``points[r]`` on the axes ``px[r]`` x ``mu[r]``."""
+        is point ``points[r]`` on the axes ``px[r]`` x ``mu[r]``.
+
+        Every field of ``batch`` is a 3-d array that broadcasts to the
+        pass's shape.
+        """
         feasible = batch.feasible
-        rows = np.arange(len(points))
-        rates = np.where(feasible, batch.R_coh_signed, -np.inf).reshape(len(points), -1)
+        n, n_px, n_mu = len(points), px.shape[1], mu.shape[1]
+        rates = np.where(feasible, batch.R_coh_signed, -np.inf).reshape(n, -1)
         top = rates.argmax(axis=1)
-        score = rates[rows, top]
+        score = rates.max(axis=1)  # for comparisons only: it may differ in the sign of 0
         # Where every feasible rate is -inf, the first feasible candidate.
         lost = score == -np.inf
-        if lost.any():
-            top[lost] = feasible[lost].reshape(lost.sum(), -1).argmax(axis=1)
-        a, b = np.divmod(top, mu.shape[1])
-        better = feasible[rows, a, b] & (~self.found[points]
-                                         | (score > self.report[-1, points]))
-        if not better.any():
+        if np.count_nonzero(lost):
+            top[lost] = np.broadcast_to(feasible, (n, n_px, n_mu))[lost].reshape(
+                np.count_nonzero(lost), -1).argmax(axis=1)
+        a, b = np.divmod(top, n_mu)
+        # Each row's winner as a flat index into a field of each shape that
+        # broadcasts to the pass's; where n_px or n_mu is 1, the keys that
+        # coincide give equal indices.
+        flat = {(n_px, n_mu): np.arange(0, n * n_px * n_mu, n_px * n_mu) + top,
+                (n_px, 1): np.arange(0, n * n_px, n_px) + a,
+                (1, n_mu): np.arange(0, n * n_mu, n_mu) + b, (1, 1): np.arange(n)}
+        better = (feasible.take(flat[feasible.shape[1:]])
+                  & (~self.found[points] | (score > self.values[-1, points])))
+        if not np.count_nonzero(better):
             return
-        win, a, b = rows[better], a[better], b[better]
-        i = points[win]
+        i = points[better]
         self.found[i] = True
-        self.px[i] = px[win, a]
-        self.mu[i] = mu[win, b]
+        picked = np.empty((len(self.values), n))
+        px.take(flat[n_px, 1], out=picked[0])
+        mu.take(flat[1, n_mu], out=picked[1])
         # vars() holds the fields in their order, feasible first.
-        for k, value in enumerate(list(vars(batch).values())[1:]):
-            self.report[k, i] = value[win, a, b]
+        for row, value in zip(picked[2:], list(vars(batch).values())[1:]):
+            value.take(flat[value.shape[1:]], out=row)
+        self.values[:, i] = picked if len(i) == n else picked[:, better]
 
 
 def _sweep(eta: np.ndarray, groups: list[tuple], live: np.ndarray,
@@ -189,13 +202,17 @@ def _sweep(eta: np.ndarray, groups: list[tuple], live: np.ndarray,
     (px, mu) order, wins, and it replaces the point's incumbent only if it
     is strictly larger.
     """
-    row_of = np.full(len(eta), -1)
-    row_of[live] = np.arange(len(live))
+    every = len(live) == len(eta)  # as in the coarse sweep: rows are points
+    if not every:
+        row_of = np.full(len(eta), -1)
+        row_of[live] = np.arange(len(live))
     step = max(1, _CHUNK // (px_axes.shape[1] * mu_axes.shape[1]))
     for channel, index, sizes, block, modes, mode in groups:
-        rows = row_of[index]
-        sel = rows >= 0
-        points, rows, block, mode = index[sel], rows[sel], block[sel], mode[sel]
+        points = rows = index
+        if not every:
+            rows = row_of[index]
+            sel = rows >= 0
+            points, rows, block, mode = index[sel], rows[sel], block[sel], mode[sel]
         for start in range(0, len(points), step):
             part = slice(start, start + step)
             chunk, px, mu = points[part], px_axes[rows[part]], mu_axes[rows[part]]
@@ -237,7 +254,7 @@ def optimize_points(points: list[tuple[ChannelParams, float | str, str]],
             px_width /= space.shrink
             log_mu_width /= space.shrink
             live = np.flatnonzero(best.found)
-            px_c, mu_c = best.px[live], best.mu[live]
+            px_c, mu_c = best.values[0][live], best.values[1][live]
             lo = np.maximum(px_lo, px_c - px_width / 2.0)
             hi = np.minimum(px_hi, px_c + px_width / 2.0)
             m_lo = np.maximum(mu_lo, mu_c * math.exp(-log_mu_width / 2.0))
@@ -250,8 +267,8 @@ def optimize_points(points: list[tuple[ChannelParams, float | str, str]],
 
     results = []
     for found, px, mu, report, (_, block, mode) in zip(
-            best.found.tolist(), best.px.tolist(), best.mu.tolist(),
-            best.report.T.tolist(), points):
+            best.found.tolist(), *best.values[:2].tolist(), best.values[2:].T.tolist(),
+            points):
         if not found:
             results.append(None)
             continue

@@ -32,12 +32,16 @@ def decomposition_arrays(mu_A, mu_B) -> tuple[np.ndarray, np.ndarray, np.ndarray
     form of the residual norm c2bar needs c0 * c1 = 1.  Passing one array
     as both intensities computes its factor once.
     """
-    c0 = np.exp(-(mu_A + mu_B) / 4.0)
+    # x / -4.0 is -(x / 4.0) bit for bit, without the negation's array.
+    # For one array, (mu + mu) / -4.0 is mu / -2.0 bit for bit (doubling is
+    # exact and both round mu / 2 once), so c0 is exp(-mu/2) as well.
+    same = mu_B is mu_A
+    c0 = np.exp(mu_A / -2.0 if same else (mu_A + mu_B) / -4.0)
     c1 = 1.0 / c0
-    fac_a = c0 + c1 - 2.0 * np.exp(-mu_A / 2.0)
-    fac_b = fac_a if mu_B is mu_A else c0 + c1 - 2.0 * np.exp(-mu_B / 2.0)
     # AM-GM gives c0 + c1 >= 2 >= 2 exp(-mu/2); clamp rounding residue.
-    return c0, c1, np.sqrt(np.maximum(fac_a, 0.0) * np.maximum(fac_b, 0.0))
+    fac_a = np.maximum(c0 + c1 - 2.0 * (c0 if same else np.exp(mu_A / -2.0)), 0.0)
+    fac_b = fac_a if same else np.maximum(c0 + c1 - 2.0 * np.exp(mu_B / -2.0), 0.0)
+    return c0, c1, np.sqrt(fac_a * fac_b)
 
 
 def _mean_count(nO_U, nB_U, N, p0, px, c0, c1, c2):
@@ -69,11 +73,20 @@ def phase_error_arrays(n_O, n_B, n_Z, N, p0, px, c0, c1, c2,
     if log_xi is None:
         nO_U, nB_U = n_O, n_B
     else:
-        (o, lx_o), (b, lx_b) = (np.broadcast_arrays(n, log_xi) for n in (n_O, n_B))
-        bounds = expectation_upper(np.concatenate((o, b), axis=None),
-                                   np.concatenate((lx_o, lx_b), axis=None))
-        nO_U = bounds[:o.size].reshape(o.shape)
-        nB_U = bounds[o.size:].reshape(b.shape)
+        o, b, lx = np.asarray(n_O), np.asarray(n_B), np.asarray(log_xi)
+        if (lx.shape[-1:] in ((), (1,)) and 0 < o.ndim == b.ndim
+                and o.shape[:-1] == b.shape[:-1]):
+            # Joined along their last axis, on which log_xi has length 1 (a
+            # value per point of a search pass), the counts take log_xi as it
+            # is: no copy of it at the counts' size.
+            bounds = expectation_upper(np.concatenate((o, b), axis=-1), lx)
+            nO_U, nB_U = bounds[..., :o.shape[-1]], bounds[..., o.shape[-1]:]
+        else:
+            (o, lx_o), (b, lx_b) = (np.broadcast_arrays(n, lx) for n in (o, b))
+            bounds = expectation_upper(np.concatenate((o, b), axis=None),
+                                       np.concatenate((lx_o, lx_b), axis=None))
+            nO_U = bounds[:o.size].reshape(o.shape)
+            nB_U = bounds[o.size:].reshape(b.shape)
     mean_nph = _mean_count(nO_U, nB_U, N, p0, px, c0, c1, c2)
     nph = mean_nph if log_xi is None else observed_upper(mean_nph, log_xi)
     return nO_U, nB_U, mean_nph, nph, np.minimum(nph / n_Z, 0.5)

@@ -18,8 +18,9 @@ the optimizer passes it, the mu-only quantities are computed once, not once
 per party.  :func:`evaluate_point` is the same computation on one candidate.
 
 Both return a :class:`~scsqkd.keyrate.KeyRateReport`: a pass's holds arrays
-of the candidates' broadcast shape, and its ``row(i)`` is candidate ``i``'s
-report in floats, which is what :func:`evaluate_point` returns.  A finite
+that broadcast to the candidates' shape, each on the shape of the inputs it
+depends on, and its ``row(i)`` is candidate ``i``'s report in floats, which
+is what :func:`evaluate_point` returns.  A finite
 candidate's security budget enters as its one log share of eps_col, indexed
 from the distinct block sizes like the coherent-attack penalty.
 """
@@ -156,7 +157,7 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
         e_ph = phase_error_arrays(p_O, p_B, np.where(has_p, p_Z, 1.0), 1.0, 1.0,
                                   1.0, *coeffs, log_xi=None)[-1]
         e_ph = np.where(has_p, e_ph, 0.5)
-        if not has_z.all():  # n_Z underflows to 0 where p_Z does not
+        if np.count_nonzero(has_z) < has_z.size:  # n_Z underflows where p_Z does not
             e_ph = np.where(has_z, e_ph, 0.5)
     else:
         e_ph = phase_error_arrays(n_O, n_B, np.where(has_z, n_Z, 1.0), n, p0, px,
@@ -166,8 +167,9 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
                                                   security.d, n), -np.inf)
     r_coh = r_col if asymptotic else r_col - np.array(
         [coherent_attack_penalty(size, security.d) for size in sizes])[block]
-    return KeyRateReport(*np.broadcast_arrays(ok_A & ok_B, mu_vA, mu_vB, n_O, n_B,
-                                              n_Z, e_ph, leak, r_col, r_coh))
+    # Each field keeps the shape of the inputs it depends on.
+    return KeyRateReport(ok_A if ok_B is ok_A else ok_A & ok_B, mu_vA, mu_vB,
+                         n_O, n_B, n_Z, e_ph, leak, r_col, r_coh)
 
 
 def evaluate_point(channel: ChannelParams, calib: SourceCalibration,

@@ -295,6 +295,26 @@ class TestProtocolParams:
             ProtocolParams(p0=0.5, px=0.5, mu_xA=0.1, mu_xB=0.1, N=1, mode="x")
 
 
+_VALID = {
+    ChannelParams: dict(distance_km=50.0, alpha_f=0.2, eta_d=0.3, p_d=1e-9, e_d=0.04),
+    ProtocolParams: dict(p0=0.5, px=0.5, mu_xA=0.1, mu_xB=0.1, N=1e10),
+    WindowTally: dict(n_O=1.0, n_B=2.0, n_Z=3.0),
+}
+
+
+@pytest.mark.parametrize("cls, field", [
+    (ChannelParams, "distance_km"), (ChannelParams, "alpha_f"),
+    (ProtocolParams, "p0"), (ProtocolParams, "mu_xA"), (ProtocolParams, "mu_xB"),
+    (ProtocolParams, "N"),
+    (WindowTally, "n_O"), (WindowTally, "n_B"), (WindowTally, "n_Z")])
+def test_nan_parameter_rejected(cls, field):
+    # A check written as ``x < 0`` lets NaN through, and it surfaced later as
+    # a zero rate or a bare numpy error.
+    cls(**_VALID[cls])
+    with pytest.raises(ChannelModelError, match=field):
+        cls(**{**_VALID[cls], field: math.nan})
+
+
 class TestExpectedTallies:
     def test_mode_leaves_o_and_z_invariant(self):
         proto_i = ProtocolParams(0.5, 0.5, 0.1, 0.1, 10**8, mode="improved")
@@ -383,4 +403,5 @@ def test_one_term_count_keeps_every_bit(c, excess):
     # arrays mixing c = 0, the series edge and c > 2.
     c = np.asarray(c)
     a = c * (1.0 + excess)
-    assert np.array_equal(_scaled_i0_minus_1(c, a), _masked_scaled_i0_minus_1(c, a))
+    assert np.array_equal(_scaled_i0_minus_1(c, a, np.exp(-a)),
+                          _masked_scaled_i0_minus_1(c, a))

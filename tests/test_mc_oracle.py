@@ -4,6 +4,7 @@ import sys
 import threading
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,6 +324,22 @@ def test_phase_average_keeps_small_averages(c, e_d, ratio):
     inputs = (mu * ratio, mu / ratio, 1.0, e_d, 1e-7)
     average = _phase_averaged_b_prob(*(np.array([x]) for x in inputs))
     assert average[0] == pytest.approx(_mp_phase_average(*inputs), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("mu", [10.0, 20.0])
+def test_fixed_means_keep_small_heralding_probabilities(mu):
+    # At eta = 1 the left detector almost surely clicks in an improved B
+    # window (nu_L = 19.2 and 38.4), so its dark probability is small: taken
+    # as 1 - click_prob it lost 7.6e-10 of the probability at mu = 10 and
+    # all of it at mu = 20 (0.0 against 1.7e-17).
+    channel = ChannelParams(0.0, 0.2, 1.0, 1e-9, 0.04)
+    p_b = _heralding([ProtocolParams(0.5, 0.5, mu, mu, 10**6)], [channel])[0, -1]
+    with mpmath.workdps(50):
+        m, e_d, p_d = mpmath.mpf(mu), mpmath.mpf(channel.e_d), mpmath.mpf(channel.p_d)
+        dark_r = (1 - p_d) * mpmath.exp(-2 * m * e_d)
+        dark_l = (1 - p_d) * mpmath.exp(-2 * m * (1 - e_d))
+        expected = float((1 - dark_r) * dark_l)
+    assert p_b == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 def test_phase_count():

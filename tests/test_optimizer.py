@@ -87,6 +87,82 @@ def test_axes_rows_equal_one_point_calls_property(rows, n):
         assert row.tobytes() == expected.tobytes(), (a, b, row.tolist())
 
 
+_RATES = (-math.inf, -1.0, -0.0, 0.0, 0.5, 2.0)
+
+# The shape of each KeyRateReport field on a (point, px, mu) pass, after
+# feasible: the virtual intensities and e_ph have one px, n_O one mu, as in
+# an evaluate_points pass.
+_FIELD_SHAPES = ("mu", "mu", "px", "full", "full", "mu", "full", "full", "full")
+
+
+@st.composite
+def _passes(draw):
+    """(size, n_px, n_mu, passes): one pass per sweep over a sorted subset of
+    ``size`` points, each pass ``(points, px, mu, batch)``."""
+    size = draw(st.integers(1, 4))
+    n_px, n_mu = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    passes = []
+    for sweep in range(draw(st.integers(1, 3))):
+        points = np.array(sorted(draw(st.sets(st.integers(0, size - 1), min_size=1))))
+        n = len(points)
+        full = (n, n_px, n_mu)
+        # Feasibility per candidate, or per mu as in an evaluate_points pass.
+        on = full if draw(st.booleans()) else (n, 1, n_mu)
+        feasible = np.array(draw(st.lists(st.booleans(), min_size=math.prod(on),
+                                          max_size=math.prod(on)))).reshape(on)
+        rates = np.array(draw(st.lists(st.sampled_from(_RATES), min_size=math.prod(full),
+                                       max_size=math.prod(full)))).reshape(full)
+        # Distinct values everywhere, so a wrong index shows in every field.
+        offset = 1000.0 * (sweep + 1)
+        shapes = {"mu": (n, 1, n_mu), "px": (n, n_px, 1), "full": full}
+        fields = [offset + k + np.arange(math.prod(shapes[kind])).reshape(shapes[kind])
+                  / 64.0 for k, kind in enumerate(_FIELD_SHAPES[:-1])]
+        px = offset + 0.25 + np.arange(n * n_px).reshape(n, n_px)
+        mu = offset + 0.75 + np.arange(n * n_mu).reshape(n, n_mu)
+        passes.append((points, px, mu, KeyRateReport(feasible, *fields, rates)))
+    return size, n_px, n_mu, passes
+
+
+def _reference_incumbents(size, passes):
+    """Each point's (px, mu, report fields) by a plain loop over candidates in
+    (px, mu) order, or None."""
+    best = [None] * size
+    for points, px, mu, batch in passes:
+        values = np.broadcast_arrays(*vars(batch).values())
+        feasible, rates = values[0], values[-1]
+        for r, j in enumerate(points.tolist()):
+            pick = None
+            for a, b in np.ndindex(feasible.shape[1:]):
+                if not feasible[r, a, b]:
+                    continue
+                # The first feasible candidate, replaced by the first of
+                # strictly larger rates after it.
+                if pick is None or rates[r, a, b] > rates[r, pick[0], pick[1]]:
+                    pick = (a, b)
+            if pick is None:
+                continue
+            a, b = pick
+            score = rates[r, a, b]
+            if best[j] is None or score > best[j][-1]:
+                best[j] = (px[r, a], mu[r, b], *(float(v[r, a, b]) for v in values[1:]))
+    return best
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(drawn=_passes())
+def test_incumbents_match_a_reference_loop(drawn):
+    size, _, _, passes = drawn
+    best = optimizer._Incumbents(size)
+    for points, px, mu, batch in passes:
+        best.update(points, px, mu, batch)
+    expected = _reference_incumbents(size, passes)
+    assert best.found.tolist() == [e is not None for e in expected]
+    for j, e in enumerate(expected):
+        if e is not None:
+            got = best.values[:, j].tolist()
+            assert [x.hex() for x in got] == [float(x).hex() for x in e], j
+
+
 class TestIncumbentRule:
     """optimize_points against a stubbed pass whose feasibility and rates
     are set per sweep, point and candidate; the candidate index is

@@ -17,6 +17,10 @@ warm-up call per side, it checks that both sides wrote the same files, then
 prints both medians, the median of the per-pair ratios b/a and the number of
 pairs in which b was faster.  When the outputs differ, it names the files
 that differ and those that only one side wrote, and exits with status 1.
+After each timed call, outside the timed interval, it compares that call's
+files with its side's warm-up files; at the first call whose files differ
+(as a buffer kept from one call to the next would make them) it names the
+call and the files and exits with status 1.
 
 Separate-process medians on a shared 2-core host swung by about 10 % between
 identical runs, while the interleaved ratio was stable to about 1 %.  The
@@ -25,7 +29,6 @@ script is a development aid: the test suite does not run it.
 from __future__ import annotations
 
 import argparse
-import filecmp
 import importlib
 import io
 import json
@@ -90,6 +93,21 @@ def _timed(main, argv: list[str]) -> float:
     return elapsed
 
 
+def _read(directory: str) -> dict[str, bytes]:
+    """The bytes of each file a scan wrote into ``directory``, by name."""
+    files = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as handle:
+            files[name] = handle.read()
+    return files
+
+
+def _changed(before: dict[str, bytes], after: dict[str, bytes]) -> list[str]:
+    """Names of the files that differ between two reads, or that only one has."""
+    return sorted(name for name in before.keys() | after.keys()
+                  if before.get(name) != after.get(name))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", help="baseline side: git revision or package directory")
@@ -122,10 +140,12 @@ def main(argv: list[str] | None = None) -> int:
         argvs = {side: ["scan", "--config", config, "--out", outs[side]] for side in sides}
         for side in sides:
             _timed(sides[side], argvs[side])
-        names = set(os.listdir(outs["a"])) | set(os.listdir(outs["b"]))
-        _, mismatch, missing = filecmp.cmpfiles(outs["a"], outs["b"], sorted(names),
-                                                shallow=False)
-        same = not mismatch and not missing
+        warm = {side: _read(outs[side]) for side in sides}
+        changed = _changed(warm["a"], warm["b"])
+        both = warm["a"].keys() & warm["b"].keys()
+        mismatch = [name for name in changed if name in both]
+        missing = [name for name in changed if name not in both]
+        same = not changed
         if mismatch:
             print(f"outputs that differ: {', '.join(mismatch)}")
         if missing:
@@ -133,7 +153,14 @@ def main(argv: list[str] | None = None) -> int:
         times: dict[str, list[float]] = {"a": [], "b": []}
         for i in range(args.pairs):
             for side in ("a", "b") if i % 2 == 0 else ("b", "a"):
+                shutil.rmtree(outs[side])  # a file the call fails to write shows
                 times[side].append(_timed(sides[side], argvs[side]))
+                changed = _changed(warm[side], _read(outs[side]))
+                if changed:
+                    spec = args.a if side == "a" else args.b
+                    print(f"timed call {i + 1} of {side} {spec} wrote other files "
+                          f"than its warm-up: {', '.join(changed)}")
+                    return 1
     ratios = [b / a for a, b in zip(times["a"], times["b"])]
     faster = sum(b < a for a, b in zip(times["a"], times["b"]))
     print(f"outputs identical: {'yes' if same else 'NO'}")
