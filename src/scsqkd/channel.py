@@ -53,10 +53,6 @@ _I0E_ASYMPTOTIC = tuple(reversed([
     2401245 / 4194304, 57972915 / 33554432]))
 
 
-class ChannelModelError(ValueError):
-    """Raised for invalid channel/protocol parameters or window kinds."""
-
-
 @dataclass(frozen=True)
 class ChannelParams:
     """Fiber and detector parameters (Table-1 style quantities)."""
@@ -72,11 +68,11 @@ class ChannelParams:
         for name in ("distance_km", "alpha_f"):
             value = getattr(self, name)
             if not value >= 0.0:
-                raise ChannelModelError(f"{name} must be >= 0, got {value!r}")
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
         for name in ("eta_d", "p_d", "e_d"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
-                raise ChannelModelError(f"{name} must lie in [0, 1], got {value!r}")
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -93,18 +89,18 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         # Each check is written so that NaN fails it.
         if not abs(self.p0 + self.px - 1.0) <= 1e-12:
-            raise ChannelModelError(f"p0 + px must equal 1, got p0={self.p0!r}, "
+            raise ValueError(f"p0 + px must equal 1, got p0={self.p0!r}, "
                                     f"px={self.px!r}")
         if not (0.0 < self.px < 1.0):
-            raise ChannelModelError(f"px must lie in (0, 1), got {self.px!r}")
+            raise ValueError(f"px must lie in (0, 1), got {self.px!r}")
         if not (self.mu_xA >= 0.0 and self.mu_xB >= 0.0):
             name = "mu_xB" if self.mu_xA >= 0.0 else "mu_xA"
-            raise ChannelModelError(f"intensity {name} must be nonnegative, "
+            raise ValueError(f"intensity {name} must be nonnegative, "
                                     f"got {getattr(self, name)!r}")
         if not self.N >= 1:
-            raise ChannelModelError(f"N must be >= 1, got {self.N!r}")
+            raise ValueError(f"N must be >= 1, got {self.N!r}")
         if self.mode not in MODES:
-            raise ChannelModelError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +115,7 @@ class WindowTally:
         for name in ("n_O", "n_B", "n_Z"):
             value = getattr(self, name)
             if not value >= 0.0:  # NaN fails it too
-                raise ChannelModelError(f"{name} must be nonnegative, got {value!r}")
+                raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
     @property
     def E_Z(self) -> float:
@@ -142,13 +138,6 @@ def visibility(e_d: float) -> float:
     return 1.0 - 2.0 * e_d
 
 
-def _require_nonnegative(mu_A, mu_B, eta) -> None:
-    # initial=0.0 lets empty arrays pass and leaves every other verdict as is.
-    arrays = (mu_A, eta) if mu_B is mu_A else (mu_A, mu_B, eta)
-    if min(np.minimum.reduce(x, axis=None, initial=0.0) for x in arrays) < 0.0:
-        raise ChannelModelError("intensities and transmittance must be nonnegative")
-
-
 def detector_means(kind: str, mu_A, mu_B, eta, e_d: float,
                    cos_delta=1.0) -> tuple:
     """Mean photon numbers (nu_L, nu_R) at the two detectors for one window.
@@ -157,19 +146,15 @@ def detector_means(kind: str, mu_A, mu_B, eta, e_d: float,
     incoming pulses; 1.0 corresponds to Charlie's compensated (improved)
     setting, where B-window energy is steered to the left port.  It only
     affects B windows.  The intensities, ``eta`` and ``cos_delta`` may be
-    NumPy arrays, in which case the means are arrays too.
+    NumPy arrays, in which case the means are arrays too.  The intensities
+    and ``eta`` must be nonnegative; this is not checked here (the
+    parameter classes and :func:`heralding_arrays` check it).
 
     A B window's means are ``eta ((sqrt(mu_A) - sqrt(mu_B))^2 / 2
     + sqrt(mu_A mu_B) (1 +- cos_delta) -+ 2 e_d sqrt(mu_A mu_B) cos_delta)``:
     at a compensated phase every term is nonnegative, so the dark port's
     mean keeps full precision at small misalignment.
     """
-    _require_nonnegative(mu_A, mu_B, eta)
-    return _means(kind, mu_A, mu_B, eta, e_d, cos_delta)
-
-
-def _means(kind: str, mu_A, mu_B, eta, e_d: float, cos_delta=1.0) -> tuple:
-    """:func:`detector_means` without its nonnegativity check."""
     if kind == "O":
         return 0.0, 0.0
     if kind == "Z_A":
@@ -181,15 +166,10 @@ def _means(kind: str, mu_A, mu_B, eta, e_d: float, cos_delta=1.0) -> tuple:
     if kind == "B":
         root = np.sqrt(mu_A * mu_B)
         tilt = 2.0 * e_d * root * cos_delta
-        if mu_B is mu_A:
-            # The spread is 0, and adding 0 to the nonnegative terms leaves
-            # every bit, so it is skipped.
-            return (eta * (root * (1.0 + cos_delta) - tilt),
-                    eta * (root * (1.0 - cos_delta) + tilt))
         spread = 0.5 * (np.sqrt(mu_A) - np.sqrt(mu_B)) ** 2
         return (eta * (spread + root * (1.0 + cos_delta) - tilt),
                 eta * (spread + root * (1.0 - cos_delta) + tilt))
-    raise ChannelModelError(f"unknown window kind {kind!r}")
+    raise ValueError(f"unknown window kind {kind!r}")
 
 
 def click_prob(nu, p_d: float):
@@ -210,7 +190,7 @@ def effective_prob(nu_L, nu_R, p_d: float):
     :func:`b_window_prob`).  Elementwise over the means.
     """
     if not (0.0 <= p_d <= 1.0):
-        raise ChannelModelError(f"p_d must lie in [0, 1], got {p_d!r}")
+        raise ValueError(f"p_d must lie in [0, 1], got {p_d!r}")
     return click_prob(nu_R, p_d) * (1.0 - p_d) * np.exp(-nu_L)
 
 
@@ -295,9 +275,9 @@ def b_window_prob(mu_A, mu_B, eta, e_d: float, p_d: float,
     ``click(a) = p_d - q expm1(-a)`` (see :func:`click_prob`).
     """
     if mode not in MODES:
-        raise ChannelModelError(f"unknown mode {mode!r}")
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "improved":
-        return effective_prob(*_means("B", mu_A, mu_B, eta, e_d), p_d)
+        return effective_prob(*detector_means("B", mu_A, mu_B, eta, e_d), p_d)
     a = eta * (mu_A + mu_B) / 2.0
     c = abs(visibility(e_d)) * eta * np.sqrt(mu_A * mu_B)
     q = 1.0 - p_d
@@ -335,13 +315,16 @@ def heralding_arrays(mu_A, mu_B, eta, e_d: float, p_d: float,
     candidates of every mode.  Each mode's ``p_B`` is computed on its own
     elements only.
     """
-    _require_nonnegative(mu_A, mu_B, eta)
+    # initial=0.0 lets empty arrays pass and leaves every other verdict as is.
+    arrays = (mu_A, eta) if mu_B is mu_A else (mu_A, mu_B, eta)
+    if min(np.minimum.reduce(x, axis=None, initial=0.0) for x in arrays) < 0.0:
+        raise ValueError("intensities and transmittance must be nonnegative")
     # O and Z windows are insensitive to Charlie's phase compensation, so
     # both modes use the single-detector heralding rule there; only B
     # windows depend on the mode.
-    p_za = effective_prob(*_means("Z_A", mu_A, mu_B, eta, e_d), p_d)
+    p_za = effective_prob(*detector_means("Z_A", mu_A, mu_B, eta, e_d), p_d)
     p_zb = (p_za if mu_B is mu_A
-            else effective_prob(*_means("Z_B", mu_A, mu_B, eta, e_d), p_d))
+            else effective_prob(*detector_means("Z_B", mu_A, mu_B, eta, e_d), p_d))
     modes = (mode,) if isinstance(mode, str) else mode
     if len(modes) == 1:
         p_b = b_window_prob(mu_A, mu_B, eta, e_d, p_d, modes[0])
@@ -363,7 +346,7 @@ def heralding_arrays(mu_A, mu_B, eta, e_d: float, p_d: float,
                                          e_d, p_d, name)
         # An index past the modes leaves its elements unset.
         if picked < p_b.size:
-            raise ChannelModelError(f"mode_index must pick one of {len(modes)} modes")
+            raise ValueError(f"mode_index must pick one of {len(modes)} modes")
     return effective_prob(0.0, 0.0, p_d), p_b, p_za + p_zb
 
 

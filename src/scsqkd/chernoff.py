@@ -73,10 +73,6 @@ _MAX_NEWTON = 60
 _NOISE = 8.0 * np.finfo(float).eps
 
 
-class ChernoffDomainError(ValueError):
-    """Raised for arguments outside a bound's domain."""
-
-
 def _solve(start, step, residual, t) -> np.ndarray:
     """Root of a concave residual in w > 0, elementwise over ``t``.
 
@@ -231,7 +227,7 @@ def _ratio(counts, log_xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Two reductions: NaN carries through both and fails the first test.
     if not (np.maximum.reduce(log_xi, axis=None, initial=-1.0) < 0.0
             and np.minimum.reduce(log_xi, axis=None, initial=-1.0) > -np.inf):
-        raise ChernoffDomainError(f"log_xi must be finite and negative, got {log_xi!r}")
+        raise ValueError(f"log_xi must be finite and negative, got {log_xi!r}")
     counts = np.asarray(counts, dtype=float)
     empty = counts == 0.0
     return counts, empty, -log_xi / np.where(empty, 1.0, counts)

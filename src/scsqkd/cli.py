@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import (MODES, ChannelParams, ProtocolParams, arm_transmittance,
                       heralding_arrays, tally_arrays)
-from .mc_oracle import SimConfigError, require_seed, require_windows, simulate_points
+from .mc_oracle import require_seed, require_windows, simulate_points
 from .optimizer import SearchSpace, optimize_points
 from .pipeline import ASYMPTOTIC, SecurityConfig, SourceCalibration, require_block
 
@@ -233,7 +233,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
             else _integer("seed", raw.get("seed", 0)))
     try:
         require_seed(seed)
-    except SimConfigError as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc))
     mc_validate = raw.get("mc_validate", False)
     if not isinstance(mc_validate, bool):
@@ -241,7 +241,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
     mc_windows = _integer("mc_windows", raw.get("mc_windows", 10**6))
     try:
         require_windows(mc_windows)
-    except SimConfigError as exc:
+    except ValueError as exc:
         raise ConfigError(f"mc_windows is invalid: {exc}")
     return ScanConfig(
         channel=channel, calib=calib, security=security, space=space,

@@ -23,10 +23,6 @@ _LN2 = math.log(2.0)
 N_PE = 3
 
 
-class SecurityBudgetError(ValueError):
-    """Raised for invalid security-budget inputs."""
-
-
 @dataclass(frozen=True)
 class SecurityParams:
     """Resolved composable-security budget (logs, natural base).
@@ -65,10 +61,10 @@ def security_budget(eps_coh_target: float, N: float, d: int) -> SecurityParams:
     """Resolve the collective-attack budget and its equal share from a
     coherent-attack target at block size N and post-selection dimension d."""
     if not (0.0 < eps_coh_target < 1.0):
-        raise SecurityBudgetError(
+        raise ValueError(
             f"eps_coh_target must lie in (0, 1), got {eps_coh_target!r}")
-    if N < 0:
-        raise SecurityBudgetError(f"N must be nonnegative, got {N!r}")
+    if not N >= 0:  # NaN fails it too
+        raise ValueError(f"N must be nonnegative, got {N!r}")
     log_eps_col = math.log(eps_coh_target) - (d * d - 1) * math.log1p(N)
     return SecurityParams(log_eps_col=log_eps_col,
                           log_eps_share=log_eps_col + math.log(1.0 / (3.0 + N_PE)))

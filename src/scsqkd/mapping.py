@@ -14,22 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class MappingError(ValueError):
-    """Raised when vacuum-amplitude bounds leave the admissible region."""
-
-
-def require_amplitude(name: str, value: float) -> None:
-    """Raise MappingError unless a squared vacuum amplitude lies in [0.5, 1]."""
-    if not (0.5 <= value <= 1.0):
-        raise MappingError(f"{name} must lie in [0.5, 1], got {value!r}")
-
-
-def require_fluct(fluct: float) -> None:
-    """Raise MappingError unless a relative fluctuation lies in [0, 1)."""
-    if not (0.0 <= fluct < 1.0):
-        raise MappingError(f"fluct must lie in [0, 1), got {fluct!r}")
-
-
 def virtual_intensity_array(mu_nominal: np.ndarray, av0: float, fluct: float
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Virtual intensities and a feasibility mask for nominal intensities.

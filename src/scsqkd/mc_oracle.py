@@ -16,11 +16,10 @@ analytic in the phase, so the trapezoid rule over equispaced phases
 converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
 
 Every heralding probability is combined here from the channel model's
-detector means (``_means``) and click probability (``click_prob``), never
-taken from the channel model's heralding formulas, so the cross-check stays
-independent.  ``_means`` skips the nonnegativity check of
-``detector_means``: ``ProtocolParams`` and ``ChannelParams`` already enforce
-nonnegative intensities and transmittance.
+detector means (``detector_means``) and click probability (``click_prob``),
+never taken from the channel model's heralding formulas, so the cross-check
+stays independent.  ``ProtocolParams`` and ``ChannelParams`` enforce the
+nonnegative intensities and transmittance that ``detector_means`` needs.
 
 All draws of a run come from one counter-based Philox stream keyed on
 (seed, 0), so the output depends only on the inputs.  A call builds one
@@ -36,8 +35,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .channel import (ChannelParams, ProtocolParams, WindowTally, _means,
-                      arm_transmittance, click_prob, visibility)
+from .channel import (ChannelParams, ProtocolParams, WindowTally, arm_transmittance,
+                      click_prob, detector_means, visibility)
 
 # O = both vacuum, Z_A = Alice vacuum / Bob coherent, Z_B the reverse,
 # B = both coherent.
@@ -56,24 +55,20 @@ _MAX_PHASE_EXPONENT = 16
 _PHASE_BLOCK = 1 << 16
 
 
-class SimConfigError(ValueError):
-    """Raised for invalid simulation configuration."""
-
-
 def require_seed(seed: int) -> None:
-    """Raise SimConfigError unless ``seed`` fits the unsigned 64-bit Philox key."""
+    """Raise ValueError unless ``seed`` fits the unsigned 64-bit Philox key."""
     if not (0 <= seed < 2**64):
-        raise SimConfigError(f"seed must lie in [0, 2**64), got {seed!r}")
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
 
 
 def require_windows(n) -> None:
-    """Raise SimConfigError unless ``n`` is a whole number in [1, 2**63).
+    """Raise ValueError unless ``n`` is a whole number in [1, 2**63).
 
     The multinomial draw of the window-kind counts takes a signed 64-bit
     count; a fractional count would be truncated.
     """
     if not (1 <= n < 2**63 and n == int(n)):
-        raise SimConfigError(f"window count must be a whole number in "
+        raise ValueError(f"window count must be a whole number in "
                              f"[1, 2**63), got {n!r}")
 
 
@@ -110,8 +105,8 @@ def _phase_averaged_b_prob(mu_A, mu_B, eta, e_d, p_d) -> np.ndarray:
         for start in range(0, len(rows), step):
             block = np.array(rows[start:start + step])
             sel = block[:, None]
-            nu = np.array(_means("B", mu_A[sel], mu_B[sel], eta[sel], e_d[sel],
-                                 cos_delta=cos_delta))
+            nu = np.array(detector_means("B", mu_A[sel], mu_B[sel], eta[sel],
+                                         e_d[sel], cos_delta=cos_delta))
             p_click = click_prob(nu, p_d[sel])
             dark = (1.0 - p_d[sel]) * np.exp(-nu)
             one_click = p_click[0] * dark[1] + p_click[1] * dark[0]
@@ -136,7 +131,7 @@ def _heralding(protocols: Sequence[ProtocolParams],
     # (nu_L, nu_R) x kind x run
     nu = np.empty((2, len(_KINDS), len(protocols)))
     for col, kind in enumerate(_KINDS):
-        nu[0, col], nu[1, col] = _means(kind, mu_A, mu_B, eta, e_d)
+        nu[0, col], nu[1, col] = detector_means(kind, mu_A, mu_B, eta, e_d)
     probs = (click_prob(nu[1], p_d) * ((1.0 - p_d) * np.exp(-nu[0]))).T
     random_phase = [row for row, p in enumerate(protocols) if p.mode == "baseline"]
     if random_phase:
@@ -158,7 +153,7 @@ def simulate_points(protocols: Sequence[ProtocolParams],
     Philox bit generator, re-keyed per row, draws every row's counts.
     """
     if not len(protocols) == len(channels) == len(seeds):
-        raise SimConfigError(f"got {len(protocols)} protocols, {len(channels)} "
+        raise ValueError(f"got {len(protocols)} protocols, {len(channels)} "
                              f"channels and {len(seeds)} seeds")
     for protocol, seed in zip(protocols, seeds):
         require_seed(seed)

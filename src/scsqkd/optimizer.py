@@ -14,9 +14,9 @@ sizes and modes and each point's index into them.  Each sweep is one
 broadcast (point, px, mu) array pass per group of the points still
 searched, whatever their modes, as long as the group fits ``_CHUNK``
 candidates.  The incumbents are one table over the points: each pass picks
-its winners with a masked argmax, takes their report fields by flat index
-and writes the winners' columns in one scatter, and the results are built
-once per point at the end.  :func:`optimize` is its one-point call.
+its winners with a masked argmax, gathers each report field at the winners'
+(px, mu) indices and writes the winners' columns at once, and the results
+are built once per point at the end.  :func:`optimize` is its one-point call.
 """
 from __future__ import annotations
 
@@ -153,8 +153,8 @@ class _Incumbents:
         """Offer the pass ``batch`` over (point, px, mu), whose row ``r``
         is point ``points[r]`` on the axes ``px[r]`` x ``mu[r]``.
 
-        Every field of ``batch`` is a 3-d array that broadcasts to the
-        pass's shape.
+        Every field of ``batch`` is a 3-d array with one row per point,
+        whose other axes have the pass's lengths or 1.
         """
         feasible = batch.feasible
         n, n_px, n_mu = len(points), px.shape[1], mu.shape[1]
@@ -167,26 +167,19 @@ class _Incumbents:
             top[lost] = np.broadcast_to(feasible, (n, n_px, n_mu))[lost].reshape(
                 np.count_nonzero(lost), -1).argmax(axis=1)
         a, b = np.divmod(top, n_mu)
-        # Each row's winner as a flat index into a field of each shape that
-        # broadcasts to the pass's; where n_px or n_mu is 1, the keys that
-        # coincide give equal indices.
-        flat = {(n_px, n_mu): np.arange(0, n * n_px * n_mu, n_px * n_mu) + top,
-                (n_px, 1): np.arange(0, n * n_px, n_px) + a,
-                (1, n_mu): np.arange(0, n * n_mu, n_mu) + b, (1, 1): np.arange(n)}
-        better = (feasible.take(flat[feasible.shape[1:]])
-                  & (~self.found[points] | (score > self.values[-1, points])))
+        rows = np.arange(n)
+
+        def pick(field):  # each row's winner in a field of a broadcasting shape
+            return field[rows, a if field.shape[1] > 1 else 0, b if field.shape[2] > 1 else 0]
+
+        better = pick(feasible) & (~self.found[points] | (score > self.values[-1, points]))
         if not np.count_nonzero(better):
             return
         i = points[better]
         self.found[i] = True
-        picked = np.empty((len(self.values), n))
-        px.take(flat[n_px, 1], out=picked[0])
-        mu.take(flat[1, n_mu], out=picked[1])
         # vars() holds the fields in their order, feasible first.
-        for row, value in zip(picked[2:], list(vars(batch).values())[1:]):
-            value.take(flat[value.shape[1:]], out=row)
-        self.values[:, i] = picked if len(i) == n else picked[:, better]
-
+        picked = [px[rows, a], mu[rows, b], *map(pick, list(vars(batch).values())[1:])]
+        self.values[:, i] = np.array(picked)[:, better]
 
 def _sweep(eta: np.ndarray, groups: list[tuple], live: np.ndarray,
            px_axes: np.ndarray, mu_axes: np.ndarray, calib: SourceCalibration,

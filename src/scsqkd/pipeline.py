@@ -36,7 +36,7 @@ from .channel import (ChannelParams, ProtocolParams, arm_transmittance,
                       heralding_arrays, tally_arrays)
 from .keyrate import (KeyRateReport, coherent_attack_penalty, collective_rate_array,
                       ec_leakage_array, security_budget)
-from .mapping import require_amplitude, require_fluct, virtual_intensity_array
+from .mapping import virtual_intensity_array
 from .phase_error import decomposition_arrays, phase_error_arrays
 
 ASYMPTOTIC = "asymptotic"
@@ -57,6 +57,14 @@ class InfeasibleError(ValueError):
     """Raised when a candidate admits no virtual-protocol mapping."""
 
 
+def _check(config, checks) -> None:
+    """Raise ValueError naming the first field of ``config`` whose check in
+    ``checks``, (field, passed, requirement) triples, failed."""
+    for field, ok, requirement in checks:
+        if not ok:
+            raise ValueError(f"{field} must {requirement}, got {getattr(config, field)!r}")
+
+
 @dataclass(frozen=True)
 class SourceCalibration:
     """Calibration facts independent of the scanned intensity.
@@ -70,13 +78,10 @@ class SourceCalibration:
     fluct: float = 0.1
 
     def __post_init__(self) -> None:
-        require_amplitude("av0", self.av0)
-        require_amplitude("bv0", self.bv0)
-        require_fluct(self.fluct)
-
-
-class SecurityConfigError(ValueError):
-    """Raised for an invalid security setting."""
+        # Each check is written so that NaN fails it.
+        _check(self, (("av0", 0.5 <= self.av0 <= 1.0, "lie in [0.5, 1]"),
+                      ("bv0", 0.5 <= self.bv0 <= 1.0, "lie in [0.5, 1]"),
+                      ("fluct", 0.0 <= self.fluct < 1.0, "lie in [0, 1)")))
 
 
 @dataclass(frozen=True)
@@ -93,14 +98,10 @@ class SecurityConfig:
     d: int = 8
 
     def __post_init__(self) -> None:
-        for field, ok, requirement in (
-                ("eps_coh_target", 0.0 < self.eps_coh_target < 1.0, "lie in (0, 1)"),
-                ("f", self.f >= 1.0, "be >= 1"),
-                ("d", isinstance(self.d, Integral) and self.d >= 2,
-                 "be an integer >= 2")):
-            if not ok:
-                raise SecurityConfigError(
-                    f"{field} must {requirement}, got {getattr(self, field)!r}")
+        _check(self, (("eps_coh_target", 0.0 < self.eps_coh_target < 1.0, "lie in (0, 1)"),
+                      ("f", self.f >= 1.0, "be >= 1"),
+                      ("d", isinstance(self.d, Integral) and self.d >= 2,
+                       "be an integer >= 2")))
 
 
 def evaluate_points(channel: ChannelParams, calib: SourceCalibration,

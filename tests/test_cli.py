@@ -451,7 +451,7 @@ class TestMain:
         assert main(["scan", "--config", str(path), "--out", str(out)]) == 2
 
     @pytest.mark.parametrize("key, value", [
-        ("eps_coh", 2.0),  # used to raise SecurityBudgetError mid-scan
+        ("eps_coh", 2.0),  # used to fail in security_budget mid-scan
         ("f", -1.0),       # used to credit negative leakage and exit 0
         ("d", 0),          # used to exit 0 with a RuntimeWarning
         ("d", 2.5),        # used to be truncated to 2

@@ -92,6 +92,45 @@ def test_every_top_level_name_is_referenced():
     assert sorted(n for n, defs in definitions.items() if counts[n] <= defs) == []
 
 
+def test_no_top_level_name_is_used_only_by_tests():
+    # A name that only tests reference is code the package does not need:
+    # what the tests check through it, they can check through the name the
+    # package uses.  References count in src (its __init__ included),
+    # perfbench and tools.
+    definitions = Counter(name for path in SOURCES for name in _top_level_names(path)
+                          if not (name.startswith("__") and name.endswith("__")))
+    counts = Counter()
+    for folder in ("src", "perfbench", "tools"):
+        for path in (ROOT / folder).rglob("*.py"):
+            counts += _identifier_counts(path.read_text())
+    assert sorted(n for n, defs in definitions.items() if counts[n] <= defs) == []
+
+
+def _caught_names(tree: ast.Module) -> set[str]:
+    """Names of the exception classes the ``except`` clauses of ``tree`` name."""
+    caught = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught |= {t.id if isinstance(t, ast.Name) else t.attr for t in types}
+    return caught
+
+
+def test_every_exception_class_is_exported_or_caught():
+    # An exception class that no caller can import from the package root and
+    # that the package never catches tells nothing a plain ValueError would
+    # not.
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    caught = set().union(*map(_caught_names, trees))
+    classes = [node.name for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef)
+               and any(isinstance(base, ast.Name) and base.id.endswith(("Error", "Exception"))
+                       for base in node.bases)]
+    assert classes
+    assert sorted(name for name in classes
+                  if name not in scsqkd.__all__ and name not in caught) == []
+
+
 def test_every_exported_name_is_used_outside_tests():
     # An export that only tests use is public API nothing else needs.  A
     # name counts where the package uses it outside its definition and

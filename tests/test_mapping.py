@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scsqkd.channel import ChannelParams, arm_transmittance
-from scsqkd.mapping import (MappingError, require_amplitude, require_fluct,
-                             virtual_intensity_array)
+from scsqkd.mapping import virtual_intensity_array
 from scsqkd.pipeline import SecurityConfig, SourceCalibration, evaluate_points
 
 AV0 = 1.0 - 1e-8
@@ -100,9 +99,9 @@ class TestVirtualIntensity:
 
     def test_out_of_range_raises(self):
         # Vacuum bounds are checked where the calibration is built.
-        with pytest.raises(MappingError):
+        with pytest.raises(ValueError, match=r"av0 must lie in \[0.5, 1\], got 0.4"):
             SourceCalibration(av0=0.4)
-        with pytest.raises(MappingError):
+        with pytest.raises(ValueError, match=r"bv0 must lie in \[0.5, 1\], got 1.1"):
             SourceCalibration(bv0=1.1)
 
 
@@ -142,30 +141,31 @@ class TestSourceBounds:
     """Calibrated bounds in SourceCalibration, applied per source."""
 
     def test_validation(self):
-        with pytest.raises(MappingError):
+        with pytest.raises(ValueError, match=r"av0 must lie in \[0.5, 1\], got 0.3"):
             SourceCalibration(av0=0.3)
-        with pytest.raises(MappingError):
+        with pytest.raises(ValueError, match=r"fluct must lie in \[0, 1\), got 1.0"):
             SourceCalibration(fluct=1.0)
 
     # Values exactly on each edge of the validated ranges, and the nearest
     # double outside: [0.5, 1] for an amplitude, [0, 1) for fluct.
     @pytest.mark.parametrize("value", [0.5, 1.0])
     def test_amplitude_edges_accepted(self, value):
-        require_amplitude("av0", value)
+        SourceCalibration(av0=value, bv0=value)
 
     @pytest.mark.parametrize("value", [math.nextafter(0.5, 0.0), math.nextafter(1.0, 2.0)])
     def test_amplitude_just_outside_rejected(self, value):
-        with pytest.raises(MappingError, match="av0 must lie"):
-            require_amplitude("av0", value)
+        for field in ("av0", "bv0"):
+            with pytest.raises(ValueError, match=f"{field} must lie"):
+                SourceCalibration(**{field: value})
 
     @pytest.mark.parametrize("value", [0.0, math.nextafter(1.0, 0.0)])
     def test_fluct_edges_accepted(self, value):
-        require_fluct(value)
+        SourceCalibration(fluct=value)
 
     @pytest.mark.parametrize("value", [math.nextafter(0.0, -1.0), 1.0])
     def test_fluct_just_outside_rejected(self, value):
-        with pytest.raises(MappingError, match="fluct must lie"):
-            require_fluct(value)
+        with pytest.raises(ValueError, match="fluct must lie"):
+            SourceCalibration(fluct=value)
 
     def test_from_nominal_applies_worst_case(self):
         batch = _evaluate(0.1, 0.2, SourceCalibration(av0=0.999, bv0=0.998, fluct=0.1))

@@ -15,7 +15,7 @@ from test_channel import _mp_phase_average
 import scsqkd.mc_oracle
 from scsqkd.channel import (MODES, ChannelParams, ProtocolParams, arm_transmittance,
                             b_window_prob, click_prob, detector_means, expected_tallies)
-from scsqkd.mc_oracle import (SimConfigError, _heralding, _phase_averaged_b_prob,
+from scsqkd.mc_oracle import (_heralding, _phase_averaged_b_prob,
                               _phase_count, require_windows, simulate, simulate_points)
 
 CHANNEL = ChannelParams(100.0, 0.2, 0.3, 1e-9, 0.04)
@@ -35,26 +35,26 @@ def _z_scores(observed, expected, n):
 
 class TestSimConfig:
     def test_validation(self):
-        with pytest.raises(SimConfigError):
+        with pytest.raises(ValueError, match="window count must be a whole number"):
             require_windows(0)
         # The multinomial draw takes a whole count below 2**63; 1.5 used to
         # be truncated to one window.
         for n in (1.5, 2**63):
-            with pytest.raises(SimConfigError, match="window count"):
+            with pytest.raises(ValueError, match="window count"):
                 simulate(replace(PROTO, N=n), CHANNEL, seed=1)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_philox_key_rejected(self, seed):
         # The Philox key is unsigned 64-bit; such a seed used to surface as
         # an OverflowError inside simulate.
-        with pytest.raises(SimConfigError, match="seed"):
+        with pytest.raises(ValueError, match="seed"):
             simulate(replace(PROTO, N=10), CHANNEL, seed)
         # A batch checks every row before any draw.
-        with pytest.raises(SimConfigError, match="seed"):
+        with pytest.raises(ValueError, match="seed"):
             simulate_points([PROTO, PROTO], [CHANNEL, CHANNEL], [1, seed])
 
     def test_rows_must_pair_up(self):
-        with pytest.raises(SimConfigError, match="2 protocols, 2 channels and 1 seeds"):
+        with pytest.raises(ValueError, match="2 protocols, 2 channels and 1 seeds"):
             simulate_points([PROTO, PROTO], [CHANNEL, CHANNEL], [1])
 
 

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from scsqkd import pipeline
 from scsqkd.channel import ChannelParams, ProtocolParams, arm_transmittance
 from scsqkd.optimizer import optimize
-from scsqkd.pipeline import (InfeasibleError, SecurityConfig, SecurityConfigError,
-                             SourceCalibration, evaluate_point, evaluate_points,
-                             require_block)
+from scsqkd.pipeline import (InfeasibleError, SecurityConfig, SourceCalibration,
+                             evaluate_point, evaluate_points, require_block)
 
 CHANNEL_50 = ChannelParams(50.0, 0.2, 0.3, 1e-9, 0.04)
 CALIB = SourceCalibration()
@@ -187,7 +186,7 @@ def test_security_config_edges_accepted(field, value):
     ("eps_coh_target", 0.0), ("eps_coh_target", 1.0),
     ("f", math.nextafter(1.0, 0.0)), ("d", 1)])
 def test_security_config_just_outside_rejected(field, value):
-    with pytest.raises(SecurityConfigError, match=f"{field} must"):
+    with pytest.raises(ValueError, match=f"{field} must"):
         SecurityConfig(**{field: value})
 
 

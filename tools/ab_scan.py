@@ -24,7 +24,7 @@ call and the files and exits with status 1.
 
 Separate-process medians on a shared 2-core host swung by about 10 % between
 identical runs, while the interleaved ratio was stable to about 1 %.  The
-script is a development aid: the test suite does not run it.
+test suite runs it on a tiny config (``tests/test_ab_scan.py``).
 """
 from __future__ import annotations
 
@@ -130,6 +130,11 @@ def main(argv: list[str] | None = None) -> int:
         sides = {}
         for side, spec in (("a", args.a), ("b", args.b)):
             _export(spec, os.path.join(tmp, f"scsqkd_{side}"))
+        # A package of the same name that an earlier call imported would
+        # otherwise be reused from sys.modules.
+        for name in [name for name in sys.modules
+                     if name.split(".")[0] in ("scsqkd_a", "scsqkd_b")]:
+            del sys.modules[name]
         sys.path.insert(0, tmp)
         try:
             for side in ("a", "b"):
