@@ -90,13 +90,13 @@ class ProtocolParams:
         # Each check is written so that NaN fails it.
         if not abs(self.p0 + self.px - 1.0) <= 1e-12:
             raise ValueError(f"p0 + px must equal 1, got p0={self.p0!r}, "
-                                    f"px={self.px!r}")
+                             f"px={self.px!r}")
         if not (0.0 < self.px < 1.0):
             raise ValueError(f"px must lie in (0, 1), got {self.px!r}")
         if not (self.mu_xA >= 0.0 and self.mu_xB >= 0.0):
             name = "mu_xB" if self.mu_xA >= 0.0 else "mu_xA"
             raise ValueError(f"intensity {name} must be nonnegative, "
-                                    f"got {getattr(self, name)!r}")
+                             f"got {getattr(self, name)!r}")
         if not self.N >= 1:
             raise ValueError(f"N must be >= 1, got {self.N!r}")
         if self.mode not in MODES:

@@ -181,6 +181,7 @@ class _Incumbents:
         picked = [px[rows, a], mu[rows, b], *map(pick, list(vars(batch).values())[1:])]
         self.values[:, i] = np.array(picked)[:, better]
 
+
 def _sweep(eta: np.ndarray, groups: list[tuple], live: np.ndarray,
            px_axes: np.ndarray, mu_axes: np.ndarray, calib: SourceCalibration,
            security: SecurityConfig, best: _Incumbents) -> None:

@@ -1,5 +1,7 @@
-"""Checks on the package source: no dead imports or top-level names, no
-stale exports, a numpy-only runtime, and README examples that run."""
+"""Checks on the package source: no dead imports, no top-level names that
+are unused or used only by tests, no stale exports, no exception class that
+is neither exported nor caught, a numpy-only runtime, and README examples
+that run."""
 import ast
 import json
 import re

@@ -91,7 +91,8 @@ def _csv_diff(pinned: str, got: str) -> list[str]:
         if changed:
             worst = max(_relative(a, b) for _, a, b in changed)
             lines.append(f"  {name}: rows {[r for r, _, _ in changed]}, "
-                         f"largest relative difference {worst:.3g}")
+                         f"largest relative difference {worst:.3g}"
+                         + (" (equal values, other text)" if worst == 0.0 else ""))
     return lines
 
 
