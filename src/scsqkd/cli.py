@@ -6,6 +6,7 @@ corresponding config keys.  Rows are sorted before emission.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -412,6 +413,7 @@ def _mc_report(cfg: ScanConfig, rows: list[dict]) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the ``scsqkd`` command line on each call."""
     parser = argparse.ArgumentParser(prog="scsqkd")
     sub = parser.add_subparsers(dest="command", required=True)
     scan = sub.add_parser("scan", help="run a distance/block-size scan")
@@ -425,14 +427,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call, not at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run ``scsqkd`` on ``argv`` (default ``sys.argv[1:]``); the exit status.
+
+    One parser serves every call in a process; each call parses its own
+    arguments and reads and checks its config anew.  A config that cannot be
+    read or is invalid, or an ``--out`` directory that cannot be created,
+    ends the call with ``error: ...`` and status 2 before any scan work.
+    """
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args)
+        os.makedirs(args.out, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
     rows = run_scan(cfg)
     with open(os.path.join(args.out, "scan.csv"), "w", newline="") as handle:
         handle.write(rows_to_csv(rows))

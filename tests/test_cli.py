@@ -5,6 +5,8 @@ import copy
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -486,6 +488,40 @@ class TestMain:
     def test_parser_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("where", ["file", "below-file"])
+    def test_unusable_out_is_an_error(self, tmp_path, capsys, monkeypatch, where):
+        # An --out that is a file, or lies below one, used to end in a
+        # FileExistsError or NotADirectoryError traceback from os.makedirs.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        out = blocker if where == "file" else blocker / "sub"
+        monkeypatch.setattr(cli, "run_scan", lambda cfg: pytest.fail("scan ran"))
+        assert main(["scan", "--config", _write_config(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert blocker.read_text() == "kept"
+
+    def test_repeated_calls_carry_no_state(self, tmp_path):
+        # main reuses one parser per process.  After a call with every
+        # override, a call without flags writes what a first call without
+        # flags, in a fresh interpreter, writes.
+        config = _write_config(tmp_path)
+        fresh, flags, again = (tmp_path / name for name in ("fresh", "flags", "again"))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from scsqkd.cli import main; "
+                "sys.exit(main(['scan', '--config', sys.argv[2], '--out', sys.argv[3]]))")
+        subprocess.run([sys.executable, "-c", code, str(Path(cli.__file__).parent.parent),
+                        config, str(fresh)], check=True, timeout=60)
+        assert main(["scan", "--config", config, "--out", str(flags),
+                     "--distance", "0:20:10", "--blocks", "asymptotic",
+                     "--mode", "baseline", "--mc-validate", "--seed", "7"]) == 0
+        assert main(["scan", "--config", config, "--out", str(again)]) == 0
+
+        def files(directory):
+            return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+        assert files(flags) != files(fresh)
+        assert files(again) == files(fresh)
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -171,6 +172,37 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_builds_one_parser_per_process_and_none_at_import(tmp_path):
+    # A parser built at import would add its cost to every fresh
+    # interpreter; main builds it on its first call and reuses it, while
+    # build_parser returns a new one on each call.
+    src = str(Path(scsqkd.__file__).parent.parent)
+    code = textwrap.dedent("""
+        import argparse, sys
+        sys.path.insert(0, sys.argv[1])
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counted
+        import scsqkd, scsqkd.cli
+        counts = [len(built)]
+        for _ in range(2):
+            assert scsqkd.cli.main(["scan", "--config", sys.argv[2],
+                                    "--out", sys.argv[3]]) == 2
+            counts.append(len(built))
+        assert scsqkd.cli.build_parser() is not scsqkd.cli.build_parser()
+        counts.append(len(built))
+        print(counts)
+        """)
+    out = subprocess.run([sys.executable, "-c", code, src, str(tmp_path / "missing.json"),
+                          str(tmp_path / "out")],
+                         capture_output=True, text=True, check=True, timeout=60)
+    # A parser and its scan subparser per build.
+    assert out.stdout.strip() == "[0, 2, 2, 6]"
 
 
 def test_scan_without_mc_imports_no_numpy_random(tmp_path):

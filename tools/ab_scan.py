@@ -22,6 +22,11 @@ files with its side's warm-up files; at the first call whose files differ
 (as a buffer kept from one call to the next would make them) it names the
 call and the files and exits with status 1.
 
+The warm-up call also absorbs per-process set-up, such as the command-line
+parser that ``cli.main`` builds on its first call, so the timed calls show
+none of it; startup costs need fresh interpreters (``python -X importtime``,
+perfbench ``setup_s``).
+
 Separate-process medians on a shared 2-core host swung by about 10 % between
 identical runs, while the interleaved ratio was stable to about 1 %.  The
 test suite runs it on a tiny config (``tests/test_ab_scan.py``).
