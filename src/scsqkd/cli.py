@@ -10,6 +10,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass, replace
 
@@ -433,13 +434,46 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _overwrite(path: str, text: str) -> None:
+    """Make ``text``, as UTF-8 bytes, the whole content of the file ``path``.
+
+    An existing regular file is written over from its start and then cut at
+    the bytes written, also when a write fails partway, so it never keeps a
+    tail of its old content; it keeps its inode, permissions and links, as
+    with ``open(path, "w")``.  A new file is created with the same
+    umask-masked mode; a device or a pipe is written to and not cut.  The
+    truncating open is avoided because on ext4 (``auto_da_alloc``) closing a
+    file that was truncated and rewritten starts its writeback, and the next
+    truncating open, such as a rerun milliseconds later, waits for it:
+    0.06-0.5 ms per file (2 shared cores, ext4 mounted with ``discard``),
+    against ~0.003 ms for this open.  The writeback is deferred to the
+    kernel's periodic flush, not saved, and the rewrite is not atomic: a
+    host crash soon after a rerun can leave old bytes within the new length,
+    where the truncating open could leave an empty file.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb", buffering=0) as handle:
+            try:
+                data = memoryview(text.encode())
+                while data:
+                    data = data[handle.write(data):]
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    handle.truncate()
+    except OSError as exc:  # a failed write names no file
+        raise OSError(exc.errno, exc.strerror, path) from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run ``scsqkd`` on ``argv`` (default ``sys.argv[1:]``); the exit status.
 
     One parser serves every call in a process; each call parses its own
     arguments and reads and checks its config anew.  A config that cannot be
     read or is invalid, or an ``--out`` directory that cannot be created,
-    ends the call with ``error: ...`` and status 2 before any scan work.
+    ends the call with ``error: ...`` and status 2 before any scan work; an
+    output file that cannot be written ends it so after the scan.  Every
+    call writes every output in full, over the file of a previous call.
     """
     args = _parser().parse_args(argv)
     try:
@@ -449,14 +483,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = run_scan(cfg)
-    with open(os.path.join(args.out, "scan.csv"), "w", newline="") as handle:
-        handle.write(rows_to_csv(rows))
-    if rows:
-        with open(os.path.join(args.out, "scan.svg"), "w", newline="") as handle:
-            handle.write(emit_plot(rows))
-    if cfg.mc_validate:
-        with open(os.path.join(args.out, "mc_report.csv"), "w", newline="") as handle:
-            handle.write(_mc_report(cfg, rows))
+    try:
+        _overwrite(os.path.join(args.out, "scan.csv"), rows_to_csv(rows))
+        if rows:
+            _overwrite(os.path.join(args.out, "scan.svg"), emit_plot(rows))
+        if cfg.mc_validate:
+            _overwrite(os.path.join(args.out, "mc_report.csv"), _mc_report(cfg, rows))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -5,6 +5,10 @@ import copy
 import io
 import json
 import math
+import os
+import resource
+import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -500,6 +504,94 @@ class TestMain:
         assert main(["scan", "--config", _write_config(tmp_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert blocker.read_text() == "kept"
+
+    @pytest.mark.parametrize("name", ["scan.csv", "scan.svg", "mc_report.csv"])
+    @pytest.mark.parametrize("blocker", ["directory", "full-device"])
+    def test_unwritable_output_is_an_error(self, tmp_path, capsys, name, blocker):
+        # An output path held by a directory used to end in an
+        # IsADirectoryError traceback after the scan; a write that fails
+        # (here /dev/full: no space left) must name the file too.
+        out = tmp_path / "out"
+        out.mkdir()
+        if blocker == "directory":
+            (out / name).mkdir()
+        elif Path("/dev/full").exists():
+            (out / name).symlink_to("/dev/full")
+        else:
+            pytest.skip("no /dev/full")
+        assert main(["scan", "--config", _write_config(tmp_path), "--out", str(out),
+                     "--mc-validate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(str(out / name)) in err, err
+        assert (out / name).is_dir() if blocker == "directory" else (out / name).is_symlink()
+
+    def test_output_may_be_a_device(self, tmp_path):
+        # A file that is not a regular one, such as /dev/null, is written to
+        # and not cut, as with open(path, "w").
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "scan.svg").symlink_to(os.devnull)
+        assert main(["scan", "--config", _write_config(tmp_path), "--out", str(out)]) == 0
+        assert (out / "scan.csv").read_bytes().startswith(CSV_HEADER.encode())
+
+    def test_failed_rewrite_keeps_no_old_tail(self, tmp_path):
+        # A write that fails partway (here at a file size limit, as at a full
+        # disk) leaves a prefix of the new output, never new bytes followed by
+        # the tail of a longer old file.
+        config = _write_config(tmp_path)
+        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+        assert main(["scan", "--config", config, "--out", str(fresh)]) == 0
+        new = (fresh / "scan.csv").read_bytes()
+        rerun.mkdir()
+        (rerun / "scan.csv").write_bytes(b"#" * (4 * len(new)))
+        limit = len(new) // 2
+
+        def cap_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from scsqkd.cli import main; sys.exit(main(sys.argv[2:]))")
+        out = subprocess.run([sys.executable, "-c", code, str(Path(cli.__file__).parent.parent),
+                              "scan", "--config", config, "--out", str(rerun)],
+                             capture_output=True, text=True, timeout=60,
+                             preexec_fn=cap_file_size)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("error: ") and repr(str(rerun / "scan.csv")) in out.stderr
+        assert (rerun / "scan.csv").read_bytes() == new[:limit]
+
+    @pytest.mark.parametrize("junk", [b"x" * 100_000 + b"\n", b"x"], ids=["longer", "shorter"])
+    def test_rerun_overwrites_each_output_in_place(self, tmp_path, junk):
+        # A rerun into an --out that holds outputs writes what a scan into a
+        # fresh directory writes, into the same files: same inode, same
+        # permissions.
+        config = _write_config(tmp_path)
+        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+        rerun.mkdir()
+        names = ("scan.csv", "scan.svg", "mc_report.csv")
+        for mode, name in zip((0o600, 0o640, 0o604), names):
+            (rerun / name).write_bytes(junk)
+            (rerun / name).chmod(mode)
+        before = {name: (rerun / name).stat() for name in names}
+        for out in (fresh, rerun):
+            assert main(["scan", "--config", config, "--out", str(out),
+                         "--mc-validate"]) == 0
+        for name in names:
+            assert (rerun / name).read_bytes() == (fresh / name).read_bytes(), name
+            after = (rerun / name).stat()
+            assert (after.st_ino, after.st_mode) == (before[name].st_ino,
+                                                    before[name].st_mode), name
+
+    def test_new_outputs_take_the_umask(self, tmp_path):
+        old = os.umask(0o002)
+        try:
+            assert main(["scan", "--config", _write_config(tmp_path), "--out",
+                         str(tmp_path / "out"), "--mc-validate"]) == 0
+        finally:
+            os.umask(old)
+        modes = {path.name: stat.S_IMODE(path.stat().st_mode)
+                 for path in (tmp_path / "out").iterdir()}
+        assert modes == dict.fromkeys(("scan.csv", "scan.svg", "mc_report.csv"), 0o664)
 
     def test_repeated_calls_carry_no_state(self, tmp_path):
         # main reuses one parser per process.  After a call with every

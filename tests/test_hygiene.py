@@ -1,7 +1,7 @@
 """Checks on the package source: no dead imports, no top-level names that
 are unused or used only by tests, no stale exports, no exception class that
-is neither exported nor caught, a numpy-only runtime, and README examples
-that run."""
+is neither exported nor caught, a numpy-only runtime, one writer of output
+files, and README examples that run."""
 import ast
 import json
 import re
@@ -257,3 +257,37 @@ def test_readme_json_blocks_load(tmp_path):
         path.write_text(text)
         load_config(str(path), build_parser().parse_args(
             ["scan", "--config", str(path), "--out", str(tmp_path / "out")]))
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` is ``os.open``, ``write_text``, ``write_bytes``, or an
+    ``open(path, mode)``/``path.open(mode)`` whose mode is not a read-only
+    literal."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    if getattr(getattr(func, "value", None), "id", None) == "os":
+        return True
+    modes = call.args[isinstance(func, ast.Name):][:1]
+    modes += [k.value for k in call.keywords if k.arg == "mode"]
+    return not all(isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")
+                   for mode in modes)
+
+
+def test_outputs_have_one_writer():
+    # A truncating open of an existing output waits for the writeback of its
+    # previous content; cli._overwrite rewrites it in place instead, and
+    # every output must go through it.
+    writers, truncating = set(), []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _writes_a_file(node):
+                    writers.add((path.name, getattr(top, "name", None)))
+                if "O_TRUNC" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                    truncating.append(f"{path.name}:{node.lineno}")
+    assert writers == {("cli.py", "_overwrite")}
+    assert truncating == []

@@ -25,7 +25,10 @@ call and the files and exits with status 1.
 The warm-up call also absorbs per-process set-up, such as the command-line
 parser that ``cli.main`` builds on its first call, so the timed calls show
 none of it; startup costs need fresh interpreters (``python -X importtime``,
-perfbench ``setup_s``).
+perfbench ``setup_s``).  The output directory is emptied before every call,
+so each timed call writes new files only: the cost of rewriting existing
+outputs, which a rerun into the same directory pays, shows only in
+perfbench's ``scan_s``, whose timed scans rewrite one directory.
 
 Separate-process medians on a shared 2-core host swung by about 10 % between
 identical runs, while the interleaved ratio was stable to about 1 %.  The
