@@ -1,14 +1,16 @@
 """Distance/block-size scans with CSV and SVG emission.
 
 Configuration is a single JSON document; command-line flags override the
-corresponding config keys.  Rows are sorted before emission.
+corresponding config keys.  Rows are sorted by distance, block size and mode.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import operator
 import os
 import stat
 import sys
@@ -17,17 +19,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import (MODES, ChannelParams, ProtocolParams, arm_transmittance,
-                      heralding_arrays, tally_arrays)
+                      heralding_arrays, raw_error_rate, tally_arrays)
 from .mc_oracle import require_seed, require_windows, simulate_points
-from .optimizer import SearchSpace, optimize_points
+from .optimizer import SearchSpace, search_points
 from .pipeline import ASYMPTOTIC, SecurityConfig, SourceCalibration, require_block
 
-# The scan.csv columns a row's KeyRateReport gives, read by name.
-_REPORT_COLUMNS = ("mu_virtual_A", "mu_virtual_B", "n_O", "n_B", "n_Z", "E_Z",
-                   "e_ph", "R_col", "R_coh")
+_COLUMNS = ("distance_km", "N", "mode", "px", "mu_x", "mu_virtual_A", "mu_virtual_B",
+            "n_O", "n_B", "n_Z", "E_Z", "e_ph", "R_col", "R_coh", "feasible_flag")
 
-CSV_HEADER = ",".join(("distance_km", "N", "mode", "px", "mu_x", *_REPORT_COLUMNS,
-                       "feasible_flag"))
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 # Most distances a scan axis may hold.
@@ -205,7 +205,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
     space = _section(raw, "search", SearchSpace(), _SEARCH_KEYS)
 
     scan = _object(raw, "scan", _SCAN_KEYS)
-    if overrides.distance:
+    if overrides.distance is not None:
         try:
             axis = [float(v) for v in overrides.distance.split(":")]
         except ValueError:
@@ -214,8 +214,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
     else:
         distances = _distances("scan.distance", scan.get("distance"))
 
-    if overrides.blocks:
-        blocks_name, blocks = "--blocks", overrides.blocks.split(",")
+    if overrides.blocks is not None:
+        blocks_name, blocks = "--blocks", overrides.blocks.split(",") if overrides.blocks else []
     else:
         blocks_name, blocks = "scan.blocks", scan.get("blocks")
         if not isinstance(blocks, list):
@@ -253,48 +253,37 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
     )
 
 
-def _block_value(label: str):
-    return ASYMPTOTIC if label == ASYMPTOTIC else float(label)
-
-
 def run_scan(cfg: ScanConfig) -> list[dict]:
-    """Optimize and evaluate every (distance, block size, mode) point."""
-    channels = [replace(cfg.channel, distance_km=d) for d in cfg.distances]
-    blocks = [(label, _block_value(label)) for label in cfg.blocks]
-    keys = [(channel, label, block, mode) for channel in channels
-            for label, block in blocks for mode in cfg.modes]
-    results = optimize_points([(channel, block, mode) for channel, _, block, mode in keys],
-                              cfg.calib, cfg.security, cfg.space)
+    """Optimize and evaluate every (distance, block size, mode) point; the
+    rows ascend in distance, block size (asymptotic last) and MODES order."""
+    blocks = sorted((math.inf if b == ASYMPTOTIC else float(b), b) for b in cfg.blocks)
+    modes = sorted(cfg.modes, key=MODES.index)
+    keys = []
+    for _, same in itertools.groupby(sorted(cfg.distances)):  # equal ones stay together
+        channels = [replace(cfg.channel, distance_km=d) for d in same]
+        keys += [(channel, block, mode) for block in blocks for mode in modes
+                 for channel in channels]
+    found, values = search_points(
+        [(channel, ASYMPTOTIC if size == math.inf else size, mode)
+         for channel, (size, _), mode in keys], cfg.calib, cfg.security, cfg.space)
     rows = []
-    for (channel, block_label, _, mode), result in zip(keys, results):
-        row = {"distance_km": channel.distance_km, "N": block_label, "mode": mode}
-        if result is None:
-            row.update(dict.fromkeys(("px", "mu_x", *_REPORT_COLUMNS), 0.0),
-                       feasible_flag=0)
-        else:
-            protocol, report = result
-            row.update({name: getattr(report, name) for name in _REPORT_COLUMNS},
-                       px=protocol.px, mu_x=protocol.mu_xA, feasible_flag=1)
-        rows.append(row)
-    size = {label: math.inf if block == ASYMPTOTIC else block
-            for label, block in blocks}
-    rows.sort(key=lambda r: (r["distance_km"], size[r["N"]], MODES.index(r["mode"])))
+    for (channel, (_, label), mode), ok, px, mu, mu_A, mu_B, n_O, n_B, n_Z, e_ph, _, \
+            r_col, r_coh in zip(keys, found.tolist(), *values.tolist()):
+        # E_Z, R_col and R_coh as KeyRateReport forms them from floats.
+        numbers = ((px, mu, mu_A, mu_B, n_O, n_B, n_Z, raw_error_rate(n_O, n_B, n_Z),
+                    e_ph, max(r_col, 0.0), max(r_coh, 0.0), 1) if ok
+                   else (0.0,) * 11 + (0,))
+        rows.append(dict(zip(_COLUMNS, (channel.distance_km, label, mode, *numbers))))
     return rows
 
 
-def _format_value(key: str, value) -> str:
-    if key in ("N", "mode"):
-        return str(value)
-    if key == "feasible_flag":
-        return str(int(value))
-    return repr(float(value))
-
-
 def rows_to_csv(rows: list[dict]) -> str:
-    keys = CSV_HEADER.split(",")
+    values = operator.itemgetter(*_COLUMNS)
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join(_format_value(k, row[k]) for k in keys))
+        distance, block, mode, *numbers, flag = values(row)
+        lines.append(",".join((repr(float(distance)), str(block), str(mode),
+                               *map(repr, map(float, numbers)), str(int(flag)))))
     return "\n".join(lines) + "\n"
 
 

@@ -53,7 +53,9 @@ def binary_entropy(x) -> np.ndarray:
         t *= y
         h += t
     np.negative(h, out=h)
-    np.copyto(h, 0.0, where=(x == 0.0) | (y == 0.0))
+    # The 0/1 fix, unless every x lies in (0, 1); a NaN fails that test.
+    if not (x.min(initial=1.0) > 0.0 and y.min(initial=1.0) > 0.0):
+        np.copyto(h, 0.0, where=(x == 0.0) | (y == 0.0))
     return h
 
 
@@ -77,7 +79,9 @@ def ec_leakage_array(n_O, n_B, n_Z, f: float) -> np.ndarray:
     """
     wrong = n_O + n_B
     total = wrong + n_Z
-    rate = error_share(wrong, total)
+    # error_share's empty-tally guard, only where a total may be 0 (or NaN).
+    rate = (wrong / total if np.minimum.reduce(total, axis=None, initial=1.0) > 0.0
+            else error_share(wrong, total))
     del wrong  # its memory serves binary_entropy's arrays on a large pass
     h = binary_entropy(rate)
     del rate

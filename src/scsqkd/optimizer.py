@@ -15,8 +15,9 @@ broadcast (point, px, mu) array pass per group of the points still
 searched, whatever their modes, as long as the group fits ``_CHUNK``
 candidates.  The incumbents are one table over the points: each pass picks
 its winners with a masked argmax, gathers each report field at the winners'
-(px, mu) indices and writes the winners' columns at once, and the results
-are built once per point at the end.  :func:`optimize` is its one-point call.
+(px, mu) indices and writes the winners' columns at once.  The scan reads
+that table (:func:`search_points`); :func:`optimize_points` builds results
+from it, and :func:`optimize` is its one-point call.
 """
 from __future__ import annotations
 
@@ -33,9 +34,9 @@ from .pipeline import (ASYMPTOTIC, SecurityConfig, SourceCalibration,
 # Most candidates in one evaluate_points pass: a group of points is split
 # into passes of whole points, and a larger point is a pass of its own.  The
 # cost per candidate is nearly flat from ~8 k candidates on, but each pass
-# and its incumbent update cost ~0.3-0.5 ms before their first candidate
-# (one candidate per point: 0.28 ms for 6 asymptotic points in both modes,
-# 0.48 ms for 12 finite points; median of 1000 calls, Python 3.11, numpy 2.4,
+# and its incumbent update cost ~0.1-0.2 ms before their first candidate
+# (one candidate per point: 0.11 ms for 26 asymptotic points in both modes,
+# 0.16 ms for 12 finite points; median of 3000 calls, Python 3.11, numpy 2.4,
 # 2 shared cores), so a group of both modes (13 distances x 2 modes x 400
 # candidates) should stay one pass.  A finite pass peaks at ~0.3 kB per
 # candidate (README scan: 32.7 MB peak RSS at 2**14 against 30.4 MB with
@@ -144,9 +145,11 @@ class _Incumbents:
     score.
     """
 
+    ROWS = len(fields(KeyRateReport)) + 1  # px, mu and the fields but feasible
+
     def __init__(self, size: int) -> None:
         self.found = np.zeros(size, dtype=bool)
-        self.values = np.zeros((len(fields(KeyRateReport)) + 1, size))
+        self.values = np.zeros((self.ROWS, size))
 
     def update(self, points: np.ndarray, px: np.ndarray, mu: np.ndarray,
                batch: KeyRateReport) -> None:
@@ -160,14 +163,14 @@ class _Incumbents:
         n, n_px, n_mu = len(points), px.shape[1], mu.shape[1]
         rates = np.where(feasible, batch.R_coh_signed, -np.inf).reshape(n, -1)
         top = rates.argmax(axis=1)
-        score = rates.max(axis=1)  # for comparisons only: it may differ in the sign of 0
+        rows = np.arange(n)
+        score = rates[rows, top]  # the row max, as the winner's own rate
         # Where every feasible rate is -inf, the first feasible candidate.
         lost = score == -np.inf
         if np.count_nonzero(lost):
             top[lost] = np.broadcast_to(feasible, (n, n_px, n_mu))[lost].reshape(
                 np.count_nonzero(lost), -1).argmax(axis=1)
         a, b = np.divmod(top, n_mu)
-        rows = np.arange(n)
 
         def pick(field):  # each row's winner in a field of a broadcasting shape
             return field[rows, a if field.shape[1] > 1 else 0, b if field.shape[2] > 1 else 0]
@@ -219,18 +222,11 @@ def _sweep(eta: np.ndarray, groups: list[tuple], live: np.ndarray,
             best.update(chunk, px, mu, batch)
 
 
-def optimize_points(points: list[tuple[ChannelParams, float | str, str]],
-                    calib: SourceCalibration, security: SecurityConfig,
-                    space: SearchSpace = SearchSpace()
-                    ) -> list[tuple[ProtocolParams, KeyRateReport] | None]:
-    """Best feasible (px, mu) of each (channel, block size, mode) point.
-
-    Each point's search is the one :func:`optimize` describes, and its
-    result does not depend on the other points.  A point with no feasible
-    candidate in the coarse grid gives None.  Refinement ends before
-    ``space.refine_rounds`` once every point's axes have collapsed to its
-    incumbent, which later rounds could not replace.
-    """
+def search_points(points: list[tuple[ChannelParams, float | str, str]],
+                  calib: SourceCalibration, security: SecurityConfig,
+                  space: SearchSpace = SearchSpace()) -> tuple[np.ndarray, np.ndarray]:
+    """The search of :func:`optimize_points`, as its incumbent table: the
+    ``found`` mask and the ``values`` columns that :class:`_Incumbents` holds."""
     for _, block, _ in points:
         require_block(block)
     eta, groups = _point_table(points)
@@ -258,19 +254,27 @@ def optimize_points(points: list[tuple[ChannelParams, float | str, str]],
                 break
         _sweep(eta, groups, live, _axes(lo, hi, n_px, np.linspace),
                _axes(m_lo, m_hi, n_mu, np.geomspace), calib, security, best)
+    return best.found, best.values
 
-    results = []
-    for found, px, mu, report, (_, block, mode) in zip(
-            best.found.tolist(), *best.values[:2].tolist(), best.values[2:].T.tolist(),
-            points):
-        if not found:
-            results.append(None)
-            continue
-        protocol = ProtocolParams(p0=1.0 - px, px=px, mu_xA=mu, mu_xB=mu,
-                                  N=1 if block == ASYMPTOTIC else float(block),
-                                  mode=mode)
-        results.append((protocol, KeyRateReport(True, *report)))
-    return results
+
+def optimize_points(points: list[tuple[ChannelParams, float | str, str]],
+                    calib: SourceCalibration, security: SecurityConfig,
+                    space: SearchSpace = SearchSpace()
+                    ) -> list[tuple[ProtocolParams, KeyRateReport] | None]:
+    """Best feasible (px, mu) of each (channel, block size, mode) point.
+
+    Each point's search is the one :func:`optimize` describes, and its
+    result does not depend on the other points.  A point with no feasible
+    candidate in the coarse grid gives None.  Refinement ends before
+    ``space.refine_rounds`` once every point's axes have collapsed to its
+    incumbent, which later rounds could not replace.
+    """
+    found, values = search_points(points, calib, security, space)
+    return [(ProtocolParams(p0=1.0 - px, px=px, mu_xA=mu, mu_xB=mu, mode=mode,
+                            N=1 if block == ASYMPTOTIC else float(block)),
+             KeyRateReport(True, *report)) if ok else None
+            for ok, px, mu, *report, (_, block, mode) in zip(
+                found.tolist(), *values.tolist(), points)]
 
 
 def optimize(channel: ChannelParams, calib: SourceCalibration,

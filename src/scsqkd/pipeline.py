@@ -149,6 +149,9 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
     n_O, n_B, n_Z = tally_arrays(p0, px, n, *probs)
     leak = ec_leakage_array(n_O, n_B, n_Z, security.f)
     has_z = n_Z > 0.0
+    # Where n_Z = 0, also where it underflows and p_Z does not, e_ph is 0.5 and
+    # the rate -inf; the masks run only on a pass that holds such an element.
+    empty = np.count_nonzero(has_z) < has_z.size
     coeffs = decomposition_arrays(mu_vA, mu_vB)
     if asymptotic:
         # N p0 px cancels from the asymptotic e_ph (see phase_error): the
@@ -158,14 +161,14 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
         e_ph = phase_error_arrays(p_O, p_B, np.where(has_p, p_Z, 1.0), 1.0, 1.0,
                                   1.0, *coeffs, log_xi=None)[-1]
         e_ph = np.where(has_p, e_ph, 0.5)
-        if np.count_nonzero(has_z) < has_z.size:  # n_Z underflows where p_Z does not
-            e_ph = np.where(has_z, e_ph, 0.5)
     else:
-        e_ph = phase_error_arrays(n_O, n_B, np.where(has_z, n_Z, 1.0), n, p0, px,
-                                  *coeffs, log_xi=log_share)[-1]
+        e_ph = phase_error_arrays(n_O, n_B, np.where(has_z, n_Z, 1.0) if empty else n_Z,
+                                  n, p0, px, *coeffs, log_xi=log_share)[-1]
+    if empty:
         e_ph = np.where(has_z, e_ph, 0.5)
-    r_col = np.where(has_z, collective_rate_array(n_Z, e_ph, leak, log_share,
-                                                  security.d, n), -np.inf)
+    r_col = collective_rate_array(n_Z, e_ph, leak, log_share, security.d, n)
+    if empty:
+        r_col = np.where(has_z, r_col, -np.inf)
     r_coh = r_col if asymptotic else r_col - np.array(
         [coherent_attack_penalty(size, security.d) for size in sizes])[block]
     # Each field keeps the shape of the inputs it depends on.

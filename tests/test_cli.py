@@ -341,6 +341,50 @@ class TestBatchedScan:
         assert sum(calls) == 3 * 12 * 25  # 3 rounds of 12 points of 25
 
 
+@pytest.mark.parametrize("mu_range, feasible", [([1e-3, 0.1], 1), ([0.9, 1.0], 0)])
+def test_scan_builds_no_per_point_result_objects(tmp_path, monkeypatch, mu_range,
+                                                 feasible):
+    # The rows come from the search's table, and match byte for byte what
+    # the (ProtocolParams, KeyRateReport) results of optimize_points give,
+    # in row order, with repeated distances kept together.
+    path = _write_config(tmp_path, {
+        "search": {"px_range": [0.05, 0.5], "mu_range": mu_range,
+                   "grid": [3, 3], "refine_rounds": 1, "shrink": 4.0},
+        "scan": {"distance": [0, 100, 50], "blocks": ["asymptotic", "1e12", "1e10"],
+                 "modes": ["baseline", "improved"]}})
+    cfg = load_config(path, _no_overrides())
+    cfg = replace(cfg, distances=(50.0, 0.0, 0.0, 100.0))
+
+    def built(*args, **kwargs):
+        raise AssertionError("a per-point result object was built")
+
+    monkeypatch.setattr(optimizer, "ProtocolParams", built)
+    monkeypatch.setattr(optimizer, "KeyRateReport", built)
+    rows = run_scan(cfg)
+    monkeypatch.undo()
+    labels = {"asymptotic": ASYMPTOTIC, "1000000000000": 1e12, "10000000000": 1e10}
+    results = optimizer.optimize_points(
+        [(replace(cfg.channel, distance_km=row["distance_km"]), labels[row["N"]],
+          row["mode"]) for row in rows], cfg.calib, cfg.security, cfg.space)
+    expected = []
+    for row, result in zip(rows, results):
+        reference = dict.fromkeys(row, 0.0)
+        reference.update(distance_km=row["distance_km"], N=row["N"], mode=row["mode"],
+                         feasible_flag=0)
+        if result is not None:
+            protocol, report = result
+            reference.update({name: getattr(report, name) for name in row
+                              if hasattr(report, name)},
+                             px=protocol.px, mu_x=protocol.mu_xA, feasible_flag=1)
+        expected.append(reference)
+    assert [(r["distance_km"], r["N"], r["mode"]) for r in rows] == [
+        (d, n, m) for d in (0.0, 50.0, 100.0)
+        for n in ("10000000000", "1000000000000", "asymptotic")
+        for m in ("improved", "baseline") for _ in range(2 if d == 0.0 else 1)]
+    assert rows_to_csv(rows) == rows_to_csv(expected)
+    assert {row["feasible_flag"] for row in rows} == {feasible}
+
+
 class TestPlot:
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -684,6 +728,19 @@ def test_repeated_blocks_flag_entry_is_a_config_error(tmp_path, capsys):
     assert main(["scan", "--config", _write_config(tmp_path), "--out", str(out),
                  "--blocks", "1e12,asymptotic,1000000000000"]) == 2
     assert capsys.readouterr().err == "error: --blocks lists '1000000000000' twice\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--blocks", "--blocks must not be empty"),
+    ("--distance", "--distance must look like start:stop:step")])
+def test_empty_override_flag_is_a_config_error(tmp_path, capsys, flag, message):
+    # An empty flag used to be taken as no flag, so the config's axis was
+    # scanned and the call exited 0.
+    out = tmp_path / "out"
+    assert main(["scan", "--config", _write_config(tmp_path), "--out", str(out),
+                 flag, ""]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -24,6 +24,11 @@ def _collective(tally: WindowTally, e_ph: float, sec, N: float) -> float:
                                        _leak(tally), sec.log_eps_share, 8, N)[0])
 
 
+def _bits(values) -> list[int]:
+    """The float64 bit patterns of ``values``: NaN equals NaN, 0.0 not -0.0."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
 def _report(distance_km: float, eta_d: float, p_d: float, block_size):
     channel = ChannelParams(distance_km, 0.2, eta_d, p_d, 0.04)
     proto = ProtocolParams(p0=0.8, px=0.2, mu_xA=0.01, mu_xB=0.01, N=1)
@@ -45,6 +50,15 @@ class TestBinaryEntropy:
         for x in (0.03, 0.2, 0.41):
             assert binary_entropy(x) == pytest.approx(binary_entropy(1.0 - x),
                                                       rel=1e-14)
+
+    # Ordinary elements mixed with 0, 1 and NaN: the 0/1 fix must run
+    # wherever an element needs it, also beside a NaN.
+    @pytest.mark.parametrize("x", [[0.3, 0.0, 0.7], [0.3, 1.0], [np.nan, 0.0, 0.2],
+                                   [0.6, np.nan, 1.0], [0.4, np.nan], [0.4, 0.9]])
+    def test_mixed_array_matches_one_element_calls(self, x):
+        h = binary_entropy(np.array(x))
+        assert _bits(h) == [_bits(binary_entropy(np.array([v])))[0] for v in x]
+        assert _bits(h[np.isin(x, (0.0, 1.0))]) == _bits([0.0] * np.isin(x, (0.0, 1.0)).sum())
 
     def test_monotone_on_lower_half(self):
         values = [binary_entropy(x) for x in (0.01, 0.1, 0.25, 0.4, 0.5)]
@@ -111,6 +125,21 @@ class TestEcLeakage:
 
     def test_zero_for_error_free_key(self):
         assert _leak(WindowTally(0.0, 0.0, 1e6)) == 0.0
+
+    # Ordinary tallies mixed with an empty one, n_Z = 0 and NaN: the
+    # empty-tally guard must run wherever a total is 0, also beside a NaN.
+    @pytest.mark.parametrize("tallies", [
+        [(1.0, 9.0, 90.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1e6)],
+        [(np.nan, 1.0, 5.0), (0.0, 0.0, 0.0), (2.0, 3.0, 0.0)],
+        [(0.0, 0.0, 0.0), (1.0, 2.0, np.nan)],
+        [(1.0, 2.0, 0.0), (5.0, 0.0, 7.0)]])
+    def test_mixed_array_matches_one_element_calls(self, tallies):
+        n_O, n_B, n_Z = np.array(tallies).T
+        leak = ec_leakage_array(n_O, n_B, n_Z, 1.1)
+        assert _bits(leak) == [_bits(ec_leakage_array(*np.array([t]).T, 1.1))[0]
+                               for t in tallies]
+        empty = n_O + n_B + n_Z == 0.0
+        assert _bits(leak[empty]) == _bits([0.0] * empty.sum())
 
 
 class TestKeyRates:

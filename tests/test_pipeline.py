@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scsqkd import pipeline
-from scsqkd.channel import ChannelParams, ProtocolParams, arm_transmittance
+from scsqkd.channel import MODES, ChannelParams, ProtocolParams, arm_transmittance
 from scsqkd.optimizer import optimize
 from scsqkd.pipeline import (InfeasibleError, SecurityConfig, SourceCalibration,
                              evaluate_point, evaluate_points, require_block)
@@ -96,6 +96,34 @@ def test_mixed_batch_equals_evaluate_point(first):
                                   sizes[i % 3]) == batch.row(i)
         assert batch.feasible.sum() > 300
         assert set(mode_index[batch.feasible].tolist()) == {0, 1}
+
+
+@pytest.mark.parametrize("block", [1e10, "asymptotic"])
+def test_mixed_edge_batch_equals_one_candidate_calls(block):
+    # Ordinary candidates in both modes mixed with n_Z = 0 (no transmission
+    # and no dark counts), a NaN transmittance and, asymptotic only, an n_Z
+    # that underflows where p_Z does not: the n_Z masks must run wherever an
+    # element needs them, also beside a NaN.
+    eta = [0.3, 0.0, np.nan, 0.1, 0.02] + [1e-150] * (block == "asymptotic")
+    px = np.array([0.2, 0.2, 0.2, 0.1, 0.3, 1e-200][:len(eta)])
+    mu = np.array([0.01, 0.01, 0.1, 0.001, 0.2, 0.01][:len(eta)])
+    mode = np.array([0, 1, 0, 0, 1, 0][:len(eta)])
+    channel = replace(CHANNEL_50, p_d=0.0)
+
+    def fields(s):  # each field of the pass over the candidates s, as bytes
+        batch = evaluate_points(channel, CALIB, 1.0 - px[s], px[s], mu[s], mu[s],
+                                np.array(eta)[s], SecurityConfig(), block, MODES, 0,
+                                mode[s])
+        return batch, [[v.tobytes() for v in f] for f in
+                       np.broadcast_arrays(*vars(batch).values())]
+
+    batch, together = fields(slice(None))
+    alone = [fields(slice(i, i + 1))[1] for i in range(len(eta))]
+    assert together == [[one[k][0] for one in alone] for k in range(len(together))]
+    empty = batch.n_Z == 0.0
+    assert empty.sum() == 1 + (block == "asymptotic")
+    assert (batch.e_ph[empty] == 0.5).all() and (batch.R_coh_signed[empty] == -np.inf).all()
+    assert np.isnan(batch.n_Z[2]) and batch.R_coh_signed[2] == -np.inf
 
 
 def test_underflowed_n_z_keeps_half_phase_error():
