@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import operator
@@ -19,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import (MODES, ChannelParams, ProtocolParams, arm_transmittance,
-                      heralding_arrays, raw_error_rate, tally_arrays)
+                      heralding_arrays, tally_arrays)
 from .mc_oracle import require_seed, require_windows, simulate_points
 from .optimizer import SearchSpace, search_points
 from .pipeline import ASYMPTOTIC, SecurityConfig, SourceCalibration, require_block
@@ -164,8 +163,9 @@ def _distinct(name: str, entries: list[str]) -> tuple[str, ...]:
 
 
 def _distances(name: str, axis) -> tuple[float, ...]:
-    """The distances start, start + step, ... up to stop, at most MAX_DISTANCES
-    of them, counted before any is built."""
+    """The distances start, start + step, ... up to stop, rounded to 1e-9 km:
+    ascending, distinct and at most MAX_DISTANCES of them, counted before
+    any is built."""
     if not (isinstance(axis, list) and len(axis) == 3):
         raise ConfigError(f"{name} must be [start, stop, step], got {axis!r}")
     start, stop, step = (_number(name, v) for v in axis)
@@ -179,10 +179,12 @@ def _distances(name: str, axis) -> tuple[float, ...]:
     out = []
     d = start
     while d <= stop + step * 1e-9:
-        out.append(round(d, 9))
-        if d + step == d:
-            raise ConfigError(f"{name} step {step!r} does not advance the "
-                              f"distance past {d!r}")
+        value = round(d, 9)
+        # A step too small to advance d, or to move it past the rounding.
+        if out and value == out[-1]:
+            raise ConfigError(f"{name} step {step!r} repeats the distance {value!r} "
+                              f"(distances are rounded to 1e-9 km)")
+        out.append(value)
         d += step
     return tuple(out)
 
@@ -255,26 +257,22 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
 
 def run_scan(cfg: ScanConfig) -> list[dict]:
     """Optimize and evaluate every (distance, block size, mode) point; the
-    rows ascend in distance, block size (asymptotic last) and MODES order."""
+    rows follow ``cfg.distances``, then ascend in block size (asymptotic
+    last) and follow MODES order."""
     blocks = sorted((math.inf if b == ASYMPTOTIC else float(b), b) for b in cfg.blocks)
     modes = sorted(cfg.modes, key=MODES.index)
-    keys = []
-    for _, same in itertools.groupby(sorted(cfg.distances)):  # equal ones stay together
-        channels = [replace(cfg.channel, distance_km=d) for d in same]
-        keys += [(channel, block, mode) for block in blocks for mode in modes
-                 for channel in channels]
-    found, values = search_points(
+    channels = [replace(cfg.channel, distance_km=d) for d in cfg.distances]
+    keys = [(channel, block, mode) for channel in channels for block in blocks
+            for mode in modes]
+    px, mu, report = search_points(
         [(channel, ASYMPTOTIC if size == math.inf else size, mode)
          for channel, (size, _), mode in keys], cfg.calib, cfg.security, cfg.space)
-    rows = []
-    for (channel, (_, label), mode), ok, px, mu, mu_A, mu_B, n_O, n_B, n_Z, e_ph, _, \
-            r_col, r_coh in zip(keys, found.tolist(), *values.tolist()):
-        # E_Z, R_col and R_coh as KeyRateReport forms them from floats.
-        numbers = ((px, mu, mu_A, mu_B, n_O, n_B, n_Z, raw_error_rate(n_O, n_B, n_Z),
-                    e_ph, max(r_col, 0.0), max(r_coh, 0.0), 1) if ok
-                   else (0.0,) * 11 + (0,))
-        rows.append(dict(zip(_COLUMNS, (channel.distance_km, label, mode, *numbers))))
-    return rows
+    # Each column between mu_x and feasible_flag is the report attribute of its name.
+    columns = (px, mu, *(getattr(report, name) for name in _COLUMNS[5:-1]),
+               report.feasible.astype(int))
+    return [dict(zip(_COLUMNS, (channel.distance_km, label, mode, *numbers)))
+            for (channel, (_, label), mode), *numbers
+            in zip(keys, *(column.tolist() for column in columns))]
 
 
 def rows_to_csv(rows: list[dict]) -> str:

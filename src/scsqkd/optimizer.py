@@ -6,7 +6,7 @@ sits orders of magnitude below the upper range limit, where a linear grid
 would be blind.  Candidates that violate the mapping-existence condition
 after worst-case intensity fluctuation are skipped, not penalized.
 
-:func:`optimize_points` searches many (channel, block size, mode) points at
+:func:`search_points` searches many (channel, block size, mode) points at
 once.  A point table, built once per call, holds each point's transmittance
 and groups the points by kind of block size (finite or asymptotic) and by
 dark-count and misalignment probability, with each group's distinct block
@@ -15,9 +15,10 @@ broadcast (point, px, mu) array pass per group of the points still
 searched, whatever their modes, as long as the group fits ``_CHUNK``
 candidates.  The incumbents are one table over the points: each pass picks
 its winners with a masked argmax, gathers each report field at the winners'
-(px, mu) indices and writes the winners' columns at once.  The scan reads
-that table (:func:`search_points`); :func:`optimize_points` builds results
-from it, and :func:`optimize` is its one-point call.
+(px, mu) indices and writes the winners' columns at once.  The search
+returns each point's px and mu and one :class:`KeyRateReport` of arrays over
+the points, built once from that table; :func:`optimize` is its one-point
+call.
 """
 from __future__ import annotations
 
@@ -224,9 +225,18 @@ def _sweep(eta: np.ndarray, groups: list[tuple], live: np.ndarray,
 
 def search_points(points: list[tuple[ChannelParams, float | str, str]],
                   calib: SourceCalibration, security: SecurityConfig,
-                  space: SearchSpace = SearchSpace()) -> tuple[np.ndarray, np.ndarray]:
-    """The search of :func:`optimize_points`, as its incumbent table: the
-    ``found`` mask and the ``values`` columns that :class:`_Incumbents` holds."""
+                  space: SearchSpace = SearchSpace()
+                  ) -> tuple[np.ndarray, np.ndarray, KeyRateReport]:
+    """Best feasible (px, mu) of each (channel, block size, mode) point.
+
+    Returns each point's px and mu and one :class:`KeyRateReport` whose
+    fields are arrays over the points; ``feasible`` marks the points with a
+    feasible candidate in the coarse grid, and the others hold 0 in every
+    array.  Each point's search is the one :func:`optimize` describes, and
+    its result does not depend on the other points.  Refinement ends before
+    ``space.refine_rounds`` once every point's axes have collapsed to its
+    incumbent, which later rounds could not replace.
+    """
     for _, block, _ in points:
         require_block(block)
     eta, groups = _point_table(points)
@@ -254,27 +264,8 @@ def search_points(points: list[tuple[ChannelParams, float | str, str]],
                 break
         _sweep(eta, groups, live, _axes(lo, hi, n_px, np.linspace),
                _axes(m_lo, m_hi, n_mu, np.geomspace), calib, security, best)
-    return best.found, best.values
-
-
-def optimize_points(points: list[tuple[ChannelParams, float | str, str]],
-                    calib: SourceCalibration, security: SecurityConfig,
-                    space: SearchSpace = SearchSpace()
-                    ) -> list[tuple[ProtocolParams, KeyRateReport] | None]:
-    """Best feasible (px, mu) of each (channel, block size, mode) point.
-
-    Each point's search is the one :func:`optimize` describes, and its
-    result does not depend on the other points.  A point with no feasible
-    candidate in the coarse grid gives None.  Refinement ends before
-    ``space.refine_rounds`` once every point's axes have collapsed to its
-    incumbent, which later rounds could not replace.
-    """
-    found, values = search_points(points, calib, security, space)
-    return [(ProtocolParams(p0=1.0 - px, px=px, mu_xA=mu, mu_xB=mu, mode=mode,
-                            N=1 if block == ASYMPTOTIC else float(block)),
-             KeyRateReport(True, *report)) if ok else None
-            for ok, px, mu, *report, (_, block, mode) in zip(
-                found.tolist(), *values.tolist(), points)]
+    px, mu, *report = best.values
+    return px, mu, KeyRateReport(best.found, *report)
 
 
 def optimize(channel: ChannelParams, calib: SourceCalibration,
@@ -289,7 +280,11 @@ def optimize(channel: ChannelParams, calib: SourceCalibration,
     strictly larger rate from a later sweep replaces the incumbent.  Raises
     NoFeasiblePointError when no candidate of the coarse grid is feasible.
     """
-    (result,) = optimize_points([(channel, block_size, mode)], calib, security, space)
-    if result is None:
+    px, mu, report = search_points([(channel, block_size, mode)], calib, security,
+                                   space)
+    if not report.feasible[0]:
         raise NoFeasiblePointError("no feasible (px, mu) candidate in the grid")
-    return result
+    px, mu = float(px[0]), float(mu[0])
+    return (ProtocolParams(p0=1.0 - px, px=px, mu_xA=mu, mu_xB=mu, mode=mode,
+                           N=1 if block_size == ASYMPTOTIC else float(block_size)),
+            report.row(0))

@@ -41,6 +41,12 @@ from .phase_error import decomposition_arrays, phase_error_arrays
 
 ASYMPTOTIC = "asymptotic"
 
+# Largest post-selection dimension d (8 in the source paper).  The budget's
+# (d^2 - 1) ln(N + 1) nats leave the float range from d ~ 5e152, and NaN rates
+# come before that (d = 1e152 at N = 1e10); up to this bound a scan's terms
+# stay finite at block sizes up to 1e200 (0-300 km, both modes).
+MAX_D = 10 ** 50
+
 
 def require_block(block_size) -> None:
     """Raise ValueError unless ``block_size`` is ASYMPTOTIC or a finite real
@@ -90,7 +96,7 @@ class SecurityConfig:
 
     eps_coh_target lies in (0, 1); the error-correction efficiency f is at
     least 1 (leakage below the Shannon limit would inflate every rate); the
-    post-selection dimension d is an integer of at least 2.
+    post-selection dimension d is an integer in [2, MAX_D].
     """
 
     eps_coh_target: float = 1e-10
@@ -100,8 +106,8 @@ class SecurityConfig:
     def __post_init__(self) -> None:
         _check(self, (("eps_coh_target", 0.0 < self.eps_coh_target < 1.0, "lie in (0, 1)"),
                       ("f", self.f >= 1.0, "be >= 1"),
-                      ("d", isinstance(self.d, Integral) and self.d >= 2,
-                       "be an integer >= 2")))
+                      ("d", isinstance(self.d, Integral) and 2 <= self.d <= MAX_D,
+                       f"be an integer in [2, {MAX_D:.0e}]")))
 
 
 def evaluate_points(channel: ChannelParams, calib: SourceCalibration,

@@ -26,6 +26,7 @@ from scsqkd import chernoff, cli, keyrate, optimizer, phase_error, pipeline
 from scsqkd.channel import MODES, ProtocolParams, arm_transmittance, expected_tallies
 from scsqkd.cli import (CSV_HEADER, ConfigError, build_parser, emit_plot,
                         load_config, main, rows_to_csv, run_scan)
+from scsqkd.keyrate import KeyRateReport
 from scsqkd.pipeline import ASYMPTOTIC, evaluate_points
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -344,43 +345,50 @@ class TestBatchedScan:
 @pytest.mark.parametrize("mu_range, feasible", [([1e-3, 0.1], 1), ([0.9, 1.0], 0)])
 def test_scan_builds_no_per_point_result_objects(tmp_path, monkeypatch, mu_range,
                                                  feasible):
-    # The rows come from the search's table, and match byte for byte what
-    # the (ProtocolParams, KeyRateReport) results of optimize_points give,
-    # in row order, with repeated distances kept together.
+    # The rows come from one report over all the scan's points, and match
+    # byte for byte what optimize gives for each point alone, in row order;
+    # a point with no feasible candidate gives a row of zeros.
     path = _write_config(tmp_path, {
         "search": {"px_range": [0.05, 0.5], "mu_range": mu_range,
                    "grid": [3, 3], "refine_rounds": 1, "shrink": 4.0},
         "scan": {"distance": [0, 100, 50], "blocks": ["asymptotic", "1e12", "1e10"],
                  "modes": ["baseline", "improved"]}})
     cfg = load_config(path, _no_overrides())
-    cfg = replace(cfg, distances=(50.0, 0.0, 0.0, 100.0))
+    reports = []
 
     def built(*args, **kwargs):
         raise AssertionError("a per-point result object was built")
 
+    def report(*args, **kwargs):
+        reports.append(KeyRateReport(*args, **kwargs))
+        return reports[-1]
+
     monkeypatch.setattr(optimizer, "ProtocolParams", built)
-    monkeypatch.setattr(optimizer, "KeyRateReport", built)
+    monkeypatch.setattr(optimizer, "KeyRateReport", report)
     rows = run_scan(cfg)
     monkeypatch.undo()
+    assert len(reports) == 1
     labels = {"asymptotic": ASYMPTOTIC, "1000000000000": 1e12, "10000000000": 1e10}
-    results = optimizer.optimize_points(
-        [(replace(cfg.channel, distance_km=row["distance_km"]), labels[row["N"]],
-          row["mode"]) for row in rows], cfg.calib, cfg.security, cfg.space)
     expected = []
-    for row, result in zip(rows, results):
+    for row in rows:
         reference = dict.fromkeys(row, 0.0)
         reference.update(distance_km=row["distance_km"], N=row["N"], mode=row["mode"],
                          feasible_flag=0)
-        if result is not None:
-            protocol, report = result
-            reference.update({name: getattr(report, name) for name in row
-                              if hasattr(report, name)},
+        try:
+            protocol, result = optimizer.optimize(
+                replace(cfg.channel, distance_km=row["distance_km"]), cfg.calib,
+                labels[row["N"]], cfg.security, cfg.space, row["mode"])
+        except optimizer.NoFeasiblePointError:
+            pass
+        else:
+            reference.update({name: getattr(result, name) for name in row
+                              if hasattr(result, name)},
                              px=protocol.px, mu_x=protocol.mu_xA, feasible_flag=1)
         expected.append(reference)
     assert [(r["distance_km"], r["N"], r["mode"]) for r in rows] == [
         (d, n, m) for d in (0.0, 50.0, 100.0)
         for n in ("10000000000", "1000000000000", "asymptotic")
-        for m in ("improved", "baseline") for _ in range(2 if d == 0.0 else 1)]
+        for m in ("improved", "baseline")]
     assert rows_to_csv(rows) == rows_to_csv(expected)
     assert {row["feasible_flag"] for row in rows} == {feasible}
 
@@ -707,6 +715,11 @@ class TestMain:
     # A stop below the start used to give an empty axis and a header-only
     # scan.csv.
     pytest.param("scan", "distance", [50, 0, 10], id="scan-distance-stop-below-start"),
+    # Rounded to 1e-9 km, the axis held (0.0,)*5 + (1e-09,)*6, and each of
+    # those points was scanned and written 5-6 times.
+    pytest.param("scan", "distance", [0, 1e-9, 1e-10], id="scan-distance-repeats"),
+    # Overflowed converting d * d - 1 to float in the first finite pass.
+    pytest.param("security", "d", 10**160, id="security-d-10**160"),
 ])
 def test_invalid_value_is_a_config_error(tmp_path, capsys, section, key, value):
     cfg = copy.deepcopy(BASE_CONFIG)
@@ -768,11 +781,13 @@ def test_size_bounds_are_inclusive(tmp_path):
 
 
 def test_oversized_distance_flag_is_a_config_error(tmp_path, capsys):
+    # Also an axis whose rounding repeats a distance.
     out = tmp_path / "out"
-    assert main(["scan", "--config", _write_config(tmp_path), "--out", str(out),
-                 "--distance", "0:1e300:10"]) == 2
-    assert capsys.readouterr().err.startswith("error: --distance ")
-    assert not out.exists()
+    for axis in ("0:1e300:10", "0:1e-9:1e-10"):
+        assert main(["scan", "--config", _write_config(tmp_path), "--out", str(out),
+                     "--distance", axis]) == 2
+        assert capsys.readouterr().err.startswith("error: --distance ")
+        assert not out.exists()
 
 
 def _readme_block(lang: str) -> str:

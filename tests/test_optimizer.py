@@ -1,5 +1,6 @@
 """Tests for the (px, mu) grid optimizer."""
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scsqkd import optimizer
-from scsqkd.channel import ChannelParams, arm_transmittance
+from scsqkd.channel import ChannelParams, ProtocolParams, arm_transmittance
 from scsqkd.keyrate import KeyRateReport
 from scsqkd.optimizer import (NoFeasiblePointError, SearchSpace, _axes, optimize,
-                              optimize_points)
-from scsqkd.pipeline import SecurityConfig, SourceCalibration, evaluate_points
+                              search_points)
+from scsqkd.pipeline import (ASYMPTOTIC, SecurityConfig, SourceCalibration,
+                             evaluate_point, evaluate_points)
 
-CHANNEL_50 = ChannelParams(50.0, 0.2, 0.3, 1e-9, 0.04)
+
+def _channel(distance: float) -> ChannelParams:
+    return ChannelParams(distance, 0.2, 0.3, 1e-9, 0.04)
+
+
+CHANNEL_50 = _channel(50.0)
 CALIB = SourceCalibration()
 SECURITY = SecurityConfig()
 
@@ -164,7 +171,7 @@ def test_incumbents_match_a_reference_loop(drawn):
 
 
 class TestIncumbentRule:
-    """optimize_points against a stubbed pass whose feasibility and rates
+    """search_points against a stubbed pass whose feasibility and rates
     are set per sweep, point and candidate; the candidate index is
     lexicographic in (px, mu).  Infeasible candidates carry high rates,
     which must be ignored."""
@@ -196,7 +203,7 @@ class TestIncumbentRule:
             # All feasible rates -inf: the first feasible candidate, kept
             # against a later all -inf sweep.
             2: [t(feasible=[3, 6], base=-inf), t(base=-inf), t(base=-inf)],
-            # No feasible coarse candidate: None, never refined.
+            # No feasible coarse candidate: zeros, never refined.
             3: [t(feasible=[])],
             # Maxima at (px 1, mu 0) and (px 0, mu 3): px decides first.
             4: [t(rates={4: 3.0, 3: 3.0}), t(rates={0: 2.0}), t(rates={0: 2.0})],
@@ -220,24 +227,23 @@ class TestIncumbentRule:
 
         monkeypatch.setattr(optimizer, "evaluate_points", stub)
         space = SearchSpace(grid=shape, refine_rounds=2)
-        results = optimize_points([(c, 1e12, "improved") for c in channels],
-                                  CALIB, SECURITY, space)
-        return results, calls
+        result = search_points([(c, 1e12, "improved") for c in channels],
+                               CALIB, SECURITY, space)
+        return result, calls
 
     def test_incumbents(self, monkeypatch):
-        results, calls = self._run(monkeypatch)
+        (px, mu, report), calls = self._run(monkeypatch)
         assert [ids for ids, _, _ in calls] == [[0, 1, 2, 3, 4], [0, 1, 2, 4], [0, 1, 2, 4]]
         winners = {0: (0, 5, 2.0), 1: (1, 10, 1.5), 2: (0, 3, -math.inf), 4: (0, 3, 3.0)}
-        assert results[3] is None
+        assert report.feasible.tolist() == [True, True, True, False, True]
+        assert [px[3], mu[3], *(getattr(report, f.name)[3] for f in fields(report)[1:])
+                ] == [0.0] * 11
         for i, (sweep, k, rate) in winners.items():
-            protocol, report = results[i]
-            assert (report.mu_virtual_A, report.mu_virtual_B, report.n_O,
-                    report.R_coh_signed) == (sweep, i, k, rate)
-            assert report.feasible is True
-            ids, px, mu = calls[sweep]
+            assert (report.mu_virtual_A[i], report.mu_virtual_B[i], report.n_O[i],
+                    report.R_coh_signed[i]) == (sweep, i, k, rate)
+            ids, px_axes, mu_axes = calls[sweep]
             a, b = divmod(k, self.N_MU)
-            assert (protocol.px, protocol.mu_xA) == (px[ids.index(i), a],
-                                                     mu[ids.index(i), b])
+            assert (px[i], mu[i]) == (px_axes[ids.index(i), a], mu_axes[ids.index(i), b])
 
 
 class TestOptimize:
@@ -299,3 +305,55 @@ class TestOptimize:
                                SearchSpace(grid=(5, 5), refine_rounds=0),
                                mode="baseline")
         assert protocol.mode == "baseline"
+
+
+def test_report_fields_equal_re_evaluation(monkeypatch):
+    # Every field of the report at each point's (px, mu) is evaluate_point's
+    # bit for bit, leak_EC and R_col_signed too, which no CSV column shows.
+    # The pass marks every candidate of the 30 km point infeasible, so that
+    # point holds zeros.
+    points = [(_channel(0.0), 1e10, "improved"), (_channel(50.0), 1e12, "baseline"),
+              (_channel(30.0), 1e12, "improved"), (_channel(50.0), 1e12, "improved"),
+              (_channel(100.0), ASYMPTOTIC, "improved"),
+              (_channel(100.0), ASYMPTOTIC, "baseline"),
+              (_channel(220.0), ASYMPTOTIC, "improved")]
+    dead = arm_transmittance(_channel(30.0))
+
+    def masked(*args, **kwargs):
+        batch = evaluate_points(*args, **kwargs)
+        return replace(batch, feasible=batch.feasible & (args[6] != dead))
+
+    monkeypatch.setattr(optimizer, "evaluate_points", masked)
+    px, mu, report = search_points(points, CALIB, SECURITY,
+                                   SearchSpace(grid=(6, 6), refine_rounds=2))
+    assert report.feasible.tolist() == [True, True, False, True, True, True, True]
+    for i, (channel, block, mode) in enumerate(points):
+        got = [px[i], mu[i], *(getattr(report, f.name)[i] for f in fields(report))]
+        if i == 2:
+            assert got == [0.0] * 12
+            continue
+        p, m = float(px[i]), float(mu[i])
+        single = evaluate_point(channel, CALIB,
+                                ProtocolParams(p0=1.0 - p, px=p, mu_xA=m, mu_xB=m, mode=mode,
+                                               N=1 if block == ASYMPTOTIC else block),
+                                SECURITY, block)
+        want = [p, m, *(getattr(single, f.name) for f in fields(single))]
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want], i
+
+
+def test_default_search_within_stated_gap_of_a_dense_search():
+    # The last positive improved row of each README curve (220 km
+    # asymptotic, 90 km at N = 1e12, 0 km at N = 1e10) and one mid-range row
+    # (50 km at N = 1e12), searched at the README's (default) settings and on
+    # a 200 x 200 grid with 8 refinement rounds.  Measured relative gaps:
+    # 3.6e-4, 3.0e-4, 1.8e-4 and 1.1e-4; the bound leaves a margin of 1.4x
+    # over the largest.
+    points = [(_channel(220.0), ASYMPTOTIC, "improved"),
+              (_channel(90.0), 1e12, "improved"),
+              (_channel(0.0), 1e10, "improved"),
+              (_channel(50.0), 1e12, "improved")]
+    _, _, got = search_points(points, CALIB, SECURITY)
+    _, _, dense = search_points(points, CALIB, SECURITY,
+                                SearchSpace(grid=(200, 200), refine_rounds=8))
+    assert (dense.R_coh > 0.0).all()
+    assert (1.0 - got.R_coh / dense.R_coh < 5e-4).all(), got.R_coh / dense.R_coh

@@ -205,14 +205,15 @@ def test_block_size_below_one_rejected():
 @pytest.mark.parametrize("field, value", [
     ("eps_coh_target", math.nextafter(0.0, 1.0)),
     ("eps_coh_target", math.nextafter(1.0, 0.0)),
-    ("f", 1.0), ("d", 2)])
+    ("f", 1.0), ("d", 2), pytest.param("d", pipeline.MAX_D, id="d-MAX_D")])
 def test_security_config_edges_accepted(field, value):
     assert getattr(SecurityConfig(**{field: value}), field) == value
 
 
 @pytest.mark.parametrize("field, value", [
     ("eps_coh_target", 0.0), ("eps_coh_target", 1.0),
-    ("f", math.nextafter(1.0, 0.0)), ("d", 1)])
+    ("f", math.nextafter(1.0, 0.0)), ("d", 1),
+    pytest.param("d", pipeline.MAX_D + 1, id="d-MAX_D+1")])
 def test_security_config_just_outside_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must"):
         SecurityConfig(**{field: value})
