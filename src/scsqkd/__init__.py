@@ -3,8 +3,7 @@
 from .channel import (ChannelParams, ProtocolParams, WindowTally,
                       arm_transmittance, effective_prob, expected_tallies)
 from .chernoff import expectation_upper, observed_upper
-from .keyrate import (KeyRateReport, SecurityParams, binary_entropy,
-                      security_budget)
+from .keyrate import KeyRateReport, binary_entropy, security_budget
 from .mc_oracle import simulate
 from .optimizer import NoFeasiblePointError, SearchSpace, optimize
 from .pipeline import (ASYMPTOTIC, InfeasibleError, SecurityConfig,
@@ -19,7 +18,6 @@ __all__ = [
     "ProtocolParams",
     "SearchSpace",
     "SecurityConfig",
-    "SecurityParams",
     "SourceCalibration",
     "WindowTally",
     "arm_transmittance",

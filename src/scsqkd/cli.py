@@ -21,7 +21,8 @@ from .channel import (MODES, ChannelParams, ProtocolParams, arm_transmittance,
                       heralding_arrays, tally_arrays)
 from .mc_oracle import require_seed, require_windows, simulate_points
 from .optimizer import SearchSpace, search_points
-from .pipeline import ASYMPTOTIC, SecurityConfig, SourceCalibration, require_block
+from .pipeline import (ASYMPTOTIC, MAX_BLOCK, SecurityConfig, SourceCalibration,
+                       require_block)
 
 _COLUMNS = ("distance_km", "N", "mode", "px", "mu_x", "mu_virtual_A", "mu_virtual_B",
             "n_O", "n_B", "n_Z", "E_Z", "e_ph", "R_col", "R_coh", "feasible_flag")
@@ -132,7 +133,7 @@ def _section(raw: dict, name: str, template, keys: dict, required: bool = False)
 
 
 def _block_label(name: str, raw) -> str:
-    """"asymptotic", or a finite whole block size of at least 1 as an integer
+    """"asymptotic", or a whole block size in [1, MAX_BLOCK] as an integer
     string.
 
     A number may also be written as a string, such as "1e12"; a fractional
@@ -147,7 +148,7 @@ def _block_label(name: str, raw) -> str:
             raise ValueError(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} holds an invalid block size {raw!r}: "
-                          f"need {ASYMPTOTIC!r} or a whole number >= 1")
+                          f"need {ASYMPTOTIC!r} or a whole number in [1, {MAX_BLOCK:.0e}]")
     return str(int(value))
 
 

@@ -23,19 +23,6 @@ _LN2 = math.log(2.0)
 N_PE = 3
 
 
-@dataclass(frozen=True)
-class SecurityParams:
-    """Resolved composable-security budget (logs, natural base).
-
-    eps_col is split into 3 + N_PE equal shares, each with the log
-    ``log_eps_share``: one each for correctness, smoothing and privacy
-    amplification, and N_PE for parameter estimation.
-    """
-
-    log_eps_col: float
-    log_eps_share: float
-
-
 def binary_entropy(x) -> np.ndarray:
     """Shannon entropy H(x) in bits of x in [0, 1], elementwise.
 
@@ -59,17 +46,17 @@ def binary_entropy(x) -> np.ndarray:
     return h
 
 
-def security_budget(eps_coh_target: float, N: float, d: int) -> SecurityParams:
-    """Resolve the collective-attack budget and its equal share from a
-    coherent-attack target at block size N and post-selection dimension d."""
+def security_budget(eps_coh_target: float, N: float, d: int) -> float:
+    """ln of each of the 3 + N_PE equal shares of the collective-attack budget
+    eps_col = eps_coh_target / (N + 1)^(d^2 - 1): one each for correctness,
+    smoothing and privacy amplification, and N_PE for parameter estimation."""
     if not (0.0 < eps_coh_target < 1.0):
         raise ValueError(
             f"eps_coh_target must lie in (0, 1), got {eps_coh_target!r}")
     if not N >= 0:  # NaN fails it too
         raise ValueError(f"N must be nonnegative, got {N!r}")
-    log_eps_col = math.log(eps_coh_target) - (d * d - 1) * math.log1p(N)
-    return SecurityParams(log_eps_col=log_eps_col,
-                          log_eps_share=log_eps_col + math.log(1.0 / (3.0 + N_PE)))
+    return (math.log(eps_coh_target) - (d * d - 1) * math.log1p(N)
+            + math.log(1.0 / (3.0 + N_PE)))
 
 
 def ec_leakage_array(n_O, n_B, n_Z, f: float) -> np.ndarray:
@@ -92,7 +79,7 @@ def collective_rate_array(n_Z, e_ph, leak, log_share, d: int, N) -> np.ndarray:
     """Signed collective-attack rates for n_Z > 0, with the leakage given.
 
     Elementwise over inputs that broadcast together, ``log_share`` (the
-    :class:`SecurityParams` share) included.  ``log_share=None`` is the
+    :func:`security_budget` share) included.  ``log_share=None`` is the
     asymptotic rate ``n_Z (1 - H(e_ph)) - leak`` of one window, without the
     finite-size terms.
     """

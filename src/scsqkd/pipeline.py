@@ -26,7 +26,6 @@ from the distinct block sizes like the coherent-attack penalty.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -44,19 +43,22 @@ ASYMPTOTIC = "asymptotic"
 # Largest post-selection dimension d (8 in the source paper).  The budget's
 # (d^2 - 1) ln(N + 1) nats leave the float range from d ~ 5e152, and NaN rates
 # come before that (d = 1e152 at N = 1e10); up to this bound a scan's terms
-# stay finite at block sizes up to 1e200 (0-300 km, both modes).
+# stay finite at block sizes up to MAX_BLOCK (0-300 km, both modes).
 MAX_D = 10 ** 50
+# Largest finite block size.  Beyond it the rate's n_Z (1 + log2(1/eps)) term
+# overflows doubles: from N ~ 1e305 at d = 8 and N ~ 1e207 at d = MAX_D.
+MAX_BLOCK = 1e200
 
 
 def require_block(block_size) -> None:
-    """Raise ValueError unless ``block_size`` is ASYMPTOTIC or a finite real
-    number of at least 1 (a bool is not a block size)."""
+    """Raise ValueError unless ``block_size`` is ASYMPTOTIC or a real number
+    in [1, MAX_BLOCK] (a bool is not a block size)."""
     if block_size == ASYMPTOTIC:
         return
     if not (isinstance(block_size, Real) and not isinstance(block_size, bool)
-            and 1.0 <= block_size <= sys.float_info.max):
-        raise ValueError(f"block_size must be {ASYMPTOTIC!r} or a finite number "
-                         f">= 1, got {block_size!r}")
+            and 1.0 <= block_size <= MAX_BLOCK):
+        raise ValueError(f"block_size must be {ASYMPTOTIC!r} or a number in "
+                         f"[1, {MAX_BLOCK:.0e}], got {block_size!r}")
 
 
 class InfeasibleError(ValueError):
@@ -148,7 +150,7 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
         sizes = [float(size) for size in sizes]
         n = np.array(sizes)[block]
         log_share = np.array([
-            security_budget(security.eps_coh_target, size, security.d).log_eps_share
+            security_budget(security.eps_coh_target, size, security.d)
             for size in sizes])[block]
     probs = heralding_arrays(mu_A, mu_B, eta, channel.e_d, channel.p_d, mode,
                              mode_index)

@@ -2,6 +2,7 @@
 change leaves the scan outputs identical rests."""
 import importlib.util
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -30,7 +31,13 @@ def test_ab_scan_checks_the_bytes(tmp_path, capsys):
     config.write_text(json.dumps(TINY))
     argv = ["--config", str(config), "--pairs", "2"]
     assert ab_scan.main([str(PACKAGE), str(PACKAGE), *argv]) == 0
-    assert "outputs identical: yes" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "outputs identical: yes" in out
+    # Each side's median with its quartiles, in ms.
+    for side in ("a", "b"):
+        line = re.search(rf"^{side} {re.escape(str(PACKAGE))}: (.*)$", out, re.M).group(1)
+        assert re.fullmatch(r"median \d+\.\d\d ms \(q1 -?\d+\.\d\d, q3 \d+\.\d\d ms\)",
+                            line), line
     # A copy whose scan.csv gains one character.
     changed = tmp_path / "changed"
     shutil.copytree(PACKAGE, changed, ignore=shutil.ignore_patterns("__pycache__"))

@@ -13,7 +13,7 @@ import pytest
 from scsqkd.channel import ChannelParams, ProtocolParams, expected_tallies
 from scsqkd.chernoff import expectation_upper, observed_upper
 from scsqkd.cli import main
-from scsqkd.keyrate import security_budget
+from scsqkd.keyrate import N_PE, security_budget
 from scsqkd.mapping import virtual_intensity_array
 from scsqkd.mc_oracle import simulate
 from scsqkd.optimizer import optimize
@@ -175,8 +175,9 @@ def test_criterion_6_finite_size_behavior():
 def test_criterion_7_budget_recomposition():
     worst = 0.0
     for n in (1e10, 1e12, 1e14):
-        sec = security_budget(1e-10, n, SECURITY.d)
-        recomposed = sec.log_eps_col + 63.0 * math.log1p(n)
+        # ln eps_col is the share's log plus ln(3 + N_PE).
+        log_eps_col = security_budget(1e-10, n, SECURITY.d) + math.log(3.0 + N_PE)
+        recomposed = log_eps_col + 63.0 * math.log1p(n)
         worst = max(worst, abs(recomposed - math.log(1e-10)) / -math.log(1e-10))
     _report(7, f"coherent budget recomposes to rel {worst:.2e} <= 1e-9 in the "
                f"log domain at N=1e10/1e12/1e14", worst <= 1e-9)

@@ -82,7 +82,9 @@ class TestLoadConfig:
 
     def test_bad_block_size(self, tmp_path):
         # "12345.6" and 12345.6 used to run at N = 12345.
-        for block in ("huge", "12345.6", 12345.6, "1e-3"):
+        # "1e306" used to overflow the d = 8 rates into -inf.
+        for block in ("huge", "12345.6", 12345.6, "1e-3", "1e306",
+                      repr(math.nextafter(pipeline.MAX_BLOCK, math.inf))):
             path = _write_config(tmp_path, {"scan": {
                 "distance": [0, 50, 50], "blocks": [block], "modes": ["improved"]}})
             with pytest.raises(ConfigError,
@@ -720,6 +722,8 @@ class TestMain:
     pytest.param("scan", "distance", [0, 1e-9, 1e-10], id="scan-distance-repeats"),
     # Overflowed converting d * d - 1 to float in the first finite pass.
     pytest.param("security", "d", 10**160, id="security-d-10**160"),
+    # Overflowed n_Z (1 + bits) into -inf rates at d = 8, and exited 0.
+    pytest.param("scan", "blocks", ["1e306"], id="scan-blocks-1e306"),
 ])
 def test_invalid_value_is_a_config_error(tmp_path, capsys, section, key, value):
     cfg = copy.deepcopy(BASE_CONFIG)

@@ -1,6 +1,7 @@
 """Tests for the key-rate formulas and security budget."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,7 +9,8 @@ from scsqkd.channel import ChannelParams, ProtocolParams, WindowTally
 from scsqkd.keyrate import (N_PE, binary_entropy,
                             coherent_attack_penalty, collective_rate_array,
                             ec_leakage_array, security_budget)
-from scsqkd.pipeline import SecurityConfig, SourceCalibration, evaluate_point
+from scsqkd.pipeline import (MAX_BLOCK, MAX_D, SecurityConfig, SourceCalibration,
+                             evaluate_point)
 
 _LN2 = math.log(2.0)
 
@@ -18,10 +20,15 @@ def _leak(tally: WindowTally, f: float = 1.1) -> float:
                                   np.array([tally.n_Z]), f)[0])
 
 
-def _collective(tally: WindowTally, e_ph: float, sec, N: float) -> float:
+def _collective(tally: WindowTally, e_ph: float, share: float, N: float) -> float:
     """Signed collective rate of one tally, with leakage at f = 1.1 and d = 8."""
     return float(collective_rate_array(np.array([tally.n_Z]), np.array([e_ph]),
-                                       _leak(tally), sec.log_eps_share, 8, N)[0])
+                                       _leak(tally), share, 8, N)[0])
+
+
+def _log_eps_col(share: float) -> float:
+    """ln eps_col, rebuilt from its equal log share."""
+    return share + math.log(3.0 + N_PE)
 
 
 def _bits(values) -> list[int]:
@@ -68,24 +75,35 @@ class TestBinaryEntropy:
 class TestSecurityBudget:
     def test_log_relation_between_coherent_and_collective(self):
         for n in (1e10, 1e12, 1e14):
-            sec = security_budget(1e-10, n, 8)
-            recomposed = sec.log_eps_col + 63.0 * math.log1p(n)
+            recomposed = _log_eps_col(security_budget(1e-10, n, 8)) + 63.0 * math.log1p(n)
             assert recomposed == pytest.approx(math.log(1e-10), rel=1e-12)
 
+    def test_share_against_mpmath(self):
+        # ln eps - (d^2 - 1) ln(1 + N) - ln(3 + N_PE) to 50 digits, from
+        # N = 0 to the largest block size: about -2200 nats at N = 1e15,
+        # d = 8, and -4.6e102 at MAX_BLOCK with d = MAX_D.
+        for eps in (1e-10, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)):
+            for d in (2, 8, MAX_D):
+                for n in (0.0, 1.0, 1e10, 1e15, MAX_BLOCK):
+                    with mpmath.workdps(50):
+                        ref = (mpmath.log(eps) - (d * d - 1) * mpmath.log(1 + mpmath.mpf(n))
+                               - mpmath.log(3 + N_PE))
+                    assert security_budget(eps, n, d) == pytest.approx(
+                        float(ref), rel=1e-12), (eps, d, n)
+
     def test_default_split_is_six_equal_shares(self):
-        sec = security_budget(1e-10, 1e12, 8)
-        share = sec.log_eps_col + math.log(1.0 / 6.0)
-        assert sec.log_eps_share == pytest.approx(share, rel=1e-12)
+        share = math.log(1e-10) - 63.0 * math.log1p(1e12) + math.log(1.0 / 6.0)
+        assert security_budget(1e-10, 1e12, 8) == pytest.approx(share, rel=1e-12)
 
     def test_components_recompose_collective_budget(self):
         for n in (1e10, 1e14):
-            sec = security_budget(1e-10, n, 8)
             # eps_cor + eps_bar + eps_PA + N_PE * eps must equal eps_col;
             # compare in the log domain since the values underflow doubles.
-            logs = [sec.log_eps_share] * (3 + N_PE)
+            logs = [security_budget(1e-10, n, 8)] * (3 + N_PE)
             peak = max(logs)
             total = peak + math.log(sum(math.exp(v - peak) for v in logs))
-            assert total == pytest.approx(sec.log_eps_col, rel=1e-12)
+            log_eps_col = math.log(1e-10) - 63.0 * math.log1p(n)
+            assert total == pytest.approx(log_eps_col, rel=1e-12)
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ValueError, match=r"eps_coh_target must lie in \(0, 1\)"):
@@ -100,7 +118,7 @@ class TestSecurityBudget:
 
     @pytest.mark.parametrize("eps", [math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)])
     def test_target_next_to_the_edges_accepted(self, eps):
-        assert math.isfinite(security_budget(eps, 1e10, 8).log_eps_share)
+        assert math.isfinite(security_budget(eps, 1e10, 8))
 
     @pytest.mark.parametrize("n", [-1.0, math.nan])
     def test_invalid_block_size_rejected(self, n):
@@ -109,12 +127,12 @@ class TestSecurityBudget:
             security_budget(1e-10, n, 8)
 
     def test_block_size_edge_accepted(self):
-        assert math.isfinite(security_budget(1e-10, 0.0, 8).log_eps_share)
+        assert math.isfinite(security_budget(1e-10, 0.0, 8))
 
     def test_collective_budget_underflows_doubles(self):
-        sec = security_budget(1e-10, 1e12, 8)
-        assert sec.log_eps_col < -700.0  # exp() would underflow to 0
-        assert math.isfinite(sec.log_eps_col)
+        log_eps_col = _log_eps_col(security_budget(1e-10, 1e12, 8))
+        assert log_eps_col < -700.0  # exp() would underflow to 0
+        assert math.isfinite(log_eps_col)
 
 
 class TestEcLeakage:
@@ -150,23 +168,23 @@ class TestKeyRates:
         # finite-size terms decide its rate.
         for tally, n in ((self.TALLY, 1e12),
                          (WindowTally(n_O=1.0, n_B=10.0, n_Z=1e4), 1e10)):
-            sec = security_budget(1e-10, n, 8)
-            rate = _collective(tally, 0.05, sec, n)
+            share = security_budget(1e-10, n, 8)
+            rate = _collective(tally, 0.05, share, n)
             n_z = tally.n_Z
             expected = (
                 n_z * (1.0 - binary_entropy(0.05))
                 - 1.1 * (tally.n_O + tally.n_B + tally.n_Z)
                 * binary_entropy(tally.E_Z)
-                - (1.0 - sec.log_eps_share / _LN2)
-                - 2.0 * (-sec.log_eps_share / _LN2)
-                - 11.0 * math.sqrt(n_z * (1.0 - sec.log_eps_share / _LN2))
+                - (1.0 - share / _LN2)
+                - 2.0 * (-share / _LN2)
+                - 11.0 * math.sqrt(n_z * (1.0 - share / _LN2))
             ) / n
             # Rates per window lie far below approx's default abs of 1e-12.
             assert rate == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_clamped_vs_signed(self):
-        sec = security_budget(1e-10, 1e12, 8)
-        assert _collective(WindowTally(10.0, 100.0, 200.0), 0.4, sec, 1e12) < 0.0
+        share = security_budget(1e-10, 1e12, 8)
+        assert _collective(WindowTally(10.0, 100.0, 200.0), 0.4, share, 1e12) < 0.0
         # A report clamps the rates at 0 and keeps the signed values.
         report = _report(150.0, 0.3, 1e-9, 1e10)
         assert report.R_col == report.R_coh == 0.0
@@ -181,8 +199,8 @@ class TestKeyRates:
             assert report.R_col_signed == report.R_coh_signed == -math.inf
 
     def test_rate_decreases_with_phase_error(self):
-        sec = security_budget(1e-10, 1e12, 8)
-        rates = [_collective(self.TALLY, e, sec, 1e12)
+        share = security_budget(1e-10, 1e12, 8)
+        rates = [_collective(self.TALLY, e, share, 1e12)
                  for e in (0.01, 0.05, 0.1, 0.3)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 

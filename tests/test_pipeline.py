@@ -1,6 +1,5 @@
 """Tests for the array evaluation of candidates against the one-point path."""
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -183,18 +182,36 @@ def test_positive_rate_never_rises_on_a_worse_setting(distance, e_d, p_d, fluct,
 
 @pytest.mark.parametrize("block", [0.5, "1e12", True, 0, math.inf, math.nan,
                                    pytest.param(10**400, id="10**400"),
-                                   "Asymptotic"])
+                                   "Asymptotic", 1e306,
+                                   pytest.param(math.nextafter(pipeline.MAX_BLOCK, math.inf),
+                                                id="after-MAX_BLOCK")])
 def test_invalid_block_size_is_named(block):
     # 0.5, "1e12" and True used to give a report; 0 raised ZeroDivisionError,
-    # inf and nan an error about log_xi.
+    # inf and nan an error about log_xi; 1e306 overflowed into -inf rates.
     proto = ProtocolParams(p0=0.5, px=0.5, mu_xA=0.1, mu_xB=0.1, N=1)
     with pytest.raises(ValueError, match="block_size"):
         evaluate_point(CHANNEL_50, CALIB, proto, SecurityConfig(), block)
 
 
-@pytest.mark.parametrize("block", [1, 1.0, sys.float_info.max])
+@pytest.mark.parametrize("block", [1, 1.0, pytest.param(pipeline.MAX_BLOCK, id="MAX_BLOCK")])
 def test_block_size_edges_accepted(block):
     require_block(block)
+
+
+@pytest.mark.parametrize("d", [8, pytest.param(pipeline.MAX_D, id="MAX_D")])
+@pytest.mark.parametrize("km", [0.0, 300.0])
+@pytest.mark.parametrize("mode", MODES)
+def test_every_field_finite_at_the_largest_block(d, km, mode):
+    # At d = 8 a block of 1e306 overflowed n_Z (1 + bits) into -inf rates;
+    # the suite turns RuntimeWarnings into errors, so no term may overflow.
+    channel = replace(CHANNEL_50, distance_km=km)
+    px, mu = np.meshgrid(np.linspace(0.01, 0.99, 20), np.geomspace(1e-4, 1.0, 20))
+    report = evaluate_points(channel, CALIB, 1.0 - px, px, mu, mu,
+                             arm_transmittance(channel), SecurityConfig(d=d),
+                             pipeline.MAX_BLOCK, mode)
+    assert report.feasible.any()
+    for name, value in vars(report).items():
+        assert np.isfinite(value).all(), name
 
 
 def test_block_size_below_one_rejected():
@@ -221,11 +238,12 @@ def test_security_config_just_outside_rejected(field, value):
 
 def test_optimize_rejects_block_size_before_evaluating(monkeypatch):
     # optimize(..., 0.5) used to run the whole search, then fail building
-    # the optimal ProtocolParams.
+    # the optimal ProtocolParams; at 1e306 the search overflowed.
     def fail(*args, **kwargs):
         raise AssertionError("evaluated a candidate")
     # The pass's first channel evaluation, and the tallies formed from it.
     monkeypatch.setattr(pipeline, "heralding_arrays", fail)
     monkeypatch.setattr(pipeline, "tally_arrays", fail)
-    with pytest.raises(ValueError, match="block_size"):
-        optimize(CHANNEL_50, CALIB, 0.5, SecurityConfig())
+    for block in (0.5, 1e306):
+        with pytest.raises(ValueError, match="block_size"):
+            optimize(CHANNEL_50, CALIB, block, SecurityConfig())

@@ -14,9 +14,10 @@ temporary directory as packages of distinct names (``scsqkd_a`` and
 this one process, and ``cli.main(["scan", ...])`` calls alternate between
 them, each pair in the other order than the one before.  After one untimed
 warm-up call per side, it checks that both sides wrote the same files, then
-prints both medians, the median of the per-pair ratios b/a and the number of
-pairs in which b was faster.  When the outputs differ, it names the files
-that differ and those that only one side wrote, and exits with status 1.
+prints each side's median with its quartiles, the median of the per-pair
+ratios b/a and the number of pairs in which b was faster.  When the outputs
+differ, it names the files that differ and those that only one side wrote,
+and exits with status 1.
 After each timed call, outside the timed interval, it compares that call's
 files with its side's warm-up files; at the first call whose files differ
 (as a buffer kept from one call to the next would make them) it names the
@@ -116,6 +117,15 @@ def _changed(before: dict[str, bytes], after: dict[str, bytes]) -> list[str]:
                   if before.get(name) != after.get(name))
 
 
+def _summary(times: list[float]) -> str:
+    """The median of ``times`` in ms, with its quartiles from two times on."""
+    text = f"median {1e3 * statistics.median(times):.2f} ms"
+    if len(times) < 2:
+        return text
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return f"{text} (q1 {1e3 * q1:.2f}, q3 {1e3 * q3:.2f} ms)"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", help="baseline side: git revision or package directory")
@@ -177,8 +187,8 @@ def main(argv: list[str] | None = None) -> int:
     ratios = [b / a for a, b in zip(times["a"], times["b"])]
     faster = sum(b < a for a, b in zip(times["a"], times["b"]))
     print(f"outputs identical: {'yes' if same else 'NO'}")
-    print(f"a {args.a}: median {1e3 * statistics.median(times['a']):.2f} ms")
-    print(f"b {args.b}: median {1e3 * statistics.median(times['b']):.2f} ms")
+    for side, spec in (("a", args.a), ("b", args.b)):
+        print(f"{side} {spec}: {_summary(times[side])}")
     print(f"median pair ratio b/a: {statistics.median(ratios):.3f}")
     print(f"pairs with b faster: {faster}/{args.pairs}")
     return 0 if same else 1
