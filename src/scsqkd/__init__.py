@@ -1,9 +1,9 @@
 """Finite-key analysis and simulation for side-channel-secure QKD."""
 
 from .channel import (ChannelParams, ProtocolParams, WindowTally,
-                      arm_transmittance, effective_prob, expected_tallies)
+                      arm_transmittance, expected_tallies)
 from .chernoff import expectation_upper, observed_upper
-from .keyrate import KeyRateReport, binary_entropy, security_budget
+from .keyrate import KeyRateReport, binary_entropy
 from .mc_oracle import simulate
 from .optimizer import NoFeasiblePointError, SearchSpace, optimize
 from .pipeline import (ASYMPTOTIC, InfeasibleError, SecurityConfig,
@@ -22,14 +22,12 @@ __all__ = [
     "WindowTally",
     "arm_transmittance",
     "binary_entropy",
-    "effective_prob",
     "evaluate_point",
     "evaluate_points",
     "expectation_upper",
     "expected_tallies",
     "observed_upper",
     "optimize",
-    "security_budget",
     "simulate",
 ]
 

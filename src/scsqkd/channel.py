@@ -187,10 +187,9 @@ def effective_prob(nu_L, nu_R, p_d: float):
     The heralding rule of every window whose detector means are fixed: all
     windows in improved mode, and the O and Z windows in baseline mode
     (baseline B windows are averaged over the phase in
-    :func:`b_window_prob`).  Elementwise over the means.
+    :func:`b_window_prob`).  Elementwise over the means.  ``p_d`` must lie
+    in [0, 1]; this is not checked here (:class:`ChannelParams` checks it).
     """
-    if not (0.0 <= p_d <= 1.0):
-        raise ValueError(f"p_d must lie in [0, 1], got {p_d!r}")
     return click_prob(nu_R, p_d) * (1.0 - p_d) * np.exp(-nu_L)
 
 

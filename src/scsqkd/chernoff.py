@@ -42,15 +42,17 @@ check, in place, at seven array operations a step.  Then one residual
 evaluation checks every element with the stop rule of the checked loop
 below: the residual within ``_NOISE`` of its terms' magnitude.  Three
 steps meet it for expectation_upper at every t from 1e-300 to 1e305, and
-for observed_upper from t = 1e-30 to 1, a phase-error mean of at least
-|ln xi| counts (1500 to 2200 in a scan at N = 1e10 to 1e15).
-The elements that fail it (stragglers) are gathered into a smaller array
-and solved by the checked loop from the start again, since where the root
-lies within the residual's noise of 0 (observed_upper near t = 5e-33)
-rounding can carry an unchecked step across it, even below 0.  The checked
-loop stops an element once its residual is within rounding of its terms or
-once a step no longer moves it toward the root; a bisection between the
-iterate and 0 backs up elements still moving after ``_MAX_NEWTON`` steps.
+for observed_upper from t = 1e-30 to 1: a scan's phase-error mean is at
+least 2 |ln xi| counts, so its t is at most 1/2.  The elements that fail
+it (stragglers) are gathered and solved by the checked loop from the start
+again, since where the root lies within the residual's noise of 0
+(observed_upper near t = 5e-33) rounding can carry an unchecked step
+across it, even below 0.  The checked loop stops an element once its
+residual is within rounding of its terms or once a step no longer moves
+it toward the root: from the start within 3 steps (expectation_upper) and
+5 (observed_upper) at every t from 1e-320 to 1e305, far below its cap
+``_MAX_NEWTON``, at which an element would keep its last iterate, a
+looser bound.
 
 A solve allocates its iterate and scratch arrays once and updates them in
 place (``out=``).  A caller with several count arrays, like the phase
@@ -60,8 +62,11 @@ solve's fixed cost once.
 The failure probability enters only as its natural log, a finite
 ``log_xi < 0``, because the resolved security budget can lie far below the
 smallest positive double.  Each bound is one function, elementwise over an
-array (or scalar) of nonnegative counts.  A call checks ``log_xi``, which
-costs the same at any array size, but not the counts.
+array (or scalar) of counts in [0, inf]; a call checks ``log_xi`` but not
+the counts.  An empty, subnormal or infinite count puts t outside
+(0, ``_T_MAX``], where the steps would overflow or divide 0 by 0; such
+elements take closed forms (see :func:`_bound`), and masks run only when
+two reductions over t find one.
 """
 from __future__ import annotations
 
@@ -69,6 +74,8 @@ import numpy as np
 
 _STEPS = 3
 _MAX_NEWTON = 60
+# observed_upper's steps overflow from t ~ 3.8e305; closed forms take over.
+_T_MAX = 1e305
 # Residuals within this multiple of their terms' magnitude are rounding noise.
 _NOISE = 8.0 * np.finfo(float).eps
 
@@ -81,8 +88,8 @@ def _solve(start, step, residual, t) -> np.ndarray:
     ``residual(w, t, h, slope, scale)`` writes the residual, its derivative
     in ``w`` and its noise scale; ``a`` and ``b`` are scratch arrays.  After
     ``_STEPS`` unchecked steps, the elements whose residual is not within
-    rounding of its terms are gathered and solved by :func:`_newton` from
-    the start again.
+    rounding of its terms (an unchecked step may have crossed the root) are
+    gathered and solved by :func:`_newton` from the start again.
     """
     w = np.empty_like(t)
     a, b = np.empty_like(w), np.empty_like(w)
@@ -94,8 +101,6 @@ def _solve(start, step, residual, t) -> np.ndarray:
     scale *= _NOISE
     late = np.greater(np.abs(h, out=h), scale)
     if late.any():
-        # Where the root lies within the residual's noise of 0, an unchecked
-        # step can cross it, even below 0: stragglers start over.
         idx = np.flatnonzero(late)
         sub = np.reshape(t, -1)[idx]
         redo = np.empty_like(sub)
@@ -110,8 +115,8 @@ def _newton(residual, w, t) -> np.ndarray:
     Every step decreases ``w``, since the residual is positive between 0
     and the root.  An element stops once its residual is within rounding
     of its terms' magnitudes (the noise scale), or once a step no longer
-    decreases it; a bisection between the iterate and 0 finishes the
-    elements still moving after ``_MAX_NEWTON`` steps.
+    decreases it; one still moving after ``_MAX_NEWTON`` steps keeps its
+    last iterate, which lies beyond the root.
     """
     h, slope, scale = np.empty_like(w), np.empty_like(w), np.empty_like(w)
     active = np.ones(w.shape, dtype=bool)
@@ -126,23 +131,8 @@ def _newton(residual, w, t) -> np.ndarray:
         active &= moving
         active &= np.less(new, w, out=moving)
         if not active.any():
-            return w
-        np.copyto(w, new, where=active)
-    # Bisection for the elements Newton left moving.
-    idx = np.flatnonzero(active)
-    sub = t[idx]
-    lo, hi = w[idx], np.zeros(idx.size)
-    h, slope, scale = np.empty(idx.size), np.empty(idx.size), np.empty(idx.size)
-    while True:
-        mid = 0.5 * (lo + hi)
-        moving = (mid != lo) & (mid != hi)
-        if not moving.any():
             break
-        residual(mid, sub, h, slope, scale)
-        beyond = h <= 0.0
-        lo = np.where(moving & beyond, mid, lo)
-        hi = np.where(moving & ~beyond, mid, hi)
-    w[idx] = lo
+        np.copyto(w, new, where=active)
     return w
 
 
@@ -222,29 +212,47 @@ def _observed_upper_residual(w, t, h, slope, scale):  # w = v - 1 > 0
     scale += t
 
 
-def _ratio(counts, log_xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(counts, empty mask, t = -log_xi / count with empty counts set to 1)."""
+def _bound(counts, log_xi, start, step, residual, far) -> np.ndarray:
+    """counts (1 + w), with w the root of one bound at t = -log_xi / count.
+
+    Beyond ``_T_MAX`` the bound is ``far(counts, log_xi)``.  At t = 0 the
+    root is w = 0; the smallest positive t solves to 1 + w = 1.
+    """
     # Two reductions: NaN carries through both and fails the first test.
     if not (np.maximum.reduce(log_xi, axis=None, initial=-1.0) < 0.0
             and np.minimum.reduce(log_xi, axis=None, initial=-1.0) > -np.inf):
         raise ValueError(f"log_xi must be finite and negative, got {log_xi!r}")
     counts = np.asarray(counts, dtype=float)
-    empty = counts == 0.0
-    return counts, empty, -log_xi / np.where(empty, 1.0, counts)
+    with np.errstate(divide="ignore", over="ignore"):
+        t = -log_xi / counts
+    far_t = None
+    if not (np.minimum.reduce(t, axis=None, initial=1.0) > 0.0
+            and np.maximum.reduce(t, axis=None, initial=1.0) <= _T_MAX):
+        far_t = t > _T_MAX
+        t = np.clip(t, np.nextafter(0.0, 1.0), _T_MAX)
+    w = _solve(start, step, residual, t)
+    w += 1.0
+    w *= counts
+    if far_t is not None:
+        np.copyto(w, far(counts, log_xi), where=far_t)
+    return w
+
+
+def _observed_upper_far(Y, log_xi):
+    # |ln xi| / (L - ln L - 1), L = ln t, lies beyond the root (its left side
+    # exceeds |ln xi|) and tends to 0 only like 1 / L; 0 for Y = 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = np.log(-log_xi) - np.log(Y)
+        return np.where(Y > 0.0, -log_xi / (L - np.log(L) - 1.0), 0.0)
 
 
 def expectation_upper(X, log_xi) -> np.ndarray:
     """Upper bounds on expected values given observed counts X >= 0.
 
-    X = 0 gives the limiting form ln(1/xi).
+    X = 0, and any X that puts t beyond ``_T_MAX``, give the limit ln(1/xi).
     """
-    X, empty, t = _ratio(X, log_xi)
-    u = _solve(_expectation_upper_start, _expectation_upper_step,
-               _expectation_upper_residual, t)
-    u += 1.0
-    u *= X
-    np.copyto(u, t, where=empty)  # t = -log_xi there
-    return u
+    return _bound(X, log_xi, _expectation_upper_start, _expectation_upper_step,
+                  _expectation_upper_residual, lambda X, log_xi: -log_xi)
 
 
 def observed_upper(Y, log_xi) -> np.ndarray:
@@ -252,10 +260,5 @@ def observed_upper(Y, log_xi) -> np.ndarray:
 
     Y = 0 gives the limiting value 0.
     """
-    Y, empty, t = _ratio(Y, log_xi)
-    v = _solve(_observed_upper_start, _observed_upper_step,
-               _observed_upper_residual, t)
-    v += 1.0
-    v *= Y
-    np.copyto(v, 0.0, where=empty)
-    return v
+    return _bound(Y, log_xi, _observed_upper_start, _observed_upper_step,
+                  _observed_upper_residual, _observed_upper_far)

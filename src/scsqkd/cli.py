@@ -193,9 +193,10 @@ def _distances(name: str, axis) -> tuple[float, ...]:
 def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
     """The scan configuration, with flags applied; ConfigError names a bad key."""
     try:
-        with open(path) as handle:
+        # As bytes, json detects UTF-8 (or -16, -32) whatever the locale.
+        with open(path, "rb") as handle:
             raw = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {raw!r}")

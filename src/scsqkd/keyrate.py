@@ -49,12 +49,9 @@ def binary_entropy(x) -> np.ndarray:
 def security_budget(eps_coh_target: float, N: float, d: int) -> float:
     """ln of each of the 3 + N_PE equal shares of the collective-attack budget
     eps_col = eps_coh_target / (N + 1)^(d^2 - 1): one each for correctness,
-    smoothing and privacy amplification, and N_PE for parameter estimation."""
-    if not (0.0 < eps_coh_target < 1.0):
-        raise ValueError(
-            f"eps_coh_target must lie in (0, 1), got {eps_coh_target!r}")
-    if not N >= 0:  # NaN fails it too
-        raise ValueError(f"N must be nonnegative, got {N!r}")
+    smoothing and privacy amplification, and N_PE for parameter estimation.
+    Needs eps_coh_target in (0, 1) and N >= 0; this is not checked here
+    (``SecurityConfig`` and ``require_block`` check them)."""
     return (math.log(eps_coh_target) - (d * d - 1) * math.log1p(N)
             + math.log(1.0 / (3.0 + N_PE)))
 

@@ -107,10 +107,6 @@ class TestEffectiveProb:
             p = effective_prob(nu_l, nu_r, p_d)
             assert 0.0 <= p <= 1.0
 
-    def test_invalid_inputs_raise(self):
-        with pytest.raises(ValueError, match="p_d must lie in"):
-            effective_prob(0.1, 0.0, 1.5)
-
 
 class TestBWindowProb:
     def test_unknown_mode_raises(self):
@@ -311,6 +307,16 @@ def test_nan_parameter_rejected(cls, field):
     cls(**_VALID[cls])
     with pytest.raises(ValueError, match=field):
         cls(**{**_VALID[cls], field: math.nan})
+
+
+@pytest.mark.parametrize("field", ["eta_d", "p_d", "e_d"])
+def test_channel_probability_range(field):
+    # The one check of each probability: the formulas take them unchecked.
+    for value in (0.0, 1.0):
+        ChannelParams(**{**_VALID[ChannelParams], field: value})
+    for value in (math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0), math.nan):
+        with pytest.raises(ValueError, match=rf"{field} must lie in \[0, 1\]"):
+            ChannelParams(**{**_VALID[ChannelParams], field: value})
 
 
 class TestExpectedTallies:

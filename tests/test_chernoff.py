@@ -229,14 +229,13 @@ def test_batch_element_equals_scalar_call(name, counts, log_xi):
     assert batch.tolist() == one_element
 
 
-def test_bisection_fallback_matches_reference(monkeypatch):
-    # With no Newton step, every element the start leaves outside rounding
-    # of its root is solved by the bisection backup.
+def test_checked_loop_alone_matches_reference(monkeypatch):
+    # With no unchecked step, every element the start leaves outside
+    # rounding of its root is solved by the checked loop.
     rng = np.random.default_rng(3)
     counts = 10.0 ** rng.uniform(-6, 15, 24)
     log_xis = -(10.0 ** rng.uniform(-3, math.log10(-LOG_XI_MIN), 24))
     monkeypatch.setattr(chernoff, "_STEPS", 0)
-    monkeypatch.setattr(chernoff, "_MAX_NEWTON", 0)
     for name, solve in BOUNDS.items():
         got = solve(counts, log_xis)
         # A scalar count takes the same path as an array element.
@@ -307,13 +306,71 @@ def test_three_steps_leave_no_straggler(name, monkeypatch):
     assert gathered == []
 
 
+# From the start, the checked loop settles every element within this many
+# steps: 3 for expectation_upper and 5 for observed_upper (near t = 800).
+WORST_STEPS = 6
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_checked_loop_settles_far_below_its_cap(name):
+    """From the start, the checked loop settles every t = |ln xi| / count
+    from 1e-320 to _T_MAX within WORST_STEPS steps, so no element keeps its
+    iterate at the cap: a slower start or step fails here."""
+    assert WORST_STEPS < chernoff._MAX_NEWTON
+    t = np.geomspace(1e-320, chernoff._T_MAX, 200_001)
+    start, residual = (getattr(chernoff, f"_{name}_{part}")
+                       for part in ("start", "residual"))
+    w = np.empty_like(t)
+    start(t, w, np.empty_like(t), np.empty_like(t))
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        residual(*args)
+
+    chernoff._newton(counted, w, t)
+    # The last evaluation finds every element settled.
+    assert len(calls) - 1 <= WORST_STEPS
+    assert np.all(w > 0.0) and np.all(np.isfinite(w))
+
+
+def _beyond_observed_root(bound: float, count: float, log_xi: float) -> bool:
+    """Whether ``bound`` lies at or beyond observed_upper's root, from the
+    equation's left side in B = Y v, B (ln(B / Y) - 1) + Y, to 50 digits."""
+    with mpmath.workdps(50):
+        b, y = mpmath.mpf(bound), mpmath.mpf(count)
+        return b * (mpmath.log(b / y) - 1) + y >= -log_xi
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_counts_outside_the_solver_range_take_closed_forms(name):
+    """Where t = |ln xi| / count exceeds _T_MAX (a subnormal count) or is 0
+    (an infinite count), no bound is NaN: expectation_upper takes its
+    count -> 0 limit ln(1/xi), observed_upper an upper bound within 1e-3 of
+    its root, and an infinite count an infinite bound."""
+    # 7.5e-303 puts t at 2e305, just beyond _T_MAX.
+    counts = np.array([5e-324, 1e-310, 7.5e-303, np.inf])
+    got = BOUNDS[name](counts, -1500.0)
+    assert [float(BOUNDS[name](c, -1500.0)) for c in counts] == got.tolist()
+    assert got[-1] == np.inf
+    if name == "expectation_upper":
+        assert got[:-1].tolist() == [1500.0] * 3
+    else:
+        for g, c in zip(got[:-1], counts):
+            assert 0.0 < g < 3.0
+            assert _beyond_observed_root(g, c, -1500.0)
+            assert not _beyond_observed_root(g * (1.0 - 1e-3), c, -1500.0)
+    # t rounds to 0 at a finite count: no slack.
+    assert BOUNDS[name](np.array([1e308]), -1e-20).tolist() == [1e308]
+
+
 @pytest.mark.parametrize("max_newton", [chernoff._MAX_NEWTON, 0])
 def test_stragglers_are_solved_again(max_newton, monkeypatch):
     """Outside the pinned range, observed_upper leaves stragglers: above
     t = 1, and near t = 5e-33, where an unchecked step crosses the root to
-    below 0.  They are solved from the start by the checked loop (or, with
-    no checked step, the bisection) to rel 1e-12, and no bound falls below
-    its count."""
+    below 0.  They are solved from the start by the checked loop to rel
+    1e-12; with no checked step they keep their start, which lies beyond
+    the root.  No bound falls below its count."""
     monkeypatch.setattr(chernoff, "_MAX_NEWTON", max_newton)
     counts = 20.0 / np.concatenate((np.geomspace(1.5, 1e300, 30),
                                     np.geomspace(1.8e-33, 8.3e-33, 41)))
@@ -326,8 +383,15 @@ def test_stragglers_are_solved_again(max_newton, monkeypatch):
     got = observed_upper(counts, -20.0)
     assert gathered == [late.sum()]
     assert np.all(got >= counts)
-    for g, c in zip(got, counts):
-        assert g == pytest.approx(_mp_bound("observed_upper", c, -20.0, g), rel=1e-12)
+    roots = np.array([_mp_bound("observed_upper", c, -20.0, g) for g, c in zip(got, counts)])
+    if max_newton:
+        assert got == pytest.approx(roots, rel=1e-12)
+        return
+    t = 20.0 / counts[late]
+    start = np.empty_like(t)
+    chernoff._observed_upper_start(t, start, np.empty_like(t), np.empty_like(t))
+    assert got[late].tobytes() == ((start + 1.0) * counts[late]).tobytes()
+    assert np.all(got >= roots * (1.0 - 1e-12))
 
 
 # Reference: the solver written out of place, reading the step count and
@@ -352,23 +416,9 @@ def _reference_newton(residual, w, *args) -> np.ndarray:
         new = w - h / slope
         active &= (np.abs(h) > chernoff._NOISE * scale) & (new < w)
         if not active.any():
-            return w
-        w = np.where(active, new, w)
-    # Bisection for the elements Newton left moving.
-    idx = np.flatnonzero(active)
-    sub = [np.broadcast_to(a, w.shape).ravel()[idx] for a in args]
-    lo, hi = w.ravel()[idx], np.zeros(idx.size)
-    while True:
-        mid = 0.5 * (lo + hi)
-        moving = (mid != lo) & (mid != hi)
-        if not moving.any():
             break
-        beyond = residual(mid, *sub)[0] <= 0.0
-        lo = np.where(moving & beyond, mid, lo)
-        hi = np.where(moving & ~beyond, mid, hi)
-    out = w.flatten()
-    out[idx] = lo
-    return out.reshape(w.shape)
+        w = np.where(active, new, w)
+    return w
 
 
 def _reference_expectation_upper_start(t):
@@ -443,8 +493,9 @@ def _forms(counts: np.ndarray, log_xis: np.ndarray):
 @given(data=st.data(), s=st.integers(1, 3), n=st.integers(1, 4))
 def test_bounds_equal_reference_bit_for_bit(max_newton, data, s, n):
     """Both bounds equal the reference solver bit for bit, in every input
-    form, after three or one unchecked steps, on the straggler and the
-    bisection paths, and leave their inputs unchanged."""
+    form, after three or one unchecked steps, on the straggler path and
+    with the checked loop cut at its cap, and leave their inputs
+    unchanged."""
     counts = np.array(data.draw(st.lists(ORACLE_COUNTS, min_size=s * n,
                                          max_size=s * n))).reshape(s, n, 1)
     log_xis = np.array(data.draw(st.lists(ORACLE_LOG_XIS, min_size=s,

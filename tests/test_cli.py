@@ -794,6 +794,63 @@ def test_oversized_distance_flag_is_a_config_error(tmp_path, capsys):
         assert not out.exists()
 
 
+def _run_cli(config, out, **env) -> subprocess.CompletedProcess:
+    """``scsqkd scan`` in a fresh interpreter, with ``env`` added to its
+    environment; its output is read as UTF-8."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from scsqkd.cli import main; sys.exit(main(sys.argv[2:]))")
+    return subprocess.run([sys.executable, "-c", code, str(Path(cli.__file__).parent.parent),
+                           "scan", "--config", str(config), "--out", str(out)],
+                          capture_output=True, encoding="utf-8", timeout=120,
+                          env={**os.environ, **env})
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    # It used to end in a UnicodeDecodeError traceback with exit status 1.
+    config = tmp_path / "config.json"
+    config.write_bytes(json.dumps(BASE_CONFIG).encode().replace(b'"improved"',
+                                                                b'"improved\xff"'))
+    run = _run_cli(config, tmp_path / "out")
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: config is not valid JSON: ")
+    assert "\n" not in run.stderr[:-1]  # one line, no traceback
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_is_read_as_utf8_in_any_locale(tmp_path):
+    # Under an ASCII locale the config was decoded as ASCII: a non-ASCII key
+    # ended in a UnicodeDecodeError traceback instead of naming the key.
+    config = tmp_path / "config.json"
+    raw = copy.deepcopy(BASE_CONFIG)
+    raw["channel"]["\u00e9"] = 1.0
+    config.write_bytes(json.dumps(raw, ensure_ascii=False).encode())
+    run = _run_cli(config, tmp_path / "out", LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONIOENCODING="utf-8")
+    assert (run.returncode, run.stderr) == (2, "error: channel.\u00e9 is not a known key\n")
+
+
+def test_subnormal_px_never_becomes_the_optimum(tmp_path):
+    # At px = 1e-160 the n_B count is subnormal and the square in the mean
+    # phase-error count overflows: each Chernoff bound gave NaN, argmax ranked
+    # the NaN rate first, and the rows were written with px = 1e-160 and
+    # nan rates, with exit status 0.
+    raw = json.loads(_readme_block("json"))
+    raw["search"]["px_range"] = [1e-160, 0.5]
+    raw["scan"] = {"distance": [0, 0, 10], "blocks": ["1e10", "1e12"],
+                   "modes": ["improved"]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    run = _run_cli(config, tmp_path / "out")
+    assert run.returncode == 0, run.stderr
+    text = (tmp_path / "out" / "scan.csv").read_text()
+    assert "nan" not in text
+    rows = text.splitlines()[1:]
+    assert len(rows) == 2
+    for row in rows:
+        values = dict(zip(CSV_HEADER.split(","), row.split(",")))
+        assert float(values["px"]) > 1e-3 and float(values["R_coh"]) > 0.0, row
+
+
 def _readme_block(lang: str) -> str:
     """The first fenced ``lang`` code block of README.md."""
     return README.read_text().split(f"```{lang}\n", 1)[1].split("```", 1)[0]

@@ -1,7 +1,8 @@
 """Checks on the package source: no dead imports, no top-level names that
 are unused or used only by tests, no stale exports, no exception class that
 is neither exported nor caught, a numpy-only runtime, one writer of output
-files, and README examples that run."""
+files, no file read or written in the locale's encoding, and README examples
+that run."""
 import ast
 import json
 import re
@@ -291,3 +292,30 @@ def test_outputs_have_one_writer():
                     truncating.append(f"{path.name}:{node.lineno}")
     assert writers == {("cli.py", "_overwrite")}
     assert truncating == []
+
+
+def _locale_dependent(call: ast.Call) -> bool:
+    """Whether ``call`` is an ``open(path, mode)``/``path.open(mode)`` in
+    text mode, or a ``read_text``/``write_text``, that names no encoding
+    (``os.open`` is not one: it opens a descriptor)."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if any(k.arg == "encoding" for k in call.keywords):
+        return False
+    if name in ("read_text", "write_text"):
+        return True
+    if name != "open" or getattr(getattr(func, "value", None), "id", None) == "os":
+        return False
+    modes = call.args[isinstance(func, ast.Name):][:1]
+    modes += [k.value for k in call.keywords if k.arg == "mode"]
+    return not any(isinstance(mode, ast.Constant) and "b" in str(mode.value)
+                   for mode in modes)
+
+
+def test_every_open_is_binary_or_names_its_encoding():
+    # A text-mode open without an encoding decodes with the locale's: a
+    # UTF-8 config under an ASCII locale failed to load.
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and _locale_dependent(node)]
+    assert found == []

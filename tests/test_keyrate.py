@@ -105,26 +105,9 @@ class TestSecurityBudget:
             log_eps_col = math.log(1e-10) - 63.0 * math.log1p(n)
             assert total == pytest.approx(log_eps_col, rel=1e-12)
 
-    def test_invalid_target_rejected(self):
-        with pytest.raises(ValueError, match=r"eps_coh_target must lie in \(0, 1\)"):
-            security_budget(0.0, 1e10, 8)
-        with pytest.raises(ValueError, match=r"eps_coh_target must lie in \(0, 1\)"):
-            security_budget(2.0, 1e10, 8)
-
-    @pytest.mark.parametrize("eps", [0.0, 1.0])
-    def test_target_edges_rejected(self, eps):
-        with pytest.raises(ValueError, match="eps_coh_target"):
-            security_budget(eps, 1e10, 8)
-
     @pytest.mark.parametrize("eps", [math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)])
     def test_target_next_to_the_edges_accepted(self, eps):
         assert math.isfinite(security_budget(eps, 1e10, 8))
-
-    @pytest.mark.parametrize("n", [-1.0, math.nan])
-    def test_invalid_block_size_rejected(self, n):
-        # A check written as ``N < 0`` lets NaN through, into a NaN budget.
-        with pytest.raises(ValueError, match="N must be nonnegative"):
-            security_budget(1e-10, n, 8)
 
     def test_block_size_edge_accepted(self):
         assert math.isfinite(security_budget(1e-10, 0.0, 8))

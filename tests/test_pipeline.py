@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scsqkd import pipeline
+from scsqkd import chernoff, phase_error, pipeline
 from scsqkd.channel import MODES, ChannelParams, ProtocolParams, arm_transmittance
-from scsqkd.optimizer import optimize
+from scsqkd.optimizer import SearchSpace, optimize, search_points
 from scsqkd.pipeline import (InfeasibleError, SecurityConfig, SourceCalibration,
                              evaluate_point, evaluate_points, require_block)
 
@@ -247,3 +247,40 @@ def test_optimize_rejects_block_size_before_evaluating(monkeypatch):
     for block in (0.5, 1e306):
         with pytest.raises(ValueError, match="block_size"):
             optimize(CHANNEL_50, CALIB, block, SecurityConfig())
+    # Over several points every block size is checked before the first
+    # pass: the asymptotic group's pass comes before the finite group's,
+    # whose own check would reject 0.5 only after the first evaluation.
+    with pytest.raises(ValueError, match="block_size"):
+        search_points([(CHANNEL_50, pipeline.ASYMPTOTIC, "improved"),
+                       (CHANNEL_50, 0.5, "improved")], CALIB, SecurityConfig(), SearchSpace())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(log_n=st.floats(0.0, 15.0), km=st.floats(0.0, 400.0))
+def test_scan_phase_error_mean_keeps_observed_upper_off_the_checked_loop(log_n, km):
+    """The mean phase-error count of every candidate is at least 2 |ln xi|:
+    (p0 px / 2) (c0 sqrt(O) / p0 + c1 sqrt(B) / px + c2 sqrt(N))^2 >=
+    2 c0 c1 sqrt(O B) = 2 sqrt(O B), and each expectation_upper bound O, B
+    is at least |ln xi|.  So observed_upper sees t <= 1/2, inside its
+    no-straggler range, and a pass never enters the checked loop."""
+    channel = replace(CHANNEL_50, distance_km=km)
+    px = np.linspace(0.01, 0.99, 20).reshape(1, -1, 1)
+    mu = np.geomspace(1e-4, 1.0, 20).reshape(1, 1, -1)
+    seen = []
+    real = phase_error.observed_upper
+
+    def spy(mean, log_xi):
+        seen.append((np.copy(mean), log_xi))
+        return real(mean, log_xi)
+
+    def straggled(*args):
+        raise AssertionError("entered the checked loop")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(phase_error, "observed_upper", spy)
+        patch.setattr(chernoff, "_newton", straggled)
+        evaluate_points(channel, CALIB, 1.0 - px, px, mu, mu, arm_transmittance(channel),
+                        SecurityConfig(), 10.0 ** log_n, MODES,
+                        mode_index=np.arange(len(MODES)).reshape(-1, 1, 1))
+    [(mean, log_xi)] = seen
+    assert np.all(mean >= 2.0 * -np.asarray(log_xi) * (1.0 - 1e-12))
