@@ -285,20 +285,6 @@ def b_window_prob(mu_A, mu_B, eta, e_d: float, p_d: float,
                       + exp_neg_a * click_prob(a, p_d))
 
 
-def _broadcast(x, shape: tuple) -> np.ndarray:
-    """``x`` broadcast to ``shape`` as a float array: ``x`` itself if it is
-    one of that shape, else a new one.
-
-    Copying into the new array costs a fraction of ``np.broadcast_to`` on
-    the small arrays of a search sweep.
-    """
-    if isinstance(x, np.ndarray) and x.shape == shape and x.dtype == float:
-        return x
-    out = np.empty(shape)
-    np.copyto(out, x)
-    return out
-
-
 def heralding_arrays(mu_A, mu_B, eta, e_d: float, p_d: float,
                      mode, mode_index=0) -> tuple:
     """Heralding probabilities (p_O, p_B, p_Z) of the window kinds.
@@ -311,8 +297,10 @@ def heralding_arrays(mu_A, mu_B, eta, e_d: float, p_d: float,
 
     ``mode`` is one heralding mode, or a tuple of modes of which the integer
     ``mode_index`` picks each element's, so that one channel pass serves
-    candidates of every mode.  Each mode's ``p_B`` is computed on its own
-    elements only.
+    candidates of every mode.  Each mode's ``p_B`` is computed on the shape
+    of the intensities and ``eta``, and ``np.choose`` picks each element's
+    from them; a mode's value at an element does not depend on the others.
+    An index that is not an integer in [0, len(modes)) raises ValueError.
     """
     # initial=0.0 lets empty arrays pass and leaves every other verdict as is.
     arrays = (mu_A, eta) if mu_B is mu_A else (mu_A, mu_B, eta)
@@ -325,27 +313,11 @@ def heralding_arrays(mu_A, mu_B, eta, e_d: float, p_d: float,
     p_zb = (p_za if mu_B is mu_A
             else effective_prob(*detector_means("Z_B", mu_A, mu_B, eta, e_d), p_d))
     modes = (mode,) if isinstance(mode, str) else mode
-    if len(modes) == 1:
-        p_b = b_window_prob(mu_A, mu_B, eta, e_d, p_d, modes[0])
-    else:
-        shape = np.broadcast(mu_A, mu_B, eta, mode_index).shape
-        same = mu_B is mu_A
-        mu_A, eta = _broadcast(mu_A, shape), _broadcast(eta, shape)
-        mu_B = mu_A if same else _broadcast(mu_B, shape)
-        p_b = np.empty(shape)
-        sel = np.empty(shape, dtype=bool)
-        picked = 0
-        for k, name in enumerate(modes):
-            np.equal(mode_index, k, out=sel)
-            count = np.count_nonzero(sel)
-            if count:
-                picked += count
-                m_A = mu_A[sel]
-                p_b[sel] = b_window_prob(m_A, m_A if same else mu_B[sel], eta[sel],
-                                         e_d, p_d, name)
-        # An index past the modes leaves its elements unset.
-        if picked < p_b.size:
-            raise ValueError(f"mode_index must pick one of {len(modes)} modes")
+    per_mode = [b_window_prob(mu_A, mu_B, eta, e_d, p_d, name) for name in modes]
+    try:
+        p_b = np.choose(mode_index, per_mode)
+    except (TypeError, ValueError) as exc:  # a non-integer or out-of-range index
+        raise ValueError(f"mode_index must pick one of {len(modes)} modes") from exc
     return effective_prob(0.0, 0.0, p_d), p_b, p_za + p_zb
 
 

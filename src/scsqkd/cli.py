@@ -170,6 +170,7 @@ def _distances(name: str, axis) -> tuple[float, ...]:
     if not (isinstance(axis, list) and len(axis) == 3):
         raise ConfigError(f"{name} must be [start, stop, step], got {axis!r}")
     start, stop, step = (_number(name, v) for v in axis)
+    start += 0.0  # -0.0 becomes 0.0, the distance written for it
     if not 0.0 <= start <= stop or step <= 0.0:
         raise ConfigError(f"{name} needs 0 <= start <= stop and step > 0, "
                           f"got {axis!r}")

@@ -166,17 +166,25 @@ class _Incumbents:
         top = rates.argmax(axis=1)
         rows = np.arange(n)
         score = rates[rows, top]  # the row max, as the winner's own rate
-        # Where every feasible rate is -inf, the first feasible candidate.
-        lost = score == -np.inf
+        # A score above -inf is a feasible candidate's.  Where it is -inf or
+        # NaN (np.argmax ranks NaN above every rate), the row is ranked again
+        # among its feasible candidates with a rate, NaN below -inf: the
+        # first of the largest wins, and a row with none has no winner.
+        won = score > -np.inf
+        lost = ~won
         if np.count_nonzero(lost):
-            top[lost] = np.broadcast_to(feasible, (n, n_px, n_mu))[lost].reshape(
-                np.count_nonzero(lost), -1).argmax(axis=1)
+            again = rates[lost]
+            ok = np.broadcast_to(feasible, (n, n_px, n_mu))[lost].reshape(
+                len(again), -1) & ~np.isnan(again)
+            score[lost] = np.where(ok, again, -np.inf).max(axis=1)
+            top[lost] = (ok & (again == score[lost][:, None])).argmax(axis=1)
+            won[lost] = ok.any(axis=1)
         a, b = np.divmod(top, n_mu)
 
         def pick(field):  # each row's winner in a field of a broadcasting shape
             return field[rows, a if field.shape[1] > 1 else 0, b if field.shape[2] > 1 else 0]
 
-        better = pick(feasible) & (~self.found[points] | (score > self.values[-1, points]))
+        better = won & (~self.found[points] | (score > self.values[-1, points]))
         if not np.count_nonzero(better):
             return
         i = points[better]

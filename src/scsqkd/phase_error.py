@@ -53,9 +53,15 @@ def _mean_count(nO_U, nB_U, N, p0, px, c0, c1, c2):
     + 2 c1 c2 sqrt(N nB_U) / px]`` is the perfect square
     ``(p0 px / 2) (c0 sqrt(nO_U) / p0 + c1 sqrt(nB_U) / px + c2 sqrt(N))^2``,
     evaluated as such: each square root runs on the shape of its count.
+
+    As px -> 0 the bound tends to +inf, which an overflowed bracket or
+    square gives without a warning.  ``p0 px / 2`` rounds to 0 only at
+    px = 5e-324, where the bracket is inf; the smallest positive double
+    takes its place there, so the product is inf, not 0 inf = NaN.
     """
-    return (p0 * px / 2.0) * (
-        c0 * (np.sqrt(nO_U) / p0) + c1 * (np.sqrt(nB_U) / px) + c2 * np.sqrt(N)) ** 2
+    with np.errstate(over="ignore"):
+        return np.maximum(p0 * px / 2.0, 5e-324) * (
+            c0 * (np.sqrt(nO_U) / p0) + c1 * (np.sqrt(nB_U) / px) + c2 * np.sqrt(N)) ** 2
 
 
 def phase_error_arrays(n_O, n_B, n_Z, N, p0, px, c0, c1, c2,

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import scsqkd.channel
 from scsqkd.channel import (_I0_SERIES_MAX, MODES, ChannelParams,
                             ProtocolParams, WindowTally, _i0e, _scaled_i0_minus_1,
                             arm_transmittance, b_window_prob,
@@ -183,29 +182,15 @@ class TestHeraldingArrays:
             assert mixed[1].tolist() == expected.tolist()
             assert not np.array_equal(alone[0][1], alone[1][1])
 
-    @pytest.mark.parametrize("bad", [-1, 2])
+    @pytest.mark.parametrize("bad", [-1, 2, 0.5])
     def test_index_past_the_modes_rejected(self, bad):
         mode_index = np.array([[0, 1, bad, 0, 1, 1, 1, 0, 1]])
         with pytest.raises(ValueError, match="mode_index"):
             heralding_arrays(self.MU, self.MU, self.ETA, 0.04, 1e-9, MODES, mode_index)
-
-    def test_each_mode_runs_on_its_own_elements(self, monkeypatch):
-        # Computing every mode on every element and selecting afterwards
-        # would double the B-window work of a two-mode pass.
-        sizes = []
-        real = scsqkd.channel.b_window_prob
-
-        def counted(mu_A, *args):
-            sizes.append(np.size(mu_A))
-            return real(mu_A, *args)
-
-        monkeypatch.setattr(scsqkd.channel, "b_window_prob", counted)
-        mode_index = np.array([[0, 1, 1, 0, 1, 1, 1, 0, 1]])
-        heralding_arrays(self.MU, self.MU, self.ETA, 0.04, 1e-9, MODES, mode_index)
-        assert sorted(sizes) == [2 * 3, 2 * 6]
-        sizes.clear()
-        heralding_arrays(self.MU, self.MU, self.ETA, 0.04, 1e-9, MODES, 1)
-        assert sizes == [2 * self.MU.size]
+        # One mode has index 0 only, given as a string or as a 1-tuple.
+        for mode in ("improved", ("improved",)):
+            with pytest.raises(ValueError, match="mode_index"):
+                heralding_arrays(self.MU, self.MU, self.ETA, 0.04, 1e-9, mode, 1)
 
 
 def _mp_phase_average(mu_A, mu_B, eta, e_d, p_d) -> float:

@@ -124,6 +124,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="--distance step"):
             load_config(_write_config(tmp_path), ns)
 
+    def test_stop_takes_a_billionth_of_a_step_of_slack(self, tmp_path):
+        # 0.1 + 0.1 + 0.1 lands past 0.3 by rounding and is kept; a distance
+        # 1.5e-9 steps past the stop is not.
+        for axis, expected in (([0, 0.3, 0.1], (0.0, 0.1, 0.2, 0.3)),
+                               ([0, 1 - 1.5e-9, 1], (0.0,))):
+            path = _write_config(tmp_path, {"scan": dict(BASE_CONFIG["scan"], distance=axis)})
+            assert load_config(path, _no_overrides()).distances == expected
+
 
 class TestCsvEmission:
     def test_schema_and_sorting(self, tmp_path):
@@ -782,6 +790,10 @@ def test_size_bounds_are_inclusive(tmp_path):
     assert cfg.space.grid == (1024, 1024)
     assert cfg.space.refine_rounds == optimizer.MAX_REFINE_ROUNDS
     assert len(cfg.distances) == 10**6
+    # The bound counts the distances of the span, not the start's size.
+    path = _write_config(tmp_path, {
+        "scan": dict(BASE_CONFIG["scan"], distance=[10**6, 10**6 + 2, 1])})
+    assert load_config(path, _no_overrides()).distances == (1e6, 1e6 + 1, 1e6 + 2)
 
 
 def test_oversized_distance_flag_is_a_config_error(tmp_path, capsys):
@@ -829,26 +841,61 @@ def test_config_is_read_as_utf8_in_any_locale(tmp_path):
     assert (run.returncode, run.stderr) == (2, "error: channel.\u00e9 is not a known key\n")
 
 
-def test_subnormal_px_never_becomes_the_optimum(tmp_path):
-    # At px = 1e-160 the n_B count is subnormal and the square in the mean
-    # phase-error count overflows: each Chernoff bound gave NaN, argmax ranked
-    # the NaN rate first, and the rows were written with px = 1e-160 and
-    # nan rates, with exit status 0.
+def _px_range_scan(tmp_path, px_lo) -> subprocess.CompletedProcess:
+    """The README config at 0 km, N = 1e10 and 1e12, improved mode, with
+    ``search.px_range`` [px_lo, 0.5], in a fresh interpreter."""
     raw = json.loads(_readme_block("json"))
-    raw["search"]["px_range"] = [1e-160, 0.5]
-    raw["scan"] = {"distance": [0, 0, 10], "blocks": ["1e10", "1e12"],
+    raw["search"]["px_range"] = [px_lo, 0.5]
+    raw["scan"] = {"distance": [0, 0, 1], "blocks": ["1e10", "1e12"],
                    "modes": ["improved"]}
-    config = tmp_path / "config.json"
+    config = tmp_path / f"config_{px_lo!r}.json"
     config.write_text(json.dumps(raw))
-    run = _run_cli(config, tmp_path / "out")
-    assert run.returncode == 0, run.stderr
-    text = (tmp_path / "out" / "scan.csv").read_text()
+    return _run_cli(config, tmp_path / f"out_{px_lo!r}")
+
+
+@pytest.fixture(scope="module")
+def px_reference(tmp_path_factory) -> str:
+    """scan.csv of the px_range [1e-150, 0.5] scan."""
+    tmp_path = tmp_path_factory.mktemp("px_reference")
+    assert _px_range_scan(tmp_path, 1e-150).returncode == 0
+    return (tmp_path / "out_1e-150" / "scan.csv").read_text()
+
+
+@pytest.mark.parametrize("px_lo", [5e-324, 1e-310, 1e-160])
+def test_subnormal_px_never_becomes_the_optimum(tmp_path, px_lo, px_reference):
+    # As px -> 0 the mean phase-error count's bracket overflows: at 1e-160
+    # each Chernoff bound gave NaN and argmax ranked the NaN rate first, so
+    # the rows were written with px = 1e-160 and nan rates with exit status
+    # 0; at 5e-324, p0 px / 2 rounded to 0 and 0 inf gave NaN; and each run
+    # printed overflow warnings.  The bound's limit is +inf (e_ph = 1/2), so
+    # no candidate that small wins and the scan is the one from 1e-150.
+    run = _px_range_scan(tmp_path, px_lo)
+    assert (run.returncode, run.stderr) == (0, "")
+    text = (tmp_path / f"out_{px_lo!r}" / "scan.csv").read_text()
     assert "nan" not in text
-    rows = text.splitlines()[1:]
-    assert len(rows) == 2
-    for row in rows:
-        values = dict(zip(CSV_HEADER.split(","), row.split(",")))
-        assert float(values["px"]) > 1e-3 and float(values["R_coh"]) > 0.0, row
+    assert text == px_reference
+    rows = [dict(zip(CSV_HEADER.split(","), row.split(",")))
+            for row in text.splitlines()[1:]]
+    assert [f"{float(row['R_coh']):.4e}" for row in rows] == ["9.4875e-06", "1.7296e-04"]
+
+
+@pytest.mark.parametrize("spelling", ["config", "flag"])
+def test_negative_zero_start_writes_zero(tmp_path, spelling):
+    # -0.0 passed the 0 <= start check and was written as the distance -0.0.
+    def scan(name, distance, *flags):
+        out = tmp_path / name
+        config = _write_config(tmp_path, {
+            "scan": dict(BASE_CONFIG["scan"], distance=distance), "mc_validate": True})
+        assert main(["scan", "--config", config, "--out", str(out), *flags]) == 0
+        return [(out / f).read_bytes() for f in ("scan.csv", "mc_report.csv")]
+
+    expected = scan("zero", [0, 10, 10])
+    if spelling == "config":
+        got = scan("negative", [-0.0, 10, 10])
+    else:
+        got = scan("negative", [5, 10, 10], "--distance=-0:10:10")
+    assert got == expected
+    assert b"-0.0" not in b"".join(got)
 
 
 def _readme_block(lang: str) -> str:

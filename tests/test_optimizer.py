@@ -170,6 +170,39 @@ def test_incumbents_match_a_reference_loop(drawn):
             assert [x.hex() for x in got] == [float(x).hex() for x in e], j
 
 
+def _rate_pass(rates, feasible=True):
+    """One point's pass over px = 0.1, 0.2, ... and one mu, with the given
+    coherent rates; every other field is 0."""
+    rates = np.array(rates, dtype=float).reshape(1, -1, 1)
+    zero = np.zeros((1, 1, 1))
+    feasible = np.broadcast_to(np.reshape(feasible, (1, -1, 1)), rates.shape)
+    batch = KeyRateReport(feasible, *[zero] * 8, rates)
+    px = np.arange(1.0, rates.shape[1] + 1.0)[None, :] / 10.0
+    return np.array([0]), px, np.array([[0.3]]), batch
+
+
+@pytest.mark.parametrize("rates, feasible, expected", [
+    ([1e-6, math.nan, 2e-6], True, (0.3, 2e-6)),
+    ([math.nan, 3e-6, 2e-6], True, (0.2, 3e-6)),
+    # NaN ranks below -inf, and an infeasible candidate ranks below both.
+    ([math.nan, -math.inf, 1.0], [True, True, False], (0.2, -math.inf)),
+    ([math.nan, math.nan], True, None),
+    ([math.nan, 1.0], [True, False], None),
+])
+def test_nan_rate_never_becomes_the_incumbent(rates, feasible, expected):
+    best = optimizer._Incumbents(1)
+    best.update(*_rate_pass(rates, feasible))
+    # A later pass of NaN rates keeps the incumbent.
+    for _ in range(2):
+        if expected is None:
+            assert not best.found[0]
+            assert best.values[:, 0].tolist() == [0.0] * optimizer._Incumbents.ROWS
+        else:
+            assert best.found[0]
+            assert (best.values[0, 0], best.values[-1, 0]) == expected
+        best.update(*_rate_pass([math.nan, math.nan]))
+
+
 class TestIncumbentRule:
     """search_points against a stubbed pass whose feasibility and rates
     are set per sweep, point and candidate; the candidate index is
