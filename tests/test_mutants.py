@@ -46,12 +46,14 @@ def test_mutants_are_killed_survive_or_are_allowed(tmp_path, monkeypatch, capsys
     assert mutants.apply(MODULE, found[0]).splitlines()[5] == "    if  lazy and x >= 0:"
     assert mutants.apply(MODULE, found[1]).splitlines()[5] == "    if not lazy or x >= 0:"
 
+    monkeypatch.setattr(mutants, "PACKAGE", str(package))
+    monkeypatch.setattr(mutants, "TESTS", str(tests))
     monkeypatch.setattr(mutants, "ALLOWED", {keys[1]: "a test of the allow-list"})
     # Each test run is a fresh pytest; the toy tests need no plugin.
     monkeypatch.setenv("PYTEST_DISABLE_PLUGIN_AUTOLOAD", "1")
-    argv = ["mod", "grow", "--package", str(package), "--tests", str(tests / "test_mod.py")]
-    assert mutants.main(argv) == 1
+    assert mutants.main(["mod", "grow"]) == 1
     out = capsys.readouterr().out
+    assert out.startswith(f"tests: {tests / 'test_mod.py'}\n")
     outcomes = re.findall(r"^(killed|SURVIVED|equivalent) +(\d+)  (.*)$", out, re.M)
     assert outcomes == [("killed", "6", keys[0]), ("equivalent", "6", keys[1]),
                         ("killed", "6", keys[2]), ("SURVIVED", "6", keys[3]),

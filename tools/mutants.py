@@ -3,7 +3,7 @@
 Run from the root of a scsqkd checkout:
 
     python3 tools/mutants.py channel heralding_arrays b_window_prob
-    python3 tools/mutants.py optimizer _Incumbents.update --tests tests/test_optimizer.py
+    python3 tools/mutants.py optimizer _Incumbents.update
 
 Each mutant changes one site in the body of one named function (a method is
 named ``Class.method``), in source order:
@@ -21,8 +21,8 @@ named ``Class.method``), in source order:
 Only the operator or constant's own characters are replaced, so every
 other line keeps its text and number.  Each mutant is written into a copy of
 the package in a temporary directory, and pytest runs the tests against it
-(``-x``, the copy first on the path): by default the test files under
-``tests/`` that import the module, or a name it defines, from the package.
+(``-x``, the copy first on the path): the test files under ``TESTS`` that
+import the module, or a name it defines, from the package ``PACKAGE``.
 A mutant is killed when the tests fail or time out (ten times the
 unmutated run, at least a minute) and survives when they pass; a test run
 may use at most ``MEMORY`` bytes of address space, so a mutant that loops
@@ -223,14 +223,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("module", help="module name within the package, e.g. channel")
     parser.add_argument("functions", nargs="+", help="functions to mutate (Class.method)")
-    parser.add_argument("--package", default=PACKAGE, help="package directory")
-    parser.add_argument("--tests", nargs="+", type=Path,
-                        help="test files (default: those that import the module)")
     args = parser.parse_args(argv)
-    package = Path(args.package).resolve()
+    package = Path(PACKAGE).resolve()
     target = package / f"{args.module}.py"
     source = target.read_text(encoding="utf-8")
-    tests = args.tests or importing_tests(package, args.module, source, Path(TESTS))
+    tests = importing_tests(package, args.module, source, Path(TESTS))
     if not tests:
         raise SystemExit(f"no test file imports {args.module}")
     print(f"tests: {' '.join(map(str, tests))}")
