@@ -2,6 +2,14 @@
 
 Configuration is a single JSON document; command-line flags override the
 corresponding config keys.  Rows are sorted by distance, block size and mode.
+
+``load_config`` builds each section's record once, and the record checks
+its ranges.  With ``mc_validate``, the Monte Carlo cross-check passes the
+feasible rows' own arrays to ``mc_oracle.simulate_arrays``, which checks
+nothing, so the checks it needs are made here: ``load_config`` checks the
+seed (each row's seed wraps modulo 2**64) and the window count, the search
+keeps px in (0, 1) with p0 = 1 - px, and ``heralding_arrays``, which gives
+the expected counts first, rejects a negative intensity or transmittance.
 """
 from __future__ import annotations
 
@@ -17,9 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (MODES, ChannelParams, ProtocolParams, arm_transmittance,
-                      heralding_arrays, tally_arrays)
-from .mc_oracle import require_seed, require_windows, simulate_points
+from .channel import (MODES, ChannelParams, arm_transmittance, heralding_arrays,
+                      tally_arrays)
+from .mc_oracle import require_seed, require_windows, simulate_arrays
 from .optimizer import SearchSpace, search_points
 from .pipeline import (ASYMPTOTIC, MAX_BLOCK, SecurityConfig, SourceCalibration,
                        require_block)
@@ -111,25 +119,24 @@ def _object(raw: dict, name: str, known) -> dict:
     return section
 
 
-def _section(raw: dict, name: str, template, keys: dict, required: bool = False):
-    """``template`` with the keys of config section ``name`` applied in turn.
+def _section(raw: dict, name: str, record, keys: dict, required: bool = False):
+    """``record`` built once from the keys of config section ``name``.
 
-    Every check these dataclasses make involves one field, so a check that
-    fails names the key just applied.
+    Each key is converted in turn; then every check of the record starts
+    its message with the field it checks, which names the key.
     """
     section = _object(raw, name, keys)
-    result = template
+    fields = {}
     for key, (field, convert) in keys.items():
-        if key not in section:
-            if required:
-                raise ConfigError(f"{name}.{key} is missing")
-            continue
-        value = convert(f"{name}.{key}", section[key])
-        try:
-            result = replace(result, **{field: value})
-        except ValueError as exc:
-            raise ConfigError(f"{name}.{key} is invalid: {exc}")
-    return result
+        if key in section:
+            fields[field] = convert(f"{name}.{key}", section[key])
+        elif required:
+            raise ConfigError(f"{name}.{key} is missing")
+    try:
+        return record(**fields)
+    except ValueError as exc:
+        key = {field: key for key, (field, _) in keys.items()}[str(exc).partition(" ")[0]]
+        raise ConfigError(f"{name}.{key} is invalid: {exc}")
 
 
 def _block_label(name: str, raw) -> str:
@@ -203,11 +210,11 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
         raise ConfigError(f"config must be a JSON object, got {raw!r}")
     _reject_unknown(raw, _TOP_KEYS)
 
-    channel = _section(raw, "channel", ChannelParams(0.0, 0.0, 0.0, 0.0, 0.0),
+    channel = _section(raw, "channel", functools.partial(ChannelParams, 0.0),
                        _CHANNEL_KEYS, required=True)
-    calib = _section(raw, "source", SourceCalibration(), _SOURCE_KEYS)
-    security = _section(raw, "security", SecurityConfig(), _SECURITY_KEYS)
-    space = _section(raw, "search", SearchSpace(), _SEARCH_KEYS)
+    calib = _section(raw, "source", SourceCalibration, _SOURCE_KEYS)
+    security = _section(raw, "security", SecurityConfig, _SECURITY_KEYS)
+    space = _section(raw, "search", SearchSpace, _SEARCH_KEYS)
 
     scan = _object(raw, "scan", _SCAN_KEYS)
     if overrides.distance is not None:
@@ -372,34 +379,34 @@ def emit_plot(rows: list[dict]) -> str:
 
 
 def _mc_report(cfg: ScanConfig, rows: list[dict]) -> str:
-    channels = {d: replace(cfg.channel, distance_km=d)
-                for d in dict.fromkeys(row["distance_km"] for row in rows)}
     # Each feasible row with its index among all rows, which offsets its seed.
     feasible = [(idx, row) for idx, row in enumerate(rows) if row["feasible_flag"]]
-    protocols = [ProtocolParams(p0=1.0 - row["px"], px=row["px"], mu_xA=row["mu_x"],
-                                mu_xB=row["mu_x"], N=cfg.mc_windows, mode=row["mode"])
-                 for _, row in feasible]
-    run_channels = [channels[row["distance_km"]] for _, row in feasible]
+    eta_at = {d: arm_transmittance(replace(cfg.channel, distance_km=d))
+              for d in dict.fromkeys(row["distance_km"] for _, row in feasible)}
+    px, mu, eta = np.array([[row["px"] for _, row in feasible],
+                            [row["mu_x"] for _, row in feasible],
+                            [eta_at[row["distance_km"]] for _, row in feasible]],
+                           dtype=float)
+    mode_index = np.array([MODES.index(row["mode"]) for _, row in feasible], dtype=int)
+    p0 = 1.0 - px
+    e_d, p_d = cfg.channel.e_d, cfg.channel.p_d
     # The expected counts of all rows come from one channel pass, with each
     # row's scalar transmittance and mode, so they keep every bit of
-    # expected_tallies(protocol, channel).
-    mu = np.array([p.mu_xA for p in protocols])
-    eta = np.array([arm_transmittance(channel) for channel in run_channels])
-    mode_index = np.array([MODES.index(p.mode) for p in protocols], dtype=int)
-    probs = heralding_arrays(mu, mu, eta, cfg.channel.e_d, cfg.channel.p_d, MODES,
-                             mode_index)
-    expected = np.array(tally_arrays(np.array([p.p0 for p in protocols]),
-                                     np.array([p.px for p in protocols]),
-                                     cfg.mc_windows, *probs))
+    # expected_tallies(protocol, channel); heralding_arrays checks the
+    # intensities and transmittance that simulate_arrays needs.
+    probs = heralding_arrays(mu, mu, eta, e_d, p_d, MODES, mode_index)
+    expected = np.array(tally_arrays(p0, px, cfg.mc_windows, *probs))
     # Row seeds wrap, so that every valid scan seed stays a valid key.
-    observed = simulate_points(protocols, run_channels,
-                               [(cfg.seed + idx) % 2**64 for idx, _ in feasible])
+    observed = simulate_arrays(
+        p0, px, mu, mu, eta, np.full(len(feasible), e_d), np.full(len(feasible), p_d),
+        mode_index == MODES.index("baseline"), [cfg.mc_windows] * len(feasible),
+        [(cfg.seed + idx) % 2**64 for idx, _ in feasible])
     lines = ["distance_km,N,mode,component,expected,observed"]
     for (_, row), counts, tally in zip(feasible, expected.T, observed):
-        for component, value in zip(("n_O", "n_B", "n_Z"), counts):
+        for component, value, count in zip(("n_O", "n_B", "n_Z"), counts, tally):
             lines.append(",".join([
                 repr(float(row["distance_km"])), row["N"], row["mode"], component,
-                repr(float(value)), repr(float(getattr(tally, component)))]))
+                repr(float(value)), repr(float(count))]))
     return "\n".join(lines) + "\n"
 
 

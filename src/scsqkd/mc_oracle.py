@@ -18,8 +18,15 @@ converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
 Every heralding probability is combined here from the channel model's
 detector means (``detector_means``) and click probability (``click_prob``),
 never taken from the channel model's heralding formulas, so the cross-check
-stays independent.  ``ProtocolParams`` and ``ChannelParams`` enforce the
-nonnegative intensities and transmittance that ``detector_means`` needs.
+stays independent.
+
+``simulate_points`` is the record front end: it checks the seeds and window
+counts, unpacks the ``ProtocolParams`` and ``ChannelParams`` records, which
+check every other range (the nonnegative intensities and transmittance that
+``detector_means`` needs among them), and calls ``simulate_arrays``, the
+array core, which checks nothing.  A caller that holds arrays already, such
+as ``scsqkd scan --mc-validate``, calls the core directly and owns those
+checks.
 
 All draws of a run come from one counter-based Philox stream keyed on
 (seed, 0), so the output depends only on the inputs.  A call builds one
@@ -114,9 +121,9 @@ def _phase_averaged_b_prob(mu_A, mu_B, eta, e_d, p_d) -> np.ndarray:
     return out
 
 
-def _heralding(protocols: Sequence[ProtocolParams],
-               channels: Sequence[ChannelParams]) -> np.ndarray:
-    """Heralding probability of each window kind of ``_KINDS``, one row per run.
+def _heralding(mu_A, mu_B, eta, e_d, p_d, baseline) -> np.ndarray:
+    """Heralding probability of each window kind of ``_KINDS``, one row per run,
+    over 1-d arrays of one length; ``baseline`` marks the random-phase runs.
 
     One array pass over all runs.  A kind with fixed detector means heralds
     with ``p_R (1 - p_L)``, the left detector's dark probability taken
@@ -124,21 +131,54 @@ def _heralding(protocols: Sequence[ProtocolParams],
     a baseline run's B column is the phase average of
     :func:`_phase_averaged_b_prob`.
     """
-    mu_A, mu_B, eta, e_d, p_d = np.array(
-        [[p.mu_xA for p in protocols], [p.mu_xB for p in protocols],
-         [arm_transmittance(ch) for ch in channels], [ch.e_d for ch in channels],
-         [ch.p_d for ch in channels]], dtype=float)
     # (nu_L, nu_R) x kind x run
-    nu = np.empty((2, len(_KINDS), len(protocols)))
+    nu = np.empty((2, len(_KINDS), len(eta)))
     for col, kind in enumerate(_KINDS):
         nu[0, col], nu[1, col] = detector_means(kind, mu_A, mu_B, eta, e_d)
     probs = (click_prob(nu[1], p_d) * ((1.0 - p_d) * np.exp(-nu[0]))).T
-    random_phase = [row for row, p in enumerate(protocols) if p.mode == "baseline"]
-    if random_phase:
+    random_phase = np.flatnonzero(baseline)
+    if random_phase.size:
         probs[random_phase, -1] = _phase_averaged_b_prob(
             mu_A[random_phase], mu_B[random_phase], eta[random_phase],
             e_d[random_phase], p_d[random_phase])
     return probs
+
+
+def simulate_arrays(p0, px, mu_A, mu_B, eta, e_d, p_d, baseline, windows,
+                    seeds) -> list[tuple[int, int, int]]:
+    """Sampled (n_O, n_B, n_Z) of several runs, one per row of 1-d arrays of
+    one length: source-choice probabilities, intensities, one-arm
+    transmittance, misalignment and dark-count probabilities, the
+    random-phase mask ``baseline``, and the sequences ``windows`` and
+    ``seeds``.
+
+    Nothing is checked here: the caller passes what the record front end
+    :func:`simulate_points` checks, p0 + px = 1 with px in (0, 1),
+    nonnegative intensities and transmittance, p_d and e_d in [0, 1], each
+    window count accepted by :func:`require_windows` and each seed by
+    :func:`require_seed`.  One array pass gives every row's heralding
+    probabilities, and one Philox bit generator, re-keyed per row, draws
+    every row's counts.
+    """
+    probs = _heralding(mu_A, mu_B, eta, e_d, p_d, baseline)
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    # A fresh generator's state: counter 0 and an empty buffer.  Only the
+    # key changes from row to row.
+    fresh = bitgen.state
+    tallies = []
+    for p0_row, px_row, n, seed, kind_probs in zip(p0.tolist(), px.tolist(), windows,
+                                                   seeds, probs.tolist()):
+        fresh["state"]["key"] = np.array([seed, 0], dtype=np.uint64)
+        bitgen.state = fresh
+        counts = rng.multinomial(int(n), [p0_row * p0_row, p0_row * px_row,
+                                          px_row * p0_row, px_row * px_row])
+        # The B count is drawn last, so a baseline row's O and Z draws are
+        # those of the improved mode.
+        n_O, n_ZA, n_ZB, n_B = (rng.binomial(count, p) for count, p in
+                                zip(counts.tolist(), kind_probs))
+        tallies.append((n_O, n_B, n_ZA + n_ZB))
+    return tallies
 
 
 def simulate_points(protocols: Sequence[ProtocolParams],
@@ -149,8 +189,8 @@ def simulate_points(protocols: Sequence[ProtocolParams],
 
     Each row's tally is that of :func:`simulate` on the row alone, whatever
     the other rows are.  Every seed and window count is checked before any
-    draw.  One array pass gives every row's heralding probabilities, and one
-    Philox bit generator, re-keyed per row, draws every row's counts.
+    draw; the records check the rest of what :func:`simulate_arrays`, which
+    draws the rows, needs.
     """
     if not len(protocols) == len(channels) == len(seeds):
         raise ValueError(f"got {len(protocols)} protocols, {len(channels)} "
@@ -158,24 +198,14 @@ def simulate_points(protocols: Sequence[ProtocolParams],
     for protocol, seed in zip(protocols, seeds):
         require_seed(seed)
         require_windows(protocol.N)
-    probs = _heralding(protocols, channels)
-    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    rng = np.random.Generator(bitgen)
-    # A fresh generator's state: counter 0 and an empty buffer.  Only the
-    # key changes from row to row.
-    fresh = bitgen.state
-    tallies = []
-    for protocol, seed, kind_probs in zip(protocols, seeds, probs):
-        fresh["state"]["key"] = np.array([seed, 0], dtype=np.uint64)
-        bitgen.state = fresh
-        p0, px = protocol.p0, protocol.px
-        counts = rng.multinomial(int(protocol.N), [p0 * p0, p0 * px, px * p0, px * px])
-        # The B count is drawn last, so a baseline row's O and Z draws are
-        # those of the improved mode.
-        n_O, n_ZA, n_ZB, n_B = (rng.binomial(n, p) for n, p in
-                                zip(counts.tolist(), kind_probs.tolist()))
-        tallies.append(WindowTally(n_O=n_O, n_B=n_B, n_Z=n_ZA + n_ZB))
-    return tallies
+    p0, px, mu_A, mu_B, eta, e_d, p_d = np.array(
+        [[p.p0 for p in protocols], [p.px for p in protocols],
+         [p.mu_xA for p in protocols], [p.mu_xB for p in protocols],
+         [arm_transmittance(ch) for ch in channels], [ch.e_d for ch in channels],
+         [ch.p_d for ch in channels]], dtype=float)
+    baseline = np.array([p.mode == "baseline" for p in protocols], dtype=bool)
+    return [WindowTally(n_O=n_O, n_B=n_B, n_Z=n_Z) for n_O, n_B, n_Z in simulate_arrays(
+        p0, px, mu_A, mu_B, eta, e_d, p_d, baseline, [p.N for p in protocols], seeds)]
 
 
 def simulate(protocol: ProtocolParams, channel: ChannelParams, seed: int) -> WindowTally:

@@ -2,6 +2,7 @@
 import argparse
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -23,11 +24,14 @@ from scipy.stats import binom
 
 import scsqkd.channel
 from scsqkd import chernoff, cli, keyrate, optimizer, phase_error, pipeline
-from scsqkd.channel import MODES, ProtocolParams, arm_transmittance, expected_tallies
+from scsqkd.channel import (MODES, ChannelParams, ProtocolParams, arm_transmittance,
+                            expected_tallies)
 from scsqkd.cli import (CSV_HEADER, ConfigError, build_parser, emit_plot,
                         load_config, main, rows_to_csv, run_scan)
 from scsqkd.keyrate import KeyRateReport
-from scsqkd.pipeline import ASYMPTOTIC, evaluate_points
+from scsqkd.mc_oracle import simulate
+from scsqkd.optimizer import SearchSpace
+from scsqkd.pipeline import ASYMPTOTIC, SecurityConfig, SourceCalibration, evaluate_points
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -131,6 +135,54 @@ class TestLoadConfig:
                                ([0, 1 - 1.5e-9, 1], (0.0,))):
             path = _write_config(tmp_path, {"scan": dict(BASE_CONFIG["scan"], distance=axis)})
             assert load_config(path, _no_overrides()).distances == expected
+
+
+# One valid record per config section, and out-of-range values of each field.
+_RECORDS = (ChannelParams(50.0, 0.2, 0.3, 1e-9, 0.04), SourceCalibration(),
+            SecurityConfig(), SearchSpace())
+_OUT_OF_RANGE = {
+    "distance_km": [-1.0, math.nan], "alpha_f": [-0.1, math.nan],
+    "eta_d": [-0.1, 1.5, math.nan], "p_d": [-1e-9, 1.5, math.nan],
+    "e_d": [-0.1, 1.5, math.nan],
+    "av0": [0.4, 1.1, math.nan], "bv0": [0.4, 1.1, math.nan],
+    "fluct": [-0.1, 1.0, math.nan],
+    "eps_coh_target": [0.0, 1.0, math.nan], "f": [0.5, math.nan],
+    "d": [1, 10**50 + 1, 2.5],
+    "px_range": [(0.0, 0.5), (0.5, 0.4), (0.5, 1.0), (math.nan, 0.5)],
+    "mu_range": [(0.0, 1.0), (0.5, 0.4), (math.nan, 1.0)],
+    "grid": [(0, 5), (5, 0), (1025, 1024)],
+    "refine_rounds": [-1, 1001],
+    "shrink": [1.0, math.nan],
+}
+
+
+@pytest.mark.parametrize("record, field, value", [
+    pytest.param(record, field.name, value, id=f"{type(record).__name__}-{field.name}-{value!r}")
+    for record in _RECORDS for field in dataclasses.fields(record)
+    for value in _OUT_OF_RANGE[field.name]])
+def test_every_record_check_names_its_field_first(record, field, value):
+    # load_config builds each section's record once and names the bad key
+    # by the field that opens the failed check's message.
+    with pytest.raises(ValueError) as info:
+        replace(record, **{field: value})
+    assert str(info.value).startswith(f"{field} ")
+
+
+def test_load_config_builds_each_record_once(tmp_path, monkeypatch):
+    built = []
+    for record in _RECORDS:
+        def counted(self, check=type(record).__post_init__):
+            built.append(type(self).__name__)
+            check(self)
+        monkeypatch.setattr(type(record), "__post_init__", counted)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dataclasses.replace called")
+
+    monkeypatch.setattr(dataclasses, "replace", forbidden)
+    monkeypatch.setattr(cli, "replace", forbidden)
+    load_config(_write_config(tmp_path), _no_overrides())
+    assert sorted(built) == sorted(type(record).__name__ for record in _RECORDS)
 
 
 class TestCsvEmission:
@@ -468,6 +520,29 @@ class TestMcReport:
         ((modes, mode_index),) = calls
         assert [modes[k] for k in mode_index.tolist()] == feasible
 
+    def test_observed_column_is_simulate_of_each_row(self, tmp_path):
+        # The report draws from the scan's arrays; each row's counts are
+        # those of the record API, seeded by the row's index among all rows.
+        cfg, rows = self._scan(tmp_path)
+        assert all(row["feasible_flag"] for row in rows)
+        # Every row of this scan is feasible; with every other one marked
+        # infeasible, a seed offset by the index among feasible rows differs.
+        # A seed near 2**64 wraps from the third row on.
+        every_other = [dict(row, feasible_flag=i % 2) for i, row in enumerate(rows)]
+        for scan_cfg, table in ((cfg, rows), (cfg, every_other),
+                                (replace(cfg, seed=2**64 - 2), rows)):
+            lines = iter(cli._mc_report(scan_cfg, table).strip().split("\n")[1:])
+            for i, row in enumerate(table):
+                if not row["feasible_flag"]:
+                    continue
+                tally = simulate(
+                    ProtocolParams(p0=1.0 - row["px"], px=row["px"], mu_xA=row["mu_x"],
+                                   mu_xB=row["mu_x"], N=cfg.mc_windows, mode=row["mode"]),
+                    replace(cfg.channel, distance_km=row["distance_km"]),
+                    (scan_cfg.seed + i) % 2**64)
+                for component in ("n_O", "n_B", "n_Z"):
+                    assert next(lines).split(",")[-1] == repr(float(getattr(tally, component)))
+            assert next(lines, None) is None
 
     def test_no_feasible_row_gives_header_only(self, tmp_path):
         # At mu >= 0.7 and fluct 0.1 the worst-case vacuum weight is below

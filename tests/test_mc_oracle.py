@@ -11,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 from test_channel import _mp_phase_average
+from test_cli import TestMcReport as _McReport
+from test_cli import _no_overrides, _write_config
 
 import scsqkd.mc_oracle
+from scsqkd import cli
 from scsqkd.channel import (MODES, ChannelParams, ProtocolParams, arm_transmittance,
                             b_window_prob, click_prob, detector_means, expected_tallies)
+from scsqkd.cli import load_config, run_scan
 from scsqkd.mc_oracle import (_heralding, _phase_averaged_b_prob,
                               _phase_count, require_windows, simulate, simulate_points)
 
@@ -143,6 +147,14 @@ def _batch():
     return rows
 
 
+def _heralding_inputs(protocols, channels):
+    """The arrays of ``_heralding`` for (protocol, channel) rows."""
+    return (*np.array([[p.mu_xA for p in protocols], [p.mu_xB for p in protocols],
+                       [arm_transmittance(ch) for ch in channels],
+                       [ch.e_d for ch in channels], [ch.p_d for ch in channels]]),
+            np.array([p.mode == "baseline" for p in protocols], dtype=bool))
+
+
 @pytest.mark.parametrize("block", [None, 128])
 def test_row_tally_does_not_depend_on_its_batch(block, monkeypatch):
     rows = _batch()
@@ -155,12 +167,16 @@ def test_row_tally_does_not_depend_on_its_batch(block, monkeypatch):
     assert simulate_points(protocols[::-1], channels[::-1], seeds[::-1]) == single[::-1]
     # A draw rarely shows a last-bit change of its probability; the
     # probabilities themselves must not change either.
-    assert np.array_equal(_heralding(protocols, channels),
-                          np.vstack([_heralding([p], [ch]) for p, ch in zip(protocols, channels)]))
+    assert np.array_equal(_heralding(*_heralding_inputs(protocols, channels)),
+                          np.vstack([_heralding(*_heralding_inputs([p], [ch]))
+                                     for p, ch in zip(protocols, channels)]))
     assert simulate_points([], [], []) == []
 
 
-def test_one_philox_per_call(monkeypatch):
+def test_one_philox_per_call(monkeypatch, tmp_path):
+    cfg = load_config(_write_config(tmp_path, _McReport.CONFIG), _no_overrides())
+    rows = run_scan(cfg)
+    assert sum(row["feasible_flag"] for row in rows) > 1
     built = []
     real = np.random.Philox
 
@@ -172,6 +188,9 @@ def test_one_philox_per_call(monkeypatch):
     protocols, channels, seeds = zip(*_batch())
     simulate_points(protocols, channels, seeds)
     assert len(built) == 1
+    # The scan's cross-check draws all its rows in one call too.
+    cli._mc_report(cfg, rows)
+    assert len(built) == 2
 
 
 def test_concurrent_calls_give_the_serial_results():
@@ -249,7 +268,7 @@ def test_distribution_matches_per_window_sampling(mode):
     proto = ProtocolParams(p0=0.5, px=0.5, mu_xA=1.0, mu_xB=1.0, N=1000, mode=mode)
     runs = 1000
     reference = _per_window_tallies(proto, chan, runs, np.random.default_rng(2024))
-    sims = [simulate(proto, chan, seed) for seed in range(runs)]
+    sims = simulate_points([proto] * runs, [chan] * runs, range(runs))
     for name, ref in zip(("n_O", "n_B", "n_Z"), reference):
         assert ref.min() < ref.max()
         z_mean, z_var = _moment_z_scores([getattr(t, name) for t in sims], ref)
@@ -333,7 +352,8 @@ def test_fixed_means_keep_small_heralding_probabilities(mu):
     # as 1 - click_prob it lost 7.6e-10 of the probability at mu = 10 and
     # all of it at mu = 20 (0.0 against 1.7e-17).
     channel = ChannelParams(0.0, 0.2, 1.0, 1e-9, 0.04)
-    p_b = _heralding([ProtocolParams(0.5, 0.5, mu, mu, 10**6)], [channel])[0, -1]
+    p_b = _heralding(*_heralding_inputs([ProtocolParams(0.5, 0.5, mu, mu, 10**6)],
+                                        [channel]))[0, -1]
     with mpmath.workdps(50):
         m, e_d, p_d = mpmath.mpf(mu), mpmath.mpf(channel.e_d), mpmath.mpf(channel.p_d)
         dark_r = (1 - p_d) * mpmath.exp(-2 * m * e_d)

@@ -68,6 +68,11 @@ ALLOWED = {
     "numpy's reshape takes any negative length as the one it works out",
     "optimizer._Incumbents.update: `1` -> `2` | len(again), -1) & ~np.isnan(again)":
     "numpy's reshape takes any negative length as the one it works out",
+    "mc_oracle._heralding: `2` -> `3` | nu = np.empty((2, len(_KINDS), len(eta)))":
+    "only nu[0] and nu[1] are written and read; a third slice is never used",
+    "mc_oracle.simulate_arrays: `*` -> `/` | px_row * p0_row, px_row * px_row]) #2":
+    "numpy's multinomial ignores its last probability while it lies in [0, 1] and "
+    "takes it as 1 minus the others; px / px is 1.0 for px in (0, 1)",
 }
 
 _COMPARE = {"<": ">=", ">=": "<", ">": "<=", "<=": ">", "==": "!=", "!=": "==",
