@@ -6,8 +6,9 @@ corresponding config keys.  Rows are sorted by distance, block size and mode.
 ``load_config`` builds each section's record once, and the record checks
 its ranges.  With ``mc_validate``, the Monte Carlo cross-check passes the
 feasible rows' own arrays to ``mc_oracle.simulate_arrays``, which checks
-nothing, so the checks it needs are made here: ``load_config`` checks the
-seed (each row's seed wraps modulo 2**64) and the window count, the search
+only that its rows pair up, so the checks it needs are made here:
+``load_config`` checks the seed (each row's seed wraps modulo 2**64) and
+the window count, as ``mc_oracle.simulate`` does for one run, the search
 keeps px in (0, 1) with p0 = 1 - px, and ``heralding_arrays``, which gives
 the expected counts first, rejects a negative intensity or transmittance.
 """

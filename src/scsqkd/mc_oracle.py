@@ -20,13 +20,12 @@ detector means (``detector_means``) and click probability (``click_prob``),
 never taken from the channel model's heralding formulas, so the cross-check
 stays independent.
 
-``simulate_points`` is the record front end: it checks the seeds and window
-counts, unpacks the ``ProtocolParams`` and ``ChannelParams`` records, which
-check every other range (the nonnegative intensities and transmittance that
-``detector_means`` needs among them), and calls ``simulate_arrays``, the
-array core, which checks nothing.  A caller that holds arrays already, such
-as ``scsqkd scan --mc-validate``, calls the core directly and owns those
-checks.
+``simulate_arrays`` is the array core; it checks only that its rows pair up.
+:func:`simulate`, the one-row call, checks the seed and window count, and
+its records check every other range (the nonnegative intensities and
+transmittance that ``detector_means`` needs among them).  ``scsqkd scan
+--mc-validate`` calls the core with the scan's own arrays, and the ``cli``
+module docstring says where its checks are made.
 
 All draws of a run come from one counter-based Philox stream keyed on
 (seed, 0), so the output depends only on the inputs.  A call builds one
@@ -38,7 +37,6 @@ outlives the call.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -152,13 +150,14 @@ def simulate_arrays(p0, px, mu_A, mu_B, eta, e_d, p_d, baseline, windows,
     random-phase mask ``baseline``, and the sequences ``windows`` and
     ``seeds``.
 
-    Nothing is checked here: the caller passes what the record front end
-    :func:`simulate_points` checks, p0 + px = 1 with px in (0, 1),
-    nonnegative intensities and transmittance, p_d and e_d in [0, 1], each
-    window count accepted by :func:`require_windows` and each seed by
-    :func:`require_seed`.  One array pass gives every row's heralding
-    probabilities, and one Philox bit generator, re-keyed per row, draws
-    every row's counts.
+    Only row counts are checked: p0, px, eta, ``windows`` and ``seeds`` of
+    unequal lengths raise ValueError.  The caller passes the other arrays at
+    that length, and what :func:`simulate` checks for one row: p0 + px = 1
+    with px in (0, 1), nonnegative intensities and transmittance, p_d and
+    e_d in [0, 1], each window count accepted by :func:`require_windows`
+    and each seed by :func:`require_seed`.  One array pass gives every row's
+    heralding probabilities, and one Philox bit generator, re-keyed per row,
+    draws every row's counts.
     """
     probs = _heralding(mu_A, mu_B, eta, e_d, p_d, baseline)
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
@@ -168,7 +167,7 @@ def simulate_arrays(p0, px, mu_A, mu_B, eta, e_d, p_d, baseline, windows,
     fresh = bitgen.state
     tallies = []
     for p0_row, px_row, n, seed, kind_probs in zip(p0.tolist(), px.tolist(), windows,
-                                                   seeds, probs.tolist()):
+                                                   seeds, probs.tolist(), strict=True):
         fresh["state"]["key"] = np.array([seed, 0], dtype=np.uint64)
         bitgen.state = fresh
         counts = rng.multinomial(int(n), [p0_row * p0_row, p0_row * px_row,
@@ -179,33 +178,6 @@ def simulate_arrays(p0, px, mu_A, mu_B, eta, e_d, p_d, baseline, windows,
                                 zip(counts.tolist(), kind_probs))
         tallies.append((n_O, n_B, n_ZA + n_ZB))
     return tallies
-
-
-def simulate_points(protocols: Sequence[ProtocolParams],
-                    channels: Sequence[ChannelParams],
-                    seeds: Sequence[int]) -> list[WindowTally]:
-    """Sampled effective-window tallies of several runs, one per
-    (protocol, channel, seed) row, each over its ``protocol.N`` windows.
-
-    Each row's tally is that of :func:`simulate` on the row alone, whatever
-    the other rows are.  Every seed and window count is checked before any
-    draw; the records check the rest of what :func:`simulate_arrays`, which
-    draws the rows, needs.
-    """
-    if not len(protocols) == len(channels) == len(seeds):
-        raise ValueError(f"got {len(protocols)} protocols, {len(channels)} "
-                             f"channels and {len(seeds)} seeds")
-    for protocol, seed in zip(protocols, seeds):
-        require_seed(seed)
-        require_windows(protocol.N)
-    p0, px, mu_A, mu_B, eta, e_d, p_d = np.array(
-        [[p.p0 for p in protocols], [p.px for p in protocols],
-         [p.mu_xA for p in protocols], [p.mu_xB for p in protocols],
-         [arm_transmittance(ch) for ch in channels], [ch.e_d for ch in channels],
-         [ch.p_d for ch in channels]], dtype=float)
-    baseline = np.array([p.mode == "baseline" for p in protocols], dtype=bool)
-    return [WindowTally(n_O=n_O, n_B=n_B, n_Z=n_Z) for n_O, n_B, n_Z in simulate_arrays(
-        p0, px, mu_A, mu_B, eta, e_d, p_d, baseline, [p.N for p in protocols], seeds)]
 
 
 def simulate(protocol: ProtocolParams, channel: ChannelParams, seed: int) -> WindowTally:
@@ -219,6 +191,13 @@ def simulate(protocol: ProtocolParams, channel: ChannelParams, seed: int) -> Win
     windows.  Baseline B windows have a uniformly random phase and herald on
     exactly one click, ``Binomial(count_B, p_bar)`` windows with ``p_bar``
     the phase average.  Both are exact, not approximations; the cost does
-    not depend on N.  The one-row call of :func:`simulate_points`.
+    not depend on N.  The one-row call of :func:`simulate_arrays`; it checks
+    the seed and window count, and the records check every other range.
     """
-    return simulate_points([protocol], [channel], [seed])[0]
+    require_seed(seed)
+    require_windows(protocol.N)
+    (n_O, n_B, n_Z), = simulate_arrays(
+        *np.array([[protocol.p0], [protocol.px], [protocol.mu_xA], [protocol.mu_xB],
+                   [arm_transmittance(channel)], [channel.e_d], [channel.p_d]], dtype=float),
+        np.array([protocol.mode == "baseline"]), [protocol.N], [seed])
+    return WindowTally(n_O=n_O, n_B=n_B, n_Z=n_Z)

@@ -48,6 +48,11 @@ _CHUNK = 2 ** 14
 # in one pass, at ~0.3 kB per candidate.
 MAX_GRID = 2 ** 20
 
+# Largest end of mu_range.  Every mu above ln 2 is infeasible (the mapping
+# needs a0 = exp(-(1 + fluct) mu) >= 1/2), and from ~1.3e154 the channel
+# model's mu_A mu_B overflows doubles.
+MAX_MU = 1e100
+
 # Most refinement rounds: at shrink 1.04 both default axes collapse to one
 # float within this many.
 MAX_REFINE_ROUNDS = 1000
@@ -72,8 +77,9 @@ class SearchSpace:
         mu_lo, mu_hi = self.mu_range
         if not (0.0 < px_lo <= px_hi < 1.0):
             raise ValueError(f"px_range must lie within (0, 1), got {self.px_range!r}")
-        if not (0.0 < mu_lo <= mu_hi):
-            raise ValueError(f"mu_range must be positive, got {self.mu_range!r}")
+        if not (0.0 < mu_lo <= mu_hi <= MAX_MU):
+            raise ValueError(f"mu_range must lie within (0, {MAX_MU:.0e}], "
+                             f"got {self.mu_range!r}")
         if min(self.grid) < 1:
             raise ValueError(f"grid sizes must be >= 1, got {self.grid!r}")
         if self.grid[0] * self.grid[1] > MAX_GRID:

@@ -95,5 +95,7 @@ def phase_error_arrays(n_O, n_B, n_Z, N, p0, px, c0, c1, c2,
             nB_U = bounds[o.size:].reshape(b.shape)
     mean_nph = _mean_count(nO_U, nB_U, N, p0, px, c0, c1, c2)
     nph = mean_nph if log_xi is None else observed_upper(mean_nph, log_xi)
-    return nO_U, nB_U, mean_nph, nph, np.minimum(nph / n_Z, 0.5)
+    # Near n_Z ~ 1e-306 the ratio overflows to inf, which clamps to 1/2.
+    with np.errstate(over="ignore"):
+        return nO_U, nB_U, mean_nph, nph, np.minimum(nph / n_Z, 0.5)
 

@@ -48,6 +48,9 @@ MAX_D = 10 ** 50
 # Largest finite block size.  Beyond it the rate's n_Z (1 + log2(1/eps)) term
 # overflows doubles: from N ~ 1e305 at d = 8 and N ~ 1e207 at d = MAX_D.
 MAX_BLOCK = 1e200
+# Largest error-correction efficiency.  From f ~ 1e108 at MAX_BLOCK the
+# leakage f n H(E_Z) overflows doubles.
+MAX_F = 1e100
 
 
 def require_block(block_size) -> None:
@@ -96,9 +99,9 @@ class SourceCalibration:
 class SecurityConfig:
     """Security target and accounting constants shared across a scan.
 
-    eps_coh_target lies in (0, 1); the error-correction efficiency f is at
-    least 1 (leakage below the Shannon limit would inflate every rate); the
-    post-selection dimension d is an integer in [2, MAX_D].
+    eps_coh_target lies in (0, 1); the error-correction efficiency f lies
+    in [1, MAX_F] (leakage below the Shannon limit would inflate every
+    rate); the post-selection dimension d is an integer in [2, MAX_D].
     """
 
     eps_coh_target: float = 1e-10
@@ -107,7 +110,7 @@ class SecurityConfig:
 
     def __post_init__(self) -> None:
         _check(self, (("eps_coh_target", 0.0 < self.eps_coh_target < 1.0, "lie in (0, 1)"),
-                      ("f", self.f >= 1.0, "be >= 1"),
+                      ("f", 1.0 <= self.f <= MAX_F, f"lie in [1, {MAX_F:.0e}]"),
                       ("d", isinstance(self.d, Integral) and 2 <= self.d <= MAX_D,
                        f"be an integer in [2, {MAX_D:.0e}]")))
 
@@ -191,8 +194,9 @@ def evaluate_point(channel: ChannelParams, calib: SourceCalibration,
 
     An asymptotic point is one window (N = 1) with no Chernoff slack, no
     security budget and no finite-size or coherent-attack penalty, so its
-    collective and coherent rates coincide.  Raises InfeasibleError when the
-    worst-case source bounds admit no virtual-protocol mapping.
+    collective and coherent rates coincide.  ``protocol.N`` is not read:
+    the block size comes from ``block_size`` alone.  Raises InfeasibleError
+    when the worst-case source bounds admit no virtual-protocol mapping.
     """
     one = [np.array([v]) for v in (protocol.p0, protocol.px,
                                    protocol.mu_xA, protocol.mu_xB)]

@@ -146,10 +146,12 @@ _OUT_OF_RANGE = {
     "e_d": [-0.1, 1.5, math.nan],
     "av0": [0.4, 1.1, math.nan], "bv0": [0.4, 1.1, math.nan],
     "fluct": [-0.1, 1.0, math.nan],
-    "eps_coh_target": [0.0, 1.0, math.nan], "f": [0.5, math.nan],
+    "eps_coh_target": [0.0, 1.0, math.nan],
+    "f": [0.5, math.nan, math.nextafter(pipeline.MAX_F, math.inf)],
     "d": [1, 10**50 + 1, 2.5],
     "px_range": [(0.0, 0.5), (0.5, 0.4), (0.5, 1.0), (math.nan, 0.5)],
-    "mu_range": [(0.0, 1.0), (0.5, 0.4), (math.nan, 1.0)],
+    "mu_range": [(0.0, 1.0), (0.5, 0.4), (math.nan, 1.0),
+                 (1e-4, math.nextafter(optimizer.MAX_MU, math.inf))],
     "grid": [(0, 5), (5, 0), (1025, 1024)],
     "refine_rounds": [-1, 1001],
     "shrink": [1.0, math.nan],
@@ -607,6 +609,20 @@ class TestMain:
         assert f"error: security.{key} " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("d", [8, pipeline.MAX_D])
+    def test_largest_mu_range_and_f_run_clean(self, tmp_path, d):
+        # The suite turns RuntimeWarnings into errors, so at the largest
+        # accepted mu and f no term may overflow; no NaN may be written.
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["search"]["mu_range"] = [1e-4, optimizer.MAX_MU]
+        cfg["security"].update(f=pipeline.MAX_F, d=d)
+        cfg["scan"].update(distance=[0, 300, 300], blocks=["1", "1e200", "asymptotic"],
+                           modes=list(MODES))
+        out = tmp_path / "out"
+        assert main(["scan", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        assert "nan" not in (out / "scan.csv").read_text()
+
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys, where):
         # A negative seed used to end in an OverflowError from the Monte
@@ -807,6 +823,10 @@ class TestMain:
     pytest.param("security", "d", 10**160, id="security-d-10**160"),
     # Overflowed n_Z (1 + bits) into -inf rates at d = 8, and exited 0.
     pytest.param("scan", "blocks", ["1e306"], id="scan-blocks-1e306"),
+    # Overflowed mu_A mu_B in the channel model, and exited 0.
+    pytest.param("search", "mu_range", [1e-4, 1e155], id="search-mu_range-1e155"),
+    # Overflowed the leakage f n H(E_Z) at a 1e200 block, and exited 0.
+    pytest.param("security", "f", 1e150, id="security-f-1e150"),
 ])
 def test_invalid_value_is_a_config_error(tmp_path, capsys, section, key, value):
     cfg = copy.deepcopy(BASE_CONFIG)

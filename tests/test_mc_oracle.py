@@ -16,11 +16,12 @@ from test_cli import _no_overrides, _write_config
 
 import scsqkd.mc_oracle
 from scsqkd import cli
-from scsqkd.channel import (MODES, ChannelParams, ProtocolParams, arm_transmittance,
-                            b_window_prob, click_prob, detector_means, expected_tallies)
+from scsqkd.channel import (MODES, ChannelParams, ProtocolParams, WindowTally,
+                            arm_transmittance, b_window_prob, click_prob, detector_means,
+                            expected_tallies)
 from scsqkd.cli import load_config, run_scan
-from scsqkd.mc_oracle import (_heralding, _phase_averaged_b_prob,
-                              _phase_count, require_windows, simulate, simulate_points)
+from scsqkd.mc_oracle import (_heralding, _phase_averaged_b_prob, _phase_count,
+                              require_windows, simulate, simulate_arrays)
 
 CHANNEL = ChannelParams(100.0, 0.2, 0.3, 1e-9, 0.04)
 PROTO = ProtocolParams(p0=0.5, px=0.5, mu_xA=0.1, mu_xB=0.1, N=10**6)
@@ -53,13 +54,16 @@ class TestSimConfig:
         # an OverflowError inside simulate.
         with pytest.raises(ValueError, match="seed"):
             simulate(replace(PROTO, N=10), CHANNEL, seed)
-        # A batch checks every row before any draw.
-        with pytest.raises(ValueError, match="seed"):
-            simulate_points([PROTO, PROTO], [CHANNEL, CHANNEL], [1, seed])
 
     def test_rows_must_pair_up(self):
-        with pytest.raises(ValueError, match="2 protocols, 2 channels and 1 seeds"):
-            simulate_points([PROTO, PROTO], [CHANNEL, CHANNEL], [1])
+        # A short sequence must not drop rows silently.
+        p0 = px = np.array([0.5, 0.5])
+        arrays = _heralding_inputs([PROTO, PROTO], [CHANNEL, CHANNEL])
+        for rows in ((p0, px, *arrays, [10, 10], [1]),
+                     (p0, px, *arrays, [10], [1, 2]),
+                     (p0[:1], px[:1], *arrays, [10, 10], [1, 2])):
+            with pytest.raises(ValueError, match=r"zip\(\) argument"):
+                simulate_arrays(*rows)
 
 
 class TestSimulate:
@@ -155,6 +159,13 @@ def _heralding_inputs(protocols, channels):
             np.array([p.mode == "baseline" for p in protocols], dtype=bool))
 
 
+def _simulate_rows(protocols, channels, seeds):
+    """``simulate_arrays`` on (protocol, channel, seed) rows, as tallies."""
+    return [WindowTally(*tally) for tally in simulate_arrays(
+        *np.array([[p.p0 for p in protocols], [p.px for p in protocols]]),
+        *_heralding_inputs(protocols, channels), [p.N for p in protocols], seeds)]
+
+
 @pytest.mark.parametrize("block", [None, 128])
 def test_row_tally_does_not_depend_on_its_batch(block, monkeypatch):
     rows = _batch()
@@ -163,14 +174,14 @@ def test_row_tally_does_not_depend_on_its_batch(block, monkeypatch):
     if block is not None:
         # Phase averages in blocks of at most two runs.
         monkeypatch.setattr(scsqkd.mc_oracle, "_PHASE_BLOCK", block)
-    assert simulate_points(protocols, channels, seeds) == single
-    assert simulate_points(protocols[::-1], channels[::-1], seeds[::-1]) == single[::-1]
+    assert _simulate_rows(protocols, channels, seeds) == single
+    assert _simulate_rows(protocols[::-1], channels[::-1], seeds[::-1]) == single[::-1]
     # A draw rarely shows a last-bit change of its probability; the
     # probabilities themselves must not change either.
     assert np.array_equal(_heralding(*_heralding_inputs(protocols, channels)),
                           np.vstack([_heralding(*_heralding_inputs([p], [ch]))
                                      for p, ch in zip(protocols, channels)]))
-    assert simulate_points([], [], []) == []
+    assert _simulate_rows([], [], []) == []
 
 
 def test_one_philox_per_call(monkeypatch, tmp_path):
@@ -186,7 +197,7 @@ def test_one_philox_per_call(monkeypatch, tmp_path):
 
     monkeypatch.setattr(np.random, "Philox", counted)
     protocols, channels, seeds = zip(*_batch())
-    simulate_points(protocols, channels, seeds)
+    _simulate_rows(protocols, channels, seeds)
     assert len(built) == 1
     # The scan's cross-check draws all its rows in one call too.
     cli._mc_report(cfg, rows)
@@ -196,14 +207,14 @@ def test_one_philox_per_call(monkeypatch, tmp_path):
 def test_concurrent_calls_give_the_serial_results():
     rows = _batch()
     halves = (rows[::2], rows[1::2])
-    serial = [simulate_points(*zip(*half)) for half in halves]
+    serial = [_simulate_rows(*zip(*half)) for half in halves]
     results = [[] for _ in halves]
     start = threading.Barrier(len(halves), timeout=60)
 
     def work(half, out):
         start.wait()
         for _ in range(20):
-            out.append(simulate_points(*zip(*half)))
+            out.append(_simulate_rows(*zip(*half)))
 
     threads = [threading.Thread(target=work, args=(half, out))
                for half, out in zip(halves, results)]
@@ -268,7 +279,7 @@ def test_distribution_matches_per_window_sampling(mode):
     proto = ProtocolParams(p0=0.5, px=0.5, mu_xA=1.0, mu_xB=1.0, N=1000, mode=mode)
     runs = 1000
     reference = _per_window_tallies(proto, chan, runs, np.random.default_rng(2024))
-    sims = simulate_points([proto] * runs, [chan] * runs, range(runs))
+    sims = _simulate_rows([proto] * runs, [chan] * runs, range(runs))
     for name, ref in zip(("n_O", "n_B", "n_Z"), reference):
         assert ref.min() < ref.max()
         z_mean, z_var = _moment_z_scores([getattr(t, name) for t in sims], ref)

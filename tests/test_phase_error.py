@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scsqkd import phase_error
 from scsqkd.channel import ChannelParams, ProtocolParams, WindowTally, arm_transmittance
 from scsqkd.phase_error import decomposition_arrays, phase_error_arrays
 from scsqkd.pipeline import SecurityConfig, SourceCalibration, evaluate_points
@@ -176,3 +177,29 @@ class TestPhaseErrorRateUpper:
         report = evaluate_point(channel, SourceCalibration(), proto,
                                 SecurityConfig(), 1e12)
         assert report.e_ph == pytest.approx(GOLDEN_PIPELINE_EPH, rel=1e-9)
+
+
+@pytest.mark.parametrize("n_shape, lx_shape", [((4,), ()), ((3, 4), (3, 1)),
+                                               ((2, 3, 4), (2, 1, 1)), ((3, 1), (1, 2))])
+def test_finite_bound_is_elementwise_and_takes_log_xi_as_it_is(n_shape, lx_shape,
+                                                               monkeypatch):
+    # Each element's bound is that of its own 0-d inputs.  Where log_xi's
+    # last axis has length 1, as a search pass gives it, the n_O and n_B
+    # bounds take log_xi as it is, with no copy at the counts' size.
+    rng = np.random.default_rng(len(n_shape))
+    n_O, n_B = rng.uniform(0.0, 100.0, n_shape), rng.uniform(0.0, 1000.0, n_shape)
+    log_xi = -rng.uniform(10.0, 50.0, lx_shape)
+    coeffs = _coeffs(0.01, 0.01)
+    seen = []
+    real = phase_error.expectation_upper
+    monkeypatch.setattr(phase_error, "expectation_upper",
+                        lambda counts, lx: seen.append(np.shape(lx)) or real(counts, lx))
+    out = phase_error_arrays(n_O, n_B, 1e6, 1e10, 0.8, 0.2, *coeffs, log_xi)
+    if lx_shape[-1:] in ((), (1,)):
+        assert seen == [lx_shape]
+    shape = np.broadcast_shapes(n_shape, lx_shape)
+    for idx in np.ndindex(shape):
+        one = phase_error_arrays(*(np.broadcast_to(x, shape)[idx] for x in (n_O, n_B)),
+                                 1e6, 1e10, 0.8, 0.2, *coeffs,
+                                 np.broadcast_to(log_xi, shape)[idx])
+        assert [np.broadcast_to(x, shape)[idx] for x in out] == list(one)

@@ -139,6 +139,28 @@ def test_underflowed_n_z_keeps_half_phase_error():
     assert batch.R_coh_signed[0, 0] == -np.inf
 
 
+@pytest.mark.parametrize("block", [1e12, "asymptotic"])
+def test_evaluate_point_takes_the_block_size_not_protocol_n(block):
+    # perfbench's gate passes N = 1 with a finite block size.
+    proto = ProtocolParams(p0=0.5, px=0.5, mu_xA=0.1, mu_xB=0.1, N=1)
+    one, *others = (evaluate_point(CHANNEL_50, CALIB, replace(proto, N=n),
+                                   SecurityConfig(), block) for n in (1, 10**5, 1e12))
+    assert others == [one, one]
+
+
+@pytest.mark.parametrize("d, block", [(8, 1), pytest.param(pipeline.MAX_D, 1e10,
+                                                              id="MAX_D-1e10")])
+def test_overflowed_phase_error_ratio_keeps_half(d, block):
+    # At 300 km with no dark counts and mu = 1e-300, n_Z is ~3e-306 (block
+    # 1) and ~3e-296 (1e10): the phase-error bound over n_Z overflows, which
+    # warned, and e_ph is the clamp 1/2.
+    proto = ProtocolParams(p0=0.99, px=0.01, mu_xA=1e-300, mu_xB=1e-300, N=1)
+    channel = replace(CHANNEL_50, distance_km=300.0, p_d=0.0)
+    report = evaluate_point(channel, CALIB, proto, SecurityConfig(d=d), block)
+    assert 0.0 < report.n_Z < 1e-295 and report.e_ph == 0.5
+    assert report.R_coh_signed < 0.0
+
+
 # A fixed (px, mu) grid around the optima at 0-150 km.
 MONO_PX = np.linspace(0.02, 0.6, 8)[:, None]
 MONO_MU = np.geomspace(1e-3, 0.5, 8)
@@ -222,14 +244,16 @@ def test_block_size_below_one_rejected():
 @pytest.mark.parametrize("field, value", [
     ("eps_coh_target", math.nextafter(0.0, 1.0)),
     ("eps_coh_target", math.nextafter(1.0, 0.0)),
-    ("f", 1.0), ("d", 2), pytest.param("d", pipeline.MAX_D, id="d-MAX_D")])
+    ("f", 1.0), pytest.param("f", pipeline.MAX_F, id="f-MAX_F"), ("d", 2),
+    pytest.param("d", pipeline.MAX_D, id="d-MAX_D")])
 def test_security_config_edges_accepted(field, value):
     assert getattr(SecurityConfig(**{field: value}), field) == value
 
 
 @pytest.mark.parametrize("field, value", [
     ("eps_coh_target", 0.0), ("eps_coh_target", 1.0),
-    ("f", math.nextafter(1.0, 0.0)), ("d", 1),
+    ("f", math.nextafter(1.0, 0.0)),
+    pytest.param("f", math.nextafter(pipeline.MAX_F, math.inf), id="f-MAX_F+ulp"), ("d", 1),
     pytest.param("d", pipeline.MAX_D + 1, id="d-MAX_D+1")])
 def test_security_config_just_outside_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must"):
