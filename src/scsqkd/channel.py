@@ -128,9 +128,11 @@ class WindowTally:
         return raw_error_rate(self.n_O, self.n_B, self.n_Z)
 
 
-def arm_transmittance(params: ChannelParams) -> float:
-    """One-arm transmittance with Charlie at the midpoint of the link."""
-    return params.eta_d * 10.0 ** (-params.alpha_f * (params.distance_km / 2.0) / 10.0)
+def arm_transmittance(params: ChannelParams, distance_km: float | None = None) -> float:
+    """One-arm transmittance with Charlie at the midpoint of the link, over
+    ``params.distance_km`` or, if given, ``distance_km`` of its fiber."""
+    distance = params.distance_km if distance_km is None else distance_km
+    return params.eta_d * 10.0 ** (-params.alpha_f * (distance / 2.0) / 10.0)
 
 
 def visibility(e_d: float) -> float:

@@ -4,9 +4,10 @@ Configuration is a single JSON document; command-line flags override the
 corresponding config keys.  Rows are sorted by distance, block size and mode.
 
 ``load_config`` builds each section's record once, and the record checks
-its ranges.  With ``mc_validate``, the Monte Carlo cross-check passes the
-feasible rows' own arrays to ``mc_oracle.simulate_arrays``, which checks
-only that its rows pair up, so the checks it needs are made here:
+its ranges; the scan builds no record after it and passes its points and
+rows as columns.  With ``mc_validate``, the Monte Carlo cross-check passes
+the feasible rows' own arrays to ``mc_oracle.simulate_arrays``, which
+checks only its row counts, so the checks it needs are made here:
 ``load_config`` checks the seed (each row's seed wraps modulo 2**64) and
 the window count, as ``mc_oracle.simulate`` does for one run, the search
 keeps px in (0, 1) with p0 = 1 - px, and ``heralding_arrays``, which gives
@@ -18,11 +19,10 @@ import argparse
 import functools
 import json
 import math
-import operator
 import os
 import stat
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScanConfig:
-    channel: ChannelParams          # distance_km=0 placeholder, replaced per point
+    # Its distance_km=0.0 placeholder is read only by perfbench/gate.py,
+    # which replaces it per row; removing it is a change to the benchmark.
+    channel: ChannelParams
     calib: SourceCalibration
     security: SecurityConfig
     space: SearchSpace
@@ -266,34 +268,33 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
     )
 
 
-def run_scan(cfg: ScanConfig) -> list[dict]:
-    """Optimize and evaluate every (distance, block size, mode) point; the
-    rows follow ``cfg.distances``, then ascend in block size (asymptotic
-    last) and follow MODES order."""
+def run_scan(cfg: ScanConfig) -> dict[str, list]:
+    """Optimize and evaluate every (distance, block size, mode) point: a
+    column table of lists, each CSV column by name in order, then ``eta``,
+    each row's one-arm transmittance.  The rows follow ``cfg.distances``,
+    then ascend in block size (asymptotic last) and follow MODES order."""
     blocks = sorted((math.inf if b == ASYMPTOTIC else float(b), b) for b in cfg.blocks)
-    modes = sorted(cfg.modes, key=MODES.index)
-    channels = [replace(cfg.channel, distance_km=d) for d in cfg.distances]
-    keys = [(channel, block, mode) for channel in channels for block in blocks
-            for mode in modes]
-    px, mu, report = search_points(
-        [(channel, ASYMPTOTIC if size == math.inf else size, mode)
-         for channel, (size, _), mode in keys], cfg.calib, cfg.security, cfg.space)
+    modes = tuple(sorted(cfg.modes, key=MODES.index))
+    # Once per distance, by arm_transmittance's scalar arithmetic: numpy's
+    # vectorized power differs from it in the last bit at some distances.
+    eta = np.array([arm_transmittance(cfg.channel, d) for d in cfg.distances])
+    d, b, m = np.indices((len(eta), len(blocks), len(modes))).reshape(3, -1)
+    sizes = tuple(ASYMPTOTIC if size == math.inf else size for size, _ in blocks)
+    px, mu, report = search_points(cfg.channel, cfg.calib, cfg.security, eta[d],
+                                   sizes, b, modes, m, cfg.space)
     # Each column between mu_x and feasible_flag is the report attribute of its name.
-    columns = (px, mu, *(getattr(report, name) for name in _COLUMNS[5:-1]),
-               report.feasible.astype(int))
-    return [dict(zip(_COLUMNS, (channel.distance_km, label, mode, *numbers)))
-            for (channel, (_, label), mode), *numbers
-            in zip(keys, *(column.tolist() for column in columns))]
+    numbers = (px, mu, *(getattr(report, name) for name in _COLUMNS[5:-1]),
+               report.feasible.astype(int), eta[d])
+    return dict(zip((*_COLUMNS, "eta"), (
+        [cfg.distances[i] for i in d.tolist()], [blocks[i][1] for i in b.tolist()],
+        [modes[i] for i in m.tolist()], *(column.tolist() for column in numbers))))
 
 
-def rows_to_csv(rows: list[dict]) -> str:
-    values = operator.itemgetter(*_COLUMNS)
-    lines = [CSV_HEADER]
-    for row in rows:
-        distance, block, mode, *numbers, flag = values(row)
-        lines.append(",".join((repr(float(distance)), str(block), str(mode),
-                               *map(repr, map(float, numbers)), str(int(flag)))))
-    return "\n".join(lines) + "\n"
+def rows_to_csv(table: dict[str, list]) -> str:
+    """The CSV text of a column table, one line per row."""
+    distance, block, mode, *numbers = (table[name] for name in _COLUMNS)
+    cells = zip(map(repr, distance), block, mode, *(map(repr, c) for c in numbers))
+    return "\n".join([CSV_HEADER, *map(",".join, cells)]) + "\n"
 
 
 # SVG canvas size in pixels.
@@ -303,19 +304,19 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#17becf")
 
 
-def emit_plot(rows: list[dict]) -> str:
-    """Rate-vs-distance SVG with a logarithmic rate axis.
+def emit_plot(table: dict[str, list]) -> str:
+    """Rate-vs-distance SVG of a column table with a logarithmic rate axis.
 
     Byte-deterministic for a fixed input table.
     """
-    if not rows:
+    xs = table["distance_km"]
+    if not xs:
         raise ValueError("cannot plot an empty table")
     curves: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for row in rows:
-        if row["feasible_flag"] and row["R_coh"] > 0.0:
-            curves.setdefault((row["mode"], row["N"]), []).append(
-                (row["distance_km"], row["R_coh"]))
-    xs = [row["distance_km"] for row in rows]
+    for x, block, mode, rate, flag in zip(xs, table["N"], table["mode"], table["R_coh"],
+                                          table["feasible_flag"]):
+        if flag and rate > 0.0:
+            curves.setdefault((mode, block), []).append((x, rate))
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
@@ -379,16 +380,11 @@ def emit_plot(rows: list[dict]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _mc_report(cfg: ScanConfig, rows: list[dict]) -> str:
-    # Each feasible row with its index among all rows, which offsets its seed.
-    feasible = [(idx, row) for idx, row in enumerate(rows) if row["feasible_flag"]]
-    eta_at = {d: arm_transmittance(replace(cfg.channel, distance_km=d))
-              for d in dict.fromkeys(row["distance_km"] for _, row in feasible)}
-    px, mu, eta = np.array([[row["px"] for _, row in feasible],
-                            [row["mu_x"] for _, row in feasible],
-                            [eta_at[row["distance_km"]] for _, row in feasible]],
-                           dtype=float)
-    mode_index = np.array([MODES.index(row["mode"]) for _, row in feasible], dtype=int)
+def _mc_report(cfg: ScanConfig, table: dict[str, list]) -> str:
+    # The feasible rows by their index among all rows, which offsets their seeds.
+    rows = [i for i, flag in enumerate(table["feasible_flag"]) if flag]
+    px, mu, eta = (np.array(table[name])[rows] for name in ("px", "mu_x", "eta"))
+    mode_index = np.array([MODES.index(table["mode"][i]) for i in rows], dtype=int)
     p0 = 1.0 - px
     e_d, p_d = cfg.channel.e_d, cfg.channel.p_d
     # The expected counts of all rows come from one channel pass, with each
@@ -399,15 +395,15 @@ def _mc_report(cfg: ScanConfig, rows: list[dict]) -> str:
     expected = np.array(tally_arrays(p0, px, cfg.mc_windows, *probs))
     # Row seeds wrap, so that every valid scan seed stays a valid key.
     observed = simulate_arrays(
-        p0, px, mu, mu, eta, np.full(len(feasible), e_d), np.full(len(feasible), p_d),
-        mode_index == MODES.index("baseline"), [cfg.mc_windows] * len(feasible),
-        [(cfg.seed + idx) % 2**64 for idx, _ in feasible])
+        p0, px, mu, mu, eta, np.full(len(rows), e_d), np.full(len(rows), p_d),
+        mode_index == MODES.index("baseline"), [cfg.mc_windows] * len(rows),
+        [(cfg.seed + i) % 2**64 for i in rows])
+    distance, block, mode = table["distance_km"], table["N"], table["mode"]
     lines = ["distance_km,N,mode,component,expected,observed"]
-    for (_, row), counts, tally in zip(feasible, expected.T, observed):
+    for i, counts, tally in zip(rows, expected.T.tolist(), observed):
         for component, value, count in zip(("n_O", "n_B", "n_Z"), counts, tally):
-            lines.append(",".join([
-                repr(float(row["distance_km"])), row["N"], row["mode"], component,
-                repr(float(value)), repr(float(count))]))
+            lines.append(",".join([repr(distance[i]), block[i], mode[i], component,
+                                   repr(value), repr(float(count))]))
     return "\n".join(lines) + "\n"
 
 
@@ -480,13 +476,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = run_scan(cfg)
+    table = run_scan(cfg)  # a scan has a row, since load_config rejects empty axes
     try:
-        _overwrite(os.path.join(args.out, "scan.csv"), rows_to_csv(rows))
-        if rows:
-            _overwrite(os.path.join(args.out, "scan.svg"), emit_plot(rows))
+        _overwrite(os.path.join(args.out, "scan.csv"), rows_to_csv(table))
+        _overwrite(os.path.join(args.out, "scan.svg"), emit_plot(table))
         if cfg.mc_validate:
-            _overwrite(os.path.join(args.out, "mc_report.csv"), _mc_report(cfg, rows))
+            _overwrite(os.path.join(args.out, "mc_report.csv"), _mc_report(cfg, table))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ detector means (``detector_means``) and click probability (``click_prob``),
 never taken from the channel model's heralding formulas, so the cross-check
 stays independent.
 
-``simulate_arrays`` is the array core; it checks only that its rows pair up.
+``simulate_arrays`` is the array core; it checks only its row counts.
 :func:`simulate`, the one-row call, checks the seed and window count, and
 its records check every other range (the nonnegative intensities and
 transmittance that ``detector_means`` needs among them).  ``scsqkd scan
@@ -150,15 +150,18 @@ def simulate_arrays(p0, px, mu_A, mu_B, eta, e_d, p_d, baseline, windows,
     random-phase mask ``baseline``, and the sequences ``windows`` and
     ``seeds``.
 
-    Only row counts are checked: p0, px, eta, ``windows`` and ``seeds`` of
-    unequal lengths raise ValueError.  The caller passes the other arrays at
-    that length, and what :func:`simulate` checks for one row: p0 + px = 1
-    with px in (0, 1), nonnegative intensities and transmittance, p_d and
-    e_d in [0, 1], each window count accepted by :func:`require_windows`
-    and each seed by :func:`require_seed`.  One array pass gives every row's
-    heralding probabilities, and one Philox bit generator, re-keyed per row,
-    draws every row's counts.
+    Only row counts are checked: per-row inputs of unequal lengths raise
+    ValueError, before any draw.  The caller passes what :func:`simulate`
+    checks for one row: p0 + px = 1 with px in (0, 1), nonnegative
+    intensities and transmittance, p_d and e_d in [0, 1], each window count
+    accepted by :func:`require_windows` and each seed by
+    :func:`require_seed`.  One array pass gives every row's heralding
+    probabilities, and one Philox bit generator, re-keyed per row, draws
+    every row's counts.
     """
+    lengths = [len(c) for c in (p0, px, mu_A, mu_B, eta, e_d, p_d, baseline, windows, seeds)]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"per-row inputs must have one length, got {lengths}")
     probs = _heralding(mu_A, mu_B, eta, e_d, p_d, baseline)
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     rng = np.random.Generator(bitgen)
@@ -167,7 +170,7 @@ def simulate_arrays(p0, px, mu_A, mu_B, eta, e_d, p_d, baseline, windows,
     fresh = bitgen.state
     tallies = []
     for p0_row, px_row, n, seed, kind_probs in zip(p0.tolist(), px.tolist(), windows,
-                                                   seeds, probs.tolist(), strict=True):
+                                                   seeds, probs.tolist()):
         fresh["state"]["key"] = np.array([seed, 0], dtype=np.uint64)
         bitgen.state = fresh
         counts = rng.multinomial(int(n), [p0_row * p0_row, p0_row * px_row,

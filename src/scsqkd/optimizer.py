@@ -6,13 +6,13 @@ sits orders of magnitude below the upper range limit, where a linear grid
 would be blind.  Candidates that violate the mapping-existence condition
 after worst-case intensity fluctuation are skipped, not penalized.
 
-:func:`search_points` searches many (channel, block size, mode) points at
-once.  A point table, built once per call, holds each point's transmittance
-and groups the points by kind of block size (finite or asymptotic) and by
-dark-count and misalignment probability, with each group's distinct block
-sizes and modes and each point's index into them.  Each sweep is one
-broadcast (point, px, mu) array pass per group of the points still
-searched, whatever their modes, as long as the group fits ``_CHUNK``
+:func:`search_points` searches many points at once, given as columns: each
+point's one-arm transmittance and its indices into the distinct block sizes
+and modes, with one channel's dark-count and misalignment probabilities.  A
+point table, built once per call, groups the points by kind of block size
+(finite or asymptotic), with each point's index into its kind's sizes.  Each
+sweep is one broadcast (point, px, mu) array pass per group of the points
+still searched, whatever their modes, as long as the group fits ``_CHUNK``
 candidates.  The incumbents are one table over the points: each pass picks
 its winners with a masked argmax, gathers each report field at the winners'
 (px, mu) indices and writes the winners' columns at once.  The search
@@ -119,28 +119,19 @@ def _axes(lo: np.ndarray, hi: np.ndarray, n: int, space) -> np.ndarray:
     return out
 
 
-def _point_table(points) -> tuple[np.ndarray, list[tuple]]:
-    """Each point's one-arm transmittance, and the points grouped by kind
-    of block size (finite or asymptotic), dark-count and misalignment
-    probability: the points one pass may hold together.
-
-    A group is ``(channel, index, sizes, block, modes, mode)``: a channel
-    that gives its p_d and e_d, the ascending indices of its points, its
-    distinct block sizes and modes, and each point's index into them.
-    """
-    eta = np.array([arm_transmittance(channel) for channel, _, _ in points])
-    keyed: dict = {}
-    for i, (channel, block, mode) in enumerate(points):
-        members, sizes, modes = keyed.setdefault(
-            (block == ASYMPTOTIC, channel.p_d, channel.e_d), ([], {}, {}))
-        members.append((i, sizes.setdefault(block, len(sizes)),
-                        modes.setdefault(mode, len(modes))))
+def _point_table(sizes: tuple, block: np.ndarray, mode_index: np.ndarray) -> list[tuple]:
+    """The points grouped by kind of block size (finite or asymptotic), the
+    points one pass may hold together: per group ``(index, sizes, block,
+    mode)``, the ascending indices of its points, the block sizes of its
+    kind, and each point's index into them and mode index."""
+    asymptotic = np.array([size == ASYMPTOTIC for size in sizes], dtype=bool)
     groups = []
-    for members, sizes, modes in keyed.values():
-        index, block, mode = np.array(members).T
-        groups.append((points[index[0]][0], index, tuple(sizes), block,
-                       tuple(modes), mode))
-    return eta, groups
+    for own in (~asymptotic, asymptotic):  # the sizes of one kind
+        index = np.flatnonzero(own[block])
+        if index.size:
+            groups.append((index, tuple(size for size, k in zip(sizes, own) if k),
+                           (np.cumsum(own) - 1)[block[index]], mode_index[index]))
+    return groups
 
 
 class _Incumbents:
@@ -200,26 +191,26 @@ class _Incumbents:
         self.values[:, i] = np.array(picked)[:, better]
 
 
-def _sweep(eta: np.ndarray, groups: list[tuple], live: np.ndarray,
-           px_axes: np.ndarray, mu_axes: np.ndarray, calib: SourceCalibration,
-           security: SecurityConfig, best: _Incumbents) -> None:
+def _sweep(channel: ChannelParams, eta: np.ndarray, modes: tuple, groups: list[tuple],
+           live: np.ndarray, px_axes: np.ndarray, mu_axes: np.ndarray,
+           calib: SourceCalibration, security: SecurityConfig, best: _Incumbents) -> None:
     """One sweep of the (px, mu) grid ``px_axes[j]`` x ``mu_axes[j]`` of each
     point ``live[j]``, evaluated as one broadcast (point, px, mu) pass per
     group and chunk of points.
 
-    ``eta`` and ``groups`` are the point table; the sweep selects each
-    group's live members, with their block-size and mode indices.  Each
-    pass updates the array incumbents ``best``: within a sweep the first of
-    equal rates among the feasible candidates of a point, in lexicographic
-    (px, mu) order, wins, and it replaces the point's incumbent only if it
-    is strictly larger.
+    ``groups`` is the point table; the sweep selects each group's live
+    members, with their block-size and mode indices.  Each pass updates the
+    array incumbents ``best``: within a sweep the first of equal rates among
+    the feasible candidates of a point, in lexicographic (px, mu) order,
+    wins, and it replaces the point's incumbent only if it is strictly
+    larger.
     """
     every = len(live) == len(eta)  # as in the coarse sweep: rows are points
     if not every:
         row_of = np.full(len(eta), -1)
         row_of[live] = np.arange(len(live))
     step = max(1, _CHUNK // (px_axes.shape[1] * mu_axes.shape[1]))
-    for channel, index, sizes, block, modes, mode in groups:
+    for index, sizes, block, mode in groups:
         points = rows = index
         if not every:
             rows = row_of[index]
@@ -237,11 +228,15 @@ def _sweep(eta: np.ndarray, groups: list[tuple], live: np.ndarray,
             best.update(chunk, px, mu, batch)
 
 
-def search_points(points: list[tuple[ChannelParams, float | str, str]],
-                  calib: SourceCalibration, security: SecurityConfig,
+def search_points(channel: ChannelParams, calib: SourceCalibration,
+                  security: SecurityConfig, eta: np.ndarray, sizes: tuple,
+                  block: np.ndarray, modes: tuple, mode_index: np.ndarray,
                   space: SearchSpace = SearchSpace()
                   ) -> tuple[np.ndarray, np.ndarray, KeyRateReport]:
-    """Best feasible (px, mu) of each (channel, block size, mode) point.
+    """Best feasible (px, mu) of each point ``j``: its one-arm transmittance
+    is ``eta[j]``, its block size ``sizes[block[j]]`` and its mode
+    ``modes[mode_index[j]]``, of distinct sizes and modes; ``channel`` gives
+    the dark-count and misalignment probabilities, not the distance.
 
     Returns each point's px and mu and one :class:`KeyRateReport` whose
     fields are arrays over the points; ``feasible`` marks the points with a
@@ -251,14 +246,18 @@ def search_points(points: list[tuple[ChannelParams, float | str, str]],
     ``space.refine_rounds`` once every point's axes have collapsed to its
     incumbent, which later rounds could not replace.
     """
-    for _, block, _ in points:
-        require_block(block)
-    eta, groups = _point_table(points)
-    best = _Incumbents(len(points))
+    for size in sizes:
+        require_block(size)
+    if not (len(block) == len(mode_index) == len(eta)
+            and ((0 <= block) & (block < len(sizes))).all()):
+        raise ValueError("block and mode_index need one index per point, "
+                         "and block an index into sizes")
+    groups = _point_table(sizes, block, mode_index)
+    best = _Incumbents(len(eta))
     px_lo, px_hi = space.px_range
     mu_lo, mu_hi = space.mu_range
     n_px, n_mu = space.grid
-    live = np.arange(len(points))
+    live = np.arange(len(eta))
     lo, hi = np.full(len(live), px_lo), np.full(len(live), px_hi)
     m_lo, m_hi = np.full(len(live), mu_lo), np.full(len(live), mu_hi)
     px_width = px_hi - px_lo
@@ -276,7 +275,7 @@ def search_points(points: list[tuple[ChannelParams, float | str, str]],
             # Collapsed axes hold only the incumbents, which no sweep replaces.
             if (lo == hi).all() and (m_lo == m_hi).all():
                 break
-        _sweep(eta, groups, live, _axes(lo, hi, n_px, np.linspace),
+        _sweep(channel, eta, modes, groups, live, _axes(lo, hi, n_px, np.linspace),
                _axes(m_lo, m_hi, n_mu, np.geomspace), calib, security, best)
     px, mu, *report = best.values
     return px, mu, KeyRateReport(best.found, *report)
@@ -294,8 +293,9 @@ def optimize(channel: ChannelParams, calib: SourceCalibration,
     strictly larger rate from a later sweep replaces the incumbent.  Raises
     NoFeasiblePointError when no candidate of the coarse grid is feasible.
     """
-    px, mu, report = search_points([(channel, block_size, mode)], calib, security,
-                                   space)
+    one = np.zeros(1, dtype=int)
+    px, mu, report = search_points(channel, calib, security, np.array(
+        [arm_transmittance(channel)]), (block_size,), one, (mode,), one, space)
     if not report.feasible[0]:
         raise NoFeasiblePointError("no feasible (px, mu) candidate in the grid")
     px, mu = float(px[0]), float(mu[0])

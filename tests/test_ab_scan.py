@@ -43,8 +43,8 @@ def test_ab_scan_checks_the_bytes(tmp_path, capsys):
     shutil.copytree(PACKAGE, changed, ignore=shutil.ignore_patterns("__pycache__"))
     cli = changed / "cli.py"
     source = cli.read_text()
-    assert source.count("lines = [CSV_HEADER]") == 1
-    cli.write_text(source.replace("lines = [CSV_HEADER]", "lines = [CSV_HEADER + ' ']"))
+    assert source.count("[CSV_HEADER, ") == 1
+    cli.write_text(source.replace("[CSV_HEADER, ", "[CSV_HEADER + ' ', "))
     assert ab_scan.main([str(PACKAGE), str(changed), *argv]) == 1
     out = capsys.readouterr().out
     assert "outputs that differ: scan.csv\n" in out

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import signal
 import stat
@@ -46,6 +47,19 @@ BASE_CONFIG = {
     "seed": 42,
     "mc_windows": 100000,
 }
+
+
+CSV_COLUMNS = CSV_HEADER.split(",")
+
+
+def _rows(table):
+    """The CSV rows of a column table from ``run_scan``, as dicts."""
+    return [dict(zip(CSV_COLUMNS, row)) for row in zip(*map(table.get, CSV_COLUMNS))]
+
+
+def _table(rows):
+    """The column table of CSV rows given as dicts."""
+    return {name: [row[name] for row in rows] for name in CSV_COLUMNS}
 
 
 def _write_config(tmp_path, overrides=None):
@@ -182,7 +196,6 @@ def test_load_config_builds_each_record_once(tmp_path, monkeypatch):
         raise AssertionError("dataclasses.replace called")
 
     monkeypatch.setattr(dataclasses, "replace", forbidden)
-    monkeypatch.setattr(cli, "replace", forbidden)
     load_config(_write_config(tmp_path), _no_overrides())
     assert sorted(built) == sorted(type(record).__name__ for record in _RECORDS)
 
@@ -199,7 +212,7 @@ class TestCsvEmission:
         assert distances == sorted(distances)
 
     def test_empty_table_is_header_only(self):
-        assert rows_to_csv([]) == CSV_HEADER + "\n"
+        assert rows_to_csv(_table([])) == CSV_HEADER + "\n"
 
 
 def _reference_row(cfg, distance: float, label: str, mode: str) -> dict:
@@ -266,7 +279,7 @@ def _check_batched_scan(tmp_path, search: dict, blocks: list[str]) -> None:
         "scan": {"distance": [50, 40050, 20000], "blocks": blocks,
                  "modes": ["improved", "baseline"]}})
     cfg = load_config(path, _no_overrides())
-    rows = run_scan(cfg)
+    rows = _rows(run_scan(cfg))
     assert len(rows) == 3 * len(blocks) * 2
     for row in rows:
         assert row == _reference_row(cfg, row["distance_km"], row["N"], row["mode"])
@@ -368,15 +381,15 @@ class TestBatchedScan:
             return evaluate_points(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "evaluate_points", counted)
-        rows = run_scan(cfg)
+        table = run_scan(cfg)
         passes = len(calls)
         assert 2 * 20 < passes < 2 * 40  # a finite and an asymptotic pass per sweep
-        for row in rows:
+        for row in _rows(table):
             assert row == _reference_row(cfg, row["distance_km"], row["N"], row["mode"])
         calls.clear()
         longest = replace(cfg, space=replace(cfg.space,
                                              refine_rounds=optimizer.MAX_REFINE_ROUNDS))
-        assert run_scan(longest) == rows
+        assert run_scan(longest) == table
         assert len(calls) == passes
 
     @pytest.mark.parametrize("chunk, passes", [
@@ -429,8 +442,9 @@ def test_scan_builds_no_per_point_result_objects(tmp_path, monkeypatch, mu_range
 
     monkeypatch.setattr(optimizer, "ProtocolParams", built)
     monkeypatch.setattr(optimizer, "KeyRateReport", report)
-    rows = run_scan(cfg)
+    table = run_scan(cfg)
     monkeypatch.undo()
+    rows = _rows(table)
     assert len(reports) == 1
     labels = {"asymptotic": ASYMPTOTIC, "1000000000000": 1e12, "10000000000": 1e10}
     expected = []
@@ -453,14 +467,87 @@ def test_scan_builds_no_per_point_result_objects(tmp_path, monkeypatch, mu_range
         (d, n, m) for d in (0.0, 50.0, 100.0)
         for n in ("10000000000", "1000000000000", "asymptotic")
         for m in ("improved", "baseline")]
-    assert rows_to_csv(rows) == rows_to_csv(expected)
+    assert rows_to_csv(table) == rows_to_csv(_table(expected))
     assert {row["feasible_flag"] for row in rows} == {feasible}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(distances=st.lists(st.floats(0.0, 400.0), min_size=1, max_size=40, unique=True),
+       alpha_f=st.floats(0.1, 0.4), eta_d=st.floats(0.05, 1.0))
+def test_transmittance_column_is_arm_transmittance(distances, alpha_f, eta_d):
+    # Each row's transmittance is arm_transmittance on its own distance,
+    # bit for bit; numpy's vectorized power is an ulp off at some distances.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = load_config(_write_config(Path(tmp), {
+            "channel": dict(BASE_CONFIG["channel"], alpha_f=alpha_f, eta_d=eta_d),
+            "search": {"grid": [1, 1], "refine_rounds": 0},
+            "scan": {"distance": [0, 0, 1], "blocks": ["asymptotic"]}}), _no_overrides())
+    table = run_scan(replace(cfg, distances=tuple(distances)))
+    assert table["distance_km"] == distances
+    assert [eta.hex() for eta in table["eta"]] == [
+        arm_transmittance(ChannelParams(d, alpha_f, eta_d, 1e-9, 0.04)).hex()
+        for d in distances]
+
+
+def test_scan_path_builds_no_record_after_load_config(tmp_path, monkeypatch):
+    # After load_config, the search, the CSV, the plot and the Monte Carlo
+    # report build no record and call no dataclasses.replace: the points and
+    # rows pass as columns, and the table is one list per column.
+    path = _write_config(tmp_path, {
+        "scan": {"distance": [0, 100, 50], "blocks": ["1e12", "asymptotic"],
+                 "modes": ["improved", "baseline"]},
+        "mc_validate": True})
+    cfg = load_config(path, _no_overrides())
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a record was built after load_config")
+
+    for record in (ChannelParams, ProtocolParams, scsqkd.channel.WindowTally,
+                   SourceCalibration, SecurityConfig, SearchSpace):
+        monkeypatch.setattr(record, "__post_init__", forbidden)
+    monkeypatch.setattr(dataclasses, "replace", forbidden)
+    with pytest.raises(AssertionError, match="a record was built"):
+        replace(cfg.channel, distance_km=1.0)
+    table = run_scan(cfg)
+    outputs = rows_to_csv(table), emit_plot(table), cli._mc_report(cfg, table)
+    monkeypatch.undo()
+    assert list(table) == [*CSV_COLUMNS, "eta"]
+    assert all(type(column) is list and len(column) == 12 for column in table.values())
+    assert sum(table["feasible_flag"]) > 1
+    assert len(outputs[2].split("\n")) == 2 + 3 * sum(table["feasible_flag"])
+    assert outputs == (rows_to_csv(run_scan(cfg)), emit_plot(run_scan(cfg)),
+                       cli._mc_report(cfg, run_scan(cfg)))
 
 
 class TestPlot:
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
-            emit_plot([])
+            emit_plot(_table([]))
+
+    @staticmethod
+    def _axes(rows):
+        """The y decade and x tick labels of the plot of (distance, R_coh,
+        feasible_flag) rows."""
+        svg = emit_plot(_table([dict(dict.fromkeys(CSV_COLUMNS, 0.0), distance_km=d,
+                                     N="asymptotic", mode="improved", R_coh=r,
+                                     feasible_flag=f) for d, r, f in rows]))
+        return (re.findall(r'>1e(-?\d+)</text>', svg),
+                re.findall(r'font-size="11" text-anchor="middle">([^<]*)</text>', svg),
+                svg.count("<polyline"))
+
+    def test_axes_without_a_positive_rate(self):
+        # No curve: the rate axis spans 1e-12 to 1e0.
+        decades, ticks, curves = self._axes([(0.0, 0.0, 1), (50.0, 1e-3, 0)])
+        assert decades == [str(k) for k in range(-12, 1)]
+        assert ticks == ["0", "10", "20", "30", "40", "50"]
+        assert curves == 0
+
+    def test_axes_of_one_distance_and_one_decade(self):
+        # One distance spans 1 km; rates within one power of ten span a decade.
+        decades, ticks, curves = self._axes([(10.0, 1e-3, 1)])
+        assert decades == ["-3", "-2"]
+        assert ticks == ["10", "10.2", "10.4", "10.6", "10.8", "11"]
+        assert curves == 1
 
     def test_valid_svg_document(self, tmp_path):
         cfg = load_config(_write_config(tmp_path), _no_overrides())
@@ -485,11 +572,11 @@ class TestMcReport:
         return cfg, run_scan(cfg)
 
     def test_expected_column_is_expected_tallies_bit_for_bit(self, tmp_path):
-        cfg, rows = self._scan(tmp_path)
-        feasible = [row for row in rows if row["feasible_flag"]]
+        cfg, table = self._scan(tmp_path)
+        feasible = [row for row in _rows(table) if row["feasible_flag"]]
         assert {row["mode"] for row in feasible} == {"improved", "baseline"}
         assert len({row["distance_km"] for row in feasible}) == 3
-        lines = cli._mc_report(cfg, rows).strip().split("\n")[1:]
+        lines = cli._mc_report(cfg, table).strip().split("\n")[1:]
         assert len(lines) == 3 * len(feasible)
         for i, row in enumerate(feasible):
             protocol = ProtocolParams(p0=1.0 - row["px"], px=row["px"],
@@ -506,7 +593,7 @@ class TestMcReport:
         # An expected_tallies call per feasible row would make one heralding
         # pass per row, and a pass per mode two: this scan makes one, whose
         # mode index picks each row's mode.
-        cfg, rows = self._scan(tmp_path)
+        cfg, table = self._scan(tmp_path)
         calls = []
         real = scsqkd.channel.heralding_arrays
 
@@ -516,8 +603,8 @@ class TestMcReport:
 
         monkeypatch.setattr(scsqkd.channel, "heralding_arrays", counted)
         monkeypatch.setattr(cli, "heralding_arrays", counted)
-        cli._mc_report(cfg, rows)
-        feasible = [row["mode"] for row in rows if row["feasible_flag"]]
+        cli._mc_report(cfg, table)
+        feasible = [row["mode"] for row in _rows(table) if row["feasible_flag"]]
         assert set(feasible) == set(MODES)
         ((modes, mode_index),) = calls
         assert [modes[k] for k in mode_index.tolist()] == feasible
@@ -526,15 +613,15 @@ class TestMcReport:
         # The report draws from the scan's arrays; each row's counts are
         # those of the record API, seeded by the row's index among all rows.
         cfg, rows = self._scan(tmp_path)
-        assert all(row["feasible_flag"] for row in rows)
+        assert all(rows["feasible_flag"])
         # Every row of this scan is feasible; with every other one marked
         # infeasible, a seed offset by the index among feasible rows differs.
         # A seed near 2**64 wraps from the third row on.
-        every_other = [dict(row, feasible_flag=i % 2) for i, row in enumerate(rows)]
+        every_other = dict(rows, feasible_flag=[i % 2 for i in range(len(rows["px"]))])
         for scan_cfg, table in ((cfg, rows), (cfg, every_other),
                                 (replace(cfg, seed=2**64 - 2), rows)):
             lines = iter(cli._mc_report(scan_cfg, table).strip().split("\n")[1:])
-            for i, row in enumerate(table):
+            for i, row in enumerate(_rows(table)):
                 if not row["feasible_flag"]:
                     continue
                 tally = simulate(

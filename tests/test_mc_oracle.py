@@ -62,8 +62,26 @@ class TestSimConfig:
         for rows in ((p0, px, *arrays, [10, 10], [1]),
                      (p0, px, *arrays, [10], [1, 2]),
                      (p0[:1], px[:1], *arrays, [10, 10], [1, 2])):
-            with pytest.raises(ValueError, match=r"zip\(\) argument"):
+            with pytest.raises(ValueError, match="per-row inputs must have one length"):
                 simulate_arrays(*rows)
+
+    @pytest.mark.parametrize("name", ["mu_A", "mu_B", "e_d", "p_d", "baseline"])
+    def test_every_per_row_input_must_pair_up(self, name):
+        # Two baseline rows (mu 1, p_d 1e-3, 1000 windows): a one-entry mask
+        # used to draw row 1 in improved mode (n_B 1 against 140), and a
+        # one-entry mu_A, mu_B, e_d or p_d raised IndexError (improved rows
+        # broadcast it).
+        proto = ProtocolParams(p0=0.5, px=0.5, mu_xA=1.0, mu_xB=1.0, N=1000,
+                               mode="baseline")
+        channel = ChannelParams(0.0, 0.2, 0.5, 1e-3, 0.04)
+        p0 = px = np.array([0.5, 0.5])
+        arrays = dict(zip(("mu_A", "mu_B", "eta", "e_d", "p_d", "baseline"),
+                          _heralding_inputs([proto, proto], [channel, channel])))
+        (_, n_B, _), _ = simulate_arrays(p0, px, **arrays, windows=[1000] * 2, seeds=[1, 2])
+        assert n_B > 0
+        arrays[name] = arrays[name][:1]
+        with pytest.raises(ValueError, match="per-row inputs must have one length"):
+            simulate_arrays(p0, px, **arrays, windows=[1000] * 2, seeds=[1, 2])
 
 
 class TestSimulate:
@@ -187,7 +205,7 @@ def test_row_tally_does_not_depend_on_its_batch(block, monkeypatch):
 def test_one_philox_per_call(monkeypatch, tmp_path):
     cfg = load_config(_write_config(tmp_path, _McReport.CONFIG), _no_overrides())
     rows = run_scan(cfg)
-    assert sum(row["feasible_flag"] for row in rows) > 1
+    assert sum(rows["feasible_flag"]) > 1
     built = []
     real = np.random.Philox
 

@@ -25,6 +25,18 @@ CALIB = SourceCalibration()
 SECURITY = SecurityConfig()
 
 
+def _search(points, space=SearchSpace(), sizes=None, modes=None):
+    """search_points on (channel, block size, mode) records of one p_d and
+    e_d, passed as columns: each record's transmittance and its indices into
+    ``sizes`` and ``modes``, by default the distinct ones in record order."""
+    sizes = sizes or tuple(dict.fromkeys(block for _, block, _ in points))
+    modes = modes or tuple(dict.fromkeys(mode for _, _, mode in points))
+    return search_points(points[0][0], CALIB, SECURITY,
+                         np.array([arm_transmittance(c) for c, _, _ in points]), sizes,
+                         np.array([sizes.index(b) for _, b, _ in points]), modes,
+                         np.array([modes.index(m) for _, _, m in points]), space)
+
+
 def _grid_rates(px_vals, mu_vals) -> np.ndarray:
     """Unclamped coherent rates at the feasible points of a (px, mu) grid,
     at 50 km and N = 1e12."""
@@ -260,8 +272,7 @@ class TestIncumbentRule:
 
         monkeypatch.setattr(optimizer, "evaluate_points", stub)
         space = SearchSpace(grid=shape, refine_rounds=2)
-        result = search_points([(c, 1e12, "improved") for c in channels],
-                               CALIB, SECURITY, space)
+        result = _search([(c, 1e12, "improved") for c in channels], space)
         return result, calls
 
     def test_incumbents(self, monkeypatch):
@@ -357,8 +368,7 @@ def test_report_fields_equal_re_evaluation(monkeypatch):
         return replace(batch, feasible=batch.feasible & (args[6] != dead))
 
     monkeypatch.setattr(optimizer, "evaluate_points", masked)
-    px, mu, report = search_points(points, CALIB, SECURITY,
-                                   SearchSpace(grid=(6, 6), refine_rounds=2))
+    px, mu, report = _search(points, SearchSpace(grid=(6, 6), refine_rounds=2))
     assert report.feasible.tolist() == [True, True, False, True, True, True, True]
     for i, (channel, block, mode) in enumerate(points):
         got = [px[i], mu[i], *(getattr(report, f.name)[i] for f in fields(report))]
@@ -374,6 +384,37 @@ def test_report_fields_equal_re_evaluation(monkeypatch):
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want], i
 
 
+def test_columns_take_sizes_and_modes_in_any_order():
+    # The distinct block sizes and modes may come in any order and hold
+    # entries no point uses: each point's result keeps every bit, also alone.
+    # The channel passed (the first point's: 0 km, then 40 km) gives no
+    # distance.
+    points = [(_channel(d), block, mode) for d in (0.0, 40.0)
+              for block in (1e12, ASYMPTOTIC, 1e10) for mode in ("improved", "baseline")]
+    space = SearchSpace(grid=(4, 4), refine_rounds=1)
+    want = _search(points, space)
+    got = _search(points[6:] + points[:6], space, sizes=(ASYMPTOTIC, 1e11, 1e10, 1e12),
+                  modes=("baseline", "improved"))
+    order = list(range(6, 12)) + list(range(6))
+    for a, b in zip(want[:2] + tuple(vars(want[2]).values()),
+                    got[:2] + tuple(vars(got[2]).values())):
+        assert [float(v).hex() for v in np.asarray(a)[order]] == [
+            float(v).hex() for v in b]
+    one = _search(points[1:2], space)
+    assert [float(v).hex() for v in (one[0][0], one[1][0], one[2].R_coh[0])] == [
+        float(v).hex() for v in (want[0][1], want[1][1], want[2].R_coh[1])]
+
+
+@pytest.mark.parametrize("block, mode_index", [
+    ([0, 2], [0, 0]), ([0, -1], [0, 0]), ([0], [0, 0]), ([0, 1], [0]),
+    ([0, 0], [0, 1])], ids=["block-past-sizes", "block-negative", "short-block",
+                            "short-mode_index", "mode-past-modes"])
+def test_search_rejects_indices_that_pick_no_size_or_mode(block, mode_index):
+    with pytest.raises(ValueError):
+        search_points(CHANNEL_50, CALIB, SECURITY, np.full(2, 0.1), (1e12, ASYMPTOTIC),
+                      np.array(block), ("improved",), np.array(mode_index))
+
+
 def test_default_search_within_stated_gap_of_a_dense_search():
     # The last positive improved row of each README curve (220 km
     # asymptotic, 90 km at N = 1e12, 0 km at N = 1e10) and one mid-range row
@@ -385,8 +426,7 @@ def test_default_search_within_stated_gap_of_a_dense_search():
               (_channel(90.0), 1e12, "improved"),
               (_channel(0.0), 1e10, "improved"),
               (_channel(50.0), 1e12, "improved")]
-    _, _, got = search_points(points, CALIB, SECURITY)
-    _, _, dense = search_points(points, CALIB, SECURITY,
-                                SearchSpace(grid=(200, 200), refine_rounds=8))
+    _, _, got = _search(points)
+    _, _, dense = _search(points, SearchSpace(grid=(200, 200), refine_rounds=8))
     assert (dense.R_coh > 0.0).all()
     assert (1.0 - got.R_coh / dense.R_coh < 5e-4).all(), got.R_coh / dense.R_coh

@@ -275,8 +275,9 @@ def test_optimize_rejects_block_size_before_evaluating(monkeypatch):
     # pass: the asymptotic group's pass comes before the finite group's,
     # whose own check would reject 0.5 only after the first evaluation.
     with pytest.raises(ValueError, match="block_size"):
-        search_points([(CHANNEL_50, pipeline.ASYMPTOTIC, "improved"),
-                       (CHANNEL_50, 0.5, "improved")], CALIB, SecurityConfig(), SearchSpace())
+        search_points(CHANNEL_50, CALIB, SecurityConfig(),
+                      np.full(2, arm_transmittance(CHANNEL_50)), (pipeline.ASYMPTOTIC, 0.5),
+                      np.array([0, 1]), ("improved",), np.zeros(2, dtype=int), SearchSpace())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

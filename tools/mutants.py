@@ -68,6 +68,20 @@ ALLOWED = {
     "numpy's reshape takes any negative length as the one it works out",
     "optimizer._Incumbents.update: `1` -> `2` | len(again), -1) & ~np.isnan(again)":
     "numpy's reshape takes any negative length as the one it works out",
+    "mapping.virtual_intensity_array: `0.0` -> `1.0` | s = np.sqrt(np.expm1(np.where("
+    "feasible, t, 0.0)) * ((1.0 - av0) / av0))":
+    "the fill reaches only infeasible elements, where `feasible &= s < 1.0` stays False "
+    "and s is replaced by 0.0 before the log; expm1(1.0) is finite, so nothing warns",
+    "optimizer._point_table: `==` -> `!=` | asymptotic = np.array([size == ASYMPTOTIC "
+    "for size in sizes], dtype=bool)":
+    "the two kinds' masks swap places, so only the order of the two groups' passes "
+    "changes; each point is in one group, and its result depends on no other point",
+    "optimizer._sweep: `1` -> `2` | row_of = np.full(len(eta), -1)":
+    "the mark of a point that is not live is read only by `rows >= 0`; any negative "
+    "mark is dropped alike",
+    "cli.run_scan: `1` -> `2` | d, b, m = np.indices((len(eta), len(blocks), "
+    "len(modes))).reshape(3, -1)":
+    "numpy's reshape takes any negative length as the one it works out",
     "mc_oracle._heralding: `2` -> `3` | nu = np.empty((2, len(_KINDS), len(eta)))":
     "only nu[0] and nu[1] are written and read; a third slice is never used",
     "mc_oracle.simulate_arrays: `*` -> `/` | px_row * p0_row, px_row * px_row]) #2":
