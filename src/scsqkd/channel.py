@@ -27,6 +27,11 @@ baseline phase average has the closed form
 scaled ``e^{-c} I0(c)`` comes from ``np.i0`` up to ``c = 700`` and from the
 large-``c`` asymptotic expansion beyond, where ``np.i0`` would overflow.  The
 package needs nothing but numpy at run time.
+
+A record (here, in ``pipeline`` and in ``optimizer``) rejects a field only
+through :func:`_check`, whose message ``<field> must <requirement>, got
+<value>`` opens with the field, the word by which ``cli`` names a bad config
+key.
 """
 from __future__ import annotations
 
@@ -53,6 +58,14 @@ _I0E_ASYMPTOTIC = tuple(reversed([
     2401245 / 4194304, 57972915 / 33554432]))
 
 
+def _check(config, checks) -> None:
+    """Raise ValueError naming the first field of ``config`` whose check in
+    ``checks``, (field, passed, requirement) triples, failed."""
+    for field, ok, requirement in checks:
+        if not ok:
+            raise ValueError(f"{field} must {requirement}, got {getattr(config, field)!r}")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Fiber and detector parameters (Table-1 style quantities)."""
@@ -65,14 +78,11 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         # Each check is written so that NaN fails it.
-        for name in ("distance_km", "alpha_f"):
-            value = getattr(self, name)
-            if not value >= 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
-        for name in ("eta_d", "p_d", "e_d"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        _check(self, (("distance_km", self.distance_km >= 0.0, "be >= 0"),
+                      ("alpha_f", self.alpha_f >= 0.0, "be >= 0"),
+                      ("eta_d", 0.0 <= self.eta_d <= 1.0, "lie in [0, 1]"),
+                      ("p_d", 0.0 <= self.p_d <= 1.0, "lie in [0, 1]"),
+                      ("e_d", 0.0 <= self.e_d <= 1.0, "lie in [0, 1]")))
 
 
 @dataclass(frozen=True)
@@ -88,19 +98,12 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         # Each check is written so that NaN fails it.
-        if not abs(self.p0 + self.px - 1.0) <= 1e-12:
-            raise ValueError(f"p0 + px must equal 1, got p0={self.p0!r}, "
-                             f"px={self.px!r}")
-        if not (0.0 < self.px < 1.0):
-            raise ValueError(f"px must lie in (0, 1), got {self.px!r}")
-        if not (self.mu_xA >= 0.0 and self.mu_xB >= 0.0):
-            name = "mu_xB" if self.mu_xA >= 0.0 else "mu_xA"
-            raise ValueError(f"intensity {name} must be nonnegative, "
-                             f"got {getattr(self, name)!r}")
-        if not self.N >= 1:
-            raise ValueError(f"N must be >= 1, got {self.N!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        _check(self, (("p0", abs(self.p0 + self.px - 1.0) <= 1e-12, "equal 1 - px"),
+                      ("px", 0.0 < self.px < 1.0, "lie in (0, 1)"),
+                      ("mu_xA", self.mu_xA >= 0.0, "be nonnegative"),
+                      ("mu_xB", self.mu_xB >= 0.0, "be nonnegative"),
+                      ("N", self.N >= 1, "be >= 1"),
+                      ("mode", self.mode in MODES, f"be one of {MODES}")))
 
 
 @dataclass(frozen=True)
@@ -112,10 +115,10 @@ class WindowTally:
     n_Z: float
 
     def __post_init__(self) -> None:
-        for name in ("n_O", "n_B", "n_Z"):
-            value = getattr(self, name)
-            if not value >= 0.0:  # NaN fails it too
-                raise ValueError(f"{name} must be nonnegative, got {value!r}")
+        # Each check is written so that NaN fails it.
+        _check(self, (("n_O", self.n_O >= 0.0, "be nonnegative"),
+                      ("n_B", self.n_B >= 0.0, "be nonnegative"),
+                      ("n_Z", self.n_Z >= 0.0, "be nonnegative")))
 
     @property
     def E_Z(self) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import ChannelParams, ProtocolParams, arm_transmittance
+from .channel import ChannelParams, ProtocolParams, _check, arm_transmittance
 from .keyrate import KeyRateReport
 from .pipeline import (ASYMPTOTIC, SecurityConfig, SourceCalibration,
                        evaluate_points, require_block)
@@ -73,23 +73,16 @@ class SearchSpace:
     shrink: float = 4.0
 
     def __post_init__(self) -> None:
-        px_lo, px_hi = self.px_range
-        mu_lo, mu_hi = self.mu_range
-        if not (0.0 < px_lo <= px_hi < 1.0):
-            raise ValueError(f"px_range must lie within (0, 1), got {self.px_range!r}")
-        if not (0.0 < mu_lo <= mu_hi <= MAX_MU):
-            raise ValueError(f"mu_range must lie within (0, {MAX_MU:.0e}], "
-                             f"got {self.mu_range!r}")
-        if min(self.grid) < 1:
-            raise ValueError(f"grid sizes must be >= 1, got {self.grid!r}")
-        if self.grid[0] * self.grid[1] > MAX_GRID:
-            raise ValueError(f"grid must hold at most {MAX_GRID} candidates, "
-                             f"got {self.grid!r}")
-        if not 0 <= self.refine_rounds <= MAX_REFINE_ROUNDS:
-            raise ValueError(f"refine_rounds must lie in [0, {MAX_REFINE_ROUNDS}], "
-                             f"got {self.refine_rounds!r}")
-        if not self.shrink > 1.0:
-            raise ValueError(f"shrink must be > 1, got {self.shrink!r}")
+        # Each check is written so that NaN fails it.
+        (px_lo, px_hi), (mu_lo, mu_hi), (n_px, n_mu) = self.px_range, self.mu_range, self.grid
+        _check(self, (("px_range", 0.0 < px_lo <= px_hi < 1.0, "lie within (0, 1)"),
+                      ("mu_range", 0.0 < mu_lo <= mu_hi <= MAX_MU,
+                       f"lie within (0, {MAX_MU:.0e}]"),
+                      ("grid", n_px >= 1 and n_mu >= 1, "hold sizes >= 1"),
+                      ("grid", n_px * n_mu <= MAX_GRID, f"hold at most {MAX_GRID} candidates"),
+                      ("refine_rounds", 0 <= self.refine_rounds <= MAX_REFINE_ROUNDS,
+                       f"lie in [0, {MAX_REFINE_ROUNDS}]"),
+                      ("shrink", self.shrink > 1.0, "be > 1")))
 
 
 def _axes(lo: np.ndarray, hi: np.ndarray, n: int, space) -> np.ndarray:

@@ -31,7 +31,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .channel import (ChannelParams, ProtocolParams, arm_transmittance,
+from .channel import (ChannelParams, ProtocolParams, _check, arm_transmittance,
                       heralding_arrays, tally_arrays)
 from .keyrate import (KeyRateReport, coherent_attack_penalty, collective_rate_array,
                       ec_leakage_array, security_budget)
@@ -66,14 +66,6 @@ def require_block(block_size) -> None:
 
 class InfeasibleError(ValueError):
     """Raised when a candidate admits no virtual-protocol mapping."""
-
-
-def _check(config, checks) -> None:
-    """Raise ValueError naming the first field of ``config`` whose check in
-    ``checks``, (field, passed, requirement) triples, failed."""
-    for field, ok, requirement in checks:
-        if not ok:
-            raise ValueError(f"{field} must {requirement}, got {getattr(config, field)!r}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Tests for the linear-optics channel model."""
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -245,8 +246,13 @@ class TestWindowTally:
 
 class TestProtocolParams:
     def test_probability_closure_enforced(self):
-        with pytest.raises(ValueError, match=r"p0 \+ px must equal 1"):
-            ProtocolParams(p0=0.5, px=0.6, mu_xA=0.1, mu_xB=0.1, N=1)
+        # Rounding may leave p0 + px off 1 by up to 1e-12.  The closure reads
+        # both fields and is checked first, under p0's name, so a NaN px
+        # fails it too.
+        ProtocolParams(p0=0.5, px=0.5 + 0.9e-12, mu_xA=0.1, mu_xB=0.1, N=1)
+        for px in (0.6, 0.5 + 1.1e-12, math.nan):
+            with pytest.raises(ValueError, match=r"^p0 must equal 1 - px, got 0\.5$"):
+                ProtocolParams(p0=0.5, px=px, mu_xA=0.1, mu_xB=0.1, N=1)
 
     def test_px_open_interval(self):
         with pytest.raises(ValueError, match="px must lie"):
@@ -270,7 +276,8 @@ class TestProtocolParams:
                            N=math.nextafter(1.0, 0.0))
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown mode 'x'"):
+        with pytest.raises(ValueError, match=re.escape(
+                "mode must be one of ('improved', 'baseline'), got 'x'")):
             ProtocolParams(p0=0.5, px=0.5, mu_xA=0.1, mu_xB=0.1, N=1, mode="x")
 
 

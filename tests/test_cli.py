@@ -25,8 +25,8 @@ from scipy.stats import binom
 
 import scsqkd.channel
 from scsqkd import chernoff, cli, keyrate, optimizer, phase_error, pipeline
-from scsqkd.channel import (MODES, ChannelParams, ProtocolParams, arm_transmittance,
-                            expected_tallies)
+from scsqkd.channel import (MODES, ChannelParams, ProtocolParams, WindowTally,
+                            arm_transmittance, expected_tallies)
 from scsqkd.cli import (CSV_HEADER, ConfigError, build_parser, emit_plot,
                         load_config, main, rows_to_csv, run_scan)
 from scsqkd.keyrate import KeyRateReport
@@ -169,19 +169,27 @@ _OUT_OF_RANGE = {
     "grid": [(0, 5), (5, 0), (1025, 1024)],
     "refine_rounds": [-1, 1001],
     "shrink": [1.0, math.nan],
+    "p0": [0.4, math.nan], "px": [0.0, 1.0],
+    "mu_xA": [-1e-3, math.nan], "mu_xB": [-1e-3, math.nan], "N": [0.5, math.nan],
+    "mode": ["other", math.nan],
+    "n_O": [-1.0, math.nan], "n_B": [-1.0, math.nan], "n_Z": [-1.0, math.nan],
 }
 
 
 @pytest.mark.parametrize("record, field, value", [
     pytest.param(record, field.name, value, id=f"{type(record).__name__}-{field.name}-{value!r}")
-    for record in _RECORDS for field in dataclasses.fields(record)
-    for value in _OUT_OF_RANGE[field.name]])
+    for record in _RECORDS + (ProtocolParams(0.5, 0.5, 0.1, 0.1, 1e10),
+                              WindowTally(1.0, 2.0, 3.0))
+    for field in dataclasses.fields(record) for value in _OUT_OF_RANGE[field.name]])
 def test_every_record_check_names_its_field_first(record, field, value):
     # load_config builds each section's record once and names the bad key
-    # by the field that opens the failed check's message.
+    # by the field that opens the failed check's message.  p0 moves with px,
+    # so that p0 + px = 1 still holds and the px check is the one that fails
+    # (a NaN px fails that closure first, named by p0).
+    changes = {field: value, "p0": 1.0 - value} if field == "px" else {field: value}
     with pytest.raises(ValueError) as info:
-        replace(record, **{field: value})
-    assert str(info.value).startswith(f"{field} ")
+        replace(record, **changes)
+    assert re.match(rf"{field} must .+, got {re.escape(repr(value))}$", str(info.value))
 
 
 def test_load_config_builds_each_record_once(tmp_path, monkeypatch):
@@ -681,6 +689,16 @@ class TestMain:
         path.write_text("{}")
         out = tmp_path / "out"
         assert main(["scan", "--config", str(path), "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "42"])
+    def test_config_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["scan", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: config must be a JSON object, got {json.loads(text)!r}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("eps_coh", 2.0),  # used to fail in security_budget mid-scan

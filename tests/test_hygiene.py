@@ -135,6 +135,23 @@ def test_every_exception_class_is_exported_or_caught():
                   if name not in scsqkd.__all__ and name not in caught) == []
 
 
+def test_every_record_rejects_a_field_only_through_check():
+    # One message shape, "<field> must <requirement>, got <value>", which
+    # cli._section maps back to a config key: a __post_init__ that raises on
+    # its own, or never calls _check, could state its error any other way.
+    records = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+                inner = list(ast.walk(node))
+                records.append((f"{path.name}:{node.lineno}",
+                                any(isinstance(n, ast.Raise) for n in inner),
+                                any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                                    and n.func.id == "_check" for n in inner)))
+    assert len(records) >= 6
+    assert [where for where, raises, checks in records if raises or not checks] == []
+
+
 def test_every_exported_name_is_used_outside_tests():
     # An export that only tests use is public API nothing else needs.  A
     # name counts where the package uses it outside its definition and
