@@ -14,7 +14,8 @@ followed by two threshold detectors (left/right) with dark-count probability
   phase, so their heralding probabilities match the improved mode.
 
 The baseline mode is a documented approximation of the original protocol,
-used only for rate comparisons.
+used only for rate comparisons.  Below :class:`ProtocolParams` and the CLI, the
+mode is one boolean ``baseline`` flag or column, True for the baseline mode.
 
 A detector with mean photon number ``nu`` clicks with probability
 ``1 - (1 - p_d) e^{-nu}``, evaluated as ``p_d - (1 - p_d) expm1(-nu)`` (two
@@ -291,38 +292,42 @@ def b_window_prob(mu_A, mu_B, eta, e_d: float, p_d: float,
 
 
 def heralding_arrays(mu_A, mu_B, eta, e_d: float, p_d: float,
-                     mode, mode_index=0) -> tuple:
+                     baseline=False) -> tuple:
     """Heralding probabilities (p_O, p_B, p_Z) of the window kinds.
 
     ``p_Z = p_ZA + p_ZB`` sums the two one-side kinds.  Elementwise over
-    intensities, one-arm transmittances ``eta`` and ``mode_index`` that
-    broadcast together; ``p_O`` is a scalar, since no light reaches either
-    detector in an O window.  One array passed as both intensities gives
-    equal Z_A and Z_B probabilities, computed once.
-
-    ``mode`` is one heralding mode, or a tuple of modes of which the integer
-    ``mode_index`` picks each element's, so that one channel pass serves
-    candidates of every mode.  Each mode's ``p_B`` is computed on the shape
-    of the intensities and ``eta``, and ``np.choose`` picks each element's
-    from them; a mode's value at an element does not depend on the others.
-    An index that is not an integer in [0, len(modes)) raises ValueError.
+    intensities, one-arm transmittances ``eta`` and the mode column
+    ``baseline`` that broadcast together; ``p_O`` is a scalar, since no
+    light reaches either detector in an O window.  One array passed as both
+    intensities gives equal Z_A and Z_B probabilities, computed once.  Each
+    mode's ``p_B`` is computed on the shape of the intensities and ``eta``
+    only if some element has that mode, and where both occur ``np.where``
+    picks each element's.  A ``baseline`` that is not boolean, or does not
+    broadcast with the other inputs, raises ValueError.
     """
     # initial=0.0 lets empty arrays pass and leaves every other verdict as is.
     arrays = (mu_A, eta) if mu_B is mu_A else (mu_A, mu_B, eta)
     if min(np.minimum.reduce(x, axis=None, initial=0.0) for x in arrays) < 0.0:
         raise ValueError("intensities and transmittance must be nonnegative")
+    baseline = np.asarray(baseline)
+    try:
+        if baseline.dtype != bool:
+            raise ValueError
+        np.broadcast(baseline, *arrays)
+    except ValueError:
+        raise ValueError(f"baseline must be boolean and broadcast with eta, got "
+                         f"{baseline.dtype} of shape {baseline.shape}") from None
     # O and Z windows are insensitive to Charlie's phase compensation, so
     # both modes use the single-detector heralding rule there; only B
     # windows depend on the mode.
     p_za = effective_prob(*detector_means("Z_A", mu_A, mu_B, eta, e_d), p_d)
     p_zb = (p_za if mu_B is mu_A
             else effective_prob(*detector_means("Z_B", mu_A, mu_B, eta, e_d), p_d))
-    modes = (mode,) if isinstance(mode, str) else mode
-    per_mode = [b_window_prob(mu_A, mu_B, eta, e_d, p_d, name) for name in modes]
-    try:
-        p_b = np.choose(mode_index, per_mode)
-    except (TypeError, ValueError) as exc:  # a non-integer or out-of-range index
-        raise ValueError(f"mode_index must pick one of {len(modes)} modes") from exc
+    some = np.count_nonzero(baseline)
+    p_b = None if 0 < some == baseline.size else b_window_prob(mu_A, mu_B, eta, e_d, p_d)
+    if some:
+        base = b_window_prob(mu_A, mu_B, eta, e_d, p_d, "baseline")
+        p_b = base if p_b is None else np.where(baseline, base, p_b)
     return effective_prob(0.0, 0.0, p_d), p_b, p_za + p_zb
 
 
@@ -361,7 +366,7 @@ def expected_tallies(protocol: ProtocolParams, channel: ChannelParams) -> Window
     """
     probs = heralding_arrays(np.array([protocol.mu_xA]), np.array([protocol.mu_xB]),
                              arm_transmittance(channel), channel.e_d, channel.p_d,
-                             protocol.mode)
+                             protocol.mode == "baseline")
     counts = tally_arrays(np.array([protocol.p0]), np.array([protocol.px]),
                           protocol.N, *probs)
     n_O, n_B, n_Z = (float(c[0]) for c in counts)

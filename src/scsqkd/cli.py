@@ -280,8 +280,9 @@ def run_scan(cfg: ScanConfig) -> dict[str, list]:
     eta = np.array([arm_transmittance(cfg.channel, d) for d in cfg.distances])
     d, b, m = np.indices((len(eta), len(blocks), len(modes))).reshape(3, -1)
     sizes = tuple(ASYMPTOTIC if size == math.inf else size for size, _ in blocks)
-    px, mu, report = search_points(cfg.channel, cfg.calib, cfg.security, eta[d],
-                                   sizes, b, modes, m, cfg.space)
+    px, mu, report = search_points(cfg.channel, cfg.calib, cfg.security, eta[d], sizes, b,
+                                   np.array([mode == "baseline" for mode in modes])[m],
+                                   cfg.space)
     # Each column between mu_x and feasible_flag is the report attribute of its name.
     numbers = (px, mu, *(getattr(report, name) for name in _COLUMNS[5:-1]),
                report.feasible.astype(int), eta[d])
@@ -384,19 +385,19 @@ def _mc_report(cfg: ScanConfig, table: dict[str, list]) -> str:
     # The feasible rows by their index among all rows, which offsets their seeds.
     rows = [i for i, flag in enumerate(table["feasible_flag"]) if flag]
     px, mu, eta = (np.array(table[name])[rows] for name in ("px", "mu_x", "eta"))
-    mode_index = np.array([MODES.index(table["mode"][i]) for i in rows], dtype=int)
+    baseline = np.array([table["mode"][i] == "baseline" for i in rows], dtype=bool)
     p0 = 1.0 - px
     e_d, p_d = cfg.channel.e_d, cfg.channel.p_d
     # The expected counts of all rows come from one channel pass, with each
-    # row's scalar transmittance and mode, so they keep every bit of
-    # expected_tallies(protocol, channel); heralding_arrays checks the
-    # intensities and transmittance that simulate_arrays needs.
-    probs = heralding_arrays(mu, mu, eta, e_d, p_d, MODES, mode_index)
+    # row's scalar transmittance and the simulator's mode mask, so they keep
+    # every bit of expected_tallies(protocol, channel); heralding_arrays
+    # checks the intensities and transmittance that simulate_arrays needs.
+    probs = heralding_arrays(mu, mu, eta, e_d, p_d, baseline)
     expected = np.array(tally_arrays(p0, px, cfg.mc_windows, *probs))
     # Row seeds wrap, so that every valid scan seed stays a valid key.
     observed = simulate_arrays(
         p0, px, mu, mu, eta, np.full(len(rows), e_d), np.full(len(rows), p_d),
-        mode_index == MODES.index("baseline"), [cfg.mc_windows] * len(rows),
+        baseline, [cfg.mc_windows] * len(rows),
         [(cfg.seed + i) % 2**64 for i in rows])
     distance, block, mode = table["distance_km"], table["N"], table["mode"]
     lines = ["distance_km,N,mode,component,expected,observed"]

@@ -7,18 +7,18 @@ would be blind.  Candidates that violate the mapping-existence condition
 after worst-case intensity fluctuation are skipped, not penalized.
 
 :func:`search_points` searches many points at once, given as columns: each
-point's one-arm transmittance and its indices into the distinct block sizes
-and modes, with one channel's dark-count and misalignment probabilities.  A
-point table, built once per call, groups the points by kind of block size
-(finite or asymptotic), with each point's index into its kind's sizes.  Each
-sweep is one broadcast (point, px, mu) array pass per group of the points
-still searched, whatever their modes, as long as the group fits ``_CHUNK``
-candidates.  The incumbents are one table over the points: each pass picks
-its winners with a masked argmax, gathers each report field at the winners'
-(px, mu) indices and writes the winners' columns at once.  The search
-returns each point's px and mu and one :class:`KeyRateReport` of arrays over
-the points, built once from that table; :func:`optimize` is its one-point
-call.
+point's one-arm transmittance, its index into the distinct block sizes and
+its mode (the boolean ``baseline`` column of ``channel``), with one channel's
+dark-count and misalignment probabilities.  A point table, built once per
+call, groups the points by kind of block size (finite or asymptotic), with
+each point's index into its kind's sizes.  Each sweep is one broadcast
+(point, px, mu) array pass per group of the points still searched, whatever
+their modes, as long as the group fits ``_CHUNK`` candidates.  The
+incumbents are one table over the points: each pass picks its winners with
+a masked argmax, gathers each report field at the winners' (px, mu) indices
+and writes the winners' columns at once.  The search returns each point's px
+and mu and one :class:`KeyRateReport` of arrays over the points, built once
+from that table; :func:`optimize` is its one-point call.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import ChannelParams, ProtocolParams, _check, arm_transmittance
+from .channel import MODES, ChannelParams, ProtocolParams, _check, arm_transmittance
 from .keyrate import KeyRateReport
 from .pipeline import (ASYMPTOTIC, SecurityConfig, SourceCalibration,
                        evaluate_points, require_block)
@@ -112,18 +112,18 @@ def _axes(lo: np.ndarray, hi: np.ndarray, n: int, space) -> np.ndarray:
     return out
 
 
-def _point_table(sizes: tuple, block: np.ndarray, mode_index: np.ndarray) -> list[tuple]:
+def _point_table(sizes: tuple, block: np.ndarray, baseline: np.ndarray) -> list[tuple]:
     """The points grouped by kind of block size (finite or asymptotic), the
     points one pass may hold together: per group ``(index, sizes, block,
-    mode)``, the ascending indices of its points, the block sizes of its
-    kind, and each point's index into them and mode index."""
+    baseline)``, the ascending indices of its points, the block sizes of its
+    kind, and each point's index into them and baseline flag."""
     asymptotic = np.array([size == ASYMPTOTIC for size in sizes], dtype=bool)
     groups = []
     for own in (~asymptotic, asymptotic):  # the sizes of one kind
         index = np.flatnonzero(own[block])
         if index.size:
             groups.append((index, tuple(size for size, k in zip(sizes, own) if k),
-                           (np.cumsum(own) - 1)[block[index]], mode_index[index]))
+                           (np.cumsum(own) - 1)[block[index]], baseline[index]))
     return groups
 
 
@@ -184,31 +184,30 @@ class _Incumbents:
         self.values[:, i] = np.array(picked)[:, better]
 
 
-def _sweep(channel: ChannelParams, eta: np.ndarray, modes: tuple, groups: list[tuple],
+def _sweep(channel: ChannelParams, eta: np.ndarray, groups: list[tuple],
            live: np.ndarray, px_axes: np.ndarray, mu_axes: np.ndarray,
            calib: SourceCalibration, security: SecurityConfig, best: _Incumbents) -> None:
     """One sweep of the (px, mu) grid ``px_axes[j]`` x ``mu_axes[j]`` of each
     point ``live[j]``, evaluated as one broadcast (point, px, mu) pass per
     group and chunk of points.
 
-    ``groups`` is the point table; the sweep selects each group's live
-    members, with their block-size and mode indices.  Each pass updates the
+    ``groups`` is the point table; the sweep takes each group's live members
+    with their block-size indices and baseline flags.  Each pass updates the
     array incumbents ``best``: within a sweep the first of equal rates among
     the feasible candidates of a point, in lexicographic (px, mu) order,
-    wins, and it replaces the point's incumbent only if it is strictly
-    larger.
+    wins, and replaces the point's incumbent only if strictly larger.
     """
     every = len(live) == len(eta)  # as in the coarse sweep: rows are points
     if not every:
         row_of = np.full(len(eta), -1)
         row_of[live] = np.arange(len(live))
     step = max(1, _CHUNK // (px_axes.shape[1] * mu_axes.shape[1]))
-    for index, sizes, block, mode in groups:
+    for index, sizes, block, baseline in groups:
         points = rows = index
         if not every:
             rows = row_of[index]
             sel = rows >= 0
-            points, rows, block, mode = index[sel], rows[sel], block[sel], mode[sel]
+            points, rows, block, baseline = index[sel], rows[sel], block[sel], baseline[sel]
         for start in range(0, len(points), step):
             part = slice(start, start + step)
             chunk, px, mu = points[part], px_axes[rows[part]], mu_axes[rows[part]]
@@ -216,20 +215,18 @@ def _sweep(channel: ChannelParams, eta: np.ndarray, modes: tuple, groups: list[t
             p, m = px[:, :, None], mu[:, None, :]
             batch = evaluate_points(channel, calib, 1.0 - p, p, m, m,
                                     eta[chunk][:, None, None], security, sizes,
-                                    modes, block[part][:, None, None],
-                                    mode[part][:, None, None])
+                                    block[part][:, None, None],
+                                    baseline[part][:, None, None])
             best.update(chunk, px, mu, batch)
 
 
 def search_points(channel: ChannelParams, calib: SourceCalibration,
                   security: SecurityConfig, eta: np.ndarray, sizes: tuple,
-                  block: np.ndarray, modes: tuple, mode_index: np.ndarray,
-                  space: SearchSpace = SearchSpace()
+                  block: np.ndarray, baseline: np.ndarray, space: SearchSpace = SearchSpace()
                   ) -> tuple[np.ndarray, np.ndarray, KeyRateReport]:
-    """Best feasible (px, mu) of each point ``j``: its one-arm transmittance
-    is ``eta[j]``, its block size ``sizes[block[j]]`` and its mode
-    ``modes[mode_index[j]]``, of distinct sizes and modes; ``channel`` gives
-    the dark-count and misalignment probabilities, not the distance.
+    """Best feasible (px, mu) of each point ``j``: transmittance ``eta[j]``,
+    block size ``sizes[block[j]]`` (distinct sizes) and mode ``baseline[j]``;
+    ``channel`` gives the dark-count and misalignment probabilities only.
 
     Returns each point's px and mu and one :class:`KeyRateReport` whose
     fields are arrays over the points; ``feasible`` marks the points with a
@@ -241,11 +238,11 @@ def search_points(channel: ChannelParams, calib: SourceCalibration,
     """
     for size in sizes:
         require_block(size)
-    if not (len(block) == len(mode_index) == len(eta)
+    if not (len(block) == len(baseline) == len(eta)
             and ((0 <= block) & (block < len(sizes))).all()):
-        raise ValueError("block and mode_index need one index per point, "
+        raise ValueError("block and baseline need one entry per point, "
                          "and block an index into sizes")
-    groups = _point_table(sizes, block, mode_index)
+    groups = _point_table(sizes, block, baseline)
     best = _Incumbents(len(eta))
     px_lo, px_hi = space.px_range
     mu_lo, mu_hi = space.mu_range
@@ -268,7 +265,7 @@ def search_points(channel: ChannelParams, calib: SourceCalibration,
             # Collapsed axes hold only the incumbents, which no sweep replaces.
             if (lo == hi).all() and (m_lo == m_hi).all():
                 break
-        _sweep(channel, eta, modes, groups, live, _axes(lo, hi, n_px, np.linspace),
+        _sweep(channel, eta, groups, live, _axes(lo, hi, n_px, np.linspace),
                _axes(m_lo, m_hi, n_mu, np.geomspace), calib, security, best)
     px, mu, *report = best.values
     return px, mu, KeyRateReport(best.found, *report)
@@ -286,9 +283,11 @@ def optimize(channel: ChannelParams, calib: SourceCalibration,
     strictly larger rate from a later sweep replaces the incumbent.  Raises
     NoFeasiblePointError when no candidate of the coarse grid is feasible.
     """
-    one = np.zeros(1, dtype=int)
+    if mode not in MODES:  # before the search, which would run it in improved mode
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     px, mu, report = search_points(channel, calib, security, np.array(
-        [arm_transmittance(channel)]), (block_size,), one, (mode,), one, space)
+        [arm_transmittance(channel)]), (block_size,), np.zeros(1, dtype=int),
+        np.array([mode == "baseline"]), space)
     if not report.feasible[0]:
         raise NoFeasiblePointError("no feasible (px, mu) candidate in the grid")
     px, mu = float(px[0]), float(mu[0])

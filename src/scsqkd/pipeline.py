@@ -8,21 +8,22 @@ and all finite-size penalty terms vanish.
 
 :func:`evaluate_points` evaluates candidates given as inputs that broadcast
 together in one pass, with a feasibility mask where the source bounds admit
-no virtual-protocol mapping; each candidate has its own transmittance,
-block size and heralding mode, so one pass can span several distances, block
-sizes and both modes.  Each quantity is computed on the shape of the inputs
-it depends on: on a (point, px, mu) grid the source mapping, the heralding
-probabilities and the asymptotic phase error run once per (point, mu), and
-the n_O Chernoff bound once per px.  Given one array as both intensities, as
-the optimizer passes it, the mu-only quantities are computed once, not once
-per party.  :func:`evaluate_point` is the same computation on one candidate.
+no virtual-protocol mapping; each candidate has its own transmittance, block
+size and heralding mode (the boolean ``baseline`` column of ``channel``), so
+one pass can span several distances, block sizes and both modes.  Each
+quantity is computed on the shape of the inputs it depends on: on a (point,
+px, mu) grid the source mapping, the heralding probabilities and the
+asymptotic phase error run once per (point, mu), and the n_O Chernoff bound
+once per px.  Given one array as both intensities, as the optimizer passes
+it, the mu-only quantities are computed once, not once per party.
+:func:`evaluate_point` is the same computation on one candidate.
 
 Both return a :class:`~scsqkd.keyrate.KeyRateReport`: a pass's holds arrays
 that broadcast to the candidates' shape, each on the shape of the inputs it
 depends on, and its ``row(i)`` is candidate ``i``'s report in floats, which
-is what :func:`evaluate_point` returns.  A finite
-candidate's security budget enters as its one log share of eps_col, indexed
-from the distinct block sizes like the coherent-attack penalty.
+is what :func:`evaluate_point` returns.  A finite candidate's security
+budget enters as its one log share of eps_col, indexed from the distinct
+block sizes like the coherent-attack penalty.
 """
 from __future__ import annotations
 
@@ -110,35 +111,30 @@ class SecurityConfig:
 def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
                     p0: np.ndarray, px: np.ndarray, mu_A: np.ndarray,
                     mu_B: np.ndarray, eta, security: SecurityConfig,
-                    block_size, mode="improved", block=0,
-                    mode_index=0) -> KeyRateReport:
+                    sizes: tuple, block=0, baseline=False) -> KeyRateReport:
     """Key rates of the candidates (p0, px, mu_A, mu_B), elementwise, as a
     :class:`KeyRateReport` of arrays.
 
     The candidates' inputs, ``eta`` (the one-arm transmittance), ``block``
-    and ``mode_index`` are inputs that broadcast together; ``channel``
-    gives the dark-count and misalignment probabilities, and its distance
-    is not read.  ``block_size`` is ASYMPTOTIC, one finite block size, or a
-    tuple of finite block sizes, of which the integer ``block`` picks each
-    candidate's.  ``mode`` is one heralding mode, or a tuple of modes of
-    which the integer ``mode_index`` picks each candidate's, so one pass
-    serves both modes.  The inputs must satisfy what
-    :class:`ProtocolParams` checks for one candidate.  Each element's
-    result is the one :func:`evaluate_point` gives for that candidate
-    alone.
+    and the mode column ``baseline`` broadcast together; ``channel`` gives
+    the dark-count and misalignment probabilities, not the distance.
+    ``sizes`` is ``(ASYMPTOTIC,)`` or a tuple of finite block sizes, of
+    which the integer ``block`` picks each candidate's.  The inputs must
+    satisfy what :class:`ProtocolParams` checks for one candidate.  Each
+    element's result is the one :func:`evaluate_point` gives for that
+    candidate alone.
     """
     # The security budget's share and the coherent-attack penalty are
     # computed once per distinct block size by the scalar formulas (numpy's
     # log1p and log2 need not match libm to the last bit), then indexed per
     # candidate.
-    sizes = list(block_size) if isinstance(block_size, tuple) else [block_size]
     for size in sizes:
         require_block(size)
     mu_vA, ok_A = virtual_intensity_array(mu_A, calib.av0, calib.fluct)
     # One array as both intensities, at equal vacuum bounds: mu-only work once.
     mu_vB, ok_B = ((mu_vA, ok_A) if mu_B is mu_A and calib.bv0 == calib.av0
                    else virtual_intensity_array(mu_B, calib.bv0, calib.fluct))
-    asymptotic = sizes == [ASYMPTOTIC]
+    asymptotic = sizes == (ASYMPTOTIC,)
     if asymptotic:
         n, log_share = 1.0, None
     else:
@@ -147,8 +143,7 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
         log_share = np.array([
             security_budget(security.eps_coh_target, size, security.d)
             for size in sizes])[block]
-    probs = heralding_arrays(mu_A, mu_B, eta, channel.e_d, channel.p_d, mode,
-                             mode_index)
+    probs = heralding_arrays(mu_A, mu_B, eta, channel.e_d, channel.p_d, baseline)
     n_O, n_B, n_Z = tally_arrays(p0, px, n, *probs)
     leak = ec_leakage_array(n_O, n_B, n_Z, security.f)
     has_z = n_Z > 0.0
@@ -163,7 +158,6 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
         has_p = p_Z > 0.0
         e_ph = phase_error_arrays(p_O, p_B, np.where(has_p, p_Z, 1.0), 1.0, 1.0,
                                   1.0, *coeffs, log_xi=None)[-1]
-        e_ph = np.where(has_p, e_ph, 0.5)
     else:
         e_ph = phase_error_arrays(n_O, n_B, np.where(has_z, n_Z, 1.0) if empty else n_Z,
                                   n, p0, px, *coeffs, log_xi=log_share)[-1]
@@ -193,7 +187,7 @@ def evaluate_point(channel: ChannelParams, calib: SourceCalibration,
     one = [np.array([v]) for v in (protocol.p0, protocol.px,
                                    protocol.mu_xA, protocol.mu_xB)]
     batch = evaluate_points(channel, calib, *one, arm_transmittance(channel),
-                            security, block_size, protocol.mode)
+                            security, (block_size,), baseline=protocol.mode == "baseline")
     if not batch.feasible[0]:
         raise InfeasibleError(
             f"no virtual-protocol mapping for mu_xA={protocol.mu_xA!r}, "

@@ -83,7 +83,7 @@ class TestDetectorMeans:
         (0.1, 0.1, np.array([0.03, -0.03]))])
     def test_negative_input_raises(self, mu_A, mu_B, eta):
         with pytest.raises(ValueError, match="nonnegative"):
-            heralding_arrays(mu_A, mu_B, eta, 0.04, 1e-9, "improved")
+            heralding_arrays(mu_A, mu_B, eta, 0.04, 1e-9)
 
     def test_visibility_convention(self):
         assert visibility(0.04) == pytest.approx(0.92, rel=1e-15)
@@ -155,7 +155,7 @@ class TestBWindowProb:
         mu = np.array([0.5, 2.5, 800.0, 1.9, 699.0, 1e4, 2.0, 701.0])
         px = np.full(mu.shape, 0.5)
         _, n_b, _ = tally_arrays(1.0 - px, px, 1.0, *heralding_arrays(
-            mu, mu, arm_transmittance(chan), chan.e_d, chan.p_d, "baseline"))
+            mu, mu, arm_transmittance(chan), chan.e_d, chan.p_d, True))
         scalar = [0.25 * b_window_prob(m, m, 1.0, 0.0, 1e-9, "baseline") for m in mu]
         assert n_b.tolist() == scalar
 
@@ -169,29 +169,83 @@ class TestHeraldingArrays:
     @pytest.mark.parametrize("modes", [("improved", "baseline"),
                                        ("baseline", "improved")])
     def test_interleaved_modes_equal_per_mode_calls(self, modes):
-        mode_index = np.arange(2 * self.MU.size).reshape(2, -1) % 3 % 2
+        # Each element's mode is modes[k] for its k in the pattern below,
+        # turned into the baseline column as a scan does.
+        pattern = np.arange(2 * self.MU.size).reshape(2, -1) % 3 % 2
+        baseline = np.array([mode == "baseline" for mode in modes])[pattern]
         mu_B = self.MU[::-1].copy()
         for mu_A in (self.MU, mu_B):  # one array as both intensities, then two
-            mixed = heralding_arrays(mu_A, mu_B, self.ETA, 0.04, 1e-9, modes, mode_index)
-            alone = [heralding_arrays(mu_A, mu_B, self.ETA, 0.04, 1e-9, mode)
-                     for mode in modes]
+            mixed = heralding_arrays(mu_A, mu_B, self.ETA, 0.04, 1e-9, baseline)
+            alone = [heralding_arrays(mu_A, mu_B, self.ETA, 0.04, 1e-9, flag)
+                     for flag in (False, True)]
+            # A column of one mode gives that mode's values.
+            for flag in (False, True):
+                column = np.full(baseline.shape, flag)
+                one = heralding_arrays(mu_A, mu_B, self.ETA, 0.04, 1e-9, column)
+                assert one[1].tolist() == alone[flag][1].tolist()
             for k in (0, 2):  # p_O and p_Z do not depend on the mode
                 assert np.array_equal(mixed[k], alone[0][k])
                 assert np.array_equal(mixed[k], alone[1][k])
-            expected = np.where(mode_index == 0, alone[0][1], alone[1][1])
-            assert mixed[1].shape == mode_index.shape
+            expected = np.where(baseline, alone[1][1], alone[0][1])
+            assert mixed[1].shape == baseline.shape
             assert mixed[1].tolist() == expected.tolist()
             assert not np.array_equal(alone[0][1], alone[1][1])
 
     @pytest.mark.parametrize("bad", [-1, 2, 0.5])
-    def test_index_past_the_modes_rejected(self, bad):
-        mode_index = np.array([[0, 1, bad, 0, 1, 1, 1, 0, 1]])
-        with pytest.raises(ValueError, match="mode_index"):
-            heralding_arrays(self.MU, self.MU, self.ETA, 0.04, 1e-9, MODES, mode_index)
-        # One mode has index 0 only, given as a string or as a 1-tuple.
-        for mode in ("improved", ("improved",)):
-            with pytest.raises(ValueError, match="mode_index"):
-                heralding_arrays(self.MU, self.MU, self.ETA, 0.04, 1e-9, mode, 1)
+    def test_non_boolean_baseline_rejected(self, bad):
+        # Integers and floats are not read as modes, not even 0 and 1.
+        column = np.array([[0, 1, bad, 0, 1, 1, 1, 0, 1]])
+        with pytest.raises(ValueError, match="baseline"):
+            heralding_arrays(self.MU, self.MU, self.ETA, 0.04, 1e-9, column)
+        with pytest.raises(ValueError, match="baseline"):
+            heralding_arrays(self.MU, self.MU, self.ETA, 0.04, 1e-9, bad)
+
+    @pytest.mark.parametrize("length", [2, 8, 10])
+    def test_baseline_of_another_length_rejected(self, length):
+        # Also a column of one mode, whose values the pass would not need.
+        for column in (np.zeros(length, dtype=bool), np.arange(length) % 2 == 1):
+            with pytest.raises(ValueError, match="baseline"):
+                heralding_arrays(self.MU, self.MU, self.ETA, 0.04, 1e-9, column)
+
+    def test_empty_columns_give_empty_probabilities(self):
+        empty = np.zeros(0)
+        for baseline in (False, True, np.zeros(0, dtype=bool)):
+            p_o, p_b, p_z = heralding_arrays(empty, empty, empty, 0.04, 1e-9, baseline)
+            assert (p_b.shape, p_z.shape) == ((0,), (0,))
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_one_mode_does_only_its_own_b_window_work(self, flag, monkeypatch):
+        # An improved pass makes no Bessel-function work; a baseline pass
+        # forms no B-window detector means, so no effective_prob call sees
+        # them.  A mixed pass does both.
+        import scsqkd.channel as channel
+        kinds, bessel = [], []
+        real_means, real_i0 = channel.detector_means, channel._scaled_i0_minus_1
+
+        def means(kind, *args):
+            kinds.append(kind)
+            return real_means(kind, *args)
+
+        def i0(*args):
+            bessel.append(args)
+            return real_i0(*args)
+
+        monkeypatch.setattr(channel, "detector_means", means)
+        monkeypatch.setattr(channel, "_scaled_i0_minus_1", i0)
+        # One element, as expected_tallies passes it, and a column.
+        one = self.MU[:1]
+        heralding_arrays(one, one, 0.03, 0.04, 1e-9, flag)
+        assert kinds == ["Z_A"] + ["B"] * (not flag)
+        assert len(bessel) == flag
+        kinds.clear()
+        column = np.full((2, self.MU.size), flag)
+        heralding_arrays(self.MU, self.MU[::-1].copy(), self.ETA, 0.04, 1e-9, column)
+        assert kinds == ["Z_A", "Z_B"] + ["B"] * (not flag)
+        assert len(bessel) == 2 * flag
+        kinds.clear()
+        column[1, ::2] = not flag
+        heralding_arrays(self.MU, self.MU, self.ETA, 0.04, 1e-9, column)
+        assert kinds == ["Z_A", "B"] and len(bessel) == 1 + 2 * flag
 
 
 def _mp_phase_average(mu_A, mu_B, eta, e_d, p_d) -> float:

@@ -243,7 +243,8 @@ def _reference_row(cfg, distance: float, label: str, mode: str) -> dict:
         nonlocal best
         px, mu = (g.ravel() for g in np.meshgrid(px_vals, mu_vals, indexing="ij"))
         batch = evaluate_points(channel, cfg.calib, 1.0 - px, px, mu, mu,
-                                arm_transmittance(channel), cfg.security, block, mode)
+                                arm_transmittance(channel), cfg.security, (block,),
+                                baseline=mode == "baseline")
         feasible = np.flatnonzero(batch.feasible)
         if feasible.size:
             k = int(feasible[np.argmax(batch.R_coh_signed[feasible])])
@@ -479,6 +480,31 @@ def test_scan_builds_no_per_point_result_objects(tmp_path, monkeypatch, mu_range
     assert {row["feasible_flag"] for row in rows} == {feasible}
 
 
+def test_improved_only_scan_makes_no_bessel_work(tmp_path, monkeypatch):
+    # An improved-only scan, as the finite-scan workload is, needs no
+    # baseline phase average: neither its search passes nor the Monte Carlo
+    # report's channel pass may compute one only to drop it.  A scan of
+    # both modes computes it.
+    path = _write_config(tmp_path, {
+        "scan": {"distance": [0, 100, 50], "blocks": ["1e12", "asymptotic"],
+                 "modes": ["improved"]}})
+    cfg = load_config(path, _no_overrides())
+    calls = []
+    real = scsqkd.channel._scaled_i0_minus_1
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(scsqkd.channel, "_scaled_i0_minus_1", counted)
+    table = run_scan(cfg)
+    assert any(table["feasible_flag"])
+    cli._mc_report(cfg, table)
+    assert calls == []
+    run_scan(replace(cfg, modes=("improved", "baseline")))
+    assert calls
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(distances=st.lists(st.floats(0.0, 400.0), min_size=1, max_size=40, unique=True),
        alpha_f=st.floats(0.1, 0.4), eta_d=st.floats(0.05, 1.0))
@@ -600,22 +626,29 @@ class TestMcReport:
     def test_one_heralding_pass_for_all_rows(self, tmp_path, monkeypatch):
         # An expected_tallies call per feasible row would make one heralding
         # pass per row, and a pass per mode two: this scan makes one, whose
-        # mode index picks each row's mode.
+        # baseline mask marks each row's mode, and the simulator draws with
+        # that same mask.
         cfg, table = self._scan(tmp_path)
-        calls = []
-        real = scsqkd.channel.heralding_arrays
+        calls, drawn = [], []
+        real, real_simulate = scsqkd.channel.heralding_arrays, cli.simulate_arrays
 
         def counted(*args, **kwargs):
             calls.append(args[5:])
             return real(*args, **kwargs)
 
+        def simulated(*args):
+            drawn.append(args[7])
+            return real_simulate(*args)
+
         monkeypatch.setattr(scsqkd.channel, "heralding_arrays", counted)
         monkeypatch.setattr(cli, "heralding_arrays", counted)
+        monkeypatch.setattr(cli, "simulate_arrays", simulated)
         cli._mc_report(cfg, table)
         feasible = [row["mode"] for row in _rows(table) if row["feasible_flag"]]
         assert set(feasible) == set(MODES)
-        ((modes, mode_index),) = calls
-        assert [modes[k] for k in mode_index.tolist()] == feasible
+        ((baseline,),) = calls
+        assert baseline.tolist() == [mode == "baseline" for mode in feasible]
+        assert len(drawn) == 1 and drawn[0] is baseline
 
     def test_observed_column_is_simulate_of_each_row(self, tmp_path):
         # The report draws from the scan's arrays; each row's counts are

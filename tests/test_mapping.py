@@ -43,7 +43,7 @@ def _evaluate(mu_A: float, mu_B: float, calib: SourceCalibration):
     one = [np.array([v]) for v in (0.5, 0.5, mu_A, mu_B)]
     channel = ChannelParams(50.0, 0.2, 0.3, 1e-9, 0.04)
     return evaluate_points(channel, calib, *one, arm_transmittance(channel),
-                           SecurityConfig(), "asymptotic")
+                           SecurityConfig(), ("asymptotic",))
 
 
 def _condition(mu: float, a0: float, av0: float) -> bool:

@@ -25,16 +25,16 @@ CALIB = SourceCalibration()
 SECURITY = SecurityConfig()
 
 
-def _search(points, space=SearchSpace(), sizes=None, modes=None):
+def _search(points, space=SearchSpace(), sizes=None):
     """search_points on (channel, block size, mode) records of one p_d and
-    e_d, passed as columns: each record's transmittance and its indices into
-    ``sizes`` and ``modes``, by default the distinct ones in record order."""
+    e_d, passed as columns: each record's transmittance, its index into
+    ``sizes``, by default the distinct ones in record order, and whether it
+    is in baseline mode."""
     sizes = sizes or tuple(dict.fromkeys(block for _, block, _ in points))
-    modes = modes or tuple(dict.fromkeys(mode for _, _, mode in points))
     return search_points(points[0][0], CALIB, SECURITY,
                          np.array([arm_transmittance(c) for c, _, _ in points]), sizes,
-                         np.array([sizes.index(b) for _, b, _ in points]), modes,
-                         np.array([modes.index(m) for _, _, m in points]), space)
+                         np.array([sizes.index(b) for _, b, _ in points]),
+                         np.array([m == "baseline" for _, _, m in points]), space)
 
 
 def _grid_rates(px_vals, mu_vals) -> np.ndarray:
@@ -42,7 +42,7 @@ def _grid_rates(px_vals, mu_vals) -> np.ndarray:
     at 50 km and N = 1e12."""
     px, mu = (g.ravel() for g in np.meshgrid(px_vals, mu_vals, indexing="ij"))
     batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu,
-                            arm_transmittance(CHANNEL_50), SECURITY, 1e12)
+                            arm_transmittance(CHANNEL_50), SECURITY, (1e12,))
     return batch.R_coh_signed[batch.feasible]
 
 
@@ -351,6 +351,18 @@ class TestOptimize:
         assert protocol.mode == "baseline"
 
 
+def test_optimize_rejects_an_unknown_mode_before_searching(monkeypatch):
+    # The search takes the mode as a baseline flag, in which any name but
+    # "baseline" would read as improved: the name is checked first.
+    def fail(*args, **kwargs):
+        raise AssertionError("evaluated a candidate")
+
+    monkeypatch.setattr(optimizer, "evaluate_points", fail)
+    for mode in ("other", "Baseline", None):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            optimize(CHANNEL_50, CALIB, 1e12, SECURITY, mode=mode)
+
+
 def test_report_fields_equal_re_evaluation(monkeypatch):
     # Every field of the report at each point's (px, mu) is evaluate_point's
     # bit for bit, leak_EC and R_col_signed too, which no CSV column shows.
@@ -385,16 +397,16 @@ def test_report_fields_equal_re_evaluation(monkeypatch):
 
 
 def test_columns_take_sizes_and_modes_in_any_order():
-    # The distinct block sizes and modes may come in any order and hold
-    # entries no point uses: each point's result keeps every bit, also alone.
+    # The points, of both modes, and the distinct block sizes may come in any
+    # order, and the sizes may hold entries no point uses: each point's
+    # result keeps every bit, also alone.
     # The channel passed (the first point's: 0 km, then 40 km) gives no
     # distance.
     points = [(_channel(d), block, mode) for d in (0.0, 40.0)
               for block in (1e12, ASYMPTOTIC, 1e10) for mode in ("improved", "baseline")]
     space = SearchSpace(grid=(4, 4), refine_rounds=1)
     want = _search(points, space)
-    got = _search(points[6:] + points[:6], space, sizes=(ASYMPTOTIC, 1e11, 1e10, 1e12),
-                  modes=("baseline", "improved"))
+    got = _search(points[6:] + points[:6], space, sizes=(ASYMPTOTIC, 1e11, 1e10, 1e12))
     order = list(range(6, 12)) + list(range(6))
     for a, b in zip(want[:2] + tuple(vars(want[2]).values()),
                     got[:2] + tuple(vars(got[2]).values())):
@@ -405,14 +417,16 @@ def test_columns_take_sizes_and_modes_in_any_order():
         float(v).hex() for v in (want[0][1], want[1][1], want[2].R_coh[1])]
 
 
-@pytest.mark.parametrize("block, mode_index", [
-    ([0, 2], [0, 0]), ([0, -1], [0, 0]), ([0], [0, 0]), ([0, 1], [0]),
-    ([0, 0], [0, 1])], ids=["block-past-sizes", "block-negative", "short-block",
-                            "short-mode_index", "mode-past-modes"])
-def test_search_rejects_indices_that_pick_no_size_or_mode(block, mode_index):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("block, baseline, match", [
+    ([0, 2], [False, False], "block"), ([0, -1], [False, False], "block"),
+    ([0], [False, False], "block"), ([0, 1], [False], "baseline"),
+    ([0, 0], [0, 1], "baseline"), ([0, 1], [0.0, 1.0], "baseline")],
+    ids=["block-past-sizes", "block-negative", "short-block", "short-baseline",
+         "int-baseline", "float-baseline"])
+def test_search_rejects_indices_that_pick_no_size_or_mode(block, baseline, match):
+    with pytest.raises(ValueError, match=match):
         search_points(CHANNEL_50, CALIB, SECURITY, np.full(2, 0.1), (1e12, ASYMPTOTIC),
-                      np.array(block), ("improved",), np.array(mode_index))
+                      np.array(block), np.array(baseline))
 
 
 def test_default_search_within_stated_gap_of_a_dense_search():

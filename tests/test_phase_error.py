@@ -131,7 +131,7 @@ def test_asymptotic_e_ph_is_constant_along_px(distances, p_d, e_d, mode):
     px = np.linspace(0.01, 0.99, 20)[None, :, None]
     mu = np.geomspace(1e-4, 1.0, 20)[None, None, :]
     batch = evaluate_points(channel, SourceCalibration(), 1.0 - px, px, mu, mu, eta,
-                            SecurityConfig(), "asymptotic", mode)
+                            SecurityConfig(), ("asymptotic",), baseline=mode == "baseline")
     assert batch.feasible.any()
     assert ((batch.e_ph == batch.e_ph[:, :1]) | ~batch.feasible).all()
 

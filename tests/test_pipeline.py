@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scsqkd import chernoff, phase_error, pipeline
-from scsqkd.channel import MODES, ChannelParams, ProtocolParams, arm_transmittance
+from scsqkd.channel import (MODES, ChannelParams, ProtocolParams, arm_transmittance,
+                            heralding_arrays, tally_arrays)
+from scsqkd.mapping import virtual_intensity_array
 from scsqkd.optimizer import SearchSpace, optimize, search_points
 from scsqkd.pipeline import (InfeasibleError, SecurityConfig, SourceCalibration,
                              evaluate_point, evaluate_points, require_block)
@@ -35,7 +37,8 @@ def _sweep():
 def test_batch_equals_evaluate_point(block, mode):
     px, mu = _sweep()
     batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu,
-                            arm_transmittance(CHANNEL_50), SecurityConfig(), block, mode)
+                            arm_transmittance(CHANNEL_50), SecurityConfig(), (block,),
+                            baseline=mode == "baseline")
     raised = np.zeros(px.size, dtype=bool)
     for i, (p, m) in enumerate(zip(px.tolist(), mu.tolist())):
         proto = ProtocolParams(p0=1.0 - p, px=p, mu_xA=m, mu_xB=m, N=1, mode=mode)
@@ -60,7 +63,7 @@ def test_rows_derive_like_the_pass(block):
     # pass: one derivation serves both shapes.
     px, mu = _sweep()
     batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu,
-                            arm_transmittance(CHANNEL_50), SecurityConfig(), block)
+                            arm_transmittance(CHANNEL_50), SecurityConfig(), (block,))
     assert ((batch.R_coh == 0.0) & batch.feasible).any()
     for i in np.flatnonzero(batch.feasible).tolist():
         row = batch.row(i)
@@ -75,19 +78,20 @@ def test_rows_derive_like_the_pass(block):
 def test_mixed_batch_equals_evaluate_point(first):
     # One finite and one asymptotic pass over candidates at four distances,
     # three block sizes and both modes, interleaved; each candidate's block
-    # size and mode are indices into the distinct ones, with ``first`` at
-    # index 0.
+    # size is an index into the distinct ones, and its mode is ``first`` at
+    # 0 in the pattern and the other mode at 1, as a baseline column.
     px, mu = _sweep()
     channels = [replace(CHANNEL_50, distance_km=d) for d in (0.0, 50.0, 150.0, 400.0)]
     blocks = (1e10, 1e12, 1e14)
     modes = (first, "baseline" if first == "improved" else "improved")
     which = np.arange(px.size)
     mode_index = which // 12 % 2  # every (distance, block) pair in both modes
+    baseline = np.array([mode == "baseline" for mode in modes])[mode_index]
     eta = np.array([arm_transmittance(c) for c in channels])[which % 4]
     for block_size, block, sizes in ((blocks, which % 3, blocks),
-                                     ("asymptotic", 0, ("asymptotic",) * 3)):
+                                     (("asymptotic",), 0, ("asymptotic",) * 3)):
         batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu, eta,
-                                SecurityConfig(), block_size, modes, block, mode_index)
+                                SecurityConfig(), block_size, block, baseline)
         for i in np.flatnonzero(batch.feasible).tolist():
             proto = ProtocolParams(p0=1.0 - px[i], px=px[i], mu_xA=mu[i], mu_xB=mu[i],
                                    N=1, mode=modes[mode_index[i]])
@@ -111,8 +115,8 @@ def test_mixed_edge_batch_equals_one_candidate_calls(block):
 
     def fields(s):  # each field of the pass over the candidates s, as bytes
         batch = evaluate_points(channel, CALIB, 1.0 - px[s], px[s], mu[s], mu[s],
-                                np.array(eta)[s], SecurityConfig(), block, MODES, 0,
-                                mode[s])
+                                np.array(eta)[s], SecurityConfig(), (block,), 0,
+                                mode[s] == 1)
         return batch, [[v.tobytes() for v in f] for f in
                        np.broadcast_arrays(*vars(batch).values())]
 
@@ -125,6 +129,43 @@ def test_mixed_edge_batch_equals_one_candidate_calls(block):
     assert np.isnan(batch.n_Z[2]) and batch.R_coh_signed[2] == -np.inf
 
 
+def test_each_party_keeps_its_own_source_bounds():
+    # The mu-only mapping is shared only when one array is both intensities
+    # and the vacuum bounds are equal: each party's virtual intensities are
+    # the mapping of its own intensities at its own bound.
+    px = np.full(3, 0.3)
+    mu = np.array([1e-3, 0.01, 0.1])
+    eta = arm_transmittance(CHANNEL_50)
+    for calib in (CALIB, SourceCalibration(1.0 - 1e-8, 1.0 - 1e-6)):
+        for mu_B in (mu, mu[::-1].copy()):
+            batch = evaluate_points(CHANNEL_50, calib, 1.0 - px, px, mu, mu_B, eta,
+                                    SecurityConfig(), (1e12,))
+            for got, x, bound in ((batch.mu_virtual_A, mu, calib.av0),
+                                  (batch.mu_virtual_B, mu_B, calib.bv0)):
+                assert got.tolist() == virtual_intensity_array(
+                    x, bound, calib.fluct)[0].tolist()
+    # A candidate is feasible only where both parties' mappings exist.
+    mu_A, mu_B = np.array([0.01, 0.9, 0.01]), np.array([0.9, 0.01, 0.02])
+    batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu_A, mu_B, eta,
+                            SecurityConfig(), (1e12,))
+    assert batch.feasible.tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_asymptotic_counts_are_one_window(mode):
+    # An asymptotic candidate is one window: its counts are the heralding
+    # probabilities weighted by the source choices.
+    px = np.array([0.1, 0.4])
+    mu = np.array([0.01, 0.2])
+    eta, baseline = arm_transmittance(CHANNEL_50), mode == "baseline"
+    batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu, eta,
+                            SecurityConfig(), ("asymptotic",), baseline=baseline)
+    want = tally_arrays(1.0 - px, px, 1.0, *heralding_arrays(
+        mu, mu, eta, CHANNEL_50.e_d, CHANNEL_50.p_d, baseline))
+    assert [f.tolist() for f in (batch.n_O, batch.n_B, batch.n_Z)] == [
+        np.broadcast_to(w, px.shape).tolist() for w in want]
+
+
 def test_underflowed_n_z_keeps_half_phase_error():
     # At eta mu = 1e-322 the Z heralding probability is subnormal, and
     # n_Z = p0 px p_Z underflows to 0 at px = 0.01 but not at px = 0.5.
@@ -133,7 +174,7 @@ def test_underflowed_n_z_keeps_half_phase_error():
     px = np.array([[0.01], [0.5]])
     mu = np.array([1e-300])
     batch = evaluate_points(replace(CHANNEL_50, p_d=0.0), SourceCalibration(1.0, 1.0),
-                            1.0 - px, px, mu, mu, 1e-22, SecurityConfig(), "asymptotic")
+                            1.0 - px, px, mu, mu, 1e-22, SecurityConfig(), ("asymptotic",))
     assert batch.n_Z[0, 0] == 0.0 < batch.n_Z[1, 0]
     assert batch.e_ph.tolist() == [[0.5], [0.0]]
     assert batch.R_coh_signed[0, 0] == -np.inf
@@ -171,9 +212,8 @@ def _clamped_rates(channel, calib, eta) -> np.ndarray:
     (block: 1e10, 1e12, asymptotic; eta; px; mu)."""
     args = (channel, calib, 1.0 - MONO_PX, MONO_PX, MONO_MU, MONO_MU, eta,
             SecurityConfig())
-    finite = evaluate_points(*args, (1e10, 1e12), "improved",
-                             np.array([0, 1])[:, None, None, None])
-    asymptotic = evaluate_points(*args, "asymptotic")
+    finite = evaluate_points(*args, (1e10, 1e12), np.array([0, 1])[:, None, None, None])
+    asymptotic = evaluate_points(*args, ("asymptotic",))
     rates = [np.where(b.feasible, b.R_coh, 0.0) for b in (finite, asymptotic)]
     return np.concatenate([rates[0], rates[1][None]])
 
@@ -230,7 +270,7 @@ def test_every_field_finite_at_the_largest_block(d, km, mode):
     px, mu = np.meshgrid(np.linspace(0.01, 0.99, 20), np.geomspace(1e-4, 1.0, 20))
     report = evaluate_points(channel, CALIB, 1.0 - px, px, mu, mu,
                              arm_transmittance(channel), SecurityConfig(d=d),
-                             pipeline.MAX_BLOCK, mode)
+                             (pipeline.MAX_BLOCK,), baseline=mode == "baseline")
     assert report.feasible.any()
     for name, value in vars(report).items():
         assert np.isfinite(value).all(), name
@@ -277,7 +317,7 @@ def test_optimize_rejects_block_size_before_evaluating(monkeypatch):
     with pytest.raises(ValueError, match="block_size"):
         search_points(CHANNEL_50, CALIB, SecurityConfig(),
                       np.full(2, arm_transmittance(CHANNEL_50)), (pipeline.ASYMPTOTIC, 0.5),
-                      np.array([0, 1]), ("improved",), np.zeros(2, dtype=int), SearchSpace())
+                      np.array([0, 1]), np.zeros(2, dtype=bool), SearchSpace())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -305,7 +345,7 @@ def test_scan_phase_error_mean_keeps_observed_upper_off_the_checked_loop(log_n, 
         patch.setattr(phase_error, "observed_upper", spy)
         patch.setattr(chernoff, "_newton", straggled)
         evaluate_points(channel, CALIB, 1.0 - px, px, mu, mu, arm_transmittance(channel),
-                        SecurityConfig(), 10.0 ** log_n, MODES,
-                        mode_index=np.arange(len(MODES)).reshape(-1, 1, 1))
+                        SecurityConfig(), (10.0 ** log_n,),
+                        baseline=np.array([False, True]).reshape(-1, 1, 1))
     [(mean, log_xi)] = seen
     assert np.all(mean >= 2.0 * -np.asarray(log_xi) * (1.0 - 1e-12))

@@ -79,6 +79,15 @@ ALLOWED = {
     "optimizer._sweep: `1` -> `2` | row_of = np.full(len(eta), -1)":
     "the mark of a point that is not live is read only by `rows >= 0`; any negative "
     "mark is dropped alike",
+    "pipeline.evaluate_points: `1.0` -> `2.0` | e_ph = phase_error_arrays(p_O, p_B, "
+    "np.where(has_p, p_Z, 1.0), 1.0, 1.0,":
+    "the fill reaches only elements with p_Z = 0 or NaN, where n_Z = p0 px p_Z is 0 or NaN "
+    "too, so the has_z mask sets their e_ph to 0.5 and rate to -inf; 2.0 is as finite and "
+    "positive as 1.0, so nothing warns",
+    "pipeline.evaluate_points: `1.0` -> `2.0` | e_ph = phase_error_arrays(n_O, n_B, "
+    "np.where(has_z, n_Z, 1.0) if empty else n_Z,":
+    "the fill reaches only elements with n_Z = 0 or NaN, whose e_ph the has_z mask sets to "
+    "0.5 and whose rate to -inf; 2.0 is as finite and positive as 1.0, so nothing warns",
     "cli.run_scan: `1` -> `2` | d, b, m = np.indices((len(eta), len(blocks), "
     "len(modes))).reshape(3, -1)":
     "numpy's reshape takes any negative length as the one it works out",
