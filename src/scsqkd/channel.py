@@ -15,7 +15,9 @@ followed by two threshold detectors (left/right) with dark-count probability
 
 The baseline mode is a documented approximation of the original protocol,
 used only for rate comparisons.  Below :class:`ProtocolParams` and the CLI, the
-mode is one boolean ``baseline`` flag or column, True for the baseline mode.
+mode is one boolean ``baseline`` flag or column, True for the baseline mode,
+which picks the B-window rule: :func:`phase_averaged_prob` or the fixed-means
+:func:`effective_prob`.  No function takes a mode name.
 
 A detector with mean photon number ``nu`` clicks with probability
 ``1 - (1 - p_d) e^{-nu}``, evaluated as ``p_d - (1 - p_d) expm1(-nu)`` (two
@@ -193,7 +195,7 @@ def effective_prob(nu_L, nu_R, p_d: float):
     The heralding rule of every window whose detector means are fixed: all
     windows in improved mode, and the O and Z windows in baseline mode
     (baseline B windows are averaged over the phase in
-    :func:`b_window_prob`).  Elementwise over the means.  ``p_d`` must lie
+    :func:`phase_averaged_prob`).  Elementwise over the means.  ``p_d`` must lie
     in [0, 1]; this is not checked here (:class:`ChannelParams` checks it).
     """
     return click_prob(nu_R, p_d) * (1.0 - p_d) * np.exp(-nu_L)
@@ -266,23 +268,17 @@ def _scaled_i0_minus_1(c, a, exp_neg_a):
     return out
 
 
-def b_window_prob(mu_A, mu_B, eta, e_d: float, p_d: float,
-                  mode: str = "improved"):
-    """Heralding probability of a both-coherent window, elementwise.
+def phase_averaged_prob(mu_A, mu_B, eta, e_d: float, p_d: float):
+    """Baseline heralding probability of a both-coherent window, elementwise:
+    the exactly-one-click probability averaged over a phase difference
+    uniform in [0, 2pi).
 
+    The closed form is ``2q e^{-a} [(I0(c) - 1) + click(a)]`` with
+    ``q = 1 - p_d``, ``a = eta (mu_A + mu_B) / 2``, ``c = V eta sqrt(mu_A
+    mu_B)`` and ``click(a) = p_d - q expm1(-a)`` (see :func:`click_prob`).
     The intensities and ``eta`` must be nonnegative; this is not checked
     here (:func:`heralding_arrays` checks it).
-
-    In baseline mode the phase difference is uniform in [0, 2pi).  Averaging
-    the exactly-one-click probability over it gives the closed form
-    ``2q e^{-a} [(I0(c) - 1) + click(a)]`` with ``q = 1 - p_d``,
-    ``a = eta (mu_A + mu_B) / 2``, ``c = V eta sqrt(mu_A mu_B)`` and
-    ``click(a) = p_d - q expm1(-a)`` (see :func:`click_prob`).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "improved":
-        return effective_prob(*detector_means("B", mu_A, mu_B, eta, e_d), p_d)
     a = eta * (mu_A + mu_B) / 2.0
     c = abs(visibility(e_d)) * eta * np.sqrt(mu_A * mu_B)
     q = 1.0 - p_d
@@ -324,9 +320,10 @@ def heralding_arrays(mu_A, mu_B, eta, e_d: float, p_d: float,
     p_zb = (p_za if mu_B is mu_A
             else effective_prob(*detector_means("Z_B", mu_A, mu_B, eta, e_d), p_d))
     some = np.count_nonzero(baseline)
-    p_b = None if 0 < some == baseline.size else b_window_prob(mu_A, mu_B, eta, e_d, p_d)
+    p_b = (None if 0 < some == baseline.size
+           else effective_prob(*detector_means("B", mu_A, mu_B, eta, e_d), p_d))
     if some:
-        base = b_window_prob(mu_A, mu_B, eta, e_d, p_d, "baseline")
+        base = phase_averaged_prob(mu_A, mu_B, eta, e_d, p_d)
         p_b = base if p_b is None else np.where(baseline, base, p_b)
     return effective_prob(0.0, 0.0, p_d), p_b, p_za + p_zb
 

@@ -5,13 +5,15 @@ corresponding config keys.  Rows are sorted by distance, block size and mode.
 
 ``load_config`` builds each section's record once, and the record checks
 its ranges; the scan builds no record after it and passes its points and
-rows as columns.  With ``mc_validate``, the Monte Carlo cross-check passes
-the feasible rows' own arrays to ``mc_oracle.simulate_arrays``, which
-checks only its row counts, so the checks it needs are made here:
-``load_config`` checks the seed (each row's seed wraps modulo 2**64) and
-the window count, as ``mc_oracle.simulate`` does for one run, the search
-keeps px in (0, 1) with p0 = 1 - px, and ``heralding_arrays``, which gives
-the expected counts first, rejects a negative intensity or transmittance.
+rows as columns, the table's last two being each row's ``eta`` and
+``baseline``.  With ``mc_validate``, the Monte Carlo cross-check passes the
+feasible rows' own arrays, those two among them, to
+``mc_oracle.simulate_arrays``, which checks only its row counts, so the
+checks it needs are made here: ``load_config`` checks the seed (each row's
+seed wraps modulo 2**64) and the window count, as ``mc_oracle.simulate``
+does for one run, the search keeps px in (0, 1) with p0 = 1 - px, and
+``heralding_arrays``, which gives the expected counts first, rejects a
+negative intensity or transmittance.
 """
 from __future__ import annotations
 
@@ -271,8 +273,9 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScanConfig:
 def run_scan(cfg: ScanConfig) -> dict[str, list]:
     """Optimize and evaluate every (distance, block size, mode) point: a
     column table of lists, each CSV column by name in order, then ``eta``,
-    each row's one-arm transmittance.  The rows follow ``cfg.distances``,
-    then ascend in block size (asymptotic last) and follow MODES order."""
+    each row's one-arm transmittance, and ``baseline``, True for a
+    baseline-mode row.  The rows follow ``cfg.distances``, then ascend in
+    block size (asymptotic last) and follow MODES order."""
     blocks = sorted((math.inf if b == ASYMPTOTIC else float(b), b) for b in cfg.blocks)
     modes = tuple(sorted(cfg.modes, key=MODES.index))
     # Once per distance, by arm_transmittance's scalar arithmetic: numpy's
@@ -280,13 +283,13 @@ def run_scan(cfg: ScanConfig) -> dict[str, list]:
     eta = np.array([arm_transmittance(cfg.channel, d) for d in cfg.distances])
     d, b, m = np.indices((len(eta), len(blocks), len(modes))).reshape(3, -1)
     sizes = tuple(ASYMPTOTIC if size == math.inf else size for size, _ in blocks)
+    baseline = np.array([mode == "baseline" for mode in modes])[m]
     px, mu, report = search_points(cfg.channel, cfg.calib, cfg.security, eta[d], sizes, b,
-                                   np.array([mode == "baseline" for mode in modes])[m],
-                                   cfg.space)
+                                   baseline, cfg.space)
     # Each column between mu_x and feasible_flag is the report attribute of its name.
     numbers = (px, mu, *(getattr(report, name) for name in _COLUMNS[5:-1]),
-               report.feasible.astype(int), eta[d])
-    return dict(zip((*_COLUMNS, "eta"), (
+               report.feasible.astype(int), eta[d], baseline)
+    return dict(zip((*_COLUMNS, "eta", "baseline"), (
         [cfg.distances[i] for i in d.tolist()], [blocks[i][1] for i in b.tolist()],
         [modes[i] for i in m.tolist()], *(column.tolist() for column in numbers))))
 
@@ -384,8 +387,8 @@ def emit_plot(table: dict[str, list]) -> str:
 def _mc_report(cfg: ScanConfig, table: dict[str, list]) -> str:
     # The feasible rows by their index among all rows, which offsets their seeds.
     rows = [i for i, flag in enumerate(table["feasible_flag"]) if flag]
-    px, mu, eta = (np.array(table[name])[rows] for name in ("px", "mu_x", "eta"))
-    baseline = np.array([table["mode"][i] == "baseline" for i in rows], dtype=bool)
+    px, mu, eta, baseline = (np.array(table[name])[rows]
+                             for name in ("px", "mu_x", "eta", "baseline"))
     p0 = 1.0 - px
     e_d, p_d = cfg.channel.e_d, cfg.channel.p_d
     # The expected counts of all rows come from one channel pass, with each

@@ -12,8 +12,9 @@ its mode (the boolean ``baseline`` column of ``channel``), with one channel's
 dark-count and misalignment probabilities.  A point table, built once per
 call, groups the points by kind of block size (finite or asymptotic), with
 each point's index into its kind's sizes.  Each sweep is one broadcast
-(point, px, mu) array pass per group of the points still searched, whatever
-their modes, as long as the group fits ``_CHUNK`` candidates.  The
+(point, px, mu) array pass per group of the points still searched, a boolean
+mask over the points (all, then those with an incumbent), whatever their
+modes, as long as the group fits ``_CHUNK`` candidates.  The
 incumbents are one table over the points: each pass picks its winners with
 a masked argmax, gathers each report field at the winners' (px, mu) indices
 and writes the winners' columns at once.  The search returns each point's px
@@ -85,10 +86,10 @@ class SearchSpace:
                       ("shrink", self.shrink > 1.0, "be > 1")))
 
 
-def _axes(lo: np.ndarray, hi: np.ndarray, n: int, space) -> np.ndarray:
-    """Row ``i`` is ``space(lo[i], hi[i], n)`` (``np.linspace`` or
-    ``np.geomspace``) bit for bit; a collapsed range (lo == hi) is ``n``
-    copies of ``lo``.
+def _axes(lo: np.ndarray, hi: np.ndarray, n: int, geometric: bool) -> np.ndarray:
+    """Row ``i`` is ``np.geomspace(lo[i], hi[i], n)`` if ``geometric``, else
+    ``np.linspace(lo[i], hi[i], n)``, bit for bit; a collapsed range
+    (lo == hi) is ``n`` copies of ``lo``.
 
     numpy's arithmetic is written out for all rows at once: row ``i`` is
     ``lo[i] + k * ((hi[i] - lo[i]) / (n - 1))`` for k = 0 .. n - 1, ending
@@ -99,7 +100,6 @@ def _axes(lo: np.ndarray, hi: np.ndarray, n: int, space) -> np.ndarray:
     collapsed row inner values an ulp off ``lo``."""
     if n == 1:
         return lo[:, None].copy()
-    geometric = space is np.geomspace
     start, stop = (np.log10(lo), np.log10(hi)) if geometric else (lo, hi)
     out = np.arange(n, dtype=float) * ((stop - start) / (n - 1))[:, None]
     out += start[:, None]
@@ -188,8 +188,8 @@ def _sweep(channel: ChannelParams, eta: np.ndarray, groups: list[tuple],
            live: np.ndarray, px_axes: np.ndarray, mu_axes: np.ndarray,
            calib: SourceCalibration, security: SecurityConfig, best: _Incumbents) -> None:
     """One sweep of the (px, mu) grid ``px_axes[j]`` x ``mu_axes[j]`` of each
-    point ``live[j]``, evaluated as one broadcast (point, px, mu) pass per
-    group and chunk of points.
+    point ``j`` where the boolean mask ``live`` is True, evaluated as one
+    broadcast (point, px, mu) pass per group and chunk of points.
 
     ``groups`` is the point table; the sweep takes each group's live members
     with their block-size indices and baseline flags.  Each pass updates the
@@ -197,20 +197,15 @@ def _sweep(channel: ChannelParams, eta: np.ndarray, groups: list[tuple],
     the feasible candidates of a point, in lexicographic (px, mu) order,
     wins, and replaces the point's incumbent only if strictly larger.
     """
-    every = len(live) == len(eta)  # as in the coarse sweep: rows are points
-    if not every:
-        row_of = np.full(len(eta), -1)
-        row_of[live] = np.arange(len(live))
+    some_dead = not live.all()
     step = max(1, _CHUNK // (px_axes.shape[1] * mu_axes.shape[1]))
     for index, sizes, block, baseline in groups:
-        points = rows = index
-        if not every:
-            rows = row_of[index]
-            sel = rows >= 0
-            points, rows, block, baseline = index[sel], rows[sel], block[sel], baseline[sel]
-        for start in range(0, len(points), step):
+        if some_dead:
+            keep = live[index]
+            index, block, baseline = index[keep], block[keep], baseline[keep]
+        for start in range(0, len(index), step):
             part = slice(start, start + step)
-            chunk, px, mu = points[part], px_axes[rows[part]], mu_axes[rows[part]]
+            chunk, px, mu = index[part], px_axes[index[part]], mu_axes[index[part]]
             # One array as both intensities: the pass computes mu-only work once.
             p, m = px[:, :, None], mu[:, None, :]
             batch = evaluate_points(channel, calib, 1.0 - p, p, m, m,
@@ -247,26 +242,27 @@ def search_points(channel: ChannelParams, calib: SourceCalibration,
     px_lo, px_hi = space.px_range
     mu_lo, mu_hi = space.mu_range
     n_px, n_mu = space.grid
-    live = np.arange(len(eta))
-    lo, hi = np.full(len(live), px_lo), np.full(len(live), px_hi)
-    m_lo, m_hi = np.full(len(live), mu_lo), np.full(len(live), mu_hi)
+    live = np.ones(len(eta), dtype=bool)
+    lo, hi = np.full(len(eta), px_lo), np.full(len(eta), px_hi)
+    m_lo, m_hi = np.full(len(eta), mu_lo), np.full(len(eta), mu_hi)
     px_width = px_hi - px_lo
     log_mu_width = math.log(mu_hi / mu_lo)
     for sweep in range(space.refine_rounds + 1):
         if sweep:
             px_width /= space.shrink
             log_mu_width /= space.shrink
-            live = np.flatnonzero(best.found)
-            px_c, mu_c = best.values[0][live], best.values[1][live]
+            live = best.found.copy()  # a point with no coarse incumbent is not swept again
+            # Its axes are never read; its mu is centred on mu_lo, as log10(0) would warn.
+            px_c, mu_c = best.values[0], np.where(live, best.values[1], mu_lo)
             lo = np.maximum(px_lo, px_c - px_width / 2.0)
             hi = np.minimum(px_hi, px_c + px_width / 2.0)
             m_lo = np.maximum(mu_lo, mu_c * math.exp(-log_mu_width / 2.0))
             m_hi = np.minimum(mu_hi, mu_c * math.exp(log_mu_width / 2.0))
             # Collapsed axes hold only the incumbents, which no sweep replaces.
-            if (lo == hi).all() and (m_lo == m_hi).all():
+            if ((lo == hi) & (m_lo == m_hi) | ~live).all():
                 break
-        _sweep(channel, eta, groups, live, _axes(lo, hi, n_px, np.linspace),
-               _axes(m_lo, m_hi, n_mu, np.geomspace), calib, security, best)
+        _sweep(channel, eta, groups, live, _axes(lo, hi, n_px, False),
+               _axes(m_lo, m_hi, n_mu, True), calib, security, best)
     px, mu, *report = best.values
     return px, mu, KeyRateReport(best.found, *report)
 

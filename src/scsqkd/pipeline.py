@@ -118,23 +118,26 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
     The candidates' inputs, ``eta`` (the one-arm transmittance), ``block``
     and the mode column ``baseline`` broadcast together; ``channel`` gives
     the dark-count and misalignment probabilities, not the distance.
-    ``sizes`` is ``(ASYMPTOTIC,)`` or a tuple of finite block sizes, of
-    which the integer ``block`` picks each candidate's.  The inputs must
-    satisfy what :class:`ProtocolParams` checks for one candidate.  Each
-    element's result is the one :func:`evaluate_point` gives for that
-    candidate alone.
+    ``sizes`` is ``(ASYMPTOTIC,)`` or a nonempty tuple of finite block sizes
+    (else ValueError), of which the integer ``block`` picks each candidate's.
+    The inputs must satisfy what :class:`ProtocolParams` checks for one
+    candidate.  Each element's result is the one :func:`evaluate_point` gives
+    for that candidate alone.
     """
     # The security budget's share and the coherent-attack penalty are
     # computed once per distinct block size by the scalar formulas (numpy's
     # log1p and log2 need not match libm to the last bit), then indexed per
     # candidate.
+    asymptotic = sizes == (ASYMPTOTIC,)
+    if not (isinstance(sizes, tuple) and sizes and (asymptotic or ASYMPTOTIC not in sizes)):
+        raise ValueError(f"sizes must be ({ASYMPTOTIC!r},) or a nonempty tuple of "
+                         f"finite block sizes, got {sizes!r}")
     for size in sizes:
         require_block(size)
     mu_vA, ok_A = virtual_intensity_array(mu_A, calib.av0, calib.fluct)
     # One array as both intensities, at equal vacuum bounds: mu-only work once.
     mu_vB, ok_B = ((mu_vA, ok_A) if mu_B is mu_A and calib.bv0 == calib.av0
                    else virtual_intensity_array(mu_B, calib.bv0, calib.fluct))
-    asymptotic = sizes == (ASYMPTOTIC,)
     if asymptotic:
         n, log_share = 1.0, None
     else:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from scsqkd.channel import (_I0_SERIES_MAX, MODES, ChannelParams,
                             ProtocolParams, WindowTally, _i0e, _scaled_i0_minus_1,
-                            arm_transmittance, b_window_prob,
-                            detector_means, effective_prob, expected_tallies,
-                            heralding_arrays, tally_arrays, visibility)
+                            arm_transmittance, detector_means, effective_prob,
+                            expected_tallies, heralding_arrays,
+                            phase_averaged_prob, tally_arrays, visibility)
 
 CHANNEL = ChannelParams(distance_km=100.0, alpha_f=0.2, eta_d=0.3,
                         p_d=1e-9, e_d=0.04)
@@ -110,15 +110,19 @@ class TestEffectiveProb:
 
 class TestBWindowProb:
     def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError, match="unknown mode 'other'"):
-            b_window_prob(0.1, 0.1, 0.03, 0.04, 1e-9, "other")
+        # A mode name is read only by the records: below them the B-window
+        # rule is picked by the boolean baseline column, which takes no name.
+        with pytest.raises(ValueError, match="mode must be one of"):
+            ProtocolParams(0.7, 0.3, 0.1, 0.1, 1e7, mode="other")
+        with pytest.raises(ValueError, match="baseline must be boolean"):
+            heralding_arrays(0.1, 0.1, 0.03, 0.04, 1e-9, "other")
 
     def test_improved_below_phase_averaged_baseline(self):
         # Compensation steers energy away from the heralding detector, so the
         # improved B-window probability is far below the baseline average.
         for mu in (0.01, 0.05, 0.2):
-            p_imp = b_window_prob(mu, mu, 0.03, 0.04, 1e-9, "improved")
-            p_base = b_window_prob(mu, mu, 0.03, 0.04, 1e-9, "baseline")
+            p_imp = effective_prob(*detector_means("B", mu, mu, 0.03, 0.04), 1e-9)
+            p_base = phase_averaged_prob(mu, mu, 0.03, 0.04, 1e-9)
             assert p_imp < p_base
 
     def test_baseline_average_against_dense_grid(self):
@@ -131,7 +135,7 @@ class TestBWindowProb:
         no_l = (1.0 - p_d) * np.exp(-(avg + cross))
         no_r = (1.0 - p_d) * np.exp(-(avg - cross))
         dense = float(np.mean((1.0 - no_r) * no_l + (1.0 - no_l) * no_r))
-        assert b_window_prob(mu, mu, eta, e_d, p_d, "baseline") == pytest.approx(
+        assert phase_averaged_prob(mu, mu, eta, e_d, p_d) == pytest.approx(
             dense, rel=1e-13)
 
     @pytest.mark.parametrize("mu, eta, e_d, p_d", [
@@ -144,7 +148,7 @@ class TestBWindowProb:
         (1e5, 1.0, 0.0, 1e-9),     # c = 1e5
     ])
     def test_baseline_large_interference_term(self, mu, eta, e_d, p_d):
-        assert b_window_prob(mu, mu, eta, e_d, p_d, "baseline") == pytest.approx(
+        assert phase_averaged_prob(mu, mu, eta, e_d, p_d) == pytest.approx(
             _mp_phase_average(mu, mu, eta, e_d, p_d), rel=1e-13, abs=0)
 
     def test_baseline_tallies_straddling_branches_match_scalar(self):
@@ -156,7 +160,7 @@ class TestBWindowProb:
         px = np.full(mu.shape, 0.5)
         _, n_b, _ = tally_arrays(1.0 - px, px, 1.0, *heralding_arrays(
             mu, mu, arm_transmittance(chan), chan.e_d, chan.p_d, True))
-        scalar = [0.25 * b_window_prob(m, m, 1.0, 0.0, 1e-9, "baseline") for m in mu]
+        scalar = [0.25 * phase_averaged_prob(m, m, 1.0, 0.0, 1e-9) for m in mu]
         assert n_b.tolist() == scalar
 
 
@@ -279,7 +283,7 @@ def test_click_probabilities_against_mpmath(p_d, eta, mu_A, mu_B, e_d):
         right_only = float((1 - no_r) * no_l)
     assert effective_prob(nu_l, nu_r, p_d) == pytest.approx(
         right_only, rel=1e-12, abs=0)
-    assert b_window_prob(mu_A, mu_B, eta, e_d, p_d, "baseline") == pytest.approx(
+    assert phase_averaged_prob(mu_A, mu_B, eta, e_d, p_d) == pytest.approx(
         _mp_phase_average(mu_A, mu_B, eta, e_d, p_d), rel=1e-12, abs=0)
 
 
@@ -406,7 +410,8 @@ class TestExpectedTallies:
 
         for mode in ("improved", "baseline"):
             proto = ProtocolParams(0.7, 0.3, mu_A, mu_B, 10**7, mode=mode)
-            p_b = b_window_prob(mu_A, mu_B, eta, CHANNEL.e_d, CHANNEL.p_d, mode)
+            p_b = (phase_averaged_prob(mu_A, mu_B, eta, CHANNEL.e_d, CHANNEL.p_d)
+                   if mode == "baseline" else herald("B"))
             tally = expected_tallies(proto, CHANNEL)
             assert tally.n_O == pytest.approx(1e7 * 0.49 * herald("O"), rel=1e-12)
             assert tally.n_B == pytest.approx(1e7 * 0.09 * p_b, rel=1e-12)

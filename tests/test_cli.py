@@ -545,8 +545,9 @@ def test_scan_path_builds_no_record_after_load_config(tmp_path, monkeypatch):
     table = run_scan(cfg)
     outputs = rows_to_csv(table), emit_plot(table), cli._mc_report(cfg, table)
     monkeypatch.undo()
-    assert list(table) == [*CSV_COLUMNS, "eta"]
+    assert list(table) == [*CSV_COLUMNS, "eta", "baseline"]
     assert all(type(column) is list and len(column) == 12 for column in table.values())
+    assert table["baseline"] == [mode == "baseline" for mode in table["mode"]]
     assert sum(table["feasible_flag"]) > 1
     assert len(outputs[2].split("\n")) == 2 + 3 * sum(table["feasible_flag"])
     assert outputs == (rows_to_csv(run_scan(cfg)), emit_plot(run_scan(cfg)),

@@ -152,6 +152,23 @@ def test_every_record_rejects_a_field_only_through_check():
     assert [where for where, raises, checks in records if raises or not checks] == []
 
 
+def test_no_function_below_the_records_takes_a_mode_name():
+    # Below the records the heralding mode is the boolean baseline column;
+    # only optimize, a one-point entry that builds a ProtocolParams, takes
+    # the name (ProtocolParams's mode is a field, no parameter in the source).
+    named = []
+    for module in ("channel", "pipeline", "optimizer"):
+        path = Path(scsqkd.__file__).parent / f"{module}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                          *filter(None, (args.vararg, args.kwarg))]
+                if any(param.arg == "mode" for param in params):
+                    named.append(f"{module}.{getattr(node, 'name', 'lambda')}")
+    assert named == ["optimizer.optimize"]
+
+
 def test_every_exported_name_is_used_outside_tests():
     # An export that only tests use is public API nothing else needs.  A
     # name counts where the package uses it outside its definition and
@@ -174,7 +191,7 @@ def test_mc_oracle_stays_independent_of_the_heralding_formulas():
     # and expected counts, so it may share only the detector means and the
     # click probability, never a name that computes those.
     source = (Path(scsqkd.__file__).parent / "mc_oracle.py").read_text()
-    names = ("effective_prob", "b_window_prob", "heralding_arrays",
+    names = ("effective_prob", "phase_averaged_prob", "heralding_arrays",
              "tally_arrays", "expected_tallies")
     assert [name for name in names if re.search(rf"\b{name}\b", source)] == []
 

@@ -188,9 +188,11 @@ class TestKeyRates:
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_coherent_penalty_reference(self):
-        # 2 (d^2 - 1) log2(N + 1) / N at d = 8, N = 1e10.
+        # 2 (d^2 - 1) log2(N + 1) / N at d = 8, N = 1e10, and exactly 126 at
+        # N = 1, the smallest block, where log2(N + 1) is 1.
         assert coherent_attack_penalty(1e10, 8) == pytest.approx(
             4.1856293995762546e-07, rel=1e-12)
+        assert coherent_attack_penalty(1.0, 8) == 126.0
 
     def test_coherent_below_collective(self):
         assert 1e-3 - coherent_attack_penalty(1e10, 8) < 1e-3

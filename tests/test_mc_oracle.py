@@ -17,8 +17,8 @@ from test_cli import _no_overrides, _write_config
 import scsqkd.mc_oracle
 from scsqkd import cli
 from scsqkd.channel import (MODES, ChannelParams, ProtocolParams, WindowTally,
-                            arm_transmittance, b_window_prob, click_prob, detector_means,
-                            expected_tallies)
+                            arm_transmittance, click_prob, detector_means, expected_tallies,
+                            phase_averaged_prob)
 from scsqkd.cli import load_config, run_scan
 from scsqkd.mc_oracle import (_heralding, _phase_averaged_b_prob, _phase_count,
                               require_windows, simulate, simulate_arrays)
@@ -358,7 +358,7 @@ _LARGE_C = st.tuples(_log_uniform(1.0, 2000.0), _log_uniform(1e-5, 1.0),
 def test_phase_average_matches_closed_form(inputs):
     mu_A, mu_B, eta, e_d, p_d = inputs
     average = _phase_averaged_b_prob(*(np.array([x]) for x in inputs))
-    closed = b_window_prob(mu_A, mu_B, eta, e_d, p_d, "baseline")
+    closed = phase_averaged_prob(mu_A, mu_B, eta, e_d, p_d)
     assert average[0] == pytest.approx(closed, rel=1e-13, abs=0), inputs
 
 

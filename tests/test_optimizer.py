@@ -71,7 +71,7 @@ def test_axes_rows_equal_one_point_calls(space, n):
     lo = np.exp(rng.uniform(-9.0, -0.7, 200))
     hi = np.minimum(lo * np.exp(rng.uniform(0.0, 3.0, 200)), 0.99)
     hi[::7] = lo[::7]
-    axes = _axes(lo, hi, n, space)
+    axes = _axes(lo, hi, n, space is np.geomspace)
     for row, a, b in zip(axes, lo.tolist(), hi.tolist()):
         expected = [a] * n if a == b else space(a, b, n).tolist()
         assert row.tolist() == expected
@@ -101,7 +101,7 @@ def test_axes_rows_equal_one_point_calls_property(rows, n):
     # Also where a one-ulp range has a zero step, on the log axis too,
     # beside open and collapsed rows.
     space, lo, hi = rows
-    for row, a, b in zip(_axes(lo, hi, n, space), lo.tolist(), hi.tolist()):
+    for row, a, b in zip(_axes(lo, hi, n, space is np.geomspace), lo.tolist(), hi.tolist()):
         expected = np.full(n, a) if a == b else space(a, b, n)
         assert row.tobytes() == expected.tobytes(), (a, b, row.tolist())
 
@@ -394,6 +394,31 @@ def test_report_fields_equal_re_evaluation(monkeypatch):
                                 SECURITY, block)
         want = [p, m, *(getattr(single, f.name) for f in fields(single))]
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want], i
+
+
+def test_dead_point_is_not_swept_again_and_collapse_still_ends_refinement(monkeypatch):
+    # The 30 km point has no feasible candidate, as in the test above.  At
+    # shrink 1e10 every other point's axes collapse in the second refinement
+    # round, which ends the search before refine_rounds: the coarse sweep and
+    # one refinement sweep run, one pass per kind of block size each, and
+    # the dead point is in the coarse passes only.
+    points = [(_channel(0.0), 1e10, "improved"), (_channel(50.0), 1e12, "baseline"),
+              (_channel(30.0), 1e12, "improved"), (_channel(50.0), 1e12, "improved"),
+              (_channel(100.0), ASYMPTOTIC, "improved"),
+              (_channel(100.0), ASYMPTOTIC, "baseline"),
+              (_channel(220.0), ASYMPTOTIC, "improved")]
+    eta = [arm_transmittance(channel) for channel, _, _ in points]
+    swept = []
+
+    def masked(*args, **kwargs):
+        swept.append(args[6].ravel().tolist())
+        batch = evaluate_points(*args, **kwargs)
+        return replace(batch, feasible=batch.feasible & (args[6] != eta[2]))
+
+    monkeypatch.setattr(optimizer, "evaluate_points", masked)
+    _, _, report = _search(points, SearchSpace(grid=(6, 6), refine_rounds=4, shrink=1e10))
+    assert report.feasible.tolist() == [True, True, False, True, True, True, True]
+    assert swept == [eta[:4], eta[4:], [eta[0], eta[1], eta[3]], eta[4:]]
 
 
 def test_columns_take_sizes_and_modes_in_any_order():

@@ -255,6 +255,17 @@ def test_invalid_block_size_is_named(block):
         evaluate_point(CHANNEL_50, CALIB, proto, SecurityConfig(), block)
 
 
+@pytest.mark.parametrize("sizes", ["asymptotic", 1e12, ("asymptotic", 1e12), ()],
+                         ids=["bare-asymptotic", "bare-number", "mixed", "empty"])
+def test_malformed_sizes_are_named(sizes):
+    # These gave `block_size ... got 'a'`, a TypeError, a failed float
+    # conversion and an IndexError.
+    one = np.array([0.1])
+    with pytest.raises(ValueError, match=r"^sizes must"):
+        evaluate_points(CHANNEL_50, CALIB, 1.0 - one, one, one, one,
+                        arm_transmittance(CHANNEL_50), SecurityConfig(), sizes)
+
+
 @pytest.mark.parametrize("block", [1, 1.0, pytest.param(pipeline.MAX_BLOCK, id="MAX_BLOCK")])
 def test_block_size_edges_accepted(block):
     require_block(block)

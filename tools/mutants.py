@@ -2,7 +2,7 @@
 
 Run from the root of a scsqkd checkout:
 
-    python3 tools/mutants.py channel heralding_arrays b_window_prob
+    python3 tools/mutants.py channel heralding_arrays phase_averaged_prob
     python3 tools/mutants.py optimizer _Incumbents.update
 
 Each mutant changes one site in the body of one named function (a method is
@@ -76,9 +76,6 @@ ALLOWED = {
     "for size in sizes], dtype=bool)":
     "the two kinds' masks swap places, so only the order of the two groups' passes "
     "changes; each point is in one group, and its result depends on no other point",
-    "optimizer._sweep: `1` -> `2` | row_of = np.full(len(eta), -1)":
-    "the mark of a point that is not live is read only by `rows >= 0`; any negative "
-    "mark is dropped alike",
     "pipeline.evaluate_points: `1.0` -> `2.0` | e_ph = phase_error_arrays(p_O, p_B, "
     "np.where(has_p, p_Z, 1.0), 1.0, 1.0,":
     "the fill reaches only elements with p_Z = 0 or NaN, where n_Z = p0 px p_Z is 0 or NaN "
@@ -96,6 +93,30 @@ ALLOWED = {
     "mc_oracle.simulate_arrays: `*` -> `/` | px_row * p0_row, px_row * px_row]) #2":
     "numpy's multinomial ignores its last probability while it lies in [0, 1] and "
     "takes it as 1 minus the others; px / px is 1.0 for px in (0, 1)",
+    "keyrate.binary_entropy: `1.0` -> `2.0` | if not (x.min(initial=1.0) > 0.0 and "
+    "y.min(initial=1.0) > 0.0):":
+    "any positive initial gives the same verdict: min(initial, min(x)) > 0 iff min(x) > 0, "
+    "and an empty array passes with either",
+    "keyrate.binary_entropy: `1.0` -> `2.0` | if not (x.min(initial=1.0) > 0.0 and "
+    "y.min(initial=1.0) > 0.0): #2":
+    "any positive initial gives the same verdict: min(initial, min(y)) > 0 iff min(y) > 0, "
+    "and an empty array passes with either",
+    "keyrate.binary_entropy: `0.0` -> `1.0` | if not (x.min(initial=1.0) > 0.0 and "
+    "y.min(initial=1.0) > 0.0):":
+    "x lies in [0, 1], so the test fails and every call takes the 0/1 fix, which writes 0 "
+    "only where x or y is 0 and so changes no element of a call that skipped it",
+    "keyrate.binary_entropy: `0.0` -> `1.0` | if not (x.min(initial=1.0) > 0.0 and "
+    "y.min(initial=1.0) > 0.0): #2":
+    "y lies in [0, 1], so the test fails and every call takes the 0/1 fix, which writes 0 "
+    "only where x or y is 0 and so changes no element of a call that skipped it",
+    "keyrate.ec_leakage_array: `1.0` -> `2.0` | rate = (wrong / total if "
+    "np.minimum.reduce(total, axis=None, initial=1.0) > 0.0":
+    "any positive initial gives the same verdict: min(initial, min(total)) > 0 iff "
+    "min(total) > 0, and an empty pass divides nothing with either",
+    "keyrate.ec_leakage_array: `0.0` -> `1.0` | rate = (wrong / total if "
+    "np.minimum.reduce(total, axis=None, initial=1.0) > 0.0":
+    "a pass whose totals all lie in (0, 1] takes error_share, which divides by "
+    "total + (total == 0), the same total wherever it is positive",
 }
 
 _COMPARE = {"<": ">=", ">=": "<", ">": "<=", "<=": ">", "==": "!=", "!=": "==",
