@@ -92,6 +92,7 @@ class ChannelParams:
 class ProtocolParams:
     """Source-choice probabilities, nominal intensities and block size."""
 
+    # Checked against px; nothing below the record reads it (p0 = 1 - px there).
     p0: float
     px: float
     mu_xA: float
@@ -328,14 +329,15 @@ def heralding_arrays(mu_A, mu_B, eta, e_d: float, p_d: float,
     return effective_prob(0.0, 0.0, p_d), p_b, p_za + p_zb
 
 
-def tally_arrays(p0, px, N, p_O, p_B, p_Z) -> tuple:
+def tally_arrays(px, N, p_O, p_B, p_Z) -> tuple:
     """Expected effective-window counts (n_O, n_B, n_Z) over N windows.
 
-    ``N p0^2 p_O``, ``N px^2 p_B`` and ``N p0 px p_Z``, elementwise over
-    source-choice probabilities, block sizes and the heralding
-    probabilities of :func:`heralding_arrays`, which broadcast together.
-    See :func:`expected_tallies`.
+    ``N p0^2 p_O``, ``N px^2 p_B`` and ``N p0 px p_Z`` with ``p0 = 1 - px``,
+    elementwise over coherent-source probabilities, block sizes and the
+    heralding probabilities of :func:`heralding_arrays`, which broadcast
+    together.  See :func:`expected_tallies`.
     """
+    p0 = 1.0 - px
     n_p0 = N * p0
     return n_p0 * p0 * p_O, N * px * px * p_B, n_p0 * px * p_Z
 
@@ -364,7 +366,6 @@ def expected_tallies(protocol: ProtocolParams, channel: ChannelParams) -> Window
     probs = heralding_arrays(np.array([protocol.mu_xA]), np.array([protocol.mu_xB]),
                              arm_transmittance(channel), channel.e_d, channel.p_d,
                              protocol.mode == "baseline")
-    counts = tally_arrays(np.array([protocol.p0]), np.array([protocol.px]),
-                          protocol.N, *probs)
+    counts = tally_arrays(np.array([protocol.px]), protocol.N, *probs)
     n_O, n_B, n_Z = (float(c[0]) for c in counts)
     return WindowTally(n_O=n_O, n_B=n_B, n_Z=n_Z)

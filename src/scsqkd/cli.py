@@ -11,7 +11,7 @@ feasible rows' own arrays, those two among them, to
 ``mc_oracle.simulate_arrays``, which checks only its row counts, so the
 checks it needs are made here: ``load_config`` checks the seed (each row's
 seed wraps modulo 2**64) and the window count, as ``mc_oracle.simulate``
-does for one run, the search keeps px in (0, 1) with p0 = 1 - px, and
+does for one run, the search keeps px in (0, 1), and
 ``heralding_arrays``, which gives the expected counts first, rejects a
 negative intensity or transmittance.
 """
@@ -389,17 +389,16 @@ def _mc_report(cfg: ScanConfig, table: dict[str, list]) -> str:
     rows = [i for i, flag in enumerate(table["feasible_flag"]) if flag]
     px, mu, eta, baseline = (np.array(table[name])[rows]
                              for name in ("px", "mu_x", "eta", "baseline"))
-    p0 = 1.0 - px
     e_d, p_d = cfg.channel.e_d, cfg.channel.p_d
     # The expected counts of all rows come from one channel pass, with each
     # row's scalar transmittance and the simulator's mode mask, so they keep
     # every bit of expected_tallies(protocol, channel); heralding_arrays
     # checks the intensities and transmittance that simulate_arrays needs.
     probs = heralding_arrays(mu, mu, eta, e_d, p_d, baseline)
-    expected = np.array(tally_arrays(p0, px, cfg.mc_windows, *probs))
+    expected = np.array(tally_arrays(px, cfg.mc_windows, *probs))
     # Row seeds wrap, so that every valid scan seed stays a valid key.
     observed = simulate_arrays(
-        p0, px, mu, mu, eta, np.full(len(rows), e_d), np.full(len(rows), p_d),
+        px, mu, mu, eta, np.full(len(rows), e_d), np.full(len(rows), p_d),
         baseline, [cfg.mc_windows] * len(rows),
         [(cfg.seed + i) % 2**64 for i in rows])
     distance, block, mode = table["distance_km"], table["N"], table["mode"]

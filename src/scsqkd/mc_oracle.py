@@ -142,24 +142,23 @@ def _heralding(mu_A, mu_B, eta, e_d, p_d, baseline) -> np.ndarray:
     return probs
 
 
-def simulate_arrays(p0, px, mu_A, mu_B, eta, e_d, p_d, baseline, windows,
+def simulate_arrays(px, mu_A, mu_B, eta, e_d, p_d, baseline, windows,
                     seeds) -> list[tuple[int, int, int]]:
     """Sampled (n_O, n_B, n_Z) of several runs, one per row of 1-d arrays of
-    one length: source-choice probabilities, intensities, one-arm
-    transmittance, misalignment and dark-count probabilities, the
-    random-phase mask ``baseline``, and the sequences ``windows`` and
-    ``seeds``.
+    one length: coherent-source probabilities px (each party sends vacuum
+    with p0 = 1 - px), intensities, one-arm transmittance, misalignment and
+    dark-count probabilities, the random-phase mask ``baseline``, and the
+    sequences ``windows`` and ``seeds``.
 
     Only row counts are checked: per-row inputs of unequal lengths raise
     ValueError, before any draw.  The caller passes what :func:`simulate`
-    checks for one row: p0 + px = 1 with px in (0, 1), nonnegative
-    intensities and transmittance, p_d and e_d in [0, 1], each window count
-    accepted by :func:`require_windows` and each seed by
-    :func:`require_seed`.  One array pass gives every row's heralding
-    probabilities, and one Philox bit generator, re-keyed per row, draws
-    every row's counts.
+    checks for one row: px in (0, 1), nonnegative intensities and
+    transmittance, p_d and e_d in [0, 1], each window count accepted by
+    :func:`require_windows` and each seed by :func:`require_seed`.  One
+    array pass gives every row's heralding probabilities, and one Philox
+    bit generator, re-keyed per row, draws every row's counts.
     """
-    lengths = [len(c) for c in (p0, px, mu_A, mu_B, eta, e_d, p_d, baseline, windows, seeds)]
+    lengths = [len(c) for c in (px, mu_A, mu_B, eta, e_d, p_d, baseline, windows, seeds)]
     if len(set(lengths)) > 1:
         raise ValueError(f"per-row inputs must have one length, got {lengths}")
     probs = _heralding(mu_A, mu_B, eta, e_d, p_d, baseline)
@@ -169,8 +168,8 @@ def simulate_arrays(p0, px, mu_A, mu_B, eta, e_d, p_d, baseline, windows,
     # key changes from row to row.
     fresh = bitgen.state
     tallies = []
-    for p0_row, px_row, n, seed, kind_probs in zip(p0.tolist(), px.tolist(), windows,
-                                                   seeds, probs.tolist()):
+    for px_row, n, seed, kind_probs in zip(px.tolist(), windows, seeds, probs.tolist()):
+        p0_row = 1.0 - px_row
         fresh["state"]["key"] = np.array([seed, 0], dtype=np.uint64)
         bitgen.state = fresh
         counts = rng.multinomial(int(n), [p0_row * p0_row, p0_row * px_row,
@@ -200,7 +199,7 @@ def simulate(protocol: ProtocolParams, channel: ChannelParams, seed: int) -> Win
     require_seed(seed)
     require_windows(protocol.N)
     (n_O, n_B, n_Z), = simulate_arrays(
-        *np.array([[protocol.p0], [protocol.px], [protocol.mu_xA], [protocol.mu_xB],
+        *np.array([[protocol.px], [protocol.mu_xA], [protocol.mu_xB],
                    [arm_transmittance(channel)], [channel.e_d], [channel.p_d]], dtype=float),
         np.array([protocol.mode == "baseline"]), [protocol.N], [seed])
     return WindowTally(n_O=n_O, n_B=n_B, n_Z=n_Z)

@@ -208,9 +208,8 @@ def _sweep(channel: ChannelParams, eta: np.ndarray, groups: list[tuple],
             chunk, px, mu = index[part], px_axes[index[part]], mu_axes[index[part]]
             # One array as both intensities: the pass computes mu-only work once.
             p, m = px[:, :, None], mu[:, None, :]
-            batch = evaluate_points(channel, calib, 1.0 - p, p, m, m,
-                                    eta[chunk][:, None, None], security, sizes,
-                                    block[part][:, None, None],
+            batch = evaluate_points(channel, calib, p, m, m, eta[chunk][:, None, None],
+                                    security, sizes, block[part][:, None, None],
                                     baseline[part][:, None, None])
             best.update(chunk, px, mu, batch)
 

@@ -8,15 +8,14 @@ expected values and back at the supplied failure probability.
 
 In the asymptotic limit the counts are exact expected values over N
 windows: ``n_O = N p0^2 p_O``, ``n_B = N px^2 p_B`` and ``n_Z = N p0 px p_Z``
-with the heralding probabilities of one window.  The mean count of
-:func:`_mean_count` is then ``(N p0 px / 2) (c0 sqrt(p_O) + c1 sqrt(p_B)
-+ c2)^2``, so ``N p0 px`` cancels from ``e_ph = mean / n_Z``:
+with ``p0 = 1 - px`` and the heralding probabilities of one window.  The
+mean count of :func:`_mean_count` is then ``(N p0 px / 2) (c0 sqrt(p_O)
++ c1 sqrt(p_B) + c2)^2``, so ``N p0 px`` cancels from ``e_ph = mean / n_Z``:
 
     e_ph = min((c0 sqrt(p_O) + c1 sqrt(p_B) + c2)^2 / (2 p_Z), 1/2),
 
-which depends on the intensities and the channel only, not on px or N.  It
-is :func:`phase_error_arrays` of the probabilities ``(p_O, p_B, p_Z)`` with
-``N = p0 = px = 1``.
+which depends on the intensities and the channel only, not on px or N.
+:func:`asymptotic_phase_error` computes it.
 """
 from __future__ import annotations
 
@@ -44,10 +43,10 @@ def decomposition_arrays(mu_A, mu_B) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return c0, c1, np.sqrt(fac_a * fac_b)
 
 
-def _mean_count(nO_U, nB_U, N, p0, px, c0, c1, c2):
+def _mean_count(nO_U, nB_U, N, px, c0, c1, c2):
     """Upper bound on the expected number of phase errors over N windows.
 
-    The six-term bound
+    With ``p0 = 1 - px``, the six-term bound
     ``(p0 px / 2) [c0^2 nO_U / p0^2 + c1^2 nB_U / px^2 + c2^2 N
     + 2 c0 c1 sqrt(nO_U nB_U) / (p0 px) + 2 c0 c2 sqrt(N nO_U) / p0
     + 2 c1 c2 sqrt(N nB_U) / px]`` is the perfect square
@@ -59,43 +58,42 @@ def _mean_count(nO_U, nB_U, N, p0, px, c0, c1, c2):
     px = 5e-324, where the bracket is inf; the smallest positive double
     takes its place there, so the product is inf, not 0 inf = NaN.
     """
+    p0 = 1.0 - px
     with np.errstate(over="ignore"):
         return np.maximum(p0 * px / 2.0, 5e-324) * (
             c0 * (np.sqrt(nO_U) / p0) + c1 * (np.sqrt(nB_U) / px) + c2 * np.sqrt(N)) ** 2
 
 
-def phase_error_arrays(n_O, n_B, n_Z, N, p0, px, c0, c1, c2,
+def asymptotic_phase_error(p_O, p_B, p_Z, c0, c1, c2):
+    """Asymptotic e_ph ``min(0.5 (c0 sqrt(p_O) + c1 sqrt(p_B) + c2)^2 / p_Z,
+    1/2)`` of the heralding probabilities, elementwise (see the module
+    docstring).  Needs p_Z > 0; where the ratio overflows it clamps to 1/2.
+    """
+    with np.errstate(over="ignore"):
+        return np.minimum(0.5 * (c0 * np.sqrt(p_O) + c1 * np.sqrt(p_B) + c2) ** 2 / p_Z,
+                          0.5)
+
+
+def phase_error_arrays(n_O, n_B, n_Z, N, px, c0, c1, c2,
                        log_xi) -> tuple[np.ndarray, ...]:
     """(mean_nO_U, mean_nB_U, mean_Nph_U, Nph_U, e_ph) elementwise.
 
-    Needs n_Z > 0.  The inputs broadcast together, and each Chernoff bound
-    is computed on the shape of its count and ``log_xi``: the n_O and n_B
-    bounds in one solve over their concatenated counts.  ``log_xi=None`` is
-    the asymptotic bound: the counts are taken as exact expected values,
-    with no Chernoff slack.  Given the heralding probabilities of one window
-    as counts, with ``N = p0 = px = 1``, it gives the asymptotic e_ph of
-    every block size and px (see the module docstring).
+    Needs n_Z > 0.  The inputs broadcast together in a search pass's
+    layout: n_O and n_B have at least one axis and equal leading axes, and
+    ``log_xi`` (a value per point) has length 1 on the last axis or is 0-d;
+    any other layout raises ValueError.  The n_O and n_B Chernoff bounds are
+    one solve over the counts joined along their last axis, which takes
+    ``log_xi`` as it is: no copy of it at the counts' size.
     """
-    if log_xi is None:
-        nO_U, nB_U = n_O, n_B
-    else:
-        o, b, lx = np.asarray(n_O), np.asarray(n_B), np.asarray(log_xi)
-        if (lx.shape[-1:] in ((), (1,)) and 0 < o.ndim == b.ndim
-                and o.shape[:-1] == b.shape[:-1]):
-            # Joined along their last axis, on which log_xi has length 1 (a
-            # value per point of a search pass), the counts take log_xi as it
-            # is: no copy of it at the counts' size.
-            bounds = expectation_upper(np.concatenate((o, b), axis=-1), lx)
-            nO_U, nB_U = bounds[..., :o.shape[-1]], bounds[..., o.shape[-1]:]
-        else:
-            (o, lx_o), (b, lx_b) = (np.broadcast_arrays(n, lx) for n in (o, b))
-            bounds = expectation_upper(np.concatenate((o, b), axis=None),
-                                       np.concatenate((lx_o, lx_b), axis=None))
-            nO_U = bounds[:o.size].reshape(o.shape)
-            nB_U = bounds[o.size:].reshape(b.shape)
-    mean_nph = _mean_count(nO_U, nB_U, N, p0, px, c0, c1, c2)
-    nph = mean_nph if log_xi is None else observed_upper(mean_nph, log_xi)
+    o, b, lx = np.asarray(n_O), np.asarray(n_B), np.asarray(log_xi)
+    if not (lx.shape[-1:] in ((), (1,)) and 0 < o.ndim == b.ndim
+            and o.shape[:-1] == b.shape[:-1]):
+        raise ValueError(f"n_O, n_B and log_xi need a pass layout, got shapes "
+                         f"{o.shape}, {b.shape} and {lx.shape}")
+    bounds = expectation_upper(np.concatenate((o, b), axis=-1), lx)
+    nO_U, nB_U = bounds[..., :o.shape[-1]], bounds[..., o.shape[-1]:]
+    mean_nph = _mean_count(nO_U, nB_U, N, px, c0, c1, c2)
+    nph = observed_upper(mean_nph, log_xi)
     # Near n_Z ~ 1e-306 the ratio overflows to inf, which clamps to 1/2.
     with np.errstate(over="ignore"):
         return nO_U, nB_U, mean_nph, nph, np.minimum(nph / n_Z, 0.5)
-

@@ -8,14 +8,16 @@ and all finite-size penalty terms vanish.
 
 :func:`evaluate_points` evaluates candidates given as inputs that broadcast
 together in one pass, with a feasibility mask where the source bounds admit
-no virtual-protocol mapping; each candidate has its own transmittance, block
-size and heralding mode (the boolean ``baseline`` column of ``channel``), so
-one pass can span several distances, block sizes and both modes.  Each
-quantity is computed on the shape of the inputs it depends on: on a (point,
-px, mu) grid the source mapping, the heralding probabilities and the
-asymptotic phase error run once per (point, mu), and the n_O Chernoff bound
-once per px.  Given one array as both intensities, as the optimizer passes
-it, the mu-only quantities are computed once, not once per party.
+no virtual-protocol mapping; each candidate has its own source choice (px
+alone, with p0 = 1 - px), transmittance, block size and heralding mode (the
+boolean ``baseline`` column of ``channel``), so one pass can span several
+distances, block sizes and both modes.  Each quantity is computed on the
+shape of the inputs it depends on: on a (point, px, mu) grid the source
+mapping, the heralding probabilities and the asymptotic phase error (a
+closed form in those probabilities) run once per (point, mu), and the n_O
+Chernoff bound once per px.  Given one array as both intensities, as the
+optimizer passes it, the mu-only quantities are computed once, not once per
+party.
 :func:`evaluate_point` is the same computation on one candidate.
 
 Both return a :class:`~scsqkd.keyrate.KeyRateReport`: a pass's holds arrays
@@ -37,7 +39,7 @@ from .channel import (ChannelParams, ProtocolParams, _check, arm_transmittance,
 from .keyrate import (KeyRateReport, coherent_attack_penalty, collective_rate_array,
                       ec_leakage_array, security_budget)
 from .mapping import virtual_intensity_array
-from .phase_error import decomposition_arrays, phase_error_arrays
+from .phase_error import asymptotic_phase_error, decomposition_arrays, phase_error_arrays
 
 ASYMPTOTIC = "asymptotic"
 
@@ -109,17 +111,20 @@ class SecurityConfig:
 
 
 def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
-                    p0: np.ndarray, px: np.ndarray, mu_A: np.ndarray,
-                    mu_B: np.ndarray, eta, security: SecurityConfig,
-                    sizes: tuple, block=0, baseline=False) -> KeyRateReport:
-    """Key rates of the candidates (p0, px, mu_A, mu_B), elementwise, as a
-    :class:`KeyRateReport` of arrays.
+                    px: np.ndarray, mu_A: np.ndarray, mu_B: np.ndarray, eta,
+                    security: SecurityConfig, sizes: tuple, block=0,
+                    baseline=False) -> KeyRateReport:
+    """Key rates of the candidates (px, mu_A, mu_B), with p0 = 1 - px,
+    elementwise, as a :class:`KeyRateReport` of arrays.
 
     The candidates' inputs, ``eta`` (the one-arm transmittance), ``block``
     and the mode column ``baseline`` broadcast together; ``channel`` gives
     the dark-count and misalignment probabilities, not the distance.
     ``sizes`` is ``(ASYMPTOTIC,)`` or a nonempty tuple of finite block sizes
     (else ValueError), of which the integer ``block`` picks each candidate's.
+    At finite sizes the candidates need a search pass's layout: px and
+    ``block`` together span every axis but the last, on which ``block`` has
+    length 1 (or it is 0-d); any other layout raises ValueError.
     The inputs must satisfy what :class:`ProtocolParams` checks for one
     candidate.  Each element's result is the one :func:`evaluate_point` gives
     for that candidate alone.
@@ -147,7 +152,7 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
             security_budget(security.eps_coh_target, size, security.d)
             for size in sizes])[block]
     probs = heralding_arrays(mu_A, mu_B, eta, channel.e_d, channel.p_d, baseline)
-    n_O, n_B, n_Z = tally_arrays(p0, px, n, *probs)
+    n_O, n_B, n_Z = tally_arrays(px, n, *probs)
     leak = ec_leakage_array(n_O, n_B, n_Z, security.f)
     has_z = n_Z > 0.0
     # Where n_Z = 0, also where it underflows and p_Z does not, e_ph is 0.5 and
@@ -158,12 +163,10 @@ def evaluate_points(channel: ChannelParams, calib: SourceCalibration,
         # N p0 px cancels from the asymptotic e_ph (see phase_error): the
         # heralding probabilities give it on their own, px-free axes.
         p_O, p_B, p_Z = probs
-        has_p = p_Z > 0.0
-        e_ph = phase_error_arrays(p_O, p_B, np.where(has_p, p_Z, 1.0), 1.0, 1.0,
-                                  1.0, *coeffs, log_xi=None)[-1]
+        e_ph = asymptotic_phase_error(p_O, p_B, np.where(p_Z > 0.0, p_Z, 1.0), *coeffs)
     else:
         e_ph = phase_error_arrays(n_O, n_B, np.where(has_z, n_Z, 1.0) if empty else n_Z,
-                                  n, p0, px, *coeffs, log_xi=log_share)[-1]
+                                  n, px, *coeffs, log_xi=log_share)[-1]
     if empty:
         e_ph = np.where(has_z, e_ph, 0.5)
     r_col = collective_rate_array(n_Z, e_ph, leak, log_share, security.d, n)
@@ -187,8 +190,7 @@ def evaluate_point(channel: ChannelParams, calib: SourceCalibration,
     the block size comes from ``block_size`` alone.  Raises InfeasibleError
     when the worst-case source bounds admit no virtual-protocol mapping.
     """
-    one = [np.array([v]) for v in (protocol.p0, protocol.px,
-                                   protocol.mu_xA, protocol.mu_xB)]
+    one = [np.array([v]) for v in (protocol.px, protocol.mu_xA, protocol.mu_xB)]
     batch = evaluate_points(channel, calib, *one, arm_transmittance(channel),
                             security, (block_size,), baseline=protocol.mode == "baseline")
     if not batch.feasible[0]:

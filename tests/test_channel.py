@@ -158,7 +158,7 @@ class TestBWindowProb:
         chan = ChannelParams(0.0, 0.2, 1.0, 1e-9, 0.0)
         mu = np.array([0.5, 2.5, 800.0, 1.9, 699.0, 1e4, 2.0, 701.0])
         px = np.full(mu.shape, 0.5)
-        _, n_b, _ = tally_arrays(1.0 - px, px, 1.0, *heralding_arrays(
+        _, n_b, _ = tally_arrays(px, 1.0, *heralding_arrays(
             mu, mu, arm_transmittance(chan), chan.e_d, chan.p_d, True))
         scalar = [0.25 * phase_averaged_prob(m, m, 1.0, 0.0, 1e-9) for m in mu]
         assert n_b.tolist() == scalar

@@ -242,7 +242,7 @@ def _reference_row(cfg, distance: float, label: str, mode: str) -> dict:
     def sweep(px_vals, mu_vals):
         nonlocal best
         px, mu = (g.ravel() for g in np.meshgrid(px_vals, mu_vals, indexing="ij"))
-        batch = evaluate_points(channel, cfg.calib, 1.0 - px, px, mu, mu,
+        batch = evaluate_points(channel, cfg.calib, px, mu, mu,
                                 arm_transmittance(channel), cfg.security, (block,),
                                 baseline=mode == "baseline")
         feasible = np.flatnonzero(batch.feasible)
@@ -344,11 +344,11 @@ class TestBatchedScan:
             monkeypatch.setattr(module, name, recorded)
 
         def evaluated(*args, **kwargs):
-            points = np.broadcast(args[3], args[4]).size // (n_px * n_mu)
-            passes.append({"points": points, "asymptotic": args[8] == (ASYMPTOTIC,),
+            points = np.broadcast(args[2], args[3]).size // (n_px * n_mu)
+            passes.append({"points": points, "asymptotic": args[7] == (ASYMPTOTIC,),
                            "virtual_intensity_array": [], "heralding_arrays": [],
                            "expectation_upper": [], "_solve": [], "_mean_count": [],
-                           "binary_entropy": []})
+                           "asymptotic_phase_error": [], "binary_entropy": []})
             return evaluate_points(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "evaluate_points", evaluated)
@@ -357,6 +357,7 @@ class TestBatchedScan:
         spy(phase_error, "expectation_upper", lambda args, _: np.size(args[0]))
         spy(chernoff, "_solve", lambda args, _: np.size(args[3]))
         spy(phase_error, "_mean_count", lambda _, mean: np.size(mean))
+        spy(pipeline, "asymptotic_phase_error", lambda _, e_ph: np.size(e_ph))
         spy(keyrate, "binary_entropy", lambda args, _: np.size(args[0]))
         run_scan(cfg)
         assert len(passes) == 2 * 2  # rounds x (finite, asymptotic)
@@ -367,7 +368,8 @@ class TestBatchedScan:
             assert p["heralding_arrays"] == [s * n_mu]
             assert p["expectation_upper"] == ([] if asymptotic else [s * n_px + grid])
             assert p["_solve"] == ([] if asymptotic else [s * n_px + grid, grid])
-            assert p["_mean_count"] == [s * n_mu if asymptotic else grid]
+            assert p["_mean_count"] == ([] if asymptotic else [grid])
+            assert p["asymptotic_phase_error"] == ([s * n_mu] if asymptotic else [])
             assert p["binary_entropy"] == [grid, s * n_mu if asymptotic else grid]
         # Both modes share each pass: 3 distances x 2 modes x 2 finite
         # blocks, and 3 distances x 2 modes at the asymptotic block.
@@ -417,7 +419,7 @@ class TestBatchedScan:
 
         def counted(*args, **kwargs):
             # Candidates of the pass: its px broadcast against its mu.
-            calls.append(np.broadcast(args[3], args[4]).size)
+            calls.append(np.broadcast(args[2], args[3]).size)
             return evaluate_points(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "evaluate_points", counted)
@@ -638,7 +640,7 @@ class TestMcReport:
             return real(*args, **kwargs)
 
         def simulated(*args):
-            drawn.append(args[7])
+            drawn.append(args[6])
             return real_simulate(*args)
 
         monkeypatch.setattr(scsqkd.channel, "heralding_arrays", counted)

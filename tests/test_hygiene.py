@@ -152,21 +152,35 @@ def test_every_record_rejects_a_field_only_through_check():
     assert [where for where, raises, checks in records if raises or not checks] == []
 
 
-def test_no_function_below_the_records_takes_a_mode_name():
-    # Below the records the heralding mode is the boolean baseline column;
-    # only optimize, a one-point entry that builds a ProtocolParams, takes
-    # the name (ProtocolParams's mode is a field, no parameter in the source).
+def _functions_taking(parameter: str, modules: tuple[str, ...]) -> list[str]:
+    """``module.function`` of each function (or lambda) in ``modules`` with a
+    parameter named ``parameter``."""
     named = []
-    for module in ("channel", "pipeline", "optimizer"):
+    for module in modules:
         path = Path(scsqkd.__file__).parent / f"{module}.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 args = node.args
                 params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
                           *filter(None, (args.vararg, args.kwarg))]
-                if any(param.arg == "mode" for param in params):
+                if any(param.arg == parameter for param in params):
                     named.append(f"{module}.{getattr(node, 'name', 'lambda')}")
-    assert named == ["optimizer.optimize"]
+    return named
+
+
+def test_no_function_below_the_records_takes_a_mode_name():
+    # Below the records the heralding mode is the boolean baseline column;
+    # only optimize, a one-point entry that builds a ProtocolParams, takes
+    # the name (ProtocolParams's mode is a field, no parameter in the source).
+    assert _functions_taking("mode", ("channel", "pipeline", "optimizer")) == [
+        "optimizer.optimize"]
+
+
+def test_no_function_below_the_records_takes_p0():
+    # px alone is the source choice below ProtocolParams: each function that
+    # needs p0 derives 1 - px, so no unchecked (p0, px) pair can be passed.
+    assert _functions_taking("p0", ("channel", "phase_error", "pipeline",
+                                    "optimizer", "mc_oracle")) == []
 
 
 def test_every_exported_name_is_used_outside_tests():

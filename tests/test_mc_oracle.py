@@ -57,11 +57,11 @@ class TestSimConfig:
 
     def test_rows_must_pair_up(self):
         # A short sequence must not drop rows silently.
-        p0 = px = np.array([0.5, 0.5])
+        px = np.array([0.5, 0.5])
         arrays = _heralding_inputs([PROTO, PROTO], [CHANNEL, CHANNEL])
-        for rows in ((p0, px, *arrays, [10, 10], [1]),
-                     (p0, px, *arrays, [10], [1, 2]),
-                     (p0[:1], px[:1], *arrays, [10, 10], [1, 2])):
+        for rows in ((px, *arrays, [10, 10], [1]),
+                     (px, *arrays, [10], [1, 2]),
+                     (px[:1], *arrays, [10, 10], [1, 2])):
             with pytest.raises(ValueError, match="per-row inputs must have one length"):
                 simulate_arrays(*rows)
 
@@ -74,14 +74,14 @@ class TestSimConfig:
         proto = ProtocolParams(p0=0.5, px=0.5, mu_xA=1.0, mu_xB=1.0, N=1000,
                                mode="baseline")
         channel = ChannelParams(0.0, 0.2, 0.5, 1e-3, 0.04)
-        p0 = px = np.array([0.5, 0.5])
+        px = np.array([0.5, 0.5])
         arrays = dict(zip(("mu_A", "mu_B", "eta", "e_d", "p_d", "baseline"),
                           _heralding_inputs([proto, proto], [channel, channel])))
-        (_, n_B, _), _ = simulate_arrays(p0, px, **arrays, windows=[1000] * 2, seeds=[1, 2])
+        (_, n_B, _), _ = simulate_arrays(px, **arrays, windows=[1000] * 2, seeds=[1, 2])
         assert n_B > 0
         arrays[name] = arrays[name][:1]
         with pytest.raises(ValueError, match="per-row inputs must have one length"):
-            simulate_arrays(p0, px, **arrays, windows=[1000] * 2, seeds=[1, 2])
+            simulate_arrays(px, **arrays, windows=[1000] * 2, seeds=[1, 2])
 
 
 class TestSimulate:
@@ -180,7 +180,7 @@ def _heralding_inputs(protocols, channels):
 def _simulate_rows(protocols, channels, seeds):
     """``simulate_arrays`` on (protocol, channel, seed) rows, as tallies."""
     return [WindowTally(*tally) for tally in simulate_arrays(
-        *np.array([[p.p0 for p in protocols], [p.px for p in protocols]]),
+        np.array([p.px for p in protocols]),
         *_heralding_inputs(protocols, channels), [p.N for p in protocols], seeds)]
 
 

@@ -36,7 +36,7 @@ def test_mutants_are_killed_survive_or_are_allowed(tmp_path, monkeypatch, capsys
     tests = tmp_path / "tests"
     tests.mkdir()
     (tests / "test_mod.py").write_text(TESTS)
-    assert mutants.importing_tests(package, "mod", MODULE, tests) == [tests / "test_mod.py"]
+    assert mutants.selected_tests(package, "mod", MODULE, tests) == [tests / "test_mod.py"]
     line = "if not lazy and x >= 0:"
     keys = [f"mod.grow: {change} | {line}" for change in
             ("drop `not`", "`and` -> `or`", "`>=` -> `<`", "`0` -> `1`")]
@@ -70,3 +70,13 @@ def test_every_allowed_mutant_is_still_in_the_source():
         module, _, function = key.partition(": ")[0].partition(".")
         source = (ROOT / mutants.PACKAGE / f"{module}.py").read_text(encoding="utf-8")
         assert key in {m.key for m in mutants.mutants(source, module, function)}, key
+
+
+def test_selection_always_includes_the_pinned_outputs():
+    # The byte pins see every module through the command line: a keyrate
+    # mutant that moves the rates fails them, though they import no keyrate.
+    package = ROOT / mutants.PACKAGE
+    source = (package / "keyrate.py").read_text(encoding="utf-8")
+    selected = mutants.selected_tests(package, "keyrate", source, ROOT / mutants.TESTS)
+    assert ROOT / "tests" / "test_keyrate.py" in selected
+    assert ROOT / "tests" / "test_pinned_outputs.py" in selected

@@ -41,7 +41,7 @@ def _grid_rates(px_vals, mu_vals) -> np.ndarray:
     """Unclamped coherent rates at the feasible points of a (px, mu) grid,
     at 50 km and N = 1e12."""
     px, mu = (g.ravel() for g in np.meshgrid(px_vals, mu_vals, indexing="ij"))
-    batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu,
+    batch = evaluate_points(CHANNEL_50, CALIB, px, mu, mu,
                             arm_transmittance(CHANNEL_50), SECURITY, (1e12,))
     return batch.R_coh_signed[batch.feasible]
 
@@ -258,7 +258,7 @@ class TestIncumbentRule:
         calls = []
         shape = (self.N_PX, self.N_MU)
 
-        def stub(channel, calib, p0, px, mu_A, mu_B, eta, *rest):
+        def stub(channel, calib, px, mu_A, mu_B, eta, *rest):
             sweep = len(calls)
             ids = [point_of[e] for e in eta.ravel().tolist()]
             calls.append((ids, px[:, :, 0], mu_A[:, 0, :]))
@@ -377,7 +377,7 @@ def test_report_fields_equal_re_evaluation(monkeypatch):
 
     def masked(*args, **kwargs):
         batch = evaluate_points(*args, **kwargs)
-        return replace(batch, feasible=batch.feasible & (args[6] != dead))
+        return replace(batch, feasible=batch.feasible & (args[5] != dead))
 
     monkeypatch.setattr(optimizer, "evaluate_points", masked)
     px, mu, report = _search(points, SearchSpace(grid=(6, 6), refine_rounds=2))
@@ -411,9 +411,9 @@ def test_dead_point_is_not_swept_again_and_collapse_still_ends_refinement(monkey
     swept = []
 
     def masked(*args, **kwargs):
-        swept.append(args[6].ravel().tolist())
+        swept.append(args[5].ravel().tolist())
         batch = evaluate_points(*args, **kwargs)
-        return replace(batch, feasible=batch.feasible & (args[6] != eta[2]))
+        return replace(batch, feasible=batch.feasible & (args[5] != eta[2]))
 
     monkeypatch.setattr(optimizer, "evaluate_points", masked)
     _, _, report = _search(points, SearchSpace(grid=(6, 6), refine_rounds=4, shrink=1e10))

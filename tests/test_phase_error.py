@@ -5,12 +5,14 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scsqkd import phase_error
-from scsqkd.channel import ChannelParams, ProtocolParams, WindowTally, arm_transmittance
-from scsqkd.phase_error import decomposition_arrays, phase_error_arrays
+from scsqkd.channel import (MODES, ChannelParams, ProtocolParams, WindowTally, arm_transmittance,
+                            heralding_arrays)
+from scsqkd.phase_error import (asymptotic_phase_error, decomposition_arrays,
+                                phase_error_arrays)
 from scsqkd.pipeline import SecurityConfig, SourceCalibration, evaluate_points
 
 # Frozen oracle: residual coefficient for mu_A = mu_B = 0.1 with default c0,
@@ -29,18 +31,28 @@ def _coeffs(mu_A: float, mu_B: float) -> tuple[float, float, float]:
                  decomposition_arrays(np.array([mu_A]), np.array([mu_B])))
 
 
-def _bound(tally: WindowTally, N: float, p0: float, px: float,
-           coeffs: tuple[float, float, float], log_xi: float | None):
+def _bound(tally: WindowTally, N: float, px: float,
+           coeffs: tuple[float, float, float], log_xi: float):
     """(mean_nO_U, mean_nB_U, mean_Nph_U, Nph_U, e_ph) of one tally."""
     values = phase_error_arrays(np.array([tally.n_O]), np.array([tally.n_B]),
-                                np.array([tally.n_Z]), N, p0, px, *coeffs, log_xi)
+                                np.array([tally.n_Z]), N, px, *coeffs, log_xi)
     return tuple(float(v[0]) for v in values)
 
 
-def _mean_count(n_O: float, n_B: float, N: float, p0: float, px: float,
+def _mean_count(n_O: float, n_B: float, N: float, px: float,
                 coeffs: tuple[float, float, float]) -> float:
-    """Upper bound on the expected phase-error count (the asymptotic path)."""
-    return _bound(WindowTally(n_O, n_B, 1.0), N, p0, px, coeffs, None)[2]
+    """Upper bound on the expected phase-error count of the counts as given."""
+    return float(phase_error._mean_count(np.array([n_O]), np.array([n_B]), N, px,
+                                         *coeffs)[0])
+
+
+def _asymptotic(tally: WindowTally, N: float, px: float,
+                coeffs: tuple[float, float, float]) -> float:
+    """Asymptotic e_ph of a tally taken as exact expected counts over N
+    windows: :func:`asymptotic_phase_error` of its per-window probabilities."""
+    p0 = 1.0 - px
+    return float(asymptotic_phase_error(tally.n_O / (N * p0 * p0), tally.n_B / (N * px * px),
+                                        tally.n_Z / (N * p0 * px), *coeffs))
 
 
 class TestDecompositionCoeffs:
@@ -67,26 +79,27 @@ class TestDecompositionCoeffs:
 class TestMeanPhaseErrorCount:
     def test_zero_counts_leave_only_residual_term(self):
         coeffs = _coeffs(0.1, 0.1)
-        mean = _mean_count(0.0, 0.0, 1e6, 0.5, 0.5, coeffs)
+        mean = _mean_count(0.0, 0.0, 1e6, 0.5, coeffs)
         assert mean == pytest.approx(0.125 * coeffs[2] ** 2 * 1e6, rel=1e-12)
 
     def test_all_six_terms_assembled(self):
         coeffs = _coeffs(0.2, 0.2)
         c0, c1, c2 = coeffs
-        p0, px, big_n, no, nb = 0.7, 0.3, 1e8, 100.0, 400.0
+        px, big_n, no, nb = 0.3, 1e8, 100.0, 400.0
+        p0 = 1.0 - px
         expected = (p0 * px / 2.0) * (
             c0 * c0 / p0 ** 2 * no + c1 * c1 / px ** 2 * nb + c2 * c2 * big_n
             + 2 * c0 * c1 / (p0 * px) * math.sqrt(no * nb)
             + 2 * c0 * c2 / p0 * math.sqrt(big_n * no)
             + 2 * c1 * c2 / px * math.sqrt(big_n * nb))
-        assert _mean_count(no, nb, big_n, p0, px, coeffs) == pytest.approx(
+        assert _mean_count(no, nb, big_n, px, coeffs) == pytest.approx(
             expected, rel=1e-14)
 
     def test_monotone_in_observed_counts(self):
         coeffs = _coeffs(0.1, 0.1)
-        base = _mean_count(10.0, 20.0, 1e8, 0.5, 0.5, coeffs)
-        assert _mean_count(20.0, 20.0, 1e8, 0.5, 0.5, coeffs) > base
-        assert _mean_count(10.0, 40.0, 1e8, 0.5, 0.5, coeffs) > base
+        base = _mean_count(10.0, 20.0, 1e8, 0.5, coeffs)
+        assert _mean_count(20.0, 20.0, 1e8, 0.5, coeffs) > base
+        assert _mean_count(10.0, 40.0, 1e8, 0.5, coeffs) > base
 
 
 def _mp_mean_count(n_O, n_B, N, p0, px, c0, c1, c2):
@@ -107,15 +120,60 @@ _COUNTS = st.one_of(st.just(0.0), st.floats(0.0, 1e15),
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(n_O=_COUNTS, n_B=_COUNTS, N=st.floats(0.0, 15.0).map(lambda e: 10.0 ** e),
-       p0=st.floats(0.01, 0.99), px=st.floats(0.01, 0.99),
-       mu_A=st.floats(1e-4, 1.1), mu_B=st.floats(1e-4, 1.1))
-def test_mean_count_against_mpmath(n_O, n_B, N, p0, px, mu_A, mu_B):
+       px=st.floats(0.01, 0.99), mu_A=st.floats(1e-4, 1.1), mu_B=st.floats(1e-4, 1.1))
+def test_mean_count_against_mpmath(n_O, n_B, N, px, mu_A, mu_B):
     # Every term is nonnegative, so the square form loses nothing to
-    # cancellation over the real range of counts and block sizes.
+    # cancellation over the real range of counts and block sizes.  The
+    # reference takes the p0 = 1 - px that the bound derives, as a float.
     coeffs = _coeffs(mu_A, mu_B)
-    got = _mean_count(n_O, n_B, N, p0, px, coeffs)
-    expected = _mp_mean_count(n_O, n_B, N, p0, px, *coeffs)
+    got = _mean_count(n_O, n_B, N, px, coeffs)
+    expected = _mp_mean_count(n_O, n_B, N, 1.0 - px, px, *coeffs)
     assert abs(got - expected) <= 2e-15 * expected
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mu_A=_log_uniform(1e-4, 0.63), mu_B=_log_uniform(1e-4, 0.63),
+       p_O=_log_uniform(1e-11, 1e-5), p_B=_log_uniform(1e-12, 1.0),
+       p_Z=_log_uniform(1e-12, 1.0))
+@example(mu_A=0.63, mu_B=0.63, p_O=1e-5, p_B=1.0, p_Z=1e-12)    # far past 1/2
+@example(mu_A=1e-4, mu_B=1e-4, p_O=1e-11, p_B=1e-3, p_Z=1e-3)   # just past 1/2
+@example(mu_A=1e-4, mu_B=0.63, p_O=1e-11, p_B=1e-12, p_Z=1.0)   # far below it
+def test_asymptotic_phase_error_against_mpmath(mu_A, mu_B, p_O, p_B, p_Z):
+    # The closed form min((c0 sqrt(p_O) + c1 sqrt(p_B) + c2)^2 / (2 p_Z), 1/2)
+    # at 50 digits on the same float inputs.  The coefficients are inputs
+    # here, passed to both sides as given.  Every term is nonnegative, so
+    # nothing cancels.
+    c0, c1, c2 = _coeffs(mu_A, mu_B)
+    got = float(asymptotic_phase_error(np.array([p_O]), np.array([p_B]), np.array([p_Z]),
+                                       c0, c1, c2)[0])
+    with mpmath.workdps(50):
+        root = (mpmath.mpf(c0) * mpmath.sqrt(p_O) + mpmath.mpf(c1) * mpmath.sqrt(p_B)
+                + mpmath.mpf(c2))
+        expected = min(root ** 2 / (2 * mpmath.mpf(p_Z)), mpmath.mpf(0.5))
+    assert abs(got - expected) <= 1e-14 * expected
+    assert got <= 0.5
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_asymptotic_pass_takes_e_ph_from_the_closed_form(mode):
+    # On an asymptotic (point, px, mu) pass, e_ph is asymptotic_phase_error
+    # of the pass's heralding probabilities and coefficients, bit for bit.
+    channel = ChannelParams(0.0, 0.2, 0.3, 1e-9, 0.04)
+    eta = np.array([arm_transmittance(replace(channel, distance_km=d))
+                    for d in (0.0, 100.0, 300.0)])[:, None, None]
+    px = np.broadcast_to(np.linspace(0.01, 0.99, 6)[None, :, None], (3, 6, 1))
+    mu = np.geomspace(1e-4, 1.0, 8)[None, None, :]
+    batch = evaluate_points(channel, SourceCalibration(), px, mu, mu, eta,
+                            SecurityConfig(), ("asymptotic",), baseline=mode == "baseline")
+    probs = heralding_arrays(mu, mu, eta, channel.e_d, channel.p_d, mode == "baseline")
+    mu_v = batch.mu_virtual_A
+    want = asymptotic_phase_error(*probs, *decomposition_arrays(mu_v, mu_v))
+    assert batch.feasible.any() and (probs[2] > 0.0).all()
+    assert batch.e_ph.shape == want.shape and batch.e_ph.tobytes() == want.tobytes()
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -130,19 +188,19 @@ def test_asymptotic_e_ph_is_constant_along_px(distances, p_d, e_d, mode):
                     for d in distances])[:, None, None]
     px = np.linspace(0.01, 0.99, 20)[None, :, None]
     mu = np.geomspace(1e-4, 1.0, 20)[None, None, :]
-    batch = evaluate_points(channel, SourceCalibration(), 1.0 - px, px, mu, mu, eta,
+    batch = evaluate_points(channel, SourceCalibration(), px, mu, mu, eta,
                             SecurityConfig(), ("asymptotic",), baseline=mode == "baseline")
     assert batch.feasible.any()
     assert ((batch.e_ph == batch.e_ph[:, :1]) | ~batch.feasible).all()
 
 
 class TestPhaseErrorRateUpper:
-    N, P0, PX = 1e10, 0.8, 0.2
+    N, PX = 1e10, 0.2
     COEFFS = _coeffs(0.01, 0.01)
     TALLY = WindowTally(5.0, 50.0, 1e6)
 
-    def _bound_of(self, tally: WindowTally, log_xi: float | None):
-        return _bound(tally, self.N, self.P0, self.PX, self.COEFFS, log_xi)
+    def _bound_of(self, tally: WindowTally, log_xi: float):
+        return _bound(tally, self.N, self.PX, self.COEFFS, log_xi)
 
     def test_clamped_at_half(self):
         # Huge error-window counts push the raw ratio far past 0.5.
@@ -150,15 +208,18 @@ class TestPhaseErrorRateUpper:
         assert e_ph == 0.5
 
     def test_asymptotic_uses_counts_verbatim(self):
-        nO_U, nB_U, mean_nph, nph, _ = self._bound_of(self.TALLY, None)
-        assert nO_U == self.TALLY.n_O
-        assert nB_U == self.TALLY.n_B
-        assert nph == mean_nph
+        # With no Chernoff slack the asymptotic e_ph is the mean count of the
+        # exact counts over n_Z, N p0 px cancelling.  At N = 4 and px = 1/2
+        # the counts are the probabilities and every scaling is exact, so the
+        # bits agree.
+        p_O, p_B, p_Z = self.TALLY.n_O, self.TALLY.n_B, self.TALLY.n_Z
+        mean = _mean_count(p_O, p_B, 4.0, 0.5, self.COEFFS)
+        assert _asymptotic(self.TALLY, 4.0, 0.5, self.COEFFS) == mean / p_Z < 0.5
 
     def test_finite_size_slack_dominates_asymptotic(self):
-        asym = self._bound_of(self.TALLY, None)
+        asym = _asymptotic(self.TALLY, self.N, self.PX, self.COEFFS)
         finite = self._bound_of(self.TALLY, math.log(1e-10))
-        assert finite[-1] > asym[-1]
+        assert finite[-1] > asym
         assert finite[0] > self.TALLY.n_O
         assert finite[1] > self.TALLY.n_B
 
@@ -183,9 +244,10 @@ class TestPhaseErrorRateUpper:
                                                ((2, 3, 4), (2, 1, 1)), ((3, 1), (1, 2))])
 def test_finite_bound_is_elementwise_and_takes_log_xi_as_it_is(n_shape, lx_shape,
                                                                monkeypatch):
-    # Each element's bound is that of its own 0-d inputs.  Where log_xi's
-    # last axis has length 1, as a search pass gives it, the n_O and n_B
-    # bounds take log_xi as it is, with no copy at the counts' size.
+    # Each element's bound is that of its own one-element call.  Where
+    # log_xi's last axis has length 1 (or log_xi is 0-d), as a search pass
+    # gives it, the n_O and n_B bounds take log_xi as it is, with no copy at
+    # the counts' size; any other log_xi is rejected before any solve.
     rng = np.random.default_rng(len(n_shape))
     n_O, n_B = rng.uniform(0.0, 100.0, n_shape), rng.uniform(0.0, 1000.0, n_shape)
     log_xi = -rng.uniform(10.0, 50.0, lx_shape)
@@ -194,12 +256,26 @@ def test_finite_bound_is_elementwise_and_takes_log_xi_as_it_is(n_shape, lx_shape
     real = phase_error.expectation_upper
     monkeypatch.setattr(phase_error, "expectation_upper",
                         lambda counts, lx: seen.append(np.shape(lx)) or real(counts, lx))
-    out = phase_error_arrays(n_O, n_B, 1e6, 1e10, 0.8, 0.2, *coeffs, log_xi)
-    if lx_shape[-1:] in ((), (1,)):
-        assert seen == [lx_shape]
+    if lx_shape[-1:] not in ((), (1,)):
+        with pytest.raises(ValueError, match="pass layout"):
+            phase_error_arrays(n_O, n_B, 1e6, 1e10, 0.2, *coeffs, log_xi)
+        assert seen == []
+        return
+    out = phase_error_arrays(n_O, n_B, 1e6, 1e10, 0.2, *coeffs, log_xi)
+    assert seen == [lx_shape]
     shape = np.broadcast_shapes(n_shape, lx_shape)
     for idx in np.ndindex(shape):
-        one = phase_error_arrays(*(np.broadcast_to(x, shape)[idx] for x in (n_O, n_B)),
-                                 1e6, 1e10, 0.8, 0.2, *coeffs,
-                                 np.broadcast_to(log_xi, shape)[idx])
-        assert [np.broadcast_to(x, shape)[idx] for x in out] == list(one)
+        one = phase_error_arrays(*(np.broadcast_to(x, shape)[idx][None] for x in (n_O, n_B)),
+                                 1e6, 1e10, 0.2, *coeffs,
+                                 np.broadcast_to(log_xi, shape)[idx][None])
+        assert [np.broadcast_to(x, shape)[idx] for x in out] == [v[0] for v in one]
+
+
+@pytest.mark.parametrize("o_shape, b_shape", [((), ()), ((3, 1), (2, 4)), ((4,), (1, 4))],
+                         ids=["0-d", "leading-axes-differ", "ndim-differs"])
+def test_counts_outside_the_pass_layout_are_rejected(o_shape, b_shape):
+    # The flat join of other layouts is gone: they raise, never join another way.
+    coeffs = _coeffs(0.01, 0.01)
+    with pytest.raises(ValueError, match="pass layout"):
+        phase_error_arrays(np.ones(o_shape), np.ones(b_shape), 1e6, 1e10, 0.2, *coeffs,
+                           -20.0)

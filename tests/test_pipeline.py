@@ -36,7 +36,7 @@ def _sweep():
                                          ("asymptotic", "baseline")])
 def test_batch_equals_evaluate_point(block, mode):
     px, mu = _sweep()
-    batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu,
+    batch = evaluate_points(CHANNEL_50, CALIB, px, mu, mu,
                             arm_transmittance(CHANNEL_50), SecurityConfig(), (block,),
                             baseline=mode == "baseline")
     raised = np.zeros(px.size, dtype=bool)
@@ -62,7 +62,7 @@ def test_rows_derive_like_the_pass(block):
     # A row holds floats, and its clamped rates and E_Z are those of the
     # pass: one derivation serves both shapes.
     px, mu = _sweep()
-    batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu,
+    batch = evaluate_points(CHANNEL_50, CALIB, px, mu, mu,
                             arm_transmittance(CHANNEL_50), SecurityConfig(), (block,))
     assert ((batch.R_coh == 0.0) & batch.feasible).any()
     for i in np.flatnonzero(batch.feasible).tolist():
@@ -79,7 +79,8 @@ def test_mixed_batch_equals_evaluate_point(first):
     # One finite and one asymptotic pass over candidates at four distances,
     # three block sizes and both modes, interleaved; each candidate's block
     # size is an index into the distinct ones, and its mode is ``first`` at
-    # 0 in the pattern and the other mode at 1, as a baseline column.
+    # 0 in the pattern and the other mode at 1, as a baseline column.  Each
+    # candidate is a row of its own, the finite layout a search pass gives.
     px, mu = _sweep()
     channels = [replace(CHANNEL_50, distance_km=d) for d in (0.0, 50.0, 150.0, 400.0)]
     blocks = (1e10, 1e12, 1e14)
@@ -88,17 +89,19 @@ def test_mixed_batch_equals_evaluate_point(first):
     mode_index = which // 12 % 2  # every (distance, block) pair in both modes
     baseline = np.array([mode == "baseline" for mode in modes])[mode_index]
     eta = np.array([arm_transmittance(c) for c in channels])[which % 4]
+    m = mu[:, None]
     for block_size, block, sizes in ((blocks, which % 3, blocks),
-                                     (("asymptotic",), 0, ("asymptotic",) * 3)):
-        batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu, eta,
-                                SecurityConfig(), block_size, block, baseline)
+                                     (("asymptotic",), 0 * which, ("asymptotic",) * 3)):
+        batch = evaluate_points(CHANNEL_50, CALIB, px[:, None], m, m, eta[:, None],
+                                SecurityConfig(), block_size, block[:, None],
+                                baseline[:, None])
         for i in np.flatnonzero(batch.feasible).tolist():
             proto = ProtocolParams(p0=1.0 - px[i], px=px[i], mu_xA=mu[i], mu_xB=mu[i],
                                    N=1, mode=modes[mode_index[i]])
             assert evaluate_point(channels[i % 4], CALIB, proto, SecurityConfig(),
-                                  sizes[i % 3]) == batch.row(i)
+                                  sizes[i % 3]) == batch.row((i, 0))
         assert batch.feasible.sum() > 300
-        assert set(mode_index[batch.feasible].tolist()) == {0, 1}
+        assert set(mode_index[batch.feasible[:, 0]].tolist()) == {0, 1}
 
 
 @pytest.mark.parametrize("block", [1e10, "asymptotic"])
@@ -114,7 +117,7 @@ def test_mixed_edge_batch_equals_one_candidate_calls(block):
     channel = replace(CHANNEL_50, p_d=0.0)
 
     def fields(s):  # each field of the pass over the candidates s, as bytes
-        batch = evaluate_points(channel, CALIB, 1.0 - px[s], px[s], mu[s], mu[s],
+        batch = evaluate_points(channel, CALIB, px[s], mu[s], mu[s],
                                 np.array(eta)[s], SecurityConfig(), (block,), 0,
                                 mode[s] == 1)
         return batch, [[v.tobytes() for v in f] for f in
@@ -138,7 +141,7 @@ def test_each_party_keeps_its_own_source_bounds():
     eta = arm_transmittance(CHANNEL_50)
     for calib in (CALIB, SourceCalibration(1.0 - 1e-8, 1.0 - 1e-6)):
         for mu_B in (mu, mu[::-1].copy()):
-            batch = evaluate_points(CHANNEL_50, calib, 1.0 - px, px, mu, mu_B, eta,
+            batch = evaluate_points(CHANNEL_50, calib, px, mu, mu_B, eta,
                                     SecurityConfig(), (1e12,))
             for got, x, bound in ((batch.mu_virtual_A, mu, calib.av0),
                                   (batch.mu_virtual_B, mu_B, calib.bv0)):
@@ -146,7 +149,7 @@ def test_each_party_keeps_its_own_source_bounds():
                     x, bound, calib.fluct)[0].tolist()
     # A candidate is feasible only where both parties' mappings exist.
     mu_A, mu_B = np.array([0.01, 0.9, 0.01]), np.array([0.9, 0.01, 0.02])
-    batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu_A, mu_B, eta,
+    batch = evaluate_points(CHANNEL_50, CALIB, px, mu_A, mu_B, eta,
                             SecurityConfig(), (1e12,))
     assert batch.feasible.tolist() == [False, False, True]
 
@@ -158,9 +161,9 @@ def test_asymptotic_counts_are_one_window(mode):
     px = np.array([0.1, 0.4])
     mu = np.array([0.01, 0.2])
     eta, baseline = arm_transmittance(CHANNEL_50), mode == "baseline"
-    batch = evaluate_points(CHANNEL_50, CALIB, 1.0 - px, px, mu, mu, eta,
+    batch = evaluate_points(CHANNEL_50, CALIB, px, mu, mu, eta,
                             SecurityConfig(), ("asymptotic",), baseline=baseline)
-    want = tally_arrays(1.0 - px, px, 1.0, *heralding_arrays(
+    want = tally_arrays(px, 1.0, *heralding_arrays(
         mu, mu, eta, CHANNEL_50.e_d, CHANNEL_50.p_d, baseline))
     assert [f.tolist() for f in (batch.n_O, batch.n_B, batch.n_Z)] == [
         np.broadcast_to(w, px.shape).tolist() for w in want]
@@ -174,7 +177,7 @@ def test_underflowed_n_z_keeps_half_phase_error():
     px = np.array([[0.01], [0.5]])
     mu = np.array([1e-300])
     batch = evaluate_points(replace(CHANNEL_50, p_d=0.0), SourceCalibration(1.0, 1.0),
-                            1.0 - px, px, mu, mu, 1e-22, SecurityConfig(), ("asymptotic",))
+                            px, mu, mu, 1e-22, SecurityConfig(), ("asymptotic",))
     assert batch.n_Z[0, 0] == 0.0 < batch.n_Z[1, 0]
     assert batch.e_ph.tolist() == [[0.5], [0.0]]
     assert batch.R_coh_signed[0, 0] == -np.inf
@@ -210,8 +213,9 @@ MONO_MU = np.geomspace(1e-3, 0.5, 8)
 def _clamped_rates(channel, calib, eta) -> np.ndarray:
     """R_coh in improved mode on the grid, 0 where infeasible, on the axes
     (block: 1e10, 1e12, asymptotic; eta; px; mu)."""
-    args = (channel, calib, 1.0 - MONO_PX, MONO_PX, MONO_MU, MONO_MU, eta,
-            SecurityConfig())
+    # px spans the eta axis, as in a search pass's (point, px, mu) layout.
+    px = np.broadcast_to(MONO_PX, (len(eta), *MONO_PX.shape))
+    args = (channel, calib, px, MONO_MU, MONO_MU, eta, SecurityConfig())
     finite = evaluate_points(*args, (1e10, 1e12), np.array([0, 1])[:, None, None, None])
     asymptotic = evaluate_points(*args, ("asymptotic",))
     rates = [np.where(b.feasible, b.R_coh, 0.0) for b in (finite, asymptotic)]
@@ -262,7 +266,7 @@ def test_malformed_sizes_are_named(sizes):
     # conversion and an IndexError.
     one = np.array([0.1])
     with pytest.raises(ValueError, match=r"^sizes must"):
-        evaluate_points(CHANNEL_50, CALIB, 1.0 - one, one, one, one,
+        evaluate_points(CHANNEL_50, CALIB, one, one, one,
                         arm_transmittance(CHANNEL_50), SecurityConfig(), sizes)
 
 
@@ -279,7 +283,7 @@ def test_every_field_finite_at_the_largest_block(d, km, mode):
     # the suite turns RuntimeWarnings into errors, so no term may overflow.
     channel = replace(CHANNEL_50, distance_km=km)
     px, mu = np.meshgrid(np.linspace(0.01, 0.99, 20), np.geomspace(1e-4, 1.0, 20))
-    report = evaluate_points(channel, CALIB, 1.0 - px, px, mu, mu,
+    report = evaluate_points(channel, CALIB, px, mu, mu,
                              arm_transmittance(channel), SecurityConfig(d=d),
                              (pipeline.MAX_BLOCK,), baseline=mode == "baseline")
     assert report.feasible.any()
@@ -340,7 +344,8 @@ def test_scan_phase_error_mean_keeps_observed_upper_off_the_checked_loop(log_n, 
     is at least |ln xi|.  So observed_upper sees t <= 1/2, inside its
     no-straggler range, and a pass never enters the checked loop."""
     channel = replace(CHANNEL_50, distance_km=km)
-    px = np.linspace(0.01, 0.99, 20).reshape(1, -1, 1)
+    # Two points, one per mode, in a search pass's (point, px, mu) layout.
+    px = np.broadcast_to(np.linspace(0.01, 0.99, 20).reshape(1, -1, 1), (2, 20, 1))
     mu = np.geomspace(1e-4, 1.0, 20).reshape(1, 1, -1)
     seen = []
     real = phase_error.observed_upper
@@ -355,7 +360,7 @@ def test_scan_phase_error_mean_keeps_observed_upper_off_the_checked_loop(log_n, 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(phase_error, "observed_upper", spy)
         patch.setattr(chernoff, "_newton", straggled)
-        evaluate_points(channel, CALIB, 1.0 - px, px, mu, mu, arm_transmittance(channel),
+        evaluate_points(channel, CALIB, px, mu, mu, arm_transmittance(channel),
                         SecurityConfig(), (10.0 ** log_n,),
                         baseline=np.array([False, True]).reshape(-1, 1, 1))
     [(mean, log_xi)] = seen

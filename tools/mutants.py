@@ -22,7 +22,10 @@ Only the operator or constant's own characters are replaced, so every
 other line keeps its text and number.  Each mutant is written into a copy of
 the package in a temporary directory, and pytest runs the tests against it
 (``-x``, the copy first on the path): the test files under ``TESTS`` that
-import the module, or a name it defines, from the package ``PACKAGE``.
+import the module, or a name it defines, from the package ``PACKAGE``, and
+always the files of ``ALWAYS`` (the byte pins of every scan output, ~1 s a
+mutant), which see a module's mutants through the command line even where
+they import nothing of it.
 A mutant is killed when the tests fail or time out (ten times the
 unmutated run, at least a minute) and survives when they pass; a test run
 may use at most ``MEMORY`` bytes of address space, so a mutant that loops
@@ -52,6 +55,7 @@ from typing import NamedTuple
 
 PACKAGE = "src/scsqkd"
 TESTS = "tests"
+ALWAYS = ("test_pinned_outputs.py",)
 MEMORY = 3 * 2 ** 30
 
 # Equivalent mutants: key -> why nothing observable changes.
@@ -62,7 +66,7 @@ ALLOWED = {
     "phase_error._mean_count: `5e-324` -> `1e-323` | return np.maximum(p0 * px / 2.0, "
     "5e-324) * (":
     "the floor acts only where px <= 1e-323, where sqrt(nB_U) / px is inf (nB_U > 0 "
-    "for every finite block, px = 1 for an asymptotic one), so any positive floor gives inf",
+    "for every finite block, the only kind that calls it), so any positive floor gives inf",
     "optimizer._Incumbents.update: `1` -> `2` | rates = np.where(feasible, "
     "batch.R_coh_signed, -np.inf).reshape(n, -1)":
     "numpy's reshape takes any negative length as the one it works out",
@@ -76,8 +80,8 @@ ALLOWED = {
     "for size in sizes], dtype=bool)":
     "the two kinds' masks swap places, so only the order of the two groups' passes "
     "changes; each point is in one group, and its result depends on no other point",
-    "pipeline.evaluate_points: `1.0` -> `2.0` | e_ph = phase_error_arrays(p_O, p_B, "
-    "np.where(has_p, p_Z, 1.0), 1.0, 1.0,":
+    "pipeline.evaluate_points: `1.0` -> `2.0` | e_ph = asymptotic_phase_error(p_O, p_B, "
+    "np.where(p_Z > 0.0, p_Z, 1.0), *coeffs)":
     "the fill reaches only elements with p_Z = 0 or NaN, where n_Z = p0 px p_Z is 0 or NaN "
     "too, so the has_z mask sets their e_ph to 0.5 and rate to -inf; 2.0 is as finite and "
     "positive as 1.0, so nothing warns",
@@ -93,6 +97,34 @@ ALLOWED = {
     "mc_oracle.simulate_arrays: `*` -> `/` | px_row * p0_row, px_row * px_row]) #2":
     "numpy's multinomial ignores its last probability while it lies in [0, 1] and "
     "takes it as 1 minus the others; px / px is 1.0 for px in (0, 1)",
+    "chernoff._solve: `1` -> `2` | sub = np.reshape(t, -1)[idx]":
+    "numpy's reshape takes any negative length as the one it works out",
+    "chernoff._solve: `1` -> `2` | w.reshape(-1)[idx] = _newton(residual, redo, sub)":
+    "numpy's reshape takes any negative length as the one it works out, and gives the "
+    "same view of w",
+    "chernoff._bound: `1.0` -> `2.0` | if not (np.maximum.reduce(log_xi, axis=None, "
+    "initial=-1.0) < 0.0":
+    "any negative initial gives the same verdict: max(initial, max(log_xi)) < 0 iff "
+    "max(log_xi) < 0, NaN fails with either, and an empty log_xi passes with either",
+    "chernoff._bound: `1.0` -> `2.0` | and np.minimum.reduce(log_xi, axis=None, "
+    "initial=-1.0) > -np.inf):":
+    "any finite initial gives the same verdict: min(initial, min(log_xi)) > -inf iff "
+    "min(log_xi) > -inf, and an empty log_xi passes with either",
+    "chernoff._bound: `1.0` -> `2.0` | if not (np.minimum.reduce(t, axis=None, "
+    "initial=1.0) > 0.0":
+    "any positive initial gives the same verdict: min(initial, min(t)) > 0 iff min(t) > 0, "
+    "and an empty t passes with either",
+    "chernoff._bound: `0.0` -> `1.0` | if not (np.minimum.reduce(t, axis=None, "
+    "initial=1.0) > 0.0":
+    "it only sends passes with some t in (0, 1] through the masks, where the clip to "
+    "[5e-324, _T_MAX] and the copy where t > _T_MAX change no element in (0, _T_MAX], and "
+    "far() runs under errstate(divide, invalid), so nothing warns",
+    "chernoff._bound: `1.0` -> `2.0` | and np.maximum.reduce(t, axis=None, "
+    "initial=1.0) <= _T_MAX):":
+    "any initial <= _T_MAX gives the same verdict: max(initial, max(t)) <= _T_MAX iff "
+    "max(t) <= _T_MAX, and an empty t passes with either",
+    "chernoff._bound: `1.0` -> `2.0` | t = np.clip(t, np.nextafter(0.0, 1.0), _T_MAX)":
+    "np.nextafter(0.0, 2.0) is np.nextafter(0.0, 1.0), the smallest positive double",
     "keyrate.binary_entropy: `1.0` -> `2.0` | if not (x.min(initial=1.0) > 0.0 and "
     "y.min(initial=1.0) > 0.0):":
     "any positive initial gives the same verdict: min(initial, min(x)) > 0 iff min(x) > 0, "
@@ -221,9 +253,9 @@ def apply(source: str, mutant: Mutant) -> str:
     return source
 
 
-def importing_tests(package: Path, module: str, source: str, folder: Path) -> list[Path]:
-    """Test files in ``folder`` that import ``module`` of ``package``, or a
-    top-level name of it from the package."""
+def selected_tests(package: Path, module: str, source: str, folder: Path) -> list[Path]:
+    """Test files in ``folder`` named in ``ALWAYS`` or that import ``module``
+    of ``package``, or a top-level name of it from the package."""
     names = {module}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -233,6 +265,9 @@ def importing_tests(package: Path, module: str, source: str, folder: Path) -> li
     dotted = f"{package.name}.{module}"
     out = []
     for path in sorted(folder.glob("test_*.py")):
+        if path.name in ALWAYS:
+            out.append(path)
+            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if ((isinstance(node, ast.Import) and any(a.name == dotted for a in node.names))
                     or (isinstance(node, ast.ImportFrom) and node.level == 0
@@ -276,7 +311,7 @@ def main(argv=None) -> int:
     package = Path(PACKAGE).resolve()
     target = package / f"{args.module}.py"
     source = target.read_text(encoding="utf-8")
-    tests = importing_tests(package, args.module, source, Path(TESTS))
+    tests = selected_tests(package, args.module, source, Path(TESTS))
     if not tests:
         raise SystemExit(f"no test file imports {args.module}")
     print(f"tests: {' '.join(map(str, tests))}")
