@@ -26,10 +26,10 @@ baseline phase average has the closed form
 ``2q e^{-a} [(I0(c) - 1) + click(a)]`` with ``q = 1 - p_d``, per-detector mean
 ``a = eta (mu_A + mu_B) / 2`` and interference term
 ``c = V eta sqrt(mu_A mu_B)``; every bracketed term is nonnegative.
-``I0(c) - 1`` is a power series for ``c <= 2``.  Above, the exponentially
-scaled ``e^{-c} I0(c)`` comes from ``np.i0`` up to ``c = 700`` and from the
-large-``c`` asymptotic expansion beyond, where ``np.i0`` would overflow.  The
-package needs nothing but numpy at run time.
+``I0(c) - 1`` is its power series.  Every nominal intensity lies in
+``[0, MAX_MU]`` with ``MAX_MU = 1`` and every transmittance in [0, 1], so
+``|c| <= 1`` and the series needs at most ten terms.  The package needs
+nothing but numpy at run time.
 
 A record (here, in ``pipeline`` and in ``optimizer``) rejects a field only
 through :func:`_check`, whose message ``<field> must <requirement>, got
@@ -44,21 +44,11 @@ import numpy as np
 
 MODES = ("improved", "baseline")
 
-# Below this interference term the power series of I0(c) - 1 is used; it
-# needs at most 12 terms there.
-_I0_SERIES_MAX = 2.0
-
-# Above this interference term np.i0 (which overflows past ~709) gives way to
-# the asymptotic expansion of e^{-c} I0(c).
-_I0_DIRECT_MAX = 700.0
-
-# Coefficients ((2k-1)!!)^2 / (k! 8^k) of the expansion
-# e^{-c} I0(c) ~ (2 pi c)^{-1/2} sum_k coef_k c^{-k}, highest power first for
-# np.polyval; each is exact in binary.  At c >= 700 the k = 7 term is
-# below 1e-19 of the sum.
-_I0E_ASYMPTOTIC = tuple(reversed([
-    1.0, 1 / 8, 9 / 128, 75 / 1024, 3675 / 32768, 59535 / 262144,
-    2401245 / 4194304, 57972915 / 33554432]))
+# Largest nominal intensity, in photons per pulse.  The mapping certifies a
+# source only while e^{-(1 + fluct) mu} >= 1/2, so every feasible mu lies below
+# ln 2; capping at 1 keeps the default search box valid, and with a
+# transmittance <= 1 it keeps every interference term |c| <= 1.
+MAX_MU = 1.0
 
 
 def _check(config, checks) -> None:
@@ -104,8 +94,8 @@ class ProtocolParams:
         # Each check is written so that NaN fails it.
         _check(self, (("p0", abs(self.p0 + self.px - 1.0) <= 1e-12, "equal 1 - px"),
                       ("px", 0.0 < self.px < 1.0, "lie in (0, 1)"),
-                      ("mu_xA", self.mu_xA >= 0.0, "be nonnegative"),
-                      ("mu_xB", self.mu_xB >= 0.0, "be nonnegative"),
+                      ("mu_xA", 0.0 <= self.mu_xA <= MAX_MU, f"lie in [0, {MAX_MU:g}]"),
+                      ("mu_xB", 0.0 <= self.mu_xB <= MAX_MU, f"lie in [0, {MAX_MU:g}]"),
                       ("N", self.N >= 1, "be >= 1"),
                       ("mode", self.mode in MODES, f"be one of {MODES}")))
 
@@ -202,47 +192,23 @@ def effective_prob(nu_L, nu_R, p_d: float):
     return click_prob(nu_R, p_d) * (1.0 - p_d) * np.exp(-nu_L)
 
 
-def _i0e(c: np.ndarray) -> np.ndarray:
-    """``e^{-c} I0(c)`` for a 1-d array of ``c > 2``, elementwise.
-
-    ``np.i0(c) e^{-c}`` up to ``_I0_DIRECT_MAX``; the asymptotic expansion
-    in ``1/c`` beyond it.
-    """
-    out = np.empty_like(c)
-    direct = c <= _I0_DIRECT_MAX
-    out[direct] = np.i0(c[direct]) * np.exp(-c[direct])
-    tail = c[~direct]
-    out[~direct] = np.polyval(_I0E_ASYMPTOTIC, 1.0 / tail) / np.sqrt(2.0 * np.pi * tail)
-    return out
-
-
 def _scaled_i0_minus_1(c, a, exp_neg_a):
     """``e^{-a} (I0(c) - 1)`` for ``0 <= c <= a``, elementwise, without cancellation.
 
-    ``exp_neg_a`` is ``np.exp(-a)``, which the caller needs too.
-
-    Small ``c`` sums the series ``sum_k (c^2/4)^k / (k!)^2`` from k = 1, up
-    to the first term below 1e-17 of the sum at the largest ``y = c^2/4``.
-    Each element's term ratio to its partial sum grows with ``y``, so every
-    other element has reached that point no later, and each term it adds
-    beyond it is below half an ulp of its sum and leaves the sum unchanged.
-    Larger ``c`` has ``I0(c) >= 2.2``, so subtracting 1 loses little; there
-    the result is ``e^{c-a} e^{-c} I0(c) - e^{-a}`` with the scaled Bessel
-    function of :func:`_i0e`, which never overflows.  That branch runs only
-    on the elements that need it.  ``c`` and ``a`` may be 0-d.  Where every
-    ``c`` takes the series, the largest ``y`` is that of the largest ``c``
-    (rounded products are monotone), so no mask is formed.
+    ``exp_neg_a`` is ``np.exp(-a)``, which the caller needs too.  The series
+    ``sum_k (c^2/4)^k / (k!)^2`` from k = 1 is summed up to the first term
+    below 1e-17 of the sum at the largest ``y = c^2/4``, which at ``c <= 1``
+    (see ``MAX_MU``) is the tenth.  Each element's term ratio to its partial
+    sum grows with ``y``, so every other element has reached that point no
+    later, and each term it adds beyond it is below half an ulp of its sum
+    and leaves the sum unchanged.  The largest ``y`` is that of the largest
+    ``c`` (rounded products are monotone), taken past NaN, so that a NaN
+    element, whose result is NaN, does not cut every element's series to
+    one term.  ``c`` and ``a`` may be 0-d.
     """
     c = np.asarray(c)
-    c_max = float(np.maximum.reduce(c, axis=None, initial=0.0))
-    if c_max <= _I0_SERIES_MAX:
-        series = None
-        y = 0.25 * c * c
-        y_max = 0.25 * c_max * c_max
-    else:  # also where c holds NaN
-        series = c <= _I0_SERIES_MAX
-        y = np.where(series, 0.25 * c * c, 0.0)
-        y_max = float(np.max(y, initial=0.0))
+    c_max = float(np.fmax.reduce(c, axis=None, initial=0.0))
+    y_max = 0.25 * c_max * c_max
     term = total = y_max
     terms = 1
     while term > 1e-17 * total:
@@ -253,20 +219,10 @@ def _scaled_i0_minus_1(c, a, exp_neg_a):
     # order: the running product, then the running sum, of the rows
     # y / k^2 for k = 1 .. terms (y / 1 is y), in a constant number of
     # array calls.
+    y = 0.25 * c * c
     squares = (np.arange(1.0, terms + 1.0) ** 2).reshape((terms,) + (1,) * y.ndim)
     steps = np.multiply.accumulate(y / squares, axis=0)
-    total = np.add.accumulate(steps, axis=0, out=steps)[-1]
-    out = exp_neg_a * total
-    if series is None:
-        return out
-    large = ~series
-    if large.any():
-        c_large = c[large]
-        a_large = np.broadcast_to(a, c.shape)[large]
-        out = np.array(out)  # writable, also for 0-d inputs
-        out[large] = (np.exp(c_large - a_large) * _i0e(c_large)
-                      - np.broadcast_to(exp_neg_a, c.shape)[large])
-    return out
+    return exp_neg_a * np.add.accumulate(steps, axis=0, out=steps)[-1]
 
 
 def phase_averaged_prob(mu_A, mu_B, eta, e_d: float, p_d: float):
@@ -277,8 +233,8 @@ def phase_averaged_prob(mu_A, mu_B, eta, e_d: float, p_d: float):
     The closed form is ``2q e^{-a} [(I0(c) - 1) + click(a)]`` with
     ``q = 1 - p_d``, ``a = eta (mu_A + mu_B) / 2``, ``c = V eta sqrt(mu_A
     mu_B)`` and ``click(a) = p_d - q expm1(-a)`` (see :func:`click_prob`).
-    The intensities and ``eta`` must be nonnegative; this is not checked
-    here (:func:`heralding_arrays` checks it).
+    The intensities must lie in ``[0, MAX_MU]`` and ``eta`` in [0, 1]; this
+    is not checked here (:func:`heralding_arrays` checks it).
     """
     a = eta * (mu_A + mu_B) / 2.0
     c = abs(visibility(e_d)) * eta * np.sqrt(mu_A * mu_B)
@@ -299,13 +255,17 @@ def heralding_arrays(mu_A, mu_B, eta, e_d: float, p_d: float,
     intensities gives equal Z_A and Z_B probabilities, computed once.  Each
     mode's ``p_B`` is computed on the shape of the intensities and ``eta``
     only if some element has that mode, and where both occur ``np.where``
-    picks each element's.  A ``baseline`` that is not boolean, or does not
-    broadcast with the other inputs, raises ValueError.
+    picks each element's.  An intensity outside ``[0, MAX_MU]``, a
+    transmittance outside [0, 1], or a ``baseline`` that is not boolean or
+    does not broadcast with the other inputs, raises ValueError.
     """
-    # initial=0.0 lets empty arrays pass and leaves every other verdict as is.
     arrays = (mu_A, eta) if mu_B is mu_A else (mu_A, mu_B, eta)
-    if min(np.minimum.reduce(x, axis=None, initial=0.0) for x in arrays) < 0.0:
-        raise ValueError("intensities and transmittance must be nonnegative")
+    # initial=0.0 lets empty arrays pass and leaves every other verdict as
+    # is; NaN passes, without hiding another element; MAX_MU, 1, is also the
+    # largest transmittance.
+    if any(np.fmin.reduce(x, axis=None, initial=0.0) < 0.0
+           or np.fmax.reduce(x, axis=None, initial=0.0) > MAX_MU for x in arrays):
+        raise ValueError(f"intensities and transmittance must lie in [0, {MAX_MU:g}]")
     baseline = np.asarray(baseline)
     try:
         if baseline.dtype != bool:

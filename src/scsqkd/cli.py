@@ -12,8 +12,8 @@ feasible rows' own arrays, those two among them, to
 checks it needs are made here: ``load_config`` checks the seed (each row's
 seed wraps modulo 2**64) and the window count, as ``mc_oracle.simulate``
 does for one run, the search keeps px in (0, 1), and
-``heralding_arrays``, which gives the expected counts first, rejects a
-negative intensity or transmittance.
+``heralding_arrays``, which gives the expected counts first, rejects an
+intensity or transmittance outside [0, 1].
 """
 from __future__ import annotations
 

@@ -13,7 +13,9 @@ other window's, and heralds on exactly one click; its heralded count is
 therefore ``Binomial(count_B, p_bar)``, where ``p_bar`` is the phase average
 of the exactly-one-click probability.  The integrand is periodic and
 analytic in the phase, so the trapezoid rule over equispaced phases
-converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
+converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 385 (2014));
+at the interference terms ``c <= 1`` that capped intensities allow, one grid
+of 64 phases is exact to rounding.
 
 Every heralding probability is combined here from the channel model's
 detector means (``detector_means``) and click probability (``click_prob``),
@@ -22,10 +24,10 @@ stays independent.
 
 ``simulate_arrays`` is the array core; it checks only its row counts.
 :func:`simulate`, the one-row call, checks the seed and window count, and
-its records check every other range (the nonnegative intensities and
-transmittance that ``detector_means`` needs among them).  ``scsqkd scan
---mc-validate`` calls the core with the scan's own arrays, and the ``cli``
-module docstring says where its checks are made.
+its records check every other range (intensities and transmittance in
+[0, 1] among them).  ``scsqkd scan --mc-validate`` calls the core with the
+scan's own arrays, and the ``cli`` module docstring says where its checks
+are made.
 
 All draws of a run come from one counter-based Philox stream keyed on
 (seed, 0), so the output depends only on the inputs.  A call builds one
@@ -36,28 +38,27 @@ outlives the call.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .channel import (ChannelParams, ProtocolParams, WindowTally, arm_transmittance,
-                      click_prob, detector_means, visibility)
+                      click_prob, detector_means)
 
 # O = both vacuum, Z_A = Alice vacuum / Bob coherent, Z_B the reverse,
 # B = both coherent.
 _KINDS = ("O", "Z_A", "Z_B", "B")
 
-# The phase average of a run with interference term c = V eta sqrt(mu_A mu_B)
-# takes 64 + 2**ceil(log2 c) phases for c > 1, and 64 below.  The exponent
-# stops at 16, which bounds a run's phase grid where c > 65536, intensities
-# of 1e5 photons and more, far beyond any physical source; the capped grid
-# stays within 1.2e-11 of a 50-digit reference at c = 1e6 and 5e-10 at 1e8.
+# The phase average of a B window takes 64 equispaced phases.  At an
+# interference term c = V eta sqrt(mu_A mu_B) <= 1, which the intensity cap
+# channel.MAX_MU and a transmittance <= 1 guarantee, the trapezoid rule over
+# them is exact to rounding.  Their cosines are taken per call, not at
+# import, where the first np.cos raised the peak memory of every scan by
+# ~0.2 MB, also without the Monte Carlo cross-check.
 _PHASES = 64
-_MAX_PHASE_EXPONENT = 16
 
-# Elements of one phase-average block (runs x phases), which bounds memory
-# when many runs or a large c come together.
-_PHASE_BLOCK = 1 << 16
+# Runs per phase-average block: each (runs x phases) temporary of a block
+# stays at 0.5 MB, however many random-phase runs come together (10^5 runs
+# in one block peaked at 392 MiB of traced memory, in these blocks at 6 MiB).
+_ROWS_PER_BLOCK = 1024
 
 
 def require_seed(seed: int) -> None:
@@ -77,45 +78,27 @@ def require_windows(n) -> None:
                              f"[1, 2**63), got {n!r}")
 
 
-def _phase_count(c: float) -> int:
-    """Trapezoid phases for interference term ``c``: ``64 + 2**ceil(log2 c)``
-    for ``c > 1``."""
-    if c <= 1.0:
-        return _PHASES
-    # c = mantissa * 2**exponent with mantissa in [0.5, 1): a power of two
-    # has mantissa 0.5 and needs one doubling less.
-    mantissa, exponent = math.frexp(c)
-    return _PHASES + 2 ** min(exponent - (mantissa == 0.5), _MAX_PHASE_EXPONENT)
-
-
 def _phase_averaged_b_prob(mu_A, mu_B, eta, e_d, p_d) -> np.ndarray:
     """Phase average of a B window's exactly-one-click probability, elementwise
     over 1-d arrays.
 
-    Each element averages ``p_L (1 - p_R) + p_R (1 - p_L)`` over the
-    equispaced phases ``2 pi k / M`` of its own phase count ``M``, so its
-    value does not depend on the other elements.  A detector stays dark with
-    probability ``(1 - p_d) e^{-nu}``, taken directly rather than as
-    ``1 - click_prob``, which would round to 0 where a detector almost surely
-    clicks and lose every digit of a small average.
+    Each element averages ``p_L (1 - p_R) + p_R (1 - p_L)`` over the 64
+    equispaced phases ``2 pi k / 64``, so its value does not depend on the
+    other elements.  A detector stays dark with probability
+    ``(1 - p_d) e^{-nu}``, taken directly rather than as ``1 - click_prob``,
+    which would round to 0 where a detector almost surely clicks and lose
+    every digit of a small average.
     """
-    c = np.abs(visibility(e_d)) * eta * np.sqrt(mu_A * mu_B)
-    groups: dict[int, list[int]] = {}
-    for row, value in enumerate(c.tolist()):
-        groups.setdefault(_phase_count(value), []).append(row)
-    out = np.empty(c.shape)
-    for m, rows in groups.items():
-        cos_delta = np.cos(np.arange(m, dtype=float) * (2.0 * np.pi / m))
-        step = max(1, _PHASE_BLOCK // m)
-        for start in range(0, len(rows), step):
-            block = np.array(rows[start:start + step])
-            sel = block[:, None]
-            nu = np.array(detector_means("B", mu_A[sel], mu_B[sel], eta[sel],
-                                         e_d[sel], cos_delta=cos_delta))
-            p_click = click_prob(nu, p_d[sel])
-            dark = (1.0 - p_d[sel]) * np.exp(-nu)
-            one_click = p_click[0] * dark[1] + p_click[1] * dark[0]
-            out[block] = one_click.sum(axis=1) / m
+    cos_delta = np.cos(np.arange(_PHASES, dtype=float) * (2.0 * np.pi / _PHASES))
+    out = np.empty(len(eta))
+    for start in range(0, len(eta), _ROWS_PER_BLOCK):
+        rows = slice(start, start + _ROWS_PER_BLOCK)
+        mu_a, mu_b, eta_r, e_d_r, p_d_r = (x[rows, None] for x in (mu_A, mu_B, eta, e_d, p_d))
+        nu = np.array(detector_means("B", mu_a, mu_b, eta_r, e_d_r, cos_delta=cos_delta))
+        p_click = click_prob(nu, p_d_r)
+        dark = (1.0 - p_d_r) * np.exp(-nu)
+        one_click = p_click[0] * dark[1] + p_click[1] * dark[0]
+        out[rows] = one_click.sum(axis=1) / _PHASES
     return out
 
 
@@ -152,8 +135,8 @@ def simulate_arrays(px, mu_A, mu_B, eta, e_d, p_d, baseline, windows,
 
     Only row counts are checked: per-row inputs of unequal lengths raise
     ValueError, before any draw.  The caller passes what :func:`simulate`
-    checks for one row: px in (0, 1), nonnegative intensities and
-    transmittance, p_d and e_d in [0, 1], each window count accepted by
+    checks for one row: px in (0, 1), intensities and transmittance in
+    [0, 1], p_d and e_d in [0, 1], each window count accepted by
     :func:`require_windows` and each seed by :func:`require_seed`.  One
     array pass gives every row's heralding probabilities, and one Philox
     bit generator, re-keyed per row, draws every row's counts.

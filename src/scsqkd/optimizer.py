@@ -28,7 +28,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import MODES, ChannelParams, ProtocolParams, _check, arm_transmittance
+from .channel import (MAX_MU, MODES, ChannelParams, ProtocolParams, _check,
+                      arm_transmittance)
 from .keyrate import KeyRateReport
 from .pipeline import (ASYMPTOTIC, SecurityConfig, SourceCalibration,
                        evaluate_points, require_block)
@@ -48,11 +49,6 @@ _CHUNK = 2 ** 14
 # Most (px, mu) candidates per point: a sweep evaluates a point's whole grid
 # in one pass, at ~0.3 kB per candidate.
 MAX_GRID = 2 ** 20
-
-# Largest end of mu_range.  Every mu above ln 2 is infeasible (the mapping
-# needs a0 = exp(-(1 + fluct) mu) >= 1/2), and from ~1.3e154 the channel
-# model's mu_A mu_B overflows doubles.
-MAX_MU = 1e100
 
 # Most refinement rounds: at shrink 1.04 both default axes collapse to one
 # float within this many.
@@ -78,7 +74,7 @@ class SearchSpace:
         (px_lo, px_hi), (mu_lo, mu_hi), (n_px, n_mu) = self.px_range, self.mu_range, self.grid
         _check(self, (("px_range", 0.0 < px_lo <= px_hi < 1.0, "lie within (0, 1)"),
                       ("mu_range", 0.0 < mu_lo <= mu_hi <= MAX_MU,
-                       f"lie within (0, {MAX_MU:.0e}]"),
+                       f"lie within (0, {MAX_MU:g}]"),
                       ("grid", n_px >= 1 and n_mu >= 1, "hold sizes >= 1"),
                       ("grid", n_px * n_mu <= MAX_GRID, f"hold at most {MAX_GRID} candidates"),
                       ("refine_rounds", 0 <= self.refine_rounds <= MAX_REFINE_ROUNDS,

@@ -170,7 +170,8 @@ _OUT_OF_RANGE = {
     "refine_rounds": [-1, 1001],
     "shrink": [1.0, math.nan],
     "p0": [0.4, math.nan], "px": [0.0, 1.0],
-    "mu_xA": [-1e-3, math.nan], "mu_xB": [-1e-3, math.nan], "N": [0.5, math.nan],
+    "mu_xA": [-1e-3, math.nan, math.nextafter(1.0, 2.0)],
+    "mu_xB": [-1e-3, math.nan, math.nextafter(1.0, 2.0)], "N": [0.5, math.nan],
     "mode": ["other", math.nan],
     "n_O": [-1.0, math.nan], "n_B": [-1.0, math.nan], "n_Z": [-1.0, math.nan],
 }
@@ -966,6 +967,9 @@ class TestMain:
     pytest.param("scan", "blocks", ["1e306"], id="scan-blocks-1e306"),
     # Overflowed mu_A mu_B in the channel model, and exited 0.
     pytest.param("search", "mu_range", [1e-4, 1e155], id="search-mu_range-1e155"),
+    # Just above the intensity cap, channel.MAX_MU.
+    pytest.param("search", "mu_range", [1e-4, math.nextafter(1.0, 2.0)],
+                 id="search-mu_range-above-1"),
     # Overflowed the leakage f n H(E_Z) at a 1e200 block, and exited 0.
     pytest.param("security", "f", 1e150, id="security-f-1e150"),
 ])

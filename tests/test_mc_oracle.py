@@ -10,18 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
-from test_channel import _mp_phase_average
+from test_channel import _UNIT, _mp_phase_average
 from test_cli import TestMcReport as _McReport
 from test_cli import _no_overrides, _write_config
 
 import scsqkd.mc_oracle
 from scsqkd import cli
-from scsqkd.channel import (MODES, ChannelParams, ProtocolParams, WindowTally,
+from scsqkd.channel import (MAX_MU, MODES, ChannelParams, ProtocolParams, WindowTally,
                             arm_transmittance, click_prob, detector_means, expected_tallies,
                             phase_averaged_prob)
 from scsqkd.cli import load_config, run_scan
-from scsqkd.mc_oracle import (_heralding, _phase_averaged_b_prob, _phase_count,
-                              require_windows, simulate, simulate_arrays)
+from scsqkd.mc_oracle import (_heralding, _phase_averaged_b_prob, require_windows,
+                              simulate, simulate_arrays)
 
 CHANNEL = ChannelParams(100.0, 0.2, 0.3, 1e-9, 0.04)
 PROTO = ProtocolParams(p0=0.5, px=0.5, mu_xA=0.1, mu_xB=0.1, N=10**6)
@@ -155,15 +155,15 @@ def test_pinned_draws(mode, seed, tally):
 
 
 def _batch():
-    """Rows of both modes over several channels; the baseline rows' phase
-    averages take 64 to 64 + 2**12 phases (c from 0 to ~3800)."""
+    """Rows of both modes over several channels; every fourth row is a
+    baseline row at the intensity cap."""
     rows = []
     for i in range(48):
         chan = ChannelParams(10.0 * (i % 5), 0.2, 0.3 + 0.1 * (i % 3),
                              10.0 ** -(5 + i % 4), 0.01 * (i % 6))
-        mu = 8000.0 if i % 4 == 3 else 0.05 * (1 + i % 7)
+        mu = 1.0 if i % 4 == 3 else 0.05 * (1 + i % 7)
         proto = ProtocolParams(p0=0.4 + 0.01 * (i % 9), px=0.6 - 0.01 * (i % 9),
-                               mu_xA=mu, mu_xB=mu * (1.0 + 0.1 * (i % 2)),
+                               mu_xA=mu, mu_xB=mu * (1.0 - 0.1 * (i % 2)),
                                N=10**6 + i, mode=MODES[i % 2 if i % 4 != 3 else 1])
         rows.append((proto, chan, 2**64 - 1 - i))
     return rows
@@ -184,14 +184,14 @@ def _simulate_rows(protocols, channels, seeds):
         *_heralding_inputs(protocols, channels), [p.N for p in protocols], seeds)]
 
 
-@pytest.mark.parametrize("block", [None, 128])
+@pytest.mark.parametrize("block", [None, 2])
 def test_row_tally_does_not_depend_on_its_batch(block, monkeypatch):
     rows = _batch()
     protocols, channels, seeds = zip(*rows)
     single = [simulate(*row) for row in rows]
     if block is not None:
         # Phase averages in blocks of at most two runs.
-        monkeypatch.setattr(scsqkd.mc_oracle, "_PHASE_BLOCK", block)
+        monkeypatch.setattr(scsqkd.mc_oracle, "_ROWS_PER_BLOCK", block)
     assert _simulate_rows(protocols, channels, seeds) == single
     assert _simulate_rows(protocols[::-1], channels[::-1], seeds[::-1]) == single[::-1]
     # A draw rarely shows a last-bit change of its probability; the
@@ -340,60 +340,51 @@ def test_counts_within_binomial_tails_across_input_box(distance, px, mu_A, mu_B,
                                           getattr(expected, name), tail)
 
 
-_PHASE_BOX = st.tuples(_log_uniform(1e-4, 10.0), _log_uniform(1e-4, 10.0),
-                       _log_uniform(1e-5, 1.0), st.floats(0.0, 0.1),
-                       _log_uniform(1e-10, 1e-5))
-# Interference terms c = eta mu up to 2000, at visibility 1 and equal
-# intensities.  There the closed form's e^{c - a} is exact (a = c), while
-# with V < 1 or unequal intensities it carries a rounding error of order
-# c * 1e-16 (up to 5e-13 against 50-digit mpmath at c ~ 2000, where the
-# trapezoid stayed within 1.7e-13), which is not the trapezoid's error.
-_LARGE_C = st.tuples(_log_uniform(1.0, 2000.0), _log_uniform(1e-5, 1.0),
-                     _log_uniform(1e-10, 1e-5)).map(
-    lambda t: (t[0] / t[1], t[0] / t[1], t[1], 0.0, t[2]))
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(inputs=st.one_of(_PHASE_BOX, _LARGE_C))
+@given(inputs=st.tuples(_UNIT, _UNIT, _UNIT, st.floats(0.0, 1.0), _log_uniform(1e-10, 1e-5)))
 def test_phase_average_matches_closed_form(inputs):
+    # Each lies within 1e-15 of a 50-digit reference over this range
+    # (test_channel.test_click_probabilities_against_mpmath).
     mu_A, mu_B, eta, e_d, p_d = inputs
     average = _phase_averaged_b_prob(*(np.array([x]) for x in inputs))
     closed = phase_averaged_prob(mu_A, mu_B, eta, e_d, p_d)
-    assert average[0] == pytest.approx(closed, rel=1e-13, abs=0), inputs
+    assert average[0] == pytest.approx(closed, rel=2e-15, abs=0), inputs
 
 
-@pytest.mark.parametrize("c, e_d, ratio", [(100.0, 0.1, 1.0), (700.0, 0.01, 1.0),
-                                           (2000.0, 0.01, 1.0), (700.0, 0.0, 1.5)])
-def test_phase_average_keeps_small_averages(c, e_d, ratio):
-    # Both detectors almost surely click away from the dark fringe, so the
-    # average is small (1e-8 down to 1e-27 here): a dark probability taken
-    # as 1 - click_prob rounds towards 0 there and loses digits, up to all.
-    mu = c / (1.0 - 2.0 * e_d)
-    inputs = (mu * ratio, mu / ratio, 1.0, e_d, 1e-7)
+# Bits of the 64-phase average at three points: a change of the grid or of
+# its summation order moves the last bits, which no binomial draw of a test
+# shows.
+@pytest.mark.parametrize("inputs, bits", [
+    ((0.1, 0.1, 0.03, 0.04, 1e-9), "0x1.87b31bff4a54cp-8"),
+    ((1.0, 0.5, 1.0, 0.0, 1e-3), "0x1.3d81ef6b8be59p-1"),
+    ((0.3, 0.7, 0.2, 0.3, 1e-6), "0x1.61f0f87f87beep-3")])
+def test_phase_average_bits_are_pinned(inputs, bits):
+    average = _phase_averaged_b_prob(*(np.array([x]) for x in inputs))
+    assert float(average[0]).hex() == bits
+
+
+@pytest.mark.parametrize("q, e_d, ratio", [(1e-6, 0.1, 1.0), (1e-10, 0.01, 1.0),
+                                           (1e-15, 0.01, 1.0), (1e-10, 0.0, 1.5)])
+def test_phase_average_keeps_small_averages(q, e_d, ratio):
+    # At the cap with p_d = 1 - q both detectors almost surely click, so the
+    # average is small (of order q): a dark probability taken as
+    # 1 - click_prob rounds towards 0 there and loses digits, up to all.
+    inputs = (MAX_MU, MAX_MU / ratio, 1.0, e_d, 1.0 - q)
     average = _phase_averaged_b_prob(*(np.array([x]) for x in inputs))
     assert average[0] == pytest.approx(_mp_phase_average(*inputs), rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("mu", [10.0, 20.0])
-def test_fixed_means_keep_small_heralding_probabilities(mu):
-    # At eta = 1 the left detector almost surely clicks in an improved B
-    # window (nu_L = 19.2 and 38.4), so its dark probability is small: taken
-    # as 1 - click_prob it lost 7.6e-10 of the probability at mu = 10 and
-    # all of it at mu = 20 (0.0 against 1.7e-17).
-    channel = ChannelParams(0.0, 0.2, 1.0, 1e-9, 0.04)
-    p_b = _heralding(*_heralding_inputs([ProtocolParams(0.5, 0.5, mu, mu, 10**6)],
+@pytest.mark.parametrize("q", [1e-10, 1e-15])
+def test_fixed_means_keep_small_heralding_probabilities(q):
+    # At the cap, eta = 1 and p_d = 1 - q the left detector almost surely
+    # clicks in an improved B window, so its dark probability is small:
+    # taken as 1 - click_prob it loses all digits but a few.
+    channel = ChannelParams(0.0, 0.2, 1.0, 1.0 - q, 0.04)
+    p_b = _heralding(*_heralding_inputs([ProtocolParams(0.5, 0.5, MAX_MU, MAX_MU, 10**6)],
                                         [channel]))[0, -1]
     with mpmath.workdps(50):
-        m, e_d, p_d = mpmath.mpf(mu), mpmath.mpf(channel.e_d), mpmath.mpf(channel.p_d)
+        m, e_d, p_d = mpmath.mpf(MAX_MU), mpmath.mpf(channel.e_d), mpmath.mpf(channel.p_d)
         dark_r = (1 - p_d) * mpmath.exp(-2 * m * e_d)
         dark_l = (1 - p_d) * mpmath.exp(-2 * m * (1 - e_d))
         expected = float((1 - dark_r) * dark_l)
     assert p_b == pytest.approx(expected, rel=1e-14, abs=0)
-
-
-def test_phase_count():
-    # 64 + 2**ceil(log2 c) above c = 1, capped at 64 + 2**16.
-    c = [0.0, 1.0, math.nextafter(1.0, 2.0), 2.0, 3.0, 4.0, 2000.0, 2.0**16,
-         2.0**16 + 1.0, 1e9]
-    assert [_phase_count(x) for x in c] == [64, 64, 66, 66, 68, 68, 2112, 65600, 65600,
-                                            65600]

@@ -329,12 +329,13 @@ class TestOptimize:
     def test_infeasible_candidates_are_skipped(self):
         # Intensities above ~0.63 violate the mapping condition with +-10%
         # fluctuation; a range straddling the boundary must still succeed.
-        space = SearchSpace(mu_range=(0.01, 2.0), grid=(6, 12), refine_rounds=0)
+        space = SearchSpace(mu_range=(0.01, 1.0), grid=(6, 12), refine_rounds=0)
         protocol, _ = optimize(CHANNEL_50, CALIB, 1e12, SECURITY, space)
         assert protocol.mu_xA < 0.7
 
     def test_fully_infeasible_space_raises(self):
-        space = SearchSpace(mu_range=(1.0, 2.0), grid=(3, 3), refine_rounds=0)
+        # Every mu from 0.7 up, at fluct 0.1, has exp(-0.77) < 1/2.
+        space = SearchSpace(mu_range=(0.7, 1.0), grid=(3, 3), refine_rounds=0)
         with pytest.raises(NoFeasiblePointError):
             optimize(CHANNEL_50, CALIB, 1e12, SECURITY, space)
 

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scsqkd import chernoff, phase_error, pipeline
-from scsqkd.channel import (MODES, ChannelParams, ProtocolParams, arm_transmittance,
-                            heralding_arrays, tally_arrays)
+from scsqkd.channel import (MAX_MU, MODES, ChannelParams, ProtocolParams,
+                            arm_transmittance, heralding_arrays, tally_arrays)
 from scsqkd.mapping import virtual_intensity_array
 from scsqkd.optimizer import SearchSpace, optimize, search_points
 from scsqkd.pipeline import (InfeasibleError, SecurityConfig, SourceCalibration,
@@ -130,6 +130,27 @@ def test_mixed_edge_batch_equals_one_candidate_calls(block):
     assert empty.sum() == 1 + (block == "asymptotic")
     assert (batch.e_ph[empty] == 0.5).all() and (batch.R_coh_signed[empty] == -np.inf).all()
     assert np.isnan(batch.n_Z[2]) and batch.R_coh_signed[2] == -np.inf
+
+
+@pytest.mark.parametrize("block", [1e10, "asymptotic"])
+@pytest.mark.parametrize("names", [("mu_A",), ("mu_B",), ("mu_A", "mu_B"), ("eta",)])
+def test_input_above_the_cap_rejected(block, names):
+    # Intensities lie in [0, MAX_MU] and transmittances in [0, 1]: the one
+    # check on the raw arrays of a pass rejects one element above either,
+    # also in one array passed as both intensities, which it checks once.
+    inputs = {"mu_A": np.array([0.1, MAX_MU]), "mu_B": np.array([0.2, MAX_MU]),
+              "eta": np.array([0.03, 1.0])}
+
+    def evaluate():
+        return evaluate_points(CHANNEL_50, CALIB, np.array([0.5, 0.5]), inputs["mu_A"],
+                               inputs["mu_B"], inputs["eta"], SecurityConfig(), (block,))
+
+    evaluate()
+    # NaN passes, as it did before the cap, but hides no other element.
+    above = np.array([np.nan, math.nextafter(1.0, 2.0)])
+    inputs.update(dict.fromkeys(names, above))
+    with pytest.raises(ValueError, match=r"intensities and transmittance must lie in \[0, 1\]"):
+        evaluate()
 
 
 def test_each_party_keeps_its_own_source_bounds():

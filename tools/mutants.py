@@ -58,11 +58,55 @@ TESTS = "tests"
 ALWAYS = ("test_pinned_outputs.py",)
 MEMORY = 3 * 2 ** 30
 
+# Why a mutant of the series stop rule in channel._scaled_i0_minus_1 that
+# lengthens the series changes no bit.
+_LONGER = (
+    "only lengthens the series: each term ratio y / k^2 of the scalar recursion is at "
+    "least the true one, so its term-to-sum ratio is never below the true one and it "
+    "stops no earlier; every term an element adds beyond its own stop is below half an "
+    "ulp of its sum, so no bit changes")
+
 # Equivalent mutants: key -> why nothing observable changes.
 ALLOWED = {
-    "channel.heralding_arrays: `0.0` -> `1.0` | if min(np.minimum.reduce(x, axis=None, "
-    "initial=0.0) for x in arrays) < 0.0:":
+    "channel.heralding_arrays: `0.0` -> `1.0` | if any(np.fmin.reduce(x, axis=None, "
+    "initial=0.0) < 0.0":
     "any initial >= 0 gives the same verdict: min(initial, min(x)) < 0 iff min(x) < 0",
+    "channel.heralding_arrays: `0.0` -> `1.0` | or np.fmax.reduce(x, axis=None, "
+    "initial=0.0) > MAX_MU for x in arrays):":
+    "any initial <= MAX_MU gives the same verdict: max(initial, max(x)) > MAX_MU iff "
+    "max(x) > MAX_MU",
+    "channel._scaled_i0_minus_1: `0.0` -> `1.0` | c_max = float(np.fmax.reduce(c, "
+    "axis=None, initial=0.0))":
+    _LONGER,
+    "channel._scaled_i0_minus_1: `0.25` -> `0.5` | y_max = 0.25 * c_max * c_max":
+    _LONGER,
+    "channel._scaled_i0_minus_1: `*` -> `/` | term *= y_max / (terms * terms)":
+    _LONGER,
+    "channel._scaled_i0_minus_1: `/` -> `*` | term *= y_max / (terms * terms)":
+    _LONGER,
+    "channel._scaled_i0_minus_1: `+=` -> `-=` | total += term":
+    "only lengthens the series: the sum y - y^2/4 - ... stays positive and below the true"
+    " one, so the term-to-sum ratio is never below the true one and it stops no earlier; "
+    "every term an element adds beyond its own stop is below half an ulp of its sum, so "
+    "no bit changes",
+    "channel._scaled_i0_minus_1: `*=` -> `/=` | term *= y_max / (terms * terms)":
+    "the recursion's terms grow until term and sum reach inf, where the loop ends after "
+    "at most a few hundred terms; the true terms beyond each element's stop are below "
+    "half an ulp of its sum or underflow to 0, so no bit changes",
+    "channel._scaled_i0_minus_1: `1` -> `2` | terms = 1":
+    "the count starts one higher and the recursion divides by (k + 1)^2 from k = 2: its "
+    "term after j steps is the true term j + 2 times 4 / y, so at y <= 4 (c <= 4, above "
+    "the cap) the true series stops within one term of the mutant's loop and the count "
+    "never falls below it; the extra terms are below half an ulp of each sum, so no bit "
+    "changes",
+    "channel._scaled_i0_minus_1: `1` -> `2` | terms += 1":
+    "the count climbs by two per step while the recursion divides by odd squares: after j"
+    " steps its term y^(j+1) / (3 5 ... (2j+1))^2 is at least the true term 2j + 1 at y "
+    "<= 1, and its sum at most the true sum, so its count 2j + 1 never falls below the "
+    "true stop; the extra terms are below half an ulp of each sum, so no bit changes",
+    "channel._scaled_i0_minus_1: `1e-17` -> `2e-17` | while term > 1e-17 * total:":
+    "a term below 2e-17 of its sum is still below half an ulp of it (at least 2^-54, "
+    "5.6e-17, of the sum), so the terms the earlier stop leaves out change no bit",
     "phase_error._mean_count: `5e-324` -> `1e-323` | return np.maximum(p0 * px / 2.0, "
     "5e-324) * (":
     "the floor acts only where px <= 1e-323, where sqrt(nB_U) / px is inf (nB_U > 0 "
